@@ -4,9 +4,11 @@ Each check function takes the run seed and returns (verdict, details):
 True for pass, False for fail, None for inconclusive.  Details are plain
 deterministic strings (counts and witnesses, never wall-clock), so a whole
 run serializes byte-identically under a fixed seed.  The ten checks are
-registered in CRITERIA in their documented order; the per-object helpers
-(relation_kernel_checks, tensor_square_checks, formanek_checks) are reused
-by the lattice subcommand of the CLI.
+registered in CRITERIA in their documented order.  The CLI reuses the
+status mapping (check_result), the seeded streams (seeded_rng,
+draw_symbol_params, quartic_trace_instance) and the per-object helpers
+(relation_kernel_checks, tensor_square_checks, formanek_checks,
+decomposition_ok).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .bounds import d_bounds, tau_bound_crossed
 from .crossed import (
     CrossedAlgebra,
     CrossedError,
+    DecompositionCertificate,
     SymbolAlgebra,
     TensorAlgebra,
     bergman_power,
@@ -69,7 +72,7 @@ from .quadforms import (
 from . import snf
 
 
-def _rng(seed: int, slug: str) -> random.Random:
+def seeded_rng(seed: int, slug: str) -> random.Random:
     # string seeding hashes the bytes, stable across runs and platforms
     return random.Random(f"{seed}/{slug}")
 
@@ -332,7 +335,7 @@ def check_power_cancellation(seed: int):
 # ------------------------------------------------- 7: decomposition pipeline
 
 
-def _draw_symbol_params(rng: random.Random):
+def draw_symbol_params(rng: random.Random):
     """Nonzero rational (e, g, t, lam) avoiding the structural degeneracies
     g = t^2 (zero divisor in the splitter) and g = -t^2 (f2 = 0)."""
     while True:
@@ -341,13 +344,17 @@ def _draw_symbol_params(rng: random.Random):
             return e, g, t, lam
 
 
-def _decomposition_ok(algebra: CrossedAlgebra) -> tuple[bool, str]:
+def decomposition_ok(
+    algebra: CrossedAlgebra,
+) -> tuple[bool, str, DecompositionCertificate]:
+    """Decompose once; the verdict covers the branch identities plus, on the
+    generic branch, the commutation solve back to a symbol presentation."""
     cert = decompose(algebra)
     bad = [item["name"] for item in cert.identities if not item["ok"]]
     if bad or not cert.ok:
-        return False, f"branch {cert.branch}: failing {bad}"
+        return False, f"branch {cert.branch}: failing {bad}", cert
     if cert.branch != "generic":
-        return True, cert.branch
+        return True, cert.branch, cert
     K = algebra.K
     f1, f2 = algebra.b1_pair()
     f = -K.a1 / f1
@@ -357,23 +364,23 @@ def _decomposition_ok(algebra: CrossedAlgebra) -> tuple[bool, str]:
     pres = cyclic_to_symbol(twisted, gamma)
     c = -(K.a1 * f2) / f1
     if not (pres.ok and pres.c_prime == c * c * K.a2):
-        return False, "commutation solve or c' value fails"
-    return True, "generic"
+        return False, "commutation solve or c' value fails", cert
+    return True, "generic", cert
 
 
 def check_decomposition_pipeline(seed: int):
     ring = PolyRing(("a1", "a2", "t", "lam"), 4)
     gens = [ring.element(ring.var(v)) for v in ring.variables]
     algebra = instance_from_symbol(2, *gens, ring=ring, check="full")
-    ok, detail = _decomposition_ok(algebra)
+    ok, detail, _ = decomposition_ok(algebra)
     if not ok:
         return False, f"symbolic generic run: {detail}"
 
     rq = PolyRing((), 4)
-    rng = _rng(seed, "decomposition")
+    rng = seeded_rng(seed, "decomposition")
     done = resampled = 0
     while done < 20:
-        e, g, t, lam = _draw_symbol_params(rng)
+        e, g, t, lam = draw_symbol_params(rng)
         try:
             algebra = instance_from_symbol(
                 2, rq.element(e), rq.element(g), rq.element(t),
@@ -383,14 +390,14 @@ def check_decomposition_pipeline(seed: int):
             if resampled > 50:
                 return False, "instance generator exhausted"
             continue
-        ok, detail = _decomposition_ok(algebra)
+        ok, detail, _ = decomposition_ok(algebra)
         if not ok:
             return False, f"instance ({e},{g},{t},{lam}): {detail}"
         done += 1
 
-    ok1, d1 = _decomposition_ok(
+    ok1, d1, _ = decomposition_ok(
         instance_from_symbol(2, 3, 5, 0, 1, ring=rq, check="full"))
-    ok2, d2 = _decomposition_ok(
+    ok2, d2, _ = decomposition_ok(
         crossed_from_data(2, 3, 5, 1, 7, 11, ring=rq, check="full"))
     if not (ok1 and d1 == "f1-zero-cyclic"):
         return False, f"f1 = 0 branch: {d1}"
@@ -433,7 +440,7 @@ def quartic_trace_instance(ring: PolyRing, rng: random.Random,
 
 def check_trace_form_certificates(seed: int):
     ring = PolyRing((), 4)
-    rng = _rng(seed, "traceform")
+    rng = seeded_rng(seed, "traceform")
     resampled_total = 0
     for k in range(10):
         try:
@@ -461,7 +468,7 @@ def check_trace_form_certificates(seed: int):
 
 
 def check_hilbert_and_hyperbolic(seed: int):
-    rng = _rng(seed, "hilbert")
+    rng = seeded_rng(seed, "hilbert")
     problems = []
     for _ in range(100):
         a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 20))
@@ -508,11 +515,11 @@ def check_hilbert_and_hyperbolic(seed: int):
 
 def _seeded_draws(seed: int) -> dict:
     """The raw parameter streams behind checks 7, 8, and 9, re-derived."""
-    rng7 = _rng(seed, "decomposition")
-    draws7 = [tuple(map(str, _draw_symbol_params(rng7))) for _ in range(20)]
-    rng8 = _rng(seed, "traceform")
+    rng7 = seeded_rng(seed, "decomposition")
+    draws7 = [tuple(map(str, draw_symbol_params(rng7))) for _ in range(20)]
+    rng8 = seeded_rng(seed, "traceform")
     draws8 = [tuple(map(str, _draw_quartic_params(rng8))) for _ in range(10)]
-    rng9 = _rng(seed, "hilbert")
+    rng9 = seeded_rng(seed, "hilbert")
     draws9 = [str(Fraction(rng9.choice([-1, 1]) * rng9.randint(1, 60),
                            rng9.randint(1, 20))) for _ in range(40)]
     return {"decomposition": draws7, "traceform": draws8, "hilbert": draws9}
@@ -520,7 +527,7 @@ def _seeded_draws(seed: int) -> dict:
 
 def _pipeline_probe(seed: int) -> dict:
     ring = PolyRing((), 4)
-    td, _ = quartic_trace_instance(ring, _rng(seed, "probe"))
+    td, _ = quartic_trace_instance(ring, seeded_rng(seed, "probe"))
     report = replay_trace_form_equivalence(td)
     return {
         "trace": {k: str(v) for k, v in td.values().items()},
@@ -563,9 +570,9 @@ CRITERIA = (
 )
 
 
-def run_criterion(index: int, seed: int) -> dict:
-    name, fn = CRITERIA[index]
-    verdict, details = fn(seed)
+def check_result(name: str, verdict, details) -> dict:
+    """One named check: verdict True / False / None becomes status
+    pass / fail / inconclusive."""
     if verdict is True:
         status = "pass"
     elif verdict is False:
@@ -573,6 +580,11 @@ def run_criterion(index: int, seed: int) -> dict:
     else:
         status = "inconclusive"
     return {"name": name, "status": status, "details": details}
+
+
+def run_criterion(index: int, seed: int) -> dict:
+    name, fn = CRITERIA[index]
+    return check_result(name, *fn(seed))
 
 
 def _run_one(args) -> dict:

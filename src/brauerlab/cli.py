@@ -20,17 +20,18 @@ from fractions import Fraction
 from . import __version__
 from .acceptance import (
     CRITERIA,
+    check_result,
+    decomposition_ok,
+    draw_symbol_params,
     formanek_checks,
     quartic_trace_instance,
     relation_kernel_checks,
     run_all,
+    seeded_rng,
     tensor_square_checks,
-    _decomposition_ok,
-    _draw_symbol_params,
-    _rng,
 )
 from .bounds import d_bounds
-from .crossed import CrossedError, decompose, instance_from_symbol, standard_ring
+from .crossed import CrossedError, instance_from_symbol, standard_ring
 from .exactfield import PolyRing, is_square
 from .factorsets import (
     check_cocycle,
@@ -59,16 +60,6 @@ SCHEMA = "brauerlab-envelope/1"
 
 class UsageError(ValueError):
     """Invalid input surfaced as exit code 2."""
-
-
-def _check(name: str, ok, details) -> dict:
-    if ok is True:
-        status = "pass"
-    elif ok is False:
-        status = "fail"
-    else:
-        status = "inconclusive"
-    return {"name": name, "status": status, "details": details}
 
 
 def _aggregate(checks: list) -> str:
@@ -114,9 +105,9 @@ def cmd_bounds(args) -> tuple[dict, list]:
     report = d_bounds(args.n, args.assume)
     data = report.to_json()
     checks = [
-        _check("degree-bounds", True, data),
-        _check("bounds-consistent", report.lower <= report.upper,
-               f"lower {report.lower} <= upper {report.upper}"),
+        check_result("degree-bounds", True, data),
+        check_result("bounds-consistent", report.lower <= report.upper,
+                     f"lower {report.lower} <= upper {report.upper}"),
     ]
     return {"n": args.n, "assumptions": list(args.assume)}, checks
 
@@ -134,11 +125,11 @@ def cmd_lattice(args) -> tuple[dict, list]:
             raise UsageError("the symmetric-group kernel needs n >= 2")
         res = formanek_checks(args.formanek)
         checks = [
-            _check("sequence-exact", res["exact"], f"kernel rank {res['kernel_rank']}"),
-            _check("kernel-rank", res["kernel_rank"] == args.formanek ** 2 + 1,
-                   f"rank {res['kernel_rank']}, expected n^2 + 1"),
-            _check("splitting-unimodular", res["iso_det"] in (1, -1),
-                   f"determinant {res['iso_det']}"),
+            check_result("sequence-exact", res["exact"], f"kernel rank {res['kernel_rank']}"),
+            check_result("kernel-rank", res["kernel_rank"] == args.formanek ** 2 + 1,
+                         f"rank {res['kernel_rank']}, expected n^2 + 1"),
+            check_result("splitting-unimodular", res["iso_det"] in (1, -1),
+                         f"determinant {res['iso_det']}"),
         ]
         return {"formanek": args.formanek}, checks
 
@@ -158,7 +149,7 @@ def cmd_lattice(args) -> tuple[dict, list]:
             f"no generating tuple of length {args.r} relative to the "
             f"subgroup; raise --r")
     checks = [
-        _check("relation-kernel", rel["ok"], {
+        check_result("relation-kernel", rel["ok"], {
             "exact": rel["exact"], "kernel_rank": rel["kernel_rank"],
             "faithful": rel["faithful"], "predicted": rel["predicted"],
             "r": args.r,
@@ -167,7 +158,7 @@ def cmd_lattice(args) -> tuple[dict, list]:
     tens = tensor_square_checks(group, subgroup)
     if tens.get("skipped"):
         raise UsageError("the tensor-square sequence needs index at least 2")
-    checks.append(_check("tensor-square", tens["ok"], {
+    checks.append(check_result("tensor-square", tens["ok"], {
         "exact": tens["exact"], "basis_rule": tens["basis_rule"],
         "explicit_inverse": tens["explicit_inverse"],
         "faithful": tens["faithful"], "predicted": tens["predicted"],
@@ -193,29 +184,29 @@ def cmd_udn_factorset(args) -> tuple[dict, list]:
     checks = []
     if mode in ("all", "cocycle"):
         cert = check_cocycle(raw)
-        checks.append(_check("cocycle-identity", cert.ok,
-                             f"{cert.checked} quadruples"))
+        checks.append(check_result("cocycle-identity", cert.ok,
+                                   f"{cert.checked} quadruples"))
     if mode in ("all", "equivariance"):
         cert = check_equivariance(raw)
-        checks.append(_check("equivariance-raw", cert.ok,
-                             f"{cert.checked} entry-generator pairs"))
+        checks.append(check_result("equivariance-raw", cert.ok,
+                                   f"{cert.checked} entry-generator pairs"))
     if needs_normalized:
         cp = normalized_factor_set(args.n)
         if mode in ("all", "normalization"):
-            checks.append(_check("reduced-normalized-predicates",
-                                 is_reduced(cp) and is_normalized(cp),
-                                 "degenerate entries trivial, reversal products trivial"))
+            checks.append(check_result("reduced-normalized-predicates",
+                                       is_reduced(cp) and is_normalized(cp),
+                                       "degenerate entries trivial, reversal products trivial"))
             bad = sum(
                 0 if (cp[(i, j, h)] * cp[(h, j, i)]).is_trivial() else 1
                 for i in range(1, args.n + 1)
                 for j in range(1, args.n + 1)
                 for h in range(1, args.n + 1))
-            checks.append(_check("reversal-products", bad == 0,
-                                 f"{args.n ** 3} products, {bad} nontrivial"))
+            checks.append(check_result("reversal-products", bad == 0,
+                                       f"{args.n ** 3} products, {bad} nontrivial"))
         if mode in ("all", "equivariance"):
             cert = check_equivariance(cp)
-            checks.append(_check("equivariance-normalized", cert.ok,
-                                 f"{cert.checked} entry-generator pairs"))
+            checks.append(check_result("equivariance-normalized", cert.ok,
+                                       f"{cert.checked} entry-generator pairs"))
         if mode in ("all", "wedge"):
             failures = 0
             total = 0
@@ -228,8 +219,8 @@ def cmd_udn_factorset(args) -> tuple[dict, list]:
                         if coords is None or expand_wedge_coordinates(
                                 args.n, coords) != m.exponent_tensor():
                             failures += 1
-            checks.append(_check("wedge-membership", failures == 0,
-                                 f"{total} entries, {failures} escapes"))
+            checks.append(check_result("wedge-membership", failures == 0,
+                                       f"{total} entries, {failures} escapes"))
     return {"n": args.n, "check": mode}, checks
 
 
@@ -243,12 +234,10 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
     checks = []
 
     def run_one(label: str, algebra) -> None:
-        # verdict covers the branch identities plus, on the generic branch,
-        # the commutation solve back to a symbol presentation
-        ok, detail = _decomposition_ok(algebra)
-        payload = decompose(algebra).to_json()
+        ok, detail, cert = decomposition_ok(algebra)
+        payload = cert.to_json()
         payload["pipeline"] = detail
-        checks.append(_check(label, ok, payload))
+        checks.append(check_result(label, ok, payload))
 
     if args.symbol is not None:
         e, g, t, lam = [_parse_fraction(v) for v in args.symbol]
@@ -268,10 +257,12 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
     else:
         if args.m != 2:
             raise UsageError("--random draws the degree-4 family; use --symbol for larger m")
-        rng = _rng(args.seed, "decomposition")
+        if args.random < 1:
+            raise UsageError("--random needs at least one instance")
+        rng = seeded_rng(args.seed, "decomposition")
         done = resampled = 0
         while done < args.random:
-            e, g, t, lam = _draw_symbol_params(rng)
+            e, g, t, lam = draw_symbol_params(rng)
             try:
                 algebra = instance_from_symbol(
                     2, ring.element(e), ring.element(g), ring.element(t),
@@ -296,11 +287,11 @@ def cmd_traceform(args) -> tuple[dict, list]:
     if args.random < 1:
         raise UsageError("--random needs at least one instance")
     ring = PolyRing((), 4)
-    rng = _rng(args.seed, "traceform")
+    rng = seeded_rng(args.seed, "traceform")
     checks = []
     for k in range(args.random):
         td, _ = quartic_trace_instance(ring, rng)
-        checks.append(_check(
+        checks.append(check_result(
             f"instance-{k}-trace-identities",
             all(c["ok"] for c in td.checks),
             {"trace_data": {n: str(v) for n, v in td.values().items()},
@@ -312,7 +303,7 @@ def cmd_traceform(args) -> tuple[dict, list]:
         target = equiv_form(td)
         matches = final.dim == target.dim and all(
             final.entries[i] == target.entries[i] for i in range(final.dim))
-        checks.append(_check(
+        checks.append(check_result(
             f"instance-{k}-move-certificate",
             matches and target.audit["only_four_generators"],
             {"serre_form": [str(e) for e in start.entries],
@@ -350,7 +341,7 @@ def cmd_traceform(args) -> tuple[dict, list]:
         except QuadFormError:
             detail["rational"] = ("entries generate Q(i); "
                                   "rational invariants not defined")
-        checks.append(_check(
+        checks.append(check_result(
             f"instance-{k}-invariant-cross-checks", ok, detail))
     return {"m": args.m, "random": args.random}, checks
 
@@ -368,10 +359,7 @@ def cmd_selftest(args) -> tuple[dict, list]:
             raise UsageError(f"criteria run 1..{len(CRITERIA)}")
     else:
         indices = None
-    results = run_all(args.seed, jobs=args.jobs, indices=indices)
-    checks = [_check(r["name"], r["status"] == "pass"
-                     if r["status"] != "inconclusive" else None,
-                     r["details"]) for r in results]
+    checks = run_all(args.seed, jobs=args.jobs, indices=indices)
     return {
         "seed": args.seed,
         "jobs": args.jobs,

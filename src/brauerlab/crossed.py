@@ -9,24 +9,33 @@ with the rewriting rules
     z1^m = b1 in F(al2),  z2^2 = b2 in F(al1),  z1 z2 = u z2 z1,
 
 coefficients kept on the left.  The compatibility conditions on (u, b1, b2)
-are not characterized here; instead associativity is verified on basis
-triples at construction (all triples for m <= 3, a seeded sample for larger
-m).  One consequence worth knowing: reducing z2 z1^m both ways forces
-N_s1(u) = b1/s2(b1), so u = 1 with b1 having a genuine al2 component is
-always rejected.  Norm-compatible instances with both components of b1
-nonzero come from ``instance_from_symbol``, which realizes the crossed
-product inside a degree-2m symbol algebra.
+are not characterized here; instead they are verified exactly at
+construction.  Monomials multiply as
 
-The check level "cyclic" verifies only the subalgebra generated by K and z1
-(associative for every b1 in F(al2), no condition on u or b2); it exists
-because the power-cancellation identity and the gamma-power computations
-live entirely in that subalgebra and are meaningful for fully independent
-parameters where no compatible u exists over the rational function field.
+    (lam z^g)(mu z^h) = lam s_g(mu) c(g, h) z^(gh)   for g, h in Z/m x Z/2,
+
+where z^(k, l) = z1^k z2^l and s_(k, l) = s1^k s2^l, so the algebra is
+associative exactly when the factor set c is a 2-cocycle,
+
+    c(g, h) c(gh, k) = s_g(c(h, k)) c(g, hk),
+
+which is (2m)^3 group triples for every m.  One consequence worth knowing:
+reducing z2 z1^m both ways forces N_s1(u) = b1/s2(b1), so u = 1 with b1
+having a genuine al2 component is always rejected.  Norm-compatible
+instances with both components of b1 nonzero come from
+``instance_from_symbol``, which realizes the crossed product inside a
+degree-2m symbol algebra.
+
+The check level "cyclic" verifies the identity only on Z/m x 0, that is on
+the subalgebra generated by K and z1 (associative for every b1 in F(al2),
+no condition on u or b2); it exists because the power-cancellation identity
+and the gamma-power computations live entirely in that subalgebra and are
+meaningful for fully independent parameters where no compatible u exists
+over the rational function field.  The level "none" skips the identity.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence
 
 from .exactfield import (
@@ -40,7 +49,6 @@ from .exactfield import (
     solve,
     transport,
 )
-from .exactfield.cyclotomic import PoleError
 
 
 class CrossedError(ValueError):
@@ -403,26 +411,20 @@ def symbol_algebra(a, b, m: int, ring: Optional[PolyRing] = None) -> SymbolAlgeb
 # --------------------------------------------------------------- crossed algebras
 
 
-CHECK_LEVELS = ("auto", "full", "sampled", "cyclic", "none")
+CHECK_LEVELS = ("full", "cyclic", "none")
 
 
 class CrossedAlgebra:
     """Structure-constant crossed product for Z/m x Z/2; see module docstring.
 
     Elements are {(k, l): KElem} representing sums of K-coefficients times
-    z1^k z2^l, with k < m and l < 2.
+    z1^k z2^l, with k < m and l < 2.  ``check`` is one of CHECK_LEVELS: the
+    2-cocycle identity over all of Z/m x Z/2 ("full"), over Z/m x 0 only
+    ("cyclic"), or not at all ("none"); the conjugation relations are
+    verified at every level.
     """
 
-    def __init__(
-        self,
-        K: KummerField,
-        u,
-        b1,
-        b2,
-        check: str = "auto",
-        sample_seed: int = 0,
-        sample_size: int = 10_000,
-    ):
+    def __init__(self, K: KummerField, u, b1, b2, check: str = "full"):
         if check not in CHECK_LEVELS:
             raise CrossedError(f"unknown check level {check!r}")
         self.K = K
@@ -447,15 +449,8 @@ class CrossedAlgebra:
         self._c = [K.one()]
         for r in range(1, self.m):
             self._c.append(K.mul(self._c[r - 1], K.sigma(u_inv, r - 1, 0)))
-        self.check_level = self._resolve_check(check)
-        self._verify_construction(sample_seed, sample_size)
-
-    def _resolve_check(self, check: str) -> str:
-        if check == "auto":
-            return "full" if self.m <= 3 else "sampled"
-        if check == "cyclic":
-            return "cyclic-full" if self.m <= 3 else "cyclic-sampled"
-        return check
+        self.check_level = check
+        self._verify_construction()
 
     # -- elements -----------------------------------------------------------
 
@@ -631,22 +626,7 @@ class CrossedAlgebra:
 
     # -- construction-time verification ---------------------------------------
 
-    def _basis_monomials(self, cyclic_only: bool) -> list:
-        out = []
-        for k in range(self.m):
-            for l in range(2):
-                if cyclic_only and l:
-                    continue
-                for i in range(self.m):
-                    for j in range(2):
-                        out.append((i, j, k, l))
-        return out
-
-    def _mono_elem(self, mono) -> dict:
-        i, j, k, l = mono
-        return {(k, l): {(i, j): self.ring.element(1)}}
-
-    def _verify_construction(self, seed: int, sample_size: int):
+    def _verify_construction(self):
         K = self.K
         # conjugation relations z_i x = sigma_i(x) z_i on all K basis monomials
         for i in range(self.m):
@@ -662,39 +642,25 @@ class CrossedAlgebra:
                     raise CrossedError("conjugation relation failed for z2")
         if self.check_level == "none":
             return
-        cyclic = self.check_level.startswith("cyclic")
-        monos = self._basis_monomials(cyclic_only=cyclic)
-        if self.check_level in ("full", "cyclic-full"):
-            triples = (
-                (a, b, c) for a in monos for b in monos for c in monos
-            )
-        else:
-            budget = sample_size if self.check_level == "sampled" else 2000
-            rng = random.Random(seed)
-            triples = (
-                (rng.choice(monos), rng.choice(monos), rng.choice(monos))
-                for _ in range(budget)
-            )
-        one = self.ring.element(1)
-        pair = {}
-        for a in monos:
-            for b in monos:
-                ia, ja, ka, la = a
-                ib, jb, kb, lb = b
-                pair[(a, b)] = self._mono_mult(
-                    {(ia, ja): one}, ka, la, {(ib, jb): one}, kb, lb
-                )
-        for a, b, c in triples:
-            cf_ab, (kab, lab) = pair[(a, b)]
-            cf_bc, (kbc, lbc) = pair[(b, c)]
-            lhs = self._mono_mult(cf_ab, kab, lab, {(c[0], c[1]): one}, c[2], c[3])
-            rhs = self._mono_mult({(a[0], a[1]): one}, a[2], a[3], cf_bc, kbc, lbc)
-            if lhs[1] != rhs[1] and not (
-                self.K.is_zero(lhs[0]) and self.K.is_zero(rhs[0])
-            ):
-                raise CrossedError("associativity violated: incompatible (u, b1, b2)")
-            if not self.K.equal(lhs[0], rhs[0]):
-                raise CrossedError("associativity violated: incompatible (u, b1, b2)")
+        # _mono_mult(lam, g, mu, h) = lam sigma_g(mu) c(g, h) z^(gh), so
+        # associativity on all monomial triples is the 2-cocycle identity
+        # c(g,h) c(gh,k) = sigma_g(c(h,k)) c(g,hk) on group triples
+        group = [(k, l) for k in range(self.m)
+                 for l in range(2 if self.check_level == "full" else 1)]
+        cocycle = {
+            (g, h): self._mono_mult(K.one(), *g, K.one(), *h)
+            for g in group for h in group
+        }
+        for g in group:
+            for h in group:
+                c_gh, gh = cocycle[(g, h)]
+                for k in group:
+                    c_hk, hk = cocycle[(h, k)]
+                    lhs = K.mul(c_gh, cocycle[(gh, k)][0])
+                    rhs = K.mul(K.sigma(c_hk, *g), cocycle[(g, hk)][0])
+                    if not K.equal(lhs, rhs):
+                        raise CrossedError(
+                            "associativity violated: incompatible (u, b1, b2)")
 
     # -- descriptions ------------------------------------------------------------
 
@@ -733,13 +699,15 @@ def crossed_from_data(
     b1,
     b2,
     ring: Optional[PolyRing] = None,
-    check: str = "auto",
-    sample_seed: int = 0,
+    check: str = "full",
 ) -> CrossedAlgebra:
-    """Crossed algebra from raw data; associativity decided by the checker.
+    """Crossed algebra from raw data, verified at the given check level.
 
-    b1 may be a scalar or a pair (f1, f2) meaning f1 + f2*al2; b2 a scalar or
-    a coefficient list over powers of al1; u a scalar or a K coefficient dict.
+    At "full" the data is accepted exactly when (u, b1, b2) gives an
+    associative algebra (the 2-cocycle identity over Z/m x Z/2); see
+    CrossedAlgebra for "cyclic" and "none".  b1 may be a scalar or a pair
+    (f1, f2) meaning f1 + f2*al2; b2 a scalar or a coefficient list over
+    powers of al1; u a scalar or a K coefficient dict.
     """
     if ring is None:
         for candidate in (a1, a2, u, b1, b2):
@@ -749,7 +717,7 @@ def crossed_from_data(
         else:
             ring = standard_ring(m)
     K = KummerField(ring, m, a1, a2)
-    return CrossedAlgebra(K, u, b1, b2, check=check, sample_seed=sample_seed)
+    return CrossedAlgebra(K, u, b1, b2, check=check)
 
 
 def crossed_from_json(ring: PolyRing, params: dict, check: str = "none") -> CrossedAlgebra:
@@ -769,7 +737,7 @@ def crossed_from_json(ring: PolyRing, params: dict, check: str = "none") -> Cros
     )
 
 
-def tensor_brauer(A: CrossedAlgebra, B: CrossedAlgebra, check: str = "auto") -> CrossedAlgebra:
+def tensor_brauer(A: CrossedAlgebra, B: CrossedAlgebra, check: str = "full") -> CrossedAlgebra:
     """Brauer product at the parameter level: (u u', b1 b1', b2 b2')."""
     if A.m != B.m or A.K.a1 != B.K.a1 or A.K.a2 != B.K.a2 or A.ring != B.ring:
         raise CrossedError("mismatched K-data")
@@ -853,7 +821,7 @@ def instance_from_symbol(
     t,
     lam,
     ring: Optional[PolyRing] = None,
-    check: str = "auto",
+    check: str = "full",
     mu=0,
     nu=0,
 ) -> CrossedAlgebra:
@@ -948,7 +916,7 @@ class DecompositionCertificate:
     def verify(self, ring: PolyRing) -> bool:
         """Rebuild the algebra and re-run every stored identity."""
         algebra = crossed_from_json(ring, self.params, check="none")
-        fresh = decompose(algebra, check=self.check_level if "cyclic" in self.check_level else "none")
+        fresh = decompose(algebra)
         if fresh.branch != self.branch:
             return False
         mine = {item["name"]: item["ok"] for item in self.identities}
@@ -998,7 +966,7 @@ def _min_poly_rank(A: CrossedAlgebra, element: dict, count: int) -> int:
     return mat_rank(rows)
 
 
-def decompose(A: CrossedAlgebra, check: str = "auto") -> DecompositionCertificate:
+def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
     """Branch on (f1, f2) and certify the matching decomposition identities.
 
     Generic branch: twist by f = -a1/f1 so the shifted-generator power
@@ -1075,14 +1043,14 @@ def decompose(A: CrossedAlgebra, check: str = "auto") -> DecompositionCertificat
     else:
         branch = "generic"
         f = -K.a1 / f1
-        twist = CrossedAlgebra(K, K.one(), K.scalar(f), K.one(), check="none")
-        if A.check_level in ("cyclic-full", "cyclic-sampled", "none"):
+        if A.check_level == "full":
+            twist = CrossedAlgebra(K, K.one(), K.scalar(f), K.one(), check="none")
+            A_f = tensor_brauer(A, twist)
+        else:
             # twisting preserves the K-z1 subalgebra, so keep the weak check
             A_f = CrossedAlgebra(
                 K, A.u, K.mul(A.b1, K.scalar(f)), A.b2, check="cyclic"
             )
-        else:
-            A_f = tensor_brauer(A, twist, check=check if check in CHECK_LEVELS else "auto")
         record(
             "tensor-cocycle-witness",
             K.equal(A_f.u, A.u)
@@ -1331,128 +1299,6 @@ class TensorAlgebra:
 
         rec(0, [], self.ring.element(1))
         return out
-
-    def embed(self, which: int, coords: Sequence) -> list:
-        """Coordinates of x (x) 1 (x) ... with x in factor `which`."""
-        zero = self.ring.element(0)
-        out = [zero] * self.basis_count
-        for idx, c in enumerate(coords):
-            fe = self.ring.element(c)
-            if fe.is_zero():
-                continue
-            parts = [0] * len(self.factors)
-            parts[which] = idx
-            out[self._join(parts)] = fe
-        return out
-
-    def mul_coords(self, x: Sequence, y: Sequence) -> list:
-        zero = self.ring.element(0)
-        out = [zero] * self.basis_count
-        for r, cr in enumerate(x):
-            if self.ring.element(cr).is_zero():
-                continue
-            for s, cs in enumerate(y):
-                if self.ring.element(cs).is_zero():
-                    continue
-                prod = self.basis_product(r, s)
-                scalar = self.ring.element(cr) * self.ring.element(cs)
-                for t, ct in enumerate(prod):
-                    if not ct.is_zero():
-                        out[t] = out[t] + scalar * ct
-        return out
-
-
-# --------------------------------------------------------------- specialization
-
-
-def specialize_decomposition(
-    factors: Sequence[tuple],
-    avoid: Sequence = (),
-    seed: int = 0,
-    variable: str = "t",
-    low: int = -20,
-    high: int = 20,
-    retries: int = 100,
-) -> dict:
-    """Choose t0 keeping all symbol parameters and avoid-entries nonzero,
-    then re-verify the commuting-factor and dimension structure at t0.
-
-    factors: (a(t), b(t), m) triples of FieldElements over a ring with the
-    named variable.
-    """
-    if not factors:
-        raise CrossedError("no factors to specialize")
-    ring = factors[0][0].ring
-    rng = random.Random(seed)
-    conditions = [ring.element(p) for p in avoid]
-    t0 = None
-    for _ in range(retries):
-        cand = rng.randint(low, high)
-        values = {variable: cand}
-        ok = True
-        try:
-            for a, b, _m in factors:
-                if ring.element(a).substitute(values).is_zero():
-                    ok = False
-                    break
-                if ring.element(b).substitute(values).is_zero():
-                    ok = False
-                    break
-            if ok:
-                for p in conditions:
-                    if p.substitute(values).is_zero():
-                        ok = False
-                        break
-        except PoleError:
-            ok = False
-        if ok:
-            t0 = cand
-            break
-    if t0 is None:
-        raise CrossedError("no admissible t0 in sample box")
-    values = {variable: t0}
-    specialized = []
-    algebras = []
-    for a, b, m in factors:
-        av = ring.element(a).substitute(values)
-        bv = ring.element(b).substitute(values)
-        alg = SymbolAlgebra(ring, av, bv, m)
-        algebras.append(alg)
-        specialized.append({"a": str(av), "b": str(bv), "m": m})
-    checks = []
-    combined = TensorAlgebra(algebras)
-    commute_ok = True
-    for i in range(len(algebras)):
-        for j in range(i + 1, len(algebras)):
-            for r in range(algebras[i].basis_count):
-                xi = combined.embed(i, _unit_vector(ring, algebras[i].basis_count, r))
-                for s in range(algebras[j].basis_count):
-                    yj = combined.embed(j, _unit_vector(ring, algebras[j].basis_count, s))
-                    left = combined.mul_coords(xi, yj)
-                    right = combined.mul_coords(yj, xi)
-                    if any(lc != rc for lc, rc in zip(left, right)):
-                        commute_ok = False
-    checks.append({"name": "factors-commute", "ok": commute_ok})
-    dim_product = 1
-    for alg in algebras:
-        dim_product *= alg.basis_count
-    checks.append(
-        {"name": "dimension-product", "ok": dim_product == combined.basis_count}
-    )
-    return {
-        "t0": t0,
-        "factors": specialized,
-        "dimension": combined.basis_count,
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-    }
-
-
-def _unit_vector(ring: PolyRing, n: int, r: int) -> list:
-    zero = ring.element(0)
-    out = [zero] * n
-    out[r] = ring.element(1)
-    return out
 
 
 # --------------------------------------------------------------- parameter rescaling

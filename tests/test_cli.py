@@ -1,0 +1,43 @@
+import json
+
+import pytest
+
+from brauerlab.acceptance import CRITERIA
+from brauerlab.cli import main
+
+
+def run(tmp_path, name, *argv):
+    out = tmp_path / name
+    code = main([*argv, "--out", str(out)])
+    return code, out.read_text() if out.exists() else None
+
+
+def test_selftest_passes_every_criterion(tmp_path):
+    code, text = run(tmp_path, "selftest.json", "selftest")
+    assert code == 0
+    envelope = json.loads(text)
+    assert envelope["status"] == "pass"
+    assert [c["name"] for c in envelope["checks"]] == [name for name, _ in CRITERIA]
+    assert all(c["status"] == "pass" for c in envelope["checks"])
+
+
+def test_crossed_decompose_degree_6_is_byte_identical(tmp_path):
+    argv = ("crossed-decompose", "--m", "3", "--symbol", "2", "3", "1", "1")
+    code_a, first = run(tmp_path, "a.json", *argv)
+    code_b, second = run(tmp_path, "b.json", *argv)
+    assert code_a == code_b == 0
+    assert first == second
+    envelope = json.loads(first)
+    assert envelope["status"] == "pass"
+    assert envelope["checks"][0]["details"]["check_level"] == "full"
+
+
+@pytest.mark.parametrize("argv", [
+    ("crossed-decompose", "--m", "1"),
+    ("crossed-decompose", "--random", "0"),
+    ("crossed-decompose", "--random", "-1"),
+])
+def test_bad_input_exits_2(tmp_path, argv):
+    code, text = run(tmp_path, "bad.json", *argv)
+    assert code == 2
+    assert text is None

@@ -17,7 +17,6 @@ from brauerlab.crossed import (
     generic_cyclic_algebra,
     instance_from_symbol,
     rationalize_symbol_params,
-    specialize_decomposition,
     standard_ring,
     symbol_algebra,
     tensor_brauer,
@@ -154,7 +153,7 @@ def test_conjugation_relations_hold():
 
 def test_norm_incompatible_u_rejected():
     # u = 1 with a genuine al2-component in b1 violates the forced relation
-    # N_s1(u) = b1 / s2(b1), so the full triple check must fail
+    # N_s1(u) = b1 / s2(b1), so the full cocycle check must fail
     ring = rational_ring()
     with pytest.raises(CrossedError, match=r"associativity violated: incompatible \(u, b1, b2\)"):
         crossed_from_data(2, 3, 5, 1, (4, 2), 7, ring=ring, check="full")
@@ -180,6 +179,82 @@ def test_zero_parameter_and_membership_errors():
         CrossedAlgebra(K, K.one(), K.alpha1(), K.one(), check="none")
     with pytest.raises(CrossedError, match=r"b2 must lie in F\(al1\)"):
         CrossedAlgebra(K, K.one(), K.one(), K.alpha2(), check="none")
+
+
+def associative_on(A, monomials) -> bool:
+    """Brute-force oracle: (a b) c == a (b c) over all triples of monomials."""
+    return all(
+        A.equal(A.mul(A.mul(a, b), c), A.mul(a, A.mul(b, c)))
+        for a, b, c in itertools.product(monomials, repeat=3)
+    )
+
+
+def perturbed_data(A):
+    """(u, b1, b2) of A and the four perturbations u -> 1, u -> 2u,
+    b1 -> b1 (1 + al2) and b2 -> b2 (1 + al1)."""
+    K = A.K
+    return [
+        (A.u, A.b1, A.b2),
+        (K.one(), A.b1, A.b2),
+        (K.scale(A.u, 2), A.b1, A.b2),
+        (A.u, K.mul(A.b1, K.add(K.one(), K.alpha2())), A.b2),
+        (A.u, A.b1, K.mul(A.b2, K.add(K.one(), K.alpha1()))),
+    ]
+
+
+def accepted(K, data, check) -> bool:
+    try:
+        CrossedAlgebra(K, *data, check=check)
+    except CrossedError as exc:
+        assert "associativity violated: incompatible (u, b1, b2)" in str(exc)
+        return False
+    return True
+
+
+def test_cocycle_check_agrees_with_brute_force_full():
+    ring = rational_ring()
+    base = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="none")
+    verdicts = []
+    for data in perturbed_data(base):
+        A = CrossedAlgebra(base.K, *data, check="none")
+        monomials = [A.basis_element(r) for r in range(A.dim)]
+        oracle = associative_on(A, monomials)
+        assert accepted(base.K, data, "full") == oracle
+        verdicts.append(oracle)
+    # the base instance is accepted and every perturbation is rejected
+    assert verdicts == [True, False, False, False, False]
+
+
+def test_cocycle_check_agrees_with_brute_force_cyclic():
+    ring = rational_ring()
+    base = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="none")
+    for data in perturbed_data(base):
+        A = CrossedAlgebra(base.K, *data, check="none")
+        monomials = [
+            A.basis_element(A.index_of(i, j, k, 0))
+            for i in range(2) for j in range(2) for k in range(2)
+        ]
+        # the K-z1 subalgebra is associative for every b1 in F(al2)
+        assert associative_on(A, monomials)
+        assert accepted(base.K, data, "cyclic")
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_cocycle_check_exact_beyond_degree_4(m):
+    ring = standard_ring(m, ())
+    A = instance_from_symbol(m, 2, 3, 1, 1, ring=ring, check="full")
+    assert A.check_level == "full"
+    assert decompose(A).ok
+    assert not accepted(A.K, (A.K.scale(A.u, 2), A.b1, A.b2), "full")
+
+
+def test_check_levels():
+    ring = rational_ring()
+    with pytest.raises(CrossedError, match="unknown check level"):
+        instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="auto")
+    for level in ("full", "cyclic", "none"):
+        A = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check=level)
+        assert A.check_level == level
 
 
 # ---------------------------------------------------------------- power cancellation
@@ -358,34 +433,6 @@ def test_cyclic_to_symbol_input_gates():
     # al1 has scalar fourth power but generates only a quadratic subfield
     with pytest.raises(CrossedError, match="degree-2m subfield"):
         cyclic_to_symbol(A, A.alpha1())
-
-
-# ---------------------------------------------------------------- specialization
-
-
-def test_specialize_decomposition_reports():
-    ring = PolyRing(("t",), 4)
-    t = ring.element(ring.var("t"))
-    factors = [
-        (t * t - ring.element(4), t + ring.element(1), 2),
-        ((t - ring.element(3)) / (t + ring.element(5)), t * t + ring.element(1), 2),
-    ]
-    rep = specialize_decomposition(factors, avoid=[t - ring.element(7)], seed=11)
-    t0 = rep["t0"]
-    assert t0 not in (2, -2, -1, 3, 7, -5)
-    assert rep["dimension"] == 16
-    assert rep["ok"]
-    assert {c["name"] for c in rep["checks"]} == {"factors-commute", "dimension-product"}
-    # deterministic under the seed
-    again = specialize_decomposition(factors, avoid=[t - ring.element(7)], seed=11)
-    assert again["t0"] == t0
-
-
-def test_specialize_decomposition_exhaustion():
-    ring = PolyRing(("t",), 4)
-    t = ring.element(ring.var("t"))
-    with pytest.raises(CrossedError, match="no admissible t0 in sample box"):
-        specialize_decomposition([(t, t, 2)], avoid=[ring.element(0)], seed=3)
 
 
 # ---------------------------------------------------------------- rescaling

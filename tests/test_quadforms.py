@@ -209,7 +209,7 @@ def quartic_instance(ring, e, g, t, lam, mu, nu, check="none"):
 
 def test_trace_data_values_and_identities():
     ring = rational_ring()
-    A = quartic_instance(ring, 3, 5, 2, 1, 1, 1, check="auto")
+    A = quartic_instance(ring, 3, 5, 2, 1, 1, 1, check="full")
     td = trace_data(A)
     f1, f2 = A.b1_pair()
     assert td.t1 == f1
