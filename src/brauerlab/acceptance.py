@@ -7,12 +7,13 @@ run serializes byte-identically under a fixed seed.  The ten checks are
 registered in CRITERIA in their documented order.  The CLI reuses the
 status mapping (check_result), the seeded streams (seeded_rng,
 draw_symbol_params, quartic_trace_instance) and the per-object helpers
-(relation_kernel_checks, tensor_square_checks, formanek_checks,
-decomposition_ok).
+(udn_entry_failures, relation_kernel_checks, tensor_square_checks,
+formanek_checks, decomposition_ok).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .crossed import (
 )
 from .exactfield import PolyRing
 from .factorsets import (
+    FactorSet,
     check_equivariance,
     expand_wedge_coordinates,
     is_normalized,
@@ -64,7 +66,6 @@ from .quadforms import (
     hilbert_places,
     hilbert_symbol,
     hyperbolic_sufficient,
-    invariants_over_Q,
     replay_trace_form_equivalence,
     trace_data,
     trace_form,
@@ -84,33 +85,44 @@ def _nonzero(rng: random.Random, top: int = 9) -> Fraction:
 # ------------------------------------------------------------- 1: factor sets
 
 
+def udn_entry_failures(cp: FactorSet) -> tuple[list, list]:
+    """The (i, j, h) triples of a normalized UD(n) factor set whose entry
+    escapes the wedge, and those whose product with the reversed entry
+    (h, j, i) is nontrivial, each in lexicographic order."""
+    n = cp.n
+    escapes, breaks = [], []
+    for i, j, h in itertools.product(range(1, n + 1), repeat=3):
+        m = cp[(i, j, h)]
+        coords = wedge_membership(m)
+        if coords is None or (
+            expand_wedge_coordinates(n, coords) != m.exponent_tensor()
+        ):
+            escapes.append((i, j, h))
+        if not (m * cp[(h, j, i)]).is_trivial():
+            breaks.append((i, j, h))
+    return escapes, breaks
+
+
 def check_udn_factor_sets(seed: int):
     problems = []
-    wedge_count = norm_count = 0
+    entries = 0
     for n in (5, 7):
         cp = normalized_factor_set(n)
         if not (is_reduced(cp) and is_normalized(cp)):
             problems.append(f"n={n}: normalization predicates fail")
         if not check_equivariance(cp).ok:
             problems.append(f"n={n}: equivariance fails")
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for h in range(1, n + 1):
-                    m = cp[(i, j, h)]
-                    coords = wedge_membership(m)
-                    if coords is None or (
-                        expand_wedge_coordinates(n, coords) != m.exponent_tensor()
-                    ):
-                        problems.append(f"n={n}: ({i},{j},{h}) escapes the wedge")
-                    wedge_count += 1
-                    if not (m * cp[(h, j, i)]).is_trivial():
-                        problems.append(f"n={n}: ({i},{j},{h}) breaks c*c-reversed = 1")
-                    norm_count += 1
+        escapes, breaks = udn_entry_failures(cp)
+        problems += [f"n={n}: ({i},{j},{h}) escapes the wedge"
+                     for i, j, h in escapes]
+        problems += [f"n={n}: ({i},{j},{h}) breaks c*c-reversed = 1"
+                     for i, j, h in breaks]
+        entries += n ** 3
     if problems:
         return False, "; ".join(problems[:6])
     return True, (
-        f"n=5 and n=7: {wedge_count} wedge memberships, "
-        f"{norm_count} reversal products, equivariance on both"
+        f"n=5 and n=7: {entries} wedge memberships, "
+        f"{entries} reversal products, equivariance on both"
     )
 
 
@@ -357,9 +369,7 @@ def decomposition_ok(
         return True, cert.branch, cert
     K = algebra.K
     f1, f2 = algebra.b1_pair()
-    f = -K.a1 / f1
-    twisted = CrossedAlgebra(K, algebra.u, K.mul(algebra.b1, K.scalar(f)),
-                             algebra.b2, check="none")
+    twisted = cert.twisted
     gamma = twisted.add(twisted.z1(), twisted.alpha1())
     pres = cyclic_to_symbol(twisted, gamma)
     c = -(K.a1 * f2) / f1

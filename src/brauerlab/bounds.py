@@ -15,7 +15,6 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .groups import PermutationGroup, Subgroup, cycles_string, min_generators_rel
-from .lattices import GLattice, LatticeError, is_faithful
 
 ROOTS_FLAG = "primitive-root-of-unity"
 _FLAG_ALIASES = {ROOTS_FLAG, "roots-of-unity", "assume-roots-of-unity"}
@@ -205,26 +204,3 @@ def tau_bound_crossed(group: PermutationGroup,
         f"r = {r} (relative generator count {r_min}, witness "
         f"[{', '.join(cycles_string(group.elements[w]) for w in witness)}])")
     return rep
-
-
-def tau_bound_generated(n: int, r: int) -> int:
-    """tau(A) <= (r-1)n + 1 for degree-n crossed products whose group data
-    is generated by r elements."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    return (r - 1) * n + 1
-
-
-def tau_bound_log(n: int) -> int:
-    """tau(A) <= (floor(log2 n) - 1)n + 1 for degree-n crossed products."""
-    if n < 4:
-        raise ValueError("need n >= 4")
-    return (n.bit_length() - 2) * n + 1
-
-
-def tau_rank_bound(lattice: GLattice) -> int:
-    """tau(A) <= rank(M) for a faithful kernel lattice M of a permutation
-    presentation; faithfulness is checked, not assumed."""
-    if not is_faithful(lattice):
-        raise LatticeError("lattice not faithful: rank bound inapplicable")
-    return lattice.rank

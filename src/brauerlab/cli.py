@@ -29,6 +29,7 @@ from .acceptance import (
     run_all,
     seeded_rng,
     tensor_square_checks,
+    udn_entry_failures,
 )
 from .bounds import d_bounds
 from .crossed import CrossedError, instance_from_symbol, standard_ring
@@ -36,12 +37,10 @@ from .exactfield import PolyRing, is_square
 from .factorsets import (
     check_cocycle,
     check_equivariance,
-    expand_wedge_coordinates,
     is_normalized,
     is_reduced,
     normalized_factor_set,
     udn_factor_set,
-    wedge_membership,
 )
 from .groups import builtin_family
 from .quadforms import (
@@ -192,35 +191,20 @@ def cmd_udn_factorset(args) -> tuple[dict, list]:
                                    f"{cert.checked} entry-generator pairs"))
     if needs_normalized:
         cp = normalized_factor_set(args.n)
+        escapes, breaks = udn_entry_failures(cp)
         if mode in ("all", "normalization"):
             checks.append(check_result("reduced-normalized-predicates",
                                        is_reduced(cp) and is_normalized(cp),
                                        "degenerate entries trivial, reversal products trivial"))
-            bad = sum(
-                0 if (cp[(i, j, h)] * cp[(h, j, i)]).is_trivial() else 1
-                for i in range(1, args.n + 1)
-                for j in range(1, args.n + 1)
-                for h in range(1, args.n + 1))
-            checks.append(check_result("reversal-products", bad == 0,
-                                       f"{args.n ** 3} products, {bad} nontrivial"))
+            checks.append(check_result("reversal-products", not breaks,
+                                       f"{args.n ** 3} products, {len(breaks)} nontrivial"))
         if mode in ("all", "equivariance"):
             cert = check_equivariance(cp)
             checks.append(check_result("equivariance-normalized", cert.ok,
                                        f"{cert.checked} entry-generator pairs"))
         if mode in ("all", "wedge"):
-            failures = 0
-            total = 0
-            for i in range(1, args.n + 1):
-                for j in range(1, args.n + 1):
-                    for h in range(1, args.n + 1):
-                        m = cp[(i, j, h)]
-                        coords = wedge_membership(m)
-                        total += 1
-                        if coords is None or expand_wedge_coordinates(
-                                args.n, coords) != m.exponent_tensor():
-                            failures += 1
-            checks.append(check_result("wedge-membership", failures == 0,
-                                       f"{total} entries, {failures} escapes"))
+            checks.append(check_result("wedge-membership", not escapes,
+                                       f"{args.n ** 3} entries, {len(escapes)} escapes"))
     return {"n": args.n, "check": mode}, checks
 
 

@@ -43,11 +43,9 @@ from .exactfield import (
     FieldElement,
     PolyRing,
     common_conductor,
-    extend_ring,
     kernel,
     mat_rank,
     solve,
-    transport,
 )
 
 
@@ -234,12 +232,6 @@ class KummerField:
             raise CrossedError("element of K is not invertible")
         return inv
 
-    def norm_sigma1(self, x: KElem) -> KElem:
-        out = self.one()
-        for t in range(self.m):
-            out = self.mul(out, self.sigma(x, t, 0))
-        return out
-
     def to_json(self, x: KElem) -> dict:
         return {f"{i},{j}": c.to_json() for (i, j), c in x.items()}
 
@@ -394,18 +386,6 @@ class SymbolAlgebra:
 
     def describe(self) -> dict:
         return {"kind": "symbol", "m": self.m, "a": str(self.a), "b": str(self.b)}
-
-
-def symbol_algebra(a, b, m: int, ring: Optional[PolyRing] = None) -> SymbolAlgebra:
-    """Symbol algebra (a, b)_m over a scalar field containing zeta_m."""
-    if ring is None:
-        if isinstance(a, FieldElement):
-            ring = a.ring
-        elif isinstance(b, FieldElement):
-            ring = b.ring
-        else:
-            ring = PolyRing((), common_conductor(m if m % 2 == 0 else m))
-    return SymbolAlgebra(ring, a, b, m)
 
 
 # --------------------------------------------------------------- crossed algebras
@@ -872,13 +852,15 @@ def instance_from_symbol(
 class DecompositionCertificate:
     """Replayable record of a decomposition run: branch, witnesses, identities."""
 
-    def __init__(self, m, branch, check_level, params, identities, witnesses):
+    def __init__(self, m, branch, check_level, params, identities, witnesses,
+                 twisted=None):
         self.m = m
         self.branch = branch
         self.check_level = check_level
         self.params = params            # params_json of the input algebra
         self.identities = identities    # [{"name", "ok", "detail"}]
         self.witnesses = witnesses      # {"f": json, "c": json, "gamma": coords json, ...}
+        self.twisted = twisted          # A_f on the generic branch, else None; not serialized
 
     @property
     def ok(self) -> bool:
@@ -978,6 +960,7 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
     f1, f2 = A.b1_pair()
     identities = []
     witnesses: dict = {}
+    A_f = None
 
     def record(name, ok, detail=""):
         identities.append({"name": name, "ok": bool(ok), "detail": detail})
@@ -1086,7 +1069,8 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
         witnesses["twist_symbol"] = {"a": f.to_json(), "b": K.a1.to_json(), "m": A.m}
 
     return DecompositionCertificate(
-        A.m, branch, A.check_level, A.params_json(), identities, witnesses
+        A.m, branch, A.check_level, A.params_json(), identities, witnesses,
+        twisted=A_f,
     )
 
 
@@ -1299,57 +1283,3 @@ class TensorAlgebra:
 
         rec(0, [], self.ring.element(1))
         return out
-
-
-# --------------------------------------------------------------- parameter rescaling
-
-
-def rationalize_symbol_params(symbols: Sequence[tuple], ring: Optional[PolyRing] = None) -> dict:
-    """Rescale each (a_i, b_i)_n_i by fresh n_i-th powers: a_i' = a_i lam_i^n_i.
-
-    The 2l fresh variables are adjoined to the coefficient field; since
-    lam_i^n_i = a_i'/a_i the extended field is generated by the primed
-    parameters over the old field, and the primed parameters are
-    algebraically independent because the lam_i, mu_i are.
-    """
-    if not symbols:
-        return {
-            "symbols": [],
-            "field_generators": [],
-            "trdeg": 0,
-            "checks": [],
-            "ok": True,
-        }
-    if ring is None:
-        ring = symbols[0][0].ring
-    l = len(symbols)
-    fresh = []
-    for idx in range(1, l + 1):
-        fresh.extend([f"lam{idx}", f"mu{idx}"])
-    ext = extend_ring(ring, fresh)
-    out_symbols = []
-    checks = []
-    generators = []
-    for idx, (a, b, n) in enumerate(symbols, start=1):
-        ta = transport(ring.element(a), ext)
-        tb = transport(ring.element(b), ext)
-        lam = ext.element(ext.var(f"lam{idx}"))
-        mu = ext.element(ext.var(f"mu{idx}"))
-        a_new = ta * lam ** n
-        b_new = tb * mu ** n
-        out_symbols.append((a_new, b_new, n))
-        generators.extend([str(a_new), str(b_new)])
-        checks.append(
-            {
-                "name": f"fresh-scaling-recovers-{idx}",
-                "ok": (a_new / ta == lam ** n) and (b_new / tb == mu ** n),
-            }
-        )
-    return {
-        "symbols": out_symbols,
-        "field_generators": generators,
-        "trdeg": 2 * l,
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-        "note": "fresh scaling variables are algebraically independent by construction",
-    }

@@ -1,5 +1,5 @@
 """Exact symbolic arithmetic: cyclotomic scalars, sparse polynomials,
-rational functions, linear algebra, and semilinear group actions."""
+rational functions and linear algebra."""
 
 from .cyclotomic import (
     Cyc,
@@ -14,12 +14,9 @@ from .poly import (
     MultiPoly,
     PolyRing,
     exact_divide,
-    extend_ring,
     is_square,
     parse_element,
     poly_sqrt,
-    sample_specialization,
-    transport,
 )
 from .linalg import (
     identity_matrix,
@@ -30,12 +27,6 @@ from .linalg import (
     mat_rank,
     mat_vec,
     solve,
-    zero_matrix,
-)
-from .action import (
-    FieldAutomorphism,
-    SemilinearAction,
-    invariant_basis_average,
 )
 
 __all__ = [
@@ -49,12 +40,9 @@ __all__ = [
     "MultiPoly",
     "PolyRing",
     "exact_divide",
-    "extend_ring",
     "is_square",
     "parse_element",
     "poly_sqrt",
-    "sample_specialization",
-    "transport",
     "identity_matrix",
     "kernel",
     "mat_det",
@@ -63,8 +51,4 @@ __all__ = [
     "mat_rank",
     "mat_vec",
     "solve",
-    "zero_matrix",
-    "FieldAutomorphism",
-    "SemilinearAction",
-    "invariant_basis_average",
 ]

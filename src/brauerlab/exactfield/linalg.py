@@ -34,11 +34,6 @@ def identity_matrix(ring: PolyRing, n: int) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(ring: PolyRing, rows: int, cols: int) -> Matrix:
-    zero = ring.element(0)
-    return [[zero for _ in range(cols)] for _ in range(rows)]
-
-
 def mat_mul(a: Matrix, b: Matrix, ring: Optional[PolyRing] = None) -> Matrix:
     ring = _ring_of(a, ring)
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0

@@ -135,10 +135,6 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def degree_in(self, name: str) -> int:
-        k = self.ring.var_index(name)
-        return max((e[k] for e in self.terms), default=0)
-
     def leading_exponents(self) -> tuple[int, ...]:
         if self.is_zero():
             raise ExactFieldError("zero polynomial has no leading term")
@@ -233,9 +229,6 @@ class MultiPoly:
     def scale(self, c: ScalarLike) -> "MultiPoly":
         cc = self.ring.scalar_cyc(c)
         return MultiPoly(self.ring, {e: v * cc for e, v in self.terms.items()})
-
-    def map_coefficients(self, fn) -> "MultiPoly":
-        return MultiPoly(self.ring, {e: fn(c) for e, c in self.terms.items()})
 
     # -- structure ----------------------------------------------------------
 
@@ -718,68 +711,3 @@ class _Parser:
 def parse_element(ring: PolyRing, text: str) -> FieldElement:
     """Parse +,-,*,/,^ expressions over declared variables, zeta, and i."""
     return _Parser(ring, text).parse()
-
-
-def extend_ring(ring: PolyRing, extra: Iterable[str]) -> PolyRing:
-    """Same conductor, variables of ring plus the new names (appended)."""
-    return PolyRing(ring.variables + tuple(extra), ring.conductor)
-
-
-def transport(value, target: PolyRing):
-    """Re-express a MultiPoly or FieldElement in a ring with more variables.
-
-    Matching is by variable name; every variable of the source ring must
-    exist in the target, and conductors must agree up to divisibility.
-    """
-    if isinstance(value, FieldElement):
-        return FieldElement(
-            transport(value.num, target), transport(value.den, target)
-        )
-    if not isinstance(value, MultiPoly):
-        return target.element(value)
-    src = value.ring
-    if target.conductor % src.conductor:
-        raise ValueError("target conductor must contain the source conductor")
-    positions = [target.var_index(name) for name in src.variables]
-    width = len(target.variables)
-    terms = {}
-    for exps, coeff in value.terms.items():
-        new = [0] * width
-        for k, e in enumerate(exps):
-            new[positions[k]] = e
-        terms[tuple(new)] = target.scalar_cyc(coeff)
-    return MultiPoly(target, terms)
-
-
-def sample_specialization(
-    ring: PolyRing,
-    avoid: Iterable = (),
-    seed: int = 0,
-    low: int = -20,
-    high: int = 20,
-    retries: int = 100,
-) -> dict[str, int]:
-    """Integer values for the variables keeping every avoid-element nonzero.
-
-    Draws uniform integers in [low, high] with a seeded generator, rejecting
-    draws that put any nondegeneracy element at zero or on a pole, up to the
-    retry budget.
-    """
-    import random
-
-    avoid = [ring.element(p) for p in avoid]
-    rng = random.Random(seed)
-    for _ in range(retries):
-        values = {name: rng.randint(low, high) for name in ring.variables}
-        ok = True
-        for p in avoid:
-            try:
-                if p.substitute(values).is_zero():
-                    ok = False
-                    break
-            except PoleError:
-                ok = False
-                break
-        if ok:
-            return values
-    raise ExactFieldError("no nondegenerate specialization found")

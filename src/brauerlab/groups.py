@@ -293,10 +293,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def conjugate_by(self, g: int) -> "Subgroup":
-        G = self.parent
-        return Subgroup(G, frozenset(G.conjugate(g, h) for h in self.members))
-
     def is_normal(self) -> bool:
         G = self.parent
         return all(G.conjugate(g, h) in self.members

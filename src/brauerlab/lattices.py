@@ -36,7 +36,7 @@ __all__ = [
     "freepres_sequence", "seq2_sequence", "formanek_sequence",
     "is_exact", "ExactnessReport", "is_faithful",
     "faithful_predicate_freepres", "faithful_predicate_seq2",
-    "character", "perm_character_decomposition", "solve_membership",
+    "perm_character_decomposition",
 ]
 
 
@@ -795,12 +795,6 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
 
 # --- characters -----------------------------------------------------------
 
-def character(lat: GLattice) -> Callable[[int], int]:
-    """The trace class function of the lattice, as a callable on element
-    indices."""
-    return lat.character
-
-
 def perm_character_decomposition(lat: GLattice,
                                  subgroups: Sequence[Subgroup],
                                  search_radius: int = 4
@@ -840,15 +834,3 @@ def perm_character_decomposition(lat: GLattice,
         if all(x >= 0 for x in cand):
             return cand
     return None
-
-
-def solve_membership(target: list[int],
-                     spanning: Sequence[list[int]]) -> Optional[list[int]]:
-    """Exact integer coordinates of target in the span, or None."""
-    if not spanning:
-        return [] if all(v == 0 for v in target) else None
-    m = len(target)
-    if any(len(v) != m for v in spanning):
-        raise LatticeError("spanning vectors have mixed lengths")
-    a = [[v[i] for v in spanning] for i in range(m)]
-    return snf.IntSolver(a).solve(target)

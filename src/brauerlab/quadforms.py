@@ -26,12 +26,10 @@ from .exactfield import (
     Cyc,
     FieldElement,
     PolyRing,
-    extend_ring,
     identity_matrix,
     is_square,
     mat_det,
     mat_mul,
-    transport,
 )
 
 
@@ -225,12 +223,6 @@ def pfister(slots: Sequence, ring: Optional[PolyRing] = None) -> QuadraticForm:
     for a in base.entries:
         out = out + [e * a for e in out]
     return QuadraticForm(ring, diagonal=out)
-
-
-def pfister0(slots: Sequence, ring: Optional[PolyRing] = None) -> QuadraticForm:
-    """Pure part: pfister(slots) with one unit slot removed; dimension 2^r - 1."""
-    full = pfister(slots, ring=ring)
-    return QuadraticForm(full.ring, diagonal=full.entries[1:])
 
 
 # -------------------------------------------------------------- diagonalization
@@ -1002,76 +994,4 @@ def invariants_over_Q(q: QuadraticForm) -> dict:
         "signature": sum(1 if e > 0 else -1 for e in entries),
         "discriminant": _squarefree(disc),
         "hasse": hasse,
-    }
-
-
-def isometry_over_Q(q1: QuadraticForm, q2: QuadraticForm) -> bool:
-    """Isometry of nondegenerate rational forms, decided by invariant
-    comparison (rank, signature, discriminant, Hasse at the shared place
-    list); complete over the rationals."""
-    e1 = _rational_entries(q1)
-    e2 = _rational_entries(q2)
-    if len(e1) != len(e2):
-        return False
-    places = _places_for([e1, e2])
-
-    def profile(entries):
-        disc = Fraction(1)
-        for e in entries:
-            disc *= e
-        sig = sum(1 if e > 0 else -1 for e in entries)
-        hasse = []
-        for place in places:
-            sym = 1
-            for i in range(len(entries)):
-                for j in range(i + 1, len(entries)):
-                    sym *= hilbert_symbol(entries[i], entries[j], place)
-            hasse.append(sym)
-        return (_squarefree(disc), sig, hasse)
-
-    return profile(e1) == profile(e2)
-
-
-# -------------------------------------------------------------- scaling descent
-
-
-def scaling_descent(q: QuadraticForm, prefix: str = "sc"):
-    """Rescale each diagonal entry by the square of a fresh variable.
-
-    Returns (form with entries sc_i^2 a_i over the extended ring, generator
-    list).  The rescaled entries generate the subfield the form is rational
-    over after descent, one generator per entry.
-    """
-    if not q.is_diagonal:
-        raise ValueError("scaling descent needs a diagonal form")
-    if q.degenerate:
-        raise QuadFormError("degenerate form")
-    names = [prefix + str(i + 1) for i in range(q.dim)]
-    for name in names:
-        if name in q.ring.variables:
-            raise ValueError("variable name collision: " + name)
-    big = extend_ring(q.ring, names)
-    generators = []
-    for i, e in enumerate(q.entries):
-        s = big.element(big.var(names[i]))
-        generators.append(s * s * transport(e, big))
-    return QuadraticForm(big, diagonal=generators), generators
-
-
-FORM_PARAMETER_CITATION = (
-    "generic diagonal form: the parameter count equals the dimension, "
-    "attained by square-rescaling each entry into an independent generator"
-)
-
-
-def tau_form_bound(q: QuadraticForm) -> dict:
-    """Upper bound on the number of field generators needed to present the
-    form up to square rescaling: the dimension, with generic equality."""
-    if not q.is_diagonal:
-        raise ValueError("parameter bound stated for diagonal forms")
-    return {
-        "dimension": q.dim,
-        "bound": q.dim,
-        "equality_generic": True,
-        "citation": FORM_PARAMETER_CITATION,
     }

@@ -24,12 +24,6 @@ def mat_copy(a) -> list[list[int]]:
     return [row[:] for row in a]
 
 
-def transpose(a) -> list[list[int]]:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mult(a, b) -> list[list[int]]:
     # Skips zero entries of `a`, which is what makes the big sparse
     # composites (inclusion followed by projection) cheap.
@@ -233,10 +227,6 @@ def elementary_divisors(a) -> list[int]:
     return smith_normal_form(a, want_u=False, want_v=False).divisors
 
 
-def int_rank(a) -> int:
-    return len(elementary_divisors(a))
-
-
 def kernel_basis(a, cols: Optional[int] = None) -> list[list[int]]:
     """Basis of the integer kernel {x : A x = 0}, as a list of vectors.
 
@@ -286,7 +276,3 @@ class IntSolver:
             elif c[t]:
                 return None
         return mat_vec(self._res.V, y)
-
-
-def solve_int(a, b: list[int]) -> Optional[list[int]]:
-    return IntSolver(a).solve(b)

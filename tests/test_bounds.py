@@ -1,18 +1,12 @@
-import pytest
-
 from brauerlab.bounds import (
-    BoundReport,
     d_bounds,
     tau_bound_crossed,
-    tau_bound_generated,
-    tau_bound_log,
-    tau_rank_bound,
 )
 from brauerlab.groups import coset_space, cyclic_group, symmetric_group
 from brauerlab.lattices import (
-    LatticeError,
     augmentation_kernel,
     formanek_sequence,
+    is_faithful,
     tensor,
     trivial_lattice,
 )
@@ -105,28 +99,19 @@ def test_tau_crossed_cyclic_matches_formula():
         assert rep.upper == n + 1
 
 
-def test_tau_generated_and_log():
-    assert tau_bound_generated(8, 3) == 17
-    assert tau_bound_generated(4, 2) == 5
-    assert tau_bound_log(16) == 49
-    assert tau_bound_log(4) == 5
-    assert tau_bound_log(15) == 31  # floor(log2 15) = 3
-    with pytest.raises(ValueError):
-        tau_bound_generated(8, 1)
-    with pytest.raises(ValueError):
-        tau_bound_log(3)
-
-
 def test_tau_rank_bound():
+    # tau(A) <= rank(M) needs a faithful kernel lattice M
     seq, _ = formanek_sequence(5)
-    assert tau_rank_bound(seq.inner.source) == 26
+    assert is_faithful(seq.inner.source)
+    assert seq.inner.source.rank == 26
 
     G = symmetric_group(3)
-    with pytest.raises(LatticeError, match="not faithful"):
-        tau_rank_bound(trivial_lattice(G))
+    assert not is_faithful(trivial_lattice(G))
 
     # omega^(x2) for (S4, S3) is faithful of rank 9
     G4 = symmetric_group(4)
     H = G4.subgroup(["(1 2)", "(1 2 3)"])
     om, _ = augmentation_kernel(coset_space(G4, H))
-    assert tau_rank_bound(tensor(om, om)) == 9
+    square = tensor(om, om)
+    assert is_faithful(square)
+    assert square.rank == 9

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauerlab.acceptance import decomposition_ok
 from brauerlab.crossed import (
     CrossedAlgebra,
     CrossedError,
@@ -16,9 +17,7 @@ from brauerlab.crossed import (
     decompose,
     generic_cyclic_algebra,
     instance_from_symbol,
-    rationalize_symbol_params,
     standard_ring,
-    symbol_algebra,
     tensor_brauer,
 )
 from brauerlab.exactfield import PolyRing
@@ -41,7 +40,7 @@ def symbolic_gens(ring):
 
 def test_symbol_algebra_relations():
     ring = rational_ring()
-    S = symbol_algebra(ring.element(3), ring.element(5), 4, ring=ring)
+    S = SymbolAlgebra(ring, ring.element(3), ring.element(5), 4)
     assert S.dim == 16
     x, y = S.x(), S.y()
     assert S.equal(S.power(x, 4), {(0, 0): ring.element(3)})
@@ -54,12 +53,12 @@ def test_symbol_algebra_relations():
 def test_symbol_algebra_zero_parameter():
     ring = rational_ring()
     with pytest.raises(CrossedError, match="zero parameter"):
-        symbol_algebra(ring.element(0), ring.element(5), 2, ring=ring)
+        SymbolAlgebra(ring, ring.element(0), ring.element(5), 2)
 
 
 def test_symbol_algebra_structure_protocol():
     ring = rational_ring()
-    S = symbol_algebra(ring.element(2), ring.element(3), 2, ring=ring)
+    S = SymbolAlgebra(ring, ring.element(2), ring.element(3), 2)
     assert S.basis_count == 4
     assert S.degree == 2
     one = S.one_coords()
@@ -331,6 +330,27 @@ def test_decompose_generic_rational_and_replay():
     payload = cert.to_json()
     replayed = DecompositionCertificate.from_json(payload)
     assert replayed.verify(ring)
+    # A_f stays on the certificate but out of its JSON
+    assert isinstance(cert.twisted, CrossedAlgebra)
+    assert "twisted" not in payload and replayed.twisted is None
+
+
+def test_decomposition_ok_builds_the_twisted_algebra_once(monkeypatch):
+    ring = rational_ring()
+    A = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="full")
+    levels = []
+    init = CrossedAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        levels.append(kwargs.get("check", "full"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CrossedAlgebra, "__init__", counting_init)
+    ok, detail, cert = decomposition_ok(A)
+    assert ok and detail == "generic"
+    # the twist (1, f, 1) and A_f = A (x) twist; the commutation solve
+    # reuses A_f from the certificate
+    assert levels == ["none", "full"]
 
 
 def test_decompose_f1_zero_cyclic():
@@ -433,26 +453,3 @@ def test_cyclic_to_symbol_input_gates():
     # al1 has scalar fourth power but generates only a quadratic subfield
     with pytest.raises(CrossedError, match="degree-2m subfield"):
         cyclic_to_symbol(A, A.alpha1())
-
-
-# ---------------------------------------------------------------- rescaling
-
-
-def test_rationalize_symbol_params():
-    ring = PolyRing(("a", "b", "c", "d"), 4)
-    a, b, c, d = (ring.element(ring.var(v)) for v in "abcd")
-    rep = rationalize_symbol_params([(a, b, 2), (c, d, 2)])
-    assert rep["trdeg"] == 4
-    assert rep["ok"]
-    assert rep["field_generators"] == ["a*lam1^2", "b*mu1^2", "c*lam2^2", "d*mu2^2"]
-    (a1, b1, n1), (a2, b2, n2) = rep["symbols"]
-    assert n1 == n2 == 2
-    lam1 = a1.ring.element(a1.ring.var("lam1"))
-    assert a1 == a1.ring.element(a1.ring.parse("a")) * lam1 * lam1
-
-
-def test_rationalize_empty():
-    rep = rationalize_symbol_params([])
-    assert rep["trdeg"] == 0
-    assert rep["symbols"] == []
-    assert rep["ok"]

@@ -1,4 +1,4 @@
-"""Exact field layer: cyclotomics, polynomials, quotients, actions."""
+"""Exact field layer: cyclotomics, polynomials, quotients, linear algebra."""
 
 from fractions import Fraction
 
@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 from brauerlab.exactfield import (
     Cyc,
     ExactFieldError,
-    FieldAutomorphism,
     FieldElement,
     MultiPoly,
     PoleError,
     PolyRing,
-    SemilinearAction,
     common_conductor,
     cyclotomic_polynomial,
     euler_phi,
     exact_divide,
     identity_matrix,
-    invariant_basis_average,
     is_square,
     kernel,
     mat_det,
@@ -29,10 +26,8 @@ from brauerlab.exactfield import (
     mat_rank,
     parse_element,
     poly_sqrt,
-    sample_specialization,
     solve,
 )
-from brauerlab.groups import cyclic_group, generate_group
 
 
 # ---------------------------------------------------------------- cyclotomics
@@ -233,127 +228,6 @@ def test_linalg_over_field_elements(ring):
     assert solve([[x], [x]], [one, one + one]) is None
     with pytest.raises(ExactFieldError, match="singular"):
         mat_inverse([[x, x], [x, x]])
-
-
-# ---------------------------------------------------------------- automorphisms
-
-
-def test_automorphism_composition_order():
-    R = PolyRing(("a", "b"), conductor=4)
-    i4 = Cyc.zeta(4)
-    s1 = FieldAutomorphism(R, {"a": ("b", i4), "b": "a"})
-    s2 = FieldAutomorphism(R, {"a": -1})
-    av = R.var("a")
-    assert s1.compose(s2)(av) == s1(s2(av))
-    assert s2.compose(s1)(av) == s2(s1(av))
-    big = R.parse("(zeta*a^2 - b)/(a + 1)")
-    assert s1.compose(s2)(big) == s1(s2(big))
-    # conjugation twist squares to identity at conductor 4
-    conj = FieldAutomorphism(R, {}, zeta_power=3)
-    assert not conj.is_identity()
-    assert conj.compose(conj).is_identity()
-    assert conj(R.parse("zeta")) == R.parse("-zeta")
-
-
-def test_automorphism_validation():
-    R = PolyRing(("a", "b"), conductor=4)
-    with pytest.raises(ValueError, match="not a permutation"):
-        FieldAutomorphism(R, {"a": "b"})
-    with pytest.raises(ValueError, match="prime to the conductor"):
-        FieldAutomorphism(R, {}, zeta_power=2)
-    with pytest.raises(ValueError, match="nonzero"):
-        FieldAutomorphism(R, {"a": 0})
-
-
-def test_automorphism_is_ring_hom():
-    R = PolyRing(("a", "b"), conductor=12)
-    sigma = FieldAutomorphism(R, {"a": ("b", Cyc.zeta(12, 2)), "b": "a"}, zeta_power=5)
-    f = R.parse("a^2*b - zeta*a + 2")
-    g = R.parse("(b - 1)/(a + b)")
-    assert sigma(f * g) == sigma(f) * sigma(g)
-    assert sigma(f + g) == sigma(f) + sigma(g)
-
-
-# ---------------------------------------------------------------- actions
-
-
-def _swap_action():
-    Rw = PolyRing(("w",), conductor=1)
-    C2 = cyclic_group(2)
-    swap = FieldAutomorphism(Rw, {"w": -1})
-    act = SemilinearAction(C2, Rw, ("e1", "e2"), [swap], [[[0, 1], [1, 0]]])
-    return Rw, act
-
-
-def test_semilinear_check_homomorphism():
-    Rw, act = _swap_action()
-    assert act.check_homomorphism()
-    # order-2 relation broken: M * sigma(M) = 4 != 1
-    swap = FieldAutomorphism(Rw, {"w": -1})
-    bad = SemilinearAction(cyclic_group(2), Rw, ("e1",), [swap], [[[2]]])
-    assert not bad.check_homomorphism()
-
-
-def test_averaging_swap_example():
-    Rw, act = _swap_action()
-    inv = invariant_basis_average(act)
-    w = Rw.element(Rw.var("w"))
-    one = Rw.element(1)
-    assert inv == [[one, one], [w, -w]]
-    for v in inv:
-        assert act.is_invariant(v)
-
-
-def test_averaging_trivial_group_keeps_basis():
-    Rw = PolyRing(("w",), conductor=1)
-    triv = generate_group([], 3)
-    act = SemilinearAction(triv, Rw, ("e1", "e2"), [], [])
-    one, zero = Rw.element(1), Rw.element(0)
-    assert invariant_basis_average(act) == [[one, zero], [zero, one]]
-
-
-def test_averaging_sign_example():
-    Rw = PolyRing(("w",), conductor=1)
-    swap = FieldAutomorphism(Rw, {"w": -1})
-    act = SemilinearAction(cyclic_group(2), Rw, ("e1",), [swap], [[[-1]]])
-    w = Rw.element(Rw.var("w"))
-    assert invariant_basis_average(act) == [[w]]
-
-
-def test_averaging_error_messages():
-    Rw = PolyRing(("w",), conductor=1)
-    C2 = cyclic_group(2)
-    ident = FieldAutomorphism.identity(Rw)
-    act = SemilinearAction(C2, Rw, ("e1",), [ident], [[[1]]])
-    with pytest.raises(ExactFieldError, match="action not faithful"):
-        invariant_basis_average(act)
-    swap = FieldAutomorphism(Rw, {"w": -1})
-    sign = SemilinearAction(C2, Rw, ("e1",), [swap], [[[-1]]])
-    with pytest.raises(ExactFieldError, match="averaging degenerate"):
-        invariant_basis_average(sign, max_degree=0)
-
-
-def test_averaging_with_zeta_twist():
-    R = PolyRing((), conductor=4)
-    conj = FieldAutomorphism(R, {}, zeta_power=3)
-    act = SemilinearAction(cyclic_group(2), R, ("e1",), [conj], [[[Cyc.zeta(4)]]])
-    assert act.check_homomorphism()
-    inv = invariant_basis_average(act)
-    assert len(inv) == 1 and act.is_invariant(inv[0])
-
-
-# ---------------------------------------------------------------- sampling
-
-
-def test_sample_specialization():
-    R = PolyRing(("x", "y"))
-    x, y = R.var("x"), R.var("y")
-    vals = sample_specialization(R, avoid=[x, x - y], seed=42)
-    assert vals["x"] != 0 and vals["x"] != vals["y"]
-    assert all(-20 <= v <= 20 for v in vals.values())
-    assert vals == sample_specialization(R, avoid=[x, x - y], seed=42)
-    with pytest.raises(ExactFieldError, match="no nondegenerate specialization"):
-        sample_specialization(R, avoid=[R.zero()], seed=1)
 
 
 # ---------------------------------------------------------------- properties

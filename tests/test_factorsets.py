@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from brauerlab.acceptance import udn_entry_failures
 from brauerlab.factorsets import (
+    FactorSet,
     FactorSetError,
     FactorSetMonomial,
     check_cocycle,
@@ -151,3 +153,14 @@ def test_field_of_definition_report():
         field_of_definition_report(4)
     with pytest.raises(FactorSetError):
         field_of_definition_report(3)
+
+
+def test_udn_entry_failures_names_each_bad_triple():
+    cp = normalized_factor_set(5)
+    assert udn_entry_failures(cp) == ([], [])
+    entries = dict(cp.entries)
+    entries[(1, 2, 3)] = entries[(1, 2, 3)] * FactorSetMonomial.variable(5, 1, 2)
+    escapes, breaks = udn_entry_failures(FactorSet(5, entries))
+    assert escapes == [(1, 2, 3)]
+    # the reversal product fails from both ends
+    assert breaks == [(1, 2, 3), (3, 2, 1)]

@@ -28,7 +28,6 @@ from brauerlab.lattices import (
     perm_character_decomposition,
     perm_lattice,
     seq2_sequence,
-    solve_membership,
     sym2,
     sym2_projection,
     tensor,
@@ -307,13 +306,6 @@ def test_perm_character_decomposition_sign_fails():
     cands = [G.subgroup(["(1 2)"]), G.full_subgroup(),
              G.trivial_subgroup()]
     assert perm_character_decomposition(sign, cands) is None
-
-
-def test_solve_membership():
-    assert solve_membership([1, 1], [[1, 0], [0, 1]]) == [1, 1]
-    assert solve_membership([1, 0], [[2, 0]]) is None
-    assert solve_membership([0, 0], []) == []
-    assert solve_membership([1], []) is None
 
 
 @settings(max_examples=60, deadline=None)

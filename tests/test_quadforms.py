@@ -21,13 +21,9 @@ from brauerlab.quadforms import (
     hilbert_symbol,
     hyperbolic_sufficient,
     invariants_over_Q,
-    isometry_over_Q,
     pfister,
-    pfister0,
     replay_trace_form_equivalence,
-    scaling_descent,
     serre_form,
-    tau_form_bound,
     tensor,
     trace_data,
     trace_form,
@@ -67,9 +63,6 @@ def test_pfister_entry_order():
     two = pfister([a, b])
     assert [str(e) for e in two.entries] == ["1", "3", "5", "15"]
     assert pfister([a, b, a]).dim == 8
-    pure = pfister0([a, b])
-    assert [str(e) for e in pure.entries] == ["3", "5", "15"]
-    assert pfister0([a]).dim == 1
     with pytest.raises(QuadFormError, match="zero entry"):
         pfister([a, ring.element(0)])
 
@@ -489,34 +482,3 @@ def test_invariants_over_Q_record():
         invariants_over_Q(QuadraticForm(ring, gram=[[1, 0], [0, 0]]))
     with pytest.raises(QuadFormError, match="rational"):
         invariants_over_Q(diagonal([ring.element(ring.zeta())], ring=ring))
-
-
-def test_isometry_over_Q_decides():
-    ring = rational_ring()
-    q = diagonal([1, -1, 2, -2], ring=ring)
-    assert isometry_over_Q(q, diagonal([2, -2, 1, -1], ring=ring))
-    assert isometry_over_Q(q, diagonal([1, -1, 1, -1], ring=ring))  # both 2H
-    assert not isometry_over_Q(q, diagonal([1, 1, -1, -2], ring=ring))
-    assert not isometry_over_Q(q, diagonal([1, -1], ring=ring))
-
-
-# -------------------------------------------------------------------- descent
-
-
-def test_scaling_descent_and_parameter_bound():
-    ring = PolyRing(("a", "b"), 4)
-    q = diagonal([ring.element(ring.var("a")), ring.element(ring.var("b"))])
-    descended, generators = scaling_descent(q)
-    assert [str(e) for e in descended.entries] == ["a*sc1^2", "b*sc2^2"]
-    assert len(generators) == 2
-    bound = tau_form_bound(q)
-    assert bound["bound"] == 2
-    assert bound["equality_generic"]
-    assert "parameter count" in bound["citation"]
-
-
-def test_scaling_descent_name_collision():
-    ring = PolyRing(("sc1",), 4)
-    q = diagonal([ring.element(ring.var("sc1"))])
-    with pytest.raises(ValueError, match="collision"):
-        scaling_descent(q)

@@ -125,9 +125,9 @@ def test_solver_roundtrip():
 
 def test_solver_detects_unsolvable():
     # 2x = 1 has no integer solution; x + y = 1 vs 2x + 2y = 3 inconsistent.
-    assert snf.solve_int([[2]], [1]) is None
-    assert snf.solve_int([[1, 1], [2, 2]], [1, 3]) is None
-    got = snf.solve_int([[1, 1], [2, 2]], [1, 2])
+    assert snf.IntSolver([[2]]).solve([1]) is None
+    assert snf.IntSolver([[1, 1], [2, 2]]).solve([1, 3]) is None
+    got = snf.IntSolver([[1, 1], [2, 2]]).solve([1, 2])
     assert got is not None and sum(got) == 1
 
 
