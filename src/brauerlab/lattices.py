@@ -16,6 +16,7 @@ equivalent to these finitely many checks.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import snf
@@ -301,8 +302,8 @@ def _omega_from_perm(perm: GLattice, coset_act: Callable[[int, int], int],
     for i in range(1, n):
         incl[i][i - 1] = 1
         incl[0][i - 1] = -1
-    emb = LatticeMap(omega, perm, incl, label="augmentation-kernel-embedding")
-    emb.row_pivots = [(i, i - 1) for i in range(1, n)]
+    emb = LatticeMap(omega, perm, incl, label="augmentation-kernel-embedding",
+                     row_pivots=[(i, i - 1) for i in range(1, n)])
     return omega, emb
 
 
@@ -314,10 +315,9 @@ def augmentation_kernel(cosets: CosetSpace) -> tuple[GLattice, "LatticeMap"]:
 
 def augmentation_map(perm: GLattice) -> "LatticeMap":
     """Coordinate-sum map onto the trivial lattice."""
-    m = LatticeMap(perm, trivial_lattice(perm.group),
-                   [[1] * perm.rank], label="augmentation")
-    m.col_pivots = [(0, 0)]
-    return m
+    return LatticeMap(perm, trivial_lattice(perm.group),
+                      [[1] * perm.rank], label="augmentation",
+                      col_pivots=[(0, 0)])
 
 
 def tensor(left: GLattice, right: GLattice) -> TensorLattice:
@@ -346,9 +346,9 @@ def wedge2_inclusion(base: GLattice,
     for col, (i, j) in enumerate(w.pairs):
         m[i * r + j][col] = 1
         m[j * r + i][col] = -1
-    out = LatticeMap(w, t, m, label="wedge2-inclusion")
-    out.row_pivots = [(i * r + j, col) for col, (i, j) in enumerate(w.pairs)]
-    return out
+    return LatticeMap(w, t, m, label="wedge2-inclusion",
+                      row_pivots=[(i * r + j, col)
+                                  for col, (i, j) in enumerate(w.pairs)])
 
 
 def sym2_projection(base: GLattice,
@@ -361,10 +361,9 @@ def sym2_projection(base: GLattice,
     for i in range(r):
         for j in range(r):
             m[s.pair_index[(min(i, j), max(i, j))]][i * r + j] = 1
-    out = LatticeMap(t, s, m, label="sym2-projection")
-    out.col_pivots = [(row, i * r + j)
-                      for row, (i, j) in enumerate(s.pairs)]
-    return out
+    return LatticeMap(t, s, m, label="sym2-projection",
+                      col_pivots=[(row, i * r + j)
+                                  for row, (i, j) in enumerate(s.pairs)])
 
 
 # --- maps and sequences ---------------------------------------------------
@@ -372,13 +371,17 @@ def sym2_projection(base: GLattice,
 class LatticeMap:
     """Equivariant map between lattices, stored as target.rank x source.rank.
 
-    row_pivots / col_pivots are optional unit-echelon certificates attached
+    row_pivots / col_pivots are optional unit-echelon certificates passed
     by constructors that know the matrix structure; they let is_exact avoid
-    a full Smith form on large sparse maps. They are verified, not trusted.
+    a full Smith form on large sparse maps. They are verified, not trusted:
+    the row certificate is checked once per map, on first use, and solves
+    against it walk only the nonzero entries of each row.
     """
 
     def __init__(self, source: GLattice, target: GLattice,
-                 matrix: list[list[int]], label: str = ""):
+                 matrix: list[list[int]], label: str = "", *,
+                 row_pivots: Optional[list[tuple[int, int]]] = None,
+                 col_pivots: Optional[list[tuple[int, int]]] = None):
         if len(matrix) != target.rank or any(len(r) != source.rank for r in matrix):
             raise LatticeError(
                 f"map shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
@@ -387,8 +390,8 @@ class LatticeMap:
         self.target = target
         self.matrix = matrix
         self.label = label
-        self.row_pivots: Optional[list[tuple[int, int]]] = None
-        self.col_pivots: Optional[list[tuple[int, int]]] = None
+        self.row_pivots = row_pivots
+        self.col_pivots = col_pivots
         self._divisors: Optional[list[int]] = None
         self._solver: Optional[snf.IntSolver] = None
 
@@ -403,19 +406,15 @@ class LatticeMap:
                 return False
         return True
 
-    def compose(self, inner: "LatticeMap") -> "LatticeMap":
-        if inner.target is not self.source:
-            raise LatticeError("composition mismatch")
-        return LatticeMap(inner.source, self.target,
-                          snf.mat_mult(self.matrix, inner.matrix),
-                          label=f"{self.label}*{inner.label}")
-
     def elementary_divisors(self) -> list[int]:
         if self._divisors is None:
             self._divisors = snf.elementary_divisors(self.matrix)
         return self._divisors
 
-    def _verified_row_pivots(self) -> Optional[list[tuple[int, int]]]:
+    @cached_property
+    def _row_certificate(self):
+        """(pivots, sparse rows) if row_pivots is a unit-echelon certificate,
+        else None; each sparse row lists the row's nonzero (col, value)."""
         p = self.row_pivots
         if p is None:
             return None
@@ -425,14 +424,14 @@ class LatticeMap:
         if len({r for r, _ in p}) != len(p):
             return None
         m = self.matrix
+        rows = [[(c, v) for c, v in enumerate(row) if v] for row in m]
+        order = {c: k for k, c in enumerate(cols)}
         for k, (r, c) in enumerate(p):
             if m[r][c] not in (1, -1):
                 return None
-            row = m[r]
-            for _, c2 in p[k + 1:]:
-                if row[c2] != 0:
-                    return None
-        return p
+            if any(order[c2] > k for c2, _ in rows[r]):
+                return None
+        return p, rows
 
     def _verified_col_pivots(self) -> Optional[list[tuple[int, int]]]:
         p = self.col_pivots
@@ -454,7 +453,7 @@ class LatticeMap:
 
     def is_injective_saturated(self) -> bool:
         """Columns independent and image a direct summand of the target."""
-        if self._verified_row_pivots() is not None:
+        if self._row_certificate is not None:
             return True
         div = self.elementary_divisors()
         return len(div) == self.source.rank and all(d == 1 for d in div)
@@ -467,31 +466,28 @@ class LatticeMap:
 
     def solve(self, vec: list[int]) -> Optional[list[int]]:
         """Integer x with matrix.x = vec, or None."""
-        pivots = self._verified_row_pivots()
-        if pivots is not None:
-            return self._solve_by_substitution(pivots, vec)
+        cert = self._row_certificate
+        if cert is not None:
+            return self._solve_by_substitution(*cert, vec)
         if self._solver is None:
             self._solver = snf.IntSolver(self.matrix)
         return self._solver.solve(vec)
 
-    def _solve_by_substitution(self, pivots, vec):
+    def _solve_by_substitution(self, pivots, rows, vec):
         m = self.matrix
         x = [0] * self.source.rank
-        solved: list[tuple[int, int]] = []
         for r, c in pivots:
+            # The row is zero at later pivot columns and x[c] is still 0,
+            # so this subtracts exactly the columns solved so far.
             s = vec[r]
-            row = m[r]
-            for _, c2 in solved:
-                if row[c2]:
-                    s -= row[c2] * x[c2]
+            for c2, v in rows[r]:
+                s -= v * x[c2]
             x[c] = s * m[r][c]  # pivot is +-1
-            solved.append((r, c))
         # Verify on every row; the pivots only cover source.rank of them.
-        for r, row in enumerate(m):
+        for r, row in enumerate(rows):
             s = 0
-            for c, v in enumerate(row):
-                if v and x[c]:
-                    s += v * x[c]
+            for c, v in row:
+                s += v * x[c]
             if s != vec[r]:
                 return None
         return x
@@ -546,6 +542,11 @@ def is_exact(seq: LatticeSequence) -> ExactnessReport:
     composition being zero gives image inside kernel; the outer kernel is
     saturated (C is torsion-free), so once the inner image is saturated of
     the same rank and contains a kernel basis, the two submodules agree.
+
+    The kernel-inside-image check also follows from the other checks: a
+    saturated image inside the kernel (composition zero) of the same rank
+    as the kernel (rank additivity, outer map surjective) is the kernel.
+    It is kept as an independent cross-check of those certificates.
     """
     rep = ExactnessReport()
     inner, outer = seq.inner, seq.outer
@@ -697,8 +698,8 @@ def seq2_sequence(group: PermutationGroup,
                 iota[pidx[(0, l)]][col] -= 1
                 iota[pidx[(i, 0)]][col] -= 1
                 row_pivots.append((pidx[(i, l)], col))
-    inner = LatticeMap(t2, pairs, iota, label="tensor-square-embedding")
-    inner.row_pivots = row_pivots + diag_cols
+    inner = LatticeMap(t2, pairs, iota, label="tensor-square-embedding",
+                       row_pivots=row_pivots + diag_cols)
 
     pi = snf.zeros(n - 1, pairs.rank)
     for col, (a, b) in enumerate(pairs.pairs):
@@ -706,8 +707,8 @@ def seq2_sequence(group: PermutationGroup,
             pi[a - 1][col] += 1
         if b != 0:
             pi[b - 1][col] -= 1
-    outer = LatticeMap(pairs, omega, pi, label="pair-difference-map")
-    outer.col_pivots = [(a - 1, pidx[(a, 0)]) for a in range(1, n)]
+    outer = LatticeMap(pairs, omega, pi, label="pair-difference-map",
+                       col_pivots=[(a - 1, pidx[(a, 0)]) for a in range(1, n)])
 
     seq = LatticeSequence(inner, outer)
 
@@ -727,8 +728,8 @@ def seq2_sequence(group: PermutationGroup,
                 m[pidx[(i, c)]][col] += 1
                 m[pidx[(0, c)]][col] -= 1
                 piv_a.append((pidx[(i, c)], col))
-    iso = LatticeMap(mixed, pairs, m, label="pair-basis-identification")
-    iso.row_pivots = piv_a + piv_b + piv_c
+    iso = LatticeMap(mixed, pairs, m, label="pair-basis-identification",
+                     row_pivots=piv_a + piv_b + piv_c)
     seq.pair_basis_iso = iso
     return seq
 

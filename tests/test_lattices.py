@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from brauerlab import snf
 from brauerlab.groups import (
+    alternating_group,
     coset_space,
     cyclic_group,
     direct_product,
@@ -89,8 +90,7 @@ def test_augmentation_kernel():
     assert omega.rank == 4
     assert emb.check_equivariance()
     aug = augmentation_map(emb.target)
-    comp = aug.compose(emb)
-    assert snf.is_zero_matrix(comp.matrix)
+    assert snf.is_zero_matrix(snf.mat_mult(aug.matrix, emb.matrix))
     check_action_invariants(omega)
 
     full = coset_space(G, G.full_subgroup())
@@ -232,6 +232,78 @@ def test_seq2_faithfulness_predicate():
     Xc = coset_space(C4, H)
     om, _ = augmentation_kernel(Xc)
     assert is_faithful(tensor(om, om)) is False
+
+
+def test_seq2_s4_trivial_subgroup_is_exact():
+    G = symmetric_group(4)
+    seq = seq2_sequence(G, G.trivial_subgroup())
+    assert (seq.inner.source.rank, seq.inner.target.rank,
+            seq.outer.target.rank) == (529, 552, 23)
+    rep = is_exact(seq)
+    assert rep.exact, rep.failures
+
+
+# Rows 0-2 are unit lower triangular in columns 0-2; row 3 is 2 e_0.
+PIVOT_MATRIX = [[1, 0, 0], [4, 1, 0], [5, -1, -1], [2, 0, 0]]
+GOOD_PIVOTS = [(0, 0), (1, 1), (2, 2)]
+BAD_PIVOTS = {
+    "pivot of 2": [(3, 0), (1, 1), (2, 2)],
+    "nonzero at a later pivot column": [(1, 1), (0, 0), (2, 2)],
+    "repeated pivot row": [(0, 0), (2, 2), (2, 1)],
+    "missing column": [(0, 0), (1, 1)],
+}
+
+
+def _pivot_map(row_pivots):
+    G = cyclic_group(2)
+    z = trivial_lattice(G)
+    return LatticeMap(direct_sum([z] * 3), direct_sum([z] * 4),
+                      PIVOT_MATRIX, row_pivots=row_pivots)
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_PIVOTS))
+def test_bad_row_pivots_fall_back_to_int_solver(fault, monkeypatch):
+    x = [3, -2, 7]
+    vec = snf.mat_vec(PIVOT_MATRIX, x)
+    good = _pivot_map(GOOD_PIVOTS)
+    bad = _pivot_map(BAD_PIVOTS[fault])
+    calls = []
+    real_solve = snf.IntSolver.solve
+
+    def counting_solve(self, b):
+        calls.append(b)
+        return real_solve(self, b)
+
+    monkeypatch.setattr(snf.IntSolver, "solve", counting_solve)
+    assert good.solve(vec) == x
+    assert calls == []
+    assert bad.solve(vec) == x
+    assert calls == [vec]
+    assert bad.is_injective_saturated()  # by the Smith form instead
+    # Zero on the good pivot rows, so substitution gives x = 0 and only
+    # the check on row 3 can refuse it.
+    outside = [0, 0, 0, 1]
+    assert good.solve(outside) is None
+    assert bad.solve(outside) is None
+
+
+def test_substitution_agrees_with_int_solver_on_seq2():
+    G = alternating_group(4)
+    seq = seq2_sequence(G, G.trivial_subgroup())
+    inner = seq.inner
+    solver = snf.IntSolver(inner.matrix)
+    kernel = snf.kernel_basis(seq.outer.matrix)
+    assert len(kernel) == inner.source.rank
+    for k in kernel:
+        x = inner.solve(k)
+        assert x is not None
+        assert x == solver.solve(k)
+        assert snf.mat_vec(inner.matrix, x) == k
+    outside = [0] * inner.target.rank
+    outside[0] = 1
+    assert not snf.is_zero_matrix([snf.mat_vec(seq.outer.matrix, outside)])
+    assert inner.solve(outside) is None
+    assert solver.solve(outside) is None
 
 
 def test_formanek_sequence():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +17,11 @@ def _is_diagonal(d):
 
 
 def _rational_rank(a):
-    # Independent oracle: Gaussian elimination over Fraction.
-    m = [[Fraction(v) for v in row] for row in a]
+    # Independent oracle: fraction-free (Bareiss) elimination over Z. Every
+    # entry stays a minor of a, so each division is exact.
+    m = [list(row) for row in a]
     rank = 0
+    prev = 1
     cols = len(m[0]) if m else 0
     for j in range(cols):
         piv = None
@@ -32,10 +33,11 @@ def _rational_rank(a):
             continue
         m[rank], m[piv] = m[piv], m[rank]
         pr = m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][j]:
-                f = m[i][j] / pr[j]
-                m[i] = [x - f * y for x, y in zip(m[i], pr)]
+        p = pr[j]
+        for i in range(rank + 1, len(m)):
+            f = m[i][j]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pr)]
+        prev = p
         rank += 1
     return rank
 
