@@ -227,6 +227,11 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
         e, g, t, lam = [_parse_fraction(v) for v in args.symbol]
         if e == 0 or g == 0:
             raise UsageError("symbol entries must be nonzero")
+        # Cyc.sqrt is complete at conductor 4, so this decides K = F(al1, al2)
+        # being a field over F = Q(i); m >= 3 is not decided here
+        if args.m == 2 and any(is_square(ring.element(x)) is not None for x in (e, g, e * g)):
+            raise UsageError("a1, a2 and a1*a2 must be non-squares in Q(i): "
+                             "K = F(al1, al2) is not a field")
         try:
             algebra = instance_from_symbol(
                 args.m, ring.element(e), ring.element(g), ring.element(t),

@@ -22,13 +22,12 @@ def test_selftest_passes_every_criterion(tmp_path):
 
 
 def test_selftest_is_byte_identical_across_runs(tmp_path):
-    # criterion 7 is left out for time
-    argv = ("selftest", "--criteria", "1,2,3,4,5,6,8,9,10", "--seed", "7")
+    argv = ("selftest", "--seed", "7")
     code_a, first = run(tmp_path, "a.json", *argv)
     code_b, second = run(tmp_path, "b.json", *argv)
     assert code_a == code_b == 0
     assert first == second
-    assert len(json.loads(first)["checks"]) == 9
+    assert len(json.loads(first)["checks"]) == len(CRITERIA)
 
 
 def test_crossed_decompose_degree_6_is_byte_identical(tmp_path):
@@ -46,8 +45,18 @@ def test_crossed_decompose_degree_6_is_byte_identical(tmp_path):
     ("crossed-decompose", "--m", "1"),
     ("crossed-decompose", "--random", "0"),
     ("crossed-decompose", "--random", "-1"),
+    # a1, a2 or a1*a2 a square in Q(i): K = F(al1, al2) is not a field
+    ("crossed-decompose", "--symbol", "4", "5", "2", "1"),
+    ("crossed-decompose", "--symbol", "1", "-1", "1", "1"),
+    ("crossed-decompose", "--symbol", "2", "-4", "2", "1"),
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     code, text = run(tmp_path, "bad.json", *argv)
     assert code == 2
     assert text is None
+
+
+def test_non_square_symbol_still_passes(tmp_path):
+    code, text = run(tmp_path, "ok.json", "crossed-decompose", "--symbol", "3", "5", "2", "1")
+    assert code == 0
+    assert json.loads(text)["status"] == "pass"
