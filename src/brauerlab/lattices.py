@@ -33,7 +33,7 @@ __all__ = [
     "GLattice", "LatticeMap", "LatticeSequence", "LatticeError", "SNFResult",
     "perm_lattice", "natural_perm_lattice", "trivial_lattice",
     "augmentation_kernel", "augmentation_map", "tensor", "wedge2", "sym2",
-    "direct_sum", "wedge2_inclusion", "sym2_projection", "wedge_sym2_sequence",
+    "direct_sum", "wedge2_inclusion", "sym2_projection",
     "freepres_sequence", "seq2_sequence", "formanek_sequence",
     "is_exact", "ExactnessReport", "is_faithful",
     "faithful_predicate_freepres", "faithful_predicate_seq2",
@@ -376,6 +376,10 @@ class LatticeMap:
     a full Smith form on large sparse maps. They are verified, not trusted:
     the row certificate is checked once per map, on first use, and solves
     against it walk only the nonzero entries of each row.
+
+    Without a row certificate, solves go through an snf.IntSolver, and
+    elementary_divisors reuses that solver's divisors instead of factoring
+    the matrix a second time.
     """
 
     def __init__(self, source: GLattice, target: GLattice,
@@ -408,7 +412,10 @@ class LatticeMap:
 
     def elementary_divisors(self) -> list[int]:
         if self._divisors is None:
-            self._divisors = snf.elementary_divisors(self.matrix)
+            if self._solver is not None:
+                self._divisors = self._solver.divisors
+            else:
+                self._divisors = snf.elementary_divisors(self.matrix)
         return self._divisors
 
     @cached_property

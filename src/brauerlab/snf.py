@@ -249,30 +249,43 @@ def kernel_basis(a, cols: Optional[int] = None) -> list[list[int]]:
 class IntSolver:
     """Reusable exact solver for A x = b over the integers.
 
-    Factors A once (SNF with both transforms); each solve is then two
-    matrix-vector products plus divisibility checks.
+    Factors A once as U A V = D and keeps only the nonzero (col, value)
+    pairs of each row of U and of the first rank columns of V, plus the
+    divisors of D. A solve forms c = U b row by row, checks that d_t
+    divides c_t on each pivot row and that c_t = 0 on each row past the
+    rank, and returns x = V y with y_t = c_t / d_t.
     """
 
     def __init__(self, a):
         self.m = len(a)
-        self.n = len(a[0]) if self.m else 0
-        self._res = smith_normal_form(a)
-        self._rank = self._res.rank
-
-    @property
-    def rank(self) -> int:
-        return self._rank
+        res = smith_normal_form(a)
+        self.divisors = res.divisors
+        r = len(self.divisors)
+        self._u_rows = [[(j, v) for j, v in enumerate(row) if v]
+                        for row in res.U]
+        self._v_rows = [[(j, v) for j, v in enumerate(row[:r]) if v]
+                        for row in res.V]
 
     def solve(self, b: list[int]) -> Optional[list[int]]:
         assert len(b) == self.m, "length mismatch"
-        c = mat_vec(self._res.U, b)
-        y = [0] * self.n
-        for t in range(self.m):
-            d = self._res.D[t][t] if t < min(self.m, self.n) else 0
-            if d:
-                if c[t] % d:
+        divisors = self.divisors
+        r = len(divisors)
+        y = []
+        for t, row in enumerate(self._u_rows):
+            c = 0
+            for j, v in row:
+                c += v * b[j]
+            if t < r:
+                d = divisors[t]
+                if c % d:
                     return None
-                y[t] = c[t] // d
-            elif c[t]:
+                y.append(c // d)
+            elif c:
                 return None
-        return mat_vec(self._res.V, y)
+        out = []
+        for row in self._v_rows:
+            s = 0
+            for j, v in row:
+                s += v * y[j]
+            out.append(s)
+        return out

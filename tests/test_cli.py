@@ -42,6 +42,22 @@ def test_crossed_decompose_degree_6_is_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ("lattice", "--group", "S4", "--r", "2"),
+    ("lattice", "--formanek", "5"),
+    ("udn-factorset", "--n", "7", "--check", "wedge"),
+])
+def test_integer_certificates_pass_and_are_byte_identical(tmp_path, argv):
+    code_a, first = run(tmp_path, "a.json", *argv)
+    code_b, second = run(tmp_path, "b.json", *argv)
+    assert code_a == code_b == 0
+    assert first == second
+    envelope = json.loads(first)
+    assert envelope["status"] == "pass"
+    assert envelope["checks"]
+    assert all(c["status"] == "pass" for c in envelope["checks"])
+
+
+@pytest.mark.parametrize("argv", [
     ("crossed-decompose", "--m", "1"),
     ("crossed-decompose", "--random", "0"),
     ("crossed-decompose", "--random", "-1"),

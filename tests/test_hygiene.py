@@ -1,10 +1,12 @@
-"""Every name a module binds with ``from ... import`` is used in that module.
+"""Every name a module binds with ``from ... import`` is used in that module,
+and every name a module lists in ``__all__`` exists.
 
-Package ``__init__`` files are skipped: their imports are the re-exports.
-A name listed in the module's ``__all__`` counts as used.
+Package ``__init__`` files are skipped by the import check: their imports
+are the re-exports. A name listed in the module's ``__all__`` counts as used.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,19 @@ def test_from_imports_are_used(path):
         if alias.name != "*" and (alias.asname or alias.name) not in used
     ]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+ALL_MODULES = sorted(p for p in PACKAGE.rglob("*.py"))
+
+
+def _module_name(path):
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_all_names_resolve(path):
+    module = importlib.import_module(_module_name(path))
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == [], f"{module.__name__}.__all__ names what it lacks: {missing}"

@@ -306,6 +306,30 @@ def test_substitution_agrees_with_int_solver_on_seq2():
     assert solver.solve(outside) is None
 
 
+def test_freepres_inclusion_reuses_its_solver_divisors(monkeypatch):
+    G = symmetric_group(4)
+    calls = []
+    real_snf = snf.smith_normal_form
+
+    def counting_snf(a, **kwargs):
+        calls.append(len(a))
+        return real_snf(a, **kwargs)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counting_snf)
+    seq = freepres_sequence(G, G.trivial_subgroup(), ["(1 2)", "(1 2 3 4)"])
+    assert is_exact(seq).exact
+    # kernel basis and solver of the inclusion; divisors and kernel basis
+    # of the outer map. The inclusion's divisors come from its solver.
+    assert len(calls) == 4
+    monkeypatch.undo()
+
+    for group, gens in ((alternating_group(4), ["(1 2 3)", "(2 3 4)"]),
+                        (G, ["(1 2)", "(1 2 3 4)"])):
+        inner = freepres_sequence(group, group.trivial_subgroup(), gens).inner
+        assert inner._solver is not None
+        assert inner.elementary_divisors() == snf.elementary_divisors(inner.matrix)
+
+
 def test_formanek_sequence():
     for n, krank in ((3, 10), (5, 26)):
         seq, iso = formanek_sequence(n)

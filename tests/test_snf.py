@@ -133,6 +133,54 @@ def test_solver_detects_unsolvable():
     assert got is not None and sum(got) == 1
 
 
+def _dense_solve(a, b):
+    # Oracle: the dense solve against the full transforms, U b and V y.
+    res = snf.smith_normal_form(a)
+    m, n = len(a), len(a[0])
+    c = snf.mat_vec(res.U, b)
+    y = [0] * n
+    for t in range(m):
+        d = res.D[t][t] if t < min(m, n) else 0
+        if d:
+            if c[t] % d:
+                return None, "divisibility"
+            y[t] = c[t] // d
+        elif c[t]:
+            return None, "past rank"
+    return snf.mat_vec(res.V, y), None
+
+
+def _oracle_matrices(rng):
+    for _ in range(150):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        yield _rand_matrix(rng, m, n, -9, 9)
+        # Rank-deficient products, scaled so that divisors above 1 appear.
+        k = rng.randint(1, min(m, n))
+        s = rng.choice((1, 2, 3, 6))
+        left = _rand_matrix(rng, m, k, -3, 3)
+        right = _rand_matrix(rng, k, n, -3, 3)
+        yield [[s * v for v in row] for row in snf.mat_mult(left, right)]
+
+
+def test_solver_matches_dense_oracle():
+    rng = random.Random(6)
+    rejected = {"divisibility": 0, "past rank": 0}
+    for a in _oracle_matrices(rng):
+        m, n = len(a), len(a[0])
+        solver = snf.IntSolver(a)
+        b = snf.mat_vec(a, [rng.randint(-5, 5) for _ in range(n)])
+        off = list(b)
+        off[rng.randrange(m)] += 1
+        for rhs in (b, off):
+            want, why = _dense_solve(a, rhs)
+            assert solver.solve(rhs) == want
+            if why:
+                rejected[why] += 1
+        assert solver.solve(b) is not None
+    # Both refusals of the solve occur, so each check is exercised.
+    assert min(rejected.values()) >= 20, rejected
+
+
 def test_det_matches_cofactor_oracle():
     def cofactor_det(a):
         n = len(a)
