@@ -506,8 +506,10 @@ class CrossedAlgebra:
         return out
 
     def power(self, x: dict, n: int) -> dict:
-        out = self.one()
-        for _ in range(n):
+        if n < 1:
+            return self.one()
+        out = x
+        for _ in range(n - 1):
             out = self.mul(out, x)
         return out
 

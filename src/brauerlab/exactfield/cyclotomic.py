@@ -39,6 +39,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs a positive integer")

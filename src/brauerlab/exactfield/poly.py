@@ -7,10 +7,13 @@ graded reverse lexicographic order globally (leading terms, normalization,
 and printing all use the same order).
 
 ``FieldElement`` is a quotient num/den of polynomials with no gcd machinery:
-the denominator is normalized to leading coefficient 1, exact divisions are
-collapsed when they happen to succeed, and equality is decided by cross
-multiplication.  This keeps every operation exact while staying within the
-sizes these computations actually produce.
+the denominator is normalized to leading coefficient 1, a quotient that
+divides exactly collapses to a polynomial, and equality is decided by cross
+multiplication.  A sum stays over a shared denominator; when one denominator
+divides the other it goes over the larger one, a/b + c/(q*b) = (a*q + c)/(q*b),
+and only otherwise over their product.  The denominators the crossed-product
+certificates produce are products of a few shared factors, so this keeps them
+small without a gcd.
 
 ``poly_sqrt`` decides squareness by recursion on the leading coefficient one
 variable at a time; the scalar base case is partial (see cyclotomic.Cyc.sqrt)
@@ -404,7 +407,11 @@ def poly_sqrt(p: MultiPoly) -> Optional[MultiPoly]:
 
 
 class FieldElement:
-    """Quotient of polynomials, denominator normalized to leading coefficient 1."""
+    """Quotient of polynomials, denominator normalized to leading coefficient 1.
+
+    Sums go over the larger denominator when one divides the other (checked
+    with ``exact_divide``), else over the product of the two.
+    """
 
     __slots__ = ("ring", "num", "den")
 
@@ -481,6 +488,12 @@ class FieldElement:
             return NotImplemented
         if self.den == o.den:
             return FieldElement(self.num + o.num, self.den)
+        q = exact_divide(o.den, self.den)
+        if q is not None:
+            return FieldElement(self.num * q + o.num, o.den)
+        q = exact_divide(self.den, o.den)
+        if q is not None:
+            return FieldElement(self.num + o.num * q, self.den)
         return FieldElement(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__

@@ -21,15 +21,15 @@ from brauerlab.crossed import (
     standard_ring,
     tensor_brauer,
 )
-from brauerlab.exactfield import PolyRing, kernel, solve
+from brauerlab.exactfield import PolyRing, common_conductor, kernel, solve
 
 
 def rational_ring():
     return PolyRing((), 4)
 
 
-def symbolic_ring():
-    return PolyRing(("a1", "a2", "t", "lam"), 4)
+def symbolic_ring(m=2):
+    return PolyRing(("a1", "a2", "t", "lam"), common_conductor(m))
 
 
 def symbolic_gens(ring):
@@ -304,10 +304,11 @@ def test_tensor_mismatched_data():
 # ---------------------------------------------------------------- decomposition
 
 
-def test_decompose_generic_symbolic():
-    ring = symbolic_ring()
+@pytest.mark.parametrize("m", [2, 3])
+def test_decompose_generic_symbolic(m):
+    ring = symbolic_ring(m)
     a1, a2, t, lam = symbolic_gens(ring)
-    A = instance_from_symbol(2, a1, a2, t, lam, ring=ring, check="full")
+    A = instance_from_symbol(m, a1, a2, t, lam, ring=ring, check="full")
     cert = decompose(A)
     assert cert.branch == "generic"
     assert cert.ok
@@ -321,6 +322,10 @@ def test_decompose_generic_symbolic():
     assert c == -(a1 * f2) / f1
     f = FieldElement.from_json(ring, cert.witnesses["f"])
     assert f == -a1 / f1
+    if m == 3:
+        # the whole verdict, the symbol presentation of A_f included
+        ok, detail, _ = decomposition_ok(A)
+        assert (ok, detail) == (True, "generic")
 
 
 def test_decompose_generic_rational_and_replay():
@@ -431,9 +436,10 @@ def test_cyclic_to_symbol_rational():
     assert Af.equal(lhs, rhs)
 
 
-def test_cyclic_to_symbol_symbolic():
-    ring = symbolic_ring()
-    A = instance_from_symbol(2, *symbolic_gens(ring), ring=ring, check="none")
+@pytest.mark.parametrize("m", [2, 3])
+def test_cyclic_to_symbol_symbolic(m):
+    ring = symbolic_ring(m)
+    A = instance_from_symbol(m, *symbolic_gens(ring), ring=ring, check="none")
     K = A.K
     f1, f2 = A.b1_pair()
     f = -K.a1 / f1

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brauerlab.exactfield import (
@@ -249,11 +249,14 @@ def small_field_elements(draw):
         e = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
         terms[e] = _cyc4(draw)
     num = MultiPoly(ring, terms)
-    den_choice = draw(st.sampled_from(["one", "x", "x+1"]))
+    den_choice = draw(st.sampled_from(["one", "x", "x+1", "x^2", "x(x+1)"]))
+    x = ring.var("x")
     den = {
         "one": ring.one(),
-        "x": ring.var("x"),
-        "x+1": ring.var("x") + 1,
+        "x": x,
+        "x+1": x + 1,
+        "x^2": x * x,
+        "x(x+1)": x * (x + 1),
     }[den_choice]
     if num.is_zero():
         num = ring.one()
@@ -278,3 +281,45 @@ def test_square_roundtrip(f):
     root = is_square(sq)
     assert root is not None
     assert root * root == sq
+
+
+def _product_sum(f, g):
+    """The sum over the product of the two denominators."""
+    return FieldElement(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+_XY = PolyRing(("x", "y"), conductor=4)
+_X = _XY.var("x")
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_field_elements(), small_field_elements())
+@example(FieldElement(_XY.one(), _X), FieldElement(_XY.var("y"), _X * _X))
+@example(FieldElement(_X + _XY.var("y"), _X * (_X + 1)), FieldElement(_XY.one(), _X + 1))
+def test_sum_over_larger_denominator_when_one_divides(f, g):
+    s = f + g
+    assert s == _product_sum(f, g)
+    for small, large in ((f.den, g.den), (g.den, f.den)):
+        if exact_divide(large, small) is not None:
+            assert exact_divide(large, s.den) is not None
+
+
+def _to_sympy(sympy, f):
+    x, y = sympy.symbols("x y")
+
+    def poly(p):
+        return sum(
+            (sympy.Rational(c.nums[0], c.den) + sympy.Rational(c.nums[1], c.den) * sympy.I)
+            * x ** e[0] * y ** e[1]
+            for e, c in p.terms.items()
+        )
+
+    return poly(f.num) / poly(f.den)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_field_elements(), small_field_elements())
+def test_sum_matches_sympy(f, g):
+    sympy = pytest.importorskip("sympy")
+    diff = _to_sympy(sympy, f + g) - _to_sympy(sympy, f) - _to_sympy(sympy, g)
+    assert sympy.cancel(sympy.together(diff)) == 0

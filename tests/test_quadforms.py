@@ -213,17 +213,22 @@ def test_trace_data_values_and_identities():
     assert all(c["ok"] for c in td.checks)
 
 
-def test_trace_data_symbolic_identities():
-    # symbolic symbol parameters, rational twist: the fully symbolic twist
-    # blows past the no-gcd fraction budget, and these three variables
-    # already exercise every identity on free input
-    ring = PolyRing(("e", "g", "t"), 4)
-    e, g, t = [ring.element(ring.var(v)) for v in ring.variables]
-    one = ring.element(1)
-    A = quartic_instance(ring, e, g, t, one, 2 * one, one)
+@pytest.mark.parametrize("twist", [(1, 2, 1), ("lam", "mu", "nu")],
+                         ids=["rational-twist", "symbolic-twist"])
+def test_trace_data_symbolic_identities(twist):
+    # symbolic symbol parameters; the twist (lam, mu, nu) is either rational
+    # or three more free variables
+    names = [v for v in twist if isinstance(v, str)]
+    ring = PolyRing(("e", "g", "t", *names), 4)
+    e, g, t = [ring.element(ring.var(v)) for v in ("e", "g", "t")]
+    lam, mu, nu = [ring.element(ring.var(v) if isinstance(v, str) else v)
+                   for v in twist]
+    A = quartic_instance(ring, e, g, t, lam, mu, nu)
     td = trace_data(A)
     assert td.t1 == 2 * t
-    assert td.t2 == 4 * e  # 2 lam mu e with lam = 1, mu = 2
+    assert td.t2 == 2 * lam * mu * e
+    if not names:
+        assert td.t2 == 4 * e
     # norm of b1 = f1 + f2 al2 down the quadratic subfield
     f1, f2 = A.b1_pair()
     assert td.n1 == f1 * f1 - f2 * f2 * g
