@@ -1,30 +1,36 @@
 """Crossed products for Z/m x Z/2 over exact function fields.
 
-The coefficient field K = F(al1, al2) is a Kummer extension: al1^m = a1,
-al2^2 = a2, with commuting automorphisms s1 (al1 -> zeta_m al1) and s2
-(al2 -> -al2) fixing F.  A crossed algebra has basis al1^i al2^j z1^k z2^l
-with the rewriting rules
+Every algebra here is a twisted group algebra: a direct sum of C e_g over a
+finite abelian group G, for a coefficient ring C on which G acts, with
+
+    (a e_g)(b e_h) = a g(b) c(g, h) e_(gh)
+
+for a factor set c.  ``GradedAlgebra`` holds that product once; each
+algebra supplies only its rule (g, h) -> (gh, c(g, h)), whose values are
+looked up once and kept in a table.
+
+    KummerField     F[Z/m x Z/2], trivial action, carries a1, a2, a1 a2:
+                    K = F(al1, al2) with al1^m = a1, al2^2 = a2.
+    SymbolAlgebra   F[Z/m x Z/m], trivial action, x^m = a, y^m = b,
+                    xy = zeta_m yx.
+    CrossedAlgebra  K[Z/m x Z/2], acting by s1 (al1 -> zeta_m al1) and
+                    s2 (al2 -> -al2), with basis z^(k, l) = z1^k z2^l and
 
     z1 x z1^-1 = s1(x),  z2 x z2^-1 = s2(x)   for x in K,
-    z1^m = b1 in F(al2),  z2^2 = b2 in F(al1),  z1 z2 = u z2 z1,
+    z1^m = b1 in F(al2),  z2^2 = b2 in F(al1),  z1 z2 = u z2 z1.
 
-coefficients kept on the left.  The compatibility conditions on (u, b1, b2)
-are not characterized here; instead they are verified exactly at
-construction.  Monomials multiply as
-
-    (lam z^g)(mu z^h) = lam s_g(mu) c(g, h) z^(gh)   for g, h in Z/m x Z/2,
-
-where z^(k, l) = z1^k z2^l and s_(k, l) = s1^k s2^l, so the algebra is
-associative exactly when the factor set c is a 2-cocycle,
+The compatibility conditions on (u, b1, b2) are not characterized here;
+instead they are verified exactly at construction.  The crossed algebra is
+associative exactly when its factor set is a 2-cocycle,
 
     c(g, h) c(gh, k) = s_g(c(h, k)) c(g, hk),
 
-which is (2m)^3 group triples for every m.  One consequence worth knowing:
-reducing z2 z1^m both ways forces N_s1(u) = b1/s2(b1), so u = 1 with b1
-having a genuine al2 component is always rejected.  Norm-compatible
-instances with both components of b1 nonzero come from
-``instance_from_symbol``, which realizes the crossed product inside a
-degree-2m symbol algebra.
+which is (2m)^3 group triples for every m, checked on the same table that
+the multiplication reads.  One consequence worth knowing: reducing
+z2 z1^m both ways forces N_s1(u) = b1/s2(b1), so u = 1 with b1 having a
+genuine al2 component is always rejected.  Norm-compatible instances with
+both components of b1 nonzero come from ``instance_from_symbol``, which
+realizes the crossed product inside a degree-2m symbol algebra.
 
 The check level "cyclic" verifies the identity only on Z/m x 0, that is on
 the subalgebra generated by K and z1 (associative for every b1 in F(al2),
@@ -36,6 +42,7 @@ over the rational function field.  The level "none" skips the identity.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 from .exactfield import (
@@ -55,6 +62,8 @@ class CrossedError(ValueError):
 
 KElem = dict  # {(i, j): FieldElement}, i < m, j < 2
 
+UNIT = (0, 0)  # the identity of every grading group here
+
 
 def _root_of_unity(ring: PolyRing, order: int) -> Cyc:
     if ring.conductor % order:
@@ -68,12 +77,172 @@ def standard_ring(m: int, names: Sequence[str] = ("a1", "a2", "f1", "f2")) -> Po
     return PolyRing(tuple(names), common_conductor(m))
 
 
-class KummerField:
-    """K = F[al1, al2]/(al1^m - a1, al2^2 - a2) with its two automorphisms."""
+# --------------------------------------------------------------- twisted group algebras
+
+
+class FieldScalars:
+    """F as a coefficient ring: FieldElements, on which the grading acts trivially."""
+
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    scale = staticmethod(operator.mul)
+    equal = staticmethod(operator.eq)
+
+    def __init__(self, ring: PolyRing):
+        self.ring = ring
+
+    def zero(self) -> FieldElement:
+        return self.ring.element(0)
+
+    def one(self) -> FieldElement:
+        return self.ring.element(1)
+
+    @staticmethod
+    def is_zero(c: FieldElement) -> bool:
+        return c.is_zero()
+
+    @staticmethod
+    def scalar_of(c: FieldElement) -> FieldElement:
+        return c
+
+    @staticmethod
+    def act(g, c: FieldElement) -> FieldElement:
+        return c
+
+
+class GradedAlgebra:
+    """Twisted group algebra over a coefficient ring; see module docstring.
+
+    An element is {g: coefficient}, with zero coefficients dropped.  The
+    coefficient ring supplies zero / one / add / neg / mul / scale / is_zero /
+    equal / scalar_of / act(g, c); a subclass supplies ``_rule(g, h)``
+    returning (gh, c(g, h)), with None standing for c = 1.
+    """
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+        self._table: dict = {}
+
+    def entry(self, g, h) -> tuple:
+        """(gh, c(g, h)), computed by the rule on first use."""
+        found = self._table.get((g, h))
+        if found is None:
+            found = self._table[(g, h)] = self._rule(g, h)
+        return found
+
+    def _times(self, c, d):
+        """c d, with None standing for 1."""
+        if c is None:
+            return d
+        if d is None:
+            return c
+        return self.coeffs.mul(c, d)
+
+    def zero(self) -> dict:
+        return {}
+
+    def one(self) -> dict:
+        return {UNIT: self.coeffs.one()}
+
+    def add(self, x: dict, y: dict) -> dict:
+        C = self.coeffs
+        out = dict(x)
+        for g, c in y.items():
+            if g in out:
+                s = C.add(out[g], c)
+                if C.is_zero(s):
+                    del out[g]
+                else:
+                    out[g] = s
+            else:
+                out[g] = c
+        return out
+
+    def neg(self, x: dict) -> dict:
+        return {g: self.coeffs.neg(c) for g, c in x.items()}
+
+    def scale(self, x: dict, value) -> dict:
+        """x times the F-scalar value."""
+        C = self.coeffs
+        out = {}
+        for g, c in x.items():
+            s = C.scale(c, value)
+            if not C.is_zero(s):
+                out[g] = s
+        return out
+
+    def mul(self, x: dict, y: dict) -> dict:
+        C = self.coeffs
+        out: dict = {}
+        for g, a in x.items():
+            for h, b in y.items():
+                gh, c = self.entry(g, h)
+                coeff = C.mul(a, C.act(g, b))
+                if c is not None:
+                    coeff = C.mul(coeff, c)
+                if gh in out:
+                    coeff = C.add(out[gh], coeff)
+                    if C.is_zero(coeff):
+                        del out[gh]
+                        continue
+                elif C.is_zero(coeff):
+                    continue
+                out[gh] = coeff
+        return out
+
+    def power(self, x: dict, n: int) -> dict:
+        if n < 1:
+            return self.one()
+        out = x
+        for _ in range(n - 1):
+            out = self.mul(out, x)
+        return out
+
+    def equal(self, x: dict, y: dict) -> bool:
+        C = self.coeffs
+        zero = C.zero()
+        return all(C.equal(x.get(g, zero), y.get(g, zero)) for g in set(x) | set(y))
+
+    def is_zero(self, x: dict) -> bool:
+        return all(self.coeffs.is_zero(c) for c in x.values())
+
+    def scalar_of(self, x: dict) -> Optional[FieldElement]:
+        """The F-component when x is a pure F-scalar, else None."""
+        C = self.coeffs
+        if any(g != UNIT and not C.is_zero(c) for g, c in x.items()):
+            return None
+        return C.scalar_of(x.get(UNIT, C.zero()))
+
+    def cocycle_holds(self, group: Sequence) -> bool:
+        """c(g, h) c(gh, k) = g(c(h, k)) c(g, hk) on every triple of the
+        closed subset ``group``; exactly associativity on its monomials."""
+        C = self.coeffs
+        one = C.one()
+        for g in group:
+            for h in group:
+                gh, c_gh = self.entry(g, h)
+                for k in group:
+                    hk, c_hk = self.entry(h, k)
+                    lhs = self._times(c_gh, self.entry(gh, k)[1])
+                    if c_hk is not None:
+                        c_hk = C.act(g, c_hk)
+                    rhs = self._times(c_hk, self.entry(g, hk)[1])
+                    if not C.equal(one if lhs is None else lhs, one if rhs is None else rhs):
+                        return False
+        return True
+
+
+class KummerField(GradedAlgebra):
+    """K = F[al1, al2]/(al1^m - a1, al2^2 - a2) with its two automorphisms.
+
+    As a coefficient ring of a crossed algebra, (k, l) acts as s1^k s2^l.
+    """
 
     def __init__(self, ring: PolyRing, m: int, a1, a2):
         if m < 2:
             raise CrossedError("degree m must be at least 2")
+        super().__init__(FieldScalars(ring))
         self.ring = ring
         self.m = m
         self.a1 = ring.element(a1)
@@ -84,17 +253,22 @@ class KummerField:
         self.zeta_2m = _root_of_unity(ring, 2 * m)
         self.dim = 2 * m
 
-    # -- element builders ------------------------------------------------
+    def _rule(self, g, h) -> tuple:
+        i, j = g[0] + h[0], g[1] + h[1]
+        c = None
+        if i >= self.m:
+            i -= self.m
+            c = self.a1
+        if j >= 2:
+            j -= 2
+            c = self._times(c, self.a2)
+        return (i, j), c
 
-    def zero(self) -> KElem:
-        return {}
+    # -- element builders ------------------------------------------------
 
     def scalar(self, value) -> KElem:
         fe = self.ring.element(value)
-        return {} if fe.is_zero() else {(0, 0): fe}
-
-    def one(self) -> KElem:
-        return self.scalar(1)
+        return {} if fe.is_zero() else {UNIT: fe}
 
     def alpha1(self, power: int = 1) -> KElem:
         return {(power % self.m, 0): self.ring.element(1)}
@@ -127,52 +301,7 @@ class KummerField:
             raise CrossedError("ambiguous K element; use from_pair or from_alpha1_coeffs")
         return self.scalar(value)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, x: KElem, y: KElem) -> KElem:
-        out = dict(x)
-        for key, c in y.items():
-            if key in out:
-                s = out[key] + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
-        return out
-
-    def neg(self, x: KElem) -> KElem:
-        return {k: -c for k, c in x.items()}
-
-    def mul(self, x: KElem, y: KElem) -> KElem:
-        out: KElem = {}
-        for (i1, j1), c1 in x.items():
-            for (i2, j2), c2 in y.items():
-                i, j = i1 + i2, j1 + j2
-                c = c1 * c2
-                if i >= self.m:
-                    i -= self.m
-                    c = c * self.a1
-                if j >= 2:
-                    j -= 2
-                    c = c * self.a2
-                key = (i, j)
-                if key in out:
-                    s = out[key] + c
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = c
-        return out
-
-    def scale(self, x: KElem, value) -> KElem:
-        fe = self.ring.element(value)
-        if fe.is_zero():
-            return {}
-        return {k: c * fe for k, c in x.items()}
+    # -- automorphisms and inverses -----------------------------------------
 
     def sigma(self, x: KElem, s1: int, s2: int) -> KElem:
         """Apply s1^s1 s2^s2: coefficient at al1^i al2^j gains zeta_m^(s1*i) * (-1)^(s2*j)."""
@@ -186,19 +315,8 @@ class KummerField:
             out[(i, j)] = c * factor
         return out
 
-    def equal(self, x: KElem, y: KElem) -> bool:
-        keys = set(x) | set(y)
-        zero = self.ring.element(0)
-        return all(x.get(k, zero) == y.get(k, zero) for k in keys)
-
-    def is_zero(self, x: KElem) -> bool:
-        return all(c.is_zero() for c in x.values())
-
-    def as_scalar(self, x: KElem) -> Optional[FieldElement]:
-        """The F-component when the element is purely scalar, else None."""
-        if any(key != (0, 0) and not c.is_zero() for key, c in x.items()):
-            return None
-        return x.get((0, 0), self.ring.element(0))
+    def act(self, g, x: KElem) -> KElem:
+        return self.sigma(x, *g)
 
     def inverse(self, x: KElem) -> KElem:
         """Invert by the norm-cofactor formula: the product of all nontrivial
@@ -206,7 +324,7 @@ class KummerField:
         norm is zero exactly when x is a zero divisor."""
         if self.is_zero(x):
             raise CrossedError("division by zero in K")
-        scalar = self.as_scalar(x)
+        scalar = self.scalar_of(x)
         if scalar is not None:
             return self.scalar(scalar.inverse())
         support = [key for key, c in x.items() if not c.is_zero()]
@@ -224,7 +342,7 @@ class KummerField:
                     if s1 == 0 and s2 == 0:
                         continue
                     cofactor = self.mul(cofactor, self.sigma(x, s1, s2))
-        norm = self.as_scalar(self.mul(x, cofactor))
+        norm = self.scalar_of(self.mul(x, cofactor))
         if norm is None or norm.is_zero():
             raise CrossedError("element of K is not invertible")
         inv = self.scale(cofactor, norm.inverse())
@@ -232,15 +350,10 @@ class KummerField:
             raise CrossedError("element of K is not invertible")
         return inv
 
+    # -- serialization -------------------------------------------------------
+
     def to_json(self, x: KElem) -> dict:
         return {f"{i},{j}": c.to_json() for (i, j), c in x.items()}
-
-    def from_json(self, data: dict) -> KElem:
-        out: KElem = {}
-        for key, cj in data.items():
-            i, j = (int(s) for s in key.split(","))
-            out[(i, j)] = FieldElement.from_json(self.ring, cj)
-        return out
 
     def render(self, x: KElem) -> str:
         if self.is_zero(x):
@@ -262,13 +375,14 @@ class KummerField:
 # --------------------------------------------------------------- symbol algebras
 
 
-class SymbolAlgebra:
+class SymbolAlgebra(GradedAlgebra):
     """Degree-m symbol algebra: x^m = a, y^m = b, xy = zeta_m yx.
 
     Elements are {(i, j): FieldElement} on the basis x^i y^j.
     """
 
     def __init__(self, ring: PolyRing, a, b, m: int):
+        super().__init__(FieldScalars(ring))
         self.ring = ring
         self.m = m
         self.a = ring.element(a)
@@ -279,11 +393,20 @@ class SymbolAlgebra:
         self.dim = m * m
         self._verify_relations()
 
-    def zero(self) -> dict:
-        return {}
-
-    def one(self) -> dict:
-        return {(0, 0): self.ring.element(1)}
+    def _rule(self, g, h) -> tuple:
+        m = self.m
+        (i1, j1), (i2, j2) = g, h
+        # y^j1 x^i2 = zeta^(-j1*i2) x^i2 y^j1
+        twist = (-j1 * i2) % m
+        c = self.ring.element(self.zeta ** twist) if twist else None
+        i, j = i1 + i2, j1 + j2
+        if i >= m:
+            i -= m
+            c = self._times(c, self.a)
+        if j >= m:
+            j -= m
+            c = self._times(c, self.b)
+        return (i, j), c
 
     def x(self, power: int = 1) -> dict:
         return self.element_mono(power, 0)
@@ -294,62 +417,13 @@ class SymbolAlgebra:
     def element_mono(self, i: int, j: int, coeff=1) -> dict:
         return {(i % self.m, j % self.m): self.ring.element(coeff)}
 
-    def add(self, u: dict, v: dict) -> dict:
-        out = dict(u)
-        for key, c in v.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
-
-    def mul(self, u: dict, v: dict) -> dict:
-        m = self.m
-        out: dict = {}
-        for (i1, j1), c1 in u.items():
-            for (i2, j2), c2 in v.items():
-                # y^j1 x^i2 = zeta^(-j1*i2) x^i2 y^j1
-                c = c1 * c2 * (self.zeta ** ((-j1 * i2) % m))
-                i, j = i1 + i2, j1 + j2
-                if i >= m:
-                    i -= m
-                    c = c * self.a
-                if j >= m:
-                    j -= m
-                    c = c * self.b
-                key = (i, j)
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
-
-    def power(self, u: dict, k: int) -> dict:
-        out = self.one()
-        for _ in range(k):
-            out = self.mul(out, u)
-        return out
-
-    def equal(self, u: dict, v: dict) -> bool:
-        zero = self.ring.element(0)
-        return all(u.get(k, zero) == v.get(k, zero) for k in set(u) | set(v))
-
-    def scalar_of(self, u: dict) -> Optional[FieldElement]:
-        if any(key != (0, 0) and not c.is_zero() for key, c in u.items()):
-            return None
-        return u.get((0, 0), self.ring.element(0))
-
     def _verify_relations(self):
         checks = [
-            self.equal(self.power(self.x(), self.m), {(0, 0): self.a}),
-            self.equal(self.power(self.y(), self.m), {(0, 0): self.b}),
+            self.equal(self.power(self.x(), self.m), {UNIT: self.a}),
+            self.equal(self.power(self.y(), self.m), {UNIT: self.b}),
             self.equal(
                 self.mul(self.x(), self.y()),
-                {k: c * self.zeta for k, c in self.mul(self.y(), self.x()).items()},
+                self.scale(self.mul(self.y(), self.x()), self.zeta),
             ),
         ]
         if not all(checks):
@@ -363,10 +437,6 @@ class SymbolAlgebra:
     @property
     def degree(self) -> int:
         return self.m
-
-    def basis_label(self, r: int) -> str:
-        i, j = divmod(r, self.m)
-        return f"x^{i}*y^{j}"
 
     def one_coords(self) -> list:
         zero = self.ring.element(0)
@@ -384,9 +454,6 @@ class SymbolAlgebra:
             out[i * self.m + j] = c
         return out
 
-    def describe(self) -> dict:
-        return {"kind": "symbol", "m": self.m, "a": str(self.a), "b": str(self.b)}
-
 
 # --------------------------------------------------------------- crossed algebras
 
@@ -394,7 +461,7 @@ class SymbolAlgebra:
 CHECK_LEVELS = ("full", "cyclic", "none")
 
 
-class CrossedAlgebra:
+class CrossedAlgebra(GradedAlgebra):
     """Structure-constant crossed product for Z/m x Z/2; see module docstring.
 
     Elements are {(k, l): KElem} representing sums of K-coefficients times
@@ -407,6 +474,7 @@ class CrossedAlgebra:
     def __init__(self, K: KummerField, u, b1, b2, check: str = "full"):
         if check not in CHECK_LEVELS:
             raise CrossedError(f"unknown check level {check!r}")
+        super().__init__(K)
         self.K = K
         self.m = K.m
         self.ring = K.ring
@@ -424,31 +492,40 @@ class CrossedAlgebra:
         if any(j != 0 for (_, j) in self.b2):
             raise CrossedError("b2 must lie in F(al1)")
         self.dim = 4 * self.m * self.m
-        u_inv = K.inverse(self.u)
-        # z2 z1^r = C[r] z1^r z2 with C[r] the sigma1-twisted product of u^-1
-        self._c = [K.one()]
-        for r in range(1, self.m):
-            self._c.append(K.mul(self._c[r - 1], K.sigma(u_inv, r - 1, 0)))
+        self._u_inv = K.inverse(self.u)
         self.check_level = check
         self._verify_construction()
 
+    def _rule(self, g, h) -> tuple:
+        K = self.K
+        (k, l), (k2, l2) = g, h
+        c = None
+        if l and k2:
+            # z2 z1^k2 = C z1^k2 z2 with C = u^-1 s1(u^-1) ... s1^(k2-1)(u^-1),
+            # which is c((0, 1), (k2, 0)); build it from the entry for k2 - 1
+            c = self._u_inv if k2 == 1 else K.mul(
+                self.entry((0, 1), (k2 - 1, 0))[1], K.sigma(self._u_inv, k2 - 1, 0))
+            c = K.sigma(c, k, 0)
+        kk, ll = k + k2, l + l2
+        if kk >= self.m:
+            kk -= self.m
+            c = self._times(c, K.sigma(self.b1, kk, 0))
+        if ll >= 2:
+            ll -= 2
+            c = self._times(c, K.sigma(self.b2, kk, 0))
+        return (kk, ll), c
+
     # -- elements -----------------------------------------------------------
-
-    def zero(self) -> dict:
-        return {}
-
-    def one(self) -> dict:
-        return {(0, 0): self.K.one()}
 
     def scalar(self, value) -> dict:
         k = value if isinstance(value, dict) else self.K.scalar(value)
-        return {} if self.K.is_zero(k) else {(0, 0): k}
+        return {} if self.K.is_zero(k) else {UNIT: k}
 
     def alpha1(self, power: int = 1) -> dict:
-        return {(0, 0): self.K.alpha1(power)}
+        return {UNIT: self.K.alpha1(power)}
 
     def alpha2(self) -> dict:
-        return {(0, 0): self.K.alpha2()}
+        return {UNIT: self.K.alpha2()}
 
     def z1(self) -> dict:
         return {(1, 0): self.K.one()}
@@ -456,107 +533,10 @@ class CrossedAlgebra:
     def z2(self) -> dict:
         return {(0, 1): self.K.one()}
 
-    def add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for key, coeff in y.items():
-            if key in out:
-                s = self.K.add(out[key], coeff)
-                if self.K.is_zero(s):
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = coeff
-        return out
-
-    def neg(self, x: dict) -> dict:
-        return {key: self.K.neg(c) for key, c in x.items()}
-
-    def scale(self, x: dict, value) -> dict:
-        return {key: self.K.scale(c, value) for key, c in x.items()}
-
-    def _mono_mult(self, lam: KElem, k: int, l: int, mu: KElem, k2: int, l2: int):
-        """(lam z1^k z2^l)(mu z1^k2 z2^l2) -> (coeff, (k, l)) reduced."""
-        K = self.K
-        coeff = K.mul(lam, K.sigma(mu, k, l))
-        if l == 1 and k2 > 0:
-            coeff = K.mul(coeff, K.sigma(self._c[k2], k, 0))
-        kk, ll = k + k2, l + l2
-        if kk >= self.m:
-            kk -= self.m
-            coeff = K.mul(coeff, K.sigma(self.b1, kk, 0))
-        if ll >= 2:
-            ll -= 2
-            coeff = K.mul(coeff, K.sigma(self.b2, kk, 0))
-        return coeff, (kk, ll)
-
-    def mul(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        for (k, l), lam in x.items():
-            for (k2, l2), mu in y.items():
-                coeff, key = self._mono_mult(lam, k, l, mu, k2, l2)
-                if key in out:
-                    s = self.K.add(out[key], coeff)
-                    if self.K.is_zero(s):
-                        del out[key]
-                    else:
-                        out[key] = s
-                elif not self.K.is_zero(coeff):
-                    out[key] = coeff
-        return out
-
-    def power(self, x: dict, n: int) -> dict:
-        if n < 1:
-            return self.one()
-        out = x
-        for _ in range(n - 1):
-            out = self.mul(out, x)
-        return out
-
-    def equal(self, x: dict, y: dict) -> bool:
-        keys = set(x) | set(y)
-        for key in keys:
-            cx = x.get(key, {})
-            cy = y.get(key, {})
-            if not self.K.equal(cx, cy):
-                return False
-        return True
-
-    def is_zero(self, x: dict) -> bool:
-        return all(self.K.is_zero(c) for c in x.values())
-
-    def scalar_of(self, x: dict) -> Optional[FieldElement]:
-        """The F-component when x is a pure F-scalar, else None."""
-        acc = self.ring.element(0)
-        for (k, l), coeff in x.items():
-            s = self.K.as_scalar(coeff)
-            if (k, l) == (0, 0):
-                if s is None:
-                    return None
-                acc = s
-            elif not self.K.is_zero(coeff):
-                return None
-        return acc
-
     # -- flat coordinates -----------------------------------------------------
 
     def index_of(self, i: int, j: int, k: int, l: int) -> int:
         return ((k * 2 + l) * self.m + i) * 2 + j
-
-    def basis_label(self, r: int) -> str:
-        r, j = divmod(r, 2)
-        r, i = divmod(r, self.m)
-        k, l = divmod(r, 2)
-        bits = []
-        if i:
-            bits.append(f"al1^{i}" if i > 1 else "al1")
-        if j:
-            bits.append("al2")
-        if k:
-            bits.append(f"z1^{k}" if k > 1 else "z1")
-        if l:
-            bits.append("z2")
-        return "*".join(bits) or "1"
 
     def coords(self, x: dict) -> list:
         zero = self.ring.element(0)
@@ -578,25 +558,11 @@ class CrossedAlgebra:
             out.setdefault((k, l), {})[(i, j)] = fe
         return out
 
-    @property
-    def basis_count(self) -> int:
-        return self.dim
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.m
-
-    def one_coords(self) -> list:
-        return self.coords(self.one())
-
     def basis_element(self, r: int) -> dict:
         rr, j = divmod(r, 2)
         rr, i = divmod(rr, self.m)
         k, l = divmod(rr, 2)
         return {(k, l): {(i, j): self.ring.element(1)}}
-
-    def basis_product(self, r: int, s: int) -> list:
-        return self.coords(self.mul(self.basis_element(r), self.basis_element(s)))
 
     def left_mult_matrix(self, x: dict) -> list:
         cols = [self.coords(self.mul(x, self.basis_element(s))) for s in range(self.dim)]
@@ -613,36 +579,21 @@ class CrossedAlgebra:
         # conjugation relations z_i x = sigma_i(x) z_i on all K basis monomials
         for i in range(self.m):
             for j in range(2):
-                alpha = {(0, 0): {(i, j): self.ring.element(1)}}
+                alpha = {UNIT: {(i, j): self.ring.element(1)}}
                 left = self.mul(self.z1(), alpha)
-                right = self.mul({(0, 0): K.sigma({(i, j): self.ring.element(1)}, 1, 0)}, self.z1())
+                right = self.mul({UNIT: K.sigma({(i, j): self.ring.element(1)}, 1, 0)}, self.z1())
                 if not self.equal(left, right):
                     raise CrossedError("conjugation relation failed for z1")
                 left = self.mul(self.z2(), alpha)
-                right = self.mul({(0, 0): K.sigma({(i, j): self.ring.element(1)}, 0, 1)}, self.z2())
+                right = self.mul({UNIT: K.sigma({(i, j): self.ring.element(1)}, 0, 1)}, self.z2())
                 if not self.equal(left, right):
                     raise CrossedError("conjugation relation failed for z2")
         if self.check_level == "none":
             return
-        # _mono_mult(lam, g, mu, h) = lam sigma_g(mu) c(g, h) z^(gh), so
-        # associativity on all monomial triples is the 2-cocycle identity
-        # c(g,h) c(gh,k) = sigma_g(c(h,k)) c(g,hk) on group triples
         group = [(k, l) for k in range(self.m)
                  for l in range(2 if self.check_level == "full" else 1)]
-        cocycle = {
-            (g, h): self._mono_mult(K.one(), *g, K.one(), *h)
-            for g in group for h in group
-        }
-        for g in group:
-            for h in group:
-                c_gh, gh = cocycle[(g, h)]
-                for k in group:
-                    c_hk, hk = cocycle[(h, k)]
-                    lhs = K.mul(c_gh, cocycle[(gh, k)][0])
-                    rhs = K.mul(K.sigma(c_hk, *g), cocycle[(g, hk)][0])
-                    if not K.equal(lhs, rhs):
-                        raise CrossedError(
-                            "associativity violated: incompatible (u, b1, b2)")
+        if not self.cocycle_holds(group):
+            raise CrossedError("associativity violated: incompatible (u, b1, b2)")
 
     # -- descriptions ------------------------------------------------------------
 
@@ -654,18 +605,6 @@ class CrossedAlgebra:
             "u": self.K.to_json(self.u),
             "b1": self.K.to_json(self.b1),
             "b2": self.K.to_json(self.b2),
-        }
-
-    def describe(self) -> dict:
-        return {
-            "kind": "crossed",
-            "m": self.m,
-            "a1": str(self.K.a1),
-            "a2": str(self.K.a2),
-            "u": self.K.render(self.u),
-            "b1": self.K.render(self.b1),
-            "b2": self.K.render(self.b2),
-            "check": self.check_level,
         }
 
     def b1_pair(self) -> tuple:
@@ -700,23 +639,6 @@ def crossed_from_data(
             ring = standard_ring(m)
     K = KummerField(ring, m, a1, a2)
     return CrossedAlgebra(K, u, b1, b2, check=check)
-
-
-def crossed_from_json(ring: PolyRing, params: dict, check: str = "none") -> CrossedAlgebra:
-    m = params["m"]
-    K = KummerField(
-        ring,
-        m,
-        FieldElement.from_json(ring, params["a1"]),
-        FieldElement.from_json(ring, params["a2"]),
-    )
-    return CrossedAlgebra(
-        K,
-        K.from_json(params["u"]),
-        K.from_json(params["b1"]),
-        K.from_json(params["b2"]),
-        check=check,
-    )
 
 
 def tensor_brauer(A: CrossedAlgebra, B: CrossedAlgebra, check: str = "full") -> CrossedAlgebra:
@@ -840,10 +762,7 @@ def instance_from_symbol(
     tau = K.add(K.scalar(lam), K.add(K.scale(K.alpha1(), mu), K.scale(K.alpha2(), nu)))
     if not (mu.is_zero() and nu.is_zero()):
         u = K.mul(u, K.mul(K.sigma(tau, 1, 0), K.inverse(tau)))
-    wm = K.one()
-    for _ in range(m):
-        wm = K.mul(wm, w)
-    b1 = K.mul(K.mul(wm, K.alpha2()), K.scalar(g.inverse()))
+    b1 = K.mul(K.mul(K.power(w, m), K.alpha2()), K.scalar(g.inverse()))
     b2 = K.mul(K.alpha1(), K.mul(tau, K.sigma(tau, 0, 1)))
     return CrossedAlgebra(K, u, b1, b2, check=check)
 
@@ -852,7 +771,7 @@ def instance_from_symbol(
 
 
 class DecompositionCertificate:
-    """Replayable record of a decomposition run: branch, witnesses, identities."""
+    """Record of a decomposition run: branch, witnesses, identities."""
 
     def __init__(self, m, branch, check_level, params, identities, witnesses,
                  twisted=None):
@@ -886,32 +805,12 @@ class DecompositionCertificate:
             "witnesses": self.witnesses,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DecompositionCertificate":
-        return cls(
-            data["m"],
-            data["branch"],
-            data["check_level"],
-            data["params"],
-            data["identities"],
-            data["witnesses"],
-        )
-
-    def verify(self, ring: PolyRing) -> bool:
-        """Rebuild the algebra and re-run every stored identity."""
-        algebra = crossed_from_json(ring, self.params, check="none")
-        fresh = decompose(algebra)
-        if fresh.branch != self.branch:
-            return False
-        mine = {item["name"]: item["ok"] for item in self.identities}
-        theirs = {item["name"]: item["ok"] for item in fresh.identities}
-        return mine == theirs and fresh.ok
-
 
 def _norm_one_splitter(A: CrossedAlgebra) -> tuple:
-    """Invertible k in K with sigma1(k) = u k, or (1, False) when none exists.
+    """Invertible k in K with u sigma1(k) = k, or (1, False) when none exists.
 
-    Such k exists whenever N_sigma1(u) = 1; k z2 then commutes with z1.
+    z1 (k z2) = sigma1(k) u z2 z1, so exactly such k make k z2 commute with
+    z1; by Hilbert 90 they exist whenever N_sigma1(u) = 1.
     """
     K = A.K
     if K.equal(A.u, K.one()):
@@ -923,12 +822,9 @@ def _norm_one_splitter(A: CrossedAlgebra) -> tuple:
     matrix = [[zero] * len(keys) for _ in keys]
     for col, key in enumerate(keys):
         unit = {key: ring.element(1)}
-        image = K.sigma(unit, 1, 0)
+        image = K.add(K.mul(A.u, K.sigma(unit, 1, 0)), K.neg(unit))
         for k2, c in image.items():
-            matrix[pos[k2]][col] = matrix[pos[k2]][col] + c
-        image = K.mul(A.u, unit)
-        for k2, c in image.items():
-            matrix[pos[k2]][col] = matrix[pos[k2]][col] - c
+            matrix[pos[k2]][col] = c
     for vec in kernel(matrix, ring):
         cand = {keys[t]: c for t, c in enumerate(vec) if not c.is_zero()}
         if K.is_zero(cand):
@@ -988,10 +884,10 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
     elif f2.is_zero():
         branch = "f2-zero-split-quaternion"
         # when u != 1 its sigma1-norm is 1 here (b1 is fixed by s2), so a
-        # Hilbert-90 style solve sigma1(k) = u k yields k with k*z2
+        # Hilbert-90 style solve u sigma1(k) = k yields k with k*z2
         # commuting with z1; u = 1 keeps k = 1
         k_adj, adj_ok = _norm_one_splitter(A)
-        record("hilbert90-adjustment", adj_ok, "found invertible k with s1(k) = u k")
+        record("hilbert90-adjustment", adj_ok, "found invertible k with u*s1(k) = k")
         z2_adj = A.mul(A.scalar(k_adj), A.z2())
         pairs = [
             ("al1-vs-al2", A.alpha1(), A.alpha2()),
@@ -1267,10 +1163,6 @@ class TensorAlgebra:
 
         rec(0, 0, self.ring.element(1))
         return out
-
-    def basis_label(self, r: int) -> str:
-        parts = self._split(r)
-        return " (x) ".join(f.basis_label(idx) for f, idx in zip(self.factors, parts))
 
     def basis_product(self, r: int, s: int) -> list:
         parts_r = self._split(r)

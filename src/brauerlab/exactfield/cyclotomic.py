@@ -3,8 +3,7 @@
 Elements are stored on the power basis 1, zeta, ..., zeta^(phi(N)-1) with
 integer coordinates over a single positive denominator.  All products are
 reduced through precomputed integer rows for zeta^k, so the only rational
-bookkeeping is one gcd per normalization.  Galois maps zeta -> zeta^k are
-table lookups for the same reason.
+bookkeeping is one gcd per normalization.
 
 Square roots are decided only for the shapes that actually occur downstream
 (rationals, conductor-4 elements, monomial multiples of a root of unity);
@@ -306,21 +305,6 @@ class Cyc:
             base = base * base
             k >>= 1
         return result
-
-    def galois(self, k: int) -> "Cyc":
-        """Apply the automorphism zeta -> zeta^k; k must be prime to N."""
-        n = self.conductor
-        if gcd(k, n) != 1:
-            raise ValueError("galois exponent must be prime to the conductor")
-        rows = _power_rows(n)
-        phi = len(self.nums)
-        acc = [0] * phi
-        for i, a in enumerate(self.nums):
-            if a:
-                row = rows[(i * k) % n]
-                for j in range(phi):
-                    acc[j] += a * row[j]
-        return Cyc(n, acc, self.den)
 
     # -- square roots (partial, verified) -------------------------------
 

@@ -135,9 +135,6 @@ class MultiPoly:
             raise ExactFieldError("polynomial is not a scalar")
         return self.terms[(0,) * len(self.ring.variables)]
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading_exponents(self) -> tuple[int, ...]:
         if self.is_zero():
             raise ExactFieldError("zero polynomial has no leading term")
@@ -459,17 +456,6 @@ class FieldElement:
 
     def is_one(self) -> bool:
         return self.num == self.den
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def as_poly(self) -> MultiPoly:
-        if not self.den.is_one():
-            q = exact_divide(self.num, self.den)
-            if q is None:
-                raise ExactFieldError("element is not polynomial")
-            return q
-        return self.num
 
     def is_scalar(self) -> bool:
         return self.num.is_scalar() and self.den.is_scalar()

@@ -48,10 +48,6 @@ class FactorSetMonomial:
             if not (1 <= i <= n):
                 raise FactorSetError(f"prime index {i} out of range")
 
-    @staticmethod
-    def variable(n: int, i: int, j: int, e: int = 1) -> "FactorSetMonomial":
-        return FactorSetMonomial(n, {(i, j): e})
-
     def __mul__(self, other: "FactorSetMonomial") -> "FactorSetMonomial":
         pairs = dict(self.pairs)
         for k, v in other.pairs.items():
@@ -126,9 +122,6 @@ class FactorSet:
 
     def __getitem__(self, triple) -> FactorSetMonomial:
         return self.entries[triple]
-
-    def triples(self):
-        return self.entries.keys()
 
     def to_json(self) -> dict:
         return {

@@ -148,7 +148,6 @@ class PermutationGroup:
         self.identity = 0
         self.inverses = [self.index[_inv(e)] for e in self.elements]
         self._gen_perms = gens
-        self._table: list[Optional[list[int]]] = [None] * self.order
 
     def __len__(self) -> int:
         return self.order
@@ -158,22 +157,7 @@ class PermutationGroup:
         return f"<{label} of order {self.order} on {self.degree} points>"
 
     def mult(self, i: int, j: int) -> int:
-        row = self._table[i]
-        if row is not None:
-            return row[j]
         return self.index[_mult(self.elements[i], self.elements[j])]
-
-    def table_row(self, i: int) -> list[int]:
-        row = self._table[i]
-        if row is None:
-            e = self.elements[i]
-            row = [self.index[_mult(e, x)] for x in self.elements]
-            self._table[i] = row
-        return row
-
-    @property
-    def table(self) -> list[list[int]]:
-        return [self.table_row(i) for i in range(self.order)]
 
     def inverse(self, i: int) -> int:
         return self.inverses[i]
@@ -181,13 +165,6 @@ class PermutationGroup:
     def conjugate(self, g: int, h: int) -> int:
         """g h g^-1 by index."""
         return self.mult(self.mult(g, h), self.inverses[g])
-
-    def element_order(self, i: int) -> int:
-        k, p = 1, i
-        while p != 0:
-            p = self.mult(p, i)
-            k += 1
-        return k
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Indices of the subgroup generated by the given element indices."""
@@ -293,18 +270,8 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def is_normal(self) -> bool:
-        G = self.parent
-        return all(G.conjugate(g, h) in self.members
-                   for g in G.generators for h in self.members)
-
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
-
-
-def generate_group(generators: Iterable, degree: Optional[int] = None,
-                   order_cap: int = DEFAULT_ORDER_CAP, name: str = "") -> PermutationGroup:
-    return PermutationGroup(generators, degree=degree, order_cap=order_cap, name=name)
 
 
 class CosetSpace:
@@ -478,11 +445,6 @@ def direct_product(a: PermutationGroup, b: PermutationGroup, name: str = "") -> 
         gens.append(tuple(range(da)) + tuple(x + da for x in b.elements[g]))
     return PermutationGroup(gens, degree=da + b.degree,
                             name=name or f"{a.name}x{b.name}")
-
-
-def zm_x_z2(m: int) -> PermutationGroup:
-    """Z/m x Z/2 on m+2 points: an m-cycle next to a transposition."""
-    return direct_product(cyclic_group(m), cyclic_group(2), name=f"C{m}xC2")
 
 
 @lru_cache(maxsize=None)

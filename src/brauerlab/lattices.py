@@ -32,7 +32,7 @@ from .snf import SNFResult  # re-export: part of this module's surface
 __all__ = [
     "GLattice", "LatticeMap", "LatticeSequence", "LatticeError", "SNFResult",
     "perm_lattice", "natural_perm_lattice", "trivial_lattice",
-    "augmentation_kernel", "augmentation_map", "tensor", "wedge2", "sym2",
+    "augmentation_kernel", "tensor", "wedge2", "sym2",
     "direct_sum", "wedge2_inclusion", "sym2_projection",
     "freepres_sequence", "seq2_sequence", "formanek_sequence",
     "is_exact", "ExactnessReport", "is_faithful",
@@ -311,13 +311,6 @@ def augmentation_kernel(cosets: CosetSpace) -> tuple[GLattice, "LatticeMap"]:
     """The lattice of coset differences inside Z[G/H], with its embedding."""
     perm = PermLattice(cosets)
     return _omega_from_perm(perm, cosets.act, label=f"omega[{cosets.size}]")
-
-
-def augmentation_map(perm: GLattice) -> "LatticeMap":
-    """Coordinate-sum map onto the trivial lattice."""
-    return LatticeMap(perm, trivial_lattice(perm.group),
-                      [[1] * perm.rank], label="augmentation",
-                      col_pivots=[(0, 0)])
 
 
 def tensor(left: GLattice, right: GLattice) -> TensorLattice:

@@ -9,7 +9,7 @@ are cancelled, of a Witt equivalence).
 
 trace_form computes the reduced-trace bilinear form of any algebra exposing
 the structure-constant protocol (ring, degree, basis_count, one_coords,
-basis_product, basis_label).  trace_data extracts, from a degree-4 crossed
+basis_product).  trace_data extracts, from a degree-4 crossed
 product, the quadratic-subfield traces and norms of the three squared slot
 generators; serre_form and equiv_form build the associated diagonal forms,
 and witt_derive_equivalence links them by an explicit move certificate.
@@ -154,11 +154,6 @@ class QuadraticForm:
     @property
     def is_diagonal(self) -> bool:
         return self.entries is not None
-
-    def describe(self) -> str:
-        if self.is_diagonal:
-            return "<" + ", ".join(str(e) for e in self.entries) + ">"
-        return "gram " + str(self.dim) + "x" + str(self.dim)
 
     def to_json(self) -> dict:
         if self.is_diagonal:
@@ -319,10 +314,6 @@ class MatrixAlgebra:
         self.d = d
         self.basis_count = d * d
         self.degree = d
-
-    def basis_label(self, r: int) -> str:
-        i, j = divmod(r, self.d)
-        return "e" + str(i + 1) + str(j + 1)
 
     def one_coords(self) -> list:
         zero = self.ring.element(0)

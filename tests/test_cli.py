@@ -76,3 +76,12 @@ def test_non_square_symbol_still_passes(tmp_path):
     code, text = run(tmp_path, "ok.json", "crossed-decompose", "--symbol", "3", "5", "2", "1")
     assert code == 0
     assert json.loads(text)["status"] == "pass"
+
+
+def test_f2_zero_split_with_u_squared_not_one_passes(tmp_path):
+    # t = 0 gives f2 = 0 with u = -zeta_3, so the z2 adjuster must solve
+    # u s1(k) = k rather than s1(k) = u k
+    code, text = run(tmp_path, "ok.json", "crossed-decompose", "--m", "3",
+                     "--symbol", "3", "5", "0", "1")
+    assert code == 0
+    assert json.loads(text)["status"] == "pass"

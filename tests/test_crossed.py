@@ -7,12 +7,10 @@ from brauerlab.acceptance import decomposition_ok
 from brauerlab.crossed import (
     CrossedAlgebra,
     CrossedError,
-    DecompositionCertificate,
     KummerField,
     SymbolAlgebra,
     bergman_power,
     crossed_from_data,
-    crossed_from_json,
     cyclic_to_symbol,
     decompose,
     generic_cyclic_algebra,
@@ -21,7 +19,7 @@ from brauerlab.crossed import (
     standard_ring,
     tensor_brauer,
 )
-from brauerlab.exactfield import PolyRing, common_conductor, kernel, solve
+from brauerlab.exactfield import FieldElement, PolyRing, common_conductor, kernel, solve
 
 
 def rational_ring():
@@ -34,6 +32,17 @@ def symbolic_ring(m=2):
 
 def symbolic_gens(ring):
     return [ring.element(ring.var(v)) for v in ("a1", "a2", "t", "lam")]
+
+
+def rebuild(ring, params):
+    """The input algebra of a decomposition certificate, from its JSON."""
+    def k_elem(data):
+        return {tuple(int(s) for s in key.split(",")): FieldElement.from_json(ring, c)
+                for key, c in data.items()}
+
+    a1, a2 = (FieldElement.from_json(ring, params[name]) for name in ("a1", "a2"))
+    return crossed_from_data(params["m"], a1, a2, k_elem(params["u"]), k_elem(params["b1"]),
+                             k_elem(params["b2"]), ring=ring, check="none")
 
 
 # ---------------------------------------------------------------- symbol algebras
@@ -132,6 +141,92 @@ def test_crossed_mult_matches_symbol_embedding():
         ea = {(a[2], a[3]): {(a[0], a[1]): one}}
         eb = {(b[2], b[3]): {(b[0], b[1]): one}}
         assert S.equal(embed(A.mul(ea, eb)), S.mul(embed(ea), embed(eb)))
+
+
+# Reference products kept apart from the shared GradedAlgebra loop: they
+# multiply coefficients directly and rebuild the crossed factor set c(g, h)
+# for every pair of monomials instead of reading a table.
+
+
+def kummer_mul_oracle(K, x, y):
+    out = {}
+    for (i1, j1), c1 in x.items():
+        for (i2, j2), c2 in y.items():
+            i, j = i1 + i2, j1 + j2
+            c = c1 * c2
+            if i >= K.m:
+                i -= K.m
+                c = c * K.a1
+            if j >= 2:
+                j -= 2
+                c = c * K.a2
+            out[(i, j)] = out[(i, j)] + c if (i, j) in out else c
+    return out
+
+
+def kummer_coords(K, x):
+    zero = K.ring.element(0)
+    return [x.get((i, j), zero) for i in range(K.m) for j in range(2)]
+
+
+def crossed_mul_oracle(A):
+    """The product of A, as a function of two elements."""
+    K, m = A.K, A.m
+    u_inv = K.inverse(A.u)
+    assert kummer_coords(K, kummer_mul_oracle(K, A.u, u_inv)) == kummer_coords(K, K.one())
+    # z2 z1^r = twist[r] z1^r z2 with twist[r] the sigma1-twisted product of u^-1
+    twist = [K.one()]
+    for r in range(1, m):
+        twist.append(kummer_mul_oracle(K, twist[r - 1], K.sigma(u_inv, r - 1, 0)))
+    return lambda x, y: _crossed_product(A, twist, x, y)
+
+
+def _crossed_product(A, twist, x, y):
+    K, m = A.K, A.m
+    out = {}
+    for (k, l), lam in x.items():
+        for (k2, l2), mu in y.items():
+            coeff = kummer_mul_oracle(K, lam, K.sigma(mu, k, l))
+            if l == 1 and k2 > 0:
+                coeff = kummer_mul_oracle(K, coeff, K.sigma(twist[k2], k, 0))
+            kk, ll = k + k2, l + l2
+            if kk >= m:
+                kk -= m
+                coeff = kummer_mul_oracle(K, coeff, K.sigma(A.b1, kk, 0))
+            if ll >= 2:
+                ll -= 2
+                coeff = kummer_mul_oracle(K, coeff, K.sigma(A.b2, kk, 0))
+            if (kk, ll) in out:
+                total = out[(kk, ll)]
+                coeff = {key: total.get(key, 0) + coeff.get(key, 0)
+                         for key in set(total) | set(coeff)}
+            out[(kk, ll)] = coeff
+    return out
+
+
+def oracle_algebras():
+    ring = rational_ring()
+    base = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="none")
+    algebras = [CrossedAlgebra(base.K, *data, check="none") for data in perturbed_data(base)]
+    algebras.append(instance_from_symbol(3, 3, 5, 2, 1, ring=standard_ring(3, ()), check="none"))
+    return algebras
+
+
+def test_crossed_mul_matches_oracle_on_basis_pairs():
+    for A in oracle_algebras():
+        oracle = crossed_mul_oracle(A)
+        basis = [A.basis_element(r) for r in range(A.dim)]
+        for x, y in itertools.product(basis, basis):
+            assert A.coords(A.mul(x, y)) == A.coords(oracle(x, y))
+
+
+def test_kummer_mul_matches_oracle_on_monomial_pairs():
+    for m in (2, 3):
+        K = KummerField(standard_ring(m, ()), m, 3, 5)
+        one = K.ring.element(1)
+        monomials = [{(i, j): one} for i in range(K.m) for j in range(2)]
+        for x, y in itertools.product(monomials, monomials):
+            assert kummer_coords(K, K.mul(x, y)) == kummer_coords(K, kummer_mul_oracle(K, x, y))
 
 
 def test_conjugation_relations_hold():
@@ -316,7 +411,6 @@ def test_decompose_generic_symbolic(m):
     assert {"gamma-power-m", "gamma-power-2m", "gamma-min-poly-degree",
             "tensor-cocycle-witness"} <= names
     # the twist scalar matches -a1 f2 / f1 exactly
-    from brauerlab.exactfield import FieldElement
     f1, f2 = A.b1_pair()
     c = FieldElement.from_json(ring, cert.witnesses["c"])
     assert c == -(a1 * f2) / f1
@@ -334,11 +428,13 @@ def test_decompose_generic_rational_and_replay():
     cert = decompose(A)
     assert cert.branch == "generic" and cert.ok
     payload = cert.to_json()
-    replayed = DecompositionCertificate.from_json(payload)
-    assert replayed.verify(ring)
+    replayed = decompose(rebuild(ring, payload["params"]))
+    assert replayed.branch == payload["branch"] and replayed.ok
+    assert ([(item["name"], item["ok"]) for item in replayed.identities]
+            == [(item["name"], item["ok"]) for item in payload["identities"]])
     # A_f stays on the certificate but out of its JSON
     assert isinstance(cert.twisted, CrossedAlgebra)
-    assert "twisted" not in payload and replayed.twisted is None
+    assert "twisted" not in payload
 
 
 def test_decomposition_ok_builds_the_twisted_algebra_once(monkeypatch):
@@ -395,6 +491,16 @@ def test_decompose_f2_zero_with_norm_one_u():
     assert cert.ok
 
 
+def test_decompose_f2_zero_with_u_squared_not_one():
+    # t = 0 puts b1 = a2 in F, so f2 = 0, with u = -zeta_3; the adjuster
+    # solves u s1(k) = k, which differs from s1(k) = u k once u^2 != 1
+    A = instance_from_symbol(3, 3, 5, 0, 1, ring=standard_ring(3, ()), check="full")
+    cert = decompose(A)
+    assert cert.branch == "f2-zero-split-quaternion"
+    assert cert.ok
+    assert cert.witnesses["z2_adjuster"] == A.K.to_json(A.K.alpha1())
+
+
 def test_decompose_rejects_double_zero():
     ring = rational_ring()
     A = crossed_from_data(2, 3, 5, 1, 7, 11, ring=ring, check="none")
@@ -407,7 +513,7 @@ def test_certificate_json_roundtrip():
     ring = rational_ring()
     A = instance_from_symbol(2, 6, 13, 1, 4, ring=ring, check="full")
     cert = decompose(A)
-    rebuilt = crossed_from_json(ring, cert.params, check="none")
+    rebuilt = rebuild(ring, cert.params)
     assert rebuilt.K.equal(rebuilt.b1, A.b1)
     assert rebuilt.K.equal(rebuilt.u, A.u)
     assert rebuilt.K.equal(rebuilt.b2, A.b2)

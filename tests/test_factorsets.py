@@ -159,7 +159,7 @@ def test_udn_entry_failures_names_each_bad_triple():
     cp = normalized_factor_set(5)
     assert udn_entry_failures(cp) == ([], [])
     entries = dict(cp.entries)
-    entries[(1, 2, 3)] = entries[(1, 2, 3)] * FactorSetMonomial.variable(5, 1, 2)
+    entries[(1, 2, 3)] = entries[(1, 2, 3)] * FactorSetMonomial(5, {(1, 2): 1})
     escapes, breaks = udn_entry_failures(FactorSet(5, entries))
     assert escapes == [(1, 2, 3)]
     # the reversal product fails from both ends

@@ -12,13 +12,11 @@ from brauerlab.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    generate_group,
     min_generators_rel,
     normal_core,
     parse_cycles,
     quaternion_group,
     symmetric_group,
-    zm_x_z2,
 )
 
 
@@ -43,7 +41,7 @@ def test_orders_of_standard_groups():
     assert dihedral_group(4).order == 8
     assert quaternion_group().order == 8
     assert cyclic_group(6).order == 6
-    assert zm_x_z2(2).order == 4
+    assert direct_product(cyclic_group(2), cyclic_group(2)).order == 4
     assert direct_product(cyclic_group(3), symmetric_group(3)).order == 18
 
 
@@ -58,11 +56,10 @@ def test_identity_and_inverses():
 
 def test_table_matches_composition():
     G = dihedral_group(4)
-    tab = G.table
     for i in range(G.order):
         for j in range(G.order):
             a, b = G.elements[i], G.elements[j]
-            assert G.elements[tab[i][j]] == tuple(a[x] for x in b)
+            assert G.elements[G.mult(i, j)] == tuple(a[x] for x in b)
 
 
 def test_words_reproduce_elements():
@@ -79,17 +76,25 @@ def test_order_cap():
         symmetric_group(8, order_cap=1000)
 
 
+def element_order(G, i):
+    k, p = 1, i
+    while p != G.identity:
+        p = G.mult(p, i)
+        k += 1
+    return k
+
+
 def test_quaternion_relations():
     Q = quaternion_group()
     gi, gj = Q.generators
     i2 = Q.mult(gi, gi)
-    assert Q.element_order(gi) == 4
+    assert element_order(Q, gi) == 4
     assert i2 == Q.mult(gj, gj)
-    assert Q.element_order(i2) == 2
+    assert element_order(Q, i2) == 2
     # j i j^-1 = i^-1
     assert Q.conjugate(gj, gi) == Q.inverses[gi]
     # Exactly one element of order 2, so Q8 rather than D4.
-    assert sum(1 for x in range(Q.order) if Q.element_order(x) == 2) == 1
+    assert sum(1 for x in range(Q.order) if element_order(Q, x) == 2) == 1
 
 
 def test_coset_space_s5_mod_s4():
@@ -166,7 +171,8 @@ def test_all_subgroups_q8():
     Q = quaternion_group()
     subs = all_subgroups(Q)
     assert len(subs) == 6
-    assert all(h.is_normal() for h in subs)
+    assert all(Q.conjugate(g, h) in sub.members
+               for sub in subs for g in Q.generators for h in sub.members)
 
 
 def test_conjugacy_classes_s4():
@@ -196,5 +202,5 @@ def test_subgroup_membership_errors():
     G = cyclic_group(3)
     with pytest.raises(GroupError):
         G.subgroup(["(1 2)"])
-    g = generate_group(["(1 2 3)"])
+    g = PermutationGroup(["(1 2 3)"])
     assert g.order == 3

@@ -55,3 +55,52 @@ def test_all_names_resolve(path):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == [], f"{module.__name__}.__all__ names what it lacks: {missing}"
+
+
+# ROADMAP item 4 keeps these for claim (ii), the odd-degree field of
+# definition, which no criterion reaches yet.
+KEPT_FOR_CLAIM_II = {
+    "y_generators", "field_of_definition_report", "wedge2_inclusion", "sym2_projection",
+}
+BENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def _references(tree: ast.Module) -> set:
+    """Identifiers, attribute names, imported names and string constants
+    (``getattr``-style references), outside ``__all__`` and annotations."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            skipped |= {id(n) for n in ast.walk(node.value)}
+        for field in ("annotation", "returns"):
+            if getattr(node, field, None) is not None:
+                skipped |= {id(n) for n in ast.walk(getattr(node, field))}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_definition_is_referenced():
+    referenced = set()
+    for path in [*ALL_MODULES, *sorted(BENCH.rglob("*.py"))]:
+        referenced |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    unreferenced = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+        for path in ALL_MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced | KEPT_FOR_CLAIM_II
+    ]
+    assert unreferenced == [], f"defined in src/ but never referenced: {unreferenced}"

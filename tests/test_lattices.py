@@ -17,7 +17,6 @@ from brauerlab.lattices import (
     LatticeMap,
     LatticeSequence,
     augmentation_kernel,
-    augmentation_map,
     direct_sum,
     faithful_predicate_freepres,
     faithful_predicate_seq2,
@@ -89,8 +88,8 @@ def test_augmentation_kernel():
     omega, emb = augmentation_kernel(X)
     assert omega.rank == 4
     assert emb.check_equivariance()
-    aug = augmentation_map(emb.target)
-    assert snf.is_zero_matrix(snf.mat_mult(aug.matrix, emb.matrix))
+    # the coordinate sum kills every coset difference
+    assert all(sum(column) == 0 for column in zip(*emb.matrix))
     check_action_invariants(omega)
 
     full = coset_space(G, G.full_subgroup())
