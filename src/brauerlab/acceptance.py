@@ -6,7 +6,7 @@ deterministic strings (counts and witnesses, never wall-clock), so a whole
 run serializes byte-identically under a fixed seed.  The ten checks are
 registered in CRITERIA in their documented order.  The CLI reuses the
 status mapping (check_result), the seeded streams (seeded_rng,
-draw_symbol_params, quartic_trace_instance) and the per-object helpers
+seeded_symbol_instances, quartic_trace_instance) and the per-object helpers
 (udn_entry_failures, relation_kernel_checks, tensor_square_checks,
 formanek_checks, decomposition_ok).
 """
@@ -24,8 +24,8 @@ from .crossed import (
     CrossedAlgebra,
     CrossedError,
     DecompositionCertificate,
+    GradedTensor,
     SymbolAlgebra,
-    TensorAlgebra,
     bergman_power,
     crossed_from_data,
     cyclic_to_symbol,
@@ -61,7 +61,6 @@ from .lattices import (
     seq2_sequence,
 )
 from .quadforms import (
-    MatrixAlgebra,
     QuadFormError,
     hilbert_places,
     hilbert_symbol,
@@ -356,6 +355,29 @@ def draw_symbol_params(rng: random.Random):
             return e, g, t, lam
 
 
+def seeded_symbol_instances(seed: int, ring: PolyRing, count: int):
+    """Up to ``count`` degree-4 instances from the seeded "decomposition"
+    stream, as ((e, g, t, lam), algebra, resampled so far).
+
+    A draw the constructor rejects is redrawn; after more than 50 such
+    resamples the stream is exhausted and stops short of ``count``.
+    """
+    rng = seeded_rng(seed, "decomposition")
+    done = resampled = 0
+    while done < count:
+        params = draw_symbol_params(rng)
+        try:
+            algebra = instance_from_symbol(
+                2, *(ring.element(x) for x in params), ring=ring, check="full")
+        except CrossedError:
+            resampled += 1
+            if resampled > 50:
+                return
+            continue
+        yield params, algebra, resampled
+        done += 1
+
+
 def decomposition_ok(
     algebra: CrossedAlgebra,
 ) -> tuple[bool, str, DecompositionCertificate]:
@@ -387,23 +409,14 @@ def check_decomposition_pipeline(seed: int):
         return False, f"symbolic generic run: {detail}"
 
     rq = PolyRing((), 4)
-    rng = seeded_rng(seed, "decomposition")
     done = resampled = 0
-    while done < 20:
-        e, g, t, lam = draw_symbol_params(rng)
-        try:
-            algebra = instance_from_symbol(
-                2, rq.element(e), rq.element(g), rq.element(t),
-                rq.element(lam), ring=rq, check="full")
-        except CrossedError:
-            resampled += 1
-            if resampled > 50:
-                return False, "instance generator exhausted"
-            continue
+    for (e, g, t, lam), algebra, resampled in seeded_symbol_instances(seed, rq, 20):
         ok, detail, _ = decomposition_ok(algebra)
         if not ok:
             return False, f"instance ({e},{g},{t},{lam}): {detail}"
         done += 1
+    if done < 20:
+        return False, "instance generator exhausted"
 
     ok1, d1, _ = decomposition_ok(
         instance_from_symbol(2, 3, 5, 0, 1, ring=rq, check="full"))
@@ -503,14 +516,15 @@ def check_hilbert_and_hyperbolic(seed: int):
             break
 
     ring = PolyRing((), 4)
-    if hyperbolic_sufficient(trace_form(MatrixAlgebra(ring, 2))) is None:
+    # (1, 1)_2 is M_2(F): x^2 = 1 makes (1 + x)(1 - x) = 0, so it is split
+    matrices = SymbolAlgebra(ring, 1, 1, 2)
+    if hyperbolic_sufficient(trace_form(matrices)) is None:
         problems.append("2x2 matrix trace form does not pair")
     for _ in range(5):
         a = rng.choice([-1, 1]) * rng.randint(1, 30)
         b = rng.choice([-1, 1]) * rng.randint(1, 30)
         quaternion = SymbolAlgebra(ring, ring.element(a), ring.element(b), 2)
-        matrix_e = TensorAlgebra([MatrixAlgebra(ring, 2), quaternion])
-        cert = hyperbolic_sufficient(trace_form(matrix_e))
+        cert = hyperbolic_sufficient(trace_form(GradedTensor(matrices, quaternion)))
         if cert is None or len(cert["pairs"]) != 8:
             problems.append(f"matrix-of-quaternion ({a},{b}) does not pair")
     if problems:

@@ -22,12 +22,12 @@ from .acceptance import (
     CRITERIA,
     check_result,
     decomposition_ok,
-    draw_symbol_params,
     formanek_checks,
     quartic_trace_instance,
     relation_kernel_checks,
     run_all,
     seeded_rng,
+    seeded_symbol_instances,
     tensor_square_checks,
     udn_entry_failures,
 )
@@ -47,11 +47,8 @@ from .quadforms import (
     QuadFormError,
     diagonal,
     direct_sum,
-    equiv_form,
     invariants_over_Q,
-    serre_form,
-    witt_apply,
-    witt_derive_equivalence,
+    replay_trace_form_equivalence,
 )
 
 SCHEMA = "brauerlab-envelope/1"
@@ -248,21 +245,12 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
             raise UsageError("--random draws the degree-4 family; use --symbol for larger m")
         if args.random < 1:
             raise UsageError("--random needs at least one instance")
-        rng = seeded_rng(args.seed, "decomposition")
         done = resampled = 0
-        while done < args.random:
-            e, g, t, lam = draw_symbol_params(rng)
-            try:
-                algebra = instance_from_symbol(
-                    2, ring.element(e), ring.element(g), ring.element(t),
-                    ring.element(lam), ring=ring, check="full")
-            except CrossedError:
-                resampled += 1
-                if resampled > 50:
-                    raise UsageError("instance generator exhausted")
-                continue
+        for _, algebra, resampled in seeded_symbol_instances(args.seed, ring, args.random):
             run_one(f"decomposition-{done}", algebra)
             done += 1
+        if done < args.random:
+            raise UsageError("instance generator exhausted")
         inputs = {"m": 2, "random": args.random, "resampled": resampled}
     return inputs, checks
 
@@ -286,21 +274,18 @@ def cmd_traceform(args) -> tuple[dict, list]:
             {"trace_data": {n: str(v) for n, v in td.values().items()},
              "identity_checks": td.checks}))
 
-        start = serre_form(td)
-        moves = witt_derive_equivalence(td)
-        final = witt_apply(start, moves)
-        target = equiv_form(td)
-        matches = final.dim == target.dim and all(
-            final.entries[i] == target.entries[i] for i in range(final.dim))
+        report = replay_trace_form_equivalence(td)
+        start, final = report["start_form"], report["final_form"]
+        target = report["target_form"]
         checks.append(check_result(
             f"instance-{k}-move-certificate",
-            matches and target.audit["only_four_generators"],
+            report["ok"],
             {"serre_form": [str(e) for e in start.entries],
              "equiv_form": target.audit["entries"],
              "generator_legend": target.generator_legend,
-             "moves": [m.to_json() for m in moves],
+             "moves": [m.to_json() for m in report["move_list"]],
              "start_dim": start.dim, "final_dim": final.dim,
-             "matches_reduced_form": matches,
+             "matches_reduced_form": report["final_matches_equiv_form"],
              "four_generator_audit": target.audit["only_four_generators"]}))
 
         # the moves are isometries of the trace field (which contains i),

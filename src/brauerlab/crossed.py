@@ -9,10 +9,15 @@ for a factor set c.  ``GradedAlgebra`` holds that product once; each
 algebra supplies only its rule (g, h) -> (gh, c(g, h)), whose values are
 looked up once and kept in a table.
 
+Each algebra lists its grading group G as ``grades``, the unit first; the
+unit, the scalars and the 2-cocycle check are read from that list.
+
     KummerField     F[Z/m x Z/2], trivial action, carries a1, a2, a1 a2:
                     K = F(al1, al2) with al1^m = a1, al2^2 = a2.
     SymbolAlgebra   F[Z/m x Z/m], trivial action, x^m = a, y^m = b,
                     xy = zeta_m yx.
+    GradedTensor    A (x) B for two algebras over F with trivial action,
+                    graded by pairs: c((g, g'), (h, h')) = c_A(g, h) c_B(g', h').
     CrossedAlgebra  K[Z/m x Z/2], acting by s1 (al1 -> zeta_m al1) and
                     s2 (al2 -> -al2), with basis z^(k, l) = z1^k z2^l and
 
@@ -62,7 +67,7 @@ class CrossedError(ValueError):
 
 KElem = dict  # {(i, j): FieldElement}, i < m, j < 2
 
-UNIT = (0, 0)  # the identity of every grading group here
+UNIT = (0, 0)  # the identity of Z/m x Z/n, the grades of the cyclic algebras here
 
 
 def _root_of_unity(ring: PolyRing, order: int) -> Cyc:
@@ -116,12 +121,14 @@ class GradedAlgebra:
 
     An element is {g: coefficient}, with zero coefficients dropped.  The
     coefficient ring supplies zero / one / add / neg / mul / scale / is_zero /
-    equal / scalar_of / act(g, c); a subclass supplies ``_rule(g, h)``
-    returning (gh, c(g, h)), with None standing for c = 1.
+    equal / scalar_of / act(g, c); a subclass passes its grading group
+    ``grades`` (unit first) and supplies ``_rule(g, h)`` returning
+    (gh, c(g, h)), with None standing for c = 1.
     """
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, grades: Sequence):
         self.coeffs = coeffs
+        self.grades = list(grades)
         self._table: dict = {}
 
     def entry(self, g, h) -> tuple:
@@ -143,7 +150,7 @@ class GradedAlgebra:
         return {}
 
     def one(self) -> dict:
-        return {UNIT: self.coeffs.one()}
+        return {self.grades[0]: self.coeffs.one()}
 
     def add(self, x: dict, y: dict) -> dict:
         C = self.coeffs
@@ -210,13 +217,17 @@ class GradedAlgebra:
     def scalar_of(self, x: dict) -> Optional[FieldElement]:
         """The F-component when x is a pure F-scalar, else None."""
         C = self.coeffs
-        if any(g != UNIT and not C.is_zero(c) for g, c in x.items()):
+        unit = self.grades[0]
+        if any(g != unit and not C.is_zero(c) for g, c in x.items()):
             return None
-        return C.scalar_of(x.get(UNIT, C.zero()))
+        return C.scalar_of(x.get(unit, C.zero()))
 
-    def cocycle_holds(self, group: Sequence) -> bool:
+    def cocycle_holds(self, group: Optional[Sequence] = None) -> bool:
         """c(g, h) c(gh, k) = g(c(h, k)) c(g, hk) on every triple of the
-        closed subset ``group``; exactly associativity on its monomials."""
+        closed subset ``group`` of the grades (all of them by default);
+        exactly associativity on its monomials."""
+        if group is None:
+            group = self.grades
         C = self.coeffs
         one = C.one()
         for g in group:
@@ -242,7 +253,7 @@ class KummerField(GradedAlgebra):
     def __init__(self, ring: PolyRing, m: int, a1, a2):
         if m < 2:
             raise CrossedError("degree m must be at least 2")
-        super().__init__(FieldScalars(ring))
+        super().__init__(FieldScalars(ring), [(i, j) for i in range(m) for j in range(2)])
         self.ring = ring
         self.m = m
         self.a1 = ring.element(a1)
@@ -382,7 +393,7 @@ class SymbolAlgebra(GradedAlgebra):
     """
 
     def __init__(self, ring: PolyRing, a, b, m: int):
-        super().__init__(FieldScalars(ring))
+        super().__init__(FieldScalars(ring), [(i, j) for i in range(m) for j in range(m)])
         self.ring = ring
         self.m = m
         self.a = ring.element(a)
@@ -429,30 +440,30 @@ class SymbolAlgebra(GradedAlgebra):
         if not all(checks):
             raise CrossedError("symbol algebra relations failed to verify")
 
-    # structure-constant protocol used by the trace-form machinery
-    @property
-    def basis_count(self) -> int:
-        return self.dim
 
-    @property
-    def degree(self) -> int:
-        return self.m
+# --------------------------------------------------------------- tensor products
 
-    def one_coords(self) -> list:
-        zero = self.ring.element(0)
-        out = [zero] * self.dim
-        out[0] = self.ring.element(1)
-        return out
 
-    def basis_product(self, r: int, s: int) -> list:
-        i1, j1 = divmod(r, self.m)
-        i2, j2 = divmod(s, self.m)
-        prod = self.mul(self.element_mono(i1, j1), self.element_mono(i2, j2))
-        zero = self.ring.element(0)
-        out = [zero] * self.dim
-        for (i, j), c in prod.items():
-            out[i * self.m + j] = c
-        return out
+class GradedTensor(GradedAlgebra):
+    """A (x) B for two algebras over the same F with trivial action.
+
+    Graded by pairs (g, g'), with e_(g, g') = e_g (x) e_g' and
+    c((g, g'), (h, h')) = c_A(g, h) c_B(g', h').
+    """
+
+    def __init__(self, left: GradedAlgebra, right: GradedAlgebra):
+        if not (isinstance(left.coeffs, FieldScalars) and isinstance(right.coeffs, FieldScalars)):
+            raise CrossedError("tensor factors must be algebras over F")
+        if left.coeffs.ring is not right.coeffs.ring:
+            raise CrossedError("mismatched scalar fields")
+        super().__init__(left.coeffs, [(g, h) for g in left.grades for h in right.grades])
+        self.left = left
+        self.right = right
+
+    def _rule(self, g, h) -> tuple:
+        gh, c = self.left.entry(g[0], h[0])
+        gh2, c2 = self.right.entry(g[1], h[1])
+        return (gh, gh2), self._times(c, c2)
 
 
 # --------------------------------------------------------------- crossed algebras
@@ -474,7 +485,7 @@ class CrossedAlgebra(GradedAlgebra):
     def __init__(self, K: KummerField, u, b1, b2, check: str = "full"):
         if check not in CHECK_LEVELS:
             raise CrossedError(f"unknown check level {check!r}")
-        super().__init__(K)
+        super().__init__(K, [(k, l) for k in range(K.m) for l in range(2)])
         self.K = K
         self.m = K.m
         self.ring = K.ring
@@ -590,8 +601,7 @@ class CrossedAlgebra(GradedAlgebra):
                     raise CrossedError("conjugation relation failed for z2")
         if self.check_level == "none":
             return
-        group = [(k, l) for k in range(self.m)
-                 for l in range(2 if self.check_level == "full" else 1)]
+        group = None if self.check_level == "full" else [g for g in self.grades if g[1] == 0]
         if not self.cocycle_holds(group):
             raise CrossedError("associativity violated: incompatible (u, b1, b2)")
 
@@ -786,12 +796,6 @@ class DecompositionCertificate:
     @property
     def ok(self) -> bool:
         return all(item["ok"] for item in self.identities)
-
-    def identity(self, name: str) -> bool:
-        for item in self.identities:
-            if item["name"] == name:
-                return item["ok"]
-        raise KeyError(name)
 
     def to_json(self) -> dict:
         return {
@@ -1108,80 +1112,3 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
          "detail": "c' = gamma^2m"}
     )
     return SymbolPresentation(A.m, c_prime, d_prime, A.coords(delta), kernel_dim, checks)
-
-
-# --------------------------------------------------------------- tensor scaffolding
-
-
-class TensorAlgebra:
-    """Plain tensor product of structure-constant algebras over one field."""
-
-    def __init__(self, factors: Sequence):
-        if not factors:
-            raise CrossedError("tensor product needs at least one factor")
-        self.factors = list(factors)
-        self.ring = factors[0].ring
-        if any(f.ring != self.ring for f in factors):
-            raise CrossedError("mismatched scalar fields")
-        self.dims = [f.basis_count for f in factors]
-        self.basis_count = 1
-        for d in self.dims:
-            self.basis_count *= d
-        self.degree = 1
-        for f in factors:
-            self.degree *= f.degree
-
-    def _split(self, r: int) -> list:
-        out = []
-        for d in reversed(self.dims):
-            r, idx = divmod(r, d)
-            out.append(idx)
-        return list(reversed(out))
-
-    def _join(self, parts: Sequence[int]) -> int:
-        r = 0
-        for idx, d in zip(parts, self.dims):
-            r = r * d + idx
-        return r
-
-    def one_coords(self) -> list:
-        # outer product of the factor identities; not always basis element 0
-        # (matrix-unit bases spread the identity across the diagonal units)
-        zero = self.ring.element(0)
-        out = [zero] * self.basis_count
-        factor_ones = [f.one_coords() for f in self.factors]
-
-        def rec(level, index, coeff):
-            if coeff.is_zero():
-                return
-            if level == len(self.factors):
-                out[index] = out[index] + coeff
-                return
-            for idx, c in enumerate(factor_ones[level]):
-                if not c.is_zero():
-                    rec(level + 1, index * self.dims[level] + idx, coeff * c)
-
-        rec(0, 0, self.ring.element(1))
-        return out
-
-    def basis_product(self, r: int, s: int) -> list:
-        parts_r = self._split(r)
-        parts_s = self._split(s)
-        factor_products = [
-            f.basis_product(ir, is_)
-            for f, ir, is_ in zip(self.factors, parts_r, parts_s)
-        ]
-        zero = self.ring.element(0)
-        out = [zero] * self.basis_count
-        # sparse outer product over the factor expansions
-        items = [[(idx, c) for idx, c in enumerate(fp) if not c.is_zero()] for fp in factor_products]
-
-        def rec(pos: int, idx_parts: list, coeff):
-            if pos == len(items):
-                out[self._join(idx_parts)] = out[self._join(idx_parts)] + coeff
-                return
-            for idx, c in items[pos]:
-                rec(pos + 1, idx_parts + [idx], coeff * c)
-
-        rec(0, [], self.ring.element(1))
-        return out

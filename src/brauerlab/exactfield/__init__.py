@@ -4,7 +4,6 @@ rational functions and linear algebra."""
 from .cyclotomic import (
     Cyc,
     ExactFieldError,
-    PoleError,
     common_conductor,
     cyclotomic_polynomial,
     euler_phi,
@@ -15,24 +14,17 @@ from .poly import (
     PolyRing,
     exact_divide,
     is_square,
-    parse_element,
     poly_sqrt,
 )
 from .linalg import (
-    identity_matrix,
     kernel,
-    mat_det,
-    mat_inverse,
-    mat_mul,
     mat_rank,
-    mat_vec,
     solve,
 )
 
 __all__ = [
     "Cyc",
     "ExactFieldError",
-    "PoleError",
     "common_conductor",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -41,14 +33,8 @@ __all__ = [
     "PolyRing",
     "exact_divide",
     "is_square",
-    "parse_element",
     "poly_sqrt",
-    "identity_matrix",
     "kernel",
-    "mat_det",
-    "mat_inverse",
-    "mat_mul",
     "mat_rank",
-    "mat_vec",
     "solve",
 ]

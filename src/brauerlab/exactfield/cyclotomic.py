@@ -22,10 +22,6 @@ class ExactFieldError(ArithmeticError):
     """Arithmetic failure in the exact field layer."""
 
 
-class PoleError(ExactFieldError):
-    """Raised when a specialization lands on a zero of a denominator."""
-
-
 def _divisors(n: int) -> list[int]:
     out = []
     d = 1

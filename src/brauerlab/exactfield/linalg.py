@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cyclotomic import ExactFieldError
 from .poly import FieldElement, PolyRing
 
 Matrix = list[list[FieldElement]]
@@ -27,41 +26,6 @@ def _ring_of(matrix: Matrix, ring: Optional[PolyRing]) -> PolyRing:
 
 def _complexity(value: FieldElement) -> int:
     return len(value.num.terms) + len(value.den.terms)
-
-
-def identity_matrix(ring: PolyRing, n: int) -> Matrix:
-    one, zero = ring.element(1), ring.element(0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix, ring: Optional[PolyRing] = None) -> Matrix:
-    ring = _ring_of(a, ring)
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    zero = ring.element(0)
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = zero
-            for k in range(inner):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector, ring: Optional[PolyRing] = None) -> Vector:
-    ring = _ring_of(a, ring)
-    zero = ring.element(0)
-    out = []
-    for row in a:
-        acc = zero
-        for entry, x in zip(row, v):
-            if not entry.is_zero() and not x.is_zero():
-                acc = acc + entry * x
-        out.append(acc)
-    return out
 
 
 def _rref(matrix: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
@@ -138,44 +102,3 @@ def kernel(matrix: Matrix, ring: Optional[PolyRing] = None) -> list[Vector]:
             vec[c] = -rows[i][j]
         basis.append(vec)
     return basis
-
-
-def mat_det(matrix: Matrix, ring: Optional[PolyRing] = None) -> FieldElement:
-    ring = _ring_of(matrix, ring)
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant needs a square matrix")
-    rows = [list(r) for r in matrix]
-    det = ring.element(1)
-    for c in range(n):
-        best = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                if best is None or _complexity(rows[i][c]) < _complexity(rows[best][c]):
-                    best = i
-        if best is None:
-            return ring.element(0)
-        if best != c:
-            rows[c], rows[best] = rows[best], rows[c]
-            det = -det
-        pivot = rows[c][c]
-        det = det * pivot
-        inv = pivot.inverse()
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                factor = rows[i][c] * inv
-                rows[i] = [
-                    entry - factor * pivot_entry
-                    for entry, pivot_entry in zip(rows[i], rows[c])
-                ]
-    return det
-
-
-def mat_inverse(matrix: Matrix, ring: Optional[PolyRing] = None) -> Matrix:
-    ring = _ring_of(matrix, ring)
-    n = len(matrix)
-    aug = [list(row) + list(idrow) for row, idrow in zip(matrix, identity_matrix(ring, n))]
-    rows, pivots = _rref(aug, n)
-    if len(pivots) != n:
-        raise ExactFieldError("matrix is singular")
-    return [row[n:] for row in rows]

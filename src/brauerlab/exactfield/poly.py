@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .cyclotomic import Cyc, ExactFieldError, PoleError
+from .cyclotomic import Cyc, ExactFieldError
 
 ScalarLike = Union[int, Fraction, Cyc]
 
@@ -92,9 +92,6 @@ class PolyRing:
         if isinstance(value, MultiPoly):
             return FieldElement(value, self.one())
         return FieldElement(self.scalar(value), self.one())
-
-    def parse(self, text: str) -> "FieldElement":
-        return parse_element(self, text)
 
     def __eq__(self, other):
         return (
@@ -241,40 +238,6 @@ class MultiPoly:
             rest = e[:k] + (0,) + e[k + 1 :]
             out.setdefault(d, {})[rest] = c
         return {d: MultiPoly(self.ring, t) for d, t in out.items()}
-
-    def substitute(self, values: dict) -> "FieldElement":
-        """Evaluate some variables at FieldElement/scalar values.
-
-        Unlisted variables stay symbolic.  The result is a FieldElement
-        because substituted values may themselves be quotients.
-        """
-        ring = self.ring
-        subs: dict[int, FieldElement] = {}
-        for name, val in values.items():
-            subs[ring.var_index(name)] = ring.element(val)
-        power_cache: dict[tuple[int, int], FieldElement] = {}
-
-        def var_power(k: int, e: int) -> FieldElement:
-            key = (k, e)
-            if key not in power_cache:
-                if k in subs:
-                    power_cache[key] = subs[k] ** e
-                else:
-                    mono = [0] * len(ring.variables)
-                    mono[k] = e
-                    power_cache[key] = ring.element(
-                        MultiPoly(ring, {tuple(mono): Cyc.one(ring.conductor)})
-                    )
-            return power_cache[key]
-
-        total = ring.element(0)
-        for exps, coeff in self.terms.items():
-            term = ring.element(coeff)
-            for k, e in enumerate(exps):
-                if e:
-                    term = term * var_power(k, e)
-            total = total + term
-        return total
 
     # -- comparisons, display, serialization ---------------------------------
 
@@ -530,13 +493,6 @@ class FieldElement:
             k >>= 1
         return result
 
-    def substitute(self, values: dict) -> "FieldElement":
-        num = self.num.substitute(values)
-        den = self.den.substitute(values)
-        if den.is_zero():
-            raise PoleError("pole at specialization point")
-        return num / den
-
     # -- comparisons, display, serialization ------------------------------------
 
     def __eq__(self, other):
@@ -591,122 +547,3 @@ def is_square(f: FieldElement) -> Optional[FieldElement]:
     if root * root == f:
         return root
     return None
-
-
-# -- expression parsing -----------------------------------------------------
-
-
-class _Parser:
-    def __init__(self, ring: PolyRing, text: str):
-        self.ring = ring
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text: str) -> list[tuple[str, str]]:
-        tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                tokens.append(("int", text[i:j]))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(("name", text[i:j]))
-                i = j
-                continue
-            if text.startswith("**", i):
-                tokens.append(("op", "^"))
-                i += 2
-                continue
-            if ch in "+-*/^()":
-                tokens.append(("op", ch))
-                i += 1
-                continue
-            raise ExactFieldError(f"unexpected character {ch!r} in expression")
-        return tokens
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", "")
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> FieldElement:
-        value = self._expr()
-        if self._peek()[0] != "end":
-            raise ExactFieldError("trailing input in expression")
-        return value
-
-    def _expr(self) -> FieldElement:
-        value = self._term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            op = self._next()[1]
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def _term(self) -> FieldElement:
-        value = self._factor()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            op = self._next()[1]
-            rhs = self._factor()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def _factor(self) -> FieldElement:
-        kind, text = self._peek()
-        if (kind, text) == ("op", "-"):
-            self._next()
-            return -self._factor()
-        if (kind, text) == ("op", "+"):
-            self._next()
-            return self._factor()
-        base = self._atom()
-        if self._peek() == ("op", "^"):
-            self._next()
-            sign = 1
-            if self._peek() == ("op", "-"):
-                self._next()
-                sign = -1
-            kind, text = self._next()
-            if kind != "int":
-                raise ExactFieldError("exponent must be an integer")
-            return base ** (sign * int(text))
-        return base
-
-    def _atom(self) -> FieldElement:
-        kind, text = self._next()
-        if kind == "int":
-            return self.ring.element(int(text))
-        if kind == "name":
-            if text == "zeta":
-                return self.ring.element(self.ring.zeta())
-            if text == "i" and "i" not in self.ring.variables:
-                if self.ring.conductor % 4:
-                    raise ExactFieldError("no square root of -1 at this conductor")
-                return self.ring.element(self.ring.zeta(self.ring.conductor // 4))
-            return self.ring.element(self.ring.var(text))
-        if (kind, text) == ("op", "("):
-            value = self._expr()
-            if self._next() != ("op", ")"):
-                raise ExactFieldError("unbalanced parentheses")
-            return value
-        raise ExactFieldError(f"unexpected token {text!r}")
-
-
-def parse_element(ring: PolyRing, text: str) -> FieldElement:
-    """Parse +,-,*,/,^ expressions over declared variables, zeta, and i."""
-    return _Parser(ring, text).parse()

@@ -102,12 +102,6 @@ class FactorSetMonomial:
             bits.append(f"z'{i}{i}" if v == 1 else f"z'{i}{i}^{v}")
         return "*".join(bits)
 
-    def to_json(self) -> dict:
-        return {
-            "pairs": {f"{i},{j}": v for (i, j), v in sorted(self.pairs.items())},
-            "primes": {str(i): v for i, v in sorted(self.primes.items())},
-        }
-
 
 class FactorSet:
     """A complete triple-indexed table of monomials."""
@@ -122,13 +116,6 @@ class FactorSet:
 
     def __getitem__(self, triple) -> FactorSetMonomial:
         return self.entries[triple]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": {f"{i},{j},{h}": m.to_json()
-                        for (i, j, h), m in sorted(self.entries.items())},
-        }
 
 
 def udn_factor_set(n: int) -> FactorSet:
@@ -162,8 +149,7 @@ def normalized_factor_set(n: int) -> FactorSet:
 
 
 class CheckCertificate:
-    def __init__(self, kind: str):
-        self.kind = kind
+    def __init__(self):
         self.checked = 0
         self.failures: list = []
 
@@ -174,10 +160,6 @@ class CheckCertificate:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "ok": self.ok, "checked": self.checked,
-                "failures": [list(f) for f in self.failures[:20]]}
-
 
 def _sn_generators(n: int) -> list[tuple[int, ...]]:
     swap = (1, 0) + tuple(range(2, n))
@@ -187,7 +169,7 @@ def _sn_generators(n: int) -> list[tuple[int, ...]]:
 
 def check_equivariance(fs: FactorSet) -> CheckCertificate:
     """sigma(c_ijh) = c_{sigma(i) sigma(j) sigma(h)} for generators of S_n."""
-    cert = CheckCertificate("equivariance")
+    cert = CheckCertificate()
     for perm in _sn_generators(fs.n):
         label = cycles_string(perm)
         for (i, j, h), m in fs.entries.items():
@@ -202,7 +184,7 @@ def check_equivariance(fs: FactorSet) -> CheckCertificate:
 def check_cocycle(fs: FactorSet) -> CheckCertificate:
     """c_ijl c_jhl = c_ihl c_ijh for all quadruples (the associativity
     identity of Brauer factor sets, multiplicative form)."""
-    cert = CheckCertificate("cocycle")
+    cert = CheckCertificate()
     n = fs.n
     rng = range(1, n + 1)
     for i in rng:
@@ -311,7 +293,7 @@ def y_generators(group: PermutationGroup, subgroup: Subgroup
                 left = bvec(i, j)
                 right = bvec(j, h)
                 vecs.append([lv * rv for lv in left for rv in right])
-    cert = CheckCertificate("y-spanning")
+    cert = CheckCertificate()
     cert.checked = len(vecs)
     mat = [[v[r] for v in vecs] for r in range(rank)]
     div = snf.elementary_divisors(mat)

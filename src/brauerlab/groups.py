@@ -224,18 +224,6 @@ class PermutationGroup:
             classes.append(sorted(orbit))
         return classes
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "generators": [cycles_string(self.elements[g]) for g in self.generators],
-            "name": self.name,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "PermutationGroup":
-        return PermutationGroup(data["generators"], degree=data["degree"],
-                                name=data.get("name", ""))
-
 
 class Subgroup:
     def __init__(self, parent: PermutationGroup, members: frozenset[int],

@@ -126,14 +126,6 @@ class GLattice:
     def __repr__(self) -> str:
         return f"<GLattice rank {self.rank} [{self.label}]>"
 
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "label": self.label,
-            "group": self.group.to_json(),
-            "generator_matrices": [self.action(g) for g in self.group.generators],
-        }
-
 
 class PermLattice(GLattice):
     """Z[G/H] with basis the cosets in representative order."""

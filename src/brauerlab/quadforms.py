@@ -1,18 +1,19 @@
 """Exact quadratic form toolkit over the symbolic scalar fields.
 
-A form is a symmetric Gram matrix or a diagonal entry list over a PolyRing.
-diagonalize converts Gram to diagonal by an explicit congruence P with
-P^T G P exactly diagonal.  Witt moves are small rewriting steps on diagonal
-forms, each carrying a witness that is re-verified on replay, so a move list
-is a machine-checkable certificate of an isometry (or, when hyperbolic pairs
-are cancelled, of a Witt equivalence).
+A form is a list of nonzero diagonal entries over a PolyRing.  Witt moves
+are small rewriting steps on such forms, each carrying a witness that is
+re-verified on replay, so a move list is a machine-checkable certificate of
+an isometry (or, when hyperbolic pairs are cancelled, of a Witt
+equivalence).
 
-trace_form computes the reduced-trace bilinear form of any algebra exposing
-the structure-constant protocol (ring, degree, basis_count, one_coords,
-basis_product).  trace_data extracts, from a degree-4 crossed
-product, the quadratic-subfield traces and norms of the three squared slot
-generators; serre_form and equiv_form build the associated diagonal forms,
-and witt_derive_equivalence links them by an explicit move certificate.
+trace_form reads the reduced-trace form of a twisted group algebra
+sum F e_g (a symbol algebra, or a tensor product of them) off its factor-set
+table: Trd(e_g e_h) vanishes unless gh = 1, so the form is diagonal up to
+hyperbolic planes and comes out diagonal.  trace_data extracts, from a
+degree-4 crossed product, the quadratic-subfield traces and norms of the
+three squared slot generators; serre_form and equiv_form build the
+associated diagonal forms, and witt_derive_equivalence links them by an
+explicit move certificate.
 
 Rational forms get classical invariants: signature, square-class
 discriminant, and Hasse symbols from the Hilbert symbol at each place,
@@ -20,17 +21,11 @@ which decide isometry over the rationals.
 """
 
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Sequence
 
-from .exactfield import (
-    Cyc,
-    FieldElement,
-    PolyRing,
-    identity_matrix,
-    is_square,
-    mat_det,
-    mat_mul,
-)
+from .crossed import FieldScalars
+from .exactfield import Cyc, FieldElement, PolyRing, is_square
 
 
 class QuadFormError(ValueError):
@@ -123,50 +118,17 @@ class GenExpr:
 
 
 class QuadraticForm:
-    """Diagonal entry list or symmetric Gram matrix over a PolyRing."""
+    """Nonzero diagonal entries over a PolyRing."""
 
-    def __init__(self, ring: PolyRing, diagonal=None, gram=None, degenerate=False):
-        if (diagonal is None) == (gram is None):
-            raise ValueError("give exactly one of diagonal or gram")
+    def __init__(self, ring: PolyRing, entries):
         self.ring = ring
-        self.degenerate = degenerate
-        if diagonal is not None:
-            self.entries = [ring.element(e) for e in diagonal]
-            self.gram = None
-            if any(e.is_zero() for e in self.entries):
-                self.degenerate = True
-        else:
-            self.entries = None
-            self.gram = [[ring.element(e) for e in row] for row in gram]
-            n = len(self.gram)
-            for row in self.gram:
-                if len(row) != n:
-                    raise ValueError("gram matrix is not square")
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if not self.gram[i][j] == self.gram[j][i]:
-                        raise ValueError("gram matrix is not symmetric")
+        self.entries = [ring.element(e) for e in entries]
+        if any(e.is_zero() for e in self.entries):
+            raise QuadFormError("zero entry")
 
     @property
     def dim(self) -> int:
-        return len(self.entries) if self.entries is not None else len(self.gram)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.entries is not None
-
-    def to_json(self) -> dict:
-        if self.is_diagonal:
-            return {
-                "kind": "diagonal",
-                "entries": [e.to_json() for e in self.entries],
-                "degenerate": self.degenerate,
-            }
-        return {
-            "kind": "gram",
-            "rows": [[e.to_json() for e in row] for row in self.gram],
-            "degenerate": self.degenerate,
-        }
+        return len(self.entries)
 
 
 def diagonal(entries: Sequence, ring: Optional[PolyRing] = None) -> QuadraticForm:
@@ -178,31 +140,11 @@ def diagonal(entries: Sequence, ring: Optional[PolyRing] = None) -> QuadraticFor
                 break
         else:
             raise ValueError("cannot infer the scalar ring; pass ring=")
-    entries = [ring.element(e) for e in entries]
-    if any(e.is_zero() for e in entries):
-        raise QuadFormError("zero entry")
-    return QuadraticForm(ring, diagonal=entries)
+    return QuadraticForm(ring, entries)
 
 
 def direct_sum(left: QuadraticForm, right: QuadraticForm) -> QuadraticForm:
-    if not (left.is_diagonal and right.is_diagonal):
-        raise ValueError("direct sum implemented for diagonal forms")
-    return QuadraticForm(
-        left.ring,
-        diagonal=left.entries + right.entries,
-        degenerate=left.degenerate or right.degenerate,
-    )
-
-
-def tensor(left: QuadraticForm, right: QuadraticForm) -> QuadraticForm:
-    """Kronecker product of diagonal forms, left-entry-major order."""
-    if not (left.is_diagonal and right.is_diagonal):
-        raise ValueError("tensor implemented for diagonal forms")
-    out = []
-    for a in left.entries:
-        for b in right.entries:
-            out.append(a * b)
-    return QuadraticForm(left.ring, diagonal=out)
+    return QuadraticForm(left.ring, left.entries + right.entries)
 
 
 def pfister(slots: Sequence, ring: Optional[PolyRing] = None) -> QuadraticForm:
@@ -217,160 +159,59 @@ def pfister(slots: Sequence, ring: Optional[PolyRing] = None) -> QuadraticForm:
     out = [ring.element(1)]
     for a in base.entries:
         out = out + [e * a for e in out]
-    return QuadraticForm(ring, diagonal=out)
-
-
-# -------------------------------------------------------------- diagonalization
-
-
-def diagonalize(q: QuadraticForm):
-    """Congruence-diagonalize: returns (diagonal form, P) with P^T G P diagonal.
-
-    Pivot rule is deterministic: take the first nonzero diagonal entry at or
-    after the current step; when the remaining diagonal is zero, create a
-    pivot from the first nonzero off-diagonal entry by a column-plus-column
-    move.  An all-zero remainder yields explicit zero entries and sets the
-    degenerate flag.  Both P invertible and the congruence identity are
-    re-verified before returning.
-    """
-    ring = q.ring
-    if q.is_diagonal:
-        return q, identity_matrix(ring, q.dim)
-    n = q.dim
-    G = [[e for e in row] for row in q.gram]
-    P = identity_matrix(ring, n)
-    zero = ring.element(0)
-
-    def col_add(dst, src, c):
-        # column dst += c * column src, then the same for rows; P follows.
-        for i in range(n):
-            G[i][dst] = G[i][dst] + c * G[i][src]
-        for j in range(n):
-            G[dst][j] = G[dst][j] + c * G[src][j]
-        for i in range(n):
-            P[i][dst] = P[i][dst] + c * P[i][src]
-
-    def swap(i, j):
-        for r in range(n):
-            G[r][i], G[r][j] = G[r][j], G[r][i]
-        G[i], G[j] = G[j], G[i]
-        for r in range(n):
-            P[r][i], P[r][j] = P[r][j], P[r][i]
-
-    for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if not G[r][r].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            found = None
-            for r in range(k, n):
-                for s in range(r + 1, n):
-                    if not G[r][s].is_zero():
-                        found = (r, s)
-                        break
-                if found:
-                    break
-            if found is None:
-                break  # remaining block is zero
-            r, s = found
-            col_add(s, r, ring.element(1))  # makes G[s][s] = 2*G[r][s] nonzero
-            pivot_row = s
-        if pivot_row != k:
-            swap(k, pivot_row)
-        pivot = G[k][k]
-        for i in range(k + 1, n):
-            if not G[i][k].is_zero():
-                col_add(i, k, -(G[i][k] / pivot))
-
-    entries = [G[i][i] for i in range(n)]
-    degenerate = any(e.is_zero() for e in entries)
-
-    # congruence identity P^T G P = D, re-verified entry by entry
-    GP = mat_mul(q.gram, P)
-    Pt = [[P[r][i] for r in range(n)] for i in range(n)]
-    PtGP = mat_mul(Pt, GP)
-    for i in range(n):
-        for j in range(n):
-            want = entries[i] if i == j else zero
-            if not PtGP[i][j] == want:
-                raise QuadFormError("diagonalization postcondition failed")
-    if mat_det(P).is_zero():
-        raise QuadFormError("diagonalization produced a singular transform")
-    return QuadraticForm(ring, diagonal=entries, degenerate=degenerate), P
+    return QuadraticForm(ring, out)
 
 
 # ----------------------------------------------------------------- trace forms
 
 
-class MatrixAlgebra:
-    """Full d x d matrix algebra over the scalar field, matrix-unit basis."""
-
-    def __init__(self, ring: PolyRing, d: int):
-        if d < 1:
-            raise ValueError("matrix size must be positive")
-        self.ring = ring
-        self.d = d
-        self.basis_count = d * d
-        self.degree = d
-
-    def one_coords(self) -> list:
-        zero = self.ring.element(0)
-        out = [zero] * self.basis_count
-        for i in range(self.d):
-            out[i * self.d + i] = self.ring.element(1)
-        return out
-
-    def basis_product(self, r: int, s: int) -> list:
-        zero = self.ring.element(0)
-        out = [zero] * self.basis_count
-        i, j = divmod(r, self.d)
-        k, l = divmod(s, self.d)
-        if j == k:
-            out[i * self.d + l] = self.ring.element(1)
-        return out
-
-
 def trace_form(algebra) -> QuadraticForm:
-    """Gram matrix of (x, y) -> Trd(xy) on the structure-constant basis.
+    """Diagonal form of (x, y) -> Trd(xy) on a twisted group algebra over F.
 
-    Trd is the regular trace divided by the degree, and Trd(1) = degree is
-    checked before the form is assembled.
+    Left multiplication by e_g sends e_h to c(g, h) e_(gh), so its regular
+    trace is the sum of c(g, h) over the h with gh = h; it is checked to be
+    n^2 at the unit and 0 elsewhere, n^2 being the number of grades.  Then
+    Trd(sum a_g e_g) = n a_1, so Trd(e_g e_h) = n c(g, h) when gh = 1 and 0
+    otherwise.  An involution g gives the entry n c(g, g); a pair
+    g != g^-1 with b = n c(g, g^-1) gives <2b, -2b> on the basis
+    e_g + e_(g^-1), e_g - e_(g^-1).  Entries follow the grades, a pair at
+    its first member.
     """
-    ring = algebra.ring
-    n = algebra.degree
-    count = algebra.basis_count
-    if count != n * n:
+    if not isinstance(algebra.coeffs, FieldScalars):
+        raise QuadFormError("trace forms need an algebra over F with trivial action")
+    ring = algebra.coeffs.ring
+    grades = algebra.grades
+    unit = grades[0]
+    n = isqrt(len(grades))
+    if n * n != len(grades):
         raise QuadFormError("algebra dimension is not the square of its degree")
-    deg = ring.element(n)
+    zero, one = ring.element(0), ring.element(1)
 
-    # regular trace of left multiplication by each basis element
-    zero = ring.element(0)
-    tr = []
-    for t in range(count):
-        acc = zero
-        for w in range(count):
-            acc = acc + algebra.basis_product(t, w)[w]
-        tr.append(acc)
+    def c(g, h):
+        value = algebra.entry(g, h)[1]
+        return one if value is None else value
 
-    def trd(coords):
-        acc = zero
-        for t in range(count):
-            if not coords[t].is_zero():
-                acc = acc + coords[t] * tr[t]
-        return acc / deg
+    inverse = {}
+    for g in grades:
+        trace = zero
+        for h in grades:
+            gh = algebra.entry(g, h)[0]
+            if gh == h:
+                trace = trace + c(g, h)
+            if gh == unit:
+                inverse[g] = h
+        if not trace == (n * n if g == unit else zero):
+            raise QuadFormError("regular trace is not n^2 at the unit and 0 elsewhere")
 
-    if not trd(algebra.one_coords()) == deg:
-        raise QuadFormError("reduced trace of the identity is not the degree")
-
-    gram = [[zero] * count for _ in range(count)]
-    for r in range(count):
-        for s in range(r, count):
-            value = trd(algebra.basis_product(r, s))
-            gram[r][s] = value
-            gram[s][r] = value
-    return QuadraticForm(ring, gram=gram)
+    entries = []
+    for g in grades:
+        h = inverse[g]
+        if h == g:
+            entries.append(n * c(g, g))
+        elif grades.index(g) < grades.index(h):
+            b = n * c(g, h)
+            entries += [2 * b, -2 * b]
+    return QuadraticForm(ring, entries)
 
 
 # ------------------------------------------------------------------- trace data
@@ -400,11 +241,6 @@ class TraceData:
             "t1": self.t1, "t2": self.t2, "t3": self.t3,
             "n1": self.n1, "n2": self.n2, "n3": self.n3,
         }
-
-    def to_json(self) -> dict:
-        out = {name: value.to_json() for name, value in self.values().items()}
-        out["checks"] = self.checks
-        return out
 
 
 def _half_trace_and_norm(component_pairs, square):
@@ -651,8 +487,6 @@ def witt_apply(form: QuadraticForm, moves: Sequence[WittMove]) -> QuadraticForm:
     Indices refer to the current entry list, so a cancel shifts later
     positions.  Any failed witness aborts with the offending move named.
     """
-    if not form.is_diagonal:
-        raise ValueError("witt moves need a diagonal form")
     ring = form.ring
     entries = list(form.entries)
 
@@ -690,7 +524,7 @@ def witt_apply(form: QuadraticForm, moves: Sequence[WittMove]) -> QuadraticForm:
             for k, i in enumerate(idx):
                 if not entries[i] == move.expected[k]:
                     fail(move)
-    return QuadraticForm(ring, diagonal=entries)
+    return QuadraticForm(ring, entries)
 
 
 def witt_derive_equivalence(td: TraceData, reading: str = "consistent"):
@@ -752,7 +586,9 @@ def replay_trace_form_equivalence(td: TraceData, reading: str = "consistent") ->
     """Build the certificate, replay it, and compare against the reduced form.
 
     Returns a report with the reading used, the move count, the final-form
-    comparison, and the four-generator audit of the reduced form.
+    comparison, and the four-generator audit of the reduced form, together
+    with the start form, the move list, the final form and the reduced form
+    themselves.
     """
     start = serre_form(td, reading=reading)
     moves = witt_derive_equivalence(td, reading=reading)
@@ -770,6 +606,10 @@ def replay_trace_form_equivalence(td: TraceData, reading: str = "consistent") ->
         "cancelled": "two hyperbolic pairs carrying <1, t1^2 - n1> twice, up to squares",
         "audit": target.audit,
         "ok": matches and target.audit["only_four_generators"],
+        "start_form": start,
+        "move_list": moves,
+        "final_form": final,
+        "target_form": target,
     }
 
 
@@ -787,21 +627,15 @@ def hyperbolic_sufficient(q: QuadraticForm) -> Optional[dict]:
     only a sufficient test).
     """
     i4 = _zeta4(q.ring)
-    if q.is_diagonal:
-        d, transform = q, None
-    else:
-        d, transform = diagonalize(q)
-    if d.degenerate:
-        raise QuadFormError("degenerate form")
-    if d.dim % 2 == 1:
+    if q.dim % 2 == 1:
         return None
-    unpaired = list(range(d.dim))
+    unpaired = list(range(q.dim))
     pairs = []
     while unpaired:
         i = unpaired[0]
         match = None
         for j in unpaired[1:]:
-            root = is_square(d.entries[i] / d.entries[j])
+            root = is_square(q.entries[i] / q.entries[j])
             if root is not None:
                 match = (j, root)
                 break
@@ -813,7 +647,7 @@ def hyperbolic_sufficient(q: QuadraticForm) -> Optional[dict]:
         pairs.append({"indices": (i, j), "witness": witness})
         unpaired.remove(i)
         unpaired.remove(j)
-    return {"pairs": pairs, "diagonal": d, "transform": transform}
+    return {"pairs": pairs}
 
 
 # ------------------------------------------------------- rational invariants
@@ -934,14 +768,8 @@ def hilbert_symbol(a, b, place) -> int:
 
 
 def _rational_entries(q: QuadraticForm) -> list:
-    if q.is_diagonal:
-        d = q
-    else:
-        d, _ = diagonalize(q)
-    if d.degenerate:
-        raise QuadFormError("degenerate form")
     try:
-        return [_to_fraction(e) for e in d.entries]
+        return [_to_fraction(e) for e in q.entries]
     except (ValueError, ArithmeticError):
         raise QuadFormError("rational invariants need rational entries")
 

@@ -42,17 +42,6 @@ def mat_mult(a, b) -> list[list[int]]:
     return out
 
 
-def mat_vec(a, v: list[int]) -> list[int]:
-    out = []
-    for row in a:
-        s = 0
-        for x, y in zip(row, v):
-            if x and y:
-                s += x * y
-        out.append(s)
-    return out
-
-
 def is_zero_matrix(a) -> bool:
     return all(not v for row in a for v in row)
 

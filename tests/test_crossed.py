@@ -7,6 +7,7 @@ from brauerlab.acceptance import decomposition_ok
 from brauerlab.crossed import (
     CrossedAlgebra,
     CrossedError,
+    GradedTensor,
     KummerField,
     SymbolAlgebra,
     bergman_power,
@@ -69,13 +70,26 @@ def test_symbol_algebra_zero_parameter():
 def test_symbol_algebra_structure_protocol():
     ring = rational_ring()
     S = SymbolAlgebra(ring, ring.element(2), ring.element(3), 2)
-    assert S.basis_count == 4
-    assert S.degree == 2
-    one = S.one_coords()
-    assert one[0].is_one() and all(c.is_zero() for c in one[1:])
-    # x*y lands on the x*y basis slot with coefficient 1
-    prod = S.basis_product(2, 1)
-    assert prod[3].is_one()
+    assert S.grades == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert S.equal(S.one(), {(0, 0): ring.element(1)})
+    # x*y lands on the x*y grade with factor 1, y*x with zeta_2 = -1
+    assert S.entry((1, 0), (0, 1)) == ((1, 1), None)
+    yx, c = S.entry((0, 1), (1, 0))
+    assert yx == (1, 1) and c == ring.element(-1)
+    assert S.cocycle_holds()
+
+
+def test_graded_tensor_one_is_a_two_sided_unit():
+    ring = rational_ring()
+    T = GradedTensor(SymbolAlgebra(ring, 1, 1, 2), SymbolAlgebra(ring, 3, 5, 2))
+    assert T.grades[0] == ((0, 0), (0, 0)) and len(T.grades) == 16
+    one = T.one()
+    for g in T.grades:
+        e = {g: ring.element(2)}
+        assert T.equal(T.mul(one, e), e) and T.equal(T.mul(e, one), e)
+    assert T.cocycle_holds()
+    with pytest.raises(CrossedError, match="mismatched scalar fields"):
+        GradedTensor(SymbolAlgebra(ring, 1, 1, 2), SymbolAlgebra(rational_ring(), 1, 1, 2))
 
 
 # ---------------------------------------------------------------- kummer field
@@ -475,8 +489,9 @@ def test_decompose_f2_zero_split():
     cert = decompose(A)
     assert cert.branch == "f2-zero-split-quaternion"
     assert cert.ok
-    assert cert.identity("dimension-product")
-    assert cert.identity("factors-commute-z1-vs-z2")
+    ok = {item["name"]: item["ok"] for item in cert.identities}
+    assert ok["dimension-product"]
+    assert ok["factors-commute-z1-vs-z2"]
 
 
 def test_decompose_f2_zero_with_norm_one_u():
@@ -486,8 +501,9 @@ def test_decompose_f2_zero_with_norm_one_u():
     A = crossed_from_data(2, 3, 5, -1, 7, 11, ring=ring, check="full")
     cert = decompose(A)
     assert cert.branch == "f2-zero-split-quaternion"
-    assert cert.identity("hilbert90-adjustment")
-    assert cert.identity("factors-commute-z1-vs-z2")
+    ok = {item["name"]: item["ok"] for item in cert.identities}
+    assert ok["hilbert90-adjustment"]
+    assert ok["factors-commute-z1-vs-z2"]
     assert cert.ok
 
 

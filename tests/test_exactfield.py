@@ -11,20 +11,14 @@ from brauerlab.exactfield import (
     ExactFieldError,
     FieldElement,
     MultiPoly,
-    PoleError,
     PolyRing,
     common_conductor,
     cyclotomic_polynomial,
     euler_phi,
     exact_divide,
-    identity_matrix,
     is_square,
     kernel,
-    mat_det,
-    mat_inverse,
-    mat_mul,
     mat_rank,
-    parse_element,
     poly_sqrt,
     solve,
 )
@@ -136,19 +130,6 @@ def test_division_by_zero_message(ring):
         ring.element(0).inverse()
 
 
-def test_substitute_and_poles(ring):
-    x, y = ring.var("x"), ring.var("y")
-    h = ring.element(1) / ring.element(x - y)
-    with pytest.raises(PoleError, match="pole at specialization point"):
-        h.substitute({"x": 1, "y": 1})
-    assert h.substitute({"x": 3, "y": 1}).as_fraction() == Fraction(1, 2)
-    partial = (x * y + y).substitute({"x": 2})
-    assert partial.den.is_one() and partial.num == 3 * y
-    # substituting a quotient value produces a quotient
-    q = ring.element(x).substitute({"x": h})
-    assert q == h
-
-
 def test_exact_divide(ring):
     x, y = ring.var("x"), ring.var("y")
     assert exact_divide(x * x - y * y, x - y) == x + y
@@ -174,27 +155,6 @@ def test_is_square_cases(ring):
     assert poly_sqrt(x ** 3) is None
 
 
-def test_parser_roundtrip_and_errors(ring):
-    x, y = ring.var("x"), ring.var("y")
-    e1 = parse_element(ring, "(x^2 - y^2)/(x - y)")
-    assert e1 == ring.element(x + y)
-    e2 = ring.parse("-3/2*x*y + i^2")
-    assert e2 == ring.element(x * y) * Fraction(-3, 2) - 1
-    assert ring.parse("x**2 + 2*x*y + y**2") == ring.element((x + y) ** 2)
-    assert ring.parse("zeta*x") == ring.element(x) * Cyc.zeta(4)
-    for sample in ("x", "x + y", "(x - y)/(x + y)", "zeta*x^3 - 1/2"):
-        f = ring.parse(sample)
-        assert ring.parse(str(f)) == f
-    with pytest.raises(ExactFieldError):
-        ring.parse("x +")
-    with pytest.raises(ExactFieldError):
-        ring.parse("(x")
-    with pytest.raises(ExactFieldError):
-        ring.parse("x $ y")
-    with pytest.raises(KeyError):
-        ring.parse("zz + 1")
-
-
 def test_json_roundtrip(ring):
     x, y = ring.var("x"), ring.var("y")
     f = (ring.element(x + y) * Cyc.zeta(4) - Fraction(1, 3)) / ring.element(x - y)
@@ -212,12 +172,13 @@ def test_linalg_over_field_elements(ring):
     y = ring.element(ring.var("y"))
     one, zero = ring.element(1), ring.element(0)
     A = [[x, y], [y, x]]
-    assert mat_det(A) == x * x - y * y
-    inv = mat_inverse(A)
-    prod = mat_mul(A, inv)
-    I = identity_matrix(ring, 2)
-    assert all(prod[i][j] == I[i][j] for i in range(2) for j in range(2))
+    assert mat_rank(A) == 2
+    # the columns of A^-1 = (x, -y; -y, x)/(x^2 - y^2) solve A v = e_i
+    det = x * x - y * y
+    assert solve(A, [one, zero]) == [x / det, -y / det]
+    assert solve(A, [zero, one]) == [-y / det, x / det]
     assert mat_rank([[x, y], [x, y]]) == 1
+    assert solve([[x, x], [x, x]], [one, zero]) is None
     K = kernel([[x, y, zero], [zero, zero, zero]])
     assert len(K) == 2
     for vec in K:
@@ -226,8 +187,6 @@ def test_linalg_over_field_elements(ring):
     s = solve([[x, zero], [zero, y]], [x * y, y * y])
     assert s == [y, y]
     assert solve([[x], [x]], [one, one + one]) is None
-    with pytest.raises(ExactFieldError, match="singular"):
-        mat_inverse([[x, x], [x, x]])
 
 
 # ---------------------------------------------------------------- properties

@@ -190,14 +190,6 @@ def test_builtin_family_shape():
     assert orders == [2, 3, 4, 6, 4, 6, 8, 8, 12, 24, 8]
 
 
-def test_json_roundtrip():
-    G = dihedral_group(4)
-    data = G.to_json()
-    H = PermutationGroup.from_json(data)
-    assert H.order == G.order
-    assert set(H.elements) == set(G.elements)
-
-
 def test_subgroup_membership_errors():
     G = cyclic_group(3)
     with pytest.raises(GroupError):

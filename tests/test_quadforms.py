@@ -1,21 +1,25 @@
 import functools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from brauerlab.crossed import SymbolAlgebra, TensorAlgebra, instance_from_symbol
+from brauerlab.crossed import (
+    GradedTensor,
+    KummerField,
+    SymbolAlgebra,
+    instance_from_symbol,
+)
 from brauerlab.exactfield import PolyRing, is_square
 from brauerlab.quadforms import (
     GenExpr,
-    MatrixAlgebra,
     QuadFormError,
     QuadraticForm,
     TraceData,
     WittMove,
     audit_entries,
     diagonal,
-    diagonalize,
     direct_sum,
     equiv_form,
     hilbert_symbol,
@@ -24,7 +28,6 @@ from brauerlab.quadforms import (
     pfister,
     replay_trace_form_equivalence,
     serre_form,
-    tensor,
     trace_data,
     trace_form,
     witt_apply,
@@ -52,6 +55,8 @@ def test_diagonal_rejects_zero_entry():
     ring = rational_ring()
     with pytest.raises(QuadFormError, match="zero entry"):
         diagonal([1, 0, 3], ring=ring)
+    with pytest.raises(QuadFormError, match="zero entry"):
+        QuadraticForm(ring, [1, 0])
 
 
 def test_pfister_entry_order():
@@ -68,82 +73,102 @@ def test_pfister_entry_order():
 
 
 def test_direct_sum_and_tensor():
+    # the trace form of A (x) B is the tensor of the trace forms, entry
+    # (g, g') = entry g times entry g' when every grade is an involution
     ring = rational_ring()
     left = diagonal([1, 2], ring=ring)
     right = diagonal([3], ring=ring)
     assert [str(e) for e in direct_sum(left, right).entries] == ["1", "2", "3"]
-    assert [str(e) for e in tensor(left, right).entries] == ["3", "6"]
-
-
-# --------------------------------------------------------------- diagonalize
-
-
-def test_diagonalize_hyperbolic_gram():
-    # no nonzero diagonal entry: the pivot is created from the off-diagonal 1
-    ring = rational_ring()
-    q = QuadraticForm(ring, gram=[[0, 1], [1, 0]])
-    d, P = diagonalize(q)
-    assert [str(e) for e in d.entries] == ["2", "-1/2"]
-    assert not d.degenerate
-    assert len(P) == 2
-
-
-def test_diagonalize_symbolic_gram():
-    ring = PolyRing(("a", "b"), 4)
-    a = ring.element(ring.var("a"))
-    b = ring.element(ring.var("b"))
-    q = QuadraticForm(ring, gram=[[a, b], [b, a]])
-    d, _ = diagonalize(q)
-    assert str(d.entries[0]) == "a"
-    # complement a - b^2/a
-    assert d.entries[1] * a == a * a - b * b
-
-
-def test_diagonalize_zero_rows_marks_degenerate():
-    ring = rational_ring()
-    q = QuadraticForm(ring, gram=[[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    d, _ = diagonalize(q)
-    assert d.degenerate
-    assert [str(e) for e in d.entries] == ["1", "0", "0"]
-
-
-def test_diagonalize_random_rational_grams():
-    ring = rational_ring()
-    rng = random.Random(11)
-    for _ in range(10):
-        n = rng.randint(2, 5)
-        gram = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                value = Fraction(rng.randint(-4, 4))
-                gram[i][j] = value
-                gram[j][i] = value
-        # the congruence identity is re-verified inside diagonalize
-        d, P = diagonalize(QuadraticForm(ring, gram=gram))
-        assert d.dim == n
-
-
-def test_gram_must_be_symmetric():
-    ring = rational_ring()
-    with pytest.raises(ValueError, match="symmetric"):
-        QuadraticForm(ring, gram=[[0, 1], [2, 0]])
+    A = SymbolAlgebra(ring, 1, 1, 2)
+    E = SymbolAlgebra(ring, 3, 5, 2)
+    product = [a * b for a in trace_form(A).entries for b in trace_form(E).entries]
+    assert [str(e) for e in trace_form(GradedTensor(A, E)).entries] == [str(e) for e in product]
 
 
 # --------------------------------------------------------------- trace forms
 
 
-def test_trace_form_of_2x2_matrices():
+def dense_trace_gram(alg) -> list:
+    """Oracle: Trd(e_g e_h) as the regular trace of the left-multiplication
+    matrix of e_g e_h, built with alg.mul on the basis e_g, over the degree."""
+    ring = alg.coeffs.ring
+    grades = alg.grades
+    n = isqrt(len(grades))
+    zero = ring.element(0)
+    basis = [{g: ring.element(1)} for g in grades]
+
+    def left_mult(x):
+        cols = [alg.mul(x, e) for e in basis]
+        return [[col.get(g, zero) for col in cols] for g in grades]
+
+    def trd(x):
+        matrix = left_mult(x)
+        return sum((matrix[r][r] for r in range(len(grades))), zero) / n
+
+    return [[trd(alg.mul(eg, eh)) for eh in basis] for eg in basis]
+
+
+def oracle_diagonal(gram) -> list:
+    """Diagonalize a Gram matrix in which each basis vector meets exactly
+    one basis vector (maybe itself): <G_rr>, or G on e_r + e_s and e_r - e_s."""
+    size = len(gram)
+    out = []
+    for r in range(size):
+        assert all(gram[r][s] == gram[s][r] for s in range(size))
+        partners = [s for s in range(size) if not gram[r][s].is_zero()]
+        assert len(partners) == 1
+        s = partners[0]
+        if s == r:
+            out.append(gram[r][r])
+        elif r < s:
+            cross = gram[r][s] + gram[s][r]
+            out.append(gram[r][r] + cross + gram[s][s])
+            out.append(gram[r][r] - cross + gram[s][s])
+    return out
+
+
+def _symbolic_symbol(m, conductor):
+    ring = PolyRing(("a", "b"), conductor)
+    return SymbolAlgebra(ring, ring.element(ring.var("a")), ring.element(ring.var("b")), m)
+
+
+def _split_tensor_quaternion():
     ring = rational_ring()
-    tf = trace_form(MatrixAlgebra(ring, 2))
-    assert tf.dim == 4
-    # basis e11, e12, e21, e22: diagonal block <1, 1> plus one hyperbolic plane
-    assert str(tf.gram[0][0]) == "1"
-    assert str(tf.gram[3][3]) == "1"
-    assert str(tf.gram[0][3]) == "0"
-    assert str(tf.gram[1][2]) == "1"
-    assert str(tf.gram[1][1]) == "0"
-    d, _ = diagonalize(tf)
-    assert [str(e) for e in d.entries] == ["1", "1", "2", "-1/2"]
+    return GradedTensor(SymbolAlgebra(ring, 1, 1, 2), SymbolAlgebra(ring, 3, 5, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _symbolic_symbol(2, 4),
+    _split_tensor_quaternion,
+    lambda: _symbolic_symbol(3, 12),
+], ids=["quaternion-symbolic", "split-tensor-quaternion", "cubic-symbol-conductor-12"])
+def test_trace_form_matches_dense_oracle(build):
+    alg = build()
+    form = trace_form(alg)
+    expected = oracle_diagonal(dense_trace_gram(alg))
+    assert form.dim == len(alg.grades) == len(expected)
+    assert all(got == want for got, want in zip(form.entries, expected))
+
+
+def test_trace_form_rejects_non_central_simple_input():
+    ring = rational_ring()
+    A = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="none")
+    with pytest.raises(QuadFormError, match="trivial action"):
+        trace_form(A)
+    with pytest.raises(QuadFormError, match="not the square"):
+        trace_form(KummerField(PolyRing((), 12), 3, 2, 5))
+
+
+def test_trace_form_of_2x2_matrices():
+    # (1, 1)_2 is M_2(F): x^2 = 1, so (1 + x)(1 - x) = 0 and it is split
+    ring = rational_ring()
+    M2 = SymbolAlgebra(ring, 1, 1, 2)
+    x, one = M2.x(), M2.one()
+    assert M2.is_zero(M2.mul(M2.add(one, x), M2.add(one, M2.neg(x))))
+    tf = trace_form(M2)
+    assert [str(e) for e in tf.entries] == ["2", "2", "2", "-2"]
+    cert = hyperbolic_sufficient(tf)
+    assert cert is not None and len(cert["pairs"]) == 2
 
 
 def test_trace_form_of_quaternion_symbol():
@@ -152,37 +177,25 @@ def test_trace_form_of_quaternion_symbol():
     a = ring.element(ring.var("a"))
     b = ring.element(ring.var("b"))
     tf = trace_form(SymbolAlgebra(ring, a, b, 2))
-    d, _ = diagonalize(tf)
-    assert str(d.entries[0]) == "2"
-    assert d.entries[1] == 2 * b
-    assert d.entries[2] == 2 * a
-    assert d.entries[3] == -2 * a * b
-
-
-def test_tensor_algebra_identity_spreads_over_matrix_units():
-    ring = rational_ring()
-    E = SymbolAlgebra(ring, ring.element(3), ring.element(5), 2)
-    M2E = TensorAlgebra([MatrixAlgebra(ring, 2), E])
-    one = M2E.one_coords()
-    support = [r for r, c in enumerate(one) if not c.is_zero()]
-    # e11 (x) 1 at flat 0*4+0 and e22 (x) 1 at flat 3*4+0
-    assert support == [0, 12]
+    assert str(tf.entries[0]) == "2"
+    assert tf.entries[1] == 2 * b
+    assert tf.entries[2] == 2 * a
+    assert tf.entries[3] == -2 * a * b
 
 
 def test_matrix_quaternion_trace_forms_pair_hyperbolically():
     ring = rational_ring()
-    assert hyperbolic_sufficient(trace_form(MatrixAlgebra(ring, 2))) is not None
+    M2 = SymbolAlgebra(ring, 1, 1, 2)
     for a, b in ((3, 5), (-2, 7), (-1, -1)):
         E = SymbolAlgebra(ring, ring.element(a), ring.element(b), 2)
-        M2E = TensorAlgebra([MatrixAlgebra(ring, 2), E])
-        cert = hyperbolic_sufficient(trace_form(M2E))
+        tf = trace_form(GradedTensor(M2, E))
+        cert = hyperbolic_sufficient(tf)
         assert cert is not None
         assert len(cert["pairs"]) == 8
-        d = cert["diagonal"]
         for pair in cert["pairs"]:
             i, j = pair["indices"]
             w = pair["witness"]
-            assert d.entries[i] * w * w == -d.entries[j]
+            assert tf.entries[i] * w * w == -tf.entries[j]
 
 
 def test_hyperbolic_sufficient_inconclusive_and_odd():
@@ -483,7 +496,5 @@ def test_invariants_over_Q_record():
     assert inv["discriminant"] == 1
     assert inv["hasse"]["2"] == -1
     assert inv["hasse"]["inf"] == -1
-    with pytest.raises(QuadFormError, match="degenerate form"):
-        invariants_over_Q(QuadraticForm(ring, gram=[[1, 0], [0, 0]]))
     with pytest.raises(QuadFormError, match="rational"):
         invariants_over_Q(diagonal([ring.element(ring.zeta())], ring=ring))
