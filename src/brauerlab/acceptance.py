@@ -518,13 +518,23 @@ def check_hilbert_and_hyperbolic(seed: int):
     ring = PolyRing((), 4)
     # (1, 1)_2 is M_2(F): x^2 = 1 makes (1 + x)(1 - x) = 0, so it is split
     matrices = SymbolAlgebra(ring, 1, 1, 2)
-    if hyperbolic_sufficient(trace_form(matrices)) is None:
+    form = trace_form(matrices)
+    if form.entries != [ring.element(v) for v in (2, 2, 2, -2)]:
+        problems.append("2x2 matrix trace form is not <2, 2, 2, -2>")
+    if hyperbolic_sufficient(form) is None:
         problems.append("2x2 matrix trace form does not pair")
     for _ in range(5):
         a = rng.choice([-1, 1]) * rng.randint(1, 30)
         b = rng.choice([-1, 1]) * rng.randint(1, 30)
         quaternion = SymbolAlgebra(ring, ring.element(a), ring.element(b), 2)
-        cert = hyperbolic_sufficient(trace_form(GradedTensor(matrices, quaternion)))
+        form = trace_form(GradedTensor(matrices, quaternion))
+        # grade (g, g') carries 4 c(g, g) c'(g', g'), in grade order
+        expected = [ring.element(4 * u * v) for u in (1, 1, 1, -1)
+                    for v in (1, b, a, -a * b)]
+        if form.entries != expected:
+            problems.append(f"matrix-of-quaternion ({a},{b}) trace form is not "
+                            "4<1, 1, 1, -1> x <1, b, a, -ab>")
+        cert = hyperbolic_sufficient(form)
         if cert is None or len(cert["pairs"]) != 8:
             problems.append(f"matrix-of-quaternion ({a},{b}) does not pair")
     if problems:
@@ -606,22 +616,7 @@ def check_result(name: str, verdict, details) -> dict:
     return {"name": name, "status": status, "details": details}
 
 
-def run_criterion(index: int, seed: int) -> dict:
-    name, fn = CRITERIA[index]
-    return check_result(name, *fn(seed))
-
-
-def _run_one(args) -> dict:
-    return run_criterion(*args)
-
-
-def run_all(seed: int, jobs: int = 1,
-            indices: Optional[list] = None) -> list[dict]:
-    """All acceptance checks in registry order; `jobs` > 1 runs them in
-    worker processes, merged back by criterion order."""
+def run_all(seed: int, indices: Optional[list] = None) -> list[dict]:
+    """The acceptance checks at ``indices`` (default all), in that order."""
     idx = list(indices) if indices is not None else list(range(len(CRITERIA)))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_one, [(i, seed) for i in idx]))
-    return [run_criterion(i, seed) for i in idx]
+    return [check_result(CRITERIA[i][0], *CRITERIA[i][1](seed)) for i in idx]

@@ -11,9 +11,9 @@ the base field only fire when the caller passes that assumption.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Optional
 
+from .exactfield import factorize
 from .groups import PermutationGroup, Subgroup, cycles_string, min_generators_rel
 
 ROOTS_FLAG = "primitive-root-of-unity"
@@ -86,43 +86,10 @@ def _normalize_assumptions(assumptions) -> tuple[str, ...]:
     return tuple(sorted(set(out)))
 
 
-def _prime_power(n: int) -> Optional[tuple[int, int]]:
-    """(p, r) with n = p^r, or None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            r = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                r += 1
-            return (p, r) if m == 1 else None
-        p += 1
-    return (n, 1)
-
-
 @lru_cache(maxsize=None)
-def _upper_value(n: int, roots: bool) -> int:
-    """Memoized best upper bound for the coprime recursion."""
-    best = n * n
-    if n >= 4:
-        best = min(best, n * n - 3 * n + 1)
-    if n % 2 and n >= 5:
-        best = min(best, (n - 1) * (n - 2) // 2)
-    if n % 2:
-        best = min(best, (n - 1) * (n - 2) // 2 + n)
-    if n == 4:
-        best = min(best, 5)
-    if roots and n in (2, 3, 6):
-        best = min(best, 2)
-    for a in range(2, n):
-        if n % a == 0:
-            b = n // a
-            if b > 1 and gcd(a, b) == 1:
-                best = min(best, _upper_value(a, roots) + _upper_value(b, roots))
-    return best
+def _upper(n: int, flags: tuple[str, ...]) -> int:
+    # memoized, so the coprime recursion visits each divisor once
+    return d_bounds(n, flags).upper
 
 
 def d_bounds(n: int, assumptions: Iterable[str] = ()) -> BoundReport:
@@ -156,26 +123,27 @@ def d_bounds(n: int, assumptions: Iterable[str] = ()) -> BoundReport:
             rep.notes.append(
                 f"d({n}) = 2 needs a primitive {n}-th root of unity; "
                 "without it the value is not known")
-    best_split = None
-    for a in range(2, n):
-        if n % a == 0:
-            b = n // a
-            if b > 1 and gcd(a, b) == 1:
-                v = _upper_value(a, roots) + _upper_value(b, roots)
-                if best_split is None or v < best_split[0]:
-                    best_split = (v, a, b)
-    if best_split is not None:
-        v, a, b = best_split
+    primes = factorize(n)
+    # n = a*b with gcd(a, b) = 1 exactly when a is a product of some of the
+    # prime powers of n
+    unitary = [1]
+    for p, r in primes.items():
+        unitary += [a * p ** r for a in unitary]
+    splits = []
+    for a in sorted(unitary)[1:-1]:
+        b = n // a
+        da, db = _upper(a, flags), _upper(b, flags)
+        splits.append((da + db, a, b, da, db))
+    if splits:
+        v, a, b, da, db = min(splits)
         rep.record_upper(v, "coprime-splitting",
-                         f"d({n}) <= d({a}) + d({b}) = "
-                         f"{_upper_value(a, roots)} + {_upper_value(b, roots)}"
-                         f" = {v}")
+                         f"d({n}) <= d({a}) + d({b}) = {da} + {db} = {v}")
 
-    pp = _prime_power(n)
-    if pp is not None and pp[1] > 1:
-        p, r = pp
-        rep.record_lower(2 * r, "prime-power-lower",
-                         f"d({p}^{r}) >= 2*{r} = {2 * r}")
+    if len(primes) == 1:
+        (p, r), = primes.items()
+        if r > 1:
+            rep.record_lower(2 * r, "prime-power-lower",
+                             f"d({p}^{r}) >= 2*{r} = {2 * r}")
     rep.record_lower(2, "prime-power-lower", f"d({n}) >= 2")
     if n == 4:
         rep.record_lower(5, "rost-deg4", "d(4) = 5")

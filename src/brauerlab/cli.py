@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -224,8 +223,8 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
         e, g, t, lam = [_parse_fraction(v) for v in args.symbol]
         if e == 0 or g == 0:
             raise UsageError("symbol entries must be nonzero")
-        # Cyc.sqrt is complete at conductor 4, so this decides K = F(al1, al2)
-        # being a field over F = Q(i); m >= 3 is not decided here
+        # is_square decides rationals exactly, so this decides K = F(al1, al2)
+        # being a field over F = Q(i); m >= 3 is not checked here
         if args.m == 2 and any(is_square(ring.element(x)) is not None for x in (e, g, e * g)):
             raise UsageError("a1, a2 and a1*a2 must be non-squares in Q(i): "
                              "K = F(al1, al2) is not a field")
@@ -333,22 +332,14 @@ def cmd_selftest(args) -> tuple[dict, list]:
             raise UsageError(f"criteria run 1..{len(CRITERIA)}")
     else:
         indices = None
-    checks = run_all(args.seed, jobs=args.jobs, indices=indices)
+    checks = run_all(args.seed, indices=indices)
     return {
         "seed": args.seed,
-        "jobs": args.jobs,
         "criteria": [i + 1 for i in indices] if indices else "all",
     }, checks
 
 
 # -------------------------------------------------------------------- driver
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("BRAUERLAB_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_traceform)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="worker processes (default from BRAUERLAB_JOBS)")
     p.add_argument("--criteria", metavar="LIST",
                    help="comma-separated subset, e.g. 1,5,10")
     common(p)

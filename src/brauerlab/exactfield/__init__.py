@@ -7,6 +7,7 @@ from .cyclotomic import (
     common_conductor,
     cyclotomic_polynomial,
     euler_phi,
+    factorize,
 )
 from .poly import (
     FieldElement,
@@ -14,7 +15,6 @@ from .poly import (
     PolyRing,
     exact_divide,
     is_square,
-    poly_sqrt,
 )
 from .linalg import (
     kernel,
@@ -28,12 +28,12 @@ __all__ = [
     "common_conductor",
     "cyclotomic_polynomial",
     "euler_phi",
+    "factorize",
     "FieldElement",
     "MultiPoly",
     "PolyRing",
     "exact_divide",
     "is_square",
-    "poly_sqrt",
     "kernel",
     "mat_rank",
     "solve",

@@ -5,9 +5,9 @@ integer coordinates over a single positive denominator.  All products are
 reduced through precomputed integer rows for zeta^k, so the only rational
 bookkeeping is one gcd per normalization.
 
-Square roots are decided only for the shapes that actually occur downstream
-(rationals, conductor-4 elements, monomial multiples of a root of unity);
-``sqrt`` returning None means "not recognized", never "not a square".
+``sqrt`` decides exactly whether a rational is a square in Q(zeta_N), by the
+conductor-discriminant theorem, and builds the root from quadratic Gauss
+sums (Washington, Introduction to Cyclotomic Fields, ch. 4).
 """
 
 from __future__ import annotations
@@ -22,16 +22,20 @@ class ExactFieldError(ArithmeticError):
     """Arithmetic failure in the exact field layer."""
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of a positive integer, p increasing."""
+    if n < 1:
+        raise ValueError("factorize needs a positive integer")
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -39,16 +43,8 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs a positive integer")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in factorize(n):
+        result -= result // p
     return result
 
 
@@ -82,7 +78,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [0] * (n + 1)
     poly[0] = -1
     poly[n] = 1
-    for d in _divisors(n):
+    divisors = [1]
+    for p, e in factorize(n).items():
+        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    for d in sorted(divisors):
         if d < n:
             poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
@@ -302,82 +301,66 @@ class Cyc:
             k >>= 1
         return result
 
-    # -- square roots (partial, verified) -------------------------------
+    # -- square roots -----------------------------------------------------
 
     def sqrt(self) -> Optional["Cyc"]:
-        """A verified square root, or None when the shape is not recognized.
+        """A square root, squared back before it is returned, or None.
 
-        Handles rationals (folding -1 through zeta when 4 | N), arbitrary
-        conductor-4 elements, and monomials r * zeta^j.  Every candidate is
-        squared back before being returned, so a non-None answer is exact.
+        Exact for rationals.  Write q = s^2 D with D squarefree: q is a square
+        in Q(zeta_N) exactly when the discriminant of Q(sqrt D) divides the
+        conductor of the field, which is N, or N/2 when N = 2 mod 4.  The
+        root is s times the Gauss sum g_p = sum_a (a|p) zeta_p^a, whose square
+        is (-1)^((p-1)/2) p, for each odd p | D, times zeta_8 + zeta_8^-1 =
+        sqrt 2 when 2 | D, times zeta_4 when the sign calls for it.  For an
+        element that is not rational, None means "not decided".
         """
+        if not self.is_rational():
+            return None
         if self.is_zero():
             return self
-        cand = self._sqrt_candidate()
-        if cand is not None and cand * cand == self:
-            return cand
-        return None
-
-    def _sqrt_candidate(self) -> Optional["Cyc"]:
         n = self.conductor
-        if self.is_rational():
-            q = self.as_fraction()
-            if q > 0:
-                r = _rational_sqrt(q)
-                return None if r is None else Cyc.rational(r, n)
-            r = _rational_sqrt(-q)
-            if r is None or n % 4:
-                return None
-            return Cyc.rational(r, n) * Cyc.zeta(n, n // 4)
-        if n == 4:
-            return self._sqrt_gaussian()
-        support = [i for i, a in enumerate(self.nums) if a]
-        if len(support) == 1:
-            return self._sqrt_monomial(support[0])
-        return None
-
-    def _sqrt_gaussian(self) -> Optional["Cyc"]:
-        # z = a + b*i; |z|^2 must be a rational square r^2, then the real
-        # part of the root satisfies x^2 = (a + r)/2.
-        a = Fraction(self.nums[0], self.den)
-        b = Fraction(self.nums[1], self.den)
-        r = _rational_sqrt(a * a + b * b)
-        if r is None:
+        field = n // 2 if n % 4 == 2 else n
+        q = self.as_fraction()
+        # q = k / den^2.  A prime of D that does not divide the conductor
+        # already rules q out, so only those primes are divided out of k and
+        # the rest must be a square.
+        k = q.numerator * q.denominator
+        rest, s, primes = abs(k), Fraction(1, q.denominator), []
+        for p in factorize(field):
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                primes.append(p)
+        r = isqrt(rest)
+        if r * r != rest:
             return None
-        x = _rational_sqrt((a + r) / 2)
-        if x is None:
+        d = -1 if k < 0 else 1
+        for p in primes:
+            d *= p
+        disc = abs(d) if d % 4 == 1 else 4 * abs(d)
+        if field % disc:
             return None
-        if x == 0:
-            y = _rational_sqrt((r - a) / 2)
-            if y is None:
-                return None
-        else:
-            y = b / (2 * x)
-        return Cyc.rational(x, 4) + Cyc.rational(y, 4) * Cyc.zeta(4)
-
-    def _sqrt_monomial(self, idx: int) -> Optional["Cyc"]:
-        n = self.conductor
-        coeff = Fraction(self.nums[idx], self.den)
-        if coeff < 0:
-            if n % 2:
-                return None
-            # fold the sign through -1 = zeta^(N/2)
-            return self._monomial_root(-coeff, idx + n // 2)
-        return self._monomial_root(coeff, idx)
-
-    def _monomial_root(self, coeff: Fraction, j: int) -> Optional["Cyc"]:
-        n = self.conductor
-        r = _rational_sqrt(coeff)
-        if r is None:
-            return None
-        j %= n
-        if n % 2 == 1:
-            t = (j * pow(2, -1, n)) % n
-        elif j % 2 == 0:
-            t = j // 2
-        else:
-            return None
-        return Cyc.rational(r, n) * Cyc.zeta(n, t)
+        root = Cyc.rational(s * r, n)
+        square = 1
+        for p in primes:
+            if p == 2:
+                root = root * (Cyc.zeta(n, n // 8) + Cyc.zeta(n, 7 * n // 8))
+                square *= 2
+            else:
+                gauss = Cyc.zero(n)
+                for a in range(1, p):
+                    term = Cyc.zeta(n, a * n // p)
+                    gauss = gauss + term if pow(a, (p - 1) // 2, p) == 1 else gauss - term
+                root = root * gauss
+                square *= p if p % 4 == 1 else -p
+        if square != d:
+            root = root * Cyc.zeta(n, n // 4)
+        if root * root != self:
+            raise ExactFieldError(f"square root of {q} in Q(zeta_{n}) fails to square back")
+        return root
 
     # -- comparisons, hashing, display ----------------------------------
 
@@ -433,16 +416,6 @@ class Cyc:
 
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def _poly_inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:

@@ -15,9 +15,8 @@ and only otherwise over their product.  The denominators the crossed-product
 certificates produce are products of a few shared factors, so this keeps them
 small without a gcd.
 
-``poly_sqrt`` decides squareness by recursion on the leading coefficient one
-variable at a time; the scalar base case is partial (see cyclotomic.Cyc.sqrt)
-so a None answer means "not recognized as a square", never "not a square".
+``is_square`` decides constants with a rational value exactly (see
+cyclotomic.Cyc.sqrt); every other element is left undecided.
 """
 
 from __future__ import annotations
@@ -140,15 +139,6 @@ class MultiPoly:
     def leading_coefficient(self) -> Cyc:
         return self.terms[self.leading_exponents()]
 
-    def variables_present(self) -> tuple[str, ...]:
-        names = self.ring.variables
-        used = set()
-        for e in self.terms:
-            for k, x in enumerate(e):
-                if x:
-                    used.add(names[k])
-        return tuple(n for n in names if n in used)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -226,18 +216,6 @@ class MultiPoly:
     def scale(self, c: ScalarLike) -> "MultiPoly":
         cc = self.ring.scalar_cyc(c)
         return MultiPoly(self.ring, {e: v * cc for e, v in self.terms.items()})
-
-    # -- structure ----------------------------------------------------------
-
-    def coefficients_in(self, name: str) -> dict[int, "MultiPoly"]:
-        """Split into coefficient polynomials of powers of one variable."""
-        k = self.ring.var_index(name)
-        out: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            d = e[k]
-            rest = e[:k] + (0,) + e[k + 1 :]
-            out.setdefault(d, {})[rest] = c
-        return {d: MultiPoly(self.ring, t) for d, t in out.items()}
 
     # -- comparisons, display, serialization ---------------------------------
 
@@ -324,46 +302,6 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
         quot[diff] = c
         rem = rem - MultiPoly(ring, {diff: c}) * den
     return MultiPoly(ring, quot)
-
-
-def poly_sqrt(p: MultiPoly) -> Optional[MultiPoly]:
-    """A verified polynomial square root, or None when not recognized."""
-    if p.is_zero():
-        return p
-    if p.is_scalar():
-        r = p.as_scalar().sqrt()
-        return None if r is None else p.ring.scalar(r)
-    name = p.variables_present()[0]
-    coeffs = p.coefficients_in(name)
-    d = max(coeffs)
-    if d % 2:
-        return None
-    half = d // 2
-    lead_root = poly_sqrt(coeffs[d])
-    if lead_root is None:
-        return None
-    ring = p.ring
-    v = ring.var(name)
-    b: dict[int, MultiPoly] = {half: lead_root}
-    twice_lead = lead_root + lead_root
-    for k in range(half - 1, -1, -1):
-        # coefficient of v^(k+half) in the square is 2*b_k*b_half plus
-        # ordered products b_i*b_j with i+j = k+half and k < i,j < half
-        m = k + half
-        rhs = coeffs.get(m, ring.zero())
-        for i in range(k + 1, half):
-            rhs = rhs - b[i] * b[m - i]
-        bk = exact_divide(rhs, twice_lead)
-        if bk is None:
-            return None
-        b[k] = bk
-    cand = ring.zero()
-    for k, coeff in b.items():
-        cand = cand + coeff * v ** k
-    # low-degree coefficients were never used above; squaring back checks them
-    if cand * cand == p:
-        return cand
-    return None
 
 
 class FieldElement:
@@ -533,17 +471,12 @@ class FieldElement:
 
 
 def is_square(f: FieldElement) -> Optional[FieldElement]:
-    """A verified square root of f, or None when no square root is recognized.
+    """A verified square root of f, or None.
 
-    g^2 = num/den exactly when (g*den)^2 = num*den, so one polynomial square
-    root decides the quotient case too.
+    None is exact for a constant with a rational value; for any other f it
+    means "not decided".
     """
-    if f.is_zero():
-        return f
-    h = poly_sqrt(f.num * f.den)
-    if h is None:
+    if not f.is_scalar():
         return None
-    root = FieldElement(h, f.den)
-    if root * root == f:
-        return root
-    return None
+    root = f.as_scalar().sqrt()
+    return None if root is None else f.ring.element(root)

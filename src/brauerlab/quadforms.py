@@ -25,7 +25,7 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from .crossed import FieldScalars
-from .exactfield import Cyc, FieldElement, PolyRing, is_square
+from .exactfield import Cyc, FieldElement, PolyRing, factorize, is_square
 
 
 class QuadFormError(ValueError):
@@ -323,42 +323,26 @@ def trace_data(algebra) -> TraceData:
     return TraceData(ring, t1, t2, t3, n1, n2, n3, checks=checks)
 
 
-READINGS = ("consistent", "printed")
-
-
-def _check_hypothesis(td: TraceData, reading: str) -> None:
-    if reading not in READINGS:
-        raise ValueError("unknown reading: " + str(reading))
-    pairs = ((td.t1, td.n1), (td.t2, td.n2), (td.t3, td.n3))
-    for t, n in pairs:
-        if t.is_zero() or n.is_zero():
-            raise QuadFormError("hypothesis violated")
-        if reading == "consistent":
-            deficit = n - t * t
-        else:
-            deficit = n * n - t
-        if deficit.is_zero():
+def _check_hypothesis(td: TraceData) -> None:
+    for t, n in ((td.t1, td.n1), (td.t2, td.n2), (td.t3, td.n3)):
+        if t.is_zero() or n.is_zero() or (n - t * t).is_zero():
             raise QuadFormError("hypothesis violated")
 
 
-def serre_form(td: TraceData, reading: str = "consistent") -> QuadraticForm:
+def serre_form(td: TraceData) -> QuadraticForm:
     """Direct sum of the 2-fold and 4-fold Pfister forms built from the trace
     data; dimension 20.
 
-    The first slot of the 4-fold factor has two circulating readings that
-    differ by a transposition of exponents; reading="consistent" uses
-    t1^2 - n1, which is the one the move certificate can link to the reduced
-    form, and reading="printed" uses t1 - n1^2.  The hypothesis (all t_i and
-    the matching deficits nonzero) is enforced either way.
+    The first slot of the 4-fold factor is t1^2 - n1, the reading the move
+    certificate links to the reduced form (a transposed reading t1 - n1^2
+    also circulates; it leaves no common term to cancel).  The hypothesis,
+    all t_i, n_i and n_i - t_i^2 nonzero, is enforced.
     """
-    _check_hypothesis(td, reading)
+    _check_hypothesis(td)
     q2 = pfister([td.n1 - td.t1 * td.t1, td.n2], ring=td.ring)
-    if reading == "consistent":
-        slot1 = td.t1 * td.t1 - td.n1
-    else:
-        slot1 = td.t1 - td.n1 * td.n1
     q4 = pfister(
-        [slot1, (td.n2 - td.t2 * td.t2) * td.n2, td.t1 * td.t2, td.t2 * td.t3],
+        [td.t1 * td.t1 - td.n1, (td.n2 - td.t2 * td.t2) * td.n2,
+         td.t1 * td.t2, td.t2 * td.t3],
         ring=td.ring,
     )
     return direct_sum(q2, q4)
@@ -527,7 +511,7 @@ def witt_apply(form: QuadraticForm, moves: Sequence[WittMove]) -> QuadraticForm:
     return QuadraticForm(ring, entries)
 
 
-def witt_derive_equivalence(td: TraceData, reading: str = "consistent"):
+def witt_derive_equivalence(td: TraceData):
     """Move certificate from serre_form(td) to equiv_form(td).
 
     The chain is: flip signs so the 2-fold block and the 4-fold block share
@@ -535,17 +519,9 @@ def witt_derive_equivalence(td: TraceData, reading: str = "consistent"):
     four-generator entries, exhibit the doubled summand <1, t1^2 - n1> (up
     to squares) on four positions, cancel it as two hyperbolic pairs (each
     doubled entry <a, a> is hyperbolic because -1 is a square), and permute
-    into the reduced order.  Only the consistent reading admits the shared
-    slot; the printed reading leaves nothing to cancel.
+    into the reduced order.
     """
-    if reading not in READINGS:
-        raise ValueError("unknown reading: " + str(reading))
-    if reading == "printed":
-        raise QuadFormError(
-            "printed reading leaves no cancelable common term; "
-            "use reading='consistent'"
-        )
-    _check_hypothesis(td, reading)
+    _check_hypothesis(td)
     ring = td.ring
     i4 = _zeta4(ring)
     one = ring.element(1)
@@ -582,23 +558,24 @@ def witt_derive_equivalence(td: TraceData, reading: str = "consistent"):
     return moves
 
 
-def replay_trace_form_equivalence(td: TraceData, reading: str = "consistent") -> dict:
+def replay_trace_form_equivalence(td: TraceData) -> dict:
     """Build the certificate, replay it, and compare against the reduced form.
 
-    Returns a report with the reading used, the move count, the final-form
+    Returns a report with the reading of the first slot (always
+    "consistent", see serre_form), the move count, the final-form
     comparison, and the four-generator audit of the reduced form, together
     with the start form, the move list, the final form and the reduced form
     themselves.
     """
-    start = serre_form(td, reading=reading)
-    moves = witt_derive_equivalence(td, reading=reading)
+    start = serre_form(td)
+    moves = witt_derive_equivalence(td)
     final = witt_apply(start, moves)
     target = equiv_form(td)
     matches = final.dim == target.dim and all(
         final.entries[i] == target.entries[i] for i in range(final.dim)
     )
     return {
-        "reading": reading,
+        "reading": "consistent",
         "start_dim": start.dim,
         "moves": len(moves),
         "final_dim": final.dim,
@@ -618,13 +595,13 @@ def replay_trace_form_equivalence(td: TraceData, reading: str = "consistent") ->
 
 def hyperbolic_sufficient(q: QuadraticForm) -> Optional[dict]:
     """Greedy certificate that q is hyperbolic: pair entries whose ratio is a
-    recognized square.
+    square.
 
     Needs a square root of -1 in the scalars, so each matched pair <a, b>
     with a/b square is isometric to <a, -a>, a hyperbolic plane.  Returns
     the pairing with cancel-ready witnesses, or None when some entry stays
-    unmatched (inconclusive: square recognition is partial and pairing is
-    only a sufficient test).
+    unmatched (inconclusive: pairing is only a sufficient test, and
+    is_square decides only ratios with a rational value).
     """
     i4 = _zeta4(q.ring)
     if q.dim % 2 == 1:
@@ -661,38 +638,9 @@ def _to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _odd_primes_of(fr: Fraction) -> set:
-    out = set()
-    for n in (fr.numerator, fr.denominator):
-        n = abs(n)
-        while n % 2 == 0:
-            n //= 2
-        f = 3
-        while f * f <= n:
-            if n % f == 0:
-                out.add(f)
-                while n % f == 0:
-                    n //= f
-            else:
-                f += 2
-        if n > 1:
-            out.add(n)
-    return out
+    return {p for n in (fr.numerator, fr.denominator)
+            for p in factorize(abs(n)) if p != 2}
 
 
 def _valuation(fr: Fraction, p: int):
@@ -708,19 +656,11 @@ def _valuation(fr: Fraction, p: int):
 
 
 def _squarefree(fr: Fraction) -> int:
-    sign = -1 if fr < 0 else 1
-    n = abs(fr.numerator * fr.denominator)
-    out = 1
-    f = 2
-    while f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e % 2 == 1:
-            out *= f
-        f += 1 if f == 2 else 2
-    return sign * out * n
+    out = -1 if fr < 0 else 1
+    for p, e in factorize(abs(fr.numerator * fr.denominator)).items():
+        if e % 2:
+            out *= p
+    return out
 
 
 def hilbert_symbol(a, b, place) -> int:
@@ -738,7 +678,7 @@ def hilbert_symbol(a, b, place) -> int:
     if place == "inf":
         return -1 if fa < 0 and fb < 0 else 1
     p = int(place)
-    if not _is_prime(p):
+    if p < 2 or factorize(p) != {p: 1}:
         raise ValueError("place must be a prime or 'inf'")
 
     alpha, u = _valuation(fa, p)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,9 +13,42 @@ def run(tmp_path, name, *argv):
     return code, out.read_text() if out.exists() else None
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the serialized reference envelopes: a change that alters one
+# of them has to update the digest here and say why
+SELFTEST_SEED_42 = "8e6fb82f8757b7adcb5e7f22c4960e90fb88d8085c2d0990b79fa8a0cddc93f1"
+SELFTEST_SEED_7 = "470652ea615830de4f4887d41ee904e632a6be2635801f00be5a16b8952bdaca"
+REFERENCE_ENVELOPES = [
+    (("traceform", "--random", "2"),
+     "39b67d7d0c69fa8802b07aa44fb525d890e92614875167b2c743df2b34e0f3cf"),
+    (("crossed-decompose", "--m", "2", "--random", "3"),
+     "ec9037fbe5bb74267eb81efbaa86ef668dce32fc18b2a75e2693e7853af6d493"),
+    (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "2", "1"),
+     "d1eb075c8fa992623af38cad241be23593fe1892b6bae1ffee2a780dec3c605e"),
+    (("crossed-decompose", "--m", "3", "--symbol", "2", "3", "1", "1"),
+     "d5ca3419b615d68e4ab83d2ffb0724cb3914e4a3f8863a1adeb8e21d6cfe21b9"),
+    (("crossed-decompose", "--m", "4", "--symbol", "2", "3", "1", "1"),
+     "52d3e601e2965790e20b2ceec1b02d9b9e7f16b0ca7c9a2fadfa17588a5e77b4"),
+    (("crossed-decompose", "--m", "3", "--symbol", "3", "5", "0", "1"),
+     "6f633cdfa8b24efbc4201de49f9b977c2d44a780bec9eedb2892dbb2793a1674"),
+    (("lattice", "--group", "S4", "--r", "2"),
+     "6fb3858a280b7beb14435f1b492494f2bd06c5f2044e3b1eb569726bd90442e6"),
+    (("lattice", "--formanek", "5"),
+     "e11043f4780150b4f1c295576d655563e79f1a2795bd95ae8480019a1287e638"),
+    (("udn-factorset", "--n", "7", "--check", "wedge"),
+     "f529e8fdc849e766585a4cdefbf4240b6137849f998ed2b90f0e6edef8999235"),
+    (("bounds", "--n", "5"),
+     "416d0c5948a9e633219fb074e6c00a164c059a7dcbf0e52d3e1b255b31e52998"),
+]
+
+
 def test_selftest_passes_every_criterion(tmp_path):
     code, text = run(tmp_path, "selftest.json", "selftest")
     assert code == 0
+    assert sha256(text) == SELFTEST_SEED_42
     envelope = json.loads(text)
     assert envelope["status"] == "pass"
     assert [c["name"] for c in envelope["checks"]] == [name for name, _ in CRITERIA]
@@ -27,7 +61,17 @@ def test_selftest_is_byte_identical_across_runs(tmp_path):
     code_b, second = run(tmp_path, "b.json", *argv)
     assert code_a == code_b == 0
     assert first == second
+    assert sha256(first) == SELFTEST_SEED_7
     assert len(json.loads(first)["checks"]) == len(CRITERIA)
+
+
+@pytest.mark.parametrize("argv, digest", REFERENCE_ENVELOPES,
+                         ids=["_".join(a.lstrip("-") for a in argv)
+                              for argv, _ in REFERENCE_ENVELOPES])
+def test_reference_envelope_digests(tmp_path, argv, digest):
+    code, text = run(tmp_path, "ref.json", *argv)
+    assert code == 0
+    assert sha256(text) == digest
 
 
 def test_crossed_decompose_degree_6_is_byte_identical(tmp_path):

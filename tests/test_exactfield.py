@@ -16,10 +16,10 @@ from brauerlab.exactfield import (
     cyclotomic_polynomial,
     euler_phi,
     exact_divide,
+    factorize,
     is_square,
     kernel,
     mat_rank,
-    poly_sqrt,
     solve,
 )
 
@@ -66,22 +66,61 @@ def test_cyc_galois_and_lift():
     assert Cyc.zeta(12) * Cyc.zeta(3) == Cyc.zeta(12) * Cyc.zeta(12, 4)
 
 
+def test_factorize():
+    assert factorize(1) == {}
+    assert factorize(2) == {2: 1}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(97 * 97 * 101) == {97: 2, 101: 1}
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
 def test_cyc_sqrt_recognized_shapes():
     assert Cyc.rational(Fraction(9, 4), 4).sqrt() == Cyc.rational(Fraction(3, 2), 4)
     assert Cyc.rational(-1, 4).sqrt() == Cyc.zeta(4)
     assert Cyc.rational(-4, 4).sqrt() == 2 * Cyc.zeta(4)
-    two_i = 2 * Cyc.zeta(4)
-    r = two_i.sqrt()
-    assert r is not None and r * r == two_i  # (1+i)^2 = 2i
-    m = 9 * Cyc.zeta(20, 6)
-    rm = m.sqrt()
-    assert rm is not None and rm * rm == m
-    odd = Cyc.zeta(5)
-    ro = odd.sqrt()
-    assert ro is not None and ro * ro == odd
-    # not recognized: a None answer claims nothing
-    assert Cyc.rational(2, 4).sqrt() is None
+    assert Cyc.rational(2, 8).sqrt() == Cyc.zeta(8) - Cyc.zeta(8, 3)
+    assert Cyc.rational(0, 8).sqrt().is_zero()
+    # Q(zeta_6) = Q(zeta_3) has conductor 3, so -1 is not a square there
     assert Cyc.rational(-1, 6).sqrt() is None
+    # only rationals are decided: squares such as 2i = (1 + i)^2, 9 zeta_20^6
+    # and zeta_5 = (zeta_5^3)^2 are left undecided
+    assert (2 * Cyc.zeta(4)).sqrt() is None
+    assert (9 * Cyc.zeta(20, 6)).sqrt() is None
+    assert Cyc.zeta(5).sqrt() is None
+
+
+@pytest.mark.parametrize("conductor, squares, non_square", [
+    (4, (-1,), 2),
+    (8, (2,), 3),
+    (12, (3, -3), 2),
+    (20, (5,), 3),
+], ids=["4", "8", "12", "20"])
+def test_cyc_sqrt_known_square_and_non_square(conductor, squares, non_square):
+    for q in squares:
+        value = Cyc.rational(q, conductor)
+        root = value.sqrt()
+        assert root is not None and root * root == value
+    assert Cyc.rational(non_square, conductor).sqrt() is None
+
+
+SQUAREFREE_UP_TO_30 = [d for d in range(-30, 31)
+                       if d and all(d % (p * p) for p in (2, 3, 5))]
+
+
+@pytest.mark.parametrize("conductor", [3, 4, 5, 8, 12, 20, 24])
+def test_cyc_sqrt_matches_sympy_factorization(conductor):
+    # x^2 - d splits over Q(zeta_N) exactly when d is a square there
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    field = sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / conductor))
+    for d in SQUAREFREE_UP_TO_30:
+        factors = sympy.Poly(x ** 2 - d, x, domain=field).factor_list()[1]
+        splits = sum(k for _, k in factors) == 2
+        value = Cyc.rational(d, conductor)
+        root = value.sqrt()
+        assert (root is not None) == splits, d
+        assert root is None or root * root == value
 
 
 def test_common_conductor():
@@ -141,18 +180,15 @@ def test_exact_divide(ring):
 
 def test_is_square_cases(ring):
     x, y = ring.var("x"), ring.var("y")
-    s = is_square(ring.element(x * x + 2 * x * y + y * y))
-    assert s is not None and s * s == ring.element((x + y) * (x + y))
-    assert is_square(ring.element(x)) is None
     assert is_square(ring.element(-1)) == ring.element(ring.zeta())
-    fq = (ring.element(x + y) / ring.element(x - y)) ** 2
-    rt = is_square(fq)
-    assert rt is not None and rt * rt == fq
-    big = (x ** 2 + y + 1) ** 2 * (x - y) ** 2
-    r2 = poly_sqrt(big)
-    assert r2 is not None and r2 * r2 == big
-    assert poly_sqrt(x * x + y) is None
-    assert poly_sqrt(x ** 3) is None
+    assert is_square(ring.element(-4) / ring.element(9)) == ring.element(
+        Fraction(2, 3) * ring.zeta())
+    assert is_square(ring.element(0)).is_zero()
+    assert is_square(ring.element(2)) is None
+    # only constants with a rational value are decided
+    assert is_square(ring.element(x * x + 2 * x * y + y * y)) is None
+    assert is_square(ring.element(x)) is None
+    assert is_square(ring.element(2 * ring.zeta())) is None
 
 
 def test_json_roundtrip(ring):
@@ -234,12 +270,18 @@ def test_field_axioms(f, g, h):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_field_elements())
-def test_square_roundtrip(f):
-    sq = f * f
-    root = is_square(sq)
-    assert root is not None
-    assert root * root == sq
+@given(st.integers(-50, 50).filter(bool), st.integers(1, 50),
+       st.sampled_from([(4, -1), (8, 2), (8, -2), (12, 3), (12, -3), (20, 5), (24, -6)]))
+def test_square_roundtrip(num, den, known):
+    # q^2 and q^2 d are squares for a square class d of the field; q^2 d p
+    # is not, for a prime p that does not divide the conductor
+    conductor, d = known
+    ring = PolyRing((), conductor)
+    q = Fraction(num, den)
+    for value in (q * q, q * q * d):
+        root = is_square(ring.element(value))
+        assert root is not None and root * root == ring.element(value)
+    assert is_square(ring.element(q * q * d * 7)) is None
 
 
 def _product_sum(f, g):

@@ -11,7 +11,8 @@ from brauerlab.crossed import (
     SymbolAlgebra,
     instance_from_symbol,
 )
-from brauerlab.exactfield import PolyRing, is_square
+from brauerlab import acceptance
+from brauerlab.exactfield import Cyc, PolyRing, is_square
 from brauerlab.quadforms import (
     GenExpr,
     QuadFormError,
@@ -198,6 +199,30 @@ def test_matrix_quaternion_trace_forms_pair_hyperbolically():
             assert tf.entries[i] * w * w == -tf.entries[j]
 
 
+def test_criterion_9_checks_the_trace_form_values(monkeypatch):
+    # n on every involution pairs hyperbolically as well as n c(g, g) does,
+    # so only the comparison with the known forms catches it
+    def wrong_trace_form(algebra):
+        n = isqrt(len(algebra.grades))
+        return QuadraticForm(algebra.coeffs.ring, [n] * len(algebra.grades))
+
+    monkeypatch.setattr(acceptance, "trace_form", wrong_trace_form)
+    verdict, details = acceptance.check_hilbert_and_hyperbolic(42)
+    assert verdict is False
+    assert "2x2 matrix trace form is not <2, 2, 2, -2>" in details
+
+    def wrong_on_tensors(algebra):
+        if len(algebra.grades) == 4:
+            return trace_form(algebra)
+        return wrong_trace_form(algebra)
+
+    monkeypatch.setattr(acceptance, "trace_form", wrong_on_tensors)
+    verdict, details = acceptance.check_hilbert_and_hyperbolic(42)
+    assert verdict is False
+    assert "2x2 matrix" not in details
+    assert "trace form is not 4<1, 1, 1, -1> x <1, b, a, -ab>" in details
+
+
 def test_hyperbolic_sufficient_inconclusive_and_odd():
     ring = rational_ring()
     assert hyperbolic_sufficient(diagonal([1, 3], ring=ring)) is None
@@ -226,6 +251,10 @@ def test_trace_data_values_and_identities():
     assert all(c["ok"] for c in td.checks)
 
 
+def rational_coefficients(p):
+    return all(c.is_rational() for c in p.terms.values())
+
+
 @pytest.mark.parametrize("twist", [(1, 2, 1), ("lam", "mu", "nu")],
                          ids=["rational-twist", "symbolic-twist"])
 def test_trace_data_symbolic_identities(twist):
@@ -245,6 +274,12 @@ def test_trace_data_symbolic_identities(twist):
     # norm of b1 = f1 + f2 al2 down the quadratic subfield
     f1, f2 = A.b1_pair()
     assert td.n1 == f1 * f1 - f2 * f2 * g
+    # the traceform discriminant is rational because t3 is i times a
+    # function with rational coefficients and the rest have them outright
+    for value in (td.t1, td.t2, td.n1, td.n2, td.n3):
+        assert rational_coefficients(value.num) and rational_coefficients(value.den)
+    i = Cyc.zeta(4)
+    assert rational_coefficients(td.t3.num.scale(i)) and rational_coefficients(td.t3.den)
 
 
 def test_trace_data_rejects_degenerate():
@@ -274,8 +309,6 @@ def test_serre_form_dimensions_and_slots():
     assert q.entries[2] == td.n2
     assert q.entries[3] == deficit * td.n2
     assert q.entries[5] == td.t1 * td.t1 - td.n1
-    printed = serre_form(td, reading="printed")
-    assert printed.entries[5] == td.t1 - td.n1 * td.n1
 
 
 def test_serre_form_hypothesis_violated():
@@ -362,13 +395,6 @@ def test_witt_derivation_symbolic_generic():
     target = equiv_form(td)
     assert final.dim == 16
     assert all(final.entries[i] == target.entries[i] for i in range(16))
-
-
-def test_witt_derivation_printed_reading_rejected():
-    ring = free_trace_ring()
-    td = free_trace_data(ring)
-    with pytest.raises(QuadFormError, match="printed reading"):
-        witt_derive_equivalence(td, reading="printed")
 
 
 def test_replay_report_on_algebra_instance():
