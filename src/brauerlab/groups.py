@@ -9,7 +9,7 @@ the whole group. Points are 0-based internally; cycle notation I/O is
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 
@@ -223,6 +223,11 @@ class PermutationGroup:
                 seen[x] = True
             classes.append(sorted(orbit))
         return classes
+
+    @cached_property
+    def class_representatives(self) -> list[int]:
+        """The smallest index in each conjugacy class, identity first."""
+        return [c[0] for c in self.conjugacy_classes()]
 
 
 class Subgroup:

@@ -12,11 +12,19 @@ inner map injective with saturated image, outer map surjective over Z,
 rank additivity, and an explicit integer solve expressing a kernel basis
 of the outer map through the inner map. Saturation makes "kernel = image"
 equivalent to these finitely many checks.
+
+Maps are stored dense but the big ones hold a few nonzeros per column, so
+every step of a certificate walks only the nonzero entries: the sparse
+columns are read off once per map, unit-triangular pivot certificates give
+kernels and solves by sparse substitution (Gilbert-Peierls, SIAM J. Sci.
+Stat. Comput. 9, 1988), and a map without one is factored by one Smith form.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import snf
@@ -104,12 +112,14 @@ class GLattice:
         self.rank = rank
         self.label = label
         self._gen_mats = gen_matrices
-        self._cache: dict[int, list[list[int]]] = {0: snf.identity(rank)}
+        self._cache: dict[int, list[list[int]]] = {}
 
     def action(self, g: int) -> list[list[int]]:
         got = self._cache.get(g)
         if got is None:
-            got = self._compute(g)
+            # The identity is built on first use: most lattices of a
+            # sequence are only ever the source or target of a map.
+            got = snf.identity(self.rank) if g == 0 else self._compute(g)
             self._cache[g] = got
         return got
 
@@ -353,18 +363,55 @@ def sym2_projection(base: GLattice,
 
 # --- maps and sequences ---------------------------------------------------
 
+def _substitute(columns, pivots, order, residual, *, descending):
+    """Clear `residual` (row -> value) on the pivot rows it reaches.
+
+    pivots[k] = (row, col, unit) with unit = +-1 and order maps each pivot
+    row to its k. Pivots are taken in increasing k (decreasing if
+    `descending`); the certificate guarantees that a pivot's column is zero
+    on the pivot rows already taken, so each reached pivot is taken once.
+    Returns {col: x} and leaves residual - matrix.x in `residual`; only
+    rows where one of the two is nonzero are ever stored.
+    """
+    sign = -1 if descending else 1
+    heap = [sign * order[r] for r in residual if r in order]
+    heapify(heap)
+    x = {}
+    while heap:
+        r, c, unit = pivots[sign * heappop(heap)]
+        s = residual[r]
+        if not s:
+            continue
+        xc = s * unit
+        x[c] = xc
+        for r2, v in columns[c]:
+            if r2 in residual:
+                residual[r2] -= v * xc
+            else:
+                residual[r2] = -v * xc
+                if r2 in order:
+                    heappush(heap, sign * order[r2])
+    return x
+
+
 class LatticeMap:
     """Equivariant map between lattices, stored as target.rank x source.rank.
 
-    row_pivots / col_pivots are optional unit-echelon certificates passed
-    by constructors that know the matrix structure; they let is_exact avoid
-    a full Smith form on large sparse maps. They are verified, not trusted:
-    the row certificate is checked once per map, on first use, and solves
-    against it walk only the nonzero entries of each row.
+    row_pivots / col_pivots are optional unit-triangular certificates passed
+    by constructors that know the matrix structure. They are verified, not
+    trusted, once per map on first use, from the map's sparse columns:
+    - row_pivots [(r_k, c_k)] covers every source column, each pivot is
+      +-1 and row r_k is zero at every later pivot column. The map is then
+      injective with saturated image, and solve is a sparse forward
+      substitution followed by a check on every row.
+    - col_pivots [(r_k, c_k)] covers every target row, each pivot is +-1
+      and column c_k is zero at every later pivot row. The map is then
+      surjective, and kernel_basis is e_j - P^-1 N e_j for each non-pivot
+      column j, P the pivot block, by sparse back-substitution.
 
-    Without a row certificate, solves go through an snf.IntSolver, and
-    elementary_divisors reuses that solver's divisors instead of factoring
-    the matrix a second time.
+    Without a row certificate, solves go through an snf.IntSolver, whose
+    divisors also serve elementary_divisors. Otherwise one cached Smith form
+    (with V) gives the divisors and, without a column certificate, the kernel.
     """
 
     def __init__(self, source: GLattice, target: GLattice,
@@ -381,7 +428,6 @@ class LatticeMap:
         self.label = label
         self.row_pivots = row_pivots
         self.col_pivots = col_pivots
-        self._divisors: Optional[list[int]] = None
         self._solver: Optional[snf.IntSolver] = None
 
     def __repr__(self) -> str:
@@ -395,53 +441,72 @@ class LatticeMap:
                 return False
         return True
 
+    @cached_property
+    def _columns(self) -> list[list[tuple[int, int]]]:
+        """The nonzero (row, value) pairs of each column."""
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.source.rank)]
+        span = range(self.source.rank)
+        for r, row in enumerate(self.matrix):
+            for c in compress(span, row):
+                cols[c].append((r, row[c]))
+        return cols
+
+    @cached_property
+    def _smith(self) -> snf.SNFResult:
+        """The one Smith form (with V) behind divisors and kernel."""
+        return snf.smith_normal_form(self.matrix, want_u=False)
+
     def elementary_divisors(self) -> list[int]:
-        if self._divisors is None:
-            if self._solver is not None:
-                self._divisors = self._solver.divisors
-            else:
-                self._divisors = snf.elementary_divisors(self.matrix)
-        return self._divisors
+        if self._solver is not None:
+            return self._solver.divisors
+        return self._smith.divisors
+
+    def _certificate(self, pivots, size):
+        """(pivots as (row, col, unit), {pivot row: k}) or None.
+
+        Accepts `size` +-1 pivots whose rows are distinct and in range and
+        whose columns are too, so that no index aliases another entry.
+        """
+        if pivots is None or len(pivots) != size:
+            return None
+        nrows, ncols = self.target.rank, self.source.rank
+        if (len({r for r, _ in pivots}) != size
+                or len({c for _, c in pivots}) != size
+                or not all(0 <= r < nrows and 0 <= c < ncols
+                           for r, c in pivots)):
+            return None
+        m = self.matrix
+        if any(m[r][c] not in (1, -1) for r, c in pivots):
+            return None
+        return ([(r, c, m[r][c]) for r, c in pivots],
+                {r: k for k, (r, _) in enumerate(pivots)})
 
     @cached_property
     def _row_certificate(self):
-        """(pivots, sparse rows) if row_pivots is a unit-echelon certificate,
-        else None; each sparse row lists the row's nonzero (col, value)."""
-        p = self.row_pivots
-        if p is None:
+        cert = self._certificate(self.row_pivots, self.source.rank)
+        if cert is None:
             return None
-        cols = [c for _, c in p]
-        if sorted(cols) != list(range(self.source.rank)):
-            return None
-        if len({r for r, _ in p}) != len(p):
-            return None
-        m = self.matrix
-        rows = [[(c, v) for c, v in enumerate(row) if v] for row in m]
-        order = {c: k for k, c in enumerate(cols)}
-        for k, (r, c) in enumerate(p):
-            if m[r][c] not in (1, -1):
+        # Row r_k is zero at later pivot columns: column c_k is zero on
+        # the rows of earlier pivots.
+        pivots, order = cert
+        for k, (_, c, _) in enumerate(pivots):
+            if any(order.get(r, k) < k for r, _ in self._columns[c]):
                 return None
-            if any(order[c2] > k for c2, _ in rows[r]):
-                return None
-        return p, rows
+        return cert
 
-    def _verified_col_pivots(self) -> Optional[list[tuple[int, int]]]:
-        p = self.col_pivots
-        if p is None:
+    @cached_property
+    def _col_certificate(self):
+        # A map onto the zero lattice needs no pivots.
+        p = self.col_pivots if self.target.rank else []
+        cert = self._certificate(p, self.target.rank)
+        if cert is None:
             return None
-        rows = [r for r, _ in p]
-        if sorted(rows) != list(range(self.target.rank)):
-            return None
-        if len({c for _, c in p}) != len(p):
-            return None
-        m = self.matrix
-        for k, (r, c) in enumerate(p):
-            if m[r][c] not in (1, -1):
+        # Column c_k is zero at later pivot rows; every row is a pivot row.
+        pivots, order = cert
+        for k, (_, c, _) in enumerate(pivots):
+            if any(order[r] > k for r, _ in self._columns[c]):
                 return None
-            for r2, _ in p[k + 1:]:
-                if m[r2][c] != 0:
-                    return None
-        return p
+        return cert
 
     def is_injective_saturated(self) -> bool:
         """Columns independent and image a direct summand of the target."""
@@ -451,38 +516,53 @@ class LatticeMap:
         return len(div) == self.source.rank and all(d == 1 for d in div)
 
     def is_surjective(self) -> bool:
-        if self._verified_col_pivots() is not None:
+        if self._col_certificate is not None:
             return True
         div = self.elementary_divisors()
         return len(div) == self.target.rank and all(d == 1 for d in div)
+
+    def kernel_basis(self) -> list[list[int]]:
+        """A basis of the integer kernel {x : matrix.x = 0}."""
+        n = self.source.rank
+        cert = self._col_certificate
+        if cert is None:
+            res = self._smith
+            return [[row[j] for row in res.V] for j in range(res.rank, n)]
+        pivots, order = cert
+        pivot_cols = {c for _, c, _ in pivots}
+        basis = []
+        for j in range(n):
+            if j in pivot_cols:
+                continue
+            x = _substitute(self._columns, pivots, order,
+                            dict(self._columns[j]), descending=True)
+            v = [0] * n
+            v[j] = 1
+            for c, xc in x.items():
+                v[c] = -xc
+            basis.append(v)
+        return basis
 
     def solve(self, vec: list[int]) -> Optional[list[int]]:
         """Integer x with matrix.x = vec, or None."""
         cert = self._row_certificate
         if cert is not None:
-            return self._solve_by_substitution(*cert, vec)
+            return self._solve_by_substitution(cert, vec)
         if self._solver is None:
             self._solver = snf.IntSolver(self.matrix)
         return self._solver.solve(vec)
 
-    def _solve_by_substitution(self, pivots, rows, vec):
-        m = self.matrix
-        x = [0] * self.source.rank
-        for r, c in pivots:
-            # The row is zero at later pivot columns and x[c] is still 0,
-            # so this subtracts exactly the columns solved so far.
-            s = vec[r]
-            for c2, v in rows[r]:
-                s -= v * x[c2]
-            x[c] = s * m[r][c]  # pivot is +-1
-        # Verify on every row; the pivots only cover source.rank of them.
-        for r, row in enumerate(rows):
-            s = 0
-            for c, v in row:
-                s += v * x[c]
-            if s != vec[r]:
-                return None
-        return x
+    def _solve_by_substitution(self, cert, vec):
+        residual = {r: vec[r] for r in compress(range(len(vec)), vec)}
+        x = _substitute(self._columns, *cert, residual, descending=False)
+        # The residual is vec - matrix.x on every row, summed over the
+        # columns of the nonzero unknowns; the pivots clear only their own.
+        if any(residual.values()):
+            return None
+        out = [0] * self.source.rank
+        for c, xc in x.items():
+            out[c] = xc
+        return out
 
 
 class LatticeSequence:
@@ -527,6 +607,19 @@ class ExactnessReport:
         }
 
 
+def _composes_to_zero(outer: LatticeMap, inner: LatticeMap) -> bool:
+    """outer.matrix * inner.matrix == 0, over the sparse columns of both."""
+    outer_cols = outer._columns
+    for col in inner._columns:
+        acc: dict[int, int] = {}
+        for r, v in col:
+            for r2, w in outer_cols[r]:
+                acc[r2] = acc.get(r2, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
+
+
 def is_exact(seq: LatticeSequence) -> ExactnessReport:
     """Certify exactness of 0 -> A -> B -> C -> 0.
 
@@ -538,13 +631,17 @@ def is_exact(seq: LatticeSequence) -> ExactnessReport:
     The kernel-inside-image check also follows from the other checks: a
     saturated image inside the kernel (composition zero) of the same rank
     as the kernel (rank additivity, outer map surjective) is the kernel.
-    It is kept as an independent cross-check of those certificates.
+    It is kept as an independent cross-check of those certificates; it
+    solves outer.kernel_basis(), which is the column-certificate basis
+    when the outer map has one and the Smith-form basis otherwise.
+
+    Every check walks only nonzero entries, except the Smith forms of maps
+    that carry no certificate.
     """
     rep = ExactnessReport()
     inner, outer = seq.inner, seq.outer
 
-    comp = snf.mat_mult(outer.matrix, inner.matrix)
-    rep.composition_zero = snf.is_zero_matrix(comp)
+    rep.composition_zero = _composes_to_zero(outer, inner)
     if not rep.composition_zero:
         rep.failures.append("composition pi.iota is nonzero")
 
@@ -563,7 +660,7 @@ def is_exact(seq: LatticeSequence) -> ExactnessReport:
 
     if not rep.failures:
         rep.kernel_inside_image = True
-        for k in snf.kernel_basis(outer.matrix):
+        for k in outer.kernel_basis():
             if inner.solve(k) is None:
                 rep.kernel_inside_image = False
                 rep.failures.append("outer kernel vector escapes inner image")
@@ -572,9 +669,14 @@ def is_exact(seq: LatticeSequence) -> ExactnessReport:
 
 
 def is_faithful(lat: GLattice) -> bool:
-    """True iff no nonidentity element acts as the identity (exhaustive)."""
+    """True iff no nonidentity element acts as the identity.
+
+    Exact with one element per conjugacy class: x g x^-1 acts as
+    rho(x) rho(g) rho(x)^-1, which is the identity exactly when rho(g) is,
+    so the kernel of the action is a union of classes.
+    """
     return not any(lat.acts_as_identity(g)
-                   for g in range(1, lat.group.order))
+                   for g in lat.group.class_representatives if g)
 
 
 def faithful_predicate_freepres(group: PermutationGroup, subgroup: Subgroup,
@@ -601,9 +703,10 @@ def _resolve_element(group: PermutationGroup, g) -> int:
     return group.index[perm]
 
 
-def _kernel_as_lattice(middle: GLattice, outer_matrix: list[list[int]],
+def _kernel_as_lattice(outer: LatticeMap,
                        label: str) -> tuple[GLattice, LatticeMap]:
-    basis = snf.kernel_basis(outer_matrix, cols=middle.rank)
+    middle = outer.source
+    basis = outer.kernel_basis()
     rank = len(basis)
     kmat = [[basis[j][i] for j in range(rank)]
             for i in range(middle.rank)]
@@ -651,8 +754,8 @@ def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
                 f[c1 - 1][col] += 1
             if c2 != 0:
                 f[c2 - 1][col] -= 1
-    kernel, incl = _kernel_as_lattice(middle, f, label="relation-module")
     outer = LatticeMap(middle, omega, f, label="coset-difference-map")
+    kernel, incl = _kernel_as_lattice(outer, label="relation-module")
     return LatticeSequence(incl, outer)
 
 
@@ -752,8 +855,8 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
                 f[j - 1][col] += 1
             if h != 0:
                 f[h - 1][col] -= 1
-    kernel, incl = _kernel_as_lattice(middle, f, label="formanek-kernel")
     outer = LatticeMap(middle, A, f, label="tensor-difference-map")
+    kernel, incl = _kernel_as_lattice(outer, label="formanek-kernel")
     seq = LatticeSequence(incl, outer)
 
     src = direct_sum([U, U, tensor(A, A)])
@@ -800,7 +903,7 @@ def perm_character_decomposition(lat: GLattice,
     necessary condition for lat itself being a permutation lattice.
     """
     G = lat.group
-    reps = [c[0] for c in G.conjugacy_classes()]
+    reps = G.class_representatives
     target = [lat.character(g) for g in reps]
     cols = []
     for H in subgroups:

@@ -9,6 +9,7 @@ intermediate entries from exploding during elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 
@@ -40,10 +41,6 @@ def mat_mult(a, b) -> list[list[int]]:
                     if w:
                         orow[j] += v * w
     return out
-
-
-def is_zero_matrix(a) -> bool:
-    return all(not v for row in a for v in row)
 
 
 def det(a) -> int:
@@ -216,20 +213,17 @@ def elementary_divisors(a) -> list[int]:
     return smith_normal_form(a, want_u=False, want_v=False).divisors
 
 
-def kernel_basis(a, cols: Optional[int] = None) -> list[list[int]]:
+def kernel_basis(a) -> list[list[int]]:
     """Basis of the integer kernel {x : A x = 0}, as a list of vectors.
 
     The kernel of an integer matrix is automatically saturated, so this
     is also a basis of the rational kernel intersected with Z^n.  A matrix
-    with no rows carries no column count, so `cols` must be given to get
-    the full standard basis back.
+    with no rows carries no column count and gives no vectors; a map that
+    knows its shape uses LatticeMap.kernel_basis instead.
     """
-    m = len(a)
-    n = len(a[0]) if m else (cols or 0)
+    n = len(a[0]) if a else 0
     if n == 0:
         return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     res = smith_normal_form(a, want_u=False, want_v=True)
     r = res.rank
     return [[res.V[i][j] for i in range(n)] for j in range(r, n)]
@@ -238,11 +232,12 @@ def kernel_basis(a, cols: Optional[int] = None) -> list[list[int]]:
 class IntSolver:
     """Reusable exact solver for A x = b over the integers.
 
-    Factors A once as U A V = D and keeps only the nonzero (col, value)
-    pairs of each row of U and of the first rank columns of V, plus the
-    divisors of D. A solve forms c = U b row by row, checks that d_t
-    divides c_t on each pivot row and that c_t = 0 on each row past the
-    rank, and returns x = V y with y_t = c_t / d_t.
+    Factors A once as U A V = D and keeps only the nonzero (row, value)
+    pairs of each column of U, the nonzero (col, value) pairs of each row
+    of V within the first rank columns, and the divisors of D. A solve
+    forms c = U b by scattering the columns of U at the nonzeros of b,
+    checks that d_t divides c_t on each pivot row and that c_t = 0 on each
+    row past the rank, and returns x = V y with y_t = c_t / d_t.
     """
 
     def __init__(self, a):
@@ -250,8 +245,8 @@ class IntSolver:
         res = smith_normal_form(a)
         self.divisors = res.divisors
         r = len(self.divisors)
-        self._u_rows = [[(j, v) for j, v in enumerate(row) if v]
-                        for row in res.U]
+        self._u_cols = [[(t, v) for t, v in enumerate(col) if v]
+                        for col in zip(*res.U)]
         self._v_rows = [[(j, v) for j, v in enumerate(row[:r]) if v]
                         for row in res.V]
 
@@ -259,18 +254,18 @@ class IntSolver:
         assert len(b) == self.m, "length mismatch"
         divisors = self.divisors
         r = len(divisors)
+        c = [0] * self.m
+        for j in compress(range(self.m), b):
+            bj = b[j]
+            for t, v in self._u_cols[j]:
+                c[t] += v * bj
+        if any(c[r:]):
+            return None
         y = []
-        for t, row in enumerate(self._u_rows):
-            c = 0
-            for j, v in row:
-                c += v * b[j]
-            if t < r:
-                d = divisors[t]
-                if c % d:
-                    return None
-                y.append(c // d)
-            elif c:
+        for ct, d in zip(c, divisors):
+            if ct % d:
                 return None
+            y.append(ct // d)
         out = []
         for row in self._v_rows:
             s = 0

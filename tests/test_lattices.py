@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from brauerlab import snf
 from brauerlab.groups import (
     alternating_group,
+    builtin_family,
     coset_space,
     cyclic_group,
     direct_product,
+    min_generators_rel,
+    subgroups_up_to_conjugacy,
     symmetric_group,
 )
 from brauerlab.lattices import (
@@ -40,6 +43,50 @@ from brauerlab.lattices import (
 def mat_vec(a, v):
     """Oracle: the integer matrix-vector product a v."""
     return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Row counts of the snf.smith_normal_form calls a test makes."""
+    calls = []
+    real_snf = snf.smith_normal_form
+
+    def counting_snf(a, **kwargs):
+        calls.append(len(a))
+        return real_snf(a, **kwargs)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counting_snf)
+    return calls
+
+
+def family_seq2():
+    """(G, H, seq2_sequence(G, H)) over builtin_family(), index >= 2."""
+    for G in builtin_family():
+        for H in subgroups_up_to_conjugacy(G):
+            if G.order // H.order >= 2:
+                yield G, H, seq2_sequence(G, H)
+
+
+def family_freepres():
+    """freepres_sequence(G, H, ...) with r = 1, 2 over builtin_family()."""
+    for G in builtin_family():
+        for H in subgroups_up_to_conjugacy(G):
+            r0, gens = min_generators_rel(G, H, max_r=3)
+            for r in range(max(r0, 1), 3):
+                pad = gens[0] if gens else 1
+                yield freepres_sequence(G, H, list(gens) + [pad] * (r - r0))
+
+
+def solves_against(basis, vectors, solve):
+    """Each vector is an integer combination of the basis, by `solve`."""
+    for v in vectors:
+        x = solve(v)
+        assert x is not None
+        combo = [0] * len(v)
+        for xj, b in zip(x, basis):
+            if xj:
+                combo = [c + xj * bi for c, bi in zip(combo, b)]
+        assert combo == v
 
 
 def stabilizer_cosets(n):
@@ -238,13 +285,15 @@ def test_seq2_faithfulness_predicate():
     assert is_faithful(tensor(om, om)) is False
 
 
-def test_seq2_s4_trivial_subgroup_is_exact():
+def test_seq2_s4_trivial_subgroup_is_exact(snf_calls):
     G = symmetric_group(4)
     seq = seq2_sequence(G, G.trivial_subgroup())
     assert (seq.inner.source.rank, seq.inner.target.rank,
             seq.outer.target.rank) == (529, 552, 23)
     rep = is_exact(seq)
     assert rep.exact, rep.failures
+    # Both maps carry pivot certificates: no Smith form at all.
+    assert snf_calls == []
 
 
 # Rows 0-2 are unit lower triangular in columns 0-2; row 3 is 2 e_0.
@@ -255,12 +304,18 @@ BAD_PIVOTS = {
     "nonzero at a later pivot column": [(1, 1), (0, 0), (2, 2)],
     "repeated pivot row": [(0, 0), (2, 2), (2, 1)],
     "missing column": [(0, 0), (1, 1)],
+    "negative row index": [(-4, 0), (1, 1), (2, 2)],
+    "row index past the end": [(4, 0), (1, 1), (2, 2)],
 }
 
 
-def _pivot_map(row_pivots):
+def _pivot_map(row_pivots=None, *, col_pivots=None):
     G = cyclic_group(2)
     z = trivial_lattice(G)
+    if col_pivots is not None:
+        return LatticeMap(direct_sum([z] * 4), direct_sum([z] * 3),
+                          [list(col) for col in zip(*PIVOT_MATRIX)],
+                          col_pivots=col_pivots)
     return LatticeMap(direct_sum([z] * 3), direct_sum([z] * 4),
                       PIVOT_MATRIX, row_pivots=row_pivots)
 
@@ -291,40 +346,79 @@ def test_bad_row_pivots_fall_back_to_int_solver(fault, monkeypatch):
     assert bad.solve(outside) is None
 
 
+@pytest.mark.parametrize("fault", sorted(BAD_PIVOTS))
+def test_bad_col_pivots_fall_back_to_smith_form(fault, snf_calls):
+    # The transpose turns each row certificate into a column certificate
+    # with the same fault.
+    def transposed(pivots):
+        return [(c, r) for r, c in pivots]
+
+    good = _pivot_map(col_pivots=transposed(GOOD_PIVOTS))
+    bad = _pivot_map(col_pivots=transposed(BAD_PIVOTS[fault]))
+    assert good.is_surjective()
+    [k] = good.kernel_basis()
+    assert snf_calls == []
+    assert bad.is_surjective()  # by the Smith form instead
+    [k_bad] = bad.kernel_basis()
+    assert snf_calls == [3]
+    assert mat_vec(good.matrix, k) == [0, 0, 0]
+    assert k[3] == 1
+    assert k_bad in (k, [-v for v in k])
+
+
 def test_substitution_agrees_with_int_solver_on_seq2():
-    G = alternating_group(4)
-    seq = seq2_sequence(G, G.trivial_subgroup())
-    inner = seq.inner
-    solver = snf.IntSolver(inner.matrix)
-    kernel = snf.kernel_basis(seq.outer.matrix)
-    assert len(kernel) == inner.source.rank
-    for k in kernel:
-        x = inner.solve(k)
-        assert x is not None
-        assert x == solver.solve(k)
-        assert mat_vec(inner.matrix, x) == k
-    outside = [0] * inner.target.rank
-    outside[0] = 1
-    assert not snf.is_zero_matrix([mat_vec(seq.outer.matrix, outside)])
-    assert inner.solve(outside) is None
-    assert solver.solve(outside) is None
+    for G, H, seq in family_seq2():
+        inner = seq.inner
+        if inner.target.rank > 500:
+            continue  # S4 over 1: its IntSolver alone takes about 4 s
+        solver = snf.IntSolver(inner.matrix)
+        kernel = seq.outer.kernel_basis()
+        assert len(kernel) == inner.source.rank
+        for i, k in enumerate(kernel):
+            x = inner.solve(k)
+            assert x is not None
+            assert x == solver.solve(k)
+            assert mat_vec(inner.matrix, x) == k
+            # Every column of the outer map is nonzero, so no unit vector
+            # lies in its kernel.
+            outside = list(k)
+            outside[i % len(k)] += 1
+            assert any(mat_vec(seq.outer.matrix, outside))
+            assert inner.solve(outside) is None
+            assert solver.solve(outside) is None
 
 
-def test_freepres_inclusion_reuses_its_solver_divisors(monkeypatch):
+def test_certificate_kernel_spans_the_smith_kernel():
+    for G, H, seq in family_seq2():
+        outer = seq.outer
+        cert = outer.kernel_basis()
+        smith = snf.kernel_basis(outer.matrix)
+        assert len(cert) == len(smith) == outer.source.rank - outer.target.rank
+        zero = [0] * outer.target.rank
+        assert all(mat_vec(outer.matrix, k) == zero for k in cert)
+        # Each certificate vector is 1 at its own non-pivot coordinate and
+        # 0 at the others, which is a row certificate for the basis.
+        pivot_cols = {c for _, c in outer.col_pivots}
+        free = [j for j in range(outer.source.rank) if j not in pivot_cols]
+        assert all(k[j] == 1 for k, j in zip(cert, free))
+        basis_map = LatticeMap(direct_sum([trivial_lattice(G)] * len(cert)),
+                               outer.source,
+                               [list(row) for row in zip(*cert)],
+                               row_pivots=[(j, i) for i, j in enumerate(free)])
+        assert basis_map._row_certificate is not None
+        solves_against(cert, smith, basis_map.solve)
+        solves_against(smith, cert,
+                       snf.IntSolver([list(row) for row in zip(*smith)]).solve)
+
+
+def test_freepres_inclusion_reuses_its_solver_divisors(snf_calls, monkeypatch):
     G = symmetric_group(4)
-    calls = []
-    real_snf = snf.smith_normal_form
-
-    def counting_snf(a, **kwargs):
-        calls.append(len(a))
-        return real_snf(a, **kwargs)
-
-    monkeypatch.setattr(snf, "smith_normal_form", counting_snf)
     seq = freepres_sequence(G, G.trivial_subgroup(), ["(1 2)", "(1 2 3 4)"])
     assert is_exact(seq).exact
-    # kernel basis and solver of the inclusion; divisors and kernel basis
-    # of the outer map. The inclusion's divisors come from its solver.
-    assert len(calls) == 4
+    # One Smith form of the outer map serves its kernel, its divisors and
+    # the kernel basis of is_exact; one more builds the inclusion's solver,
+    # whose divisors the inclusion reuses.
+    assert len(snf_calls) == 2
     monkeypatch.undo()
 
     for group, gens in ((alternating_group(4), ["(1 2 3)", "(2 3 4)"]),
@@ -332,6 +426,25 @@ def test_freepres_inclusion_reuses_its_solver_divisors(monkeypatch):
         inner = freepres_sequence(group, group.trivial_subgroup(), gens).inner
         assert inner._solver is not None
         assert inner.elementary_divisors() == snf.elementary_divisors(inner.matrix)
+
+
+def test_kernel_inside_image_solves_every_vector_onto_zero(monkeypatch):
+    # H = G: the outer map goes onto the zero lattice, so its kernel is the
+    # whole middle term and every unit vector must be solved.
+    G = symmetric_group(3)
+    seq = freepres_sequence(G, G.full_subgroup(), ["(1 2)"])
+    assert seq.outer.target.rank == 0
+    solved = []
+    real_solve = LatticeMap.solve
+
+    def counting_solve(self, vec):
+        solved.append(vec)
+        return real_solve(self, vec)
+
+    monkeypatch.setattr(LatticeMap, "solve", counting_solve)
+    rep = is_exact(seq)
+    assert rep.exact and rep.kernel_inside_image
+    assert len(solved) == seq.outer.source.rank == 6
 
 
 def test_formanek_sequence():
@@ -354,12 +467,36 @@ def test_is_exact_negative_controls():
     rep = is_exact(LatticeSequence(seq.inner, broken))
     assert not rep.exact
     assert any("surjective" in msg for msg in rep.failures)
+    assert rep.composition_zero
+
+    summing = LatticeMap(seq.outer.source, seq.outer.target,
+                         [[1] * 6, [0] * 6])
+    rep = is_exact(LatticeSequence(seq.inner, summing))
+    assert not rep.composition_zero
+    assert "composition pi.iota is nonzero" in rep.failures
 
     # Drop a column from inner: ranks stop adding up.
     thin = [row[:-1] for row in seq.inner.matrix]
     small_src = trivial_lattice(G)
     with pytest.raises(LatticeError):
         LatticeMap(small_src, seq.inner.target, thin)
+
+
+def _faithful_by_every_element(lat):
+    return not any(lat.acts_as_identity(g) for g in range(1, lat.group.order))
+
+
+def test_is_faithful_by_class_representatives_matches_every_element():
+    kernels = [seq.inner.source for seq in family_freepres()]
+    kernels += [seq.inner.source for _, _, seq in family_seq2()]
+    C4 = cyclic_group(4)
+    H = C4.subgroup([C4.mult(C4.generators[0], C4.generators[0])])
+    om, _ = augmentation_kernel(coset_space(C4, H))
+    kernels.append(tensor(om, om))
+    answers = [is_faithful(lat) for lat in kernels]
+    assert answers == [_faithful_by_every_element(lat) for lat in kernels]
+    assert True in answers and False in answers
+    assert answers[-1] is False
 
 
 def test_is_faithful_basics():
