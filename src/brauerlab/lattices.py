@@ -5,7 +5,8 @@ A lattice stores one integer matrix per group generator; the action of an
 arbitrary element is assembled on demand by walking the BFS spanning tree
 of the group and cached. Derived lattices (tensor, wedge, sym, sums) build
 their element actions from the factors instead, which keeps the per-element
-cost proportional to the factor ranks.
+cost proportional to the factor ranks, and permutation lattices on cosets
+or coset pairs write each element's permutation matrix directly.
 
 Exactness of 0 -> A -> B -> C -> 0 is certified by: composition zero,
 inner map injective with saturated image, outer map surjective over Z,
@@ -15,9 +16,9 @@ equivalent to these finitely many checks.
 
 Maps are stored dense but the big ones hold a few nonzeros per column, so
 every step of a certificate walks only the nonzero entries: the sparse
-columns are read off once per map, unit-triangular pivot certificates give
-kernels and solves by sparse substitution (Gilbert-Peierls, SIAM J. Sci.
-Stat. Comput. 9, 1988), and a map without one is factored by one Smith form.
+columns are read off once per map, and the unit-triangular pivot
+certificate each constructor hands its maps gives kernels and solves by
+sparse substitution (Gilbert-Peierls, SIAM J. Sci. Stat. Comput. 9, 1988).
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from .groups import (
     coset_space,
     normal_core,
 )
-from .snf import SNFResult  # re-export: part of this module's surface
 
 __all__ = [
-    "GLattice", "LatticeMap", "LatticeSequence", "LatticeError", "SNFResult",
+    "GLattice", "LatticeMap", "LatticeSequence", "LatticeError",
     "perm_lattice", "natural_perm_lattice", "trivial_lattice",
     "augmentation_kernel", "tensor", "wedge2", "sym2",
     "direct_sum", "wedge2_inclusion", "sym2_projection",
@@ -137,20 +137,24 @@ class GLattice:
         return f"<GLattice rank {self.rank} [{self.label}]>"
 
 
+def _perm_matrix(images: Sequence[int]) -> list[list[int]]:
+    """The permutation matrix sending basis vector c to images[c]."""
+    m = snf.zeros(len(images), len(images))
+    for c, ic in enumerate(images):
+        m[ic][c] = 1
+    return m
+
+
 class PermLattice(GLattice):
     """Z[G/H] with basis the cosets in representative order."""
 
     def __init__(self, cosets: CosetSpace, label: str = ""):
-        n = cosets.size
-        mats = []
-        for g in cosets.group.generators:
-            m = snf.zeros(n, n)
-            for c in range(n):
-                m[cosets.act(g, c)][c] = 1
-            mats.append(m)
-        super().__init__(cosets.group, n, mats,
-                         label or f"perm[{cosets.group.name or 'G'}:{n}]")
+        super().__init__(cosets.group, cosets.size, label=label
+                         or f"perm[{cosets.group.name or 'G'}:{cosets.size}]")
         self.cosets = cosets
+
+    def _compute(self, g: int) -> list[list[int]]:
+        return _perm_matrix([self.cosets.act(g, c) for c in range(self.rank)])
 
 
 class TensorLattice(GLattice):
@@ -249,15 +253,12 @@ class PairsLattice(GLattice):
         self.cosets = cosets
         self.pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         self.pair_index = {p: k for k, p in enumerate(self.pairs)}
-        mats = []
-        for g in cosets.group.generators:
-            img = [cosets.act(g, c) for c in range(n)]
-            m = snf.zeros(len(self.pairs), len(self.pairs))
-            for col, (a, b) in enumerate(self.pairs):
-                m[self.pair_index[(img[a], img[b])]][col] = 1
-            mats.append(m)
-        super().__init__(cosets.group, len(self.pairs), mats,
-                         label=f"pairs[{n}]")
+        super().__init__(cosets.group, len(self.pairs), label=f"pairs[{n}]")
+
+    def _compute(self, g: int) -> list[list[int]]:
+        img = [self.cosets.act(g, c) for c in range(self.cosets.size)]
+        return _perm_matrix([self.pair_index[(img[a], img[b])]
+                             for a, b in self.pairs])
 
 
 # --- constructors ---------------------------------------------------------
@@ -268,16 +269,9 @@ def perm_lattice(cosets: CosetSpace) -> PermLattice:
 
 def natural_perm_lattice(group: PermutationGroup) -> GLattice:
     """Permutation lattice on the points the group acts on."""
-    n = group.degree
-    mats = []
-    for g in group.generators:
-        perm = group.elements[g]
-        m = snf.zeros(n, n)
-        for c in range(n):
-            m[perm[c]][c] = 1
-        mats.append(m)
-    lat = GLattice(group, n, mats, label=f"natural[{group.name or 'G'}]")
-    return lat
+    mats = [_perm_matrix(group.elements[g]) for g in group.generators]
+    return GLattice(group, group.degree, mats,
+                    label=f"natural[{group.name or 'G'}]")
 
 
 def trivial_lattice(group: PermutationGroup) -> GLattice:
@@ -409,9 +403,8 @@ class LatticeMap:
       surjective, and kernel_basis is e_j - P^-1 N e_j for each non-pivot
       column j, P the pivot block, by sparse back-substitution.
 
-    Without a row certificate, solves go through an snf.IntSolver, whose
-    divisors also serve elementary_divisors. Otherwise one cached Smith form
-    (with V) gives the divisors and, without a column certificate, the kernel.
+    A map is certified by these alone: without a verified certificate it is
+    not injective / surjective, and solve / kernel_basis raise LatticeError.
     """
 
     def __init__(self, source: GLattice, target: GLattice,
@@ -428,7 +421,6 @@ class LatticeMap:
         self.label = label
         self.row_pivots = row_pivots
         self.col_pivots = col_pivots
-        self._solver: Optional[snf.IntSolver] = None
 
     def __repr__(self) -> str:
         return f"<LatticeMap {self.source.rank}->{self.target.rank} [{self.label}]>"
@@ -450,16 +442,6 @@ class LatticeMap:
             for c in compress(span, row):
                 cols[c].append((r, row[c]))
         return cols
-
-    @cached_property
-    def _smith(self) -> snf.SNFResult:
-        """The one Smith form (with V) behind divisors and kernel."""
-        return snf.smith_normal_form(self.matrix, want_u=False)
-
-    def elementary_divisors(self) -> list[int]:
-        if self._solver is not None:
-            return self._solver.divisors
-        return self._smith.divisors
 
     def _certificate(self, pivots, size):
         """(pivots as (row, col, unit), {pivot row: k}) or None.
@@ -509,25 +491,19 @@ class LatticeMap:
         return cert
 
     def is_injective_saturated(self) -> bool:
-        """Columns independent and image a direct summand of the target."""
-        if self._row_certificate is not None:
-            return True
-        div = self.elementary_divisors()
-        return len(div) == self.source.rank and all(d == 1 for d in div)
+        """Columns independent and image a direct summand, by certificate."""
+        return self._row_certificate is not None
 
     def is_surjective(self) -> bool:
-        if self._col_certificate is not None:
-            return True
-        div = self.elementary_divisors()
-        return len(div) == self.target.rank and all(d == 1 for d in div)
+        """Onto the target over Z, by certificate."""
+        return self._col_certificate is not None
 
     def kernel_basis(self) -> list[list[int]]:
         """A basis of the integer kernel {x : matrix.x = 0}."""
-        n = self.source.rank
         cert = self._col_certificate
         if cert is None:
-            res = self._smith
-            return [[row[j] for row in res.V] for j in range(res.rank, n)]
+            raise LatticeError(f"map {self.label!r} has no column certificate")
+        n = self.source.rank
         pivots, order = cert
         pivot_cols = {c for _, c, _ in pivots}
         basis = []
@@ -546,13 +522,8 @@ class LatticeMap:
     def solve(self, vec: list[int]) -> Optional[list[int]]:
         """Integer x with matrix.x = vec, or None."""
         cert = self._row_certificate
-        if cert is not None:
-            return self._solve_by_substitution(cert, vec)
-        if self._solver is None:
-            self._solver = snf.IntSolver(self.matrix)
-        return self._solver.solve(vec)
-
-    def _solve_by_substitution(self, cert, vec):
+        if cert is None:
+            raise LatticeError(f"map {self.label!r} has no row certificate")
         residual = {r: vec[r] for r in compress(range(len(vec)), vec)}
         x = _substitute(self._columns, *cert, residual, descending=False)
         # The residual is vec - matrix.x on every row, summed over the
@@ -632,11 +603,8 @@ def is_exact(seq: LatticeSequence) -> ExactnessReport:
     saturated image inside the kernel (composition zero) of the same rank
     as the kernel (rank additivity, outer map surjective) is the kernel.
     It is kept as an independent cross-check of those certificates; it
-    solves outer.kernel_basis(), which is the column-certificate basis
-    when the outer map has one and the Smith-form basis otherwise.
-
-    Every check walks only nonzero entries, except the Smith forms of maps
-    that carry no certificate.
+    solves the column-certificate kernel basis of the outer map through the
+    row certificate of the inner map. Every check walks only nonzeros.
     """
     rep = ExactnessReport()
     inner, outer = seq.inner, seq.outer
@@ -647,11 +615,11 @@ def is_exact(seq: LatticeSequence) -> ExactnessReport:
 
     rep.inner_injective_saturated = inner.is_injective_saturated()
     if not rep.inner_injective_saturated:
-        rep.failures.append("inner map not injective with saturated image")
+        rep.failures.append("inner map not certified injective: no row certificate")
 
     rep.outer_surjective = outer.is_surjective()
     if not rep.outer_surjective:
-        rep.failures.append("outer map not surjective over Z")
+        rep.failures.append("outer map not certified surjective: no column certificate")
 
     rep.rank_additive = (inner.source.rank + outer.target.rank
                          == inner.target.rank)
@@ -705,33 +673,41 @@ def _resolve_element(group: PermutationGroup, g) -> int:
 
 def _kernel_as_lattice(outer: LatticeMap,
                        label: str) -> tuple[GLattice, LatticeMap]:
+    """The kernel of a column-certified map and its inclusion, whose row
+    certificate (j_k, k) holds because the k-th kernel vector is 1 at the
+    k-th non-pivot column j_k and 0 at the others. The action is solved
+    through it, so the generator matrices are filled in after it exists."""
     middle = outer.source
     basis = outer.kernel_basis()
     rank = len(basis)
     kmat = [[basis[j][i] for j in range(rank)]
             for i in range(middle.rank)]
-    solver = snf.IntSolver(kmat)
-    gen_mats = []
+    pivot_cols = {c for _, c in outer.col_pivots}
+    free = [j for j in range(middle.rank) if j not in pivot_cols]
+    gen_mats: list[list[list[int]]] = []
+    kernel = GLattice(middle.group, rank, gen_mats, label=label)
+    incl = LatticeMap(kernel, middle, kmat, label=f"{label}-embedding",
+                      row_pivots=[(j, k) for k, j in enumerate(free)])
     for g in middle.group.generators:
         moved = snf.mat_mult(middle.action(g), kmat)
         m = snf.zeros(rank, rank)
         for col in range(rank):
-            x = solver.solve([moved[i][col] for i in range(middle.rank)])
+            x = incl.solve([moved[i][col] for i in range(middle.rank)])
             if x is None:
                 raise LatticeError("kernel is not action-stable")
             for i, v in enumerate(x):
                 m[i][col] = v
         gen_mats.append(m)
-    kernel = GLattice(middle.group, rank, gen_mats, label=label)
-    incl = LatticeMap(kernel, middle, kmat, label=f"{label}-embedding")
-    incl._solver = solver
     return kernel, incl
 
 
 def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
                       g_list: Iterable) -> LatticeSequence:
     """0 -> M -> Z[G]^r -> omega(G/H) -> 0 sending the i-th unit to the
-    coset difference of the i-th chosen element."""
+    coset difference of the i-th chosen element. A breadth-first spanning
+    tree of the coset graph gH -> g.alpha_i H certifies the outer map: each
+    coset's pivot is the column reaching it, whose other nonzero lies on its
+    parent's earlier row (Seress, Permutation Group Algorithms, 4.1)."""
     alphas = [_resolve_element(group, g) for g in g_list]
     if group.closure(list(subgroup.members) + alphas) != frozenset(
             range(group.order)):
@@ -744,17 +720,27 @@ def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
     omega, _ = augmentation_kernel(cos)
     n = cos.size
     f = snf.zeros(n - 1, r * group.order)
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, alpha in enumerate(alphas):
         for c in range(group.order):
             g = reg.reps[c]
             c1 = cos.coset_of[group.mult(g, alpha)]
             c2 = cos.coset_of[g]
             col = i * group.order + c
+            edges[c2].append((c1, col))
             if c1 != 0:
                 f[c1 - 1][col] += 1
             if c2 != 0:
                 f[c2 - 1][col] -= 1
-    outer = LatticeMap(middle, omega, f, label="coset-difference-map")
+    # Breadth first; a scan of `reached` costs no more than the dense f.
+    col_pivots, reached = [], [0]
+    for c in reached:
+        for c1, col in edges[c]:
+            if c1 not in reached:
+                reached.append(c1)
+                col_pivots.append((c1 - 1, col))
+    outer = LatticeMap(middle, omega, f, label="coset-difference-map",
+                       col_pivots=col_pivots)
     kernel, incl = _kernel_as_lattice(outer, label="relation-module")
     return LatticeSequence(incl, outer)
 
@@ -855,7 +841,8 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
                 f[j - 1][col] += 1
             if h != 0:
                 f[h - 1][col] -= 1
-    outer = LatticeMap(middle, A, f, label="tensor-difference-map")
+    outer = LatticeMap(middle, A, f, label="tensor-difference-map",
+                       col_pivots=[(j - 1, n + j * n) for j in range(1, n)])
     kernel, incl = _kernel_as_lattice(outer, label="formanek-kernel")
     seq = LatticeSequence(incl, outer)
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from brauerlab import cli
 from brauerlab.acceptance import CRITERIA
 from brauerlab.cli import main
 
@@ -114,6 +115,22 @@ def test_bad_input_exits_2(tmp_path, argv):
     code, text = run(tmp_path, "bad.json", *argv)
     assert code == 2
     assert text is None
+
+
+def test_failed_check_exits_1(tmp_path, monkeypatch):
+    real_checks = cli.formanek_checks
+
+    def determinant_2(n):
+        return {**real_checks(n), "iso_det": 2}
+
+    monkeypatch.setattr(cli, "formanek_checks", determinant_2)
+    code, text = run(tmp_path, "fail.json", "lattice", "--formanek", "3")
+    assert code == 1
+    envelope = json.loads(text)
+    assert envelope["status"] == "fail"
+    assert [(c["name"], c["status"]) for c in envelope["checks"]] == [
+        ("sequence-exact", "pass"), ("kernel-rank", "pass"),
+        ("splitting-unimodular", "fail")]
 
 
 def test_non_square_symbol_still_passes(tmp_path):

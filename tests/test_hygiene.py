@@ -57,7 +57,7 @@ def test_all_names_resolve(path):
     assert missing == [], f"{module.__name__}.__all__ names what it lacks: {missing}"
 
 
-# ROADMAP item 4 keeps these for claim (ii), the odd-degree field of
+# ROADMAP item 6 keeps these for claim (ii), the odd-degree field of
 # definition, which no criterion reaches yet.
 KEPT_FOR_CLAIM_II = {
     "y_generators", "field_of_definition_report", "wedge2_inclusion", "sym2_projection",

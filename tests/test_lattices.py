@@ -321,33 +321,28 @@ def _pivot_map(row_pivots=None, *, col_pivots=None):
 
 
 @pytest.mark.parametrize("fault", sorted(BAD_PIVOTS))
-def test_bad_row_pivots_fall_back_to_int_solver(fault, monkeypatch):
+def test_bad_row_pivots_fall_back_to_int_solver(fault, snf_calls):
+    """A faulty row certificate leaves the map uncertified: it refuses."""
     x = [3, -2, 7]
     vec = mat_vec(PIVOT_MATRIX, x)
     good = _pivot_map(GOOD_PIVOTS)
     bad = _pivot_map(BAD_PIVOTS[fault])
-    calls = []
-    real_solve = snf.IntSolver.solve
-
-    def counting_solve(self, b):
-        calls.append(b)
-        return real_solve(self, b)
-
-    monkeypatch.setattr(snf.IntSolver, "solve", counting_solve)
+    assert good.is_injective_saturated()
     assert good.solve(vec) == x
-    assert calls == []
-    assert bad.solve(vec) == x
-    assert calls == [vec]
-    assert bad.is_injective_saturated()  # by the Smith form instead
     # Zero on the good pivot rows, so substitution gives x = 0 and only
     # the check on row 3 can refuse it.
     outside = [0, 0, 0, 1]
     assert good.solve(outside) is None
-    assert bad.solve(outside) is None
+    assert not bad.is_injective_saturated()
+    for v in (vec, outside):
+        with pytest.raises(LatticeError, match="no row certificate"):
+            bad.solve(v)
+    assert snf_calls == []
 
 
 @pytest.mark.parametrize("fault", sorted(BAD_PIVOTS))
 def test_bad_col_pivots_fall_back_to_smith_form(fault, snf_calls):
+    """A faulty column certificate leaves the map uncertified: it refuses."""
     # The transpose turns each row certificate into a column certificate
     # with the same fault.
     def transposed(pivots):
@@ -357,13 +352,12 @@ def test_bad_col_pivots_fall_back_to_smith_form(fault, snf_calls):
     bad = _pivot_map(col_pivots=transposed(BAD_PIVOTS[fault]))
     assert good.is_surjective()
     [k] = good.kernel_basis()
-    assert snf_calls == []
-    assert bad.is_surjective()  # by the Smith form instead
-    [k_bad] = bad.kernel_basis()
-    assert snf_calls == [3]
     assert mat_vec(good.matrix, k) == [0, 0, 0]
     assert k[3] == 1
-    assert k_bad in (k, [-v for v in k])
+    assert not bad.is_surjective()
+    with pytest.raises(LatticeError, match="no column certificate"):
+        bad.kernel_basis()
+    assert snf_calls == []
 
 
 def test_substitution_agrees_with_int_solver_on_seq2():
@@ -388,11 +382,24 @@ def test_substitution_agrees_with_int_solver_on_seq2():
             assert solver.solve(outside) is None
 
 
+def certified_outer_maps():
+    """The outer maps of seq2 and freepres over builtin_family(), and of
+    Formanek's sequence for n = 3..5."""
+    for _, _, seq in family_seq2():
+        yield seq.outer
+    for seq in family_freepres():
+        yield seq.outer
+    for n in (3, 4, 5):
+        yield formanek_sequence(n)[0].outer
+
+
 def test_certificate_kernel_spans_the_smith_kernel():
-    for G, H, seq in family_seq2():
-        outer = seq.outer
+    for outer in certified_outer_maps():
+        G = outer.source.group
         cert = outer.kernel_basis()
-        smith = snf.kernel_basis(outer.matrix)
+        # A matrix with no rows gives the oracle no column count.
+        smith = (snf.kernel_basis(outer.matrix) if outer.target.rank
+                 else snf.identity(outer.source.rank))
         assert len(cert) == len(smith) == outer.source.rank - outer.target.rank
         zero = [0] * outer.target.rank
         assert all(mat_vec(outer.matrix, k) == zero for k in cert)
@@ -411,21 +418,18 @@ def test_certificate_kernel_spans_the_smith_kernel():
                        snf.IntSolver([list(row) for row in zip(*smith)]).solve)
 
 
-def test_freepres_inclusion_reuses_its_solver_divisors(snf_calls, monkeypatch):
-    G = symmetric_group(4)
-    seq = freepres_sequence(G, G.trivial_subgroup(), ["(1 2)", "(1 2 3 4)"])
-    assert is_exact(seq).exact
-    # One Smith form of the outer map serves its kernel, its divisors and
-    # the kernel basis of is_exact; one more builds the inclusion's solver,
-    # whose divisors the inclusion reuses.
-    assert len(snf_calls) == 2
-    monkeypatch.undo()
-
-    for group, gens in ((alternating_group(4), ["(1 2 3)", "(2 3 4)"]),
-                        (G, ["(1 2)", "(1 2 3 4)"])):
-        inner = freepres_sequence(group, group.trivial_subgroup(), gens).inner
-        assert inner._solver is not None
-        assert inner.elementary_divisors() == snf.elementary_divisors(inner.matrix)
+def test_freepres_and_formanek_are_certified_without_smith_forms(snf_calls):
+    S4, A4 = symmetric_group(4), alternating_group(4)
+    seqs = [
+        freepres_sequence(S4, S4.trivial_subgroup(), ["(1 2)", "(1 2 3 4)"]),
+        freepres_sequence(A4, A4.trivial_subgroup(), ["(1 2 3)", "(2 3 4)"]),
+        formanek_sequence(5)[0],
+    ]
+    for seq in seqs:
+        rep = is_exact(seq)
+        assert rep.exact, rep.failures
+    # Building the kernels and certifying them takes no Smith form.
+    assert snf_calls == []
 
 
 def test_kernel_inside_image_solves_every_vector_onto_zero(monkeypatch):
@@ -468,6 +472,15 @@ def test_is_exact_negative_controls():
     assert not rep.exact
     assert any("surjective" in msg for msg in rep.failures)
     assert rep.composition_zero
+
+    # The right matrix without its certificate is not certified either.
+    bare = LatticeMap(seq.outer.source, seq.outer.target, seq.outer.matrix)
+    rep = is_exact(LatticeSequence(seq.inner, bare))
+    assert rep.composition_zero and not rep.outer_surjective
+    assert rep.failures == ["outer map not certified surjective: no column certificate"]
+    bare = LatticeMap(seq.inner.source, seq.inner.target, seq.inner.matrix)
+    rep = is_exact(LatticeSequence(bare, seq.outer))
+    assert rep.failures == ["inner map not certified injective: no row certificate"]
 
     summing = LatticeMap(seq.outer.source, seq.outer.target,
                          [[1] * 6, [0] * 6])
