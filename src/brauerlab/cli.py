@@ -42,13 +42,7 @@ from .factorsets import (
     udn_factor_set,
 )
 from .groups import builtin_family
-from .quadforms import (
-    QuadFormError,
-    diagonal,
-    direct_sum,
-    invariants_over_Q,
-    replay_trace_form_equivalence,
-)
+from .quadforms import diagonal, direct_sum, replay_trace_form_equivalence
 
 SCHEMA = "brauerlab-envelope/1"
 
@@ -289,8 +283,7 @@ def cmd_traceform(args) -> tuple[dict, list]:
 
         # the moves are isometries of the trace field (which contains i),
         # so the sound cross-checks are the rank drop and the discriminant
-        # square class there; rational invariants are reported in addition
-        # whenever the entries happen to lie in Q
+        # square class there
         restored = direct_sum(final, diagonal([1, -1, 1, -1], ring=ring))
         disc = ring.element(1)
         for e in list(start.entries) + list(restored.entries):
@@ -301,21 +294,9 @@ def cmd_traceform(args) -> tuple[dict, list]:
             "rank_drop": start.dim - final.dim,
             "discriminant_square_class_preserved": square_class_ok,
         }
-        ok = rank_ok and square_class_ok
-        try:
-            inv_start = invariants_over_Q(start)
-            inv_final = invariants_over_Q(final)
-            detail["rational"] = {
-                "start": inv_start, "final": inv_final,
-                "discriminant_equal":
-                    inv_start["discriminant"] == inv_final["discriminant"],
-            }
-            ok = ok and inv_start["discriminant"] == inv_final["discriminant"]
-        except QuadFormError:
-            detail["rational"] = ("entries generate Q(i); "
-                                  "rational invariants not defined")
         checks.append(check_result(
-            f"instance-{k}-invariant-cross-checks", ok, detail))
+            f"instance-{k}-invariant-cross-checks",
+            rank_ok and square_class_ok, detail))
     return {"m": args.m, "random": args.random}, checks
 
 
@@ -402,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance checks")
     p.add_argument("--criteria", metavar="LIST",
-                   help="comma-separated subset, e.g. 1,5,10")
+                   help="comma-separated subset, e.g. 1,5,9")
     common(p)
     p.set_defaults(handler=cmd_selftest)
     return parser

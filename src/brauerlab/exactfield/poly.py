@@ -364,9 +364,6 @@ class FieldElement:
     def as_scalar(self) -> Cyc:
         return self.num.as_scalar() / self.den.as_scalar()
 
-    def as_fraction(self) -> Fraction:
-        return self.as_scalar().as_fraction()
-
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):

@@ -42,8 +42,8 @@ __all__ = [
     "perm_lattice", "natural_perm_lattice", "trivial_lattice",
     "augmentation_kernel", "tensor", "wedge2", "sym2",
     "direct_sum", "wedge2_inclusion", "sym2_projection",
-    "freepres_sequence", "seq2_sequence", "formanek_sequence",
-    "is_exact", "ExactnessReport", "is_faithful",
+    "freepres_sequence", "seq2_sequence", "pair_basis_iso",
+    "formanek_sequence", "is_exact", "ExactnessReport", "is_faithful",
     "faithful_predicate_freepres", "faithful_predicate_seq2",
     "perm_character_decomposition",
 ]
@@ -749,16 +749,13 @@ def seq2_sequence(group: PermutationGroup,
                   subgroup: Subgroup) -> LatticeSequence:
     """0 -> omega^(x2) -> Z[ordered distinct coset pairs] -> omega -> 0.
 
-    The middle term is a permutation lattice; the returned sequence also
-    carries .pair_basis_iso, the unimodular equivariant identification of
-    the pairs lattice with omega (x) Z[G/H] on the basis
-    (coset_a - coset_b) (x) coset_b -> pair (a, b).
+    The middle term is a permutation lattice; pair_basis_iso identifies it
+    with omega (x) Z[G/H].
     """
     cos = coset_space(group, subgroup)
     n = cos.size
     if n < 2:
         raise LatticeError("index must be at least 2")
-    perm = PermLattice(cos)
     omega, _ = augmentation_kernel(cos)
     pairs = PairsLattice(cos)
     pidx = pairs.pair_index
@@ -791,9 +788,17 @@ def seq2_sequence(group: PermutationGroup,
     outer = LatticeMap(pairs, omega, pi, label="pair-difference-map",
                        col_pivots=[(a - 1, pidx[(a, 0)]) for a in range(1, n)])
 
-    seq = LatticeSequence(inner, outer)
+    return LatticeSequence(inner, outer)
 
-    mixed = tensor(omega, perm)
+
+def pair_basis_iso(seq: LatticeSequence) -> LatticeMap:
+    """The unimodular equivariant identification of the middle term of a
+    seq2_sequence, the pairs lattice, with omega (x) Z[G/H] on the basis
+    (coset_a - coset_b) (x) coset_b -> pair (a, b)."""
+    pairs, omega = seq.inner.target, seq.outer.target
+    pidx = pairs.pair_index
+    n = pairs.cosets.size
+    mixed = tensor(omega, PermLattice(pairs.cosets))
     m = snf.zeros(pairs.rank, mixed.rank)
     piv_a, piv_b, piv_c = [], [], []
     for i in range(1, n):
@@ -809,10 +814,8 @@ def seq2_sequence(group: PermutationGroup,
                 m[pidx[(i, c)]][col] += 1
                 m[pidx[(0, c)]][col] -= 1
                 piv_a.append((pidx[(i, c)], col))
-    iso = LatticeMap(mixed, pairs, m, label="pair-basis-identification",
-                     row_pivots=piv_a + piv_b + piv_c)
-    seq.pair_basis_iso = iso
-    return seq
+    return LatticeMap(mixed, pairs, m, label="pair-basis-identification",
+                      row_pivots=piv_a + piv_b + piv_c)
 
 
 def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:

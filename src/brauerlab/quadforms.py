@@ -14,10 +14,6 @@ degree-4 crossed product, the quadratic-subfield traces and norms of the
 three squared slot generators; serre_form and equiv_form build the
 associated diagonal forms, and witt_derive_equivalence links them by an
 explicit move certificate.
-
-Rational forms get classical invariants: signature, square-class
-discriminant, and Hasse symbols from the Hilbert symbol at each place,
-which decide isometry over the rationals.
 """
 
 from fractions import Fraction
@@ -25,7 +21,7 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from .crossed import FieldScalars
-from .exactfield import Cyc, FieldElement, PolyRing, factorize, is_square
+from .exactfield import FieldElement, PolyRing, is_square
 
 
 class QuadFormError(ValueError):
@@ -625,132 +621,3 @@ def hyperbolic_sufficient(q: QuadraticForm) -> Optional[dict]:
         unpaired.remove(i)
         unpaired.remove(j)
     return {"pairs": pairs}
-
-
-# ------------------------------------------------------- rational invariants
-
-
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, FieldElement):
-        return value.as_fraction()
-    if isinstance(value, Cyc):
-        return value.as_fraction()
-    return Fraction(value)
-
-
-def _odd_primes_of(fr: Fraction) -> set:
-    return {p for n in (fr.numerator, fr.denominator)
-            for p in factorize(abs(n)) if p != 2}
-
-
-def _valuation(fr: Fraction, p: int):
-    v = 0
-    num, den = fr.numerator, fr.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
-def _squarefree(fr: Fraction) -> int:
-    out = -1 if fr < 0 else 1
-    for p, e in factorize(abs(fr.numerator * fr.denominator)).items():
-        if e % 2:
-            out *= p
-    return out
-
-
-def hilbert_symbol(a, b, place) -> int:
-    """Hilbert symbol (a, b) at a finite prime or at "inf".
-
-    Classical valuation and Legendre formulas: at an odd prime p with
-    a = p^alpha u, b = p^beta v the symbol is
-    (-1)^(alpha beta (p-1)/2) (u|p)^beta (v|p)^alpha; at 2 it is
-    (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u)); at infinity it is
-    -1 exactly when both arguments are negative.
-    """
-    fa, fb = _to_fraction(a), _to_fraction(b)
-    if fa == 0 or fb == 0:
-        raise QuadFormError("zero entry")
-    if place == "inf":
-        return -1 if fa < 0 and fb < 0 else 1
-    p = int(place)
-    if p < 2 or factorize(p) != {p: 1}:
-        raise ValueError("place must be a prime or 'inf'")
-
-    alpha, u = _valuation(fa, p)
-    beta, v = _valuation(fb, p)
-    if p == 2:
-        def unit_mod8(fr):
-            return (fr.numerator * pow(fr.denominator, -1, 8)) % 8
-        um, vm = unit_mod8(u), unit_mod8(v)
-        eps_u, eps_v = (um - 1) // 2 % 2, (vm - 1) // 2 % 2
-        om_u, om_v = (um * um - 1) // 8 % 2, (vm * vm - 1) // 8 % 2
-        exponent = eps_u * eps_v + alpha * om_v + beta * om_u
-        return -1 if exponent % 2 else 1
-
-    def legendre(fr):
-        residue = (fr.numerator * pow(fr.denominator, -1, p)) % p
-        value = pow(residue, (p - 1) // 2, p)
-        return -1 if value == p - 1 else 1
-
-    sym = 1
-    if (alpha * beta * ((p - 1) // 2)) % 2:
-        sym = -sym
-    if beta % 2 and legendre(u) == -1:
-        sym = -sym
-    if alpha % 2 and legendre(v) == -1:
-        sym = -sym
-    return sym
-
-
-def _rational_entries(q: QuadraticForm) -> list:
-    try:
-        return [_to_fraction(e) for e in q.entries]
-    except (ValueError, ArithmeticError):
-        raise QuadFormError("rational invariants need rational entries")
-
-
-def hilbert_places(values) -> list:
-    """Places where a Hilbert symbol among the given rationals can be -1:
-    the real place, 2, and the odd primes meeting a numerator or denominator.
-    """
-    return _places_for([[_to_fraction(v) for v in values]])
-
-
-def _places_for(entry_lists) -> list:
-    primes = set()
-    for entries in entry_lists:
-        for e in entries:
-            primes |= _odd_primes_of(e)
-    return ["inf", 2] + sorted(primes)
-
-
-def invariants_over_Q(q: QuadraticForm) -> dict:
-    """Rank, signature, square-class discriminant, and Hasse symbols of a
-    nondegenerate rational form.
-
-    The Hasse symbol is listed at infinity, at 2, and at every odd prime
-    dividing some entry; it is +1 at all other places.
-    """
-    entries = _rational_entries(q)
-    places = _places_for([entries])
-    disc = Fraction(1)
-    for e in entries:
-        disc *= e
-    hasse = {}
-    for place in places:
-        sym = 1
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                sym *= hilbert_symbol(entries[i], entries[j], place)
-        hasse[str(place)] = sym
-    return {
-        "rank": len(entries),
-        "signature": sum(1 if e > 0 else -1 for e in entries),
-        "discriminant": _squarefree(disc),
-        "hasse": hasse,
-    }

@@ -6,6 +6,7 @@ import pytest
 from brauerlab import cli
 from brauerlab.acceptance import CRITERIA
 from brauerlab.cli import main
+from brauerlab.quadforms import QuadraticForm
 
 
 def run(tmp_path, name, *argv):
@@ -20,11 +21,11 @@ def sha256(text):
 
 # sha256 of the serialized reference envelopes: a change that alters one
 # of them has to update the digest here and say why
-SELFTEST_SEED_42 = "8e6fb82f8757b7adcb5e7f22c4960e90fb88d8085c2d0990b79fa8a0cddc93f1"
-SELFTEST_SEED_7 = "470652ea615830de4f4887d41ee904e632a6be2635801f00be5a16b8952bdaca"
+SELFTEST_SEED_42 = "879a612b73421cfc24a1c7c73200ac2bd70f384f359002d68d1baf625cd54892"
+SELFTEST_SEED_7 = "39f8792978c2a60c8f2e03720d70abf18aff79d261b2137c4e820fc60433bb28"
 REFERENCE_ENVELOPES = [
     (("traceform", "--random", "2"),
-     "39b67d7d0c69fa8802b07aa44fb525d890e92614875167b2c743df2b34e0f3cf"),
+     "769ed11bf0123427a9b181569fea7f7eb9f7b6f3e83c1e09af25ebfa6fc8ca59"),
     (("crossed-decompose", "--m", "2", "--random", "3"),
      "ec9037fbe5bb74267eb81efbaa86ef668dce32fc18b2a75e2693e7853af6d493"),
     (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "2", "1"),
@@ -110,6 +111,9 @@ def test_integer_certificates_pass_and_are_byte_identical(tmp_path, argv):
     ("crossed-decompose", "--symbol", "4", "5", "2", "1"),
     ("crossed-decompose", "--symbol", "1", "-1", "1", "1"),
     ("crossed-decompose", "--symbol", "2", "-4", "2", "1"),
+    ("selftest", "--criteria", "10"),
+    ("selftest", "--criteria", "0"),
+    ("selftest", "--criteria", "x"),
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     code, text = run(tmp_path, "bad.json", *argv)
@@ -131,6 +135,33 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     assert [(c["name"], c["status"]) for c in envelope["checks"]] == [
         ("sequence-exact", "pass"), ("kernel-rank", "pass"),
         ("splitting-unimodular", "fail")]
+
+
+def test_traceform_cross_check_catches_a_non_square_entry(tmp_path, monkeypatch):
+    # 3 is not a square in Q(i), so tripling one entry of the final form
+    # changes its discriminant square class while the replay still matches
+    real_replay = cli.replay_trace_form_equivalence
+
+    def tripled(td):
+        report = real_replay(td)
+        final = report["final_form"]
+        entries = [final.entries[0] * 3, *final.entries[1:]]
+        return {**report, "final_form": QuadraticForm(final.ring, entries)}
+
+    monkeypatch.setattr(cli, "replay_trace_form_equivalence", tripled)
+    code, text = run(tmp_path, "fail.json", "traceform", "--random", "1")
+    assert code == 1
+    status = {c["name"]: c["status"] for c in json.loads(text)["checks"]}
+    assert status["instance-0-move-certificate"] == "pass"
+    assert status["instance-0-invariant-cross-checks"] == "fail"
+
+
+def test_selftest_runs_the_listed_criteria_in_order(tmp_path):
+    code, text = run(tmp_path, "some.json", "selftest", "--criteria", "9,1")
+    assert code == 0
+    envelope = json.loads(text)
+    assert envelope["input"]["criteria"] == [9, 1]
+    assert [c["name"] for c in envelope["checks"]] == [CRITERIA[8][0], CRITERIA[0][0]]
 
 
 def test_non_square_symbol_still_passes(tmp_path):

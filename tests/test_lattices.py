@@ -28,6 +28,7 @@ from brauerlab.lattices import (
     is_exact,
     is_faithful,
     natural_perm_lattice,
+    pair_basis_iso,
     perm_character_decomposition,
     perm_lattice,
     seq2_sequence,
@@ -250,7 +251,7 @@ def test_seq2_small():
 def test_seq2_pair_basis_iso():
     G, H, X = stabilizer_cosets(3)
     seq = seq2_sequence(G, H)
-    iso = seq.pair_basis_iso
+    iso = pair_basis_iso(seq)
     assert iso.source.rank == iso.target.rank == 6
     assert iso.is_injective_saturated()
     assert snf.det(iso.matrix) in (1, -1)
