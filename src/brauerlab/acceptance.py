@@ -186,8 +186,7 @@ def tensor_square_checks(group: PermutationGroup, subgroup: Subgroup) -> dict:
     seq = seq2_sequence(group, subgroup)
     report = is_exact(seq)
     iso = pair_basis_iso(seq)
-    matrix = iso.matrix
-    rank = iso.target.rank
+    columns = iso.columns
     pidx = seq.inner.target.pair_index
 
     # defining rule: mixed slot (i, c) -> pair (i, c) - pair (0, c), with
@@ -201,9 +200,8 @@ def tensor_square_checks(group: PermutationGroup, subgroup: Subgroup) -> dict:
                 expect[pidx[(i, c)]] = 1
             if c != 0:
                 expect[pidx[(0, c)]] = expect.get(pidx[(0, c)], 0) - 1
-            for row in range(rank):
-                if matrix[row][col] != expect.get(row, 0):
-                    rule_ok = False
+            if dict(columns[col]) != expect:
+                rule_ok = False
 
     # unimodularity witness: the rule inverts explicitly, so M . Q = I with
     # Q integral proves det = +-1 without a dense determinant
@@ -217,10 +215,8 @@ def tensor_square_checks(group: PermutationGroup, subgroup: Subgroup) -> dict:
             cols = {(a - 1) * n + b: 1, (b - 1) * n + b: -1}
         image: dict = {}
         for col, coeff in cols.items():
-            for row in range(rank):
-                v = matrix[row][col]
-                if v:
-                    image[row] = image.get(row, 0) + coeff * v
+            for row, v in columns[col]:
+                image[row] = image.get(row, 0) + coeff * v
         image = {k: v for k, v in image.items() if v}
         if image != {pidx[(a, b)]: 1}:
             inverse_ok = False
@@ -269,18 +265,19 @@ def check_tensor_square_family(seed: int):
 def formanek_checks(n: int) -> dict:
     seq, iso = formanek_sequence(n)
     report = is_exact(seq)
+    iso_det = snf.det(iso.matrix)
     return {
         "ok": bool(
             report.exact
             and seq.inner.source.rank == n * n + 1
             and iso.source.rank == iso.target.rank == n * n + 1
-            and snf.det(iso.matrix) in (1, -1)
+            and iso_det in (1, -1)
             and iso.check_equivariance()
             and seq.outer.check_equivariance()
         ),
         "exact": report.exact,
         "kernel_rank": seq.inner.source.rank,
-        "iso_det": snf.det(iso.matrix),
+        "iso_det": iso_det,
     }
 
 

@@ -76,14 +76,13 @@ class BoundReport:
 
 
 def _normalize_assumptions(assumptions) -> tuple[str, ...]:
-    if assumptions is None:
-        return ()
-    if isinstance(assumptions, str):
-        assumptions = [assumptions]
-    out = []
-    for a in assumptions:
-        out.append(ROOTS_FLAG if a in _FLAG_ALIASES else a)
-    return tuple(sorted(set(out)))
+    flags = ({assumptions} if isinstance(assumptions, str)
+             else set(assumptions or ()))
+    unknown = sorted(flags - _FLAG_ALIASES)
+    if unknown:
+        raise ValueError(f"unknown assumption {unknown[0]!r}; choose from "
+                         f"{sorted(_FLAG_ALIASES)}")
+    return (ROOTS_FLAG,) if flags else ()
 
 
 @lru_cache(maxsize=None)

@@ -16,15 +16,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import snf
-from .groups import PermutationGroup, Subgroup, coset_space, cycles_string
-from .lattices import (
-    augmentation_kernel,
-    direct_sum,
-    perm_character_decomposition,
-    perm_lattice,
-    sym2,
-    trivial_lattice,
-)
+from .groups import cycles_string
 
 
 class FactorSetError(ValueError):
@@ -266,81 +258,3 @@ def expand_wedge_coordinates(n: int, coords: dict) -> list[int]:
         for r in range(n * n):
             out[r] += v * vec[r]
     return out
-
-
-def y_generators(group: PermutationGroup, subgroup: Subgroup
-                 ) -> tuple[list[list[int]], CheckCertificate]:
-    """All (coset_i - coset_j) (x) (coset_j - coset_h) in the tensor square
-    of the augmentation kernel, with a spanning certificate (elementary
-    divisors of the coordinate matrix all 1 at full rank)."""
-    cos = coset_space(group, subgroup)
-    n = cos.size
-    rank = (n - 1) ** 2
-
-    def bvec(a, b):
-        # coset_a - coset_b over the difference basis
-        v = [0] * (n - 1)
-        if a != 0:
-            v[a - 1] += 1
-        if b != 0:
-            v[b - 1] -= 1
-        return v
-
-    vecs = []
-    for i in range(n):
-        for j in range(n):
-            for h in range(n):
-                left = bvec(i, j)
-                right = bvec(j, h)
-                vecs.append([lv * rv for lv in left for rv in right])
-    cert = CheckCertificate()
-    cert.checked = len(vecs)
-    mat = [[v[r] for v in vecs] for r in range(rank)]
-    div = snf.elementary_divisors(mat)
-    if len(div) != rank or any(d != 1 for d in div):
-        cert.failures.append(("divisors", div))
-    return vecs, cert
-
-
-def _q_candidates(G: PermutationGroup, n: int) -> list[Subgroup]:
-    two_sub = ["(1 2)"]
-    if n - 2 >= 2:
-        two_sub.append("(3 4)")
-    if n - 2 >= 3:
-        two_sub.append("(" + " ".join(str(i) for i in range(3, n + 1)) + ")")
-    point = ["(1 2)"]
-    if n - 1 >= 3:
-        point.append("(" + " ".join(str(i) for i in range(1, n)) + ")")
-    return [G.subgroup(two_sub), G.subgroup(point), G.full_subgroup()]
-
-
-def field_of_definition_report(n: int) -> dict:
-    """Bookkeeping for where the generic degree-n division algebra is
-    defined: the transcendence degree of the antisymmetric invariant field
-    and the rationality certificate for the complementary lattice."""
-    if n % 2 == 0 or n < 5:
-        raise FactorSetError("n must be odd and at least 5")
-    from .groups import symmetric_group
-    G = symmetric_group(n)
-    cands = _q_candidates(G, n)
-    # stabilizer cosets realize U_n; its augmentation kernel is the
-    # deleted-sum lattice
-    X = coset_space(G, cands[1])
-    U = perm_lattice(X)
-    A, _ = augmentation_kernel(X)
-    Q = direct_sum([sym2(A), U, trivial_lattice(G)])
-    coeffs = perm_character_decomposition(Q, cands)
-    trdeg = (n - 1) * (n - 2) // 2
-    m = n * (n + 1) // 2 + 1
-    return {
-        "n": n,
-        "invariant_field_trdeg": trdeg,
-        "wedge_rank": trdeg,
-        "complement_rank": Q.rank,
-        "x_variable_count": m,
-        "t_variable_count": n - 1,
-        "q_candidates": ["pair-stabilizer", "point-stabilizer", "full"],
-        "q_candidate_orders": [h.order for h in cands],
-        "q_permutation_coefficients": coeffs,
-        "q_rationally_permutation": coeffs is not None,
-    }

@@ -91,8 +91,8 @@ def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
 class PermutationGroup:
     """A materialized permutation group.
 
-    elements[0] is always the identity. Each element stores the word
-    (sequence of generator positions) that produced it during the BFS.
+    elements[0] is always the identity. parents records the BFS tree that
+    reached each element from the generators.
     """
 
     def __init__(self, generators: Iterable, degree: Optional[int] = None,
@@ -114,7 +114,6 @@ class PermutationGroup:
         ident = tuple(range(degree))
         self.elements: list[tuple[int, ...]] = [ident]
         self.index: dict[tuple[int, ...], int] = {ident: 0}
-        self.words: list[tuple[int, ...]] = [()]
         # parents[i] = (parent element index, generator position) along the
         # BFS tree, so element i = parent * gens[pos]. parents[0] is None.
         self.parents: list[Optional[tuple[int, int]]] = [None]
@@ -124,7 +123,6 @@ class PermutationGroup:
             if g not in self.index:
                 self.index[g] = len(self.elements)
                 self.elements.append(g)
-                self.words.append((pos,))
                 self.parents.append((0, pos))
             self.generators.append(self.index[g])
         frontier = list(range(len(self.elements)))
@@ -140,14 +138,12 @@ class PermutationGroup:
                                 f"order cap exceeded (cap={order_cap})")
                         self.index[prod] = len(self.elements)
                         self.elements.append(prod)
-                        self.words.append(self.words[ei] + (pos,))
                         self.parents.append((ei, pos))
                         nxt.append(self.index[prod])
             frontier = nxt
         self.order = len(self.elements)
         self.identity = 0
         self.inverses = [self.index[_inv(e)] for e in self.elements]
-        self._gen_perms = gens
 
     def __len__(self) -> int:
         return self.order
@@ -198,9 +194,6 @@ class PermutationGroup:
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset({0}), ())
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset(range(self.order)), tuple(self.generators))
 
     def conjugacy_classes(self) -> list[list[int]]:
         seen = [False] * self.order

@@ -3,8 +3,8 @@ sequences, all over Z with certificates.
 
 A lattice stores one integer matrix per group generator; the action of an
 arbitrary element is assembled on demand by walking the BFS spanning tree
-of the group and cached. Derived lattices (tensor, wedge, sym, sums) build
-their element actions from the factors instead, which keeps the per-element
+of the group and cached. Tensor products and direct sums build their
+element actions from the factors instead, which keeps the per-element
 cost proportional to the factor ranks, and permutation lattices on cosets
 or coset pairs write each element's permutation matrix directly.
 
@@ -39,22 +39,15 @@ from .groups import (
 
 __all__ = [
     "GLattice", "LatticeMap", "LatticeSequence", "LatticeError",
-    "perm_lattice", "natural_perm_lattice", "trivial_lattice",
-    "augmentation_kernel", "tensor", "wedge2", "sym2",
-    "direct_sum", "wedge2_inclusion", "sym2_projection",
+    "natural_perm_lattice", "augmentation_kernel", "tensor", "direct_sum",
     "freepres_sequence", "seq2_sequence", "pair_basis_iso",
     "formanek_sequence", "is_exact", "ExactnessReport", "is_faithful",
     "faithful_predicate_freepres", "faithful_predicate_seq2",
-    "perm_character_decomposition",
 ]
 
 
 class LatticeError(ValueError):
     pass
-
-
-def _trace(m: list[list[int]]) -> int:
-    return sum(m[i][i] for i in range(len(m)))
 
 
 def _is_identity(m: list[list[int]]) -> bool:
@@ -127,9 +120,6 @@ class GLattice:
         parent, pos = self.group.parents[g]
         return snf.mat_mult(self.action(parent), self._gen_mats[pos])
 
-    def character(self, g: int) -> int:
-        return _trace(self.action(g))
-
     def acts_as_identity(self, g: int) -> bool:
         return _is_identity(self.action(g))
 
@@ -197,54 +187,6 @@ class DirectSumLattice(GLattice):
         return all(p.acts_as_identity(g) for p in self.parts)
 
 
-def _pair_basis(rank: int, strict: bool) -> list[tuple[int, int]]:
-    if strict:
-        return [(i, j) for i in range(rank) for j in range(i + 1, rank)]
-    return [(i, j) for i in range(rank) for j in range(i, rank)]
-
-
-class Wedge2Lattice(GLattice):
-    def __init__(self, base: GLattice):
-        self.base = base
-        self.pairs = _pair_basis(base.rank, strict=True)
-        self.pair_index = {p: k for k, p in enumerate(self.pairs)}
-        super().__init__(base.group, len(self.pairs),
-                         label=f"wedge2({base.label})")
-
-    def _compute(self, g: int) -> list[list[int]]:
-        a = self.base.action(g)
-        m = snf.zeros(self.rank, self.rank)
-        for col, (i, j) in enumerate(self.pairs):
-            # g.(e_i ^ e_j) = sum_{k<l} (a_ki a_lj - a_li a_kj) e_k ^ e_l
-            for row, (k, l) in enumerate(self.pairs):
-                v = a[k][i] * a[l][j] - a[l][i] * a[k][j]
-                if v:
-                    m[row][col] = v
-        return m
-
-
-class Sym2Lattice(GLattice):
-    def __init__(self, base: GLattice):
-        self.base = base
-        self.pairs = _pair_basis(base.rank, strict=False)
-        self.pair_index = {p: k for k, p in enumerate(self.pairs)}
-        super().__init__(base.group, len(self.pairs),
-                         label=f"sym2({base.label})")
-
-    def _compute(self, g: int) -> list[list[int]]:
-        a = self.base.action(g)
-        m = snf.zeros(self.rank, self.rank)
-        for col, (i, j) in enumerate(self.pairs):
-            for row, (k, l) in enumerate(self.pairs):
-                if k == l:
-                    v = a[k][i] * a[k][j]
-                else:
-                    v = a[k][i] * a[l][j] + a[l][i] * a[k][j]
-                if v:
-                    m[row][col] = v
-        return m
-
-
 class PairsLattice(GLattice):
     """Permutation lattice on ordered pairs of distinct cosets."""
 
@@ -263,19 +205,11 @@ class PairsLattice(GLattice):
 
 # --- constructors ---------------------------------------------------------
 
-def perm_lattice(cosets: CosetSpace) -> PermLattice:
-    return PermLattice(cosets)
-
-
 def natural_perm_lattice(group: PermutationGroup) -> GLattice:
     """Permutation lattice on the points the group acts on."""
     mats = [_perm_matrix(group.elements[g]) for g in group.generators]
     return GLattice(group, group.degree, mats,
                     label=f"natural[{group.name or 'G'}]")
-
-
-def trivial_lattice(group: PermutationGroup) -> GLattice:
-    return GLattice(group, 1, [[[1]] for _ in group.generators], label="Z")
 
 
 def _omega_from_perm(perm: GLattice, coset_act: Callable[[int, int], int],
@@ -313,46 +247,8 @@ def tensor(left: GLattice, right: GLattice) -> TensorLattice:
     return TensorLattice(left, right)
 
 
-def wedge2(base: GLattice) -> Wedge2Lattice:
-    return Wedge2Lattice(base)
-
-
-def sym2(base: GLattice) -> Sym2Lattice:
-    return Sym2Lattice(base)
-
-
 def direct_sum(parts: Sequence[GLattice]) -> DirectSumLattice:
     return DirectSumLattice(parts)
-
-
-def wedge2_inclusion(base: GLattice,
-                     square: Optional[TensorLattice] = None) -> "LatticeMap":
-    """e_i ^ e_j -> e_i (x) e_j - e_j (x) e_i into the tensor square."""
-    w = wedge2(base)
-    t = square if square is not None else tensor(base, base)
-    r = base.rank
-    m = snf.zeros(t.rank, w.rank)
-    for col, (i, j) in enumerate(w.pairs):
-        m[i * r + j][col] = 1
-        m[j * r + i][col] = -1
-    return LatticeMap(w, t, m, label="wedge2-inclusion",
-                      row_pivots=[(i * r + j, col)
-                                  for col, (i, j) in enumerate(w.pairs)])
-
-
-def sym2_projection(base: GLattice,
-                    square: Optional[TensorLattice] = None) -> "LatticeMap":
-    """e_i (x) e_j -> e_i.e_j onto the symmetric square."""
-    s = sym2(base)
-    t = square if square is not None else tensor(base, base)
-    r = base.rank
-    m = snf.zeros(s.rank, t.rank)
-    for i in range(r):
-        for j in range(r):
-            m[s.pair_index[(min(i, j), max(i, j))]][i * r + j] = 1
-    return LatticeMap(t, s, m, label="sym2-projection",
-                      col_pivots=[(row, i * r + j)
-                                  for row, (i, j) in enumerate(s.pairs)])
 
 
 # --- maps and sequences ---------------------------------------------------
@@ -434,7 +330,7 @@ class LatticeMap:
         return True
 
     @cached_property
-    def _columns(self) -> list[list[tuple[int, int]]]:
+    def columns(self) -> list[list[tuple[int, int]]]:
         """The nonzero (row, value) pairs of each column."""
         cols: list[list[tuple[int, int]]] = [[] for _ in range(self.source.rank)]
         span = range(self.source.rank)
@@ -472,7 +368,7 @@ class LatticeMap:
         # the rows of earlier pivots.
         pivots, order = cert
         for k, (_, c, _) in enumerate(pivots):
-            if any(order.get(r, k) < k for r, _ in self._columns[c]):
+            if any(order.get(r, k) < k for r, _ in self.columns[c]):
                 return None
         return cert
 
@@ -486,7 +382,7 @@ class LatticeMap:
         # Column c_k is zero at later pivot rows; every row is a pivot row.
         pivots, order = cert
         for k, (_, c, _) in enumerate(pivots):
-            if any(order[r] > k for r, _ in self._columns[c]):
+            if any(order[r] > k for r, _ in self.columns[c]):
                 return None
         return cert
 
@@ -510,8 +406,8 @@ class LatticeMap:
         for j in range(n):
             if j in pivot_cols:
                 continue
-            x = _substitute(self._columns, pivots, order,
-                            dict(self._columns[j]), descending=True)
+            x = _substitute(self.columns, pivots, order,
+                            dict(self.columns[j]), descending=True)
             v = [0] * n
             v[j] = 1
             for c, xc in x.items():
@@ -525,7 +421,7 @@ class LatticeMap:
         if cert is None:
             raise LatticeError(f"map {self.label!r} has no row certificate")
         residual = {r: vec[r] for r in compress(range(len(vec)), vec)}
-        x = _substitute(self._columns, *cert, residual, descending=False)
+        x = _substitute(self.columns, *cert, residual, descending=False)
         # The residual is vec - matrix.x on every row, summed over the
         # columns of the nonzero unknowns; the pivots clear only their own.
         if any(residual.values()):
@@ -580,8 +476,8 @@ class ExactnessReport:
 
 def _composes_to_zero(outer: LatticeMap, inner: LatticeMap) -> bool:
     """outer.matrix * inner.matrix == 0, over the sparse columns of both."""
-    outer_cols = outer._columns
-    for col in inner._columns:
+    outer_cols = outer.columns
+    for col in inner.columns:
         acc: dict[int, int] = {}
         for r, v in col:
             for r2, w in outer_cols[r]:
@@ -877,46 +773,3 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
            for i in range(kernel.rank)]
     iso = LatticeMap(src, kernel, mat, label="kernel-decomposition")
     return seq, iso
-
-
-# --- characters -----------------------------------------------------------
-
-def perm_character_decomposition(lat: GLattice,
-                                 subgroups: Sequence[Subgroup],
-                                 search_radius: int = 4
-                                 ) -> Optional[list[int]]:
-    """Nonnegative integers c_i with char(lat) = sum c_i char(Z[G/H_i]),
-    or None if no such decomposition exists over the supplied list.
-
-    Equality of characters pins the rational representation, so a hit
-    certifies lat (x) Q is a permutation representation; it is only a
-    necessary condition for lat itself being a permutation lattice.
-    """
-    G = lat.group
-    reps = G.class_representatives
-    target = [lat.character(g) for g in reps]
-    cols = []
-    for H in subgroups:
-        X = coset_space(G, H)
-        cols.append([sum(1 for c in range(X.size) if X.act(g, c) == c)
-                     for g in reps])
-    a = [[cols[j][i] for j in range(len(subgroups))]
-         for i in range(len(reps))]
-    solver = snf.IntSolver(a)
-    part = solver.solve(target)
-    if part is None:
-        return None
-    free = snf.kernel_basis(a)
-    if not free:
-        return part if all(x >= 0 for x in part) else None
-    # Bounded search over the solution affine sublattice for a nonneg point.
-    from itertools import product
-    for shifts in product(range(-search_radius, search_radius + 1),
-                          repeat=len(free)):
-        cand = list(part)
-        for s, k in zip(shifts, free):
-            for idx in range(len(cand)):
-                cand[idx] += s * k[idx]
-        if all(x >= 0 for x in cand):
-            return cand
-    return None

@@ -209,10 +209,6 @@ def smith_normal_form(a, *, want_u: bool = True, want_v: bool = True) -> SNFResu
     return SNFResult(U=w.U, D=w.A, V=w.V)
 
 
-def elementary_divisors(a) -> list[int]:
-    return smith_normal_form(a, want_u=False, want_v=False).divisors
-
-
 def kernel_basis(a) -> list[list[int]]:
     """Basis of the integer kernel {x : A x = 0}, as a list of vectors.
 

@@ -4,11 +4,11 @@ from brauerlab.bounds import (
 )
 from brauerlab.groups import coset_space, cyclic_group, symmetric_group
 from brauerlab.lattices import (
+    GLattice,
     augmentation_kernel,
     formanek_sequence,
     is_faithful,
     tensor,
-    trivial_lattice,
 )
 
 
@@ -106,7 +106,7 @@ def test_tau_rank_bound():
     assert seq.inner.source.rank == 26
 
     G = symmetric_group(3)
-    assert not is_faithful(trivial_lattice(G))
+    assert not is_faithful(GLattice(G, 1, [[[1]] for _ in G.generators]))
 
     # omega^(x2) for (S4, S3) is faithful of rank 9
     G4 = symmetric_group(4)

@@ -114,6 +114,7 @@ def test_integer_certificates_pass_and_are_byte_identical(tmp_path, argv):
     ("selftest", "--criteria", "10"),
     ("selftest", "--criteria", "0"),
     ("selftest", "--criteria", "x"),
+    ("bounds", "--n", "5", "--assume", "bogus"),
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     code, text = run(tmp_path, "bad.json", *argv)

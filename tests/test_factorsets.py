@@ -10,15 +10,12 @@ from brauerlab.factorsets import (
     check_cocycle,
     check_equivariance,
     expand_wedge_coordinates,
-    field_of_definition_report,
     is_normalized,
     is_reduced,
     normalized_factor_set,
     udn_factor_set,
     wedge_membership,
-    y_generators,
 )
-from brauerlab.groups import cyclic_group, symmetric_group
 
 
 def test_udn_entries():
@@ -127,32 +124,6 @@ def test_membership_implies_antisymmetric_zero_rowsums():
             assert sum(t[i * n + j] for j in range(n)) == 0
             for j in range(n):
                 assert t[i * n + j] == -t[j * n + i]
-
-
-def test_y_generators_span():
-    G = symmetric_group(3)
-    H = G.subgroup(["(1 2)"])
-    vecs, cert = y_generators(G, H)
-    assert cert.ok
-    assert len(vecs) == 27
-    C2 = cyclic_group(2)
-    vecs, cert = y_generators(C2, C2.trivial_subgroup())
-    assert cert.ok
-    assert any(v != [0] for v in vecs)
-
-
-def test_field_of_definition_report():
-    rep = field_of_definition_report(5)
-    assert rep["invariant_field_trdeg"] == 6
-    assert rep["x_variable_count"] == 16
-    assert rep["complement_rank"] == 16
-    assert rep["t_variable_count"] == 4
-    assert rep["q_permutation_coefficients"] == [1, 1, 1]
-    assert rep["q_rationally_permutation"] is True
-    with pytest.raises(FactorSetError):
-        field_of_definition_report(4)
-    with pytest.raises(FactorSetError):
-        field_of_definition_report(3)
 
 
 def test_udn_entry_failures_names_each_bad_triple():

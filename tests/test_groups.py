@@ -63,12 +63,14 @@ def test_table_matches_composition():
 
 
 def test_words_reproduce_elements():
+    # parents is the BFS tree GLattice._compute walks: each element is an
+    # earlier one times a generator, so every walk reaches the identity.
     G = symmetric_group(4)
-    for i, w in enumerate(G.words):
-        acc = 0
-        for pos in w:
-            acc = G.mult(acc, G.generators[pos])
-        assert acc == i
+    assert G.parents[0] is None
+    for i in range(1, G.order):
+        parent, pos = G.parents[i]
+        assert parent < i
+        assert G.mult(parent, G.generators[pos]) == i
 
 
 def test_order_cap():
@@ -132,7 +134,7 @@ def test_normal_core():
     assert normal_core(G, d4).members == v4.members
     s3 = G.subgroup(["(1 2)", "(1 2 3)"])
     assert normal_core(G, s3).is_trivial()
-    assert normal_core(G, G.full_subgroup()).order == 24
+    assert normal_core(G, G.subgroup(G.generators)).order == 24
 
 
 def test_min_generators_rel():
@@ -142,7 +144,7 @@ def test_min_generators_rel():
     assert r == 1
     assert G.closure(list(H.members) + list(witness)) == frozenset(range(120))
 
-    r0, w0 = min_generators_rel(G, G.full_subgroup())
+    r0, w0 = min_generators_rel(G, G.subgroup(G.generators))
     assert (r0, w0) == (0, ())
 
     E = builtin_family()[-1]  # C2 x C2 x C2 needs 3 generators from scratch

@@ -57,11 +57,6 @@ def test_all_names_resolve(path):
     assert missing == [], f"{module.__name__}.__all__ names what it lacks: {missing}"
 
 
-# ROADMAP item 6 keeps these for claim (ii), the odd-degree field of
-# definition, which no criterion reaches yet.
-KEPT_FOR_CLAIM_II = {
-    "y_generators", "field_of_definition_report", "wedge2_inclusion", "sym2_projection",
-}
 BENCH = PACKAGE.parent.parent / "perfbench"
 
 
@@ -110,6 +105,6 @@ def test_every_definition_is_referenced():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in referenced | KEPT_FOR_CLAIM_II
+        and node.name not in referenced
     ]
     assert unreferenced == [], f"defined in src/ but never referenced: {unreferenced}"

@@ -16,9 +16,11 @@ from brauerlab.groups import (
     symmetric_group,
 )
 from brauerlab.lattices import (
+    GLattice,
     LatticeError,
     LatticeMap,
     LatticeSequence,
+    PermLattice,
     augmentation_kernel,
     direct_sum,
     faithful_predicate_freepres,
@@ -29,21 +31,23 @@ from brauerlab.lattices import (
     is_faithful,
     natural_perm_lattice,
     pair_basis_iso,
-    perm_character_decomposition,
-    perm_lattice,
     seq2_sequence,
-    sym2,
-    sym2_projection,
     tensor,
-    trivial_lattice,
-    wedge2,
-    wedge2_inclusion,
 )
 
 
 def mat_vec(a, v):
     """Oracle: the integer matrix-vector product a v."""
     return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def character(lat, g):
+    """The trace of g's action."""
+    return sum(row[i] for i, row in enumerate(lat.action(g)))
+
+
+def trivial_lattice(G):
+    return GLattice(G, 1, [[[1]] for _ in G.generators])
 
 
 @pytest.fixture
@@ -118,22 +122,22 @@ def check_action_invariants(lat, pairs=200, seed=0, check_det=True):
 
 def test_perm_lattice_ranks():
     G3, H3, X3 = stabilizer_cosets(3)
-    assert perm_lattice(X3).rank == 3
+    assert PermLattice(X3).rank == 3
     G5, H5, X5 = stabilizer_cosets(5)
-    U5 = perm_lattice(X5)
+    U5 = PermLattice(X5)
     assert U5.rank == 5
-    full = coset_space(G5, G5.full_subgroup())
-    assert perm_lattice(full).rank == 1
+    full = coset_space(G5, G5.subgroup(G5.generators))
+    assert PermLattice(full).rank == 1
     check_action_invariants(U5, pairs=1000)
 
 
 def test_perm_lattice_matches_natural_character():
     G, H, X = stabilizer_cosets(5)
-    U = perm_lattice(X)
+    U = PermLattice(X)
     nat = natural_perm_lattice(G)
     for c in G.conjugacy_classes():
         g = c[0]
-        assert U.character(g) == nat.character(g)
+        assert character(U, g) == character(nat, g)
 
 
 def test_augmentation_kernel():
@@ -145,46 +149,17 @@ def test_augmentation_kernel():
     assert all(sum(column) == 0 for column in zip(*emb.matrix))
     check_action_invariants(omega)
 
-    full = coset_space(G, G.full_subgroup())
+    full = coset_space(G, G.subgroup(G.generators))
     zero_omega, _ = augmentation_kernel(full)
     assert zero_omega.rank == 0
 
 
-def test_tensor_wedge_sym_ranks():
+def test_tensor_ranks():
     G, H, X = stabilizer_cosets(5)
-    U = perm_lattice(X)
+    U = PermLattice(X)
     A, _ = augmentation_kernel(X)
     assert tensor(U, U).rank == 25
-    assert wedge2(A).rank == 6
-    assert sym2(A).rank == 10
-    check_action_invariants(wedge2(A), pairs=100)
-    check_action_invariants(sym2(A), pairs=100)
     check_action_invariants(tensor(A, A), pairs=100)
-
-
-def test_sym2_character_is_fixed_pair_count():
-    # Trace of sym2 of the deleted-permutation lattice at a transposition
-    # equals the number of fixed 2-subsets: C(3,2) + 1 = 4 for S5.
-    G, H, X = stabilizer_cosets(5)
-    A, _ = augmentation_kernel(X)
-    S = sym2(A)
-    t = G.index[(1, 0, 2, 3, 4)]
-    assert S.character(t) == 4
-    # and at a 5-cycle: fix = 0, fix(sq) = 0 -> ((0-1)^2 + 0 - 1)/2 = 0
-    five = G.index[(1, 2, 3, 4, 0)]
-    assert S.character(five) == 0
-
-
-def test_wedge_sym_sequence_exact():
-    G, H, X = stabilizer_cosets(5)
-    A, _ = augmentation_kernel(X)
-    sq = tensor(A, A)
-    inner = wedge2_inclusion(A, sq)
-    outer = sym2_projection(A, sq)
-    assert inner.check_equivariance()
-    assert outer.check_equivariance()
-    rep = is_exact(LatticeSequence(inner, outer))
-    assert rep.exact, rep.failures
 
 
 def test_freepres_ranks_and_exactness():
@@ -437,7 +412,7 @@ def test_kernel_inside_image_solves_every_vector_onto_zero(monkeypatch):
     # H = G: the outer map goes onto the zero lattice, so its kernel is the
     # whole middle term and every unit vector must be solved.
     G = symmetric_group(3)
-    seq = freepres_sequence(G, G.full_subgroup(), ["(1 2)"])
+    seq = freepres_sequence(G, G.subgroup(G.generators), ["(1 2)"])
     assert seq.outer.target.rank == 0
     solved = []
     real_solve = LatticeMap.solve
@@ -516,47 +491,23 @@ def test_is_faithful_by_class_representatives_matches_every_element():
 def test_is_faithful_basics():
     G, H, X = stabilizer_cosets(5)
     A, _ = augmentation_kernel(X)
-    assert is_faithful(wedge2(A)) is True
+    assert is_faithful(tensor(A, A)) is True
     assert is_faithful(trivial_lattice(G)) is False
 
+    # The sign lattice of S3, the determinant of its rank-2 action, has
+    # kernel A3.
     G3, H3, X3 = stabilizer_cosets(3)
     A2, _ = augmentation_kernel(X3)
-    assert is_faithful(wedge2(A2)) is False
+    sign = GLattice(G3, 1, [[[snf.det(A2.action(g))]] for g in G3.generators])
+    assert is_faithful(sign) is False
 
 
 def test_character_values():
     G, H, X = stabilizer_cosets(3)
-    U = perm_lattice(X)
+    U = PermLattice(X)
     t = G.index[(1, 0, 2)]
-    assert U.character(t) == 1
-    assert U.character(0) == 3
-
-
-def test_perm_character_decomposition_q_lattice():
-    G, H, X = stabilizer_cosets(5)
-    A, _ = augmentation_kernel(X)
-    U = perm_lattice(X)
-    Q = direct_sum([sym2(A), U, trivial_lattice(G)])
-    assert Q.rank == 16
-    cands = [
-        G.subgroup(["(1 2)", "(3 4)", "(3 4 5)"]),  # pair x complement
-        G.subgroup(["(1 2)", "(1 2 3 4)"]),         # point stabilizer
-        G.full_subgroup(),
-    ]
-    assert cands[0].order == 12
-    coeffs = perm_character_decomposition(Q, cands)
-    assert coeffs == [1, 1, 1]
-
-
-def test_perm_character_decomposition_sign_fails():
-    G, H, X = stabilizer_cosets(3)
-    A, _ = augmentation_kernel(X)
-    sign = wedge2(A)
-    t = G.index[(1, 0, 2)]
-    assert sign.character(t) == -1
-    cands = [G.subgroup(["(1 2)"]), G.full_subgroup(),
-             G.trivial_subgroup()]
-    assert perm_character_decomposition(sign, cands) is None
+    assert character(U, t) == 1
+    assert character(U, 0) == 3
 
 
 @settings(max_examples=60, deadline=None)
