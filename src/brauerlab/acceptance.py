@@ -36,7 +36,6 @@ from .exactfield import PolyRing
 from .factorsets import (
     FactorSet,
     check_equivariance,
-    expand_wedge_coordinates,
     is_normalized,
     is_reduced,
     normalized_factor_set,
@@ -90,10 +89,7 @@ def udn_entry_failures(cp: FactorSet) -> tuple[list, list]:
     escapes, breaks = [], []
     for i, j, h in itertools.product(range(1, n + 1), repeat=3):
         m = cp[(i, j, h)]
-        coords = wedge_membership(m)
-        if coords is None or (
-            expand_wedge_coordinates(n, coords) != m.exponent_tensor()
-        ):
+        if wedge_membership(m) is None:
             escapes.append((i, j, h))
         if not (m * cp[(h, j, i)]).is_trivial():
             breaks.append((i, j, h))
@@ -341,13 +337,15 @@ def check_power_cancellation(seed: int):
 # ------------------------------------------------- 7: decomposition pipeline
 
 
-def draw_symbol_params(rng: random.Random):
-    """Nonzero rational (e, g, t, lam) avoiding the structural degeneracies
-    g = t^2 (zero divisor in the splitter) and g = -t^2 (f2 = 0)."""
+def draw_symbol_params(rng: random.Random, count: int) -> tuple:
+    """``count`` nonzero rationals (e, g, t, lam, ...) for
+    instance_from_symbol, avoiding the structural degeneracies g = t^2
+    (zero divisor in the splitter) and g = -t^2 (f2 = 0)."""
     while True:
-        e, g, t, lam = (_nonzero(rng) for _ in range(4))
-        if t != 0 and g not in (t * t, -t * t):
-            return e, g, t, lam
+        params = tuple(_nonzero(rng) for _ in range(count))
+        g, t = params[1], params[2]
+        if g not in (t * t, -t * t):
+            return params
 
 
 def seeded_symbol_instances(seed: int, ring: PolyRing, count: int):
@@ -360,7 +358,7 @@ def seeded_symbol_instances(seed: int, ring: PolyRing, count: int):
     rng = seeded_rng(seed, "decomposition")
     done = resampled = 0
     while done < count:
-        params = draw_symbol_params(rng)
+        params = draw_symbol_params(rng, 4)
         try:
             algebra = instance_from_symbol(
                 2, *(ring.element(x) for x in params), ring=ring, check="full")
@@ -430,20 +428,12 @@ def check_decomposition_pipeline(seed: int):
 # ------------------------------------------------------ 8: trace-form chain
 
 
-def _draw_quartic_params(rng: random.Random):
-    while True:
-        e, g, t, lam, mu, nu = (_nonzero(rng) for _ in range(6))
-        if t != 0 and g not in (t * t, -t * t):
-            return e, g, t, lam, mu, nu
-
-
-def quartic_trace_instance(ring: PolyRing, rng: random.Random,
-                           max_resamples: int = 50):
+def quartic_trace_instance(ring: PolyRing, rng: random.Random):
     """A seeded degree-4 instance with full trace data; resamples the
-    measure-zero residual degeneracies."""
+    measure-zero residual degeneracies, at most 50 times."""
     resampled = 0
     while True:
-        e, g, t, lam, mu, nu = _draw_quartic_params(rng)
+        e, g, t, lam, mu, nu = draw_symbol_params(rng, 6)
         try:
             algebra = instance_from_symbol(
                 2, ring.element(e), ring.element(g), ring.element(t),
@@ -452,7 +442,7 @@ def quartic_trace_instance(ring: PolyRing, rng: random.Random,
             return trace_data(algebra), resampled
         except (CrossedError, QuadFormError):
             resampled += 1
-            if resampled > max_resamples:
+            if resampled > 50:
                 raise
 
 

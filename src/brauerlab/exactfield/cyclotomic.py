@@ -3,7 +3,13 @@
 Elements are stored on the power basis 1, zeta, ..., zeta^(phi(N)-1) with
 integer coordinates over a single positive denominator.  All products are
 reduced through precomputed integer rows for zeta^k, so the only rational
-bookkeeping is one gcd per normalization.
+bookkeeping is one gcd per normalization.  Elements of different conductors
+never mix implicitly: ``lift`` is the one embedding.
+
+``inverse`` uses the norm cofactor: x^-1 = prod sigma_a(x) / N(x) over
+a in (Z/N)*, a != 1, where sigma_a maps zeta to zeta^a and the norm
+N(x) = x prod sigma_a(x) is a nonzero rational (Cohen, A Course in
+Computational Algebraic Number Theory, ch. 4).
 
 ``sqrt`` decides exactly whether a rational is a square in Q(zeta_N), by the
 conductor-discriminant theorem, and builds the root from quadratic Gauss
@@ -189,7 +195,11 @@ class Cyc:
             return self
         if conductor % self.conductor:
             raise ValueError("target conductor must be a multiple")
-        step = conductor // self.conductor
+        return self._substitute(conductor, conductor // self.conductor)
+
+    def _substitute(self, conductor: int, step: int) -> "Cyc":
+        # zeta_N^i -> zeta_M^(i*step): the embedding into Q(zeta_M) when
+        # M = N*step, the Galois map sigma_step when M = N
         rows = _power_rows(conductor)
         phi = euler_phi(conductor)
         acc = [0] * phi
@@ -204,11 +214,9 @@ class Cyc:
 
     def _coerce(self, other: Scalarish) -> Optional["Cyc"]:
         if isinstance(other, Cyc):
-            if other.conductor == self.conductor:
-                return other
-            if self.conductor % other.conductor == 0:
-                return other.lift(self.conductor)
-            raise ValueError("conductor mismatch")
+            if other.conductor != self.conductor:
+                raise ValueError("conductor mismatch; lift explicitly")
+            return other
         if isinstance(other, (int, Fraction)):
             return Cyc.rational(other, self.conductor)
         return None
@@ -268,17 +276,16 @@ class Cyc:
         if self.is_rational():
             q = self.as_fraction()
             return Cyc.rational(Fraction(q.denominator, q.numerator), self.conductor)
-        # Extended Euclid against Phi_N over Q: u*self + v*Phi = 1.
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        a = [Fraction(n, self.den) for n in self.nums]
-        inv = _poly_inverse_mod(a, phi_poly)
-        phi = len(self.nums)
-        inv += [Fraction(0)] * (phi - len(inv))
-        den = 1
-        for q in inv:
-            den = den * q.denominator // gcd(den, q.denominator)
-        nums = [int(q * den) for q in inv]
-        return Cyc(self.conductor, nums, den)
+        # x^-1 = prod_{a != 1} sigma_a(x) / N(x) over a in (Z/N)*
+        n = self.conductor
+        cofactor = Cyc.one(n)
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                cofactor = cofactor * self._substitute(n, a)
+        norm = self * cofactor
+        if norm.is_zero() or not norm.is_rational():
+            raise ExactFieldError("norm is not a nonzero rational")
+        return Cyc(n, [a * norm.den for a in cofactor.nums], cofactor.den * norm.nums[0])
 
     def __truediv__(self, other: Scalarish) -> "Cyc":
         o = self._coerce(other)
@@ -369,12 +376,8 @@ class Cyc:
             other = Cyc.rational(other, self.conductor)
         if not isinstance(other, Cyc):
             return NotImplemented
-        if other.conductor != self.conductor:
-            try:
-                other = self._coerce(other)
-            except ValueError:
-                return False
-        return self.nums == other.nums and self.den == other.den
+        return (self.conductor == other.conductor and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
         return hash((self.conductor, self.nums, self.den))
@@ -416,49 +419,6 @@ class Cyc:
 
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _poly_inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    # Extended Euclid over Q[x]; gcd is 1 because Phi_N is irreducible.
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def divmod_poly(num, den):
-        num = list(num)
-        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        while len(num) >= len(den) and any(num):
-            if num[-1] == 0:
-                num.pop()
-                continue
-            shift = len(num) - len(den)
-            c = num[-1] / den[-1]
-            q[shift] = c
-            for i, dc in enumerate(den):
-                num[shift + i] -= c * dc
-            num.pop()
-        return trim(q), trim(num)
-
-    r0, r1 = trim(list(modulus)), trim(list(a))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = divmod_poly(r0, r1)
-        # s_next = s0 - q * s1
-        prod = [Fraction(0)] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    prod[i + j] += qc * sc
-        s_next = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            s_next[i] += c
-        for i, c in enumerate(prod):
-            s_next[i] -= c
-        r0, r1 = r1, r
-        s0, s1 = s1, trim(s_next)
-    lead = r0[-1]
-    return [c / lead for c in s0]
 
 
 def common_conductor(m: int) -> int:

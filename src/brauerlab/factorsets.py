@@ -5,17 +5,16 @@ A monomial lives in the free abelian group on the matrix variables z_ij
 Written additively these groups are the permutation lattices U_n^(x2) and
 U_n, so factor-set identities become integer linear algebra: equivariance
 and the cocycle condition are checked entrywise, and membership of a
-monomial in the antisymmetric sublattice is an exact integer solve.
+monomial in the antisymmetric sublattice reads its coordinates off the
+tensor and checks them by expansion.
 
 Index convention is 1-based to match the classical c_ijh notation.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
-from . import snf
 from .groups import cycles_string
 
 
@@ -221,33 +220,25 @@ def _wedge_vector(n: int, a: int, b: int, c: int, d: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _wedge_solver(n: int):
-    """Solver over the basis (u_i - u_1) ^ (u_j - u_1), 2 <= i < j."""
-    basis_keys = [(i, j) for i in range(2, n + 1)
-                  for j in range(i + 1, n + 1)]
-    cols = [_wedge_vector(n, i, 1, j, 1) for (i, j) in basis_keys]
-    mat = [[col[r] for col in cols] for r in range(n * n)]
-    return basis_keys, snf.IntSolver(mat)
-
-
 def wedge_membership(m: FactorSetMonomial) -> Optional[dict]:
     """Integer coordinates of the exponent tensor over spanning wedges
     (u_i - u_j) ^ (u_l - u_m), or None if it is not in the sublattice.
 
-    The returned dict maps ((i, j), (l, m)) to a coefficient; only the
-    canonical spanning elements ((i, 1), (j, 1)) appear with nonzero
+    Over the basis (u_i - u_1) ^ (u_j - u_1), 2 <= i < j, the (i, j) tensor
+    entry is 1 on that basis wedge and 0 on every other, so the coordinates
+    are read off those entries and accepted when they expand back to the
+    tensor.  The returned dict maps ((i, j), (l, m)) to a coefficient; only
+    the canonical spanning elements ((i, 1), (j, 1)) appear with nonzero
     coefficient, which is still a coordinate vector over the full spanning
     set since every other entry is 0.
     """
     if m.primes or any(i == j for (i, j) in m.pairs):
         raise FactorSetError("diagonal variables present")
-    basis_keys, solver = _wedge_solver(m.n)
-    x = solver.solve(m.exponent_tensor())
-    if x is None:
+    coords = {((i, 1), (j, 1)): v for (i, j), v in sorted(m.pairs.items())
+              if 2 <= i < j}
+    if expand_wedge_coordinates(m.n, coords) != m.exponent_tensor():
         return None
-    return {((i, 1), (j, 1)): v
-            for (i, j), v in zip(basis_keys, x) if v}
+    return coords
 
 
 def expand_wedge_coordinates(n: int, coords: dict) -> list[int]:

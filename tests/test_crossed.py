@@ -244,17 +244,18 @@ def test_kummer_mul_matches_oracle_on_monomial_pairs():
 
 
 def test_conjugation_relations_hold():
-    ring = rational_ring()
-    A = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="none")
-    z1, z2 = A.z1(), A.alpha1()
-    # z1 al1 = zeta_2 al1 z1 for m = 2
-    lhs = A.mul(A.z1(), A.alpha1())
-    rhs = A.scale(A.mul(A.alpha1(), A.z1()), A.K.zeta_m)
-    assert A.equal(lhs, rhs)
-    # z2 al2 = -al2 z2
-    lhs = A.mul(A.z2(), A.alpha2())
-    rhs = A.neg(A.mul(A.alpha2(), A.z2()))
-    assert A.equal(lhs, rhs)
+    # z1 x = s1(x) z1 and z2 x = s2(x) z2 hold on every K monomial for any
+    # (u, b1, b2), including the four perturbations the full check rejects,
+    # so construction has nothing to verify there
+    base = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="none")
+    K = base.K
+    one = K.ring.element(1)
+    for data in perturbed_data(base):
+        A = CrossedAlgebra(K, *data, check="none")
+        for i, j in itertools.product(range(A.m), range(2)):
+            x = {(i, j): one}
+            for z, (s1, s2) in ((A.z1(), (1, 0)), (A.z2(), (0, 1))):
+                assert A.equal(A.mul(z, A.scalar(x)), A.mul(A.scalar(K.sigma(x, s1, s2)), z))
 
 
 # ---------------------------------------------------------------- associativity gate
@@ -619,6 +620,8 @@ def test_delta_power_agrees_with_solve_oracle(params):
     A, gamma = _twisted_rational(*params)
     candidates = _commutation_candidates(A, gamma)
     assert len(candidates) == 10
+    # gamma^m = c al2 forces delta al2 = -al2 delta: only z2-odd grades
+    assert all(l == 1 for delta in candidates for (_, l) in delta)
     for delta in candidates:
         d_prime = invertible_delta_power(A, delta)
         assert (d_prime is not None) == _solve_invertible(A, delta)

@@ -1,5 +1,6 @@
 """Exact field layer: cyclotomics, polynomials, quotients, linear algebra."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,8 +63,35 @@ def test_cyc_galois_and_lift():
         assert (w ** 4 - w ** 2 + 1).is_zero() == (k in (1, 5, 7, 11))
     w3 = Cyc.zeta(3)
     assert w3.lift(12) == Cyc.zeta(12, 4)
-    # mixed-conductor arithmetic lifts automatically when one divides
-    assert Cyc.zeta(12) * Cyc.zeta(3) == Cyc.zeta(12) * Cyc.zeta(12, 4)
+    # conductors never mix implicitly; lift is the one embedding
+    assert Cyc.zeta(12) * w3.lift(12) == Cyc.zeta(12, 5)
+    quarter, eighth = Cyc.rational(1, 4), Cyc.rational(1, 8)
+    for x, y in ((quarter, eighth), (eighth, quarter)):
+        with pytest.raises(ValueError, match="conductor mismatch"):
+            x + y
+    assert Cyc.zeta(4) != Cyc.zeta(8, 2) and Cyc.zeta(8, 2) != Cyc.zeta(4)
+    assert Cyc.zeta(4).lift(8) == Cyc.zeta(8, 2)
+
+
+@pytest.mark.parametrize("conductor", [4, 8, 12, 20])
+def test_cyc_products_and_inverses_match_sympy(conductor):
+    # oracle: sympy's arithmetic in Q[x] / (Phi_N), inverse by its own
+    # extended Euclid
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    modulus = sympy.Poly(sympy.cyclotomic_poly(conductor, x), x, domain="QQ")
+
+    def as_poly(c):
+        return sympy.Poly([sympy.Rational(a, c.den) for a in reversed(c.nums)], x, domain="QQ")
+
+    rng = random.Random(conductor)
+    phi = euler_phi(conductor)
+    for _ in range(20):
+        a, b = (Cyc(conductor, [rng.randint(-9, 9) for _ in range(phi)], rng.randint(1, 6))
+                for _ in range(2))
+        assert as_poly(a * b) == (as_poly(a) * as_poly(b)).rem(modulus)
+        if not a.is_zero():
+            assert as_poly(a.inverse()) == as_poly(a).invert(modulus)
 
 
 def test_factorize():

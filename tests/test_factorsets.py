@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brauerlab import snf
 from brauerlab.acceptance import udn_entry_failures
 from brauerlab.factorsets import (
     FactorSet,
@@ -100,15 +101,45 @@ def test_wedge_membership_random_roundtrip():
     rng = random.Random(7)
     n = 5
     keys = [(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
+    # oracle: an integer solve over the basis (u_i - u_1) ^ (u_j - u_1)
+    cols = [expand_wedge_coordinates(n, {((i, 1), (j, 1)): 1}) for (i, j) in keys]
+    oracle = snf.IntSolver([[col[r] for col in cols] for r in range(n * n)])
+
+    def monomial(tensorv):
+        return FactorSetMonomial(
+            n, {(i + 1, j + 1): tensorv[i * n + j]
+                for i in range(n) for j in range(n) if i != j})
+
+    def agrees_with_oracle(tensorv):
+        got = wedge_membership(monomial(tensorv))
+        x = oracle.solve(tensorv)
+        if x is None:
+            return got is None
+        return got == {((i, 1), (j, 1)): v for (i, j), v in zip(keys, x) if v}
+
     for _ in range(25):
         coords = {((i, 1), (j, 1)): rng.randint(-3, 3) for (i, j) in keys}
         tensorv = expand_wedge_coordinates(n, coords)
-        m = FactorSetMonomial(
-            n, {(i + 1, j + 1): tensorv[i * n + j]
-                for i in range(n) for j in range(n) if i != j})
-        got = wedge_membership(m)
+        got = wedge_membership(monomial(tensorv))
         assert got is not None
         assert expand_wedge_coordinates(n, got) == tensorv
+        assert agrees_with_oracle(tensorv)
+        a, b = rng.sample(range(n), 2)
+        shift = rng.choice([-2, -1, 1, 2])
+        # antisymmetric, but rows a and b no longer sum to zero
+        skew = list(tensorv)
+        skew[a * n + b] += shift
+        skew[b * n + a] -= shift
+        # zero row sums kept, antisymmetry broken: a symmetric +-shift
+        # around the 4-cycle a b c d
+        a, b, c, d = rng.sample(range(n), 4)
+        sym = list(tensorv)
+        for r, s, v in ((a, b, 1), (b, c, -1), (c, d, 1), (d, a, -1)):
+            sym[r * n + s] += shift * v
+            sym[s * n + r] += shift * v
+        for tensor in (skew, sym):
+            assert wedge_membership(monomial(tensor)) is None
+            assert agrees_with_oracle(tensor)
     # perturb antisymmetry -> must be rejected
     bad = FactorSetMonomial(n, {(1, 2): 1, (2, 1): 1})
     assert wedge_membership(bad) is None
