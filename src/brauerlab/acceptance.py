@@ -375,7 +375,8 @@ def decomposition_ok(
     algebra: CrossedAlgebra,
 ) -> tuple[bool, str, DecompositionCertificate]:
     """Decompose once; the verdict covers the branch identities plus, on the
-    generic branch, the commutation solve back to a symbol presentation."""
+    generic branch, the symbol presentation of A_f that ``cyclic_to_symbol``
+    builds in closed form."""
     cert = decompose(algebra)
     bad = [item["name"] for item in cert.identities if not item["ok"]]
     if bad or not cert.ok:
@@ -389,7 +390,7 @@ def decomposition_ok(
     pres = cyclic_to_symbol(twisted, gamma)
     c = -(K.a1 * f2) / f1
     if not (pres.ok and pres.c_prime == c * c * K.a2):
-        return False, "commutation solve or c' value fails", cert
+        return False, "symbol presentation or c' value fails", cert
     return True, "generic", cert
 
 

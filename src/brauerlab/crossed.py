@@ -48,17 +48,10 @@ over the rational function field.  The level "none" skips the identity.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from typing import Optional, Sequence
 
-from .exactfield import (
-    Cyc,
-    FieldElement,
-    PolyRing,
-    common_conductor,
-    kernel,
-    mat_rank,
-    solve,
-)
+from .exactfield import Cyc, FieldElement, PolyRing, common_conductor
 
 
 class CrossedError(ValueError):
@@ -558,32 +551,6 @@ class CrossedAlgebra(GradedAlgebra):
                 out[self.index_of(i, j, k, l)] = c
         return out
 
-    def from_coords(self, vec: Sequence) -> dict:
-        out: dict = {}
-        for r, c in enumerate(vec):
-            fe = self.ring.element(c)
-            if fe.is_zero():
-                continue
-            rr, j = divmod(r, 2)
-            rr, i = divmod(rr, self.m)
-            k, l = divmod(rr, 2)
-            out.setdefault((k, l), {})[(i, j)] = fe
-        return out
-
-    def basis_element(self, r: int) -> dict:
-        rr, j = divmod(r, 2)
-        rr, i = divmod(rr, self.m)
-        k, l = divmod(rr, 2)
-        return {(k, l): {(i, j): self.ring.element(1)}}
-
-    def left_mult_matrix(self, x: dict) -> list:
-        cols = [self.coords(self.mul(x, self.basis_element(s))) for s in range(self.dim)]
-        return [[cols[s][r] for s in range(self.dim)] for r in range(self.dim)]
-
-    def right_mult_matrix(self, x: dict) -> list:
-        cols = [self.coords(self.mul(self.basis_element(s), x)) for s in range(self.dim)]
-        return [[cols[s][r] for s in range(self.dim)] for r in range(self.dim)]
-
     # -- construction-time verification ---------------------------------------
 
     def _verify_construction(self):
@@ -799,43 +766,60 @@ class DecompositionCertificate:
 
 
 def _norm_one_splitter(A: CrossedAlgebra) -> tuple:
-    """Invertible k in K with u sigma1(k) = k, or (1, False) when none exists.
+    """Invertible k in K with u sigma1(k) = k, or (1, False) when none is found.
 
     z1 (k z2) = sigma1(k) u z2 z1, so exactly such k make k z2 commute with
-    z1; by Hilbert 90 they exist whenever N_sigma1(u) = 1.
+    z1.  When N_sigma1(u) = 1, Hilbert 90 gives them in closed form,
+
+        k = sum_(i<m) u sigma1(u) ... sigma1^(i-1)(u) sigma1^i(theta),
+
+    and by the independence of characters some Kummer monomial theta gives
+    k != 0.  Each k is checked exactly, and the first invertible one is
+    scaled to coefficient 1 at its smallest key.
     """
     K = A.K
     if K.equal(A.u, K.one()):
         return K.one(), True
-    ring = A.ring
-    keys = [(i, j) for i in range(K.m) for j in range(2)]
-    pos = {key: t for t, key in enumerate(keys)}
-    zero = ring.element(0)
-    matrix = [[zero] * len(keys) for _ in keys]
-    for col, key in enumerate(keys):
-        unit = {key: ring.element(1)}
-        image = K.add(K.mul(A.u, K.sigma(unit, 1, 0)), K.neg(unit))
-        for k2, c in image.items():
-            matrix[pos[k2]][col] = c
-    for vec in kernel(matrix, ring):
-        cand = {keys[t]: c for t, c in enumerate(vec) if not c.is_zero()}
-        if K.is_zero(cand):
+    one = A.ring.element(1)
+    for key in K.grades:
+        k, prefix = K.zero(), K.one()
+        for i in range(A.m):
+            k = K.add(k, K.mul(prefix, K.sigma({key: one}, i, 0)))
+            prefix = K.mul(prefix, K.sigma(A.u, i, 0))
+        if K.is_zero(k) or not K.equal(K.mul(A.u, K.sigma(k, 1, 0)), k):
             continue
         try:
-            K.inverse(cand)
+            K.inverse(k)
         except CrossedError:
             continue
-        return cand, True
+        return K.scale(k, k[min(k)].inverse()), True
     return K.one(), False
 
 
-def _min_poly_rank(A: CrossedAlgebra, element: dict, count: int) -> int:
-    rows = []
-    power = A.one()
-    for _ in range(count):
-        rows.append(A.coords(power))
-        power = A.mul(power, element)
-    return mat_rank(rows)
+def _powers(A: GradedAlgebra, x: dict, top: int) -> list:
+    """[x^0, x^1, ..., x^top], each the one before times x."""
+    out = [A.one()]
+    for _ in range(top):
+        out.append(A.mul(out[-1], x))
+    return out
+
+
+def _min_poly_rank(elements: Sequence) -> int:
+    """A lower bound on the F-rank of ``elements`` from a triangular pivot
+    certificate: the number of rows removed by repeatedly removing every
+    row that is the only nonzero row in some coordinate.
+
+    Such a row has coefficient 0 in every linear relation among the rows,
+    so each removal lowers the rank by exactly the number of rows removed.
+    """
+    rows = [{(g, key) for g, coeff in x.items() for key, c in coeff.items() if not c.is_zero()}
+            for x in elements]
+    while True:
+        counts = Counter(col for row in rows for col in row)
+        rest = [row for row in rows if all(counts[col] > 1 for col in row)]
+        if len(rest) == len(rows):
+            return len(elements) - len(rows)
+        rows = rest
 
 
 def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
@@ -843,7 +827,8 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
 
     Generic branch: twist by f = -a1/f1 so the shifted-generator power
     collapses, then certify gamma^m = c al2 with c = -a1 f2/f1, the scalar
-    gamma^2m = c^2 a2, and linear independence of the first 2m powers.
+    gamma^2m = c^2 a2, and linear independence of the first 2m powers by a
+    triangular pivot certificate.
     """
     K = A.K
     ring = A.ring
@@ -860,24 +845,23 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
 
     if f1.is_zero():
         branch = "f1-zero-cyclic"
-        z1 = A.z1()
-        z_power = A.power(z1, 2 * A.m)
+        powers = _powers(A, A.z1(), 2 * A.m)
         target = f2 * f2 * K.a2
-        scalar = A.scalar_of(z_power)
+        scalar = A.scalar_of(powers[-1])
         record(
             "z1-power-2m-value",
             scalar is not None and scalar == target,
             "z1^2m = f2^2*a2",
         )
         record("z1-power-2m-nonzero", scalar is not None and not scalar.is_zero())
-        rank = _min_poly_rank(A, z1, 2 * A.m)
+        rank = _min_poly_rank(powers[:-1])
         record("z1-min-poly-degree", rank == 2 * A.m, f"rank {rank} of first 2m powers")
         witnesses["z1_power_2m"] = target.to_json()
     elif f2.is_zero():
         branch = "f2-zero-split-quaternion"
-        # when u != 1 its sigma1-norm is 1 here (b1 is fixed by s2), so a
-        # Hilbert-90 style solve u sigma1(k) = k yields k with k*z2
-        # commuting with z1; u = 1 keeps k = 1
+        # when u != 1 its sigma1-norm is 1 here (b1 is fixed by s2), so the
+        # Hilbert-90 sum gives k with u sigma1(k) = k and k*z2 commuting
+        # with z1; u = 1 keeps k = 1
         k_adj, adj_ok = _norm_one_splitter(A)
         record("hilbert90-adjustment", adj_ok, "found invertible k with u*s1(k) = k")
         z2_adj = A.mul(A.scalar(k_adj), A.z2())
@@ -933,7 +917,8 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
         )
         c = -(K.a1 * f2) / f1
         gamma = A_f.add(A_f.z1(), A_f.alpha1())
-        gm = A_f.power(gamma, A.m)
+        powers = _powers(A_f, gamma, 2 * A.m - 1)
+        gm = powers[A.m]
         expected_m = A_f.scalar(K.scale(K.alpha2(), c))
         record("gamma-power-m", A_f.equal(gm, expected_m), "gamma^m = c*al2")
         g2m = A_f.mul(gm, gm)
@@ -945,7 +930,7 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
             scalar is not None and not scalar.is_zero(),
             "c^2*a2 in F*",
         )
-        rank = _min_poly_rank(A_f, gamma, 2 * A.m)
+        rank = _min_poly_rank(powers)
         record("gamma-min-poly-degree", rank == 2 * A.m, f"rank {rank} of first 2m powers")
         record(
             "power-identities-consistent",
@@ -955,8 +940,10 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
         witnesses["f"] = f.to_json()
         witnesses["c"] = c.to_json()
         witnesses["gamma"] = [x.to_json() for x in A_f.coords(gamma)]
-        witnesses["brauer_relation"] = "A ~ (f, a1)_m tensor A_f"
-        witnesses["twist_symbol"] = {"a": f.to_json(), "b": K.a1.to_json(), "m": A.m}
+        # A_f = A (x) T with T = (1, f, 1) = (f, a1)_m, so A ~ T^-1 (x) A_f
+        witnesses["brauer_relation"] = (
+            "A ~ (a1, f)_m tensor A_f, where (a, b)_m: x^m = a, y^m = b, xy = zeta_m yx")
+        witnesses["twist_symbol"] = {"a": K.a1.to_json(), "b": f.to_json(), "m": A.m}
 
     return DecompositionCertificate(
         A.m, branch, A.check_level, A.params_json(), identities, witnesses,
@@ -968,7 +955,7 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
 
 
 class SymbolPresentation:
-    """Output of the commutation solve: gamma, delta with delta gamma = zeta gamma delta."""
+    """gamma and delta with delta gamma = zeta_2m gamma delta, as (c', d') = (gamma^2m, delta^2m)."""
 
     def __init__(self, m, c_prime, d_prime, delta_coords, checks):
         self.m = m
@@ -1013,55 +1000,46 @@ def invertible_delta_power(A: CrossedAlgebra, delta: dict) -> Optional[FieldElem
 
 
 def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
-    """Solve delta gamma = zeta_2m gamma delta and return (c', d') = (gamma^2m, delta^2m).
+    """Find delta with delta gamma = zeta_2m gamma delta and return (c', d') = (gamma^2m, delta^2m).
 
-    Every solution lies in the z2-odd slice: gamma^m = c al2 with c in F*,
-    so delta gamma^m = -gamma^m delta forces delta al2 = -al2 delta.  The
-    slice is solved with one coordinate pinned to 1, pins tried in order,
-    and the first solution that ``invertible_delta_power`` certifies wins:
-    delta^2m is a nonzero F-scalar d' and delta commutes with delta^(2m-1),
-    so d'^-1 delta^(2m-1) is its inverse.  No certified solution raises
-    CrossedError.  c' is checked against gamma^m gamma^m.
+    With c' = gamma^2m in F*, conjugation by gamma has order dividing 2m, and
+
+        delta_theta = sum_(i<2m) zeta_2m^i gamma^i theta gamma^(2m-i)
+
+    is 2m c' times the projection of theta onto the zeta_2m-eigenspace E of
+    that conjugation, that is onto the solutions of the equation (gamma^(2m-i)
+    in place of gamma^-i keeps the coefficients polynomial).  E lies in the
+    z2-odd slice: gamma^m = c al2 with c in F*, so delta gamma^m = -gamma^m
+    delta forces delta al2 = -al2 delta.  So the projections of the z2-odd
+    monomials span E.  theta = z1 z2 is tried first, then the other z2-odd
+    monomials in order, and the first delta_theta that
+    ``invertible_delta_power`` certifies wins: delta^2m is a nonzero
+    F-scalar d' and delta commutes with delta^(2m-1), so d'^-1 delta^(2m-1)
+    is its inverse.  In a division algebra E != 0 and every nonzero element
+    is invertible, so the search misses nothing there; no certified delta
+    raises CrossedError.  c' is checked against gamma^m gamma^m.
     """
-    ring = A.ring
     n = 2 * A.m
-    g2m = A.power(gamma, n)
-    c_prime = A.scalar_of(g2m)
+    powers = _powers(A, gamma, n)
+    c_prime = A.scalar_of(powers[n])
     if c_prime is None or c_prime.is_zero():
         raise CrossedError("gamma^2m is not a nonzero scalar of F")
-    rank = _min_poly_rank(A, gamma, n)
-    if rank != n:
+    if _min_poly_rank(powers[:n]) != n:
         raise CrossedError("gamma does not generate a degree-2m subfield")
     zeta = A.K.zeta_2m
-    left = A.left_mult_matrix(gamma)
-    right = A.right_mult_matrix(gamma)
-    system = [
-        [right[r][s] - left[r][s] * zeta for s in range(A.dim)]
-        for r in range(A.dim)
-    ]
-
-    delta = None
-    slice_cols = [
-        A.index_of(i, j, k, 1) for k in range(A.m) for i in range(A.m) for j in range(2)
-    ]
-    zero = ring.element(0)
-    for pin in slice_cols:
-        rest = [s for s in slice_cols if s != pin]
-        matrix = [[system[r][s] for s in rest] for r in range(A.dim)]
-        rhs = [-system[r][pin] for r in range(A.dim)]
-        sol = solve(matrix, rhs, ring)
-        if sol is None:
-            continue
-        vec = [zero] * A.dim
-        vec[pin] = ring.element(1)
-        for s, value in zip(rest, sol):
-            vec[s] = value
-        candidate = A.from_coords(vec)
-        d_prime = invertible_delta_power(A, candidate)
+    one = A.ring.element(1)
+    z1z2 = ((1, 1), UNIT)
+    odd = [((k, 1), key) for k in range(A.m) for key in A.K.grades]
+    for g, key in [z1z2] + [mono for mono in odd if mono != z1z2]:
+        theta = {g: {key: one}}
+        delta = A.zero()
+        for i in range(n):
+            term = A.mul(A.mul(powers[i], theta), powers[n - i])
+            delta = A.add(delta, A.scale(term, zeta ** i))
+        d_prime = invertible_delta_power(A, delta)
         if d_prime is not None:
-            delta = candidate
             break
-    if delta is None:
+    else:
         raise CrossedError("no invertible solution found in the z2-odd slice")
     checks = []
     conj = A.mul(delta, gamma)
@@ -1073,9 +1051,9 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
     checks.append(
         {"name": "delta-power-in-F", "ok": not d_prime.is_zero(), "detail": "delta^2m in F*"}
     )
-    half = A.power(gamma, A.m)
+    half = powers[A.m]
     checks.append(
-        {"name": "c-prime-value", "ok": A.scalar_of(A.mul(half, half)) == c_prime,
+        {"name": "c-prime-value", "ok": A.equal(A.mul(half, half), A.scalar(c_prime)),
          "detail": "c' = gamma^2m"}
     )
     return SymbolPresentation(A.m, c_prime, d_prime, A.coords(delta), checks)

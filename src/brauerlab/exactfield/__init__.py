@@ -1,5 +1,5 @@
-"""Exact symbolic arithmetic: cyclotomic scalars, sparse polynomials,
-rational functions and linear algebra."""
+"""Exact symbolic arithmetic: cyclotomic scalars, sparse polynomials and
+rational functions."""
 
 from .cyclotomic import (
     Cyc,
@@ -16,11 +16,6 @@ from .poly import (
     exact_divide,
     is_square,
 )
-from .linalg import (
-    kernel,
-    mat_rank,
-    solve,
-)
 
 __all__ = [
     "Cyc",
@@ -34,7 +29,4 @@ __all__ = [
     "PolyRing",
     "exact_divide",
     "is_square",
-    "kernel",
-    "mat_rank",
-    "solve",
 ]

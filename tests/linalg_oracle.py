@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over FieldElement matrices.
+"""Exact dense linear algebra over FieldElement matrices: the oracle that
+tests compare the closed forms of ``brauerlab.crossed`` against.
 
 Division in the coefficient field is exact, so plain Gaussian elimination is
 sound; the only numerical concern is expression swell, which pivot selection
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .poly import FieldElement, PolyRing
+from brauerlab.exactfield import FieldElement, PolyRing
 
 Matrix = list[list[FieldElement]]
 Vector = list[FieldElement]

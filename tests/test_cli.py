@@ -27,13 +27,13 @@ REFERENCE_ENVELOPES = [
     (("traceform", "--random", "2"),
      "769ed11bf0123427a9b181569fea7f7eb9f7b6f3e83c1e09af25ebfa6fc8ca59"),
     (("crossed-decompose", "--m", "2", "--random", "3"),
-     "ec9037fbe5bb74267eb81efbaa86ef668dce32fc18b2a75e2693e7853af6d493"),
+     "b4b48a2e269a8d9677ec9f16bfc58e3e2dc22879c801596859c8d344f21ce0f8"),
     (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "2", "1"),
-     "d1eb075c8fa992623af38cad241be23593fe1892b6bae1ffee2a780dec3c605e"),
+     "3ef31a0c9ea5c8f834b6fbef55ccb86c5b841fab8d3a6e6dfe5aefcce42c39eb"),
     (("crossed-decompose", "--m", "3", "--symbol", "2", "3", "1", "1"),
-     "d5ca3419b615d68e4ab83d2ffb0724cb3914e4a3f8863a1adeb8e21d6cfe21b9"),
+     "ef0c8ab7b05369b7a85652cda1c880fe62b49412445fdd347dbcdabd3b2ef6b8"),
     (("crossed-decompose", "--m", "4", "--symbol", "2", "3", "1", "1"),
-     "52d3e601e2965790e20b2ceec1b02d9b9e7f16b0ca7c9a2fadfa17588a5e77b4"),
+     "8289594dc5b922bdef272079114789472d8c1c472611d2e880914ab5b703187e"),
     (("crossed-decompose", "--m", "3", "--symbol", "3", "5", "0", "1"),
      "6f633cdfa8b24efbc4201de49f9b977c2d44a780bec9eedb2892dbb2793a1674"),
     (("lattice", "--group", "S4", "--r", "2"),

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from brauerlab.acceptance import decomposition_ok
+from brauerlab import crossed
+from brauerlab.acceptance import decomposition_ok, seeded_symbol_instances
 from brauerlab.crossed import (
     CrossedAlgebra,
     CrossedError,
@@ -20,7 +21,8 @@ from brauerlab.crossed import (
     standard_ring,
     tensor_brauer,
 )
-from brauerlab.exactfield import FieldElement, PolyRing, common_conductor, kernel, solve
+from brauerlab.exactfield import FieldElement, PolyRing, common_conductor
+from linalg_oracle import kernel, mat_rank, solve
 
 
 def rational_ring():
@@ -44,6 +46,41 @@ def rebuild(ring, params):
     a1, a2 = (FieldElement.from_json(ring, params[name]) for name in ("a1", "a2"))
     return crossed_from_data(params["m"], a1, a2, k_elem(params["u"]), k_elem(params["b1"]),
                              k_elem(params["b2"]), ring=ring, check="none")
+
+
+# ---------------------------------------------------------------- flat coordinates
+
+
+def position(A, r):
+    """Grade (k, l) and K-key (i, j) of coordinate r of A.coords."""
+    rr, j = divmod(r, 2)
+    rr, i = divmod(rr, A.m)
+    return divmod(rr, 2), (i, j)
+
+
+def from_coords(A, vec):
+    """The element of the crossed algebra A with coordinates vec."""
+    out = {}
+    for r, c in enumerate(vec):
+        if not c.is_zero():
+            g, key = position(A, r)
+            out.setdefault(g, {})[key] = c
+    return out
+
+
+def basis_element(A, r):
+    g, key = position(A, r)
+    return {g: {key: A.ring.element(1)}}
+
+
+def left_mult_matrix(A, x):
+    cols = [A.coords(A.mul(x, basis_element(A, s))) for s in range(A.dim)]
+    return [list(row) for row in zip(*cols)]
+
+
+def right_mult_matrix(A, x):
+    cols = [A.coords(A.mul(basis_element(A, s), x)) for s in range(A.dim)]
+    return [list(row) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------- symbol algebras
@@ -229,7 +266,7 @@ def oracle_algebras():
 def test_crossed_mul_matches_oracle_on_basis_pairs():
     for A in oracle_algebras():
         oracle = crossed_mul_oracle(A)
-        basis = [A.basis_element(r) for r in range(A.dim)]
+        basis = [basis_element(A, r) for r in range(A.dim)]
         for x, y in itertools.product(basis, basis):
             assert A.coords(A.mul(x, y)) == A.coords(oracle(x, y))
 
@@ -327,7 +364,7 @@ def test_cocycle_check_agrees_with_brute_force_full():
     verdicts = []
     for data in perturbed_data(base):
         A = CrossedAlgebra(base.K, *data, check="none")
-        monomials = [A.basis_element(r) for r in range(A.dim)]
+        monomials = [basis_element(A, r) for r in range(A.dim)]
         oracle = associative_on(A, monomials)
         assert accepted(base.K, data, "full") == oracle
         verdicts.append(oracle)
@@ -341,7 +378,7 @@ def test_cocycle_check_agrees_with_brute_force_cyclic():
     for data in perturbed_data(base):
         A = CrossedAlgebra(base.K, *data, check="none")
         monomials = [
-            A.basis_element(A.index_of(i, j, k, 0))
+            basis_element(A, A.index_of(i, j, k, 0))
             for i in range(2) for j in range(2) for k in range(2)
         ]
         # the K-z1 subalgebra is associative for every b1 in F(al2)
@@ -536,6 +573,71 @@ def test_certificate_json_roundtrip():
     assert rebuilt.K.equal(rebuilt.b2, A.b2)
 
 
+def test_brauer_relation_at_m3_names_a1_f():
+    # T = (1, f, 1) has z1^3 = f, al1^3 = a1 and z1 al1 = zeta_3 al1 z1, so
+    # T = (f, a1)_3 with x = z1, y = al1; A_f = A (x) T, so A ~ (a1, f)_3 (x) A_f
+    ring = standard_ring(3, ())
+    A = instance_from_symbol(3, 3, 5, 2, 1, ring=ring, check="full")
+    cert = decompose(A)
+    assert cert.branch == "generic" and cert.ok
+    K = A.K
+    f = FieldElement.from_json(ring, cert.witnesses["f"])
+    T = crossed_from_data(3, K.a1, K.a2, 1, f, 1, ring=ring, check="full")
+    z1, al1 = T.z1(), T.alpha1()
+    assert T.equal(T.power(z1, 3), T.scalar(f))
+    assert T.equal(T.power(al1, 3), T.scalar(K.a1))
+    assert T.equal(T.mul(z1, al1), T.scale(T.mul(al1, z1), K.zeta_m))
+    Af = tensor_brauer(A, T)
+    for name in ("u", "b1", "b2"):
+        assert K.equal(getattr(Af, name), getattr(cert.twisted, name))
+    assert cert.witnesses["twist_symbol"] == {"a": K.a1.to_json(), "b": f.to_json(), "m": 3}
+    assert cert.witnesses["brauer_relation"] == (
+        "A ~ (a1, f)_m tensor A_f, where (a, b)_m: x^m = a, y^m = b, xy = zeta_m yx")
+
+
+def test_pivot_rank_is_the_oracle_rank_on_decomposition_powers():
+    # the instances tier-1 decomposes, criterion 7's seed-42 draws included:
+    # gamma = z1 + al1 in A_f on the generic branch, z1 on the f1 = 0 branch
+    rq = rational_ring()
+    algebras = [instance_from_symbol(2, *p, ring=rq, check="full")
+                for p in [(3, 5, 2, 1), (6, 13, 1, 4), (3, 5, 0, 1)]]
+    algebras += [algebra for _, algebra, _ in seeded_symbol_instances(42, rq, 20)]
+    for m in (3, 4):
+        algebras += [instance_from_symbol(m, *p, ring=standard_ring(m, ()), check="full")
+                     for p in [(2, 3, 1, 1), (3, 5, 2, 1)]]
+    ring = symbolic_ring()
+    algebras.append(instance_from_symbol(2, *symbolic_gens(ring), ring=ring, check="full"))
+    branches = []
+    for A in algebras:
+        cert = decompose(A)
+        branches.append(cert.branch)
+        if cert.branch == "generic":
+            A = cert.twisted
+            x = A.add(A.z1(), A.alpha1())
+        else:
+            x = A.z1()
+        powers = crossed._powers(A, x, 2 * A.m - 1)
+        rank = crossed._min_poly_rank(powers)
+        assert rank == mat_rank([A.coords(p) for p in powers]) == 2 * A.m
+    assert branches.count("f1-zero-cyclic") == 1
+    assert branches.count("generic") == len(algebras) - 1
+
+
+def test_pivot_rank_never_exceeds_the_oracle_rank():
+    A = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="none")
+    z1z2 = A.mul(A.z1(), A.z2())
+    elements = [A.alpha1(), A.alpha2(), A.z2(), z1z2, A.add(A.alpha1(), A.z2()),
+                A.add(A.z1(), A.alpha2()), A.add(z1z2, A.alpha2())]
+    for x in elements:
+        powers = crossed._powers(A, x, 3)
+        assert crossed._min_poly_rank(powers) <= mat_rank([A.coords(p) for p in powers])
+    # al1^2 = a1: al1^i and al1^(2+i) share their only coordinate, so no
+    # pivot exists although the oracle rank is m
+    powers = crossed._powers(A, A.alpha1(), 3)
+    assert crossed._min_poly_rank(powers) < 4
+    assert mat_rank([A.coords(p) for p in powers]) == 2
+
+
 # ---------------------------------------------------------------- symbol extraction
 
 
@@ -553,7 +655,7 @@ def test_cyclic_to_symbol_rational():
     assert pres.c_prime == c * c * K.a2
     assert not pres.d_prime.is_zero()
     # delta really conjugates gamma by zeta_4
-    delta = Af.from_coords(pres.delta_coords)
+    delta = from_coords(Af, pres.delta_coords)
     lhs = Af.mul(delta, gamma)
     rhs = Af.scale(Af.mul(gamma, delta), K.zeta_2m)
     assert Af.equal(lhs, rhs)
@@ -594,24 +696,28 @@ def _twisted_rational(e, g, t, lam):
     return Af, Af.add(Af.z1(), Af.alpha1())
 
 
+def commutation_system(A, gamma):
+    """The matrix of delta -> delta gamma - zeta_2m gamma delta."""
+    left = left_mult_matrix(A, gamma)
+    right = right_mult_matrix(A, gamma)
+    zeta = A.K.zeta_2m
+    return [[right[r][s] - left[r][s] * zeta for s in range(A.dim)] for r in range(A.dim)]
+
+
 def _commutation_candidates(A, gamma):
     """Every vector of a basis of {delta : delta gamma = zeta gamma delta},
     then every pairwise sum of them."""
-    left = A.left_mult_matrix(gamma)
-    right = A.right_mult_matrix(gamma)
-    zeta = A.K.zeta_2m
-    system = [[right[r][s] - left[r][s] * zeta for s in range(A.dim)] for r in range(A.dim)]
-    kern = kernel(system, A.ring)
+    kern = kernel(commutation_system(A, gamma), A.ring)
     sums = [[x + y for x, y in zip(v, w)] for v, w in itertools.combinations(kern, 2)]
-    return [A.from_coords(vec) for vec in kern + sums]
+    return [from_coords(A, vec) for vec in kern + sums]
 
 
 def _solve_invertible(A, candidate):
     """Oracle: solve candidate * x = 1, then check both products with x."""
-    sol = solve(A.left_mult_matrix(candidate), A.coords(A.one()), A.ring)
+    sol = solve(left_mult_matrix(A, candidate), A.coords(A.one()), A.ring)
     if sol is None:
         return False
-    inv = A.from_coords(sol)
+    inv = from_coords(A, sol)
     return A.equal(A.mul(candidate, inv), A.one()) and A.equal(A.mul(inv, candidate), A.one())
 
 
@@ -666,15 +772,83 @@ def test_delta_power_needs_both_one_sided_products():
 
 
 def test_c_prime_value_is_checked_against_gamma_m_squared(monkeypatch):
+    # c' is read off gamma^2m, the last power cyclic_to_symbol builds; delta
+    # is built from the powers themselves, so a wrong reading of c' is seen
+    # only by the check against gamma^m gamma^m
     A, gamma = _twisted_rational(3, 5, 2, 1)
     assert cyclic_to_symbol(A, gamma).ok
-    power = A.power
+    g2m = A.power(gamma, 4)
+    scalar_of = A.scalar_of
 
-    def wrong_gamma_2m(x, n):
-        out = power(x, n)
-        return A.scale(out, 2) if x is gamma and n == 4 else out
+    def wrong_c_prime(x):
+        out = scalar_of(x)
+        return out * 2 if A.equal(x, g2m) else out
 
-    monkeypatch.setattr(A, "power", wrong_gamma_2m)
+    monkeypatch.setattr(A, "scalar_of", wrong_c_prime)
     pres = cyclic_to_symbol(A, gamma)
+    assert pres.c_prime == scalar_of(g2m) * 2
     assert not pres.ok
     assert [c["name"] for c in pres.checks if not c["ok"]] == ["c-prime-value"]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_norm_one_splitter_lies_in_the_oracle_kernel(m):
+    # u = -1 at m = 2; at m = 3, t = 0 gives a scalar u with u^2 != 1
+    if m == 2:
+        A = crossed_from_data(2, 3, 5, -1, 7, 11, ring=rational_ring(), check="full")
+    else:
+        A = instance_from_symbol(3, 3, 5, 0, 1, ring=standard_ring(3, ()), check="full")
+    K = A.K
+    assert K.equal(A.u, K.scalar(-1)) == (m == 2)
+    assert K.equal(K.mul(A.u, A.u), K.one()) == (m == 2)
+    k, ok = crossed._norm_one_splitter(A)
+    assert ok and K.equal(k, K.alpha1())
+    assert K.equal(K.mul(A.u, K.sigma(k, 1, 0)), k)
+    # the oracle: the kernel of x -> u s1(x) - x on the Kummer monomials
+    one, zero = A.ring.element(1), A.ring.element(0)
+    images = [K.add(K.mul(A.u, K.sigma({key: one}, 1, 0)), {key: -one}) for key in K.grades]
+    matrix = [[image.get(row, zero) for image in images] for row in K.grades]
+    kern = kernel(matrix, A.ring)
+    assert kern
+    assert mat_rank(kern + [[k.get(key, zero) for key in K.grades]]) == len(kern)
+
+
+def projection(A, gamma, theta):
+    """sum_(i<2m) zeta_2m^i gamma^i theta gamma^(2m-i), from A.power."""
+    n = 2 * A.m
+    out = A.zero()
+    for i in range(n):
+        term = A.mul(A.mul(A.power(gamma, i), theta), A.power(gamma, n - i))
+        out = A.add(out, A.scale(term, A.K.zeta_2m ** i))
+    return out
+
+
+@pytest.mark.parametrize("params", [(3, 5, 2, 1), (4, 5, 2, 1)])
+def test_closed_form_delta_lies_in_the_oracle_kernel(params):
+    A, gamma = _twisted_rational(*params)
+    pres = cyclic_to_symbol(A, gamma)
+    assert pres.ok
+    assert A.equal(from_coords(A, pres.delta_coords),
+                   projection(A, gamma, A.mul(A.z1(), A.z2())))
+    kern = kernel(commutation_system(A, gamma), A.ring)
+    assert len(kern) == 4
+    assert mat_rank(kern + [pres.delta_coords]) == len(kern)
+
+
+def test_next_seed_is_used_when_the_check_refuses_the_first(monkeypatch):
+    A, gamma = _twisted_rational(3, 5, 2, 1)
+    check = crossed.invertible_delta_power
+    seen = []
+
+    def refuse_first(B, delta):
+        seen.append(delta)
+        return None if len(seen) == 1 else check(B, delta)
+
+    monkeypatch.setattr(crossed, "invertible_delta_power", refuse_first)
+    pres = cyclic_to_symbol(A, gamma)
+    assert pres.ok and len(seen) == 2
+    # z1 z2 first, then z2, the first other z2-odd monomial
+    assert A.equal(seen[0], projection(A, gamma, A.mul(A.z1(), A.z2())))
+    assert A.equal(seen[1], projection(A, gamma, A.z2()))
+    assert A.equal(from_coords(A, pres.delta_coords), seen[1])
+    assert not A.equal(seen[0], seen[1])
