@@ -32,7 +32,7 @@ from .acceptance import (
 )
 from .bounds import d_bounds
 from .crossed import CrossedError, instance_from_symbol, standard_ring
-from .exactfield import PolyRing, is_square
+from .exactfield import ExactFieldError, PolyRing, is_square
 from .factorsets import (
     check_cocycle,
     check_equivariance,
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         inputs, checks = args.handler(args)
-    except ValueError as exc:
+    except (ValueError, ExactFieldError) as exc:
         print(f"brauerlab {args.command}: {exc}", file=sys.stderr)
         return 2
     envelope = make_envelope(args.command, inputs, args.seed, checks)

@@ -10,7 +10,7 @@ algebra supplies only its rule (g, h) -> (gh, c(g, h)), whose values are
 looked up once and kept in a table.
 
 Each algebra lists its grading group G as ``grades``, the unit first; the
-unit, the scalars and the 2-cocycle check are read from that list.
+unit and the scalars are read from that list.
 
     KummerField     F[Z/m x Z/2], trivial action, carries a1, a2, a1 a2:
                     K = F(al1, al2) with al1^m = a1, al2^2 = a2.
@@ -24,25 +24,34 @@ unit, the scalars and the 2-cocycle check are read from that list.
     z1 x z1^-1 = s1(x),  z2 x z2^-1 = s2(x)   for x in K,
     z1^m = b1 in F(al2),  z2^2 = b2 in F(al1),  z1 z2 = u z2 z1.
 
-The compatibility conditions on (u, b1, b2) are not characterized here;
-instead they are verified exactly at construction.  The crossed algebra is
-associative exactly when its factor set is a 2-cocycle,
+The crossed algebra is associative exactly when its factor set is a
+2-cocycle, c(g, h) c(gh, k) = s_g(c(h, k)) c(g, hk) on all (2m)^3 group
+triples.  For two cyclic generators that identity reduces to two norm
+conditions (Amitsur-Saltman, "Generic abelian crossed products and
+p-algebras", J. Algebra 51 (1978)), which are what construction checks:
 
-    c(g, h) c(gh, k) = s_g(c(h, k)) c(g, hk),
+    (a)  N_s1(u) s2(b1) = b1,  N_s1(u) = u s1(u) ... s1^(m-1)(u),
+    (b)  u s2(u) b2 = s1(b2).
 
-which is (2m)^3 group triples for every m, checked on the same table that
-the multiplication reads.  One consequence worth knowing: reducing
-z2 z1^m both ways forces N_s1(u) = b1/s2(b1), so u = 1 with b1 having a
+(a) is z1^m = b1 conjugated by z2, since z2 z1 z2^-1 = u^-1 z1; (b) is
+z2^2 = b2 conjugated by z1, since z1 z2 z1^-1 = u z2.  So both are
+necessary.  They are sufficient: K[z1; s1]/(z1^m - b1) is associative
+because b1 is s1-fixed, so z1^m - b1 is central; (a) makes x -> s2(x) on K,
+z1 -> u^-1 z1 an endomorphism t of it; and (b), with s2(b2) = b2, makes
+z2^2 - b2 normal in the skew polynomial ring over t, whose quotient is the
+crossed algebra.  The invariances s1(b1) = b1 and s2(b2) = b2 follow from
+b1 in F(al2) and b2 in F(al1).  One consequence: u = 1 with b1 having a
 genuine al2 component is always rejected.  Norm-compatible instances with
 both components of b1 nonzero come from ``instance_from_symbol``, which
 realizes the crossed product inside a degree-2m symbol algebra.
 
-The check level "cyclic" verifies the identity only on Z/m x 0, that is on
-the subalgebra generated by K and z1 (associative for every b1 in F(al2),
-no condition on u or b2); it exists because the power-cancellation identity
+The check level "cyclic" covers only Z/m x 0, that is the subalgebra
+generated by K and z1, where the identity says s1(b1) = b1: membership
+b1 in F(al2) already gives it, so "cyclic" adds no check, and puts no
+condition on u or b2.  It exists because the power-cancellation identity
 and the gamma-power computations live entirely in that subalgebra and are
 meaningful for fully independent parameters where no compatible u exists
-over the rational function field.  The level "none" skips the identity.
+over the rational function field.  The level "none" skips (a) and (b).
 """
 
 from __future__ import annotations
@@ -214,27 +223,6 @@ class GradedAlgebra:
         if any(g != unit and not C.is_zero(c) for g, c in x.items()):
             return None
         return C.scalar_of(x.get(unit, C.zero()))
-
-    def cocycle_holds(self, group: Optional[Sequence] = None) -> bool:
-        """c(g, h) c(gh, k) = g(c(h, k)) c(g, hk) on every triple of the
-        closed subset ``group`` of the grades (all of them by default);
-        exactly associativity on its monomials."""
-        if group is None:
-            group = self.grades
-        C = self.coeffs
-        one = C.one()
-        for g in group:
-            for h in group:
-                gh, c_gh = self.entry(g, h)
-                for k in group:
-                    hk, c_hk = self.entry(h, k)
-                    lhs = self._times(c_gh, self.entry(gh, k)[1])
-                    if c_hk is not None:
-                        c_hk = C.act(g, c_hk)
-                    rhs = self._times(c_hk, self.entry(g, hk)[1])
-                    if not C.equal(one if lhs is None else lhs, one if rhs is None else rhs):
-                        return False
-        return True
 
 
 class KummerField(GradedAlgebra):
@@ -470,8 +458,10 @@ class CrossedAlgebra(GradedAlgebra):
 
     Elements are {(k, l): KElem} representing sums of K-coefficients times
     z1^k z2^l, with k < m and l < 2.  ``check`` is one of CHECK_LEVELS: the
-    2-cocycle identity over all of Z/m x Z/2 ("full"), over Z/m x 0 only
-    ("cyclic"), or not at all ("none").  The conjugation relations
+    norm conditions (a) and (b), equivalent to the 2-cocycle identity over
+    all of Z/m x Z/2 ("full"); the identity over Z/m x 0 only, which the
+    membership of b1 in F(al2) already gives ("cyclic"); or nothing
+    ("none").  The conjugation relations
     z x = s(x) z hold for every (u, b1, b2) and need no check: ``mul`` applies
     the action, c(g, h) = 1 when g or h is the unit, and K is commutative.
     """
@@ -554,10 +544,15 @@ class CrossedAlgebra(GradedAlgebra):
     # -- construction-time verification ---------------------------------------
 
     def _verify_construction(self):
-        if self.check_level == "none":
+        # "cyclic" needs s1(b1) = b1 only, which b1 in F(al2) already gives
+        if self.check_level != "full":
             return
-        group = None if self.check_level == "full" else [g for g in self.grades if g[1] == 0]
-        if not self.cocycle_holds(group):
+        K, u = self.K, self.u
+        norm = u
+        for i in range(1, self.m):
+            norm = K.mul(norm, K.sigma(u, i, 0))
+        if not (K.equal(K.mul(norm, K.sigma(self.b1, 0, 1)), self.b1)
+                and K.equal(K.mul(K.mul(u, K.sigma(u, 0, 1)), self.b2), K.sigma(self.b2, 1, 0))):
             raise CrossedError("associativity violated: incompatible (u, b1, b2)")
 
     # -- descriptions ------------------------------------------------------------
@@ -590,10 +585,10 @@ def crossed_from_data(
     """Crossed algebra from raw data, verified at the given check level.
 
     At "full" the data is accepted exactly when (u, b1, b2) gives an
-    associative algebra (the 2-cocycle identity over Z/m x Z/2); see
-    CrossedAlgebra for "cyclic" and "none".  b1 may be a scalar or a pair
-    (f1, f2) meaning f1 + f2*al2; b2 a scalar or a coefficient list over
-    powers of al1; u a scalar or a K coefficient dict.
+    associative algebra, decided by the norm conditions (a) and (b) of the
+    module docstring; see CrossedAlgebra for "cyclic" and "none".  b1 may
+    be a scalar or a pair (f1, f2) meaning f1 + f2*al2; b2 a scalar or a
+    coefficient list over powers of al1; u a scalar or a K coefficient dict.
     """
     if ring is None:
         for candidate in (a1, a2, u, b1, b2):

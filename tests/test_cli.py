@@ -6,6 +6,7 @@ import pytest
 from brauerlab import cli
 from brauerlab.acceptance import CRITERIA
 from brauerlab.cli import main
+from brauerlab.exactfield import PolyRing
 from brauerlab.quadforms import QuadraticForm
 
 
@@ -136,6 +137,21 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     assert [(c["name"], c["status"]) for c in envelope["checks"]] == [
         ("sequence-exact", "pass"), ("kernel-rank", "pass"),
         ("splitting-unimodular", "fail")]
+
+
+def test_exact_field_error_exits_2(tmp_path, monkeypatch, capsys):
+    # an ExactFieldError (an ArithmeticError) raised mid-computation gets the
+    # one-line message and exit 2 of every other bad input, not a traceback
+    def divide_by_zero(args):
+        ring = PolyRing((), 4)
+        return ring.element(1) / ring.element(0)
+
+    monkeypatch.setattr(cli, "cmd_bounds", divide_by_zero)
+    code, text = run(tmp_path, "bad.json", "bounds", "--n", "5")
+    assert code == 2
+    assert text is None
+    err = capsys.readouterr().err
+    assert err == "brauerlab bounds: division by zero\n"
 
 
 def test_traceform_cross_check_catches_a_non_square_entry(tmp_path, monkeypatch):

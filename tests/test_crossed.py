@@ -22,6 +22,7 @@ from brauerlab.crossed import (
     tensor_brauer,
 )
 from brauerlab.exactfield import FieldElement, PolyRing, common_conductor
+from cocycle_oracle import cocycle_holds
 from linalg_oracle import kernel, mat_rank, solve
 
 
@@ -113,7 +114,7 @@ def test_symbol_algebra_structure_protocol():
     assert S.entry((1, 0), (0, 1)) == ((1, 1), None)
     yx, c = S.entry((0, 1), (1, 0))
     assert yx == (1, 1) and c == ring.element(-1)
-    assert S.cocycle_holds()
+    assert cocycle_holds(S)
 
 
 def test_graded_tensor_one_is_a_two_sided_unit():
@@ -124,7 +125,7 @@ def test_graded_tensor_one_is_a_two_sided_unit():
     for g in T.grades:
         e = {g: ring.element(2)}
         assert T.equal(T.mul(one, e), e) and T.equal(T.mul(e, one), e)
-    assert T.cocycle_holds()
+    assert cocycle_holds(T)
     with pytest.raises(CrossedError, match="mismatched scalar fields"):
         GradedTensor(SymbolAlgebra(ring, 1, 1, 2), SymbolAlgebra(rational_ring(), 1, 1, 2))
 
@@ -299,8 +300,8 @@ def test_conjugation_relations_hold():
 
 
 def test_norm_incompatible_u_rejected():
-    # u = 1 with a genuine al2-component in b1 violates the forced relation
-    # N_s1(u) = b1 / s2(b1), so the full cocycle check must fail
+    # u = 1 with a genuine al2-component in b1 violates norm condition (a),
+    # N_s1(u) s2(b1) = b1, so the full check must reject it
     ring = rational_ring()
     with pytest.raises(CrossedError, match=r"associativity violated: incompatible \(u, b1, b2\)"):
         crossed_from_data(2, 3, 5, 1, (4, 2), 7, ring=ring, check="full")
@@ -366,6 +367,7 @@ def test_cocycle_check_agrees_with_brute_force_full():
         A = CrossedAlgebra(base.K, *data, check="none")
         monomials = [basis_element(A, r) for r in range(A.dim)]
         oracle = associative_on(A, monomials)
+        assert cocycle_holds(A) == oracle
         assert accepted(base.K, data, "full") == oracle
         verdicts.append(oracle)
     # the base instance is accepted and every perturbation is rejected
@@ -383,7 +385,48 @@ def test_cocycle_check_agrees_with_brute_force_cyclic():
         ]
         # the K-z1 subalgebra is associative for every b1 in F(al2)
         assert associative_on(A, monomials)
+        assert cocycle_holds(A, [g for g in A.grades if g[1] == 0])
         assert accepted(base.K, data, "cyclic")
+
+
+def cohomologous(A, k1, k2):
+    """(u, b1, b2) of A in the presentation z1 -> k1 z1, z2 -> k2 z2."""
+    K = A.K
+    norm = K.one()
+    for i in range(A.m):
+        norm = K.mul(norm, K.sigma(k1, i, 0))
+    u = K.mul(K.mul(A.u, K.mul(k1, K.sigma(k2, 1, 0))),
+              K.inverse(K.mul(k2, K.sigma(k1, 0, 1))))
+    return u, K.mul(norm, A.b1), K.mul(K.mul(k2, K.sigma(k2, 0, 1)), A.b2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_norm_conditions_agree_with_the_cocycle_oracle(m):
+    ring = standard_ring(m, ())
+    plain = instance_from_symbol(m, 3, 5, 2, 1, ring=ring, check="none")
+    K = plain.K
+    twisted = instance_from_symbol(m, 3, 5, 2, 1, ring=ring, check="none", mu=1, nu=2)
+    pure = CrossedAlgebra(K, K.one(), K.scalar(-1), K.scalar(3), check="none")  # P(-1, 3)
+    product = tensor_brauer(plain, CrossedAlgebra(K, K.one(), K.scalar(7), K.scalar(11),
+                                                  check="none"), check="none")
+    k1 = K.add(K.scalar(2), K.add(K.alpha1(), K.alpha2()))
+    k2 = K.add(K.scalar(1), K.mul(K.alpha1(), K.alpha2()))
+    cases = [
+        *((A.u, A.b1, A.b2) for A in (twisted, pure, product)),
+        cohomologous(plain, k1, k2),
+        *perturbed_data(plain),
+    ]
+    cyclic = [g for g in plain.grades if g[1] == 0]
+    verdicts = []
+    for data in cases:
+        A = CrossedAlgebra(K, *data, check="none")
+        oracle = cocycle_holds(A)
+        assert accepted(K, data, "full") == oracle
+        assert accepted(K, data, "cyclic") and cocycle_holds(A, cyclic)
+        verdicts.append(oracle)
+    # the perturbations b1 -> b1 (1 + al2) and b2 -> b2 (1 + al1) break only
+    # norm condition (a) and only (b) respectively, so each condition is needed
+    assert verdicts == [True] * 5 + [False] * 4
 
 
 @pytest.mark.parametrize("m", [3, 4])
