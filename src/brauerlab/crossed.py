@@ -45,6 +45,11 @@ genuine al2 component is always rejected.  Norm-compatible instances with
 both components of b1 nonzero come from ``instance_from_symbol``, which
 realizes the crossed product inside a degree-2m symbol algebra.
 
+Associativity is also what ``invertible_delta_power`` rests on: an algebra
+that passes (a) and (b) is power-associative, so delta^2m may be taken by
+squaring and a scalar delta^2m = d' makes d'^-1 delta^(2m-1) a two-sided
+inverse.  That function checks (a) and (b) itself, whatever the check level.
+
 The check level "cyclic" covers only Z/m x 0, that is the subalgebra
 generated by K and z1, where the identity says s1(b1) = b1: membership
 b1 in F(al2) already gives it, so "cyclic" adds no check, and puts no
@@ -487,9 +492,13 @@ class CrossedAlgebra(GradedAlgebra):
         if any(j != 0 for (_, j) in self.b2):
             raise CrossedError("b2 must lie in F(al1)")
         self.dim = 4 * self.m * self.m
-        self._u_inv = K.inverse(self.u)
         self.check_level = check
-        self._verify_construction()
+        self._norm_ok: Optional[bool] = None
+        # checked before u is inverted, so refused data costs no inverse;
+        # "cyclic" needs s1(b1) = b1 only, which b1 in F(al2) already gives
+        if check == "full" and not self.norm_conditions_hold():
+            raise CrossedError("associativity violated: incompatible (u, b1, b2)")
+        self._u_inv = K.inverse(self.u)
 
     def _rule(self, g, h) -> tuple:
         K = self.K
@@ -543,17 +552,19 @@ class CrossedAlgebra(GradedAlgebra):
 
     # -- construction-time verification ---------------------------------------
 
-    def _verify_construction(self):
-        # "cyclic" needs s1(b1) = b1 only, which b1 in F(al2) already gives
-        if self.check_level != "full":
-            return
-        K, u = self.K, self.u
-        norm = u
-        for i in range(1, self.m):
-            norm = K.mul(norm, K.sigma(u, i, 0))
-        if not (K.equal(K.mul(norm, K.sigma(self.b1, 0, 1)), self.b1)
-                and K.equal(K.mul(K.mul(u, K.sigma(u, 0, 1)), self.b2), K.sigma(self.b2, 1, 0))):
-            raise CrossedError("associativity violated: incompatible (u, b1, b2)")
+    def norm_conditions_hold(self) -> bool:
+        """Norm conditions (a) and (b) of the module docstring, which hold
+        exactly when this algebra is associative: m + 2 products in K on the
+        first call, whose answer is kept for the fixed (u, b1, b2)."""
+        if self._norm_ok is None:
+            K, u = self.K, self.u
+            norm = u
+            for i in range(1, self.m):
+                norm = K.mul(norm, K.sigma(u, i, 0))
+            self._norm_ok = (
+                K.equal(K.mul(norm, K.sigma(self.b1, 0, 1)), self.b1)
+                and K.equal(K.mul(K.mul(u, K.sigma(u, 0, 1)), self.b2), K.sigma(self.b2, 1, 0)))
+        return self._norm_ok
 
     # -- descriptions ------------------------------------------------------------
 
@@ -978,18 +989,27 @@ class SymbolPresentation:
 def invertible_delta_power(A: CrossedAlgebra, delta: dict) -> Optional[FieldElement]:
     """d' = delta^2m when it certifies delta invertible, else None.
 
-    With below = delta^(2m-1) and top = below delta, delta is accepted when
-    top is a nonzero F-scalar d' and delta below equals top.  Then
-    d'^-1 below is a two-sided inverse of delta, with no appeal to
-    associativity.  In a central simple algebra nothing invertible is lost:
-    a solution of delta gamma = zeta_2m gamma delta has delta^2m in the
-    centralizer F(gamma) of the degree-2m subfield, fixed by conjugation by
-    delta, which generates Gal(F(gamma)/F); so delta^2m lies in F*.
+    A must pass the norm conditions (a) and (b), whatever its check level,
+    so A is associative and delta^2m is taken by square-and-multiply: 2
+    products at m = 2, 3 at m = 3 and at m = 4.  delta is accepted when
+    delta^2m is a nonzero F-scalar d'; by associativity d'^-1 delta^(2m-1)
+    is then a two-sided inverse of delta.  In a central simple algebra
+    nothing invertible is lost: a solution of delta gamma = zeta_2m gamma
+    delta has delta^2m in the centralizer F(gamma) of the degree-2m
+    subfield, fixed by conjugation by delta, which generates
+    Gal(F(gamma)/F); so delta^2m lies in F*.
     """
-    below = A.power(delta, 2 * A.m - 1)
-    top = A.mul(below, delta)
+    if not A.norm_conditions_hold():
+        return None
+    top, square, n = None, delta, 2 * A.m
+    while n:
+        if n & 1:
+            top = square if top is None else A.mul(top, square)
+        n >>= 1
+        if n:
+            square = A.mul(square, square)
     d_prime = A.scalar_of(top)
-    if d_prime is None or d_prime.is_zero() or not A.equal(A.mul(delta, below), top):
+    if d_prime is None or d_prime.is_zero():
         return None
     return d_prime
 
@@ -1009,11 +1029,14 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
     monomials span E.  theta = z1 z2 is tried first, then the other z2-odd
     monomials in order, and the first delta_theta that
     ``invertible_delta_power`` certifies wins: delta^2m is a nonzero
-    F-scalar d' and delta commutes with delta^(2m-1), so d'^-1 delta^(2m-1)
-    is its inverse.  In a division algebra E != 0 and every nonzero element
-    is invertible, so the search misses nothing there; no certified delta
-    raises CrossedError.  c' is checked against gamma^m gamma^m.
+    F-scalar d', so d'^-1 delta^(2m-1) is its inverse.  In a division
+    algebra E != 0 and every nonzero element is invertible, so the search
+    misses nothing there; no certified delta raises CrossedError.  A that
+    fails the norm conditions is not associative and is refused before the
+    search.  c' is checked against gamma^m gamma^m.
     """
+    if not A.norm_conditions_hold():
+        raise CrossedError("norm conditions (a) and (b) fail: the algebra is not associative")
     n = 2 * A.m
     powers = _powers(A, gamma, n)
     c_prime = A.scalar_of(powers[n])

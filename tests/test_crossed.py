@@ -374,6 +374,30 @@ def test_cocycle_check_agrees_with_brute_force_full():
     assert verdicts == [True, False, False, False, False]
 
 
+def test_rejected_data_is_not_inverted(monkeypatch):
+    # the norm conditions are checked before u is inverted, so the four
+    # perturbations are refused without a single inverse in K
+    base = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="none")
+    calls = []
+    inverse = KummerField.inverse
+
+    def counting_inverse(self, x):
+        calls.append(x)
+        return inverse(self, x)
+
+    monkeypatch.setattr(KummerField, "inverse", counting_inverse)
+    for data in perturbed_data(base)[1:]:
+        assert not accepted(base.K, data, "full")
+    assert calls == []
+    # a non-unit u is still refused, at every check level
+    ring = rational_ring()
+    K = KummerField(ring, 2, ring.element(3), ring.element(4))
+    bad = K.from_pair(ring.element(-2), ring.element(1))
+    for level in ("full", "cyclic", "none"):
+        with pytest.raises(CrossedError):
+            CrossedAlgebra(K, bad, K.one(), K.one(), check=level)
+
+
 def test_cocycle_check_agrees_with_brute_force_cyclic():
     ring = rational_ring()
     base = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="none")
@@ -494,12 +518,14 @@ def test_tensor_mismatched_data():
 # ---------------------------------------------------------------- decomposition
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_decompose_generic_symbolic(m):
     ring = symbolic_ring(m)
     a1, a2, t, lam = symbolic_gens(ring)
     A = instance_from_symbol(m, a1, a2, t, lam, ring=ring, check="full")
-    cert = decompose(A)
+    # the whole verdict, the symbol presentation of A_f included
+    ok, detail, cert = decomposition_ok(A)
+    assert (ok, detail) == (True, "generic")
     assert cert.branch == "generic"
     assert cert.ok
     names = {item["name"] for item in cert.identities}
@@ -511,10 +537,6 @@ def test_decompose_generic_symbolic(m):
     assert c == -(a1 * f2) / f1
     f = FieldElement.from_json(ring, cert.witnesses["f"])
     assert f == -a1 / f1
-    if m == 3:
-        # the whole verdict, the symbol presentation of A_f included
-        ok, detail, _ = decomposition_ok(A)
-        assert (ok, detail) == (True, "generic")
 
 
 def test_decompose_generic_rational_and_replay():
@@ -796,9 +818,10 @@ def test_delta_power_refuses_invertible_delta_outside_F():
     assert all(A.scalar_of(A.power(delta, 4)) is None for delta in refused)
 
 
-def test_delta_power_needs_both_one_sided_products():
-    # u -> u al2 breaks the cocycle identity (the full check rejects it);
-    # there (z1 z2)^3 z1 z2 is a nonzero scalar but z1 z2 (z1 z2)^3 differs
+def test_delta_power_refuses_an_algebra_failing_the_norm_conditions():
+    # u -> u al2 breaks the norm conditions (the full check rejects it);
+    # there (z1 z2)^3 z1 z2 is a nonzero scalar but z1 z2 (z1 z2)^3 differs,
+    # so no power of z1 z2 certifies it invertible
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="none")
     K = A.K
     x = A.mul(A.z1(), A.z2())
@@ -807,11 +830,35 @@ def test_delta_power_needs_both_one_sided_products():
     with pytest.raises(CrossedError):
         CrossedAlgebra(K, u_al2, A.b1, A.b2, check="full")
     B = CrossedAlgebra(K, u_al2, A.b1, A.b2, check="none")
+    assert A.norm_conditions_hold() and not B.norm_conditions_hold()
     x = B.mul(B.z1(), B.z2())
     top = B.power(x, 4)
     assert B.scalar_of(top) is not None and not B.scalar_of(top).is_zero()
     assert not B.equal(B.mul(x, B.power(x, 3)), top)
     assert invertible_delta_power(B, x) is None
+
+
+def test_cyclic_to_symbol_refuses_a_non_associative_algebra_up_front(monkeypatch):
+    Af, _ = _twisted_rational(3, 5, 2, 1)
+    K = Af.K
+    B = CrossedAlgebra(K, K.mul(Af.u, K.alpha2()), Af.b1, Af.b2, check="none")
+    seen = []
+    monkeypatch.setattr(crossed, "invertible_delta_power", lambda *args: seen.append(args))
+    with pytest.raises(CrossedError, match=r"norm conditions \(a\) and \(b\) fail"):
+        cyclic_to_symbol(B, B.add(B.z1(), B.alpha1()))
+    assert seen == []
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_squared_delta_power_matches_sequential_power(m):
+    # 2m = 4, 6, 8: at m = 3 the squaring chain takes delta^4 delta^2
+    A = instance_from_symbol(m, 3, 5, 2, 1, ring=standard_ring(m, ()), check="full",
+                             mu=1, nu=2)
+    Af = decompose(A).twisted
+    pres = cyclic_to_symbol(Af, Af.add(Af.z1(), Af.alpha1()))
+    assert pres.ok
+    delta = from_coords(Af, pres.delta_coords)
+    assert pres.d_prime == Af.scalar_of(Af.power(delta, 2 * m))
 
 
 def test_c_prime_value_is_checked_against_gamma_m_squared(monkeypatch):
