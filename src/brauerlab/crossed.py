@@ -249,6 +249,9 @@ class KummerField(GradedAlgebra):
         self.zeta_m = _root_of_unity(ring, m)
         self.zeta_2m = _root_of_unity(ring, 2 * m)
         self.dim = 2 * m
+        # zeta_m^k and -zeta_m^k for k < m, the factors sigma applies
+        powers = [Cyc.zeta(ring.conductor, k * (ring.conductor // m)) for k in range(m)]
+        self._twists = (powers, [-z for z in powers])
 
     def _rule(self, g, h) -> tuple:
         i, j = g[0] + h[0], g[1] + h[1]
@@ -306,10 +309,12 @@ class KummerField(GradedAlgebra):
             return x
         out: KElem = {}
         for (i, j), c in x.items():
-            factor = self.zeta_m ** ((s1 * i) % self.m)
-            if (s2 * j) % 2:
-                factor = -factor
-            out[(i, j)] = c * factor
+            factor = self._twists[(s2 * j) % 2][(s1 * i) % self.m]
+            if not factor.is_rational():
+                c = c * factor
+            elif not factor.is_one():
+                c = -c  # the only rational roots of unity are 1 and -1
+            out[(i, j)] = c
         return out
 
     def act(self, g, x: KElem) -> KElem:

@@ -299,14 +299,14 @@ class Cyc:
     def __pow__(self, k: int) -> "Cyc":
         if k < 0:
             return self.inverse() ** (-k)
-        result = Cyc.one(self.conductor)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
+            base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return Cyc.one(self.conductor) if result is None else result
 
     # -- square roots -----------------------------------------------------
 

@@ -6,14 +6,31 @@ rather than a silent coercion.  Monomials are exponent tuples ordered by
 graded reverse lexicographic order globally (leading terms, normalization,
 and printing all use the same order).
 
-``FieldElement`` is a quotient num/den of polynomials with no gcd machinery:
-the denominator is normalized to leading coefficient 1, a quotient that
-divides exactly collapses to a polynomial, and equality is decided by cross
-multiplication.  A sum stays over a shared denominator; when one denominator
-divides the other it goes over the larger one, a/b + c/(q*b) = (a*q + c)/(q*b),
-and only otherwise over their product.  The denominators the crossed-product
-certificates produce are products of a few shared factors, so this keeps them
-small without a gcd.
+A polynomial's ``terms`` are never changed after construction, so
+polynomials are shared rather than copied.  Each ring holds one unit
+polynomial, which ``PolyRing.one()`` returns; a product with it returns the
+other factor, and ``is_one`` recognizes it by identity first.  A polynomial
+keeps its leading exponent once it is known.  A product, a scaling and a
+negation carry it: under a monomial order over a domain,
+lead(p*q) = lead(p) + lead(q) (Cox-Little-O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2 sec. 2), so normalization and ``exact_divide`` read it
+rather than rescan every term.  Every identity test is a shortcut: an equal
+ring held by a different object takes the general path to the same result.
+
+``FieldElement`` is a quotient num/den of polynomials with no gcd machinery.
+Normal form: the denominator has leading coefficient 1, and it is the unit,
+or it does not divide the numerator (a quotient that divides exactly
+collapses to a polynomial).  A product of two quotients in normal form needs
+no rescaling, since monic times monic is monic; over unit denominators it is
+in normal form as it stands, and otherwise only the exact division is tried
+again.  A negation stays in normal form, since a sign cannot make a division
+exact.  Equality compares numerators over equal denominators and cross
+multiplies otherwise; both are exact, F[x] being a domain.  A sum stays over
+a shared denominator; when one denominator divides the other it goes over
+the larger one, a/b + c/(q*b) = (a*q + c)/(q*b), and only otherwise over
+their product.  The denominators the crossed-product certificates produce
+are products of a few shared factors, so this keeps them small without a
+gcd.
 
 ``is_square`` decides constants with a rational value exactly (see
 cyclotomic.Cyc.sqrt); every other element is left undecided.
@@ -36,7 +53,7 @@ def _grevlex_key(exps: tuple[int, ...]):
 class PolyRing:
     """Variable names plus a cyclotomic conductor for the coefficients."""
 
-    __slots__ = ("variables", "conductor", "_index")
+    __slots__ = ("variables", "conductor", "_index", "_one")
 
     def __init__(self, variables: Iterable[str], conductor: int = 1):
         variables = tuple(variables)
@@ -48,6 +65,8 @@ class PolyRing:
         self.variables = variables
         self.conductor = conductor
         self._index = {name: k for k, name in enumerate(variables)}
+        origin = (0,) * len(variables)
+        self._one = MultiPoly._clean(self, {origin: Cyc.one(conductor)}, origin)
 
     def var_index(self, name: str) -> int:
         if name not in self._index:
@@ -67,13 +86,17 @@ class PolyRing:
         return MultiPoly(self, {})
 
     def one(self) -> "MultiPoly":
-        return self.scalar(1)
+        """The ring's unit polynomial, one shared object."""
+        return self._one
 
     def scalar(self, value: ScalarLike) -> "MultiPoly":
         c = self.scalar_cyc(value)
         if c.is_zero():
             return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * len(self.variables): c})
+        if c.is_one():
+            return self._one
+        origin = (0,) * len(self.variables)
+        return MultiPoly._clean(self, {origin: c}, origin)
 
     def zeta(self, power: int = 1) -> "MultiPoly":
         return self.scalar(Cyc.zeta(self.conductor, power))
@@ -89,8 +112,8 @@ class PolyRing:
                 raise ValueError("ring mismatch")
             return value
         if isinstance(value, MultiPoly):
-            return FieldElement(value, self.one())
-        return FieldElement(self.scalar(value), self.one())
+            return FieldElement(value, self._one)
+        return FieldElement._normalized(self, self.scalar(value), self._one)
 
     def __eq__(self, other):
         return (
@@ -107,11 +130,24 @@ class PolyRing:
 
 
 class MultiPoly:
-    __slots__ = ("ring", "terms")
+    """Sparse polynomial {exponents: nonzero Cyc}; ``terms`` is never mutated."""
+
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self._lead = None
+
+    @classmethod
+    def _clean(cls, ring: PolyRing, terms: dict, lead=None) -> "MultiPoly":
+        # terms already free of zero coefficients; lead is their leading
+        # exponent, or None when not known yet
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._lead = lead
+        return p
 
     # -- views -----------------------------------------------------------
 
@@ -122,6 +158,8 @@ class MultiPoly:
         return all(not any(e) for e in self.terms)
 
     def is_one(self) -> bool:
+        if self is self.ring._one:
+            return True
         return self.is_scalar() and self.as_scalar().is_one()
 
     def as_scalar(self) -> Cyc:
@@ -132,9 +170,12 @@ class MultiPoly:
         return self.terms[(0,) * len(self.ring.variables)]
 
     def leading_exponents(self) -> tuple[int, ...]:
-        if self.is_zero():
-            raise ExactFieldError("zero polynomial has no leading term")
-        return max(self.terms, key=_grevlex_key)
+        lead = self._lead
+        if lead is None:
+            if self.is_zero():
+                raise ExactFieldError("zero polynomial has no leading term")
+            lead = self._lead = max(self.terms, key=_grevlex_key)
+        return lead
 
     def leading_coefficient(self) -> Cyc:
         return self.terms[self.leading_exponents()]
@@ -143,7 +184,7 @@ class MultiPoly:
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("ring mismatch")
             return other
         if isinstance(other, (int, Fraction, Cyc)):
@@ -169,7 +210,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._clean(self.ring, {e: -c for e, c in self.terms.items()}, self._lead)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -184,6 +225,12 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o is self.ring._one:
+            return self
+        if self is o.ring._one:
+            return o
+        if not self.terms or not o.terms:
+            return MultiPoly._clean(self.ring, {})
         acc: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -197,7 +244,8 @@ class MultiPoly:
                         acc[e] = s
                 else:
                     acc[e] = prod
-        return MultiPoly(self.ring, acc)
+        lead = tuple(a + b for a, b in zip(self.leading_exponents(), o.leading_exponents()))
+        return MultiPoly._clean(self.ring, acc, lead)
 
     __rmul__ = __mul__
 
@@ -215,7 +263,11 @@ class MultiPoly:
 
     def scale(self, c: ScalarLike) -> "MultiPoly":
         cc = self.ring.scalar_cyc(c)
-        return MultiPoly(self.ring, {e: v * cc for e, v in self.terms.items()})
+        if cc.is_zero():
+            return MultiPoly(self.ring, {})
+        if cc.is_one():
+            return self
+        return MultiPoly._clean(self.ring, {e: v * cc for e, v in self.terms.items()}, self._lead)
 
     # -- comparisons, display, serialization ---------------------------------
 
@@ -224,7 +276,7 @@ class MultiPoly:
             other = self.ring.scalar(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -290,7 +342,8 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
         return num
     ring = num.ring
     den_lead = den.leading_exponents()
-    den_lc = den.leading_coefficient()
+    den_lc = den.terms[den_lead]
+    monic = den_lc.is_one()
     quot: dict = {}
     rem = num
     while not rem.is_zero():
@@ -298,14 +351,15 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
         diff = tuple(a - b for a, b in zip(lead, den_lead))
         if any(d < 0 for d in diff):
             return None
-        c = rem.terms[lead] / den_lc
+        c = rem.terms[lead] if monic else rem.terms[lead] / den_lc
         quot[diff] = c
-        rem = rem - MultiPoly(ring, {diff: c}) * den
-    return MultiPoly(ring, quot)
+        rem = rem - MultiPoly._clean(ring, {diff: c}, diff) * den
+    # the first quotient term is the leading one: each step lowers the lead
+    return MultiPoly._clean(ring, quot, next(iter(quot)))
 
 
 class FieldElement:
-    """Quotient of polynomials, denominator normalized to leading coefficient 1.
+    """Quotient of polynomials in the normal form of the module docstring.
 
     Sums go over the larger denominator when one divides the other (checked
     with ``exact_divide``), else over the product of the two.
@@ -314,7 +368,7 @@ class FieldElement:
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
-        if num.ring != den.ring:
+        if num.ring is not den.ring and num.ring != den.ring:
             raise ValueError("ring mismatch")
         if den.is_zero():
             raise ExactFieldError("division by zero")
@@ -327,7 +381,9 @@ class FieldElement:
                 inv = lc.inverse()
                 den = den.scale(inv)
                 num = num.scale(inv)
-            if not den.is_one():
+            if den.is_one():
+                den = ring.one()
+            else:
                 q = exact_divide(num, den)
                 if q is not None:
                     num, den = q, ring.one()
@@ -335,19 +391,29 @@ class FieldElement:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _normalized(cls, ring: PolyRing, num: MultiPoly, den: MultiPoly) -> "FieldElement":
+        # num/den already in normal form, with den the ring's unit when it is 1
+        f = object.__new__(cls)
+        f.ring = ring
+        f.num = num
+        f.den = den
+        return f
+
     # -- coercion ------------------------------------------------------------
 
     def _coerce(self, other) -> Optional["FieldElement"]:
         if isinstance(other, FieldElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("ring mismatch")
             return other
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("ring mismatch")
             return FieldElement(other, self.ring.one())
         if isinstance(other, (int, Fraction, Cyc)):
-            return FieldElement(self.ring.scalar(other), self.ring.one())
+            ring = self.ring
+            return FieldElement._normalized(ring, ring.scalar(other), ring.one())
         return None
 
     # -- predicates and views --------------------------------------------------
@@ -370,8 +436,11 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return FieldElement(self.num + o.num, self.den)
+        den = self.den
+        if den is o.den or den == o.den:
+            if den is self.ring.one():
+                return FieldElement._normalized(self.ring, self.num + o.num, den)
+            return FieldElement(self.num + o.num, den)
         q = exact_divide(o.den, self.den)
         if q is not None:
             return FieldElement(self.num * q + o.num, o.den)
@@ -383,7 +452,7 @@ class FieldElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(-self.num, self.den)
+        return FieldElement._normalized(self.ring, -self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -398,7 +467,19 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.num * o.num, self.den * o.den)
+        ring = self.ring
+        one = ring.one()
+        if o.num is one and o.den is one:
+            return self
+        if self.num is one and self.den is one and o.ring is ring:
+            return o
+        num = self.num * o.num
+        den = self.den * o.den
+        # den is 1 only over two unit denominators; otherwise it is monic and
+        # __init__ just retries the exact division
+        if den is one or num.is_zero():
+            return FieldElement._normalized(ring, num, one)
+        return FieldElement(num, den)
 
     __rmul__ = __mul__
 
@@ -435,8 +516,10 @@ class FieldElement:
             other = self._coerce(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             return False
+        if self.den is other.den or self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):

@@ -21,7 +21,7 @@ from brauerlab.crossed import (
     standard_ring,
     tensor_brauer,
 )
-from brauerlab.exactfield import FieldElement, PolyRing, common_conductor
+from brauerlab.exactfield import Cyc, FieldElement, PolyRing, common_conductor, poly
 from cocycle_oracle import cocycle_holds
 from linalg_oracle import kernel, mat_rank, solve
 
@@ -570,6 +570,46 @@ def test_decomposition_ok_builds_the_twisted_algebra_once(monkeypatch):
     # the twist (1, f, 1) and A_f = A (x) twist; the commutation solve
     # reuses A_f from the certificate
     assert levels == ["none", "full"]
+
+
+def _count_scalar_work(monkeypatch):
+    """Count Cyc products and exact_divide calls and hits from here on."""
+    counts = {"cyc_mul": 0, "divide": 0, "hits": 0}
+    mul, divide = Cyc.__mul__, poly.exact_divide
+
+    def counted_mul(a, b):
+        counts["cyc_mul"] += 1
+        return mul(a, b)
+
+    def counted_divide(num, den):
+        counts["divide"] += 1
+        q = divide(num, den)
+        counts["hits"] += q is not None
+        return q
+
+    monkeypatch.setattr(Cyc, "__mul__", counted_mul)
+    monkeypatch.setattr(Cyc, "__rmul__", counted_mul)
+    monkeypatch.setattr(poly, "exact_divide", counted_divide)
+    return counts
+
+
+def test_work_budget_of_exact_scalars(monkeypatch):
+    # upper bounds pinned at the counts of shared-unit, carried-lead
+    # arithmetic (the cross-multiplying arithmetic before it made 691 and
+    # 385 Cyc products, 0 and 65 exact_divide calls).  The exact_divide hits
+    # are pinned exactly: a lost hit would leave a quotient uncollapsed.
+    A = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="full")
+    counts = _count_scalar_work(monkeypatch)
+    assert decomposition_ok(A)[:2] == (True, "generic")
+    assert counts["cyc_mul"] <= 198
+    assert counts["divide"] == counts["hits"] == 0
+    ring = symbolic_ring(2)
+    gens = symbolic_gens(ring)
+    counts.update(cyc_mul=0, divide=0, hits=0)
+    instance_from_symbol(2, *gens, ring=ring, check="full")
+    assert counts["cyc_mul"] <= 223
+    assert counts["divide"] <= 56
+    assert counts["hits"] == 8
 
 
 def test_decompose_f1_zero_cyclic():

@@ -351,3 +351,173 @@ def test_sum_matches_sympy(f, g):
     sympy = pytest.importorskip("sympy")
     diff = _to_sympy(sympy, f + g) - _to_sympy(sympy, f) - _to_sympy(sympy, g)
     assert sympy.cancel(sympy.together(diff)) == 0
+
+
+# ---------------------------------------------------------------- normal form
+
+
+_XYZ = PolyRing(("x", "y", "z"), conductor=12)
+
+
+def _random_poly(rng, ring, nterms):
+    phi = euler_phi(ring.conductor)
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randrange(3) for _ in ring.variables)
+        terms[e] = Cyc(ring.conductor, [rng.randint(-3, 3) for _ in range(phi)],
+                       rng.randint(1, 3))
+    return MultiPoly(ring, terms)
+
+
+def _random_element(rng, ring):
+    # numerators and denominators share factors from one small pool, so some
+    # products and sums divide exactly and some do not
+    x, y, z = (ring.var(v) for v in ring.variables)
+    pool = [ring.one(), x + 1, y - 2 * z, x * y + 3, z, ring.scalar(Fraction(2, 3))]
+    num = _random_poly(rng, ring, rng.randint(1, 4)) * rng.choice(pool)
+    if num.is_zero():
+        num = ring.one()
+    return FieldElement(num, rng.choice(pool) * rng.choice(pool))
+
+
+def _fresh(p, ring=None):
+    """A copy of p sharing nothing with it: new terms dict, no cached lead."""
+    return MultiPoly(ring or p.ring, dict(p.terms))
+
+
+def _renormalized(f):
+    return FieldElement(_fresh(f.num), _fresh(f.den))
+
+
+def _items(f):
+    return list(f.num.terms.items()), list(f.den.terms.items())
+
+
+def _lead_by_rescan(p):
+    return max(p.terms, key=lambda e: (sum(e), tuple(-a for a in reversed(e))))
+
+
+def _assert_carried_leads(*polys):
+    for p in polys:
+        if p._lead is not None:
+            assert p._lead == _lead_by_rescan(p)
+
+
+def test_shared_unit_is_returned_and_kept():
+    ring = _XYZ
+    one = ring.one()
+    assert ring.one() is one and ring.scalar(1) is one and one.is_one()
+    p = ring.var("x") + ring.var("y") * 2
+    assert p * one is p and one * p is p and p ** 1 is p
+    assert p.scale(1) is p
+    # an equal ring held by another object takes the general path
+    other = PolyRing(ring.variables, ring.conductor)
+    assert other.one() is not one and other.one() == one
+    q = p * other.one()
+    assert q is not p and list(q.terms.items()) == list(p.terms.items())
+    # a denominator that normalizes to 1 becomes the shared unit
+    f = FieldElement(p, ring.scalar(3))
+    assert f.den is one
+    assert (ring.element(1) * f) is f and (f * 1) is f
+
+
+def test_field_element_results_are_in_normal_form():
+    # each result equals, term for term and in term order, its own
+    # renormalization from fresh copies and the general construction that
+    # takes no shortcut; every carried leading exponent equals a rescan
+    rng = random.Random(20261019)
+    ring = _XYZ
+    twin = PolyRing(ring.variables, ring.conductor)
+    hits = 0
+    for _ in range(60):
+        f, g = _random_element(rng, ring), _random_element(rng, ring)
+        fn, fd, gn, gd = (_fresh(p) for p in (f.num, f.den, g.num, g.den))
+        cases = [
+            (f * g, FieldElement(fn * gn, fd * gd)),
+            (-f, FieldElement(-fn, fd)),
+            (f.inverse(), FieldElement(fd, fn)),
+            (f + g, f + g),
+            # the same product with g over an equal ring held by another object
+            (f * g, f * FieldElement(_fresh(g.num, twin), _fresh(g.den, twin))),
+        ]
+        for result, general in cases:
+            assert _items(result) == _items(general)
+            assert _items(result) == _items(_renormalized(result))
+            assert result.den.leading_coefficient().is_one()
+            _assert_carried_leads(result.num, result.den)
+        assert f * g == g * f and f + g == g + f
+        hits += (f * g).den.is_one() and not (f.den.is_one() and g.den.is_one())
+        _assert_carried_leads(f.num * g.num, f.den * g.den, -f.num, f.num.scale(Cyc.zeta(12)))
+    assert hits > 0  # some products collapse by exact division
+
+
+def test_exact_divide_quotient_carries_its_lead():
+    rng = random.Random(5)
+    for _ in range(20):
+        a = _random_poly(rng, _XYZ, 4)
+        b = _random_poly(rng, _XYZ, 3)
+        q = exact_divide(a * b, b)
+        assert q == a
+        _assert_carried_leads(q)
+        assert q.leading_exponents() == _lead_by_rescan(a)
+
+
+@pytest.mark.parametrize("conductor", [4, 12])
+def test_poly_products_match_sympy(conductor):
+    # oracle: sympy's product in Q[zeta, x, y, z] reduced modulo Phi_N(zeta)
+    sympy = pytest.importorskip("sympy")
+    zeta, *xs = sympy.symbols("zeta x y z")
+    gens = (zeta, *xs)
+    modulus = sympy.Poly(sympy.cyclotomic_poly(conductor, zeta), *gens, domain="QQ")
+    ring = PolyRing(("x", "y", "z"), conductor)
+
+    def to_sympy(p):
+        expr = 0
+        for e, c in p.terms.items():
+            coeff = sum(sympy.Rational(a, c.den) * zeta ** k for k, a in enumerate(c.nums))
+            expr += coeff * xs[0] ** e[0] * xs[1] ** e[1] * xs[2] ** e[2]
+        return sympy.Poly(expr, *gens, domain="QQ")
+
+    rng = random.Random(conductor)
+    for _ in range(15):
+        p = _random_poly(rng, ring, rng.randint(1, 6))
+        q = _random_poly(rng, ring, rng.randint(1, 6))
+        product = p * q
+        assert to_sympy(product) == (to_sympy(p) * to_sympy(q)).rem(modulus)
+        _assert_carried_leads(product)
+
+
+def test_equal_denominators_compare_numerators_directly(monkeypatch):
+    # about 700 numerator terms over one shared denominator: the comparison
+    # reads the numerators and makes no polynomial product
+    rng = random.Random(700)
+    ring = PolyRing(("a", "b", "c", "d"), conductor=4)
+    terms = {}
+    while len(terms) < 700:
+        e = tuple(rng.randrange(7) for _ in ring.variables)
+        terms[e] = Cyc(4, [rng.randint(1, 9), rng.randint(-9, 9)], rng.randint(1, 5))
+    den_terms = {tuple(rng.randrange(4) for _ in ring.variables): Cyc.rational(rng.randint(1, 9), 4)
+                 for _ in range(60)}
+    den = MultiPoly(ring, den_terms)
+    f = FieldElement(MultiPoly(ring, terms), den)
+    same = FieldElement(MultiPoly(ring, dict(terms)), MultiPoly(ring, dict(den_terms)))
+    e0 = next(iter(f.num.terms))
+    changed = dict(f.num.terms)
+    changed[e0] = changed[e0] + 1
+    other = FieldElement(MultiPoly(ring, changed), f.den)
+    assert len(f.num.terms) == 700 and not f.den.is_one()
+    assert f.den == same.den and f.den is not same.den
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, o):
+        products.append(1)
+        return mul(self, o)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    assert f == same and same == f
+    assert f != other and not (other == f)
+    assert not products
+    # over different denominators equality still cross-multiplies
+    x = ring.element(ring.var("a"))
+    assert (x / (x + 1)) == (x * x) / (x * x + x) and products
