@@ -50,13 +50,13 @@ that passes (a) and (b) is power-associative, so delta^2m may be taken by
 squaring and a scalar delta^2m = d' makes d'^-1 delta^(2m-1) a two-sided
 inverse.  That function checks (a) and (b) itself, whatever the check level.
 
-The check level "cyclic" covers only Z/m x 0, that is the subalgebra
-generated by K and z1, where the identity says s1(b1) = b1: membership
-b1 in F(al2) already gives it, so "cyclic" adds no check, and puts no
-condition on u or b2.  It exists because the power-cancellation identity
-and the gamma-power computations live entirely in that subalgebra and are
-meaningful for fully independent parameters where no compatible u exists
-over the rational function field.  The level "none" skips (a) and (b).
+There are two check levels: "full" checks (a) and (b), "none" skips them,
+and both check b1 in F(al2) and b2 in F(al1).  On the subalgebra generated
+by K and z1 the cocycle identity reduces to s1(b1) = b1, which b1 in F(al2)
+gives, so that subalgebra is associative at either level.  The
+power-cancellation identity and the gamma-power computations live in it, so
+they are meaningful at "none" for independent parameters, where no
+compatible u exists over the rational function field.
 """
 
 from __future__ import annotations
@@ -296,7 +296,8 @@ class KummerField(GradedAlgebra):
 
     def coerce(self, value) -> KElem:
         if isinstance(value, dict):
-            return {k: self.ring.element(v) for k, v in value.items() if not self.ring.element(v).is_zero()}
+            out = {k: self.ring.element(v) for k, v in value.items()}
+            return {k: v for k, v in out.items() if not v.is_zero()}
         if isinstance(value, (tuple, list)):
             raise CrossedError("ambiguous K element; use from_pair or from_alpha1_coeffs")
         return self.scalar(value)
@@ -393,7 +394,6 @@ class SymbolAlgebra(GradedAlgebra):
             raise CrossedError("zero parameter")
         self.zeta = _root_of_unity(ring, m)
         self.dim = m * m
-        self._verify_relations()
 
     def _rule(self, g, h) -> tuple:
         m = self.m
@@ -418,18 +418,6 @@ class SymbolAlgebra(GradedAlgebra):
 
     def element_mono(self, i: int, j: int, coeff=1) -> dict:
         return {(i % self.m, j % self.m): self.ring.element(coeff)}
-
-    def _verify_relations(self):
-        checks = [
-            self.equal(self.power(self.x(), self.m), {UNIT: self.a}),
-            self.equal(self.power(self.y(), self.m), {UNIT: self.b}),
-            self.equal(
-                self.mul(self.x(), self.y()),
-                self.scale(self.mul(self.y(), self.x()), self.zeta),
-            ),
-        ]
-        if not all(checks):
-            raise CrossedError("symbol algebra relations failed to verify")
 
 
 # --------------------------------------------------------------- tensor products
@@ -460,18 +448,18 @@ class GradedTensor(GradedAlgebra):
 # --------------------------------------------------------------- crossed algebras
 
 
-CHECK_LEVELS = ("full", "cyclic", "none")
+CHECK_LEVELS = ("full", "none")
 
 
 class CrossedAlgebra(GradedAlgebra):
     """Structure-constant crossed product for Z/m x Z/2; see module docstring.
 
     Elements are {(k, l): KElem} representing sums of K-coefficients times
-    z1^k z2^l, with k < m and l < 2.  ``check`` is one of CHECK_LEVELS: the
-    norm conditions (a) and (b), equivalent to the 2-cocycle identity over
-    all of Z/m x Z/2 ("full"); the identity over Z/m x 0 only, which the
-    membership of b1 in F(al2) already gives ("cyclic"); or nothing
-    ("none").  The conjugation relations
+    z1^k z2^l, with k < m and l < 2.  ``check`` is one of CHECK_LEVELS:
+    "full" checks the norm conditions (a) and (b), equivalent to the
+    2-cocycle identity over all of Z/m x Z/2; "none" skips them.  Both
+    levels check b1 in F(al2) and b2 in F(al1), which makes the K-z1
+    subalgebra associative.  The conjugation relations
     z x = s(x) z hold for every (u, b1, b2) and need no check: ``mul`` applies
     the action, c(g, h) = 1 when g or h is the unit, and K is commutative.
     """
@@ -499,8 +487,7 @@ class CrossedAlgebra(GradedAlgebra):
         self.dim = 4 * self.m * self.m
         self.check_level = check
         self._norm_ok: Optional[bool] = None
-        # checked before u is inverted, so refused data costs no inverse;
-        # "cyclic" needs s1(b1) = b1 only, which b1 in F(al2) already gives
+        # checked before u is inverted, so refused data costs no inverse
         if check == "full" and not self.norm_conditions_hold():
             raise CrossedError("associativity violated: incompatible (u, b1, b2)")
         self._u_inv = K.inverse(self.u)
@@ -602,7 +589,8 @@ def crossed_from_data(
 
     At "full" the data is accepted exactly when (u, b1, b2) gives an
     associative algebra, decided by the norm conditions (a) and (b) of the
-    module docstring; see CrossedAlgebra for "cyclic" and "none".  b1 may
+    module docstring; at "none" only the memberships b1 in F(al2) and b2 in
+    F(al1) are checked, as at every level.  b1 may
     be a scalar or a pair (f1, f2) meaning f1 + f2*al2; b2 a scalar or a
     coefficient list over powers of al1; u a scalar or a K coefficient dict.
     """
@@ -681,17 +669,18 @@ def bergman_power(A: CrossedAlgebra) -> PowerCancellationCertificate:
 
 
 def generic_cyclic_algebra(m: int) -> CrossedAlgebra:
-    """Fully symbolic (a1, a2, f1, f2) algebra checked at the cyclic level.
+    """Fully symbolic (a1, a2, f1, f2) algebra built at check level "none".
 
     No u over the rational function field is compatible with independent
     f1, f2 (the norm condition N_s1(u) = b1/s2(b1) has no rational solution),
-    so the z2-side is left unverified: everything computed from this algebra
-    must stay inside the K-z1 subalgebra, which is associative for any b1.
+    so the norm conditions are not checked: everything computed from this
+    algebra must stay inside the K-z1 subalgebra, which is associative for
+    any b1 in F(al2).
     """
     ring = standard_ring(m)
     K = KummerField(ring, m, ring.element(ring.var("a1")), ring.element(ring.var("a2")))
     b1 = K.from_pair(ring.element(ring.var("f1")), ring.element(ring.var("f2")))
-    return CrossedAlgebra(K, K.one(), b1, K.one(), check="cyclic")
+    return CrossedAlgebra(K, K.one(), b1, K.one(), check="none")
 
 
 def instance_from_symbol(
@@ -911,14 +900,8 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
     else:
         branch = "generic"
         f = -K.a1 / f1
-        if A.check_level == "full":
-            twist = CrossedAlgebra(K, K.one(), K.scalar(f), K.one(), check="none")
-            A_f = tensor_brauer(A, twist)
-        else:
-            # twisting preserves the K-z1 subalgebra, so keep the weak check
-            A_f = CrossedAlgebra(
-                K, A.u, K.mul(A.b1, K.scalar(f)), A.b2, check="cyclic"
-            )
+        twist = CrossedAlgebra(K, K.one(), K.scalar(f), K.one(), check="none")
+        A_f = tensor_brauer(A, twist, check=A.check_level)
         record(
             "tensor-cocycle-witness",
             K.equal(A_f.u, A.u)

@@ -1,5 +1,6 @@
 """Exact symbolic arithmetic: cyclotomic scalars, sparse polynomials and
-rational functions."""
+rational functions.  The three classes share subtraction, division and
+integer powers through one base class, cyclotomic.DerivedOps."""
 
 from .cyclotomic import (
     Cyc,

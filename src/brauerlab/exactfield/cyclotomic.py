@@ -14,6 +14,9 @@ Computational Algebraic Number Theory, ch. 4).
 ``sqrt`` decides exactly whether a rational is a square in Q(zeta_N), by the
 conductor-discriminant theorem, and builds the root from quadratic Gauss
 sums (Washington, Introduction to Cyclotomic Fields, ch. 4).
+
+``DerivedOps`` holds subtraction, division and integer powers once for
+``Cyc``, poly.MultiPoly and poly.FieldElement.
 """
 
 from __future__ import annotations
@@ -120,7 +123,49 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
 Scalarish = Union["Cyc", int, Fraction]
 
 
-class Cyc:
+class DerivedOps:
+    """Subtraction, division and integer powers, shared by the exact scalars.
+
+    A subclass supplies ``_coerce`` (the other operand in its own type, or
+    None), ``+``, unary ``-``, ``*`` and ``inverse``; ``_coerce(1)`` is the
+    unit.  A power squares from the lowest bit up, with no product by the
+    unit first and no squaring after the last bit.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = None
+        base = self
+        while k:
+            if k & 1:
+                result = base if result is None else result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return self._coerce(1) if result is None else result
+
+
+class Cyc(DerivedOps):
     """Element of Q(zeta_N) with integer coordinates over a common denominator."""
 
     __slots__ = ("conductor", "nums", "den")
@@ -234,15 +279,6 @@ class Cyc:
     def __neg__(self) -> "Cyc":
         return Cyc(self.conductor, [-a for a in self.nums], self.den, _normalized=True)
 
-    def __sub__(self, other: Scalarish) -> "Cyc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: Scalarish) -> "Cyc":
-        return (-self) + other
-
     def __mul__(self, other: Scalarish) -> "Cyc":
         o = self._coerce(other)
         if o is None:
@@ -286,27 +322,6 @@ class Cyc:
         if norm.is_zero() or not norm.is_rational():
             raise ExactFieldError("norm is not a nonzero rational")
         return Cyc(n, [a * norm.den for a in cofactor.nums], cofactor.den * norm.nums[0])
-
-    def __truediv__(self, other: Scalarish) -> "Cyc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: Scalarish) -> "Cyc":
-        return self.inverse() * other
-
-    def __pow__(self, k: int) -> "Cyc":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return Cyc.one(self.conductor) if result is None else result
 
     # -- square roots -----------------------------------------------------
 

@@ -32,6 +32,9 @@ their product.  The denominators the crossed-product certificates produce
 are products of a few shared factors, so this keeps them small without a
 gcd.
 
+Subtraction, division and integer powers come from cyclotomic.DerivedOps.
+A polynomial is invertible only when it is a nonzero constant.
+
 ``is_square`` decides constants with a rational value exactly (see
 cyclotomic.Cyc.sqrt); every other element is left undecided.
 """
@@ -41,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .cyclotomic import Cyc, ExactFieldError
+from .cyclotomic import Cyc, DerivedOps, ExactFieldError
 
 ScalarLike = Union[int, Fraction, Cyc]
 
@@ -129,7 +132,7 @@ class PolyRing:
         return f"PolyRing({', '.join(self.variables)}; conductor={self.conductor})"
 
 
-class MultiPoly:
+class MultiPoly(DerivedOps):
     """Sparse polynomial {exponents: nonzero Cyc}; ``terms`` is never mutated."""
 
     __slots__ = ("ring", "terms", "_lead")
@@ -212,15 +215,6 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly._clean(self.ring, {e: -c for e, c in self.terms.items()}, self._lead)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -249,17 +243,10 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ExactFieldError("negative power of a polynomial; use FieldElement")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+    def inverse(self) -> "MultiPoly":
+        if self.is_zero() or not self.is_scalar():
+            raise ExactFieldError("only a nonzero constant polynomial is invertible")
+        return self.ring.scalar(self.as_scalar().inverse())
 
     def scale(self, c: ScalarLike) -> "MultiPoly":
         cc = self.ring.scalar_cyc(c)
@@ -335,7 +322,11 @@ class MultiPoly:
 
 
 def exact_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
-    """num / den when the division is exact in the polynomial ring, else None."""
+    """num / den when the division is exact in the polynomial ring, else None.
+
+    Raises ExactFieldError when the remainder's leading exponent fails to
+    fall in grevlex order, which only a wrong cached leading exponent causes.
+    """
     if den.is_zero():
         raise ExactFieldError("division by zero")
     if num.is_zero():
@@ -346,8 +337,12 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
     monic = den_lc.is_one()
     quot: dict = {}
     rem = num
+    last = None
     while not rem.is_zero():
         lead = rem.leading_exponents()
+        if last is not None and _grevlex_key(lead) >= _grevlex_key(last):
+            raise ExactFieldError("exact_divide: the remainder's leading term did not fall")
+        last = lead
         diff = tuple(a - b for a, b in zip(lead, den_lead))
         if any(d < 0 for d in diff):
             return None
@@ -358,7 +353,7 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
     return MultiPoly._clean(ring, quot, next(iter(quot)))
 
 
-class FieldElement:
+class FieldElement(DerivedOps):
     """Quotient of polynomials in the normal form of the module docstring.
 
     Sums go over the larger denominator when one divides the other (checked
@@ -454,15 +449,6 @@ class FieldElement:
     def __neg__(self):
         return FieldElement._normalized(self.ring, -self.num, self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -487,27 +473,6 @@ class FieldElement:
         if self.is_zero():
             raise ExactFieldError("division by zero")
         return FieldElement(self.den, self.num)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.ring.element(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     # -- comparisons, display, serialization ------------------------------------
 

@@ -13,10 +13,11 @@ hyperbolic planes and comes out diagonal.  trace_data extracts, from a
 degree-4 crossed product, the quadratic-subfield traces and norms of the
 three squared slot generators; serre_form and equiv_form build the
 associated diagonal forms, and witt_derive_equivalence links them by an
-explicit move certificate.
+explicit move certificate.  equiv_form builds each entry as a triple
+(text, generators used, value), so its audit reads the generators each
+entry uses and its texts off the same construction that gives the values.
 """
 
-from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -32,82 +33,6 @@ def _zeta4(ring: PolyRing) -> FieldElement:
     if ring.conductor % 4 != 0:
         raise QuadFormError("need a square root of -1: conductor not divisible by 4")
     return ring.element(ring.zeta(ring.conductor // 4))
-
-
-# ------------------------------------------------------------------ expressions
-
-
-class GenExpr:
-    """Expression tree over named generators and rational constants.
-
-    Used to build form entries syntactically, so that an audit can confirm
-    every entry lies in the subfield the generators define: the leaf set of
-    the tree is the whole proof.
-    """
-
-    __slots__ = ("kind", "value", "args")
-
-    def __init__(self, kind, value=None, args=()):
-        self.kind = kind        # "const" | "gen" | "add" | "sub" | "mul"
-        self.value = value      # Fraction for const, name for gen
-        self.args = args
-
-    @staticmethod
-    def const(value) -> "GenExpr":
-        return GenExpr("const", Fraction(value))
-
-    @staticmethod
-    def gen(name: str) -> "GenExpr":
-        return GenExpr("gen", name)
-
-    @staticmethod
-    def _coerce(value) -> "GenExpr":
-        if isinstance(value, GenExpr):
-            return value
-        return GenExpr.const(value)
-
-    def __add__(self, other):
-        return GenExpr("add", args=(self, GenExpr._coerce(other)))
-
-    def __sub__(self, other):
-        return GenExpr("sub", args=(self, GenExpr._coerce(other)))
-
-    def __mul__(self, other):
-        return GenExpr("mul", args=(self, GenExpr._coerce(other)))
-
-    def leaves(self) -> set:
-        if self.kind == "gen":
-            return {self.value}
-        if self.kind == "const":
-            return set()
-        out = set()
-        for a in self.args:
-            out |= a.leaves()
-        return out
-
-    def uses_only(self, names) -> bool:
-        return self.leaves() <= set(names)
-
-    def evaluate(self, env: dict, ring: PolyRing) -> FieldElement:
-        if self.kind == "const":
-            return ring.element(self.value)
-        if self.kind == "gen":
-            return env[self.value]
-        left = self.args[0].evaluate(env, ring)
-        right = self.args[1].evaluate(env, ring)
-        if self.kind == "add":
-            return left + right
-        if self.kind == "sub":
-            return left - right
-        return left * right
-
-    def render(self) -> str:
-        if self.kind == "const":
-            return str(self.value)
-        if self.kind == "gen":
-            return self.value
-        op = {"add": " + ", "sub": " - ", "mul": "*"}[self.kind]
-        return "(" + self.args[0].render() + op + self.args[1].render() + ")"
 
 
 # ------------------------------------------------------------------------ forms
@@ -347,61 +272,50 @@ def serre_form(td: TraceData) -> QuadraticForm:
 EQUIV_GENERATORS = ("g1", "g2", "g3", "g4")
 
 
-def equiv_form(td: TraceData) -> QuadraticForm:
-    """The reduced 16-dimensional form, every entry built syntactically from
-    the four generators g1 = n1/t1^2, g2 = n2/t2^2, g3 = t1 t2, g4 = t2 t3.
+def _times(a: tuple, b: tuple) -> tuple:
+    """Product of two entry triples (text, generators used, value)."""
+    return f"({a[0]}*{b[0]})", a[1] | b[1], a[2] * b[2]
 
-    Entries are assembled as expression trees over the generators and
-    rationals, then evaluated; the trees are attached to the result so the
-    four-generator audit is a leaf-set inspection, bounding the
-    transcendence degree of the field the entries generate by 4.
+
+def equiv_form(td: TraceData) -> QuadraticForm:
+    """The reduced 16-dimensional form, every entry built from the four
+    generators g1 = n1/t1^2, g2 = n2/t2^2, g3 = t1 t2, g4 = t2 t3.
+
+    Each entry is a triple (text, generators used, value); products nest to
+    the left, with texts such as "(1 - g1)" and "((1 - g2)*g2)".
+    ``form.audit`` checks that every entry uses only EQUIV_GENERATORS, which
+    bounds the transcendence degree of the field the entries generate by 4,
+    and lists the texts; ``form.generator_legend`` names each generator.
     """
     ring = td.ring
     if td.t1.is_zero() or td.t2.is_zero():
         raise QuadFormError("zero denominator")
-    g1 = GenExpr.gen("g1")
-    g2 = GenExpr.gen("g2")
-    g3 = GenExpr.gen("g3")
-    g4 = GenExpr.gen("g4")
-    one = GenExpr.const(1)
-    y = one - g1
-    w = (one - g2) * g2
-    second = [g2, w, g3, w * g3, g4, w * g4, g3 * g4, w * g3 * g4]
-    exprs = second + [y * s for s in second]
-
     t1sq = td.t1 * td.t1
     t2sq = td.t2 * td.t2
-    env = {
-        "g1": td.n1 / t1sq,
-        "g2": td.n2 / t2sq,
-        "g3": td.t1 * td.t2,
-        "g4": td.t2 * td.t3,
-    }
-    entries = [e.evaluate(env, ring) for e in exprs]
-    form = diagonal(entries, ring=ring)
-    form.entry_expressions = exprs
+    g1 = ("g1", {"g1"}, td.n1 / t1sq)
+    g2 = ("g2", {"g2"}, td.n2 / t2sq)
+    g3 = ("g3", {"g3"}, td.t1 * td.t2)
+    g4 = ("g4", {"g4"}, td.t2 * td.t3)
+    one = ring.element(1)
+    y = ("(1 - g1)", g1[1], one - g1[2])
+    w = _times(("(1 - g2)", g2[1], one - g2[2]), g2)
+    wg3 = _times(w, g3)
+    second = [g2, w, g3, wg3, g4, _times(w, g4), _times(g3, g4), _times(wg3, g4)]
+    entries = second + [_times(y, s) for s in second]
+    form = diagonal([value for _, _, value in entries], ring=ring)
     form.generator_legend = {
         "g1": "n1/t1^2",
         "g2": "n2/t2^2",
         "g3": "t1*t2",
         "g4": "t2*t3",
     }
-    form.audit = audit_entries(form)
-    return form
-
-
-def audit_entries(form: QuadraticForm) -> dict:
-    """Leaf-set audit of a form carrying entry expression trees."""
-    exprs = getattr(form, "entry_expressions", None)
-    if exprs is None:
-        raise ValueError("form carries no entry expressions")
-    ok = all(e.uses_only(EQUIV_GENERATORS) for e in exprs)
-    return {
-        "only_four_generators": ok,
+    form.audit = {
+        "only_four_generators": all(used <= set(EQUIV_GENERATORS) for _, used, _ in entries),
         "generators": dict(form.generator_legend),
         "transcendence_degree_bound": len(EQUIV_GENERATORS),
-        "entries": [e.render() for e in exprs],
+        "entries": [text for text, _, _ in entries],
     }
+    return form
 
 
 # ------------------------------------------------------------------ Witt moves

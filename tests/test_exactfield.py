@@ -205,6 +205,47 @@ def test_exact_divide(ring):
         exact_divide(x, ring.zero())
 
 
+def test_exact_divide_refuses_a_wrong_cached_lead(ring):
+    x = ring.var("x")
+    # x + 1 leads with x; a cached lead at the constant term is wrong, and
+    # each step would then raise the remainder's degree instead of lowering it
+    wrong = MultiPoly._clean(ring, dict((x + 1).terms), (0, 0))
+    with pytest.raises(ExactFieldError, match="did not fall"):
+        exact_divide(x * x, wrong)
+
+
+def _operands(kind):
+    """(a, b) with b invertible; a is invertible too except for MultiPoly,
+    whose only invertible elements are the nonzero constants."""
+    if kind == "Cyc":
+        return Cyc(12, [1, 2, 0, -1]), Cyc(12, [0, 3, 1, 0], 2)
+    ring = PolyRing(("x", "y"), conductor=4)
+    x, y = ring.var("x"), ring.var("y")
+    if kind == "MultiPoly":
+        return x * y - 2 * x + 1, ring.scalar(Cyc(4, [1, 2], 3))
+    return ring.element(x + y) / ring.element(x - 2), ring.element(x * y + 1)
+
+
+@pytest.mark.parametrize("kind", ["Cyc", "MultiPoly", "FieldElement"])
+def test_shared_derived_operators(kind):
+    a, b = _operands(kind)
+    assert type(a - b) is type(a) and (a - b) + b == a
+    assert (3 - a) + a == 3
+    assert type(a / b) is type(a) and (a / b) * b == a
+    assert (3 / b) * b == 3
+    assert (a ** 0).is_one() and (b ** 0).is_one()
+    assert a ** 1 is a
+    assert a ** 5 == a * a * a * a * a
+    assert b ** -2 == (b ** 2).inverse()
+    if kind == "MultiPoly":
+        with pytest.raises(ExactFieldError):
+            a ** -1
+        with pytest.raises(ExactFieldError):
+            1 / a
+    else:
+        assert a ** -2 == (a ** 2).inverse()
+
+
 def test_is_square_cases(ring):
     x, y = ring.var("x"), ring.var("y")
     assert is_square(ring.element(-1)) == ring.element(ring.zeta())
