@@ -1,14 +1,19 @@
 """Acceptance checks shared by the test gate and the command-line selftest.
 
-Each check function takes the run seed and returns (verdict, details):
-True for pass, False for fail, None for inconclusive.  Details are plain
+Each criterion takes the run seed and returns (verdict, details): True for
+pass, False for fail, None for inconclusive.  Details are plain
 deterministic strings (counts and witnesses, never wall-clock), so a whole
-run serializes byte-identically under a fixed seed.  The nine checks are
-registered in CRITERIA in their documented order.  The CLI reuses the
-status mapping (check_result), the seeded streams (seeded_rng,
-seeded_symbol_instances, quartic_trace_instance) and the per-object helpers
-(udn_entry_failures, relation_kernel_checks, tensor_square_checks,
-formanek_checks, decomposition_ok).
+run serializes byte-identically under a fixed seed.  The nine criteria are
+registered in CRITERIA in their documented order; run_all turns their
+results into check records (see checks.py).
+
+The per-object producers (udn_checks, relation_kernel_checks,
+tensor_square_checks, formanek_checks, trace_instance_checks) return the
+check records that the matching CLI command emits unchanged, and each
+criterion derives its problems from the names of the failing records, so a
+command and its criterion check the same conditions.  The CLI also reuses
+the seeded streams (seeded_rng, seeded_symbol_instances,
+quartic_trace_instance) and decomposition_ok.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import d_bounds, tau_bound_crossed
+from .checks import check, failing
 from .crossed import (
     CrossedAlgebra,
     CrossedError,
@@ -32,13 +38,15 @@ from .crossed import (
     generic_cyclic_algebra,
     instance_from_symbol,
 )
-from .exactfield import PolyRing
+from .exactfield import PolyRing, is_square
 from .factorsets import (
     FactorSet,
+    check_cocycle,
     check_equivariance,
     is_normalized,
     is_reduced,
     normalized_factor_set,
+    udn_factor_set,
     wedge_membership,
 )
 from .groups import (
@@ -61,6 +69,9 @@ from .lattices import (
 )
 from .quadforms import (
     QuadFormError,
+    TraceData,
+    diagonal,
+    direct_sum,
     hyperbolic_sufficient,
     replay_trace_form_equivalence,
     trace_data,
@@ -96,20 +107,40 @@ def udn_entry_failures(cp: FactorSet) -> tuple[list, list]:
     return escapes, breaks
 
 
+def udn_checks(n: int, mode: str = "all") -> list:
+    """The UD(n) factor-set checks that ``mode`` selects ("all", "cocycle",
+    "equivariance", "wedge" or "normalization"): the cocycle identity and
+    equivariance of the raw factor set, then, for odd n, the predicates,
+    reversal products, equivariance and wedge membership of the normalized
+    one."""
+    raw = udn_factor_set(n)
+    records = []
+    if mode in ("all", "cocycle"):
+        records.append(check_cocycle(raw))
+    if mode in ("all", "equivariance"):
+        records.append(check_equivariance(raw, "equivariance-raw"))
+    if mode in ("all", "wedge", "normalization"):
+        cp = normalized_factor_set(n)
+        escapes, breaks = udn_entry_failures(cp)
+        if mode in ("all", "normalization"):
+            records.append(check("reduced-normalized-predicates",
+                                 is_reduced(cp) and is_normalized(cp),
+                                 "degenerate entries trivial, reversal products trivial"))
+            records.append(check("reversal-products", not breaks,
+                                 f"{n ** 3} products, {len(breaks)} nontrivial"))
+        if mode == "all":
+            records.append(check_equivariance(cp, "equivariance-normalized"))
+        if mode in ("all", "wedge"):
+            records.append(check("wedge-membership", not escapes,
+                                 f"{n ** 3} entries, {len(escapes)} escapes"))
+    return records
+
+
 def check_udn_factor_sets(seed: int):
     problems = []
     entries = 0
     for n in (5, 7):
-        cp = normalized_factor_set(n)
-        if not (is_reduced(cp) and is_normalized(cp)):
-            problems.append(f"n={n}: normalization predicates fail")
-        if not check_equivariance(cp).ok:
-            problems.append(f"n={n}: equivariance fails")
-        escapes, breaks = udn_entry_failures(cp)
-        problems += [f"n={n}: ({i},{j},{h}) escapes the wedge"
-                     for i, j, h in escapes]
-        problems += [f"n={n}: ({i},{j},{h}) breaks c*c-reversed = 1"
-                     for i, j, h in breaks]
+        problems += [f"n={n}: {name} fails" for name in failing(udn_checks(n))]
         entries += n ** 3
     if problems:
         return False, "; ".join(problems[:6])
@@ -123,29 +154,24 @@ def check_udn_factor_sets(seed: int):
 
 
 def relation_kernel_checks(group: PermutationGroup, subgroup: Subgroup,
-                           r: int, generators=None) -> dict:
+                           r: int) -> Optional[list]:
     """One (G, H, r) relation-kernel instance: exactness plus the
-    faithfulness-iff-(r >= 2 or H nontrivial) comparison."""
-    if generators is None:
-        r0, gens0 = min_generators_rel(group, subgroup, max_r=3)
-        if r0 > r:
-            return {"ok": None, "skipped": True,
-                    "reason": f"no generating tuple of length {r}"}
-        pad = gens0[0] if gens0 else 1
-        generators = list(gens0) + [pad] * (r - r0)
-    seq = freepres_sequence(group, subgroup, generators)
-    report = is_exact(seq)
+    faithfulness-iff-(r >= 2 or H nontrivial) comparison, as the check
+    "relation-kernel"; None when no generating tuple of length r exists."""
+    r0, gens0 = min_generators_rel(group, subgroup, max_r=3)
+    if r0 > r:
+        return None
+    pad = gens0[0] if gens0 else 1
+    seq = freepres_sequence(group, subgroup, list(gens0) + [pad] * (r - r0))
+    exact = is_exact(seq).exact
     faithful = is_faithful(seq.inner.source)
     predicted = faithful_predicate_freepres(group, subgroup, r)
-    return {
-        "ok": bool(report.exact and faithful == predicted
-                   and predicted == (r >= 2 or subgroup.order > 1)),
-        "skipped": False,
-        "exact": report.exact,
-        "kernel_rank": seq.inner.source.rank,
-        "faithful": faithful,
-        "predicted": predicted,
-    }
+    return [check(
+        "relation-kernel",
+        exact and faithful == predicted and predicted == (r >= 2 or subgroup.order > 1),
+        {"exact": exact, "kernel_rank": seq.inner.source.rank,
+         "faithful": faithful, "predicted": predicted, "r": r},
+    )]
 
 
 def check_relation_kernel_family(seed: int):
@@ -154,16 +180,13 @@ def check_relation_kernel_family(seed: int):
     for group in builtin_family():
         for subgroup in subgroups_up_to_conjugacy(group):
             for r in (1, 2):
-                res = relation_kernel_checks(group, subgroup, r)
-                if res.get("skipped"):
+                records = relation_kernel_checks(group, subgroup, r)
+                if records is None:
                     skipped += 1
                     continue
                 checked += 1
-                if not res["ok"]:
-                    problems.append(
-                        f"{group.name}/|H|={subgroup.order}/r={r}: "
-                        f"exact={res['exact']} faithful={res['faithful']} "
-                        f"predicted={res['predicted']}")
+                problems += [f"{group.name}/|H|={subgroup.order}/r={r}: {name} fails"
+                             for name in failing(records)]
     if problems:
         return False, "; ".join(problems[:6])
     return True, (
@@ -172,15 +195,16 @@ def check_relation_kernel_family(seed: int):
     )
 
 
-def tensor_square_checks(group: PermutationGroup, subgroup: Subgroup) -> dict:
+def tensor_square_checks(group: PermutationGroup, subgroup: Subgroup) -> Optional[list]:
     """One (G, H) tensor-square instance: exactness, the pair-basis map
     verified column by column against its defining rule together with an
-    explicit sparse inverse, and faithfulness against the core/index rule."""
+    explicit sparse inverse, and faithfulness against the core/index rule,
+    as the check "tensor-square"; None at index 1."""
     n = group.order // subgroup.order
     if n < 2:
-        return {"ok": None, "skipped": True, "reason": "index 1"}
+        return None
     seq = seq2_sequence(group, subgroup)
-    report = is_exact(seq)
+    exact = is_exact(seq).exact
     iso = pair_basis_iso(seq)
     columns = iso.columns
     pidx = seq.inner.target.pair_index
@@ -219,16 +243,12 @@ def tensor_square_checks(group: PermutationGroup, subgroup: Subgroup) -> dict:
 
     faithful = is_faithful(seq.inner.source)
     predicted = faithful_predicate_seq2(group, subgroup)
-    return {
-        "ok": bool(report.exact and rule_ok and inverse_ok
-                   and faithful == predicted),
-        "skipped": False,
-        "exact": report.exact,
-        "basis_rule": rule_ok,
-        "explicit_inverse": inverse_ok,
-        "faithful": faithful,
-        "predicted": predicted,
-    }
+    return [check(
+        "tensor-square",
+        exact and rule_ok and inverse_ok and faithful == predicted,
+        {"exact": exact, "basis_rule": rule_ok, "explicit_inverse": inverse_ok,
+         "faithful": faithful, "predicted": predicted},
+    )]
 
 
 def check_tensor_square_family(seed: int):
@@ -236,16 +256,13 @@ def check_tensor_square_family(seed: int):
     problems = []
     for group in builtin_family():
         for subgroup in subgroups_up_to_conjugacy(group):
-            res = tensor_square_checks(group, subgroup)
-            if res.get("skipped"):
+            records = tensor_square_checks(group, subgroup)
+            if records is None:
                 skipped += 1
                 continue
             checked += 1
-            if not res["ok"]:
-                problems.append(
-                    f"{group.name}/|H|={subgroup.order}: exact={res['exact']} "
-                    f"rule={res['basis_rule']} inverse={res['explicit_inverse']} "
-                    f"faithful={res['faithful']} predicted={res['predicted']}")
+            problems += [f"{group.name}/|H|={subgroup.order}: {name} fails"
+                         for name in failing(records)]
     if problems:
         return False, "; ".join(problems[:6])
     return True, (
@@ -258,33 +275,27 @@ def check_tensor_square_family(seed: int):
 # --------------------------------------------------- 4: symmetric-group kernel
 
 
-def formanek_checks(n: int) -> dict:
+def formanek_checks(n: int) -> list:
+    """The symmetric-group kernel sequence for S_n: exactness, kernel rank
+    n^2 + 1, and a unimodular, equivariant splitting."""
     seq, iso = formanek_sequence(n)
-    report = is_exact(seq)
+    rank = seq.inner.source.rank
     iso_det = snf.det(iso.matrix)
-    return {
-        "ok": bool(
-            report.exact
-            and seq.inner.source.rank == n * n + 1
-            and iso.source.rank == iso.target.rank == n * n + 1
-            and iso_det in (1, -1)
-            and iso.check_equivariance()
-            and seq.outer.check_equivariance()
-        ),
-        "exact": report.exact,
-        "kernel_rank": seq.inner.source.rank,
-        "iso_det": iso_det,
-    }
+    return [
+        check("sequence-exact", is_exact(seq).exact, f"kernel rank {rank}"),
+        check("kernel-rank", rank == n * n + 1, f"rank {rank}, expected n^2 + 1"),
+        check("splitting-unimodular",
+              iso.source.rank == iso.target.rank == n * n + 1 and iso_det in (1, -1),
+              f"rank {iso.source.rank} to {iso.target.rank}, determinant {iso_det}"),
+        check("splitting-equivariant",
+              iso.check_equivariance() and seq.outer.check_equivariance(),
+              "splitting and outer map commute with the S_n generators"),
+    ]
 
 
 def check_formanek_kernel(seed: int):
-    problems = []
-    for n in (3, 4, 5):
-        res = formanek_checks(n)
-        if not res["ok"]:
-            problems.append(
-                f"n={n}: exact={res['exact']} rank={res['kernel_rank']} "
-                f"det={res['iso_det']}")
+    problems = [f"n={n}: {name} fails"
+                for n in (3, 4, 5) for name in failing(formanek_checks(n))]
     if problems:
         return False, "; ".join(problems)
     return True, ("n in 3..5: exact, kernel rank n^2+1, unimodular "
@@ -378,8 +389,8 @@ def decomposition_ok(
     generic branch, the symbol presentation of A_f that ``cyclic_to_symbol``
     builds in closed form."""
     cert = decompose(algebra)
-    bad = [item["name"] for item in cert.identities if not item["ok"]]
-    if bad or not cert.ok:
+    bad = failing(cert.identities)
+    if bad:
         return False, f"branch {cert.branch}: failing {bad}", cert
     if cert.branch != "generic":
         return True, cert.branch, cert
@@ -447,6 +458,41 @@ def quartic_trace_instance(ring: PolyRing, rng: random.Random):
                 raise
 
 
+def trace_instance_checks(td: TraceData, k: int) -> list:
+    """The checks of trace-form instance k: its trace identities, the
+    20 -> 16 move certificate replayed onto the reduced form with its
+    four-generator audit, and the invariant cross-checks of the replay."""
+    report = replay_trace_form_equivalence(td)
+    start, final = report["start_form"], report["final_form"]
+    target = report["target_form"]
+    # the moves are isometries of the trace field (which contains i),
+    # so the sound cross-checks are the rank drop and the discriminant
+    # square class there
+    restored = direct_sum(final, diagonal([1, -1, 1, -1], ring=td.ring))
+    disc = td.ring.element(1)
+    for e in list(start.entries) + list(restored.entries):
+        disc = disc * e
+    square_class_ok = is_square(disc) is not None
+    return [
+        check(f"instance-{k}-trace-identities", not failing(td.checks),
+              {"trace_data": {n: str(v) for n, v in td.values().items()},
+               "identity_checks": td.checks}),
+        check(f"instance-{k}-move-certificate",
+              report["ok"] and start.dim == 20 and final.dim == 16,
+              {"serre_form": [str(e) for e in start.entries],
+               "equiv_form": target.audit["entries"],
+               "generator_legend": target.generator_legend,
+               "moves": [m.to_json() for m in report["move_list"]],
+               "start_dim": start.dim, "final_dim": final.dim,
+               "matches_reduced_form": report["final_matches_equiv_form"],
+               "four_generator_audit": target.audit["only_four_generators"]}),
+        check(f"instance-{k}-invariant-cross-checks",
+              start.dim - final.dim == 4 and square_class_ok,
+              {"rank_drop": start.dim - final.dim,
+               "discriminant_square_class_preserved": square_class_ok}),
+    ]
+
+
 def check_trace_form_certificates(seed: int):
     ring = PolyRing((), 4)
     rng = seeded_rng(seed, "traceform")
@@ -457,15 +503,9 @@ def check_trace_form_certificates(seed: int):
         except (CrossedError, QuadFormError):
             return False, f"instance {k}: generator exhausted"
         resampled_total += resampled
-        bad = [c["name"] for c in td.checks if not c["ok"]]
+        bad = failing(trace_instance_checks(td, k))
         if bad:
-            return False, f"instance {k}: identities {bad} fail"
-        report = replay_trace_form_equivalence(td)
-        if not (report["ok"] and report["final_matches_equiv_form"]
-                and report["start_dim"] == 20 and report["final_dim"] == 16):
-            return False, f"instance {k}: certificate replay fails"
-        if not report["audit"]["only_four_generators"]:
-            return False, f"instance {k}: entry audit exceeds four generators"
+            return False, f"instance {k}: {bad} fail"
     return True, (
         f"10 instances ({resampled_total} resampled): trace identities with "
         "the quartic-root witness, 20 -> 16 move replay onto the reduced "
@@ -523,19 +563,8 @@ CRITERIA = (
 )
 
 
-def check_result(name: str, verdict, details) -> dict:
-    """One named check: verdict True / False / None becomes status
-    pass / fail / inconclusive."""
-    if verdict is True:
-        status = "pass"
-    elif verdict is False:
-        status = "fail"
-    else:
-        status = "inconclusive"
-    return {"name": name, "status": status, "details": details}
-
-
 def run_all(seed: int, indices: Optional[list] = None) -> list[dict]:
-    """The acceptance checks at ``indices`` (default all), in that order."""
+    """The check records of the criteria at ``indices`` (default all), in
+    that order."""
     idx = list(indices) if indices is not None else list(range(len(CRITERIA)))
-    return [check_result(CRITERIA[i][0], *CRITERIA[i][1](seed)) for i in idx]
+    return [check(CRITERIA[i][0], *CRITERIA[i][1](seed)) for i in idx]

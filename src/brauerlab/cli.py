@@ -2,10 +2,13 @@
 
 Every subcommand builds one envelope: the command name, an echo of the
 inputs, the tool version, the seed, and a list of named checks with
-status pass / fail / inconclusive.  Envelopes are serialized with sorted
-keys and carry no wall-clock field, so equal seeds give byte-identical
-output; timing goes to standard error.  Exit codes: 0 when every check
-passes, 1 when a mathematical check fails, 2 for invalid input.
+status pass / fail / inconclusive.  A handler returns the check records
+(checks.py) of the producers it calls, unchanged; make_envelope alone maps
+each record to its envelope entry and the records to the overall status.
+Envelopes are serialized with sorted keys and carry no wall-clock field,
+so equal seeds give byte-identical output; timing goes to standard error.
+Exit codes: 0 when every check passes, 1 when a mathematical check fails,
+2 for invalid input.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from fractions import Fraction
 from . import __version__
 from .acceptance import (
     CRITERIA,
-    check_result,
     decomposition_ok,
     formanek_checks,
     quartic_trace_instance,
@@ -28,21 +30,14 @@ from .acceptance import (
     seeded_rng,
     seeded_symbol_instances,
     tensor_square_checks,
-    udn_entry_failures,
+    trace_instance_checks,
+    udn_checks,
 )
 from .bounds import d_bounds
+from .checks import aggregate, check, status
 from .crossed import CrossedError, instance_from_symbol, standard_ring
 from .exactfield import ExactFieldError, PolyRing, is_square
-from .factorsets import (
-    check_cocycle,
-    check_equivariance,
-    is_normalized,
-    is_reduced,
-    normalized_factor_set,
-    udn_factor_set,
-)
 from .groups import builtin_family
-from .quadforms import diagonal, direct_sum, replay_trace_form_equivalence
 
 SCHEMA = "brauerlab-envelope/1"
 
@@ -51,16 +46,8 @@ class UsageError(ValueError):
     """Invalid input surfaced as exit code 2."""
 
 
-def _aggregate(checks: list) -> str:
-    statuses = {c["status"] for c in checks}
-    if "fail" in statuses:
-        return "fail"
-    if "inconclusive" in statuses:
-        return "inconclusive"
-    return "pass"
-
-
 def make_envelope(command: str, inputs: dict, seed, checks: list) -> dict:
+    """The envelope of one run; ``checks`` are check records (checks.py)."""
     return {
         "schema": SCHEMA,
         "tool": "brauerlab",
@@ -68,8 +55,9 @@ def make_envelope(command: str, inputs: dict, seed, checks: list) -> dict:
         "command": command,
         "input": inputs,
         "seed": seed,
-        "checks": checks,
-        "status": _aggregate(checks),
+        "checks": [{"name": c["name"], "status": status(c["ok"]), "details": c["detail"]}
+                   for c in checks],
+        "status": status(aggregate(checks)),
         # wall-clock would break byte-identity under equal seeds; real
         # timing is reported on standard error instead
         "timing": None,
@@ -94,9 +82,9 @@ def cmd_bounds(args) -> tuple[dict, list]:
     report = d_bounds(args.n, args.assume)
     data = report.to_json()
     checks = [
-        check_result("degree-bounds", True, data),
-        check_result("bounds-consistent", report.lower <= report.upper,
-                     f"lower {report.lower} <= upper {report.upper}"),
+        check("degree-bounds", True, data),
+        check("bounds-consistent", report.lower <= report.upper,
+              f"lower {report.lower} <= upper {report.upper}"),
     ]
     return {"n": args.n, "assumptions": list(args.assume)}, checks
 
@@ -112,15 +100,7 @@ def cmd_lattice(args) -> tuple[dict, list]:
     if args.formanek is not None:
         if args.formanek < 2:
             raise UsageError("the symmetric-group kernel needs n >= 2")
-        res = formanek_checks(args.formanek)
-        checks = [
-            check_result("sequence-exact", res["exact"], f"kernel rank {res['kernel_rank']}"),
-            check_result("kernel-rank", res["kernel_rank"] == args.formanek ** 2 + 1,
-                         f"rank {res['kernel_rank']}, expected n^2 + 1"),
-            check_result("splitting-unimodular", res["iso_det"] in (1, -1),
-                         f"determinant {res['iso_det']}"),
-        ]
-        return {"formanek": args.formanek}, checks
+        return {"formanek": args.formanek}, formanek_checks(args.formanek)
 
     registry = _family_registry()
     if args.group not in registry:
@@ -133,30 +113,18 @@ def cmd_lattice(args) -> tuple[dict, list]:
         subgroup = group.trivial_subgroup()
 
     rel = relation_kernel_checks(group, subgroup, args.r)
-    if rel.get("skipped"):
+    if rel is None:
         raise UsageError(
             f"no generating tuple of length {args.r} relative to the "
             f"subgroup; raise --r")
-    checks = [
-        check_result("relation-kernel", rel["ok"], {
-            "exact": rel["exact"], "kernel_rank": rel["kernel_rank"],
-            "faithful": rel["faithful"], "predicted": rel["predicted"],
-            "r": args.r,
-        }),
-    ]
     tens = tensor_square_checks(group, subgroup)
-    if tens.get("skipped"):
+    if tens is None:
         raise UsageError("the tensor-square sequence needs index at least 2")
-    checks.append(check_result("tensor-square", tens["ok"], {
-        "exact": tens["exact"], "basis_rule": tens["basis_rule"],
-        "explicit_inverse": tens["explicit_inverse"],
-        "faithful": tens["faithful"], "predicted": tens["predicted"],
-    }))
     return {
         "group": args.group,
         "subgroup": args.subgroup or "trivial",
         "r": args.r,
-    }, checks
+    }, rel + tens
 
 
 # ------------------------------------------------------------- udn-factorset
@@ -165,37 +133,9 @@ def cmd_lattice(args) -> tuple[dict, list]:
 def cmd_udn_factorset(args) -> tuple[dict, list]:
     if args.n < 2:
         raise UsageError("factor sets need n >= 2")
-    mode = args.check
-    needs_normalized = mode in ("all", "wedge", "normalization")
-    if needs_normalized and args.n % 2 == 0:
+    if args.check in ("all", "wedge", "normalization") and args.n % 2 == 0:
         raise UsageError("the normalized factor set needs odd n")
-    raw = udn_factor_set(args.n)
-    checks = []
-    if mode in ("all", "cocycle"):
-        cert = check_cocycle(raw)
-        checks.append(check_result("cocycle-identity", cert.ok,
-                                   f"{cert.checked} quadruples"))
-    if mode in ("all", "equivariance"):
-        cert = check_equivariance(raw)
-        checks.append(check_result("equivariance-raw", cert.ok,
-                                   f"{cert.checked} entry-generator pairs"))
-    if needs_normalized:
-        cp = normalized_factor_set(args.n)
-        escapes, breaks = udn_entry_failures(cp)
-        if mode in ("all", "normalization"):
-            checks.append(check_result("reduced-normalized-predicates",
-                                       is_reduced(cp) and is_normalized(cp),
-                                       "degenerate entries trivial, reversal products trivial"))
-            checks.append(check_result("reversal-products", not breaks,
-                                       f"{args.n ** 3} products, {len(breaks)} nontrivial"))
-        if mode in ("all", "equivariance"):
-            cert = check_equivariance(cp)
-            checks.append(check_result("equivariance-normalized", cert.ok,
-                                       f"{cert.checked} entry-generator pairs"))
-        if mode in ("all", "wedge"):
-            checks.append(check_result("wedge-membership", not escapes,
-                                       f"{args.n ** 3} entries, {len(escapes)} escapes"))
-    return {"n": args.n, "check": mode}, checks
+    return {"n": args.n, "check": args.check}, udn_checks(args.n, args.check)
 
 
 # --------------------------------------------------------- crossed-decompose
@@ -211,7 +151,7 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
         ok, detail, cert = decomposition_ok(algebra)
         payload = cert.to_json()
         payload["pipeline"] = detail
-        checks.append(check_result(label, ok, payload))
+        checks.append(check(label, ok, payload))
 
     if args.symbol is not None:
         e, g, t, lam = [_parse_fraction(v) for v in args.symbol]
@@ -261,42 +201,7 @@ def cmd_traceform(args) -> tuple[dict, list]:
     checks = []
     for k in range(args.random):
         td, _ = quartic_trace_instance(ring, rng)
-        checks.append(check_result(
-            f"instance-{k}-trace-identities",
-            all(c["ok"] for c in td.checks),
-            {"trace_data": {n: str(v) for n, v in td.values().items()},
-             "identity_checks": td.checks}))
-
-        report = replay_trace_form_equivalence(td)
-        start, final = report["start_form"], report["final_form"]
-        target = report["target_form"]
-        checks.append(check_result(
-            f"instance-{k}-move-certificate",
-            report["ok"],
-            {"serre_form": [str(e) for e in start.entries],
-             "equiv_form": target.audit["entries"],
-             "generator_legend": target.generator_legend,
-             "moves": [m.to_json() for m in report["move_list"]],
-             "start_dim": start.dim, "final_dim": final.dim,
-             "matches_reduced_form": report["final_matches_equiv_form"],
-             "four_generator_audit": target.audit["only_four_generators"]}))
-
-        # the moves are isometries of the trace field (which contains i),
-        # so the sound cross-checks are the rank drop and the discriminant
-        # square class there
-        restored = direct_sum(final, diagonal([1, -1, 1, -1], ring=ring))
-        disc = ring.element(1)
-        for e in list(start.entries) + list(restored.entries):
-            disc = disc * e
-        square_class_ok = is_square(disc) is not None
-        rank_ok = start.dim - final.dim == 4
-        detail = {
-            "rank_drop": start.dim - final.dim,
-            "discriminant_square_class_preserved": square_class_ok,
-        }
-        checks.append(check_result(
-            f"instance-{k}-invariant-cross-checks",
-            rank_ok and square_class_ok, detail))
+        checks += trace_instance_checks(td, k)
     return {"m": args.m, "random": args.random}, checks
 
 

@@ -65,6 +65,7 @@ import operator
 from collections import Counter
 from typing import Optional, Sequence
 
+from .checks import check, failing
 from .exactfield import Cyc, FieldElement, PolyRing, common_conductor
 
 
@@ -744,13 +745,13 @@ class DecompositionCertificate:
         self.branch = branch
         self.check_level = check_level
         self.params = params            # params_json of the input algebra
-        self.identities = identities    # [{"name", "ok", "detail"}]
+        self.identities = identities
         self.witnesses = witnesses      # {"f": json, "c": json, "gamma": coords json, ...}
         self.twisted = twisted          # A_f on the generic branch, else None; not serialized
 
     @property
     def ok(self) -> bool:
-        return all(item["ok"] for item in self.identities)
+        return not failing(self.identities)
 
     def to_json(self) -> dict:
         return {
@@ -833,12 +834,8 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
     K = A.K
     ring = A.ring
     f1, f2 = A.b1_pair()
-    identities = []
     witnesses: dict = {}
     A_f = None
-
-    def record(name, ok, detail=""):
-        identities.append({"name": name, "ok": bool(ok), "detail": detail})
 
     if f1.is_zero() and f2.is_zero():
         raise CrossedError("f1 = f2 = 0 rejected: impossible for division input")
@@ -848,14 +845,13 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
         powers = _powers(A, A.z1(), 2 * A.m)
         target = f2 * f2 * K.a2
         scalar = A.scalar_of(powers[-1])
-        record(
-            "z1-power-2m-value",
-            scalar is not None and scalar == target,
-            "z1^2m = f2^2*a2",
-        )
-        record("z1-power-2m-nonzero", scalar is not None and not scalar.is_zero())
         rank = _min_poly_rank(powers[:-1])
-        record("z1-min-poly-degree", rank == 2 * A.m, f"rank {rank} of first 2m powers")
+        identities = [
+            check("z1-power-2m-value", scalar is not None and scalar == target,
+                  "z1^2m = f2^2*a2"),
+            check("z1-power-2m-nonzero", scalar is not None and not scalar.is_zero()),
+            check("z1-min-poly-degree", rank == 2 * A.m, f"rank {rank} of first 2m powers"),
+        ]
         witnesses["z1_power_2m"] = target.to_json()
     elif f2.is_zero():
         branch = "f2-zero-split-quaternion"
@@ -863,7 +859,6 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
         # Hilbert-90 sum gives k with u sigma1(k) = k and k*z2 commuting
         # with z1; u = 1 keeps k = 1
         k_adj, adj_ok = _norm_one_splitter(A)
-        record("hilbert90-adjustment", adj_ok, "found invertible k with u*s1(k) = k")
         z2_adj = A.mul(A.scalar(k_adj), A.z2())
         pairs = [
             ("al1-vs-al2", A.alpha1(), A.alpha2()),
@@ -871,25 +866,25 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
             ("z1-vs-al2", A.z1(), A.alpha2()),
             ("z1-vs-z2", A.z1(), z2_adj),
         ]
-        for name, left, right in pairs:
-            record(
-                f"factors-commute-{name}",
-                A.equal(A.mul(left, right), A.mul(right, left)),
-            )
-        record("dimension-product", A.m * A.m * 4 == A.dim, "m^2 * 4 = (2m)^2")
         z2sq = A.scalar_of(A.power(z2_adj, 2))
-        record(
-            "quaternion-relations",
-            z2sq is not None
-            and not z2sq.is_zero()
-            and A.equal(
-                A.mul(z2_adj, A.alpha2()),
-                A.neg(A.mul(A.alpha2(), z2_adj)),
-            ),
-            "adjusted z2 squares into F* and anticommutes with al2",
-        )
         zm = A.scalar_of(A.power(A.z1(), A.m))
-        record("degree-m-symbol-relations", zm is not None and zm == f1, "z1^m = f1 in F")
+        identities = [
+            check("hilbert90-adjustment", adj_ok, "found invertible k with u*s1(k) = k"),
+            *(check(f"factors-commute-{name}", A.equal(A.mul(left, right), A.mul(right, left)))
+              for name, left, right in pairs),
+            check("dimension-product", A.m * A.m * 4 == A.dim, "m^2 * 4 = (2m)^2"),
+            check(
+                "quaternion-relations",
+                z2sq is not None
+                and not z2sq.is_zero()
+                and A.equal(
+                    A.mul(z2_adj, A.alpha2()),
+                    A.neg(A.mul(A.alpha2(), z2_adj)),
+                ),
+                "adjusted z2 squares into F* and anticommutes with al2",
+            ),
+            check("degree-m-symbol-relations", zm is not None and zm == f1, "z1^m = f1 in F"),
+        ]
         witnesses["symbol_factor"] = {"a": f1.to_json(), "b": K.a1.to_json(), "m": A.m}
         witnesses["quaternion_factor"] = {
             "a": K.a2.to_json(),
@@ -902,35 +897,33 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
         f = -K.a1 / f1
         twist = CrossedAlgebra(K, K.one(), K.scalar(f), K.one(), check="none")
         A_f = tensor_brauer(A, twist, check=A.check_level)
-        record(
-            "tensor-cocycle-witness",
-            K.equal(A_f.u, A.u)
-            and K.equal(A_f.b1, K.mul(A.b1, K.scalar(f)))
-            and K.equal(A_f.b2, A.b2),
-            "A_f parameters are (u, f*b1, b2)",
-        )
         c = -(K.a1 * f2) / f1
         gamma = A_f.add(A_f.z1(), A_f.alpha1())
         powers = _powers(A_f, gamma, 2 * A.m - 1)
         gm = powers[A.m]
         expected_m = A_f.scalar(K.scale(K.alpha2(), c))
-        record("gamma-power-m", A_f.equal(gm, expected_m), "gamma^m = c*al2")
-        g2m = A_f.mul(gm, gm)
         c2a2 = c * c * K.a2
-        scalar = A_f.scalar_of(g2m)
-        record("gamma-power-2m", scalar is not None and scalar == c2a2, "gamma^2m = c^2*a2")
-        record(
-            "gamma-power-2m-nonzero",
-            scalar is not None and not scalar.is_zero(),
-            "c^2*a2 in F*",
-        )
+        scalar = A_f.scalar_of(A_f.mul(gm, gm))
         rank = _min_poly_rank(powers)
-        record("gamma-min-poly-degree", rank == 2 * A.m, f"rank {rank} of first 2m powers")
-        record(
-            "power-identities-consistent",
-            A_f.equal(A_f.mul(expected_m, expected_m), A_f.scalar(c2a2)),
-            "(c*al2)^2 = c^2*a2 inside the algebra",
-        )
+        identities = [
+            check(
+                "tensor-cocycle-witness",
+                K.equal(A_f.u, A.u)
+                and K.equal(A_f.b1, K.mul(A.b1, K.scalar(f)))
+                and K.equal(A_f.b2, A.b2),
+                "A_f parameters are (u, f*b1, b2)",
+            ),
+            check("gamma-power-m", A_f.equal(gm, expected_m), "gamma^m = c*al2"),
+            check("gamma-power-2m", scalar is not None and scalar == c2a2, "gamma^2m = c^2*a2"),
+            check("gamma-power-2m-nonzero", scalar is not None and not scalar.is_zero(),
+                  "c^2*a2 in F*"),
+            check("gamma-min-poly-degree", rank == 2 * A.m, f"rank {rank} of first 2m powers"),
+            check(
+                "power-identities-consistent",
+                A_f.equal(A_f.mul(expected_m, expected_m), A_f.scalar(c2a2)),
+                "(c*al2)^2 = c^2*a2 inside the algebra",
+            ),
+        ]
         witnesses["f"] = f.to_json()
         witnesses["c"] = c.to_json()
         witnesses["gamma"] = [x.to_json() for x in A_f.coords(gamma)]
@@ -960,7 +953,7 @@ class SymbolPresentation:
 
     @property
     def ok(self) -> bool:
-        return all(item["ok"] for item in self.checks)
+        return not failing(self.checks)
 
     def to_json(self) -> dict:
         return {
@@ -1047,19 +1040,12 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
             break
     else:
         raise CrossedError("no invertible solution found in the z2-odd slice")
-    checks = []
-    conj = A.mul(delta, gamma)
-    twisted = A.scale(A.mul(gamma, delta), zeta)
-    checks.append(
-        {"name": "delta-conjugation", "ok": A.equal(conj, twisted), "detail": "delta gamma = zeta_2m gamma delta"}
-    )
-    # true by the acceptance rule above; the entry records d' on the certificate
-    checks.append(
-        {"name": "delta-power-in-F", "ok": not d_prime.is_zero(), "detail": "delta^2m in F*"}
-    )
     half = powers[A.m]
-    checks.append(
-        {"name": "c-prime-value", "ok": A.equal(A.mul(half, half), A.scalar(c_prime)),
-         "detail": "c' = gamma^2m"}
-    )
+    checks = [
+        check("delta-conjugation", A.equal(A.mul(delta, gamma), A.scale(A.mul(gamma, delta), zeta)),
+              "delta gamma = zeta_2m gamma delta"),
+        # true by the acceptance rule above; the entry records d' on the certificate
+        check("delta-power-in-F", not d_prime.is_zero(), "delta^2m in F*"),
+        check("c-prime-value", A.equal(A.mul(half, half), A.scalar(c_prime)), "c' = gamma^2m"),
+    ]
     return SymbolPresentation(A.m, c_prime, d_prime, A.coords(delta), checks)

@@ -171,26 +171,31 @@ class Cyc(DerivedOps):
     __slots__ = ("conductor", "nums", "den")
 
     def __init__(self, conductor: int, nums, den: int = 1, _normalized: bool = False):
+        if _normalized:
+            # internal callers: a tuple of phi(conductor) integers over a
+            # positive denominator, already in lowest terms
+            self.conductor = conductor
+            self.nums = nums
+            self.den = den
+            return
         if conductor < 1:
             raise ValueError("conductor must be positive")
-        phi = euler_phi(conductor)
         nums = list(nums)
-        if len(nums) != phi:
+        if len(nums) != euler_phi(conductor):
             raise ValueError("coordinate vector has wrong length")
         if den == 0:
             raise ExactFieldError("division by zero")
-        if not _normalized:
-            if den < 0:
-                den = -den
-                nums = [-a for a in nums]
-            g = den
-            for a in nums:
-                g = gcd(g, a)
-                if g == 1:
-                    break
-            if g > 1:
-                den //= g
-                nums = [a // g for a in nums]
+        if den < 0:
+            den = -den
+            nums = [-a for a in nums]
+        g = den
+        for a in nums:
+            g = gcd(g, a)
+            if g == 1:
+                break
+        if g > 1:
+            den //= g
+            nums = [a // g for a in nums]
         self.conductor = conductor
         self.nums = tuple(nums)
         self.den = den
@@ -200,10 +205,9 @@ class Cyc(DerivedOps):
     @classmethod
     def rational(cls, value: Union[int, Fraction], conductor: int = 1) -> "Cyc":
         q = Fraction(value)
-        phi = euler_phi(conductor)
-        nums = [0] * phi
-        nums[0] = q.numerator
-        return cls(conductor, nums, q.denominator)
+        # a Fraction is in lowest terms over a positive denominator
+        nums = (q.numerator,) + (0,) * (euler_phi(conductor) - 1)
+        return cls(conductor, nums, q.denominator, _normalized=True)
 
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> "Cyc":
@@ -277,7 +281,7 @@ class Cyc(DerivedOps):
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.conductor, [-a for a in self.nums], self.den, _normalized=True)
+        return Cyc(self.conductor, tuple(-a for a in self.nums), self.den, _normalized=True)
 
     def __mul__(self, other: Scalarish) -> "Cyc":
         o = self._coerce(other)

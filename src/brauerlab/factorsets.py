@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .checks import check
 from .groups import cycles_string
 
 
@@ -139,55 +140,51 @@ def normalized_factor_set(n: int) -> FactorSet:
     return FactorSet(n, entries)
 
 
-class CheckCertificate:
-    def __init__(self):
-        self.checked = 0
-        self.failures: list = []
-
-    @property
-    def ok(self) -> bool:
-        return self.checked > 0 and not self.failures
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _sn_generators(n: int) -> list[tuple[int, ...]]:
     swap = (1, 0) + tuple(range(2, n))
     cyc = tuple(range(1, n)) + (0,)
     return [swap, cyc] if n > 2 else [swap]
 
 
-def check_equivariance(fs: FactorSet) -> CheckCertificate:
-    """sigma(c_ijh) = c_{sigma(i) sigma(j) sigma(h)} for generators of S_n."""
-    cert = CheckCertificate()
+def _failure_record(name: str, checked: int, unit: str, failures: list) -> dict:
+    detail = f"{checked} {unit}"
+    if failures:
+        detail += f", {len(failures)} failing, first {failures[0]}"
+    return check(name, checked > 0 and not failures, detail)
+
+
+def check_equivariance(fs: FactorSet, name: str = "equivariance") -> dict:
+    """sigma(c_ijh) = c_{sigma(i) sigma(j) sigma(h)} for generators of S_n,
+    as the check record ``name``."""
+    checked, failures = 0, []
     for perm in _sn_generators(fs.n):
         label = cycles_string(perm)
         for (i, j, h), m in fs.entries.items():
-            cert.checked += 1
+            checked += 1
             lhs = m.apply_perm(perm)
             rhs = fs[(perm[i - 1] + 1, perm[j - 1] + 1, perm[h - 1] + 1)]
             if lhs != rhs:
-                cert.failures.append((label, i, j, h))
-    return cert
+                failures.append((label, i, j, h))
+    return _failure_record(name, checked, "entry-generator pairs", failures)
 
 
-def check_cocycle(fs: FactorSet) -> CheckCertificate:
+def check_cocycle(fs: FactorSet) -> dict:
     """c_ijl c_jhl = c_ihl c_ijh for all quadruples (the associativity
-    identity of Brauer factor sets, multiplicative form)."""
-    cert = CheckCertificate()
+    identity of Brauer factor sets, multiplicative form), as the check
+    record "cocycle-identity"."""
+    checked, failures = 0, []
     n = fs.n
     rng = range(1, n + 1)
     for i in rng:
         for j in rng:
             for h in rng:
                 for l in rng:
-                    cert.checked += 1
+                    checked += 1
                     lhs = fs[(i, j, l)] * fs[(j, h, l)]
                     rhs = fs[(i, h, l)] * fs[(i, j, h)]
                     if lhs != rhs:
-                        cert.failures.append((i, j, h, l))
-    return cert
+                        failures.append((i, j, h, l))
+    return _failure_record("cocycle-identity", checked, "quadruples", failures)
 
 
 def is_reduced(fs: FactorSet) -> bool:

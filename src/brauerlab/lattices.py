@@ -29,6 +29,7 @@ from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import snf
+from .checks import check, failing
 from .groups import (
     CosetSpace,
     PermutationGroup,
@@ -447,31 +448,18 @@ class LatticeSequence:
 
 
 class ExactnessReport:
-    def __init__(self):
-        self.composition_zero = False
-        self.inner_injective_saturated = False
-        self.outer_surjective = False
-        self.rank_additive = False
-        self.kernel_inside_image = False
-        self.failures: list[str] = []
+    """The exactness checks of ``is_exact``, as check records."""
+
+    def __init__(self, checks: list):
+        self.checks = checks
 
     @property
     def exact(self) -> bool:
-        return not self.failures
-
-    def __bool__(self) -> bool:
-        return self.exact
+        return not failing(self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "exact": self.exact,
-            "composition_zero": self.composition_zero,
-            "inner_injective_saturated": self.inner_injective_saturated,
-            "outer_surjective": self.outer_surjective,
-            "rank_additive": self.rank_additive,
-            "kernel_inside_image": self.kernel_inside_image,
-            "failures": list(self.failures),
-        }
+        # ok by name: the details are fixed texts, so they add nothing here
+        return {"exact": self.exact, "checks": {c["name"]: c["ok"] for c in self.checks}}
 
 
 def _composes_to_zero(outer: LatticeMap, inner: LatticeMap) -> bool:
@@ -500,36 +488,28 @@ def is_exact(seq: LatticeSequence) -> ExactnessReport:
     as the kernel (rank additivity, outer map surjective) is the kernel.
     It is kept as an independent cross-check of those certificates; it
     solves the column-certificate kernel basis of the outer map through the
-    row certificate of the inner map. Every check walks only nonzeros.
+    row certificate of the inner map, and only when the four other checks
+    pass; otherwise it is recorded inconclusive. Every check walks only
+    nonzeros.
     """
-    rep = ExactnessReport()
     inner, outer = seq.inner, seq.outer
-
-    rep.composition_zero = _composes_to_zero(outer, inner)
-    if not rep.composition_zero:
-        rep.failures.append("composition pi.iota is nonzero")
-
-    rep.inner_injective_saturated = inner.is_injective_saturated()
-    if not rep.inner_injective_saturated:
-        rep.failures.append("inner map not certified injective: no row certificate")
-
-    rep.outer_surjective = outer.is_surjective()
-    if not rep.outer_surjective:
-        rep.failures.append("outer map not certified surjective: no column certificate")
-
-    rep.rank_additive = (inner.source.rank + outer.target.rank
-                         == inner.target.rank)
-    if not rep.rank_additive:
-        rep.failures.append("ranks do not add up")
-
-    if not rep.failures:
-        rep.kernel_inside_image = True
-        for k in outer.kernel_basis():
-            if inner.solve(k) is None:
-                rep.kernel_inside_image = False
-                rep.failures.append("outer kernel vector escapes inner image")
-                break
-    return rep
+    checks = [
+        check("composition-zero", _composes_to_zero(outer, inner), "pi.iota = 0"),
+        check("inner-injective-saturated", inner.is_injective_saturated(),
+              "row certificate of the inner map"),
+        check("outer-surjective", outer.is_surjective(),
+              "column certificate of the outer map"),
+        check("rank-additive",
+              inner.source.rank + outer.target.rank == inner.target.rank,
+              "rank A + rank C = rank B"),
+    ]
+    if failing(checks):
+        kernel_inside = None
+    else:
+        kernel_inside = all(inner.solve(k) is not None for k in outer.kernel_basis())
+    checks.append(check("kernel-inside-image", kernel_inside,
+                        "outer kernel basis solved through the inner map"))
+    return ExactnessReport(checks)
 
 
 def is_faithful(lat: GLattice) -> bool:

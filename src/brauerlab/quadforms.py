@@ -21,6 +21,7 @@ entry uses and its texts off the same construction that gives the values.
 from math import isqrt
 from typing import Optional, Sequence
 
+from .checks import check, failing
 from .crossed import FieldScalars
 from .exactfield import FieldElement, PolyRing, is_square
 
@@ -205,14 +206,11 @@ def trace_data(algebra) -> TraceData:
     i4 = _zeta4(ring)
     witness = i4 * f2
     checks = [
-        {"name": "t1-equals-b1-scalar-part", "ok": bool(t1 == f1)},
-        {
-            "name": "norm-deficit-is-square-times-a2",
-            "ok": bool(n1 - t1 * t1 == witness * witness * a2),
-            "witness": str(witness),
-        },
+        check("t1-equals-b1-scalar-part", t1 == f1),
+        check("norm-deficit-is-square-times-a2", n1 - t1 * t1 == witness * witness * a2,
+              str(witness)),
     ]
-    if not all(c["ok"] for c in checks):
+    if failing(checks):
         raise QuadFormError("trace data identities failed")
 
     w = algebra.mul(algebra.z1(), algebra.z2())

@@ -3,10 +3,12 @@ import json
 
 import pytest
 
-from brauerlab import cli
+from brauerlab import acceptance, cli
 from brauerlab.acceptance import CRITERIA
+from brauerlab.checks import check
 from brauerlab.cli import main
 from brauerlab.exactfield import PolyRing
+from brauerlab.lattices import LatticeMap
 from brauerlab.quadforms import QuadraticForm
 
 
@@ -26,7 +28,7 @@ SELFTEST_SEED_42 = "879a612b73421cfc24a1c7c73200ac2bd70f384f359002d68d1baf625cd5
 SELFTEST_SEED_7 = "39f8792978c2a60c8f2e03720d70abf18aff79d261b2137c4e820fc60433bb28"
 REFERENCE_ENVELOPES = [
     (("traceform", "--random", "2"),
-     "769ed11bf0123427a9b181569fea7f7eb9f7b6f3e83c1e09af25ebfa6fc8ca59"),
+     "01c91dfc2b27738a2dfbce7d8b33dfc3185f3a8ed45cc6a150dd1634725d897a"),
     (("crossed-decompose", "--m", "2", "--random", "3"),
      "b4b48a2e269a8d9677ec9f16bfc58e3e2dc22879c801596859c8d344f21ce0f8"),
     (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "2", "1"),
@@ -40,7 +42,7 @@ REFERENCE_ENVELOPES = [
     (("lattice", "--group", "S4", "--r", "2"),
      "6fb3858a280b7beb14435f1b492494f2bd06c5f2044e3b1eb569726bd90442e6"),
     (("lattice", "--formanek", "5"),
-     "e11043f4780150b4f1c295576d655563e79f1a2795bd95ae8480019a1287e638"),
+     "d88f6836e6030dc8f8219a3cc850015c175882cb5143a84fbfc9a573127e28ea"),
     (("udn-factorset", "--n", "7", "--check", "wedge"),
      "f529e8fdc849e766585a4cdefbf4240b6137849f998ed2b90f0e6edef8999235"),
     (("bounds", "--n", "5"),
@@ -127,7 +129,9 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     real_checks = cli.formanek_checks
 
     def determinant_2(n):
-        return {**real_checks(n), "iso_det": 2}
+        return [check(c["name"], False, "determinant 2")
+                if c["name"] == "splitting-unimodular" else c
+                for c in real_checks(n)]
 
     monkeypatch.setattr(cli, "formanek_checks", determinant_2)
     code, text = run(tmp_path, "fail.json", "lattice", "--formanek", "3")
@@ -136,7 +140,52 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     assert envelope["status"] == "fail"
     assert [(c["name"], c["status"]) for c in envelope["checks"]] == [
         ("sequence-exact", "pass"), ("kernel-rank", "pass"),
-        ("splitting-unimodular", "fail")]
+        ("splitting-unimodular", "fail"), ("splitting-equivariant", "pass")]
+
+
+def test_formanek_command_and_criterion_check_the_equivariant_splitting(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(LatticeMap, "check_equivariance", lambda self: False)
+    code, text = run(tmp_path, "fail.json", "lattice", "--formanek", "3")
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in json.loads(text)["checks"]] == [
+        ("sequence-exact", "pass"), ("kernel-rank", "pass"),
+        ("splitting-unimodular", "pass"), ("splitting-equivariant", "fail")]
+    assert acceptance.check_formanek_kernel(42)[0] is False
+
+
+# each producer whose records a command emits and a criterion reads:
+# (producer, command, criterion number)
+SHARED_PRODUCERS = [
+    ("udn_checks", ("udn-factorset", "--n", "5"), 1),
+    ("relation_kernel_checks", ("lattice", "--group", "C3"), 2),
+    ("tensor_square_checks", ("lattice", "--group", "C3"), 3),
+    ("formanek_checks", ("lattice", "--formanek", "3"), 4),
+    ("trace_instance_checks", ("traceform",), 8),
+]
+
+
+@pytest.mark.parametrize("producer, argv, criterion", SHARED_PRODUCERS,
+                         ids=[p for p, _, _ in SHARED_PRODUCERS])
+def test_command_and_criterion_fail_on_the_same_record(
+        tmp_path, monkeypatch, producer, argv, criterion):
+    real = getattr(acceptance, producer)
+    tampered = []
+
+    def last_fails(*args):
+        records = real(*args)
+        if records is None:
+            return None
+        tampered.append(records[-1]["name"])
+        return records[:-1] + [check(records[-1]["name"], False, "tampered")]
+
+    monkeypatch.setattr(acceptance, producer, last_fails)
+    monkeypatch.setattr(cli, producer, last_fails)
+    code, text = run(tmp_path, "fail.json", *argv)
+    assert code == 1
+    failed = [c["name"] for c in json.loads(text)["checks"] if c["status"] == "fail"]
+    assert failed == tampered
+    assert CRITERIA[criterion - 1][1](42)[0] is False
 
 
 def test_exact_field_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -157,7 +206,7 @@ def test_exact_field_error_exits_2(tmp_path, monkeypatch, capsys):
 def test_traceform_cross_check_catches_a_non_square_entry(tmp_path, monkeypatch):
     # 3 is not a square in Q(i), so tripling one entry of the final form
     # changes its discriminant square class while the replay still matches
-    real_replay = cli.replay_trace_form_equivalence
+    real_replay = acceptance.replay_trace_form_equivalence
 
     def tripled(td):
         report = real_replay(td)
@@ -165,12 +214,15 @@ def test_traceform_cross_check_catches_a_non_square_entry(tmp_path, monkeypatch)
         entries = [final.entries[0] * 3, *final.entries[1:]]
         return {**report, "final_form": QuadraticForm(final.ring, entries)}
 
-    monkeypatch.setattr(cli, "replay_trace_form_equivalence", tripled)
+    monkeypatch.setattr(acceptance, "replay_trace_form_equivalence", tripled)
     code, text = run(tmp_path, "fail.json", "traceform", "--random", "1")
     assert code == 1
     status = {c["name"]: c["status"] for c in json.loads(text)["checks"]}
     assert status["instance-0-move-certificate"] == "pass"
     assert status["instance-0-invariant-cross-checks"] == "fail"
+    # criterion 8 runs the same cross-check on the same records
+    assert acceptance.check_trace_form_certificates(42) == (
+        False, "instance 0: ['instance-0-invariant-cross-checks'] fail")
 
 
 def test_selftest_runs_the_listed_criteria_in_order(tmp_path):

@@ -31,9 +31,8 @@ def test_udn_entries():
 
 def test_udn_cocycle_identity():
     for n in (2, 3, 4, 5, 6, 7):
-        cert = check_cocycle(udn_factor_set(n))
-        assert cert.ok
-        assert cert.checked == n ** 4
+        assert check_cocycle(udn_factor_set(n)) == {
+            "name": "cocycle-identity", "ok": True, "detail": f"{n ** 4} quadruples"}
 
 
 def test_normalized_entries():
@@ -59,20 +58,21 @@ def test_reduced_and_normalized_predicates():
 
 
 def test_equivariance():
-    assert check_equivariance(udn_factor_set(5)).ok
-    assert check_equivariance(normalized_factor_set(5)).ok
+    assert check_equivariance(udn_factor_set(5))["ok"]
+    assert check_equivariance(normalized_factor_set(5))["ok"]
 
     broken = udn_factor_set(3)
     broken.entries[(1, 2, 3)] = FactorSetMonomial(3, {(1, 2): 2})
-    cert = check_equivariance(broken)
-    assert not cert.ok
-    assert any(f[1:] == (1, 2, 3) or f[1:] != () for f in cert.failures)
+    cert = check_equivariance(broken, "equivariance-broken")
+    assert cert["name"] == "equivariance-broken" and cert["ok"] is False
+    assert cert["detail"].startswith("54 entry-generator pairs, ")
+    assert "failing, first" in cert["detail"]
 
 
 def test_cocycle_negative_control():
     broken = udn_factor_set(3)
     broken.entries[(1, 2, 3)] = FactorSetMonomial(3, {(1, 2): 2})
-    assert not check_cocycle(broken).ok
+    assert check_cocycle(broken)["ok"] is False
 
 
 def test_wedge_membership_of_normalized_entries():

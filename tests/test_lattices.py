@@ -167,7 +167,7 @@ def test_freepres_ranks_and_exactness():
     seq = freepres_sequence(C3, C3.trivial_subgroup(), [C3.generators[0]])
     assert seq.inner.source.rank == 1
     rep = is_exact(seq)
-    assert rep.exact, rep.failures
+    assert rep.exact, rep.checks
 
     G, H, X = stabilizer_cosets(3)
     seq = freepres_sequence(G, H, ["(1 2 3)"])
@@ -212,7 +212,7 @@ def test_seq2_small():
     assert (seq.inner.source.rank, seq.inner.target.rank,
             seq.outer.target.rank) == (4, 6, 2)
     rep = is_exact(seq)
-    assert rep.exact, rep.failures
+    assert rep.exact, rep.checks
     assert seq.inner.check_equivariance()
     assert seq.outer.check_equivariance()
 
@@ -267,7 +267,7 @@ def test_seq2_s4_trivial_subgroup_is_exact(snf_calls):
     assert (seq.inner.source.rank, seq.inner.target.rank,
             seq.outer.target.rank) == (529, 552, 23)
     rep = is_exact(seq)
-    assert rep.exact, rep.failures
+    assert rep.exact, rep.checks
     # Both maps carry pivot certificates: no Smith form at all.
     assert snf_calls == []
 
@@ -403,7 +403,7 @@ def test_freepres_and_formanek_are_certified_without_smith_forms(snf_calls):
     ]
     for seq in seqs:
         rep = is_exact(seq)
-        assert rep.exact, rep.failures
+        assert rep.exact, rep.checks
     # Building the kernels and certifying them takes no Smith form.
     assert snf_calls == []
 
@@ -423,7 +423,7 @@ def test_kernel_inside_image_solves_every_vector_onto_zero(monkeypatch):
 
     monkeypatch.setattr(LatticeMap, "solve", counting_solve)
     rep = is_exact(seq)
-    assert rep.exact and rep.kernel_inside_image
+    assert rep.exact and rep.to_json()["checks"]["kernel-inside-image"] is True
     assert len(solved) == seq.outer.source.rank == 6
 
 
@@ -432,7 +432,7 @@ def test_formanek_sequence():
         seq, iso = formanek_sequence(n)
         assert seq.inner.source.rank == krank == n * n + 1
         rep = is_exact(seq)
-        assert rep.exact, rep.failures
+        assert rep.exact, rep.checks
         assert iso.source.rank == iso.target.rank == krank
         assert snf.det(iso.matrix) in (1, -1)
         assert iso.check_equivariance()
@@ -446,23 +446,26 @@ def test_is_exact_negative_controls():
                         snf.zeros(2, 6))
     rep = is_exact(LatticeSequence(seq.inner, broken))
     assert not rep.exact
-    assert any("surjective" in msg for msg in rep.failures)
-    assert rep.composition_zero
+    assert rep.to_json()["checks"]["outer-surjective"] is False
+    assert rep.to_json()["checks"]["composition-zero"] is True
 
-    # The right matrix without its certificate is not certified either.
+    # The right matrix without its certificate is not certified either; the
+    # kernel-inside-image cross-check then does not run.
+    passing = dict.fromkeys(["composition-zero", "inner-injective-saturated",
+                             "outer-surjective", "rank-additive"], True)
     bare = LatticeMap(seq.outer.source, seq.outer.target, seq.outer.matrix)
     rep = is_exact(LatticeSequence(seq.inner, bare))
-    assert rep.composition_zero and not rep.outer_surjective
-    assert rep.failures == ["outer map not certified surjective: no column certificate"]
+    assert rep.to_json() == {"exact": False, "checks": {
+        **passing, "outer-surjective": False, "kernel-inside-image": None}}
     bare = LatticeMap(seq.inner.source, seq.inner.target, seq.inner.matrix)
     rep = is_exact(LatticeSequence(bare, seq.outer))
-    assert rep.failures == ["inner map not certified injective: no row certificate"]
+    assert rep.to_json() == {"exact": False, "checks": {
+        **passing, "inner-injective-saturated": False, "kernel-inside-image": None}}
 
     summing = LatticeMap(seq.outer.source, seq.outer.target,
                          [[1] * 6, [0] * 6])
     rep = is_exact(LatticeSequence(seq.inner, summing))
-    assert not rep.composition_zero
-    assert "composition pi.iota is nonzero" in rep.failures
+    assert rep.to_json()["checks"]["composition-zero"] is False
 
     # Drop a column from inner: ranks stop adding up.
     thin = [row[:-1] for row in seq.inner.matrix]
