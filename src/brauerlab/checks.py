@@ -27,12 +27,12 @@ def status(ok: Optional[bool]) -> str:
 
 
 def aggregate(records: Iterable[dict]) -> Optional[bool]:
-    """False when some check fails, else None when some is inconclusive,
-    else True (also for no checks)."""
+    """False when some check fails, else None when some is inconclusive or
+    there are no checks, else True."""
     oks = {record["ok"] for record in records}
     if False in oks:
         return False
-    if None in oks:
+    if None in oks or not oks:
         return None
     return True
 

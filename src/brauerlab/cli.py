@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import __version__
 from .acceptance import (
     CRITERIA,
-    decomposition_ok,
+    decomposition_certificate,
     formanek_checks,
     quartic_trace_instance,
     relation_kernel_checks,
@@ -148,10 +148,8 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
     checks = []
 
     def run_one(label: str, algebra) -> None:
-        ok, detail, cert = decomposition_ok(algebra)
-        payload = cert.to_json()
-        payload["pipeline"] = detail
-        checks.append(check(label, ok, payload))
+        cert = decomposition_certificate(algebra)
+        checks.append(check(label, cert.ok, cert.to_json()))
 
     if args.symbol is not None:
         e, g, t, lam = [_parse_fraction(v) for v in args.symbol]

@@ -5,7 +5,7 @@ import pytest
 
 from brauerlab import acceptance, cli
 from brauerlab.acceptance import CRITERIA
-from brauerlab.checks import check
+from brauerlab.checks import aggregate, check, failing
 from brauerlab.cli import main
 from brauerlab.exactfield import PolyRing
 from brauerlab.lattices import LatticeMap
@@ -24,23 +24,23 @@ def sha256(text):
 
 # sha256 of the serialized reference envelopes: a change that alters one
 # of them has to update the digest here and say why
-SELFTEST_SEED_42 = "879a612b73421cfc24a1c7c73200ac2bd70f384f359002d68d1baf625cd54892"
-SELFTEST_SEED_7 = "39f8792978c2a60c8f2e03720d70abf18aff79d261b2137c4e820fc60433bb28"
+SELFTEST_SEED_42 = "f9274ebce96b83330f9c760056c461d501f20b41cdb5db99a939cfbed60627bd"
+SELFTEST_SEED_7 = "7410d3c00fb1aa99f2ee409af7f2093dd82b4be7447e0ef85bc8de9de20c3bcf"
 REFERENCE_ENVELOPES = [
     (("traceform", "--random", "2"),
      "01c91dfc2b27738a2dfbce7d8b33dfc3185f3a8ed45cc6a150dd1634725d897a"),
     (("crossed-decompose", "--m", "2", "--random", "3"),
-     "b4b48a2e269a8d9677ec9f16bfc58e3e2dc22879c801596859c8d344f21ce0f8"),
+     "0a883bcb7264e032e8124c1688d2c542f02aade8b829393eb7204dd2d92f482f"),
     (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "2", "1"),
-     "3ef31a0c9ea5c8f834b6fbef55ccb86c5b841fab8d3a6e6dfe5aefcce42c39eb"),
+     "14f87b7f30f560f5922fdb16561f329e4ab28a7dae601549ab331693275a74ea"),
     (("crossed-decompose", "--m", "3", "--symbol", "2", "3", "1", "1"),
-     "ef0c8ab7b05369b7a85652cda1c880fe62b49412445fdd347dbcdabd3b2ef6b8"),
+     "ddde3c75a308d039a8ead06e9b4d7d4aa214c4bbe252b0d650b2bcd58fff74c9"),
     (("crossed-decompose", "--m", "4", "--symbol", "2", "3", "1", "1"),
-     "8289594dc5b922bdef272079114789472d8c1c472611d2e880914ab5b703187e"),
+     "b3c093de30f46289b6505ab76aac1137bccd4097bcd7fb27fdcdafe737852b46"),
     (("crossed-decompose", "--m", "3", "--symbol", "3", "5", "0", "1"),
-     "6f633cdfa8b24efbc4201de49f9b977c2d44a780bec9eedb2892dbb2793a1674"),
+     "22a0a5805e8e3dce33c81f010de86567fc1a7573ec45cea9a194d10772ed54c8"),
     (("lattice", "--group", "S4", "--r", "2"),
-     "6fb3858a280b7beb14435f1b492494f2bd06c5f2044e3b1eb569726bd90442e6"),
+     "28a90d90b6b95c3fafc871004197538451db7ac0edcb1cffd6b7a467aa4a1f3d"),
     (("lattice", "--formanek", "5"),
      "d88f6836e6030dc8f8219a3cc850015c175882cb5143a84fbfc9a573127e28ea"),
     (("udn-factorset", "--n", "7", "--check", "wedge"),
@@ -162,6 +162,7 @@ SHARED_PRODUCERS = [
     ("tensor_square_checks", ("lattice", "--group", "C3"), 3),
     ("formanek_checks", ("lattice", "--formanek", "3"), 4),
     ("trace_instance_checks", ("traceform",), 8),
+    ("decomposition_certificate", ("crossed-decompose", "--symbol", "3", "5", "2", "1"), 7),
 ]
 
 
@@ -173,19 +174,79 @@ def test_command_and_criterion_fail_on_the_same_record(
     tampered = []
 
     def last_fails(*args):
-        records = real(*args)
-        if records is None:
+        result = real(*args)
+        if result is None:
             return None
+        # a record list, or a certificate that carries its records
+        records = result if isinstance(result, list) else result.identities
         tampered.append(records[-1]["name"])
-        return records[:-1] + [check(records[-1]["name"], False, "tampered")]
+        records[-1] = check(records[-1]["name"], False, "tampered")
+        return result
 
     monkeypatch.setattr(acceptance, producer, last_fails)
     monkeypatch.setattr(cli, producer, last_fails)
     code, text = run(tmp_path, "fail.json", *argv)
     assert code == 1
-    failed = [c["name"] for c in json.loads(text)["checks"] if c["status"] == "fail"]
+    checks = json.loads(text)["checks"]
+    if producer == "decomposition_certificate":
+        # the certificate is one envelope check that carries its records
+        assert [c["status"] for c in checks] == ["fail"]
+        failed = failing(checks[0]["details"]["identities"])
+    else:
+        failed = [c["name"] for c in checks if c["status"] == "fail"]
     assert failed == tampered
     assert CRITERIA[criterion - 1][1](42)[0] is False
+
+
+# every fact of the generic claim-(iii) certificate, each named once:
+# the twist's records, the symbol presentation's, and the tie between them
+GENERIC_DECOMPOSITION_FACTS = [
+    "tensor-cocycle-witness", "gamma-power-m", "gamma-power-2m-nonzero",
+    "gamma-min-poly-degree", "delta-conjugation", "delta-power-in-F",
+    "c-prime-value", "gamma-power-2m",
+]
+DECOMPOSE_ARGVS = [argv for argv, _ in REFERENCE_ENVELOPES if argv[0] == "crossed-decompose"]
+
+
+@pytest.mark.parametrize("argv", DECOMPOSE_ARGVS,
+                         ids=["_".join(a.lstrip("-") for a in argv) for argv in DECOMPOSE_ARGVS])
+def test_decomposition_certificate_names_each_fact_once(tmp_path, argv):
+    code, text = run(tmp_path, "ok.json", *argv)
+    assert code == 0
+    for entry in json.loads(text)["checks"]:
+        cert = entry["details"]
+        names = [item["name"] for item in cert["identities"]]
+        assert len(names) == len(set(names))
+        if cert["branch"] == "generic":
+            assert names == GENERIC_DECOMPOSITION_FACTS
+            assert {"c_prime", "d_prime", "delta"} <= set(cert["witnesses"])
+
+
+def test_tensor_square_unimodularity_comes_from_the_row_certificate(tmp_path, monkeypatch):
+    real_iso = acceptance.pair_basis_iso
+
+    def without_row_pivots(seq):
+        iso = real_iso(seq)
+        iso.row_pivots = None
+        return iso
+
+    monkeypatch.setattr(acceptance, "pair_basis_iso", without_row_pivots)
+    code, text = run(tmp_path, "fail.json", "lattice", "--group", "C3")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert checks["tensor-square"]["status"] == "fail"
+    assert checks["tensor-square"]["details"]["unimodular"] is False
+    assert acceptance.check_tensor_square_family(42)[0] is False
+
+
+def test_no_checks_aggregate_to_inconclusive():
+    assert aggregate([]) is None
+
+
+def test_family_criteria_with_nothing_checked_are_inconclusive(monkeypatch):
+    monkeypatch.setattr(acceptance, "builtin_family", lambda: ())
+    assert acceptance.check_relation_kernel_family(42)[0] is None
+    assert acceptance.check_tensor_square_family(42)[0] is None
 
 
 def test_exact_field_error_exits_2(tmp_path, monkeypatch, capsys):

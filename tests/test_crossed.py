@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from brauerlab import crossed
-from brauerlab.acceptance import decomposition_ok, seeded_symbol_instances
+from brauerlab.acceptance import decomposition_certificate, seeded_symbol_instances
 from brauerlab.crossed import (
     CrossedAlgebra,
     CrossedError,
@@ -524,8 +524,7 @@ def test_decompose_generic_symbolic(m):
     a1, a2, t, lam = symbolic_gens(ring)
     A = instance_from_symbol(m, a1, a2, t, lam, ring=ring, check="full")
     # the whole verdict, the symbol presentation of A_f included
-    ok, detail, cert = decomposition_ok(A)
-    assert (ok, detail) == (True, "generic")
+    cert = decomposition_certificate(A)
     assert cert.branch == "generic"
     assert cert.ok
     names = {item["name"] for item in cert.identities}
@@ -554,7 +553,7 @@ def test_decompose_generic_rational_and_replay():
     assert "twisted" not in payload
 
 
-def test_decomposition_ok_builds_the_twisted_algebra_once(monkeypatch):
+def test_decomposition_certificate_builds_the_twisted_algebra_once(monkeypatch):
     ring = rational_ring()
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="full")
     levels = []
@@ -565,11 +564,41 @@ def test_decomposition_ok_builds_the_twisted_algebra_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CrossedAlgebra, "__init__", counting_init)
-    ok, detail, cert = decomposition_ok(A)
-    assert ok and detail == "generic"
+    cert = decomposition_certificate(A)
+    assert cert.ok and cert.branch == "generic"
     # the twist (1, f, 1) and A_f = A (x) twist; the commutation solve
     # reuses A_f from the certificate
     assert levels == ["none", "full"]
+
+
+@pytest.mark.parametrize("m, budget", [(2, 18), (3, 26), (4, 33)])
+def test_one_decomposition_certificate_multiplication_budget(monkeypatch, m, budget):
+    # gamma^m once in decompose (m - 1 products), then cyclic_to_symbol's
+    # powers, delta search, delta^2m and its checks: no power is taken twice
+    A = instance_from_symbol(m, 3, 5, 2, 1, ring=standard_ring(m, ()), check="full")
+    calls = []
+    mul = crossed.GradedAlgebra.mul
+
+    def counted_mul(self, x, y):
+        if isinstance(self, CrossedAlgebra):
+            calls.append(self)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(crossed.GradedAlgebra, "mul", counted_mul)
+    assert decomposition_certificate(A).ok
+    assert len(calls) <= budget
+
+
+def test_decompose_leaves_the_symbol_presentation_to_its_caller(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("decompose called cyclic_to_symbol")
+
+    monkeypatch.setattr(crossed, "cyclic_to_symbol", refuse)
+    A = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="full")
+    cert = decompose(A)
+    assert cert.ok and cert.branch == "generic"
+    assert [item["name"] for item in cert.identities] == [
+        "tensor-cocycle-witness", "gamma-power-m"]
 
 
 def _count_scalar_work(monkeypatch):
@@ -600,7 +629,8 @@ def test_work_budget_of_exact_scalars(monkeypatch):
     # are pinned exactly: a lost hit would leave a quotient uncollapsed.
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="full")
     counts = _count_scalar_work(monkeypatch)
-    assert decomposition_ok(A)[:2] == (True, "generic")
+    cert = decomposition_certificate(A)
+    assert cert.ok and cert.branch == "generic"
     assert counts["cyc_mul"] <= 198
     assert counts["divide"] == counts["hits"] == 0
     ring = symbolic_ring(2)
@@ -793,7 +823,7 @@ def test_cyclic_to_symbol_input_gates():
 
 
 def _twisted_rational(e, g, t, lam):
-    """A_f and gamma = z1 + al1 as ``decomposition_ok`` builds them, unchecked."""
+    """A_f and gamma = z1 + al1 as ``decompose`` builds them, unchecked."""
     A = instance_from_symbol(2, e, g, t, lam, ring=rational_ring(), check="none")
     K = A.K
     f1, _ = A.b1_pair()
