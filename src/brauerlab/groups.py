@@ -93,6 +93,11 @@ class PermutationGroup:
 
     elements[0] is always the identity. parents records the BFS tree that
     reached each element from the generators.
+
+    Products are looked up in a multiplication table of |G|^2 ints (14 400
+    for S5), built from the BFS tree on the first mult and kept: a group
+    that is never multiplied, such as the symmetric group of a Formanek
+    sequence, never builds one. Building it composes no permutations.
     """
 
     def __init__(self, generators: Iterable, degree: Optional[int] = None,
@@ -125,22 +130,20 @@ class PermutationGroup:
                 self.elements.append(g)
                 self.parents.append((0, pos))
             self.generators.append(self.index[g])
-        frontier = list(range(len(self.elements)))
-        while frontier:
-            nxt = []
-            for ei in frontier:
-                e = self.elements[ei]
-                for pos, g in enumerate(gens):
-                    prod = _mult(e, g)
-                    if prod not in self.index:
-                        if len(self.elements) >= order_cap:
-                            raise GroupError(
-                                f"order cap exceeded (cap={order_cap})")
-                        self.index[prod] = len(self.elements)
-                        self.elements.append(prod)
-                        self.parents.append((ei, pos))
-                        nxt.append(self.index[prod])
-            frontier = nxt
+        # Elements are visited in index order, each once, so right[pos][i]
+        # ends up the index of element i * gens[pos].
+        self._right: list[list[int]] = [[] for _ in gens]
+        for ei, e in enumerate(self.elements):
+            for pos, g in enumerate(gens):
+                prod = _mult(e, g)
+                if prod not in self.index:
+                    if len(self.elements) >= order_cap:
+                        raise GroupError(
+                            f"order cap exceeded (cap={order_cap})")
+                    self.index[prod] = len(self.elements)
+                    self.elements.append(prod)
+                    self.parents.append((ei, pos))
+                self._right[pos].append(self.index[prod])
         self.order = len(self.elements)
         self.identity = 0
         self.inverses = [self.index[_inv(e)] for e in self.elements]
@@ -152,26 +155,42 @@ class PermutationGroup:
         label = self.name or "PermutationGroup"
         return f"<{label} of order {self.order} on {self.degree} points>"
 
-    def mult(self, i: int, j: int) -> int:
-        return self.index[_mult(self.elements[i], self.elements[j])]
+    @cached_property
+    def table(self) -> list[list[int]]:
+        """table[i][j] is the index of element i * element j.
 
-    def inverse(self, i: int) -> int:
-        return self.inverses[i]
+        Element j is parent * generator along the BFS tree, so row i is
+        filled in index order from the right-multiplications the BFS made.
+        """
+        steps = [(parent, self._right[pos]) for parent, pos in self.parents[1:]]
+        table = []
+        for i in range(self.order):
+            row = [i]
+            for parent, right in steps:
+                row.append(right[row[parent]])
+            table.append(row)
+        return table
+
+    def mult(self, i: int, j: int) -> int:
+        return self.table[i][j]
 
     def conjugate(self, g: int, h: int) -> int:
         """g h g^-1 by index."""
-        return self.mult(self.mult(g, h), self.inverses[g])
+        table = self.table
+        return table[table[g][h]][self.inverses[g]]
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Indices of the subgroup generated by the given element indices."""
         seed = list(seed)
+        table = self.table
         members = {0}
         frontier = [0]
         while frontier:
             nxt = []
             for x in frontier:
+                row = table[x]
                 for s in seed:
-                    y = self.mult(x, s)
+                    y = row[s]
                     if y not in members:
                         members.add(y)
                         nxt.append(y)
@@ -282,14 +301,17 @@ class CosetSpace:
                 continue
             c = len(reps)
             reps.append(e)
+            row = group.table[e]
             for h in members:
-                coset_of[group.mult(e, h)] = c
+                coset_of[row[h]] = c
         self.reps = reps
         self.coset_of = coset_of
         self.size = len(reps)
 
-    def act(self, g: int, c: int) -> int:
-        return self.coset_of[self.group.mult(g, self.reps[c])]
+    def images(self, g: int) -> list[int]:
+        """The coset g.c for every coset c, in order."""
+        row = self.group.table[g]
+        return [self.coset_of[row[r]] for r in self.reps]
 
     def __repr__(self) -> str:
         return f"<CosetSpace with {self.size} cosets>"

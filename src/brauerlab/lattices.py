@@ -1,12 +1,14 @@
 """Integral representations (G-lattices), equivariant maps and exact
 sequences, all over Z with certificates.
 
-A lattice stores one integer matrix per group generator; the action of an
-arbitrary element is assembled on demand by walking the BFS spanning tree
-of the group and cached. Tensor products and direct sums build their
-element actions from the factors instead, which keeps the per-element
-cost proportional to the factor ranks, and permutation lattices on cosets
-or coset pairs write each element's permutation matrix directly.
+The action of an element g is one list of sparse columns: column c holds
+the nonzero (row, value) pairs of g applied to basis vector c. Permutation
+lattices (on cosets, ordered coset pairs or points) read every element's
+columns off its images, tensor products and direct sums build theirs from
+the factors, and a kernel lattice moves its basis vectors with the action
+of its ambient lattice and reads their coordinates off the free rows. Only
+a lattice given by generator matrices walks the BFS spanning tree of the
+group to reach other elements.
 
 Exactness of 0 -> A -> B -> C -> 0 is certified by: composition zero,
 inner map injective with saturated image, outer map surjective over Z,
@@ -14,9 +16,10 @@ rank additivity, and an explicit integer solve expressing a kernel basis
 of the outer map through the inner map. Saturation makes "kernel = image"
 equivalent to these finitely many checks.
 
-Maps are stored dense but the big ones hold a few nonzeros per column, so
-every step of a certificate walks only the nonzero entries: the sparse
-columns are read off once per map, and the unit-triangular pivot
+Maps are given as dense matrices, but the big ones hold a few nonzeros per
+column, so every step of a certificate walks only the nonzero entries: the
+sparse columns are read off once per map, equivariance is checked column
+by column against the sparse actions, and the unit-triangular pivot
 certificate each constructor hands its maps gives kernels and solves by
 sparse substitution (Gilbert-Peierls, SIAM J. Sci. Stat. Comput. 9, 1988).
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import snf
 from .checks import check, failing
@@ -46,58 +49,47 @@ __all__ = [
     "faithful_predicate_freepres", "faithful_predicate_seq2",
 ]
 
+# column c of a matrix: the nonzero (row, value) pairs
+Columns = Sequence[Sequence[tuple[int, int]]]
+
 
 class LatticeError(ValueError):
     pass
 
 
-def _is_identity(m: list[list[int]]) -> bool:
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if v != (1 if i == j else 0):
-                return False
-    return True
+def _apply(columns: Columns, vec: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The product of a sparse-column matrix with a sparse vector given as
+    (index, value) pairs, as {row: value} without zeros."""
+    acc: dict[int, int] = {}
+    for r, v in vec:
+        for r2, w in columns[r]:
+            acc[r2] = acc.get(r2, 0) + v * w
+    return {r: v for r, v in acc.items() if v}
 
 
-def _is_neg_identity(m: list[list[int]]) -> bool:
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if v != (-1 if i == j else 0):
-                return False
-    return True
+def _sparse_columns(matrix: list[list[int]],
+                    ncols: int) -> list[list[tuple[int, int]]]:
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    span = range(ncols)
+    for r, row in enumerate(matrix):
+        for c in compress(span, row):
+            cols[c].append((r, row[c]))
+    return cols
 
 
-def _kron(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rb = len(b)
-    cb = len(b[0]) if rb else 0
-    out = []
-    for arow in a:
-        for brow in b:
-            row = []
-            for av in arow:
-                if av == 0:
-                    row.extend([0] * cb)
-                else:
-                    row.extend(av * bv for bv in brow)
-            out.append(row)
-    return out
-
-
-def _block_diag(mats: Sequence[list[list[int]]]) -> list[list[int]]:
-    total = sum(len(m) for m in mats)
-    out = snf.zeros(total, total)
-    off = 0
-    for m in mats:
-        for i, row in enumerate(m):
-            for j, v in enumerate(row):
-                if v:
-                    out[off + i][off + j] = v
-        off += len(m)
-    return out
+def _is_scalar(columns: Columns, s: int) -> bool:
+    """The columns are s times the identity."""
+    return all(len(col) == 1 and col[0] == (c, s) for c, col in enumerate(columns))
 
 
 class GLattice:
-    """Free Z-module with a group action given by unimodular matrices."""
+    """Free Z-module with a group action, read as sparse columns.
+
+    This base class takes one integer matrix per group generator and builds
+    every other element's columns along the group's BFS tree (element =
+    parent * generator). Subclasses compute any element's columns directly.
+    Columns are cached per element.
+    """
 
     def __init__(self, group: PermutationGroup, rank: int,
                  gen_matrices: Optional[list[list[list[int]]]] = None,
@@ -105,38 +97,54 @@ class GLattice:
         self.group = group
         self.rank = rank
         self.label = label
-        self._gen_mats = gen_matrices
-        self._cache: dict[int, list[list[int]]] = {}
+        self._gen_columns = [_sparse_columns(m, rank) for m in gen_matrices or ()]
+        self._cache: dict[int, Columns] = {}
 
-    def action(self, g: int) -> list[list[int]]:
+    def action_columns(self, g: int) -> Columns:
+        """g's action: column c is g applied to basis vector c."""
         got = self._cache.get(g)
         if got is None:
-            # The identity is built on first use: most lattices of a
-            # sequence are only ever the source or target of a map.
-            got = snf.identity(self.rank) if g == 0 else self._compute(g)
-            self._cache[g] = got
+            got = self._cache[g] = self._compute(g)
         return got
 
-    def _compute(self, g: int) -> list[list[int]]:
+    def _compute(self, g: int) -> Columns:
+        if g == 0:
+            return [[(c, 1)] for c in range(self.rank)]
         parent, pos = self.group.parents[g]
-        return snf.mat_mult(self.action(parent), self._gen_mats[pos])
+        walked = self.action_columns(parent)
+        return [list(_apply(walked, col).items())
+                for col in self._gen_columns[pos]]
 
     def acts_as_identity(self, g: int) -> bool:
-        return _is_identity(self.action(g))
+        return _is_scalar(self.action_columns(g), 1)
 
     def __repr__(self) -> str:
         return f"<GLattice rank {self.rank} [{self.label}]>"
 
 
-def _perm_matrix(images: Sequence[int]) -> list[list[int]]:
-    """The permutation matrix sending basis vector c to images[c]."""
-    m = snf.zeros(len(images), len(images))
-    for c, ic in enumerate(images):
-        m[ic][c] = 1
-    return m
+class PermutationLattice(GLattice):
+    """Z[X] for a G-set X = {0, ..., rank - 1}: g sends basis vector c to
+    basis vector images(g)[c]."""
+
+    def images(self, g: int) -> Sequence[int]:
+        raise NotImplementedError
+
+    def _compute(self, g: int) -> Columns:
+        return [[(i, 1)] for i in self.images(g)]
 
 
-class PermLattice(GLattice):
+class NaturalLattice(PermutationLattice):
+    """Z^n for a group of permutations of n points."""
+
+    def __init__(self, group: PermutationGroup):
+        super().__init__(group, group.degree,
+                         label=f"natural[{group.name or 'G'}]")
+
+    def images(self, g: int) -> Sequence[int]:
+        return self.group.elements[g]
+
+
+class PermLattice(PermutationLattice):
     """Z[G/H] with basis the cosets in representative order."""
 
     def __init__(self, cosets: CosetSpace, label: str = ""):
@@ -144,8 +152,23 @@ class PermLattice(GLattice):
                          or f"perm[{cosets.group.name or 'G'}:{cosets.size}]")
         self.cosets = cosets
 
-    def _compute(self, g: int) -> list[list[int]]:
-        return _perm_matrix([self.cosets.act(g, c) for c in range(self.rank)])
+    def images(self, g: int) -> list[int]:
+        return self.cosets.images(g)
+
+
+class PairsLattice(PermutationLattice):
+    """Permutation lattice on ordered pairs of distinct cosets."""
+
+    def __init__(self, cosets: CosetSpace):
+        n = cosets.size
+        self.cosets = cosets
+        self.pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        self.pair_index = {p: k for k, p in enumerate(self.pairs)}
+        super().__init__(cosets.group, len(self.pairs), label=f"pairs[{n}]")
+
+    def images(self, g: int) -> list[int]:
+        img = self.cosets.images(g)
+        return [self.pair_index[(img[a], img[b])] for a, b in self.pairs]
 
 
 class TensorLattice(GLattice):
@@ -157,16 +180,19 @@ class TensorLattice(GLattice):
         self.left = left
         self.right = right
 
-    def _compute(self, g: int) -> list[list[int]]:
-        return _kron(self.left.action(g), self.right.action(g))
+    def _compute(self, g: int) -> Columns:
+        b = self.right.rank
+        right = self.right.action_columns(g)
+        return [[(r1 * b + r2, v1 * v2) for r1, v1 in lcol for r2, v2 in rcol]
+                for lcol in self.left.action_columns(g) for rcol in right]
 
     def acts_as_identity(self, g: int) -> bool:
         # A (x) A = 1 forces A = +-1 (compare any nonzero row scaling),
-        # so the self-tensor case never materializes the big matrix.
+        # so the self-tensor case never builds the big action.
         if self.left is self.right:
-            m = self.left.action(g)
-            return _is_identity(m) or _is_neg_identity(m)
-        return _is_identity(self.action(g))
+            cols = self.left.action_columns(g)
+            return _is_scalar(cols, 1) or _is_scalar(cols, -1)
+        return super().acts_as_identity(g)
 
 
 class DirectSumLattice(GLattice):
@@ -181,67 +207,77 @@ class DirectSumLattice(GLattice):
                          label="+".join(p.label for p in parts))
         self.parts = parts
 
-    def _compute(self, g: int) -> list[list[int]]:
-        return _block_diag([p.action(g) for p in self.parts])
+    def _compute(self, g: int) -> Columns:
+        cols: list[list[tuple[int, int]]] = []
+        for p in self.parts:
+            off = len(cols)
+            cols += [[(r + off, v) for r, v in col] for col in p.action_columns(g)]
+        return cols
 
     def acts_as_identity(self, g: int) -> bool:
         return all(p.acts_as_identity(g) for p in self.parts)
 
 
-class PairsLattice(GLattice):
-    """Permutation lattice on ordered pairs of distinct cosets."""
+class KernelLattice(GLattice):
+    """The kernel of a column-certified map, on its kernel basis, acted on
+    through the map's source (the ambient lattice).
 
-    def __init__(self, cosets: CosetSpace):
-        n = cosets.size
-        self.cosets = cosets
-        self.pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        self.pair_index = {p: k for k, p in enumerate(self.pairs)}
-        super().__init__(cosets.group, len(self.pairs), label=f"pairs[{n}]")
+    Kernel basis vector k is 1 at the k-th free row j_k (the k-th non-pivot
+    column of the map) and 0 at the other free rows, so the kernel
+    coordinates of a moved basis vector are its entries on the free rows.
+    Construction checks that each generator keeps the kernel (the map kills
+    every moved basis vector); the kernel basis is a Z-basis of the whole
+    kernel, so the coordinates are then exact for every element.
+    """
 
-    def _compute(self, g: int) -> list[list[int]]:
-        img = [self.cosets.act(g, c) for c in range(self.cosets.size)]
-        return _perm_matrix([self.pair_index[(img[a], img[b])]
-                             for a, b in self.pairs])
+    def __init__(self, outer: "LatticeMap", label: str):
+        self.ambient = outer.source
+        self.basis = [dict(col) for col in outer.kernel_columns]
+        pivot_cols = {c for _, c in outer.col_pivots}
+        free = [j for j in range(self.ambient.rank) if j not in pivot_cols]
+        self.free = {j: k for k, j in enumerate(free)}
+        super().__init__(self.ambient.group, len(self.basis), label=label)
+        for g in self.group.generators:
+            if any(_apply(outer.columns, v.items()) for v in self._moved(g)):
+                raise LatticeError("kernel is not action-stable")
+
+    def _moved(self, g: int) -> list[dict[int, int]]:
+        ambient = self.ambient.action_columns(g)
+        return [_apply(ambient, b.items()) for b in self.basis]
+
+    def _compute(self, g: int) -> Columns:
+        free = self.free
+        return [[(free[r], v) for r, v in m.items() if r in free]
+                for m in self._moved(g)]
+
+    def acts_as_identity(self, g: int) -> bool:
+        """The ambient action fixes every kernel basis vector."""
+        ambient = self.ambient.action_columns(g)
+        return all(_apply(ambient, b.items()) == b for b in self.basis)
 
 
 # --- constructors ---------------------------------------------------------
 
-def natural_perm_lattice(group: PermutationGroup) -> GLattice:
+def natural_perm_lattice(group: PermutationGroup) -> NaturalLattice:
     """Permutation lattice on the points the group acts on."""
-    mats = [_perm_matrix(group.elements[g]) for g in group.generators]
-    return GLattice(group, group.degree, mats,
-                    label=f"natural[{group.name or 'G'}]")
+    return NaturalLattice(group)
 
 
-def _omega_from_perm(perm: GLattice, coset_act: Callable[[int, int], int],
-                     label: str) -> tuple[GLattice, "LatticeMap"]:
-    """Kernel of the coordinate-sum map, basis e_i - e_0 for i >= 1."""
-    n = perm.rank
-    mats = []
-    for g in perm.group.generators:
-        m = snf.zeros(n - 1, n - 1)
-        z = coset_act(g, 0)
-        for i in range(1, n):
-            gi = coset_act(g, i)
-            if gi != 0:
-                m[gi - 1][i - 1] += 1
-            if z != 0:
-                m[z - 1][i - 1] -= 1
-        mats.append(m)
-    omega = GLattice(perm.group, n - 1, mats, label=label)
-    incl = snf.zeros(n, n - 1)
-    for i in range(1, n):
-        incl[i][i - 1] = 1
-        incl[0][i - 1] = -1
-    emb = LatticeMap(omega, perm, incl, label="augmentation-kernel-embedding",
-                     row_pivots=[(i, i - 1) for i in range(1, n)])
-    return omega, emb
+def _augmentation_kernel(perm: GLattice, label: str
+                         ) -> tuple[KernelLattice, "LatticeMap"]:
+    """The kernel of the coordinate-sum map of a permutation lattice, with
+    basis e_i - e_0 for i >= 1: column 0 is the sum map's pivot."""
+    group = perm.group
+    trivial = GLattice(group, 1, [[[1]]] * len(group.generators),
+                       label="trivial")
+    total = LatticeMap(perm, trivial, [[1] * perm.rank],
+                       label="coordinate-sum", col_pivots=[(0, 0)])
+    return _kernel_as_lattice(total, label)
 
 
-def augmentation_kernel(cosets: CosetSpace) -> tuple[GLattice, "LatticeMap"]:
+def augmentation_kernel(cosets: CosetSpace) -> tuple[KernelLattice, "LatticeMap"]:
     """The lattice of coset differences inside Z[G/H], with its embedding."""
-    perm = PermLattice(cosets)
-    return _omega_from_perm(perm, cosets.act, label=f"omega[{cosets.size}]")
+    return _augmentation_kernel(PermLattice(cosets), label=f"omega[{cosets.size}]")
 
 
 def tensor(left: GLattice, right: GLattice) -> TensorLattice:
@@ -323,22 +359,20 @@ class LatticeMap:
         return f"<LatticeMap {self.source.rank}->{self.target.rank} [{self.label}]>"
 
     def check_equivariance(self) -> bool:
+        """matrix . g = g . matrix for every generator g, column by column
+        over the sparse actions."""
+        cols = self.columns
         for g in self.source.group.generators:
-            lhs = snf.mat_mult(self.matrix, self.source.action(g))
-            rhs = snf.mat_mult(self.target.action(g), self.matrix)
-            if lhs != rhs:
+            moved = self.target.action_columns(g)
+            if any(_apply(cols, s) != _apply(moved, m)
+                   for s, m in zip(self.source.action_columns(g), cols)):
                 return False
         return True
 
     @cached_property
     def columns(self) -> list[list[tuple[int, int]]]:
         """The nonzero (row, value) pairs of each column."""
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.source.rank)]
-        span = range(self.source.rank)
-        for r, row in enumerate(self.matrix):
-            for c in compress(span, row):
-                cols[c].append((r, row[c]))
-        return cols
+        return _sparse_columns(self.matrix, self.source.rank)
 
     def _certificate(self, pivots, size):
         """(pivots as (row, col, unit), {pivot row: k}) or None.
@@ -395,24 +429,31 @@ class LatticeMap:
         """Onto the target over Z, by certificate."""
         return self._col_certificate is not None
 
-    def kernel_basis(self) -> list[list[int]]:
-        """A basis of the integer kernel {x : matrix.x = 0}."""
+    @cached_property
+    def kernel_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """kernel_basis() as sparse columns, worked out once per map. Each
+        vector is 1 at its own non-pivot column and 0 at the others."""
         cert = self._col_certificate
         if cert is None:
             raise LatticeError(f"map {self.label!r} has no column certificate")
-        n = self.source.rank
         pivots, order = cert
         pivot_cols = {c for _, c, _ in pivots}
         basis = []
-        for j in range(n):
+        for j in range(self.source.rank):
             if j in pivot_cols:
                 continue
             x = _substitute(self.columns, pivots, order,
                             dict(self.columns[j]), descending=True)
-            v = [0] * n
-            v[j] = 1
-            for c, xc in x.items():
-                v[c] = -xc
+            basis.append(((j, 1),) + tuple((c, -xc) for c, xc in x.items()))
+        return tuple(basis)
+
+    def kernel_basis(self) -> list[list[int]]:
+        """A basis of the integer kernel {x : matrix.x = 0}, as new lists."""
+        basis = []
+        for col in self.kernel_columns:
+            v = [0] * self.source.rank
+            for r, x in col:
+                v[r] = x
             basis.append(v)
         return basis
 
@@ -464,15 +505,7 @@ class ExactnessReport:
 
 def _composes_to_zero(outer: LatticeMap, inner: LatticeMap) -> bool:
     """outer.matrix * inner.matrix == 0, over the sparse columns of both."""
-    outer_cols = outer.columns
-    for col in inner.columns:
-        acc: dict[int, int] = {}
-        for r, v in col:
-            for r2, w in outer_cols[r]:
-                acc[r2] = acc.get(r2, 0) + v * w
-        if any(acc.values()):
-            return False
-    return True
+    return not any(_apply(outer.columns, col) for col in inner.columns)
 
 
 def is_exact(seq: LatticeSequence) -> ExactnessReport:
@@ -548,32 +581,17 @@ def _resolve_element(group: PermutationGroup, g) -> int:
 
 
 def _kernel_as_lattice(outer: LatticeMap,
-                       label: str) -> tuple[GLattice, LatticeMap]:
+                       label: str) -> tuple[KernelLattice, LatticeMap]:
     """The kernel of a column-certified map and its inclusion, whose row
     certificate (j_k, k) holds because the k-th kernel vector is 1 at the
-    k-th non-pivot column j_k and 0 at the others. The action is solved
-    through it, so the generator matrices are filled in after it exists."""
-    middle = outer.source
-    basis = outer.kernel_basis()
-    rank = len(basis)
-    kmat = [[basis[j][i] for j in range(rank)]
-            for i in range(middle.rank)]
-    pivot_cols = {c for _, c in outer.col_pivots}
-    free = [j for j in range(middle.rank) if j not in pivot_cols]
-    gen_mats: list[list[list[int]]] = []
-    kernel = GLattice(middle.group, rank, gen_mats, label=label)
-    incl = LatticeMap(kernel, middle, kmat, label=f"{label}-embedding",
-                      row_pivots=[(j, k) for k, j in enumerate(free)])
-    for g in middle.group.generators:
-        moved = snf.mat_mult(middle.action(g), kmat)
-        m = snf.zeros(rank, rank)
-        for col in range(rank):
-            x = incl.solve([moved[i][col] for i in range(middle.rank)])
-            if x is None:
-                raise LatticeError("kernel is not action-stable")
-            for i, v in enumerate(x):
-                m[i][col] = v
-        gen_mats.append(m)
+    k-th free row j_k and 0 at the other free rows."""
+    kernel = KernelLattice(outer, label)
+    kmat = snf.zeros(outer.source.rank, kernel.rank)
+    for k, col in enumerate(kernel.basis):
+        for r, v in col.items():
+            kmat[r][k] = v
+    incl = LatticeMap(kernel, outer.source, kmat, label=f"{label}-embedding",
+                      row_pivots=[(j, k) for j, k in kernel.free.items()])
     return kernel, incl
 
 
@@ -710,8 +728,7 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
     U = natural_perm_lattice(G)
     T = tensor(U, U)
     middle = direct_sum([U, T])
-    A, _ = _omega_from_perm(U, lambda g, c: G.elements[g][c],
-                            label=f"roots[{n - 1}]")
+    A, _ = _augmentation_kernel(U, label=f"roots[{n - 1}]")
     f = snf.zeros(n - 1, middle.rank)
     for j in range(n):
         for h in range(n):

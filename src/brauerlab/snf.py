@@ -25,24 +25,6 @@ def mat_copy(a) -> list[list[int]]:
     return [row[:] for row in a]
 
 
-def mat_mult(a, b) -> list[list[int]]:
-    # Skips zero entries of `a`, which is what makes the big sparse
-    # composites (inclusion followed by projection) cheap.
-    if a and b:
-        assert len(a[0]) == len(b), "shape mismatch"
-    n = len(b[0]) if b else 0
-    out = zeros(len(a), n)
-    for i, arow in enumerate(a):
-        orow = out[i]
-        for k, v in enumerate(arow):
-            if v:
-                brow = b[k]
-                for j, w in enumerate(brow):
-                    if w:
-                        orow[j] += v * w
-    return out
-
-
 def det(a) -> int:
     """Determinant by fraction-free Bareiss elimination."""
     n = len(a)

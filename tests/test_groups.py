@@ -63,8 +63,9 @@ def test_table_matches_composition():
 
 
 def test_words_reproduce_elements():
-    # parents is the BFS tree GLattice._compute walks: each element is an
-    # earlier one times a generator, so every walk reaches the identity.
+    # parents is the BFS tree the multiplication table and GLattice._compute
+    # are built along: each element is an earlier one times a generator, so
+    # every walk reaches the identity.
     G = symmetric_group(4)
     assert G.parents[0] is None
     for i in range(1, G.order):
@@ -112,8 +113,8 @@ def test_coset_space_s5_mod_s4():
     point = [G.elements[r][4] for r in X.reps]
     assert sorted(point) == [0, 1, 2, 3, 4]
     for g in range(0, G.order, 7):
-        for c in range(X.size):
-            assert point[X.act(g, c)] == G.elements[g][point[c]]
+        for c, gc in enumerate(X.images(g)):
+            assert point[gc] == G.elements[g][point[c]]
 
 
 def test_coset_reps_identity_first_and_lexmin():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerlab import snf
+from brauerlab import groups, lattices, snf
 from brauerlab.groups import (
     alternating_group,
     builtin_family,
@@ -17,6 +17,7 @@ from brauerlab.groups import (
 )
 from brauerlab.lattices import (
     GLattice,
+    KernelLattice,
     LatticeError,
     LatticeMap,
     LatticeSequence,
@@ -34,6 +35,7 @@ from brauerlab.lattices import (
     seq2_sequence,
     tensor,
 )
+from lattice_oracle import bfs_actions, dense_action, mat_mult, solved_generator_matrices
 
 
 def mat_vec(a, v):
@@ -43,7 +45,7 @@ def mat_vec(a, v):
 
 def character(lat, g):
     """The trace of g's action."""
-    return sum(row[i] for i, row in enumerate(lat.action(g)))
+    return sum(row[i] for i, row in enumerate(dense_action(lat, g)))
 
 
 def trivial_lattice(G):
@@ -108,16 +110,16 @@ def check_action_invariants(lat, pairs=200, seed=0, check_det=True):
     G = lat.group
     for a in G.generators:
         for b in G.generators:
-            lhs = snf.mat_mult(lat.action(a), lat.action(b))
-            assert lhs == lat.action(G.mult(a, b))
+            lhs = mat_mult(dense_action(lat, a), dense_action(lat, b))
+            assert lhs == dense_action(lat, G.mult(a, b))
         if check_det:
-            assert snf.det(lat.action(a)) in (1, -1)
+            assert snf.det(dense_action(lat, a)) in (1, -1)
     rng = random.Random(seed)
     for _ in range(pairs):
         a = rng.randrange(G.order)
         b = rng.randrange(G.order)
-        lhs = snf.mat_mult(lat.action(a), lat.action(b))
-        assert lhs == lat.action(G.mult(a, b))
+        lhs = mat_mult(dense_action(lat, a), dense_action(lat, b))
+        assert lhs == dense_action(lat, G.mult(a, b))
 
 
 def test_perm_lattice_ranks():
@@ -297,7 +299,7 @@ def _pivot_map(row_pivots=None, *, col_pivots=None):
 
 
 @pytest.mark.parametrize("fault", sorted(BAD_PIVOTS))
-def test_bad_row_pivots_fall_back_to_int_solver(fault, snf_calls):
+def test_bad_row_pivots_make_the_map_refuse(fault, snf_calls):
     """A faulty row certificate leaves the map uncertified: it refuses."""
     x = [3, -2, 7]
     vec = mat_vec(PIVOT_MATRIX, x)
@@ -317,7 +319,7 @@ def test_bad_row_pivots_fall_back_to_int_solver(fault, snf_calls):
 
 
 @pytest.mark.parametrize("fault", sorted(BAD_PIVOTS))
-def test_bad_col_pivots_fall_back_to_smith_form(fault, snf_calls):
+def test_bad_col_pivots_make_the_map_refuse(fault, snf_calls):
     """A faulty column certificate leaves the map uncertified: it refuses."""
     # The transpose turns each row certificate into a column certificate
     # with the same fault.
@@ -501,7 +503,7 @@ def test_is_faithful_basics():
     # kernel A3.
     G3, H3, X3 = stabilizer_cosets(3)
     A2, _ = augmentation_kernel(X3)
-    sign = GLattice(G3, 1, [[[snf.det(A2.action(g))]] for g in G3.generators])
+    sign = GLattice(G3, 1, [[[snf.det(dense_action(A2, g))]] for g in G3.generators])
     assert is_faithful(sign) is False
 
 
@@ -519,5 +521,114 @@ def test_action_multiplicative_property(i, j):
     G = symmetric_group(4)
     H = G.subgroup(["(1 2)", "(1 2 3)"])
     omega, _ = augmentation_kernel(coset_space(G, H))
-    lhs = snf.mat_mult(omega.action(i), omega.action(j))
-    assert lhs == omega.action(G.mult(i, j))
+    lhs = mat_mult(dense_action(omega, i), dense_action(omega, j))
+    assert lhs == dense_action(omega, G.mult(i, j))
+
+
+def kernel_inclusions():
+    """The inclusion of every kernel lattice of family_freepres() and of
+    Formanek's sequence for n = 3..5."""
+    for seq in family_freepres():
+        yield seq.inner
+    for n in (3, 4, 5):
+        yield formanek_sequence(n)[0].inner
+
+
+def test_kernel_actions_match_the_dense_oracle():
+    """Kernel coordinates read off the free rows agree with solving each
+    dense moved basis vector through the inclusion, and the ambient test
+    for acting trivially agrees with the dense product along the BFS tree."""
+    for incl in kernel_inclusions():
+        kernel = incl.source
+        G = kernel.group
+        assert ([dense_action(kernel, g) for g in G.generators]
+                == solved_generator_matrices(incl))
+        one = snf.identity(kernel.rank)
+        assert ([kernel.acts_as_identity(g) for g in range(G.order)]
+                == [m == one for m in bfs_actions(kernel)])
+
+
+def test_kernel_of_a_non_equivariant_map_is_not_action_stable():
+    """A column-certified map that does not commute with the group: C2
+    swaps the basis of Z[C2], and projecting onto the first coordinate
+    has kernel Z e_1, which the swap moves out of the kernel."""
+    C2 = cyclic_group(2)
+    regular = PermLattice(coset_space(C2, C2.trivial_subgroup()))
+    first = LatticeMap(regular, trivial_lattice(C2), [[1, 0]],
+                       col_pivots=[(0, 0)])
+    assert first.is_surjective() and not first.check_equivariance()
+    assert first.kernel_basis() == [[0, 1]]
+    with pytest.raises(LatticeError, match="kernel is not action-stable"):
+        KernelLattice(first, "projection-kernel")
+    # The coordinate sum is equivariant, and its kernel is acted on.
+    total = LatticeMap(regular, trivial_lattice(C2), [[1, 1]],
+                       col_pivots=[(0, 0)])
+    assert total.check_equivariance()
+    assert dense_action(KernelLattice(total, "sum-kernel"),
+                        C2.generators[0]) == [[-1]]
+
+
+def test_kernel_basis_is_worked_out_once_and_handed_out_fresh(monkeypatch):
+    G = symmetric_group(3)
+    seq = freepres_sequence(G, G.trivial_subgroup(), ["(1 2)", "(1 2 3)"])
+    outer = seq.outer
+    substitutions = []
+    real = lattices._substitute
+
+    def counting(*args, descending):
+        substitutions.append(descending)
+        return real(*args, descending=descending)
+
+    monkeypatch.setattr(lattices, "_substitute", counting)
+    first = outer.kernel_basis()
+    assert is_exact(seq).exact and is_faithful(seq.inner.source)
+    # the kernel lattice worked the basis out already; is_exact only solves
+    assert substitutions.count(True) == 0
+    assert substitutions.count(False) == len(first) == seq.inner.source.rank
+    first[0][0] += 1
+    assert outer.kernel_basis()[0][0] == first[0][0] - 1
+    assert outer.kernel_basis() is not outer.kernel_basis()
+
+
+def test_work_budget_of_lattice_certificates(monkeypatch):
+    """No dense products and no walks along the BFS tree on the lattice
+    certificate path, and products of group elements from the table."""
+    compositions = []
+    real_mult = groups._mult
+
+    def counting_mult(a, b):
+        compositions.append(1)
+        return real_mult(a, b)
+
+    monkeypatch.setattr(groups, "_mult", counting_mult)
+    S4 = symmetric_group(4)
+    assert len(compositions) == S4.order * len(S4.generators) == 48
+    subgroups_up_to_conjugacy(S4)
+    # the table is built from the products the construction made
+    assert len(compositions) == 48
+
+    # snf keeps no dense product; a counter catches one put back
+    dense = []
+    monkeypatch.setattr(snf, "mat_mult", lambda *a: dense.append(a),
+                        raising=False)
+    walks = []
+    real_compute = GLattice._compute
+
+    def counting_compute(self, g):
+        walks.append(g)
+        return real_compute(self, g)
+
+    monkeypatch.setattr(GLattice, "_compute", counting_compute)
+    trivial = S4.trivial_subgroup()
+    for seq in (seq2_sequence(S4, trivial),
+                freepres_sequence(S4, trivial, ["(1 2)", "(1 2 3 4)"])):
+        assert is_exact(seq).exact
+        assert is_faithful(seq.inner.source)
+    assert dense == [] and walks == []
+
+
+def test_formanek_sequence_builds_no_multiplication_table():
+    seq, iso = formanek_sequence(5)
+    assert is_exact(seq).exact
+    assert iso.check_equivariance() and seq.outer.check_equivariance()
+    assert "table" not in vars(seq.outer.source.group)
