@@ -299,7 +299,7 @@ def _pivot_map(row_pivots=None, *, col_pivots=None):
 
 
 @pytest.mark.parametrize("fault", sorted(BAD_PIVOTS))
-def test_bad_row_pivots_make_the_map_refuse(fault, snf_calls):
+def test_bad_row_pivots_fall_back_to_int_solver(fault, snf_calls):
     """A faulty row certificate leaves the map uncertified: it refuses."""
     x = [3, -2, 7]
     vec = mat_vec(PIVOT_MATRIX, x)
@@ -319,7 +319,7 @@ def test_bad_row_pivots_make_the_map_refuse(fault, snf_calls):
 
 
 @pytest.mark.parametrize("fault", sorted(BAD_PIVOTS))
-def test_bad_col_pivots_make_the_map_refuse(fault, snf_calls):
+def test_bad_col_pivots_fall_back_to_smith_form(fault, snf_calls):
     """A faulty column certificate leaves the map uncertified: it refuses."""
     # The transpose turns each row certificate into a column certificate
     # with the same fault.
