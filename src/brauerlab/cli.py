@@ -98,6 +98,8 @@ def _family_registry() -> dict:
 
 def cmd_lattice(args) -> tuple[dict, list]:
     if args.formanek is not None:
+        if args.group or args.subgroup:
+            raise UsageError("--formanek takes no --group or --subgroup")
         if args.formanek < 2:
             raise UsageError("the symmetric-group kernel needs n >= 2")
         return {"formanek": args.formanek}, formanek_checks(args.formanek)

@@ -197,19 +197,23 @@ class PermutationGroup:
             frontier = nxt
         return frozenset(members)
 
+    def element_index(self, g) -> int:
+        """The index of an element given as an index, an image tuple or a
+        cycle string; GroupError for anything not in the group."""
+        if isinstance(g, int):
+            if not 0 <= g < self.order:
+                raise GroupError(f"element index {g} is not in 0..{self.order - 1}")
+            return g
+        perm = parse_cycles(g, self.degree) if isinstance(g, str) else tuple(g)
+        perm = perm + tuple(range(len(perm), self.degree))
+        if perm not in self.index:
+            raise GroupError(f"{cycles_string(perm)} is not in the group")
+        return self.index[perm]
+
     def subgroup(self, generators: Iterable) -> "Subgroup":
         """Subgroup from generators given as indices, image tuples or cycle strings."""
-        idxs = []
-        for g in generators:
-            if isinstance(g, int):
-                idxs.append(g)
-            else:
-                perm = parse_cycles(g, self.degree) if isinstance(g, str) else tuple(g)
-                perm = perm + tuple(range(len(perm), self.degree))
-                if perm not in self.index:
-                    raise GroupError(f"{cycles_string(perm)} is not in the group")
-                idxs.append(self.index[perm])
-        return Subgroup(self, self.closure(idxs), tuple(idxs))
+        idxs = tuple(self.element_index(g) for g in generators)
+        return Subgroup(self, self.closure(idxs), idxs)
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset({0}), ())

@@ -7,7 +7,7 @@ lattices (on cosets, ordered coset pairs or points) read every element's
 columns off its images, tensor products and direct sums build theirs from
 the factors, and a kernel lattice moves its basis vectors with the action
 of its ambient lattice and reads their coordinates off the free rows. Only
-a lattice given by generator matrices walks the BFS spanning tree of the
+a lattice given by generator columns walks the BFS spanning tree of the
 group to reach other elements.
 
 Exactness of 0 -> A -> B -> C -> 0 is certified by: composition zero,
@@ -16,22 +16,21 @@ rank additivity, and an explicit integer solve expressing a kernel basis
 of the outer map through the inner map. Saturation makes "kernel = image"
 equivalent to these finitely many checks.
 
-Maps are given as dense matrices, but the big ones hold a few nonzeros per
-column, so every step of a certificate walks only the nonzero entries: the
-sparse columns are read off once per map, equivariance is checked column
-by column against the sparse actions, and the unit-triangular pivot
-certificate each constructor hands its maps gives kernels and solves by
-sparse substitution (Gilbert-Peierls, SIAM J. Sci. Stat. Comput. 9, 1988).
+Maps are held only as sparse columns: the big ones hold a few nonzeros per
+column, so every step of a certificate walks only the nonzero entries.
+Equivariance is checked column by column against the sparse actions, and
+the unit-triangular pivot certificate each constructor hands its maps gives
+kernels and solves by sparse substitution (Gilbert-Peierls, SIAM J. Sci.
+Stat. Comput. 9, 1988). A dense view of a map is derived on request, for
+the determinant of the Formanek splitting.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from typing import Iterable, Optional, Sequence
 
-from . import snf
 from .checks import check, failing
 from .groups import (
     CosetSpace,
@@ -67,16 +66,6 @@ def _apply(columns: Columns, vec: Iterable[tuple[int, int]]) -> dict[int, int]:
     return {r: v for r, v in acc.items() if v}
 
 
-def _sparse_columns(matrix: list[list[int]],
-                    ncols: int) -> list[list[tuple[int, int]]]:
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
-    span = range(ncols)
-    for r, row in enumerate(matrix):
-        for c in compress(span, row):
-            cols[c].append((r, row[c]))
-    return cols
-
-
 def _is_scalar(columns: Columns, s: int) -> bool:
     """The columns are s times the identity."""
     return all(len(col) == 1 and col[0] == (c, s) for c, col in enumerate(columns))
@@ -85,19 +74,18 @@ def _is_scalar(columns: Columns, s: int) -> bool:
 class GLattice:
     """Free Z-module with a group action, read as sparse columns.
 
-    This base class takes one integer matrix per group generator and builds
-    every other element's columns along the group's BFS tree (element =
-    parent * generator). Subclasses compute any element's columns directly.
-    Columns are cached per element.
+    This base class takes each group generator's action as sparse columns
+    and builds every other element's columns along the group's BFS tree
+    (element = parent * generator). Subclasses compute any element's columns
+    directly. Columns are cached per element.
     """
 
     def __init__(self, group: PermutationGroup, rank: int,
-                 gen_matrices: Optional[list[list[list[int]]]] = None,
-                 label: str = ""):
+                 gen_columns: Sequence[Columns] = (), label: str = ""):
         self.group = group
         self.rank = rank
         self.label = label
-        self._gen_columns = [_sparse_columns(m, rank) for m in gen_matrices or ()]
+        self._gen_columns = gen_columns
         self._cache: dict[int, Columns] = {}
 
     def action_columns(self, g: int) -> Columns:
@@ -268,9 +256,9 @@ def _augmentation_kernel(perm: GLattice, label: str
     """The kernel of the coordinate-sum map of a permutation lattice, with
     basis e_i - e_0 for i >= 1: column 0 is the sum map's pivot."""
     group = perm.group
-    trivial = GLattice(group, 1, [[[1]]] * len(group.generators),
+    trivial = GLattice(group, 1, [[[(0, 1)]]] * len(group.generators),
                        label="trivial")
-    total = LatticeMap(perm, trivial, [[1] * perm.rank],
+    total = LatticeMap(perm, trivial, [[(0, 1)]] * perm.rank,
                        label="coordinate-sum", col_pivots=[(0, 0)])
     return _kernel_as_lattice(total, label)
 
@@ -322,7 +310,14 @@ def _substitute(columns, pivots, order, residual, *, descending):
 
 
 class LatticeMap:
-    """Equivariant map between lattices, stored as target.rank x source.rank.
+    """Equivariant map between lattices, held as sparse columns: column c is
+    the image of source basis vector c as (row, value) pairs in the target.
+
+    The constructor sums pairs that share a row and drops zeros, so each
+    column lists the distinct nonzero entries; a wrong column count or a row
+    outside the target raises LatticeError. `matrix`, the dense
+    target.rank x source.rank view, is derived on first read for the
+    determinant of the Formanek splitting; no certificate reads it.
 
     row_pivots / col_pivots are optional unit-triangular certificates passed
     by constructors that know the matrix structure. They are verified, not
@@ -333,24 +328,32 @@ class LatticeMap:
       substitution followed by a check on every row.
     - col_pivots [(r_k, c_k)] covers every target row, each pivot is +-1
       and column c_k is zero at every later pivot row. The map is then
-      surjective, and kernel_basis is e_j - P^-1 N e_j for each non-pivot
-      column j, P the pivot block, by sparse back-substitution.
+      surjective, and kernel_columns is e_j - P^-1 N e_j for each
+      non-pivot column j, P the pivot block, by sparse back-substitution.
 
     A map is certified by these alone: without a verified certificate it is
-    not injective / surjective, and solve / kernel_basis raise LatticeError.
+    not injective / surjective, and solve / kernel_columns raise
+    LatticeError.
     """
 
     def __init__(self, source: GLattice, target: GLattice,
-                 matrix: list[list[int]], label: str = "", *,
-                 row_pivots: Optional[list[tuple[int, int]]] = None,
+                 columns: Iterable[Iterable[tuple[int, int]]], label: str = "",
+                 *, row_pivots: Optional[list[tuple[int, int]]] = None,
                  col_pivots: Optional[list[tuple[int, int]]] = None):
-        if len(matrix) != target.rank or any(len(r) != source.rank for r in matrix):
-            raise LatticeError(
-                f"map shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
-                f"does not match {target.rank}x{source.rank}")
+        self.columns: list[list[tuple[int, int]]] = []
+        for col in columns:
+            acc: dict[int, int] = {}
+            for r, v in col:
+                if not 0 <= r < target.rank:
+                    raise LatticeError(f"row {r} is outside a target of rank "
+                                       f"{target.rank}")
+                acc[r] = acc.get(r, 0) + v
+            self.columns.append([(r, v) for r, v in acc.items() if v])
+        if len(self.columns) != source.rank:
+            raise LatticeError(f"{len(self.columns)} columns for a source of "
+                               f"rank {source.rank}")
         self.source = source
         self.target = target
-        self.matrix = matrix
         self.label = label
         self.row_pivots = row_pivots
         self.col_pivots = col_pivots
@@ -359,8 +362,8 @@ class LatticeMap:
         return f"<LatticeMap {self.source.rank}->{self.target.rank} [{self.label}]>"
 
     def check_equivariance(self) -> bool:
-        """matrix . g = g . matrix for every generator g, column by column
-        over the sparse actions."""
+        """map . g = g . map for every generator g, column by column over
+        the sparse actions."""
         cols = self.columns
         for g in self.source.group.generators:
             moved = self.target.action_columns(g)
@@ -370,9 +373,13 @@ class LatticeMap:
         return True
 
     @cached_property
-    def columns(self) -> list[list[tuple[int, int]]]:
-        """The nonzero (row, value) pairs of each column."""
-        return _sparse_columns(self.matrix, self.source.rank)
+    def matrix(self) -> list[list[int]]:
+        """The dense target.rank x source.rank view of the columns."""
+        m = [[0] * self.source.rank for _ in range(self.target.rank)]
+        for c, col in enumerate(self.columns):
+            for r, v in col:
+                m[r][c] = v
+        return m
 
     def _certificate(self, pivots, size):
         """(pivots as (row, col, unit), {pivot row: k}) or None.
@@ -388,10 +395,10 @@ class LatticeMap:
                 or not all(0 <= r < nrows and 0 <= c < ncols
                            for r, c in pivots)):
             return None
-        m = self.matrix
-        if any(m[r][c] not in (1, -1) for r, c in pivots):
+        units = [dict(self.columns[c]).get(r) for r, c in pivots]
+        if any(u not in (1, -1) for u in units):
             return None
-        return ([(r, c, m[r][c]) for r, c in pivots],
+        return ([(r, c, u) for (r, c), u in zip(pivots, units)],
                 {r: k for k, (r, _) in enumerate(pivots)})
 
     @cached_property
@@ -431,8 +438,9 @@ class LatticeMap:
 
     @cached_property
     def kernel_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """kernel_basis() as sparse columns, worked out once per map. Each
-        vector is 1 at its own non-pivot column and 0 at the others."""
+        """A basis of the integer kernel {x : map.x = 0} as sparse columns,
+        worked out once per map. Each vector is 1 at its own non-pivot
+        column and 0 at the others."""
         cert = self._col_certificate
         if cert is None:
             raise LatticeError(f"map {self.label!r} has no column certificate")
@@ -447,31 +455,19 @@ class LatticeMap:
             basis.append(((j, 1),) + tuple((c, -xc) for c, xc in x.items()))
         return tuple(basis)
 
-    def kernel_basis(self) -> list[list[int]]:
-        """A basis of the integer kernel {x : matrix.x = 0}, as new lists."""
-        basis = []
-        for col in self.kernel_columns:
-            v = [0] * self.source.rank
-            for r, x in col:
-                v[r] = x
-            basis.append(v)
-        return basis
-
-    def solve(self, vec: list[int]) -> Optional[list[int]]:
-        """Integer x with matrix.x = vec, or None."""
+    def solve(self, vec: dict[int, int]) -> Optional[dict[int, int]]:
+        """Integer x with map.x = vec, both as {index: value} without zeros,
+        or None."""
         cert = self._row_certificate
         if cert is None:
             raise LatticeError(f"map {self.label!r} has no row certificate")
-        residual = {r: vec[r] for r in compress(range(len(vec)), vec)}
+        residual = {r: v for r, v in vec.items() if v}
         x = _substitute(self.columns, *cert, residual, descending=False)
-        # The residual is vec - matrix.x on every row, summed over the
+        # The residual is vec - map.x on every row, summed over the
         # columns of the nonzero unknowns; the pivots clear only their own.
         if any(residual.values()):
             return None
-        out = [0] * self.source.rank
-        for c, xc in x.items():
-            out[c] = xc
-        return out
+        return x
 
 
 class LatticeSequence:
@@ -504,7 +500,7 @@ class ExactnessReport:
 
 
 def _composes_to_zero(outer: LatticeMap, inner: LatticeMap) -> bool:
-    """outer.matrix * inner.matrix == 0, over the sparse columns of both."""
+    """outer . inner == 0, over the sparse columns of both."""
     return not any(_apply(outer.columns, col) for col in inner.columns)
 
 
@@ -539,7 +535,8 @@ def is_exact(seq: LatticeSequence) -> ExactnessReport:
     if failing(checks):
         kernel_inside = None
     else:
-        kernel_inside = all(inner.solve(k) is not None for k in outer.kernel_basis())
+        kernel_inside = all(inner.solve(dict(k)) is not None
+                            for k in outer.kernel_columns)
     checks.append(check("kernel-inside-image", kernel_inside,
                         "outer kernel basis solved through the inner map"))
     return ExactnessReport(checks)
@@ -571,13 +568,9 @@ def faithful_predicate_seq2(group: PermutationGroup,
 
 # --- the three named sequences -------------------------------------------
 
-def _resolve_element(group: PermutationGroup, g) -> int:
-    if isinstance(g, int):
-        return g
-    from .groups import parse_cycles
-    perm = parse_cycles(g, group.degree) if isinstance(g, str) else tuple(g)
-    perm = perm + tuple(range(len(perm), group.degree))
-    return group.index[perm]
+def _difference(a: int, b: int) -> list[tuple[int, int]]:
+    """The column of e_a - e_b in omega's basis e_i - e_0 (i >= 1)."""
+    return [(i - 1, v) for i, v in ((a, 1), (b, -1)) if i]
 
 
 def _kernel_as_lattice(outer: LatticeMap,
@@ -586,11 +579,8 @@ def _kernel_as_lattice(outer: LatticeMap,
     certificate (j_k, k) holds because the k-th kernel vector is 1 at the
     k-th free row j_k and 0 at the other free rows."""
     kernel = KernelLattice(outer, label)
-    kmat = snf.zeros(outer.source.rank, kernel.rank)
-    for k, col in enumerate(kernel.basis):
-        for r, v in col.items():
-            kmat[r][k] = v
-    incl = LatticeMap(kernel, outer.source, kmat, label=f"{label}-embedding",
+    incl = LatticeMap(kernel, outer.source, outer.kernel_columns,
+                      label=f"{label}-embedding",
                       row_pivots=[(j, k) for j, k in kernel.free.items()])
     return kernel, incl
 
@@ -602,7 +592,7 @@ def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
     tree of the coset graph gH -> g.alpha_i H certifies the outer map: each
     coset's pivot is the column reaching it, whose other nonzero lies on its
     parent's earlier row (Seress, Permutation Group Algorithms, 4.1)."""
-    alphas = [_resolve_element(group, g) for g in g_list]
+    alphas = [group.element_index(g) for g in g_list]
     if group.closure(list(subgroup.members) + alphas) != frozenset(
             range(group.order)):
         raise LatticeError("does not generate")
@@ -613,20 +603,15 @@ def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
     cos = coset_space(group, subgroup)
     omega, _ = augmentation_kernel(cos)
     n = cos.size
-    f = snf.zeros(n - 1, r * group.order)
+    f = []
     edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, alpha in enumerate(alphas):
-        for c in range(group.order):
-            g = reg.reps[c]
+    for alpha in alphas:
+        for g in reg.reps:
             c1 = cos.coset_of[group.mult(g, alpha)]
             c2 = cos.coset_of[g]
-            col = i * group.order + c
-            edges[c2].append((c1, col))
-            if c1 != 0:
-                f[c1 - 1][col] += 1
-            if c2 != 0:
-                f[c2 - 1][col] -= 1
-    # Breadth first; a scan of `reached` costs no more than the dense f.
+            edges[c2].append((c1, len(f)))
+            f.append(_difference(c1, c2))
+    # Breadth first; `reached` holds at most n <= |G| cosets.
     col_pivots, reached = [], [0]
     for c in reached:
         for c1, col in edges[c]:
@@ -655,30 +640,23 @@ def seq2_sequence(group: PermutationGroup,
     pidx = pairs.pair_index
     t2 = tensor(omega, omega)
 
-    iota = snf.zeros(pairs.rank, t2.rank)
+    iota: list[list[tuple[int, int]]] = []
     row_pivots = []
     diag_cols = []
     for i in range(1, n):
         for l in range(1, n):
-            col = (i - 1) * (n - 1) + (l - 1)
+            col = len(iota)
             if i == l:
-                iota[pidx[(0, i)]][col] -= 1
-                iota[pidx[(i, 0)]][col] -= 1
+                iota.append([(pidx[(0, i)], -1), (pidx[(i, 0)], -1)])
                 diag_cols.append((pidx[(i, 0)], col))
             else:
-                iota[pidx[(i, l)]][col] += 1
-                iota[pidx[(0, l)]][col] -= 1
-                iota[pidx[(i, 0)]][col] -= 1
+                iota.append([(pidx[(i, l)], 1), (pidx[(0, l)], -1),
+                             (pidx[(i, 0)], -1)])
                 row_pivots.append((pidx[(i, l)], col))
     inner = LatticeMap(t2, pairs, iota, label="tensor-square-embedding",
                        row_pivots=row_pivots + diag_cols)
 
-    pi = snf.zeros(n - 1, pairs.rank)
-    for col, (a, b) in enumerate(pairs.pairs):
-        if a != 0:
-            pi[a - 1][col] += 1
-        if b != 0:
-            pi[b - 1][col] -= 1
+    pi = [_difference(a, b) for a, b in pairs.pairs]
     outer = LatticeMap(pairs, omega, pi, label="pair-difference-map",
                        col_pivots=[(a - 1, pidx[(a, 0)]) for a in range(1, n)])
 
@@ -693,20 +671,19 @@ def pair_basis_iso(seq: LatticeSequence) -> LatticeMap:
     pidx = pairs.pair_index
     n = pairs.cosets.size
     mixed = tensor(omega, PermLattice(pairs.cosets))
-    m = snf.zeros(pairs.rank, mixed.rank)
+    m: list[list[tuple[int, int]]] = []
     piv_a, piv_b, piv_c = [], [], []
     for i in range(1, n):
         for c in range(n):
-            col = (i - 1) * n + c
+            col = len(m)
             if c == 0:
-                m[pidx[(i, 0)]][col] += 1
+                m.append([(pidx[(i, 0)], 1)])
                 piv_b.append((pidx[(i, 0)], col))
             elif c == i:
-                m[pidx[(0, i)]][col] -= 1
+                m.append([(pidx[(0, i)], -1)])
                 piv_c.append((pidx[(0, i)], col))
             else:
-                m[pidx[(i, c)]][col] += 1
-                m[pidx[(0, c)]][col] -= 1
+                m.append([(pidx[(i, c)], 1), (pidx[(0, c)], -1)])
                 piv_a.append((pidx[(i, c)], col))
     return LatticeMap(mixed, pairs, m, label="pair-basis-identification",
                       row_pivots=piv_a + piv_b + piv_c)
@@ -729,44 +706,21 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
     T = tensor(U, U)
     middle = direct_sum([U, T])
     A, _ = _augmentation_kernel(U, label=f"roots[{n - 1}]")
-    f = snf.zeros(n - 1, middle.rank)
-    for j in range(n):
-        for h in range(n):
-            col = n + j * n + h
-            if j != 0:
-                f[j - 1][col] += 1
-            if h != 0:
-                f[h - 1][col] -= 1
+    # U is killed; column n + j n + h sends e_j (x) e_h to e_j - e_h
+    f = [[]] * n + [_difference(j, h) for j in range(n) for h in range(n)]
     outer = LatticeMap(middle, A, f, label="tensor-difference-map",
                        col_pivots=[(j - 1, n + j * n) for j in range(1, n)])
     kernel, incl = _kernel_as_lattice(outer, label="formanek-kernel")
     seq = LatticeSequence(incl, outer)
 
     src = direct_sum([U, U, tensor(A, A)])
-    assembled: list[list[int]] = []
-    for i in range(n):
-        v = [0] * middle.rank
-        v[i] = 1
-        assembled.append(v)
-    for i in range(n):
-        v = [0] * middle.rank
-        v[n + i * n + i] = 1
-        assembled.append(v)
-    for i in range(1, n):
-        for l in range(1, n):
-            v = [0] * middle.rank
-            v[n + i * n + l] += 1
-            v[n + l] -= 1
-            v[n + i * n] -= 1
-            v[n] += 1
-            assembled.append(v)
-    coords = []
-    for v in assembled:
-        x = incl.solve(v)
-        if x is None:
-            raise LatticeError("assembled vector is not in the kernel")
-        coords.append(x)
-    mat = [[coords[j][i] for j in range(len(coords))]
-           for i in range(kernel.rank)]
-    iso = LatticeMap(src, kernel, mat, label="kernel-decomposition")
+    assembled = [{i: 1} for i in range(n)]
+    assembled += [{n + i * n + i: 1} for i in range(n)]
+    assembled += [{n + i * n + l: 1, n + l: -1, n + i * n: -1, n: 1}
+                  for i in range(1, n) for l in range(1, n)]
+    coords = [incl.solve(v) for v in assembled]
+    if None in coords:
+        raise LatticeError("assembled vector is not in the kernel")
+    iso = LatticeMap(src, kernel, [x.items() for x in coords],
+                     label="kernel-decomposition")
     return seq, iso

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, kernels, solving.
+"""Exact integer linear algebra: determinants, Smith normal form, solving.
 
 Matrices are plain lists of row lists holding Python ints, so every
 operation is arbitrary precision. Pivoting always grabs a smallest
@@ -11,10 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
-
-
-def zeros(m: int, n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(m)]
 
 
 def identity(n: int) -> list[list[int]]:
@@ -189,22 +185,6 @@ def smith_normal_form(a, *, want_u: bool = True, want_v: bool = True) -> SNFResu
                 w.U[t] = [x + y for x, y in zip(w.U[t], w.U[i])]
             w.reduce_slot(t, (t, t))
     return SNFResult(U=w.U, D=w.A, V=w.V)
-
-
-def kernel_basis(a) -> list[list[int]]:
-    """Basis of the integer kernel {x : A x = 0}, as a list of vectors.
-
-    The kernel of an integer matrix is automatically saturated, so this
-    is also a basis of the rational kernel intersected with Z^n.  A matrix
-    with no rows carries no column count and gives no vectors; a map that
-    knows its shape uses LatticeMap.kernel_basis instead.
-    """
-    n = len(a[0]) if a else 0
-    if n == 0:
-        return []
-    res = smith_normal_form(a, want_u=False, want_v=True)
-    r = res.rank
-    return [[res.V[i][j] for i in range(n)] for j in range(r, n)]
 
 
 class IntSolver:

@@ -1,10 +1,13 @@
-"""Dense lattice actions: the oracle that tests compare the sparse
-``GLattice.action_columns`` and ``acts_as_identity`` against.
+"""Dense lattice actions and dense integer kernels: the oracle that tests
+compare the sparse ``GLattice.action_columns``, ``acts_as_identity`` and
+``LatticeMap.kernel_columns`` against.
 
 ``bfs_actions`` multiplies dense generator matrices along the group's BFS
 tree, and ``solved_generator_matrices`` solves each dense moved kernel
 basis vector through the kernel's inclusion. Both are the way lattices
-computed their actions before the actions became sparse.
+computed their actions before the actions became sparse. ``kernel_basis``
+reads an integer kernel off a Smith normal form, the way kernels were found
+before maps carried pivot certificates.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ from __future__ import annotations
 from brauerlab import snf
 
 
+def zeros(m: int, n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(m)]
+
+
 def mat_mult(a, b) -> list[list[int]]:
     """The integer matrix product a b, skipping zero entries of both."""
-    out = snf.zeros(len(a), len(b[0]) if b else 0)
+    out = zeros(len(a), len(b[0]) if b else 0)
     for orow, arow in zip(out, a):
         for k, v in enumerate(arow):
             if v:
@@ -24,9 +31,43 @@ def mat_mult(a, b) -> list[list[int]]:
     return out
 
 
+def columns_of(matrix) -> list[list[tuple[int, int]]]:
+    """The sparse (row, value) columns of a dense matrix with rows."""
+    return [[(r, v) for r, v in enumerate(col) if v] for col in zip(*matrix)]
+
+
+def dense(pairs, n: int) -> list[int]:
+    """The length-n vector with the given (index, value) entries."""
+    v = [0] * n
+    for i, x in pairs:
+        v[i] += x
+    return v
+
+
+def dense_solve(lmap, vec):
+    """lmap.solve on a dense vector, with a dense answer or None."""
+    x = lmap.solve({i: v for i, v in enumerate(vec) if v})
+    return None if x is None else dense(x.items(), lmap.source.rank)
+
+
+def kernel_basis(a) -> list[list[int]]:
+    """Basis of the integer kernel {x : A x = 0}, as a list of vectors.
+
+    The kernel of an integer matrix is automatically saturated, so this
+    is also a basis of the rational kernel intersected with Z^n.  A matrix
+    with no rows carries no column count and gives no vectors.
+    """
+    n = len(a[0]) if a else 0
+    if n == 0:
+        return []
+    res = snf.smith_normal_form(a, want_u=False, want_v=True)
+    r = res.rank
+    return [[res.V[i][j] for i in range(n)] for j in range(r, n)]
+
+
 def dense_action(lat, g) -> list[list[int]]:
     """g's action on lat as a dense matrix, read off its sparse columns."""
-    m = snf.zeros(lat.rank, lat.rank)
+    m = zeros(lat.rank, lat.rank)
     for c, col in enumerate(lat.action_columns(g)):
         for r, v in col:
             m[r][c] += v
@@ -51,9 +92,9 @@ def solved_generator_matrices(incl) -> list[list[list[int]]]:
     mats = []
     for g in kernel.group.generators:
         moved = mat_mult(dense_action(middle, g), incl.matrix)
-        m = snf.zeros(kernel.rank, kernel.rank)
+        m = zeros(kernel.rank, kernel.rank)
         for col in range(kernel.rank):
-            x = incl.solve([row[col] for row in moved])
+            x = dense_solve(incl, [row[col] for row in moved])
             assert x is not None, "kernel is not action-stable"
             for i, v in enumerate(x):
                 m[i][col] = v

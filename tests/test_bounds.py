@@ -106,7 +106,7 @@ def test_tau_rank_bound():
     assert seq.inner.source.rank == 26
 
     G = symmetric_group(3)
-    assert not is_faithful(GLattice(G, 1, [[[1]] for _ in G.generators]))
+    assert not is_faithful(GLattice(G, 1, [[[(0, 1)]] for _ in G.generators]))
 
     # omega^(x2) for (S4, S3) is faithful of rank 9
     G4 = symmetric_group(4)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from brauerlab import groups, lattices, snf
 from brauerlab.groups import (
+    GroupError,
     alternating_group,
     builtin_family,
     coset_space,
@@ -35,7 +36,16 @@ from brauerlab.lattices import (
     seq2_sequence,
     tensor,
 )
-from lattice_oracle import bfs_actions, dense_action, mat_mult, solved_generator_matrices
+from lattice_oracle import (
+    bfs_actions,
+    columns_of,
+    dense,
+    dense_action,
+    dense_solve,
+    kernel_basis,
+    mat_mult,
+    solved_generator_matrices,
+)
 
 
 def mat_vec(a, v):
@@ -49,7 +59,7 @@ def character(lat, g):
 
 
 def trivial_lattice(G):
-    return GLattice(G, 1, [[[1]] for _ in G.generators])
+    return GLattice(G, 1, [[[(0, 1)]] for _ in G.generators])
 
 
 @pytest.fixture
@@ -292,24 +302,24 @@ def _pivot_map(row_pivots=None, *, col_pivots=None):
     z = trivial_lattice(G)
     if col_pivots is not None:
         return LatticeMap(direct_sum([z] * 4), direct_sum([z] * 3),
-                          [list(col) for col in zip(*PIVOT_MATRIX)],
+                          columns_of(list(zip(*PIVOT_MATRIX))),
                           col_pivots=col_pivots)
     return LatticeMap(direct_sum([z] * 3), direct_sum([z] * 4),
-                      PIVOT_MATRIX, row_pivots=row_pivots)
+                      columns_of(PIVOT_MATRIX), row_pivots=row_pivots)
 
 
 @pytest.mark.parametrize("fault", sorted(BAD_PIVOTS))
 def test_bad_row_pivots_fall_back_to_int_solver(fault, snf_calls):
     """A faulty row certificate leaves the map uncertified: it refuses."""
     x = [3, -2, 7]
-    vec = mat_vec(PIVOT_MATRIX, x)
+    vec = dict(enumerate(mat_vec(PIVOT_MATRIX, x)))
     good = _pivot_map(GOOD_PIVOTS)
     bad = _pivot_map(BAD_PIVOTS[fault])
     assert good.is_injective_saturated()
-    assert good.solve(vec) == x
+    assert good.solve(vec) == dict(enumerate(x))
     # Zero on the good pivot rows, so substitution gives x = 0 and only
     # the check on row 3 can refuse it.
-    outside = [0, 0, 0, 1]
+    outside = {3: 1}
     assert good.solve(outside) is None
     assert not bad.is_injective_saturated()
     for v in (vec, outside):
@@ -329,12 +339,12 @@ def test_bad_col_pivots_fall_back_to_smith_form(fault, snf_calls):
     good = _pivot_map(col_pivots=transposed(GOOD_PIVOTS))
     bad = _pivot_map(col_pivots=transposed(BAD_PIVOTS[fault]))
     assert good.is_surjective()
-    [k] = good.kernel_basis()
-    assert mat_vec(good.matrix, k) == [0, 0, 0]
-    assert k[3] == 1
+    [k] = good.kernel_columns
+    assert mat_vec(good.matrix, dense(k, 4)) == [0, 0, 0]
+    assert dict(k)[3] == 1
     assert not bad.is_surjective()
     with pytest.raises(LatticeError, match="no column certificate"):
-        bad.kernel_basis()
+        bad.kernel_columns
     assert snf_calls == []
 
 
@@ -344,10 +354,10 @@ def test_substitution_agrees_with_int_solver_on_seq2():
         if inner.target.rank > 500:
             continue  # S4 over 1: its IntSolver alone takes about 4 s
         solver = snf.IntSolver(inner.matrix)
-        kernel = seq.outer.kernel_basis()
+        kernel = [dense(k, inner.target.rank) for k in seq.outer.kernel_columns]
         assert len(kernel) == inner.source.rank
         for i, k in enumerate(kernel):
-            x = inner.solve(k)
+            x = dense_solve(inner, k)
             assert x is not None
             assert x == solver.solve(k)
             assert mat_vec(inner.matrix, x) == k
@@ -356,7 +366,7 @@ def test_substitution_agrees_with_int_solver_on_seq2():
             outside = list(k)
             outside[i % len(k)] += 1
             assert any(mat_vec(seq.outer.matrix, outside))
-            assert inner.solve(outside) is None
+            assert dense_solve(inner, outside) is None
             assert solver.solve(outside) is None
 
 
@@ -374,9 +384,9 @@ def certified_outer_maps():
 def test_certificate_kernel_spans_the_smith_kernel():
     for outer in certified_outer_maps():
         G = outer.source.group
-        cert = outer.kernel_basis()
+        cert = [dense(k, outer.source.rank) for k in outer.kernel_columns]
         # A matrix with no rows gives the oracle no column count.
-        smith = (snf.kernel_basis(outer.matrix) if outer.target.rank
+        smith = (kernel_basis(outer.matrix) if outer.target.rank
                  else snf.identity(outer.source.rank))
         assert len(cert) == len(smith) == outer.source.rank - outer.target.rank
         zero = [0] * outer.target.rank
@@ -387,11 +397,10 @@ def test_certificate_kernel_spans_the_smith_kernel():
         free = [j for j in range(outer.source.rank) if j not in pivot_cols]
         assert all(k[j] == 1 for k, j in zip(cert, free))
         basis_map = LatticeMap(direct_sum([trivial_lattice(G)] * len(cert)),
-                               outer.source,
-                               [list(row) for row in zip(*cert)],
+                               outer.source, outer.kernel_columns,
                                row_pivots=[(j, i) for i, j in enumerate(free)])
         assert basis_map._row_certificate is not None
-        solves_against(cert, smith, basis_map.solve)
+        solves_against(cert, smith, lambda v: dense_solve(basis_map, v))
         solves_against(smith, cert,
                        snf.IntSolver([list(row) for row in zip(*smith)]).solve)
 
@@ -444,8 +453,7 @@ def test_formanek_sequence():
 def test_is_exact_negative_controls():
     G, H, X = stabilizer_cosets(3)
     seq = seq2_sequence(G, H)
-    broken = LatticeMap(seq.outer.source, seq.outer.target,
-                        snf.zeros(2, 6))
+    broken = LatticeMap(seq.outer.source, seq.outer.target, [[]] * 6)
     rep = is_exact(LatticeSequence(seq.inner, broken))
     assert not rep.exact
     assert rep.to_json()["checks"]["outer-surjective"] is False
@@ -455,25 +463,50 @@ def test_is_exact_negative_controls():
     # kernel-inside-image cross-check then does not run.
     passing = dict.fromkeys(["composition-zero", "inner-injective-saturated",
                              "outer-surjective", "rank-additive"], True)
-    bare = LatticeMap(seq.outer.source, seq.outer.target, seq.outer.matrix)
+    bare = LatticeMap(seq.outer.source, seq.outer.target, seq.outer.columns)
     rep = is_exact(LatticeSequence(seq.inner, bare))
     assert rep.to_json() == {"exact": False, "checks": {
         **passing, "outer-surjective": False, "kernel-inside-image": None}}
-    bare = LatticeMap(seq.inner.source, seq.inner.target, seq.inner.matrix)
+    bare = LatticeMap(seq.inner.source, seq.inner.target, seq.inner.columns)
     rep = is_exact(LatticeSequence(bare, seq.outer))
     assert rep.to_json() == {"exact": False, "checks": {
         **passing, "inner-injective-saturated": False, "kernel-inside-image": None}}
 
-    summing = LatticeMap(seq.outer.source, seq.outer.target,
-                         [[1] * 6, [0] * 6])
+    summing = LatticeMap(seq.outer.source, seq.outer.target, [[(0, 1)]] * 6)
     rep = is_exact(LatticeSequence(seq.inner, summing))
     assert rep.to_json()["checks"]["composition-zero"] is False
 
     # Drop a column from inner: ranks stop adding up.
-    thin = [row[:-1] for row in seq.inner.matrix]
+    thin = seq.inner.columns[:-1]
     small_src = trivial_lattice(G)
     with pytest.raises(LatticeError):
         LatticeMap(small_src, seq.inner.target, thin)
+
+
+def test_map_columns_are_summed_and_checked():
+    z = trivial_lattice(cyclic_group(2))
+    # (0, 1) twice is the entry 2, which is no unit pivot
+    doubled = LatticeMap(z, z, [[(0, 1), (0, 1)]], row_pivots=[(0, 0)])
+    assert doubled.columns == [[(0, 2)]] and doubled.matrix == [[2]]
+    assert not doubled.is_injective_saturated()
+    # pairs that cancel leave no entry
+    assert LatticeMap(z, z, [[(0, 1), (0, -1)]]).columns == [[]]
+    for row in (1, -1):
+        with pytest.raises(LatticeError, match="outside a target of rank 1"):
+            LatticeMap(z, z, [[(row, 1)]])
+    with pytest.raises(LatticeError, match="1 columns for a source of rank 2"):
+        LatticeMap(direct_sum([z] * 2), z, [[(0, 1)]])
+
+
+@pytest.mark.parametrize("element", ["(1 2)", 7, -1])
+def test_elements_outside_the_group_are_refused(element):
+    """A transposition, an index past the end and a negative index are not
+    elements of C3, for a subgroup and for a relation module alike."""
+    C3 = cyclic_group(3)
+    with pytest.raises(GroupError):
+        C3.subgroup([element])
+    with pytest.raises(GroupError):
+        freepres_sequence(C3, C3.trivial_subgroup(), [element])
 
 
 def _faithful_by_every_element(lat):
@@ -503,7 +536,8 @@ def test_is_faithful_basics():
     # kernel A3.
     G3, H3, X3 = stabilizer_cosets(3)
     A2, _ = augmentation_kernel(X3)
-    sign = GLattice(G3, 1, [[[snf.det(dense_action(A2, g))]] for g in G3.generators])
+    sign = GLattice(G3, 1, [[[(0, snf.det(dense_action(A2, g)))]]
+                            for g in G3.generators])
     assert is_faithful(sign) is False
 
 
@@ -554,21 +588,21 @@ def test_kernel_of_a_non_equivariant_map_is_not_action_stable():
     has kernel Z e_1, which the swap moves out of the kernel."""
     C2 = cyclic_group(2)
     regular = PermLattice(coset_space(C2, C2.trivial_subgroup()))
-    first = LatticeMap(regular, trivial_lattice(C2), [[1, 0]],
+    first = LatticeMap(regular, trivial_lattice(C2), [[(0, 1)], []],
                        col_pivots=[(0, 0)])
     assert first.is_surjective() and not first.check_equivariance()
-    assert first.kernel_basis() == [[0, 1]]
+    assert first.kernel_columns == (((1, 1),),)
     with pytest.raises(LatticeError, match="kernel is not action-stable"):
         KernelLattice(first, "projection-kernel")
     # The coordinate sum is equivariant, and its kernel is acted on.
-    total = LatticeMap(regular, trivial_lattice(C2), [[1, 1]],
+    total = LatticeMap(regular, trivial_lattice(C2), [[(0, 1)], [(0, 1)]],
                        col_pivots=[(0, 0)])
     assert total.check_equivariance()
     assert dense_action(KernelLattice(total, "sum-kernel"),
                         C2.generators[0]) == [[-1]]
 
 
-def test_kernel_basis_is_worked_out_once_and_handed_out_fresh(monkeypatch):
+def test_kernel_basis_is_worked_out_once(monkeypatch):
     G = symmetric_group(3)
     seq = freepres_sequence(G, G.trivial_subgroup(), ["(1 2)", "(1 2 3)"])
     outer = seq.outer
@@ -580,19 +614,20 @@ def test_kernel_basis_is_worked_out_once_and_handed_out_fresh(monkeypatch):
         return real(*args, descending=descending)
 
     monkeypatch.setattr(lattices, "_substitute", counting)
-    first = outer.kernel_basis()
+    kernel = outer.kernel_columns
     assert is_exact(seq).exact and is_faithful(seq.inner.source)
     # the kernel lattice worked the basis out already; is_exact only solves
     assert substitutions.count(True) == 0
-    assert substitutions.count(False) == len(first) == seq.inner.source.rank
-    first[0][0] += 1
-    assert outer.kernel_basis()[0][0] == first[0][0] - 1
-    assert outer.kernel_basis() is not outer.kernel_basis()
+    assert substitutions.count(False) == len(kernel) == seq.inner.source.rank
+    # handed out as it is, so it is immutable
+    assert outer.kernel_columns is kernel
+    assert all(isinstance(k, tuple) for k in (kernel, *kernel))
 
 
 def test_work_budget_of_lattice_certificates(monkeypatch):
-    """No dense products and no walks along the BFS tree on the lattice
-    certificate path, and products of group elements from the table."""
+    """No dense view of a map and no walks along the BFS tree on the
+    lattice certificate path, and products of group elements from the
+    table."""
     compositions = []
     real_mult = groups._mult
 
@@ -607,10 +642,14 @@ def test_work_budget_of_lattice_certificates(monkeypatch):
     # the table is built from the products the construction made
     assert len(compositions) == 48
 
-    # snf keeps no dense product; a counter catches one put back
-    dense = []
-    monkeypatch.setattr(snf, "mat_mult", lambda *a: dense.append(a),
-                        raising=False)
+    reads = []
+    real_matrix = LatticeMap.matrix.func
+
+    def counting_matrix(self):
+        reads.append(self.label)
+        return real_matrix(self)
+
+    monkeypatch.setattr(LatticeMap, "matrix", property(counting_matrix))
     walks = []
     real_compute = GLattice._compute
 
@@ -620,11 +659,14 @@ def test_work_budget_of_lattice_certificates(monkeypatch):
 
     monkeypatch.setattr(GLattice, "_compute", counting_compute)
     trivial = S4.trivial_subgroup()
-    for seq in (seq2_sequence(S4, trivial),
-                freepres_sequence(S4, trivial, ["(1 2)", "(1 2 3 4)"])):
+    formanek, iso = formanek_sequence(5)
+    for seq, extra in ((seq2_sequence(S4, trivial), []),
+                       (freepres_sequence(S4, trivial, ["(1 2)", "(1 2 3 4)"]), []),
+                       (formanek, [iso])):
         assert is_exact(seq).exact
         assert is_faithful(seq.inner.source)
-    assert dense == [] and walks == []
+        assert all(m.check_equivariance() for m in [seq.inner, seq.outer, *extra])
+    assert reads == [] and walks == []
 
 
 def test_formanek_sequence_builds_no_multiplication_table():
