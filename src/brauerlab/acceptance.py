@@ -78,7 +78,6 @@ from .quadforms import (
     trace_data,
     trace_form,
 )
-from . import snf
 
 
 def seeded_rng(seed: int, slug: str) -> random.Random:
@@ -264,16 +263,17 @@ def check_tensor_square_family(seed: int):
 
 def formanek_checks(n: int) -> list:
     """The symmetric-group kernel sequence for S_n: exactness, kernel rank
-    n^2 + 1, and a unimodular, equivariant splitting."""
+    n^2 + 1, and an equivariant splitting, unimodular as a square map with
+    a verified row certificate."""
     seq, iso = formanek_sequence(n)
     rank = seq.inner.source.rank
-    iso_det = snf.det(iso.matrix)
     return [
         check("sequence-exact", is_exact(seq).exact, f"kernel rank {rank}"),
         check("kernel-rank", rank == n * n + 1, f"rank {rank}, expected n^2 + 1"),
         check("splitting-unimodular",
-              iso.source.rank == iso.target.rank == n * n + 1 and iso_det in (1, -1),
-              f"rank {iso.source.rank} to {iso.target.rank}, determinant {iso_det}"),
+              iso.source.rank == iso.target.rank == n * n + 1
+              and iso.is_injective_saturated(),
+              f"rank {iso.source.rank} to {iso.target.rank}, row certificate"),
         check("splitting-equivariant",
               iso.check_equivariance() and seq.outer.check_equivariance(),
               "splitting and outer map commute with the S_n generators"),
@@ -370,16 +370,16 @@ def seeded_symbol_instances(seed: int, ring: PolyRing, count: int):
 
 
 def decomposition_certificate(algebra: CrossedAlgebra) -> DecompositionCertificate:
-    """The certificate of ``decompose``.  On a generic branch that passes,
-    it also carries the records of the symbol presentation of A_f that
-    ``cyclic_to_symbol`` builds, then one tie record, gamma-power-2m
-    (c' = c^2 a2: the presentation's gamma^2m = c' agrees with the twist's
+    """The certificate of ``decompose``.  On a cyclic branch that passes
+    (either value of f1), it also carries the records of the symbol
+    presentation of A_f that ``cyclic_to_symbol`` builds from the
+    certificate's gamma, then one tie record, gamma-power-2m (c' = c^2 a2:
+    the presentation's gamma^2m = c' agrees with the twist's
     gamma^m = c al2), and c', d' and delta among its witnesses."""
     cert = decompose(algebra)
-    if cert.branch != "generic" or not cert.ok:
+    if cert.twisted is None or not cert.ok:
         return cert
-    A_f = cert.twisted
-    pres = cyclic_to_symbol(A_f, A_f.add(A_f.z1(), A_f.alpha1()))
+    pres = cyclic_to_symbol(cert.twisted, cert.gamma)
     tie = pres.c_prime == cert.c * cert.c * algebra.K.a2
     cert.identities += pres.checks + [check("gamma-power-2m", tie, "c' = c^2*a2")]
     payload = pres.to_json()

@@ -58,13 +58,16 @@ power-cancellation identity and the gamma-power computations live in it, so
 they are meaningful at "none" for independent parameters, where no
 compatible u exists over the rational function field.
 
-The decomposition A ~ (a1, f)_m (x) A_f, with A_f presented as the symbol
-algebra (d', c')_2m (x = delta, y = gamma), is certified in two parts that
-share no computation: ``decompose`` certifies what depends on the twist f
-(the parameters of A_f and gamma^m = c al2), ``cyclic_to_symbol`` the
+For b1 = f1 + f2 al2 with f2 != 0, A ~ (a1, f)_m (x) A_f with A_f presented
+as the symbol algebra (d', c')_2m (x = delta, y = gamma), gamma^m = c al2
+and c = f f2: f = -a1/f1 and gamma = z1 + al1 when f1 != 0, f = 1 and
+gamma = z1 when f1 = 0.  This is certified in two parts that share no
+computation: ``decompose`` certifies what depends on the twist f (the
+parameters of A_f and gamma^m = c al2), ``cyclic_to_symbol`` the
 presentation of A_f (gamma^2m = c' in F*, rank 2m of the first 2m powers,
 delta gamma = zeta_2m gamma delta, delta^2m = d' in F*).  The acceptance
-layer runs both and ties them by c' = c^2 a2.
+layer runs both and ties them by c' = c^2 a2.  For f2 = 0, ``decompose``
+certifies a split into a degree-m symbol and a quaternion algebra.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ def standard_ring(m: int, names: Sequence[str] = ("a1", "a2", "f1", "f2")) -> Po
 class FieldScalars:
     """F as a coefficient ring: FieldElements, on which the grading acts trivially."""
 
+    to_json = staticmethod(FieldElement.to_json)
     add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
@@ -137,7 +141,7 @@ class GradedAlgebra:
 
     An element is {g: coefficient}, with zero coefficients dropped.  The
     coefficient ring supplies zero / one / add / neg / mul / scale / is_zero /
-    equal / scalar_of / act(g, c); a subclass passes its grading group
+    equal / scalar_of / act(g, c) / to_json; a subclass passes its grading group
     ``grades`` (unit first) and supplies ``_rule(g, h)`` returning
     (gh, c(g, h)), with None standing for c = 1.
     """
@@ -237,6 +241,10 @@ class GradedAlgebra:
         if any(g != unit and not C.is_zero(c) for g, c in x.items()):
             return None
         return C.scalar_of(x.get(unit, C.zero()))
+
+    def to_json(self, x: dict) -> dict:
+        """x as {"g0,g1": coefficient json}, each grade written as its entries."""
+        return {",".join(map(str, g)): self.coeffs.to_json(c) for g, c in x.items()}
 
 
 class KummerField(GradedAlgebra):
@@ -362,10 +370,7 @@ class KummerField(GradedAlgebra):
             raise CrossedError("element of K is not invertible")
         return inv
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self, x: KElem) -> dict:
-        return {f"{i},{j}": c.to_json() for (i, j), c in x.items()}
+    # -- rendering -------------------------------------------------------------
 
     def render(self, x: KElem) -> str:
         if self.is_zero(x):
@@ -538,19 +543,6 @@ class CrossedAlgebra(GradedAlgebra):
     def z2(self) -> dict:
         return {(0, 1): self.K.one()}
 
-    # -- flat coordinates -----------------------------------------------------
-
-    def index_of(self, i: int, j: int, k: int, l: int) -> int:
-        return ((k * 2 + l) * self.m + i) * 2 + j
-
-    def coords(self, x: dict) -> list:
-        zero = self.ring.element(0)
-        out = [zero] * self.dim
-        for (k, l), coeff in x.items():
-            for (i, j), c in coeff.items():
-                out[self.index_of(i, j, k, l)] = c
-        return out
-
     # -- construction-time verification ---------------------------------------
 
     def norm_conditions_hold(self) -> bool:
@@ -715,7 +707,8 @@ def instance_from_symbol(
         b2 = tau sigma2(tau) al1.
 
     For t != 0 both components of b1 are nonzero, giving associative
-    instances on the generic branch; t = 0 gives the f1 = 0 cyclic branch.
+    instances on the generic branch.  t = 0 gives b1 = al2^(m+1)/g: the
+    f1 = 0 cyclic branch for even m, the f2 = 0 split branch for odd m.
     The default mu = nu = 0 keeps b2 = lam^2 al1 on the al1 axis.  A nonzero
     mu gives b2 a nonzero scalar part, and nonzero mu and nu together give
     (z1 z2)^2 a nonzero scalar part as well; the degree-4 trace data needs
@@ -748,15 +741,16 @@ class DecompositionCertificate:
     """Record of a decomposition run: branch, witnesses, identities."""
 
     def __init__(self, m, branch, check_level, params, identities, witnesses,
-                 twisted=None, c=None):
+                 twisted=None, gamma=None, c=None):
         self.m = m
         self.branch = branch
         self.check_level = check_level
         self.params = params            # params_json of the input algebra
         self.identities = identities
-        self.witnesses = witnesses      # {"f": json, "c": json, "gamma": coords json, ...}
-        # A_f and c (gamma^m = c al2) on the generic branch, else None; not serialized
+        self.witnesses = witnesses      # {"f": json, "c": json, "gamma": json, ...}
+        # A_f, gamma and c (gamma^m = c al2) on a cyclic branch, else None; not serialized
         self.twisted = twisted
+        self.gamma = gamma
         self.c = c
 
     @property
@@ -836,37 +830,25 @@ def _min_poly_rank(elements: Sequence) -> int:
 def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
     """Branch on (f1, f2) and certify the matching decomposition identities.
 
-    Generic branch: twist by f = -a1/f1, so that in A_f = A (x) (1, f, 1)
-    the shifted generator gamma = z1 + al1 has gamma^m = c al2 with
-    c = -a1 f2/f1; certify that (m - 1 products) and the parameters of A_f.
-    Only what depends on the twist is certified here.  The rest of the
+    Cyclic (f2 != 0): twist by f, so that in A_f = A (x) (1, f, 1) the
+    generator gamma has gamma^m = c al2 with c = f f2: f = -a1/f1 and
+    gamma = z1 + al1 ("generic"), or f = 1, A_f = A and gamma = z1 when
+    f1 = 0 ("f1-zero-cyclic").  Certify that (m - 1 products) and the
+    parameters of A_f: only what depends on the twist.  The rest of the
     symbol presentation of A_f (gamma^2m = c' in F*, the degree-2m
-    subfield, delta) is ``cyclic_to_symbol`` on the certificate's A_f,
-    which this function does not call.
+    subfield, delta) is ``cyclic_to_symbol`` on the certificate's A_f and
+    gamma, which this function does not call.
     """
     K = A.K
     ring = A.ring
     f1, f2 = A.b1_pair()
     witnesses: dict = {}
-    A_f = c = None
+    A_f = gamma = c = None
 
     if f1.is_zero() and f2.is_zero():
         raise CrossedError("f1 = f2 = 0 rejected: impossible for division input")
 
-    if f1.is_zero():
-        branch = "f1-zero-cyclic"
-        powers = _powers(A, A.z1(), 2 * A.m)
-        target = f2 * f2 * K.a2
-        scalar = A.scalar_of(powers[-1])
-        rank = _min_poly_rank(powers[:-1])
-        identities = [
-            check("z1-power-2m-value", scalar is not None and scalar == target,
-                  "z1^2m = f2^2*a2"),
-            check("z1-power-2m-nonzero", scalar is not None and not scalar.is_zero()),
-            check("z1-min-poly-degree", rank == 2 * A.m, f"rank {rank} of first 2m powers"),
-        ]
-        witnesses["z1_power_2m"] = target.to_json()
-    elif f2.is_zero():
+    if f2.is_zero():
         branch = "f2-zero-split-quaternion"
         # when u != 1 its sigma1-norm is 1 here (b1 is fixed by s2), so the
         # Hilbert-90 sum gives k with u sigma1(k) = k and k*z2 commuting
@@ -906,12 +888,14 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
         }
         witnesses["z2_adjuster"] = K.to_json(k_adj)
     else:
-        branch = "generic"
-        f = -K.a1 / f1
+        if f1.is_zero():
+            branch, f = "f1-zero-cyclic", ring.element(1)
+        else:
+            branch, f = "generic", -K.a1 / f1
         twist = CrossedAlgebra(K, K.one(), K.scalar(f), K.one(), check="none")
         A_f = tensor_brauer(A, twist, check=A.check_level)
-        c = -(K.a1 * f2) / f1
-        gamma = A_f.add(A_f.z1(), A_f.alpha1())
+        c = f * f2
+        gamma = A_f.z1() if f1.is_zero() else A_f.add(A_f.z1(), A_f.alpha1())
         identities = [
             check(
                 "tensor-cocycle-witness",
@@ -926,7 +910,7 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
         ]
         witnesses["f"] = f.to_json()
         witnesses["c"] = c.to_json()
-        witnesses["gamma"] = [x.to_json() for x in A_f.coords(gamma)]
+        witnesses["gamma"] = A_f.to_json(gamma)
         # A_f = A (x) T with T = (1, f, 1) = (f, a1)_m, so A ~ T^-1 (x) A_f
         witnesses["brauer_relation"] = (
             "A ~ (a1, f)_m tensor A_f, where (a, b)_m: x^m = a, y^m = b, xy = zeta_m yx")
@@ -934,7 +918,7 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
 
     return DecompositionCertificate(
         A.m, branch, A.check_level, A.params_json(), identities, witnesses,
-        twisted=A_f, c=c,
+        twisted=A_f, gamma=gamma, c=c,
     )
 
 
@@ -944,11 +928,12 @@ def decompose(A: CrossedAlgebra) -> DecompositionCertificate:
 class SymbolPresentation:
     """gamma and delta with delta gamma = zeta_2m gamma delta, as (c', d') = (gamma^2m, delta^2m)."""
 
-    def __init__(self, m, c_prime, d_prime, delta_coords, checks):
-        self.m = m
+    def __init__(self, algebra, c_prime, d_prime, delta, checks):
+        self.algebra = algebra          # the crossed algebra delta lives in
+        self.m = algebra.m
         self.c_prime = c_prime
         self.d_prime = d_prime
-        self.delta_coords = delta_coords
+        self.delta = delta
         self.checks = checks
 
     @property
@@ -961,7 +946,7 @@ class SymbolPresentation:
             "degree": 2 * self.m,
             "c_prime": self.c_prime.to_json(),
             "d_prime": self.d_prime.to_json(),
-            "delta": [x.to_json() for x in self.delta_coords],
+            "delta": self.algebra.to_json(self.delta),
             "ok": self.ok,
             "checks": self.checks,
         }
@@ -1055,4 +1040,4 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
         check("delta-power-in-F", not d_prime.is_zero(), "delta^2m in F*"),
         check("c-prime-value", A.equal(A.mul(half, half), A.scalar(c_prime)), "c' = gamma^2m"),
     ]
-    return SymbolPresentation(A.m, c_prime, d_prime, A.coords(delta), checks)
+    return SymbolPresentation(A, c_prime, d_prime, delta, checks)

@@ -1,9 +1,9 @@
 """Factor sets for the generic division algebra as Laurent monomials.
 
 A monomial lives in the free abelian group on the matrix variables z_ij
-(one per ordered pair, diagonal included) and the diagonal primes z'_ii.
-Written additively these groups are the permutation lattices U_n^(x2) and
-U_n, so factor-set identities become integer linear algebra: equivariance
+(one per ordered pair, diagonal included).  Written additively this group
+is the permutation lattice U_n^(x2), so factor-set identities become
+integer linear algebra: equivariance
 and the cocycle condition are checked entrywise, and membership of a
 monomial in the antisymmetric sublattice reads its coordinates off the
 tensor and checks them by expansion.
@@ -24,58 +24,45 @@ class FactorSetError(ValueError):
 
 
 class FactorSetMonomial:
-    """Laurent monomial in z_ij (pairs) and z'_ii (primes)."""
+    """Laurent monomial in the z_ij, as {(i, j): exponent}."""
 
-    __slots__ = ("n", "pairs", "primes")
+    __slots__ = ("n", "pairs")
 
-    def __init__(self, n: int, pairs: Optional[dict] = None,
-                 primes: Optional[dict] = None):
+    def __init__(self, n: int, pairs: Optional[dict] = None):
         self.n = n
         self.pairs = {k: v for k, v in (pairs or {}).items() if v}
-        self.primes = {k: v for k, v in (primes or {}).items() if v}
         for (i, j) in self.pairs:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise FactorSetError(f"pair index {(i, j)} out of range")
-        for i in self.primes:
-            if not (1 <= i <= n):
-                raise FactorSetError(f"prime index {i} out of range")
 
     def __mul__(self, other: "FactorSetMonomial") -> "FactorSetMonomial":
         pairs = dict(self.pairs)
         for k, v in other.pairs.items():
             pairs[k] = pairs.get(k, 0) + v
-        primes = dict(self.primes)
-        for k, v in other.primes.items():
-            primes[k] = primes.get(k, 0) + v
-        return FactorSetMonomial(self.n, pairs, primes)
+        return FactorSetMonomial(self.n, pairs)
 
     def __pow__(self, e: int) -> "FactorSetMonomial":
-        return FactorSetMonomial(
-            self.n,
-            {k: v * e for k, v in self.pairs.items()},
-            {k: v * e for k, v in self.primes.items()})
+        return FactorSetMonomial(self.n, {k: v * e for k, v in self.pairs.items()})
 
     def inverse(self) -> "FactorSetMonomial":
         return self ** -1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FactorSetMonomial) and self.n == other.n
-                and self.pairs == other.pairs and self.primes == other.primes)
+                and self.pairs == other.pairs)
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.pairs.items())),
-                     tuple(sorted(self.primes.items()))))
+        return hash((self.n, tuple(sorted(self.pairs.items()))))
 
     def is_trivial(self) -> bool:
-        return not self.pairs and not self.primes
+        return not self.pairs
 
     def apply_perm(self, perm: tuple[int, ...]) -> "FactorSetMonomial":
         """Relabel indices by a 0-based image tuple (degree n)."""
         return FactorSetMonomial(
             self.n,
             {(perm[i - 1] + 1, perm[j - 1] + 1): v
-             for (i, j), v in self.pairs.items()},
-            {perm[i - 1] + 1: v for i, v in self.primes.items()})
+             for (i, j), v in self.pairs.items()})
 
     def exponent_tensor(self) -> list[int]:
         """Pair exponents as a vector over the u_i (x) u_j basis."""
@@ -90,8 +77,6 @@ class FactorSetMonomial:
         bits = []
         for (i, j), v in sorted(self.pairs.items()):
             bits.append(f"z{i}{j}" if v == 1 else f"z{i}{j}^{v}")
-        for i, v in sorted(self.primes.items()):
-            bits.append(f"z'{i}{i}" if v == 1 else f"z'{i}{i}^{v}")
         return "*".join(bits)
 
 
@@ -229,7 +214,7 @@ def wedge_membership(m: FactorSetMonomial) -> Optional[dict]:
     coefficient, which is still a coordinate vector over the full spanning
     set since every other entry is 0.
     """
-    if m.primes or any(i == j for (i, j) in m.pairs):
+    if any(i == j for (i, j) in m.pairs):
         raise FactorSetError("diagonal variables present")
     coords = {((i, 1), (j, 1)): v for (i, j), v in sorted(m.pairs.items())
               if 2 <= i < j}

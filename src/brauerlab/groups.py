@@ -1,7 +1,7 @@
 """Finite permutation groups, subgroups and coset spaces.
 
 Groups are materialized: the element list is enumerated up front (BFS over
-the generators) with a configurable order cap, and every element carries a
+the generators) up to ORDER_CAP elements, and every element carries a
 word in the generators so module-level code can extend generator data to
 the whole group. Points are 0-based internally; cycle notation I/O is
 1-based.
@@ -17,7 +17,8 @@ class GroupError(ValueError):
     pass
 
 
-DEFAULT_ORDER_CAP = 10_080
+# largest group enumerated: S7 (order 5 040) fits, S8 (order 40 320) does not
+ORDER_CAP = 10_080
 
 
 def parse_cycles(text: str, degree: Optional[int] = None) -> tuple[int, ...]:
@@ -101,7 +102,7 @@ class PermutationGroup:
     """
 
     def __init__(self, generators: Iterable, degree: Optional[int] = None,
-                 order_cap: int = DEFAULT_ORDER_CAP, name: str = ""):
+                 name: str = ""):
         gens = []
         for g in generators:
             if isinstance(g, str):
@@ -137,9 +138,9 @@ class PermutationGroup:
             for pos, g in enumerate(gens):
                 prod = _mult(e, g)
                 if prod not in self.index:
-                    if len(self.elements) >= order_cap:
+                    if len(self.elements) >= ORDER_CAP:
                         raise GroupError(
-                            f"order cap exceeded (cap={order_cap})")
+                            f"order cap exceeded (cap={ORDER_CAP})")
                     self.index[prod] = len(self.elements)
                     self.elements.append(prod)
                     self.parents.append((ei, pos))
@@ -416,11 +417,11 @@ def cyclic_group(n: int) -> PermutationGroup:
     return PermutationGroup([tuple(range(1, n)) + (0,)], degree=n, name=f"C{n}")
 
 
-def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
+def symmetric_group(n: int) -> PermutationGroup:
     if n < 2:
         return PermutationGroup([], degree=max(n, 1), name=f"S{n}")
     gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
-    return PermutationGroup(gens, degree=n, order_cap=order_cap, name=f"S{n}")
+    return PermutationGroup(gens, degree=n, name=f"S{n}")
 
 
 def alternating_group(n: int) -> PermutationGroup:

@@ -21,8 +21,8 @@ column, so every step of a certificate walks only the nonzero entries.
 Equivariance is checked column by column against the sparse actions, and
 the unit-triangular pivot certificate each constructor hands its maps gives
 kernels and solves by sparse substitution (Gilbert-Peierls, SIAM J. Sci.
-Stat. Comput. 9, 1988). A dense view of a map is derived on request, for
-the determinant of the Formanek splitting.
+Stat. Comput. 9, 1988). A dense view of a map is derived on request; no
+certificate reads it (the benchmark harness and the tests do).
 """
 
 from __future__ import annotations
@@ -316,8 +316,8 @@ class LatticeMap:
     The constructor sums pairs that share a row and drops zeros, so each
     column lists the distinct nonzero entries; a wrong column count or a row
     outside the target raises LatticeError. `matrix`, the dense
-    target.rank x source.rank view, is derived on first read for the
-    determinant of the Formanek splitting; no certificate reads it.
+    target.rank x source.rank view, is derived on first read; only the
+    benchmark harness (Formanek determinant) and the tests read it.
 
     row_pivots / col_pivots are optional unit-triangular certificates passed
     by constructors that know the matrix structure. They are verified, not
@@ -696,7 +696,10 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
 
     Also returns the unimodular equivariant isomorphism
     U (+) U (+) A^(x2) -> K assembled from the explicit kernel vectors
-    e_i; e_i (x) e_i; (e_i - e_0) (x) (e_l - e_0).
+    e_i; e_i (x) e_i; (e_i - e_0) (x) (e_l - e_0), with its row certificate
+    on the kernel rows (free rows of the outer map), in this order: each
+    (e_i - e_0) (x) (e_l - e_0) with i != l at e_i (x) e_l, each with i = l
+    at e_0 (x) e_i, each e_i (x) e_i and each e_i at itself.
     """
     if n < 2:
         raise LatticeError("need n >= 2")
@@ -721,6 +724,13 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
     coords = [incl.solve(v) for v in assembled]
     if None in coords:
         raise LatticeError("assembled vector is not in the kernel")
+    # column 2n + (i - 1)(n - 1) + l - 1 is (e_i - e_0) (x) (e_l - e_0)
+    free = kernel.free
+    pivots = [(free[n + i * n + l], 2 * n + (i - 1) * (n - 1) + l - 1)
+              for i in range(1, n) for l in range(1, n) if i != l]
+    pivots += [(free[n + i], 2 * n + (i - 1) * n) for i in range(1, n)]
+    pivots += [(free[n + i * n + i], n + i) for i in range(n)]
+    pivots += [(free[i], i) for i in range(n)]
     iso = LatticeMap(src, kernel, [x.items() for x in coords],
-                     label="kernel-decomposition")
+                     label="kernel-decomposition", row_pivots=pivots)
     return seq, iso

@@ -4,6 +4,9 @@ Matrices are plain lists of row lists holding Python ints, so every
 operation is arbitrary precision. Pivoting always grabs a smallest
 nonzero entry by absolute value, which is the standard way to keep
 intermediate entries from exploding during elimination.
+
+No certificate of the package calls this module; the tests use it as an
+oracle, and the benchmark harness reads ``det``.
 """
 
 from __future__ import annotations

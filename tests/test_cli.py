@@ -30,19 +30,21 @@ REFERENCE_ENVELOPES = [
     (("traceform", "--random", "2"),
      "01c91dfc2b27738a2dfbce7d8b33dfc3185f3a8ed45cc6a150dd1634725d897a"),
     (("crossed-decompose", "--m", "2", "--random", "3"),
-     "0a883bcb7264e032e8124c1688d2c542f02aade8b829393eb7204dd2d92f482f"),
+     "172e3d0f21d125bf94e0065220d0c4bcdd03212b9628d0408716992e45c594a8"),
     (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "2", "1"),
-     "14f87b7f30f560f5922fdb16561f329e4ab28a7dae601549ab331693275a74ea"),
+     "1f09ad127fd349a432f301af3ee67731d9e7f49a06ff1fc0c705ef8049554129"),
+    (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "0", "1"),
+     "2b090884013d6948bf75fe8efacc86113c2c0290b7c2a09da29766446051f33c"),
     (("crossed-decompose", "--m", "3", "--symbol", "2", "3", "1", "1"),
-     "ddde3c75a308d039a8ead06e9b4d7d4aa214c4bbe252b0d650b2bcd58fff74c9"),
+     "bba5b51e2ffdce5977f938316cef852bbc908a601371cec7f1a026f34e80dcb2"),
     (("crossed-decompose", "--m", "4", "--symbol", "2", "3", "1", "1"),
-     "b3c093de30f46289b6505ab76aac1137bccd4097bcd7fb27fdcdafe737852b46"),
+     "fc4e57c8e16679453f4f40de87059c06a65f6e9b4c0d7a59159c638bb23ce66b"),
     (("crossed-decompose", "--m", "3", "--symbol", "3", "5", "0", "1"),
      "22a0a5805e8e3dce33c81f010de86567fc1a7573ec45cea9a194d10772ed54c8"),
     (("lattice", "--group", "S4", "--r", "2"),
      "28a90d90b6b95c3fafc871004197538451db7ac0edcb1cffd6b7a467aa4a1f3d"),
     (("lattice", "--formanek", "5"),
-     "d88f6836e6030dc8f8219a3cc850015c175882cb5143a84fbfc9a573127e28ea"),
+     "1e96d172271955123128431bbf7effd9189805b77de609fe9471d7f2f821bce3"),
     (("udn-factorset", "--n", "7", "--check", "wedge"),
      "f529e8fdc849e766585a4cdefbf4240b6137849f998ed2b90f0e6edef8999235"),
     (("bounds", "--n", "5"),
@@ -131,12 +133,12 @@ def test_bad_input_exits_2(tmp_path, argv):
 def test_failed_check_exits_1(tmp_path, monkeypatch):
     real_checks = cli.formanek_checks
 
-    def determinant_2(n):
-        return [check(c["name"], False, "determinant 2")
+    def uncertified(n):
+        return [check(c["name"], False, "no row certificate")
                 if c["name"] == "splitting-unimodular" else c
                 for c in real_checks(n)]
 
-    monkeypatch.setattr(cli, "formanek_checks", determinant_2)
+    monkeypatch.setattr(cli, "formanek_checks", uncertified)
     code, text = run(tmp_path, "fail.json", "lattice", "--formanek", "3")
     assert code == 1
     envelope = json.loads(text)
@@ -201,8 +203,9 @@ def test_command_and_criterion_fail_on_the_same_record(
     assert CRITERIA[criterion - 1][1](42)[0] is False
 
 
-# every fact of the generic claim-(iii) certificate, each named once:
-# the twist's records, the symbol presentation's, and the tie between them
+# every fact of the claim-(iii) certificate on both cyclic branches (f1 != 0
+# and f1 = 0), each named once: the twist's records, the symbol
+# presentation's, and the tie between them
 GENERIC_DECOMPOSITION_FACTS = [
     "tensor-cocycle-witness", "gamma-power-m", "gamma-power-2m-nonzero",
     "gamma-min-poly-degree", "delta-conjugation", "delta-power-in-F",
@@ -220,7 +223,7 @@ def test_decomposition_certificate_names_each_fact_once(tmp_path, argv):
         cert = entry["details"]
         names = [item["name"] for item in cert["identities"]]
         assert len(names) == len(set(names))
-        if cert["branch"] == "generic":
+        if cert["branch"] in ("generic", "f1-zero-cyclic"):
             assert names == GENERIC_DECOMPOSITION_FACTS
             assert {"c_prime", "d_prime", "delta"} <= set(cert["witnesses"])
 
@@ -240,6 +243,23 @@ def test_tensor_square_unimodularity_comes_from_the_row_certificate(tmp_path, mo
     assert checks["tensor-square"]["status"] == "fail"
     assert checks["tensor-square"]["details"]["unimodular"] is False
     assert acceptance.check_tensor_square_family(42)[0] is False
+
+
+def test_formanek_unimodularity_comes_from_the_row_certificate(tmp_path, monkeypatch):
+    real_sequence = acceptance.formanek_sequence
+
+    def without_row_pivots(n):
+        seq, iso = real_sequence(n)
+        iso.row_pivots = None
+        return seq, iso
+
+    monkeypatch.setattr(acceptance, "formanek_sequence", without_row_pivots)
+    code, text = run(tmp_path, "fail.json", "lattice", "--formanek", "5")
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in json.loads(text)["checks"]] == [
+        ("sequence-exact", "pass"), ("kernel-rank", "pass"),
+        ("splitting-unimodular", "fail"), ("splitting-equivariant", "pass")]
+    assert acceptance.check_formanek_kernel(42)[0] is False
 
 
 def test_no_checks_aggregate_to_inconclusive():

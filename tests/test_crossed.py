@@ -52,8 +52,22 @@ def rebuild(ring, params):
 # ---------------------------------------------------------------- flat coordinates
 
 
+def index_of(A, i, j, k, l):
+    """The flat index of al1^i al2^j z1^k z2^l in the crossed algebra A."""
+    return ((k * 2 + l) * A.m + i) * 2 + j
+
+
+def coords(A, x):
+    """The dense coordinate vector of x over the flat basis of A."""
+    out = [A.ring.element(0)] * A.dim
+    for (k, l), coeff in x.items():
+        for (i, j), c in coeff.items():
+            out[index_of(A, i, j, k, l)] = c
+    return out
+
+
 def position(A, r):
-    """Grade (k, l) and K-key (i, j) of coordinate r of A.coords."""
+    """Grade (k, l) and K-key (i, j) of coordinate r of coords(A, x)."""
     rr, j = divmod(r, 2)
     rr, i = divmod(rr, A.m)
     return divmod(rr, 2), (i, j)
@@ -75,12 +89,12 @@ def basis_element(A, r):
 
 
 def left_mult_matrix(A, x):
-    cols = [A.coords(A.mul(x, basis_element(A, s))) for s in range(A.dim)]
+    cols = [coords(A, A.mul(x, basis_element(A, s))) for s in range(A.dim)]
     return [list(row) for row in zip(*cols)]
 
 
 def right_mult_matrix(A, x):
-    cols = [A.coords(A.mul(basis_element(A, s), x)) for s in range(A.dim)]
+    cols = [coords(A, A.mul(basis_element(A, s), x)) for s in range(A.dim)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -269,7 +283,7 @@ def test_crossed_mul_matches_oracle_on_basis_pairs():
         oracle = crossed_mul_oracle(A)
         basis = [basis_element(A, r) for r in range(A.dim)]
         for x, y in itertools.product(basis, basis):
-            assert A.coords(A.mul(x, y)) == A.coords(oracle(x, y))
+            assert coords(A, A.mul(x, y)) == coords(A, oracle(x, y))
 
 
 def test_kummer_mul_matches_oracle_on_monomial_pairs():
@@ -404,7 +418,7 @@ def test_cocycle_check_agrees_with_brute_force_cyclic():
     for data in perturbed_data(base):
         A = CrossedAlgebra(base.K, *data, check="none")
         monomials = [
-            basis_element(A, A.index_of(i, j, k, 0))
+            basis_element(A, index_of(A, i, j, k, 0))
             for i in range(2) for j in range(2) for k in range(2)
         ]
         # the K-z1 subalgebra is associative for every b1 in F(al2)
@@ -643,17 +657,25 @@ def test_work_budget_of_exact_scalars(monkeypatch):
 
 
 def test_decompose_f1_zero_cyclic():
-    # t = 0 collapses b1 to a pure al2 multiple
-    ring = rational_ring()
-    A = instance_from_symbol(2, 3, 5, 0, 1, ring=ring, check="full")
-    f1, f2 = A.b1_pair()
-    assert f1.is_zero() and f2.is_one()
-    cert = decompose(A)
-    assert cert.branch == "f1-zero-cyclic"
-    assert cert.ok
-    # z1^4 = f2^2 a2 = 5
-    z4 = A.scalar_of(A.power(A.z1(), 4))
-    assert z4 == ring.element(5)
+    # t = 0 collapses b1 to a pure al2 multiple at even m; the cyclic path
+    # runs untwisted (f = 1, A_f = A) with gamma = z1
+    for m in (2, 4):
+        ring = standard_ring(m, ())
+        A = instance_from_symbol(m, 3, 5, 0, 1, ring=ring, check="full")
+        f1, f2 = A.b1_pair()
+        assert f1.is_zero() and not f2.is_zero()
+        cert = decomposition_certificate(A)
+        assert cert.branch == "f1-zero-cyclic"
+        assert cert.ok
+        assert A.equal(cert.gamma, A.z1())
+        for name in ("u", "b1", "b2"):
+            assert A.K.equal(getattr(cert.twisted, name), getattr(A, name))
+        assert FieldElement.from_json(ring, cert.witnesses["f"]).is_one()
+        # c = f2, and c' = z1^2m = f2^2 a2
+        assert FieldElement.from_json(ring, cert.witnesses["c"]) == f2
+        c_prime = FieldElement.from_json(ring, cert.witnesses["c_prime"])
+        assert c_prime == f2 * f2 * A.K.a2
+        assert A.scalar_of(A.power(A.z1(), 2 * m)) == c_prime
 
 
 def test_decompose_f2_zero_split():
@@ -732,7 +754,8 @@ def test_brauer_relation_at_m3_names_a1_f():
 
 def test_pivot_rank_is_the_oracle_rank_on_decomposition_powers():
     # the instances tier-1 decomposes, criterion 7's seed-42 draws included:
-    # gamma = z1 + al1 in A_f on the generic branch, z1 on the f1 = 0 branch
+    # the certificate's gamma in A_f, z1 + al1 on the generic branch and z1
+    # on the f1 = 0 branch
     rq = rational_ring()
     algebras = [instance_from_symbol(2, *p, ring=rq, check="full")
                 for p in [(3, 5, 2, 1), (6, 13, 1, 4), (3, 5, 0, 1)]]
@@ -746,14 +769,10 @@ def test_pivot_rank_is_the_oracle_rank_on_decomposition_powers():
     for A in algebras:
         cert = decompose(A)
         branches.append(cert.branch)
-        if cert.branch == "generic":
-            A = cert.twisted
-            x = A.add(A.z1(), A.alpha1())
-        else:
-            x = A.z1()
-        powers = crossed._powers(A, x, 2 * A.m - 1)
+        A = cert.twisted
+        powers = crossed._powers(A, cert.gamma, 2 * A.m - 1)
         rank = crossed._min_poly_rank(powers)
-        assert rank == mat_rank([A.coords(p) for p in powers]) == 2 * A.m
+        assert rank == mat_rank([coords(A, p) for p in powers]) == 2 * A.m
     assert branches.count("f1-zero-cyclic") == 1
     assert branches.count("generic") == len(algebras) - 1
 
@@ -765,12 +784,12 @@ def test_pivot_rank_never_exceeds_the_oracle_rank():
                 A.add(A.z1(), A.alpha2()), A.add(z1z2, A.alpha2())]
     for x in elements:
         powers = crossed._powers(A, x, 3)
-        assert crossed._min_poly_rank(powers) <= mat_rank([A.coords(p) for p in powers])
+        assert crossed._min_poly_rank(powers) <= mat_rank([coords(A, p) for p in powers])
     # al1^2 = a1: al1^i and al1^(2+i) share their only coordinate, so no
     # pivot exists although the oracle rank is m
     powers = crossed._powers(A, A.alpha1(), 3)
     assert crossed._min_poly_rank(powers) < 4
-    assert mat_rank([A.coords(p) for p in powers]) == 2
+    assert mat_rank([coords(A, p) for p in powers]) == 2
 
 
 # ---------------------------------------------------------------- symbol extraction
@@ -790,7 +809,7 @@ def test_cyclic_to_symbol_rational():
     assert pres.c_prime == c * c * K.a2
     assert not pres.d_prime.is_zero()
     # delta really conjugates gamma by zeta_4
-    delta = from_coords(Af, pres.delta_coords)
+    delta = pres.delta
     lhs = Af.mul(delta, gamma)
     rhs = Af.scale(Af.mul(gamma, delta), K.zeta_2m)
     assert Af.equal(lhs, rhs)
@@ -849,7 +868,7 @@ def _commutation_candidates(A, gamma):
 
 def _solve_invertible(A, candidate):
     """Oracle: solve candidate * x = 1, then check both products with x."""
-    sol = solve(left_mult_matrix(A, candidate), A.coords(A.one()), A.ring)
+    sol = solve(left_mult_matrix(A, candidate), coords(A, A.one()), A.ring)
     if sol is None:
         return False
     inv = from_coords(A, sol)
@@ -927,7 +946,7 @@ def test_squared_delta_power_matches_sequential_power(m):
     Af = decompose(A).twisted
     pres = cyclic_to_symbol(Af, Af.add(Af.z1(), Af.alpha1()))
     assert pres.ok
-    delta = from_coords(Af, pres.delta_coords)
+    delta = pres.delta
     assert pres.d_prime == Af.scalar_of(Af.power(delta, 2 * m))
 
 
@@ -988,11 +1007,11 @@ def test_closed_form_delta_lies_in_the_oracle_kernel(params):
     A, gamma = _twisted_rational(*params)
     pres = cyclic_to_symbol(A, gamma)
     assert pres.ok
-    assert A.equal(from_coords(A, pres.delta_coords),
+    assert A.equal(pres.delta,
                    projection(A, gamma, A.mul(A.z1(), A.z2())))
     kern = kernel(commutation_system(A, gamma), A.ring)
     assert len(kern) == 4
-    assert mat_rank(kern + [pres.delta_coords]) == len(kern)
+    assert mat_rank(kern + [coords(A, pres.delta)]) == len(kern)
 
 
 def test_next_seed_is_used_when_the_check_refuses_the_first(monkeypatch):
@@ -1010,5 +1029,5 @@ def test_next_seed_is_used_when_the_check_refuses_the_first(monkeypatch):
     # z1 z2 first, then z2, the first other z2-odd monomial
     assert A.equal(seen[0], projection(A, gamma, A.mul(A.z1(), A.z2())))
     assert A.equal(seen[1], projection(A, gamma, A.z2()))
-    assert A.equal(from_coords(A, pres.delta_coords), seen[1])
+    assert A.equal(pres.delta, seen[1])
     assert not A.equal(seen[0], seen[1])

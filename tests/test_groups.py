@@ -75,8 +75,10 @@ def test_words_reproduce_elements():
 
 
 def test_order_cap():
-    with pytest.raises(GroupError):
-        symmetric_group(8, order_cap=1000)
+    # |S7| = 5 040 is enumerated, |S8| = 40 320 is past the cap
+    assert symmetric_group(7).order == 5040
+    with pytest.raises(GroupError, match="order cap exceeded"):
+        symmetric_group(8)
 
 
 def element_order(G, i):

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauerlab import groups, lattices, snf
+from brauerlab.acceptance import formanek_checks
+from brauerlab.checks import failing
 from brauerlab.groups import (
     GroupError,
     alternating_group,
@@ -450,6 +452,16 @@ def test_formanek_sequence():
         assert seq.outer.check_equivariance()
 
 
+def test_formanek_row_certificate_agrees_with_the_determinant():
+    # the splitting is certified unimodular by its row certificate alone;
+    # the Bareiss determinant of its dense view is the oracle
+    for n in range(2, 7):
+        _, iso = formanek_sequence(n)
+        assert iso.source.rank == iso.target.rank == n * n + 1
+        assert iso.is_injective_saturated()
+        assert snf.det(iso.matrix) in (1, -1)
+
+
 def test_is_exact_negative_controls():
     G, H, X = stabilizer_cosets(3)
     seq = seq2_sequence(G, H)
@@ -666,6 +678,8 @@ def test_work_budget_of_lattice_certificates(monkeypatch):
         assert is_exact(seq).exact
         assert is_faithful(seq.inner.source)
         assert all(m.check_equivariance() for m in [seq.inner, seq.outer, *extra])
+    # criterion 4's records, unimodularity included, read no dense view
+    assert not failing(formanek_checks(5))
     assert reads == [] and walks == []
 
 
