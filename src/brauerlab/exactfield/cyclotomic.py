@@ -120,6 +120,19 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def reduce_powers(conv: list[int], n: int) -> list[int]:
+    """The power-basis coordinates of sum conv[k] zeta_n^k, k < 2 phi(n) - 1."""
+    phi = euler_phi(n)
+    rows = _power_rows(n)
+    nums = conv[:phi]
+    for k in range(phi, len(conv)):
+        c = conv[k]
+        if c:
+            for j, r in enumerate(rows[k]):
+                nums[j] += c * r
+    return nums
+
+
 Scalarish = Union["Cyc", int, Fraction]
 
 
@@ -295,18 +308,7 @@ class Cyc(DerivedOps):
             for j, b in enumerate(o.nums):
                 if b:
                     conv[i + j] += a * b
-        rows = _power_rows(self.conductor)
-        acc = [0] * phi
-        for k, c in enumerate(conv):
-            if c == 0:
-                continue
-            if k < phi:
-                acc[k] += c
-            else:
-                row = rows[k]
-                for j in range(phi):
-                    acc[j] += c * row[j]
-        return Cyc(self.conductor, acc, self.den * o.den)
+        return Cyc(self.conductor, reduce_powers(conv, self.conductor), self.den * o.den)
 
     __rmul__ = __mul__
 

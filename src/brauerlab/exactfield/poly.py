@@ -1,56 +1,83 @@
 """Sparse multivariate polynomials and rational functions over Q(zeta_N).
 
 A ``PolyRing`` fixes the variable names and the cyclotomic conductor once;
-every element carries a reference to its ring, and mixing rings is an error
-rather than a silent coercion.  Monomials are exponent tuples ordered by
-graded reverse lexicographic order globally (leading terms, normalization,
-and printing all use the same order).
+mixing rings is an error rather than a silent coercion.  Monomials are
+exponent tuples in graded reverse lexicographic order everywhere.  A
+polynomial's ``terms`` are never changed after construction, so polynomials
+are shared rather than copied.  Each ring holds one unit polynomial,
+``PolyRing.one()``; a product with it returns the other factor.  A
+polynomial keeps its leading exponent once known, and a product, a scaling
+and a negation carry it (a product with a one-term factor only when the
+other factor's is known): lead(p*q) = lead(p) + lead(q) under a monomial
+order over a domain (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+ch. 2 sec. 2).  Every identity test is a shortcut: an equal ring held by a
+different object takes the general path to the same result.
 
-A polynomial's ``terms`` are never changed after construction, so
-polynomials are shared rather than copied.  Each ring holds one unit
-polynomial, which ``PolyRing.one()`` returns; a product with it returns the
-other factor, and ``is_one`` recognizes it by identity first.  A polynomial
-keeps its leading exponent once it is known.  A product, a scaling and a
-negation carry it: under a monomial order over a domain,
-lead(p*q) = lead(p) + lead(q) (Cox-Little-O'Shea, Ideals, Varieties, and
-Algorithms, ch. 2 sec. 2), so normalization and ``exact_divide`` read it
-rather than rescan every term.  Every identity test is a shortcut: an equal
-ring held by a different object takes the general path to the same result.
+A product with a one-term factor (every scaling, and every product in a
+ring without variables) multiplies term by term.  A product of two longer
+polynomials writes each factor once as integer coordinate vectors over the
+lcm of its denominators, adds unreduced integer convolutions per output
+exponent, and reduces each sum mod Phi_N once, into one ``Cyc`` with one
+gcd (the design of FLINT's fmpq_poly).  ``exact_divide`` refuses before
+copying anything when lead(den) does not divide lead(num), and otherwise
+subtracts c*x^d*den from one remainder dict in place (Monagan and Pearce,
+J. Symbolic Comput. 46 (2011), without their heap).
 
 ``FieldElement`` is a quotient num/den of polynomials with no gcd machinery.
-Normal form: the denominator has leading coefficient 1, and it is the unit,
-or it does not divide the numerator (a quotient that divides exactly
-collapses to a polynomial).  A product of two quotients in normal form needs
-no rescaling, since monic times monic is monic; over unit denominators it is
-in normal form as it stands, and otherwise only the exact division is tried
-again.  A negation stays in normal form, since a sign cannot make a division
-exact.  Equality compares numerators over equal denominators and cross
-multiplies otherwise; both are exact, F[x] being a domain.  A sum stays over
-a shared denominator; when one denominator divides the other it goes over
-the larger one, a/b + c/(q*b) = (a*q + c)/(q*b), and only otherwise over
-their product.  The denominators the crossed-product certificates produce
-are products of a few shared factors, so this keeps them small without a
-gcd.
+Normal form: den has leading coefficient 1, and it is the unit or does not
+divide num (a quotient that divides exactly collapses to a polynomial).  A
+product of normal forms needs no rescaling, since monic times monic is
+monic: over unit denominators it is in normal form as it stands, and
+otherwise only the exact division is retried.  A negation stays in normal
+form, since a sign cannot make a division exact.
+Equality compares numerators over equal denominators and cross multiplies
+otherwise; both are exact, F[x] being a domain.  A sum stays over a shared
+denominator; when one denominator divides the other it goes over the larger
+one, a/b + c/(q*b) = (a*q + c)/(q*b), and only otherwise over their product.
+The certificates' denominators are products of a few shared factors, so
+this keeps them small without a gcd.
 
 Subtraction, division and integer powers come from cyclotomic.DerivedOps.
-A polynomial is invertible only when it is a nonzero constant.
-
-``is_square`` decides constants with a rational value exactly (see
-cyclotomic.Cyc.sqrt); every other element is left undecided.
+A polynomial is invertible only when it is a nonzero constant.  ``is_square``
+decides constants with a rational value exactly (see cyclotomic.Cyc.sqrt);
+every other element is left undecided.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 from typing import Iterable, Optional, Union
 
-from .cyclotomic import Cyc, DerivedOps, ExactFieldError
+from .cyclotomic import Cyc, DerivedOps, ExactFieldError, euler_phi, reduce_powers
 
 ScalarLike = Union[int, Fraction, Cyc]
 
 
 def _grevlex_key(exps: tuple[int, ...]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _integer_form(p: "MultiPoly"):
+    # (D, [(exponents, [(k, a_k) for nonzero a_k])]): p's coefficients as
+    # integer coordinate vectors over D, the lcm of their denominators
+    den = lcm(*(c.den for c in p.terms.values()))
+    return den, [(e, [(k, a * (den // c.den)) for k, a in enumerate(c.nums) if a])
+                 for e, c in p.terms.items()]
+
+
+def _add_into(terms: dict, items) -> dict:
+    # terms[e] += c for each nonzero (e, c), deleting the sums that vanish
+    for e, c in items:
+        old = terms.get(e)
+        if old is None:
+            terms[e] = c
+        elif (c := old + c).is_zero():
+            del terms[e]
+        else:
+            terms[e] = c
+    return terms
 
 
 class PolyRing:
@@ -76,15 +103,6 @@ class PolyRing:
             raise KeyError(f"unknown variable: {name!r}")
         return self._index[name]
 
-    def scalar_cyc(self, value: ScalarLike) -> Cyc:
-        if isinstance(value, Cyc):
-            if value.conductor == self.conductor:
-                return value
-            if self.conductor % value.conductor == 0:
-                return value.lift(self.conductor)
-            raise ValueError("scalar conductor does not divide ring conductor")
-        return Cyc.rational(Fraction(value), self.conductor)
-
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
 
@@ -93,7 +111,12 @@ class PolyRing:
         return self._one
 
     def scalar(self, value: ScalarLike) -> "MultiPoly":
-        c = self.scalar_cyc(value)
+        if not isinstance(value, Cyc):
+            c = Cyc.rational(Fraction(value), self.conductor)
+        elif self.conductor % value.conductor == 0:
+            c = value.lift(self.conductor)
+        else:
+            raise ValueError("scalar conductor does not divide ring conductor")
         if c.is_zero():
             return MultiPoly(self, {})
         if c.is_one():
@@ -198,17 +221,7 @@ class MultiPoly(DerivedOps):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            if e in terms:
-                s = terms[e] + c
-                if s.is_zero():
-                    del terms[e]
-                else:
-                    terms[e] = s
-            else:
-                terms[e] = c
-        return MultiPoly(self.ring, terms)
+        return MultiPoly._clean(self.ring, _add_into(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -219,27 +232,37 @@ class MultiPoly(DerivedOps):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o is self.ring._one:
+        ring = self.ring
+        if o is ring._one:
             return self
         if self is o.ring._one:
             return o
         if not self.terms or not o.terms:
-            return MultiPoly._clean(self.ring, {})
+            return MultiPoly._clean(ring, {})
+        p, q = (self, o) if len(o.terms) == 1 else (o, self)
+        if len(q.terms) == 1:
+            ((eq, cq),) = q.terms.items()
+            lead = None if p._lead is None else tuple(map(add, p._lead, eq))
+            return MultiPoly._clean(
+                ring, {tuple(map(add, e, eq)): c * cq for e, c in p.terms.items()}, lead)
+        lead = tuple(map(add, self.leading_exponents(), o.leading_exponents()))
+        n = ring.conductor
+        size = 2 * euler_phi(n) - 1
+        (dp, xs), (dq, ys) = _integer_form(p), _integer_form(q)
         acc: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if e in acc:
-                    s = acc[e] + prod
-                    if s.is_zero():
-                        del acc[e]
-                    else:
-                        acc[e] = s
-                else:
-                    acc[e] = prod
-        lead = tuple(a + b for a, b in zip(self.leading_exponents(), o.leading_exponents()))
-        return MultiPoly._clean(self.ring, acc, lead)
+        for e1, v1 in xs:
+            for e2, v2 in ys:
+                e = tuple(map(add, e1, e2))
+                conv = acc.get(e) or acc.setdefault(e, [0] * size)
+                for i, a in v1:
+                    for j, b in v2:
+                        conv[i + j] += a * b
+        terms = {}
+        for e, conv in acc.items():
+            nums = reduce_powers(conv, n)
+            if any(nums):
+                terms[e] = Cyc(n, nums, dp * dq)
+        return MultiPoly._clean(ring, terms, lead)
 
     __rmul__ = __mul__
 
@@ -249,12 +272,7 @@ class MultiPoly(DerivedOps):
         return self.ring.scalar(self.as_scalar().inverse())
 
     def scale(self, c: ScalarLike) -> "MultiPoly":
-        cc = self.ring.scalar_cyc(c)
-        if cc.is_zero():
-            return MultiPoly(self.ring, {})
-        if cc.is_one():
-            return self
-        return MultiPoly._clean(self.ring, {e: v * cc for e, v in self.terms.items()}, self._lead)
+        return self * self.ring.scalar(c)
 
     # -- comparisons, display, serialization ---------------------------------
 
@@ -331,26 +349,25 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
         raise ExactFieldError("division by zero")
     if num.is_zero():
         return num
-    ring = num.ring
-    den_lead = den.leading_exponents()
+    den_lead, lead = den.leading_exponents(), num.leading_exponents()
+    diff = tuple(map(sub, lead, den_lead))
+    if min(diff, default=0) < 0:
+        return None
     den_lc = den.terms[den_lead]
-    monic = den_lc.is_one()
-    quot: dict = {}
-    rem = num
-    last = None
-    while not rem.is_zero():
-        lead = rem.leading_exponents()
-        if last is not None and _grevlex_key(lead) >= _grevlex_key(last):
+    tail = [(e, -c) for e, c in den.terms.items() if e != den_lead]
+    rem, quot = dict(num.terms), {}
+    while min(diff, default=0) >= 0:
+        c = rem.pop(lead)
+        c = quot[diff] = c if den_lc.is_one() else c / den_lc
+        _add_into(rem, ((tuple(map(add, diff, e)), c * t) for e, t in tail))
+        if not rem:
+            # the first quotient term is the leading one: each step lowers the lead
+            return MultiPoly._clean(num.ring, quot, next(iter(quot)))
+        last, lead = lead, max(rem, key=_grevlex_key)
+        if _grevlex_key(lead) >= _grevlex_key(last):
             raise ExactFieldError("exact_divide: the remainder's leading term did not fall")
-        last = lead
-        diff = tuple(a - b for a, b in zip(lead, den_lead))
-        if any(d < 0 for d in diff):
-            return None
-        c = rem.terms[lead] if monic else rem.terms[lead] / den_lc
-        quot[diff] = c
-        rem = rem - MultiPoly._clean(ring, {diff: c}, diff) * den
-    # the first quotient term is the leading one: each step lowers the lead
-    return MultiPoly._clean(ring, quot, next(iter(quot)))
+        diff = tuple(map(sub, lead, den_lead))
+    return None
 
 
 class FieldElement(DerivedOps):

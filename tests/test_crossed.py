@@ -532,7 +532,7 @@ def test_tensor_mismatched_data():
 # ---------------------------------------------------------------- decomposition
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_decompose_generic_symbolic(m):
     ring = symbolic_ring(m)
     a1, a2, t, lam = symbolic_gens(ring)
@@ -616,13 +616,23 @@ def test_decompose_leaves_the_symbol_presentation_to_its_caller(monkeypatch):
 
 
 def _count_scalar_work(monkeypatch):
-    """Count Cyc products and exact_divide calls and hits from here on."""
-    counts = {"cyc_mul": 0, "divide": 0, "hits": 0}
-    mul, divide = Cyc.__mul__, poly.exact_divide
+    """Count Cyc products and constructions, products of two multi-term
+    polynomials, and exact_divide calls and hits from here on."""
+    counts = dict.fromkeys(("cyc_mul", "cyc_init", "poly_mul", "divide", "hits"), 0)
+    mul, init, poly_mul, divide = Cyc.__mul__, Cyc.__init__, poly.MultiPoly.__mul__, poly.exact_divide
 
     def counted_mul(a, b):
         counts["cyc_mul"] += 1
         return mul(a, b)
+
+    def counted_init(self, *args, **kwargs):
+        counts["cyc_init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_poly_mul(p, q):
+        counts["poly_mul"] += (isinstance(q, poly.MultiPoly)
+                               and len(p.terms) > 1 and len(q.terms) > 1)
+        return poly_mul(p, q)
 
     def counted_divide(num, den):
         counts["divide"] += 1
@@ -632,26 +642,35 @@ def _count_scalar_work(monkeypatch):
 
     monkeypatch.setattr(Cyc, "__mul__", counted_mul)
     monkeypatch.setattr(Cyc, "__rmul__", counted_mul)
+    monkeypatch.setattr(Cyc, "__init__", counted_init)
+    monkeypatch.setattr(poly.MultiPoly, "__mul__", counted_poly_mul)
+    monkeypatch.setattr(poly.MultiPoly, "__rmul__", counted_poly_mul)
     monkeypatch.setattr(poly, "exact_divide", counted_divide)
     return counts
 
 
 def test_work_budget_of_exact_scalars(monkeypatch):
-    # upper bounds pinned at the counts of shared-unit, carried-lead
-    # arithmetic (the cross-multiplying arithmetic before it made 691 and
-    # 385 Cyc products, 0 and 65 exact_divide calls).  The exact_divide hits
+    # upper bounds pinned at the counts of the integer-convolution product
+    # kernel (the schoolbook kernel before it made 185 and 223 Cyc products,
+    # 304 and 412 Cyc constructions); the multi-term product count bounds
+    # that kernel's calls, which make no Cyc product.  The exact_divide hits
     # are pinned exactly: a lost hit would leave a quotient uncollapsed.
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="full")
     counts = _count_scalar_work(monkeypatch)
     cert = decomposition_certificate(A)
     assert cert.ok and cert.branch == "generic"
-    assert counts["cyc_mul"] <= 198
+    assert counts["cyc_mul"] <= 183
+    assert counts["cyc_init"] <= 302
+    # a ring without variables has one-term polynomials only
+    assert counts["poly_mul"] == 0
     assert counts["divide"] == counts["hits"] == 0
     ring = symbolic_ring(2)
     gens = symbolic_gens(ring)
-    counts.update(cyc_mul=0, divide=0, hits=0)
+    counts.update(dict.fromkeys(counts, 0))
     instance_from_symbol(2, *gens, ring=ring, check="full")
-    assert counts["cyc_mul"] <= 223
+    assert counts["cyc_mul"] <= 105
+    assert counts["cyc_init"] <= 298
+    assert counts["poly_mul"] <= 23
     assert counts["divide"] <= 56
     assert counts["hits"] == 8
 

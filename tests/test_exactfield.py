@@ -1,6 +1,7 @@
 """Exact field layer: cyclotomics, polynomials and quotients, plus the
 linear-algebra oracle the crossed-product tests use."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from brauerlab.exactfield import (
     is_square,
 )
 from linalg_oracle import kernel, mat_rank, solve
+from poly_oracle import leading_exponents, schoolbook_divide, schoolbook_product
 
 
 # ---------------------------------------------------------------- cyclotomics
@@ -434,14 +436,10 @@ def _items(f):
     return list(f.num.terms.items()), list(f.den.terms.items())
 
 
-def _lead_by_rescan(p):
-    return max(p.terms, key=lambda e: (sum(e), tuple(-a for a in reversed(e))))
-
-
 def _assert_carried_leads(*polys):
     for p in polys:
         if p._lead is not None:
-            assert p._lead == _lead_by_rescan(p)
+            assert p._lead == leading_exponents(p)
 
 
 def test_shared_unit_is_returned_and_kept():
@@ -500,7 +498,7 @@ def test_exact_divide_quotient_carries_its_lead():
         q = exact_divide(a * b, b)
         assert q == a
         _assert_carried_leads(q)
-        assert q.leading_exponents() == _lead_by_rescan(a)
+        assert q.leading_exponents() == leading_exponents(a)
 
 
 @pytest.mark.parametrize("conductor", [4, 12])
@@ -562,3 +560,115 @@ def test_equal_denominators_compare_numerators_directly(monkeypatch):
     # over different denominators equality still cross-multiplies
     x = ring.element(ring.var("a"))
     assert (x / (x + 1)) == (x * x) / (x * x + x) and products
+
+
+# ---------------------------------------------------------------- kernels
+
+
+_KERNEL_RINGS = {n: PolyRing(("x", "y", "z"), n) for n in (1, 4, 8, 12, 20)}
+
+
+@st.composite
+def sparse_polys(draw, ring, max_terms=5):
+    """A nonzero polynomial with few terms and mostly zero coordinates."""
+    phi = euler_phi(ring.conductor)
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in ring.variables)
+        nums = [0] * phi
+        for k in draw(st.lists(st.integers(0, phi - 1), min_size=1, max_size=3)):
+            nums[k] = draw(st.sampled_from([1, -1, 2, -3, 5, -6]))
+        terms[exps] = Cyc(ring.conductor, nums, draw(st.integers(1, 6)))
+    return MultiPoly(ring, terms)
+
+
+@st.composite
+def kernel_operands(draw, count):
+    ring = _KERNEL_RINGS[draw(st.sampled_from(sorted(_KERNEL_RINGS)))]
+    return [draw(sparse_polys(ring)) for _ in range(count)]
+
+
+def _assert_normal_form(p):
+    # no zero coefficient, every Cyc in lowest terms, and a carried lead
+    # equal to the rescanned maximum
+    phi = euler_phi(p.ring.conductor)
+    for c in p.terms.values():
+        assert any(c.nums) and len(c.nums) == phi and c.den > 0
+        assert math.gcd(c.den, *c.nums) == 1
+    assert p._lead == leading_exponents(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_operands(2))
+def test_products_match_the_schoolbook_oracle(operands):
+    p, q = operands
+    # a product with a one-term factor carries the other factor's lead only
+    # when that lead is known
+    p.leading_exponents()
+    q.leading_exponents()
+    product = p * q
+    assert product.terms == schoolbook_product(p, q).terms
+    _assert_normal_form(product)
+    # (a + b)(a - b): every cross term a*b cancels against b*a
+    items = list(p.terms.items())
+    a = MultiPoly(p.ring, dict(items[::2]))
+    b = MultiPoly(p.ring, dict(items[1::2]))
+    if not b.is_zero():
+        square_difference = (a + b) * (a - b)
+        assert square_difference.terms == schoolbook_product(a + b, a - b).terms
+        assert square_difference == a * a - b * b
+        _assert_normal_form(square_difference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_operands(2))
+def test_exact_quotients_match_the_schoolbook_oracle(operands):
+    a, b = operands
+    num = a * b
+    q = exact_divide(num, b)
+    assert q == a and q.terms == schoolbook_divide(num, b).terms
+    _assert_normal_form(q)
+    assert next(iter(q.terms)) == leading_exponents(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_operands(3))
+def test_inexact_quotients_are_refused_like_the_oracle(operands):
+    a, b, r = operands
+    num = a * b + r
+    q = exact_divide(num, b)
+    oracle = schoolbook_divide(num, b)
+    assert (q is None) == (oracle is None)
+    if q is not None:
+        assert q.terms == oracle.terms and q * b == num
+    if not b.is_scalar():
+        # a nonzero constant is never a multiple of a nonconstant b
+        shifted = a * b + r.ring.scalar(3)
+        assert exact_divide(shifted, b) is None is schoolbook_divide(shifted, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_operands(2), st.data())
+def test_a_wrong_cached_lead_never_yields_a_quotient(operands, data):
+    a, b = operands
+    ring = b.ring
+    lead = leading_exponents(b)
+    others = sorted(e for e in b.terms if e != lead)
+    if not others:
+        return
+    wrong = data.draw(st.sampled_from(others))
+    # den cached at a lower term: x^wrong * b passes the first divisibility
+    # test, and its first step lifts the remainder's lead to 2*lead(b)
+    bad_den = MultiPoly._clean(ring, dict(b.terms), wrong)
+    shifted = b * MultiPoly(ring, {wrong: Cyc.one(ring.conductor)})
+    with pytest.raises(ExactFieldError, match="did not fall"):
+        exact_divide(shifted, bad_den)
+    # num cached at a lower term: refused or raised, never a quotient
+    num = a * b
+    lower = sorted(e for e in num.terms if e != leading_exponents(num))
+    if lower:
+        bad_num = MultiPoly._clean(ring, dict(num.terms), data.draw(st.sampled_from(lower)))
+        try:
+            assert exact_divide(bad_num, b) is None
+        except ExactFieldError as exc:
+            assert "did not fall" in str(exc)
