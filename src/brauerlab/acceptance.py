@@ -168,7 +168,7 @@ def relation_kernel_checks(group: PermutationGroup, subgroup: Subgroup,
     predicted = faithful_predicate_freepres(group, subgroup, r)
     return [check(
         "relation-kernel",
-        exact and faithful == predicted and predicted == (r >= 2 or subgroup.order > 1),
+        exact and faithful == predicted,
         {"exact": exact, "kernel_rank": seq.inner.source.rank,
          "faithful": faithful, "predicted": predicted, "r": r},
     )]

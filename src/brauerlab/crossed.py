@@ -303,22 +303,6 @@ class KummerField(GradedAlgebra):
             out[(0, 1)] = fe2
         return out
 
-    def from_alpha1_coeffs(self, coeffs: Sequence) -> KElem:
-        out: KElem = {}
-        for i, c in enumerate(coeffs):
-            fe = self.ring.element(c)
-            if not fe.is_zero():
-                out[(i, 0)] = fe
-        return out
-
-    def coerce(self, value) -> KElem:
-        if isinstance(value, dict):
-            out = {k: self.ring.element(v) for k, v in value.items()}
-            return {k: v for k, v in out.items() if not v.is_zero()}
-        if isinstance(value, (tuple, list)):
-            raise CrossedError("ambiguous K element; use from_pair or from_alpha1_coeffs")
-        return self.scalar(value)
-
     # -- automorphisms and inverses -----------------------------------------
 
     def sigma(self, x: KElem, s1: int, s2: int) -> KElem:
@@ -352,10 +336,6 @@ class KummerField(GradedAlgebra):
         if all(i == 0 for i, _ in support):
             # x in F(al2): conjugate over the quadratic subfield
             cofactor = self.sigma(x, 0, 1)
-        elif all(j == 0 for _, j in support):
-            # x in F(al1): sigma1-orbit product
-            for s1 in range(1, self.m):
-                cofactor = self.mul(cofactor, self.sigma(x, s1, 0))
         else:
             for s1 in range(self.m):
                 for s2 in range(2):
@@ -369,24 +349,6 @@ class KummerField(GradedAlgebra):
         if not self.equal(self.mul(x, inv), self.one()):
             raise CrossedError("element of K is not invertible")
         return inv
-
-    # -- rendering -------------------------------------------------------------
-
-    def render(self, x: KElem) -> str:
-        if self.is_zero(x):
-            return "0"
-        parts = []
-        for (i, j) in sorted(x):
-            c = x[(i, j)]
-            mono = "*".join(
-                ([f"al1^{i}" if i > 1 else "al1"] if i else [])
-                + ([f"al2"] if j else [])
-            )
-            cs = str(c)
-            if len(c.num.terms) > 1 and c.den.is_one():
-                cs = f"({cs})"
-            parts.append(f"{cs}*{mono}" if mono else cs)
-        return " + ".join(parts)
 
 
 # --------------------------------------------------------------- symbol algebras
@@ -469,7 +431,8 @@ class CrossedAlgebra(GradedAlgebra):
     """Structure-constant crossed product for Z/m x Z/2; see module docstring.
 
     Elements are {(k, l): KElem} representing sums of K-coefficients times
-    z1^k z2^l, with k < m and l < 2.  ``check`` is one of CHECK_LEVELS:
+    z1^k z2^l, with k < m and l < 2.  u, b1 and b2 are K elements (raw data
+    goes through ``crossed_from_data``).  ``check`` is one of CHECK_LEVELS:
     "full" checks the norm conditions (a) and (b), equivalent to the
     2-cocycle identity over all of Z/m x Z/2; "none" skips them.  Both
     levels check b1 in F(al2) and b2 in F(al1), which makes the K-z1
@@ -478,21 +441,15 @@ class CrossedAlgebra(GradedAlgebra):
     the action, c(g, h) = 1 when g or h is the unit, and K is commutative.
     """
 
-    def __init__(self, K: KummerField, u, b1, b2, check: str = "full"):
+    def __init__(self, K: KummerField, u: KElem, b1: KElem, b2: KElem, check: str = "full"):
         if check not in CHECK_LEVELS:
             raise CrossedError(f"unknown check level {check!r}")
         super().__init__(K, [(k, l) for k in range(K.m) for l in range(2)])
         self.K = K
         self.m = K.m
         self.ring = K.ring
-        self.u = K.coerce(u)
-        self.b1 = K.coerce(b1) if isinstance(b1, dict) else (
-            K.from_pair(*b1) if isinstance(b1, (tuple, list)) else K.scalar(b1)
-        )
-        self.b2 = K.coerce(b2) if isinstance(b2, dict) else (
-            K.from_alpha1_coeffs(b2) if isinstance(b2, (tuple, list)) else K.scalar(b2)
-        )
-        if K.is_zero(self.b1) or K.is_zero(self.b2) or K.is_zero(self.u):
+        self.u, self.b1, self.b2 = u, b1, b2
+        if K.is_zero(b1) or K.is_zero(b2) or K.is_zero(u):
             raise CrossedError("zero parameter")
         if any(key not in ((0, 0), (0, 1)) for key in self.b1):
             raise CrossedError("b1 must lie in F(al2)")
@@ -583,7 +540,7 @@ def crossed_from_data(
     u,
     b1,
     b2,
-    ring: Optional[PolyRing] = None,
+    ring: PolyRing,
     check: str = "full",
 ) -> CrossedAlgebra:
     """Crossed algebra from raw data, verified at the given check level.
@@ -591,24 +548,26 @@ def crossed_from_data(
     At "full" the data is accepted exactly when (u, b1, b2) gives an
     associative algebra, decided by the norm conditions (a) and (b) of the
     module docstring; at "none" only the memberships b1 in F(al2) and b2 in
-    F(al1) are checked, as at every level.  b1 may
-    be a scalar or a pair (f1, f2) meaning f1 + f2*al2; b2 a scalar or a
-    coefficient list over powers of al1; u a scalar or a K coefficient dict.
+    F(al1) are checked, as at every level.  This is the one place raw data
+    is parsed: each of u, b1 and b2 is a scalar, a pair (f1, f2) meaning
+    f1 + f2*al2, or a K coefficient dict {(i, j): scalar}.
     """
-    if ring is None:
-        for candidate in (a1, a2, u, b1, b2):
-            if isinstance(candidate, FieldElement):
-                ring = candidate.ring
-                break
-        else:
-            ring = standard_ring(m)
     K = KummerField(ring, m, a1, a2)
-    return CrossedAlgebra(K, u, b1, b2, check=check)
+
+    def k_element(value) -> KElem:
+        if isinstance(value, dict):
+            value = {key: ring.element(c) for key, c in value.items()}
+            return {key: c for key, c in value.items() if not c.is_zero()}
+        if isinstance(value, (tuple, list)):
+            return K.from_pair(*value)
+        return K.scalar(value)
+
+    return CrossedAlgebra(K, k_element(u), k_element(b1), k_element(b2), check=check)
 
 
 def tensor_brauer(A: CrossedAlgebra, B: CrossedAlgebra, check: str = "full") -> CrossedAlgebra:
     """Brauer product at the parameter level: (u u', b1 b1', b2 b2')."""
-    if A.m != B.m or A.K.a1 != B.K.a1 or A.K.a2 != B.K.a2 or A.ring != B.ring:
+    if A.m != B.m or A.ring is not B.ring or A.K.a1 != B.K.a1 or A.K.a2 != B.K.a2:
         raise CrossedError("mismatched K-data")
     K = A.K
     return CrossedAlgebra(
@@ -624,9 +583,9 @@ def tensor_brauer(A: CrossedAlgebra, B: CrossedAlgebra, check: str = "full") -> 
 
 
 class PowerCancellationCertificate:
-    """Record of the exact expansion (z1 + al1)^m = b1 + a1."""
+    """Record of the exact expansion (z1 + al1)^m = b1 + a1, both sides as JSON."""
 
-    def __init__(self, m: int, ok: bool, computed: str, expected: str, check_level: str):
+    def __init__(self, m: int, ok: bool, computed: dict, expected: dict, check_level: str):
         self.m = m
         self.ok = ok
         self.computed = computed
@@ -650,6 +609,7 @@ def bergman_power(A: CrossedAlgebra) -> PowerCancellationCertificate:
     Every term of the expansion lives in the subalgebra generated by K and
     z1, so the identity is insensitive to (u, b2).  A failure here would be
     an implementation bug, so it raises rather than returning a red result.
+    Both sides have unit denominators, so equal values have equal JSON.
     """
     gamma = A.add(A.z1(), A.alpha1())
     computed = A.power(gamma, A.m)
@@ -657,16 +617,8 @@ def bergman_power(A: CrossedAlgebra) -> PowerCancellationCertificate:
     ok = A.equal(computed, expected)
     if not ok:
         raise CrossedError("power cancellation identity failed: implementation bug")
-
-    def render(x: dict) -> str:
-        if A.is_zero(x):
-            return "0"
-        return " + ".join(
-            f"({A.K.render(c)})*z1^{k}*z2^{l}" if (k or l) else A.K.render(c)
-            for (k, l), c in sorted(x.items())
-        )
-
-    return PowerCancellationCertificate(A.m, ok, render(computed), render(expected), A.check_level)
+    return PowerCancellationCertificate(
+        A.m, ok, A.to_json(computed), A.to_json(expected), A.check_level)
 
 
 def generic_cyclic_algebra(m: int) -> CrossedAlgebra:
@@ -690,7 +642,7 @@ def instance_from_symbol(
     g,
     t,
     lam,
-    ring: Optional[PolyRing] = None,
+    ring: PolyRing,
     check: str = "full",
     mu=0,
     nu=0,
@@ -712,10 +664,8 @@ def instance_from_symbol(
     The default mu = nu = 0 keeps b2 = lam^2 al1 on the al1 axis.  A nonzero
     mu gives b2 a nonzero scalar part, and nonzero mu and nu together give
     (z1 z2)^2 a nonzero scalar part as well; the degree-4 trace data needs
-    both.
+    both.  The data are scalars or elements of ``ring``.
     """
-    if ring is None:
-        ring = standard_ring(m, ())
     e = ring.element(e)
     g = ring.element(g)
     t = ring.element(t)

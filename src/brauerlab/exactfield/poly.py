@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials and rational functions over Q(zeta_N).
 
 A ``PolyRing`` fixes the variable names and the cyclotomic conductor once;
-mixing rings is an error rather than a silent coercion.  Monomials are
+there is one ring per (variables, conductor), so ring equality is identity.
+Mixing rings is an error rather than a silent coercion.  Monomials are
 exponent tuples in graded reverse lexicographic order everywhere.  A
 polynomial's ``terms`` are never changed after construction, so polynomials
 are shared rather than copied.  Each ring holds one unit polynomial,
@@ -10,8 +11,9 @@ polynomial keeps its leading exponent once known, and a product, a scaling
 and a negation carry it (a product with a one-term factor only when the
 other factor's is known): lead(p*q) = lead(p) + lead(q) under a monomial
 order over a domain (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-ch. 2 sec. 2).  Every identity test is a shortcut: an equal ring held by a
-different object takes the general path to the same result.
+ch. 2 sec. 2).  The unit shortcuts test identity with ``PolyRing.one()``;
+an equal unit held by another object takes the general path to the same
+result.
 
 A product with a one-term factor (every scaling, and every product in a
 ring without variables) multiplies term by term.  A product of two longer
@@ -81,22 +83,29 @@ def _add_into(terms: dict, items) -> dict:
 
 
 class PolyRing:
-    """Variable names plus a cyclotomic conductor for the coefficients."""
+    """Variable names plus a cyclotomic conductor; one shared object per key."""
 
     __slots__ = ("variables", "conductor", "_index", "_one")
+    _rings: dict = {}  # (variables, conductor) -> the one PolyRing with that key
 
-    def __init__(self, variables: Iterable[str], conductor: int = 1):
+    def __new__(cls, variables: Iterable[str], conductor: int = 1):
         variables = tuple(variables)
+        ring = cls._rings.get((variables, conductor))
+        if ring is not None:
+            return ring
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         for name in variables:
             if not name.isidentifier():
                 raise ValueError(f"bad variable name: {name!r}")
-        self.variables = variables
-        self.conductor = conductor
-        self._index = {name: k for k, name in enumerate(variables)}
+        ring = object.__new__(cls)
+        ring.variables = variables
+        ring.conductor = conductor
+        ring._index = {name: k for k, name in enumerate(variables)}
         origin = (0,) * len(variables)
-        self._one = MultiPoly._clean(self, {origin: Cyc.one(conductor)}, origin)
+        ring._one = MultiPoly._clean(ring, {origin: Cyc.one(conductor)}, origin)
+        cls._rings[(variables, conductor)] = ring
+        return ring
 
     def var_index(self, name: str) -> int:
         if name not in self._index:
@@ -140,16 +149,6 @@ class PolyRing:
         if isinstance(value, MultiPoly):
             return FieldElement(value, self._one)
         return FieldElement._normalized(self, self.scalar(value), self._one)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.variables == other.variables
-            and self.conductor == other.conductor
-        )
-
-    def __hash__(self):
-        return hash((self.variables, self.conductor))
 
     def __repr__(self):
         return f"PolyRing({', '.join(self.variables)}; conductor={self.conductor})"
@@ -210,7 +209,7 @@ class MultiPoly(DerivedOps):
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError("ring mismatch")
             return other
         if isinstance(other, (int, Fraction, Cyc)):
@@ -235,7 +234,7 @@ class MultiPoly(DerivedOps):
         ring = self.ring
         if o is ring._one:
             return self
-        if self is o.ring._one:
+        if self is ring._one:
             return o
         if not self.terms or not o.terms:
             return MultiPoly._clean(ring, {})
@@ -281,7 +280,7 @@ class MultiPoly(DerivedOps):
             other = self.ring.scalar(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
+        return self.ring is other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -374,13 +373,15 @@ class FieldElement(DerivedOps):
     """Quotient of polynomials in the normal form of the module docstring.
 
     Sums go over the larger denominator when one divides the other (checked
-    with ``exact_divide``), else over the product of the two.
+    with ``exact_divide``), else over the product of the two.  The other
+    operand is an element of the same ring or a scalar; a polynomial enters
+    through ``PolyRing.element``.
     """
 
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
-        if num.ring is not den.ring and num.ring != den.ring:
+        if num.ring is not den.ring:
             raise ValueError("ring mismatch")
         if den.is_zero():
             raise ExactFieldError("division by zero")
@@ -416,13 +417,9 @@ class FieldElement(DerivedOps):
 
     def _coerce(self, other) -> Optional["FieldElement"]:
         if isinstance(other, FieldElement):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError("ring mismatch")
             return other
-        if isinstance(other, MultiPoly):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise ValueError("ring mismatch")
-            return FieldElement(other, self.ring.one())
         if isinstance(other, (int, Fraction, Cyc)):
             ring = self.ring
             return FieldElement._normalized(ring, ring.scalar(other), ring.one())
@@ -474,7 +471,7 @@ class FieldElement(DerivedOps):
         one = ring.one()
         if o.num is one and o.den is one:
             return self
-        if self.num is one and self.den is one and o.ring is ring:
+        if self.num is one and self.den is one:
             return o
         num = self.num * o.num
         den = self.den * o.den
@@ -494,11 +491,11 @@ class FieldElement(DerivedOps):
     # -- comparisons, display, serialization ------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyc, MultiPoly)):
+        if isinstance(other, (int, Fraction, Cyc)):
             other = self._coerce(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if other.ring is not self.ring and other.ring != self.ring:
+        if other.ring is not self.ring:
             return False
         if self.den is other.den or self.den == other.den:
             return self.num == other.num

@@ -3,10 +3,9 @@
 A monomial lives in the free abelian group on the matrix variables z_ij
 (one per ordered pair, diagonal included).  Written additively this group
 is the permutation lattice U_n^(x2), so factor-set identities become
-integer linear algebra: equivariance
-and the cocycle condition are checked entrywise, and membership of a
-monomial in the antisymmetric sublattice reads its coordinates off the
-tensor and checks them by expansion.
+integer linear algebra: equivariance and the cocycle condition are checked
+entrywise, and membership of a monomial in the wedge sublattice is decided
+by a closed form (see ``wedge_membership``).
 
 Index convention is 1-based to match the classical c_ijh notation.
 """
@@ -63,13 +62,6 @@ class FactorSetMonomial:
             self.n,
             {(perm[i - 1] + 1, perm[j - 1] + 1): v
              for (i, j), v in self.pairs.items()})
-
-    def exponent_tensor(self) -> list[int]:
-        """Pair exponents as a vector over the u_i (x) u_j basis."""
-        out = [0] * (self.n * self.n)
-        for (i, j), v in self.pairs.items():
-            out[(i - 1) * self.n + (j - 1)] = v
-        return out
 
     def __str__(self) -> str:
         if self.is_trivial():
@@ -188,46 +180,33 @@ def is_normalized(fs: FactorSet) -> bool:
                for i in rng for j in rng for h in rng)
 
 
-def _wedge_vector(n: int, a: int, b: int, c: int, d: int) -> list[int]:
-    """(u_a - u_b) ^ (u_c - u_d) in u (x) u coordinates (1-based)."""
-    out = [0] * (n * n)
-
-    def tick(i, j, v):
-        out[(i - 1) * n + (j - 1)] += v
-
-    for (x, sx) in ((a, 1), (b, -1)):
-        for (y, sy) in ((c, 1), (d, -1)):
-            tick(x, y, sx * sy)
-            tick(y, x, -sx * sy)
-    return out
-
-
 def wedge_membership(m: FactorSetMonomial) -> Optional[dict]:
-    """Integer coordinates of the exponent tensor over spanning wedges
-    (u_i - u_j) ^ (u_l - u_m), or None if it is not in the sublattice.
+    """Integer coordinates of m over the spanning wedges
+    (u_i - u_j) ^ (u_l - u_m), or None if m is not in the wedge sublattice.
 
-    Over the basis (u_i - u_1) ^ (u_j - u_1), 2 <= i < j, the (i, j) tensor
-    entry is 1 on that basis wedge and 0 on every other, so the coordinates
-    are read off those entries and accepted when they expand back to the
-    tensor.  The returned dict maps ((i, j), (l, m)) to a coefficient; only
-    the canonical spanning elements ((i, 1), (j, 1)) appear with nonzero
-    coefficient, which is still a coordinate vector over the full spanning
-    set since every other entry is 0.
+    Read m as the tensor T = sum T_ij u_i (x) u_j.  It lies in the lattice W
+    spanned by the wedges exactly when T is antisymmetric and its columns
+    sum to 0, that is when it is antisymmetric and in the kernel of the
+    contraction x (x) y -> eps(x) y with the augmentation eps(u_i) = 1.
+    Every wedge x ^ y = x (x) y - y (x) x with eps(x) = eps(y) = 0 is
+    antisymmetric and contracts to eps(x) y - eps(y) x = 0.  Conversely, for
+    such T let S = sum_(2 <= i < j) T_ij w_ij over the wedges
+    w_ij = (u_i - u_1) ^ (u_j - u_1).  Among these wedges only w_ij touches
+    the (i, j) entry, where it is 1, so T - S vanishes off row and column 1;
+    being antisymmetric with zero column sums, it vanishes there too.  So
+    the w_ij are a basis of W, whose rank is
+    n(n-1)/2 - (n-1) = (n-1)(n-2)/2, and the coordinates of T are its
+    entries T_ij.  The returned dict maps ((i, 1), (j, 1)) to T_ij for
+    2 <= i < j, leaving out zeros.
     """
     if any(i == j for (i, j) in m.pairs):
         raise FactorSetError("diagonal variables present")
-    coords = {((i, 1), (j, 1)): v for (i, j), v in sorted(m.pairs.items())
-              if 2 <= i < j}
-    if expand_wedge_coordinates(m.n, coords) != m.exponent_tensor():
+    # the pairs hold no zero exponents, so this is antisymmetry of T
+    if any(m.pairs.get((j, i)) != -v for (i, j), v in m.pairs.items()):
         return None
-    return coords
-
-
-def expand_wedge_coordinates(n: int, coords: dict) -> list[int]:
-    """Rebuild the exponent tensor from wedge_membership output."""
-    out = [0] * (n * n)
-    for ((a, b), (c, d)), v in coords.items():
-        vec = _wedge_vector(n, a, b, c, d)
-        for r in range(n * n):
-            out[r] += v * vec[r]
-    return out
+    columns = [0] * (m.n + 1)
+    for (_, j), v in m.pairs.items():
+        columns[j] += v
+    if any(columns):
+        return None
+    return {((i, 1), (j, 1)): v for (i, j), v in sorted(m.pairs.items()) if 2 <= i < j}

@@ -37,7 +37,9 @@ def parse_cycles(text: str, degree: Optional[int] = None) -> tuple[int, ...]:
             continue
         if ch != "(":
             raise GroupError(f"unexpected character {ch!r} in cycle notation")
-        j = text.index(")", i)
+        j = text.find(")", i)
+        if j < 0:
+            raise GroupError(f"unclosed cycle {text[i:]!r}")
         body = text[i + 1 : j].replace(",", " ").split()
         pts = [int(tok) for tok in body]
         if any(p < 1 for p in pts):

@@ -53,15 +53,7 @@ class QuadraticForm:
         return len(self.entries)
 
 
-def diagonal(entries: Sequence, ring: Optional[PolyRing] = None) -> QuadraticForm:
-    entries = list(entries)
-    if ring is None:
-        for e in entries:
-            if isinstance(e, FieldElement):
-                ring = e.ring
-                break
-        else:
-            raise ValueError("cannot infer the scalar ring; pass ring=")
+def diagonal(entries: Sequence, ring: PolyRing) -> QuadraticForm:
     return QuadraticForm(ring, entries)
 
 
@@ -69,15 +61,14 @@ def direct_sum(left: QuadraticForm, right: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(left.ring, left.entries + right.entries)
 
 
-def pfister(slots: Sequence, ring: Optional[PolyRing] = None) -> QuadraticForm:
+def pfister(slots: Sequence, ring: PolyRing) -> QuadraticForm:
     """Tensor of the binary forms <1, a_i>; dimension 2^r.
 
     Entry order follows the subset bitmask: entry b is the product of the
     slots whose bit is set, so pfister([a]) is <1, a> and pfister([a, b])
     is <1, a, b, a*b>.
     """
-    base = diagonal(slots, ring=ring)
-    ring = base.ring
+    base = diagonal(slots, ring)
     out = [ring.element(1)]
     for a in base.entries:
         out = out + [e * a for e in out]

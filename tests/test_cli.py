@@ -123,6 +123,7 @@ def test_integer_certificates_pass_and_are_byte_identical(tmp_path, argv):
     # the Formanek sequence is over S_N alone
     ("lattice", "--formanek", "5", "--group", "S4"),
     ("lattice", "--formanek", "5", "--subgroup", "(1 2)"),
+    ("lattice", "--group", "S4", "--subgroup", "(1 2"),
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     code, text = run(tmp_path, "bad.json", *argv)

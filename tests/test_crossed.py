@@ -141,7 +141,27 @@ def test_graded_tensor_one_is_a_two_sided_unit():
         assert T.equal(T.mul(one, e), e) and T.equal(T.mul(e, one), e)
     assert cocycle_holds(T)
     with pytest.raises(CrossedError, match="mismatched scalar fields"):
-        GradedTensor(SymbolAlgebra(ring, 1, 1, 2), SymbolAlgebra(rational_ring(), 1, 1, 2))
+        GradedTensor(SymbolAlgebra(ring, 1, 1, 2), SymbolAlgebra(PolyRing((), 8), 1, 1, 2))
+
+
+def test_equal_rings_are_one_ring():
+    # a ring built again is the same object, so its elements are accepted
+    # wherever the first ring's are
+    ring, again = PolyRing(("a", "b"), 4), PolyRing(["a", "b"], conductor=4)
+    assert again is ring and PolyRing((), 4) is rational_ring()
+    three = again.element(3)
+    assert ring.element(three) is three
+    K = KummerField(ring, 2, again.element(again.var("a")), 5)
+    assert K.a1.ring is ring
+    T = GradedTensor(SymbolAlgebra(ring, 3, 5, 2), SymbolAlgebra(again, 1, 1, 2))
+    assert T.coeffs.ring is ring
+    with pytest.raises(ValueError, match="ring mismatch"):
+        ring.element(PolyRing(("a", "b"), 8).element(3))
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        PolyRing(("a", "a"), 4)
+    for _ in range(2):  # a ring that fails to build is not kept
+        with pytest.raises(ValueError, match="positive integer"):
+            PolyRing(("a", "b"), 0)
 
 
 # ---------------------------------------------------------------- kummer field

@@ -449,10 +449,12 @@ def test_shared_unit_is_returned_and_kept():
     p = ring.var("x") + ring.var("y") * 2
     assert p * one is p and one * p is p and p ** 1 is p
     assert p.scale(1) is p
-    # an equal ring held by another object takes the general path
-    other = PolyRing(ring.variables, ring.conductor)
-    assert other.one() is not one and other.one() == one
-    q = p * other.one()
+    # a ring built again is the same ring, so it shares the unit
+    assert PolyRing(ring.variables, ring.conductor).one() is one
+    # an equal unit held by another object takes the general path
+    other = MultiPoly(ring, dict(one.terms))
+    assert other is not one and other == one
+    q = p * other
     assert q is not p and list(q.terms.items()) == list(p.terms.items())
     # a denominator that normalizes to 1 becomes the shared unit
     f = FieldElement(p, ring.scalar(3))
@@ -476,7 +478,7 @@ def test_field_element_results_are_in_normal_form():
             (-f, FieldElement(-fn, fd)),
             (f.inverse(), FieldElement(fd, fn)),
             (f + g, f + g),
-            # the same product with g over an equal ring held by another object
+            # the same product with g rebuilt over the ring built again
             (f * g, f * FieldElement(_fresh(g.num, twin), _fresh(g.den, twin))),
         ]
         for result, general in cases:

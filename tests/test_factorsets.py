@@ -10,13 +10,13 @@ from brauerlab.factorsets import (
     FactorSetMonomial,
     check_cocycle,
     check_equivariance,
-    expand_wedge_coordinates,
     is_normalized,
     is_reduced,
     normalized_factor_set,
     udn_factor_set,
     wedge_membership,
 )
+from wedge_oracle import dense_wedge_membership, expand_wedge_coordinates, exponent_tensor
 
 
 def test_udn_entries():
@@ -80,10 +80,10 @@ def test_wedge_membership_of_normalized_entries():
     m = cp[(1, 2, 3)]
     coords = wedge_membership(m)
     assert coords is not None
-    assert expand_wedge_coordinates(5, coords) == m.exponent_tensor()
+    assert expand_wedge_coordinates(5, coords) == exponent_tensor(m)
     # the single spanning wedge (u1-u2)^(u2-u3), cubed, also matches
     assert expand_wedge_coordinates(
-        5, {((1, 2), (2, 3)): 3}) == m.exponent_tensor()
+        5, {((1, 2), (2, 3)): 3}) == exponent_tensor(m)
 
 
 def test_wedge_membership_rejections():
@@ -96,57 +96,69 @@ def test_wedge_membership_rejections():
 
 
 def test_wedge_membership_random_roundtrip():
+    # the closed form against two oracles, the dense expansion test and an
+    # integer solve over the basis (u_i - u_1) ^ (u_j - u_1), for n = 3..9
     rng = random.Random(7)
-    n = 5
-    keys = [(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
-    # oracle: an integer solve over the basis (u_i - u_1) ^ (u_j - u_1)
-    cols = [expand_wedge_coordinates(n, {((i, 1), (j, 1)): 1}) for (i, j) in keys]
-    oracle = snf.IntSolver([[col[r] for col in cols] for r in range(n * n)])
+    for n in range(3, 10):
+        keys = [(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
+        cols = [expand_wedge_coordinates(n, {((i, 1), (j, 1)): 1}) for (i, j) in keys]
+        oracle = snf.IntSolver([[col[r] for col in cols] for r in range(n * n)])
 
-    def monomial(tensorv):
-        return FactorSetMonomial(
-            n, {(i + 1, j + 1): tensorv[i * n + j]
-                for i in range(n) for j in range(n) if i != j})
+        def monomial(tensorv):
+            return FactorSetMonomial(
+                n, {(i + 1, j + 1): tensorv[i * n + j]
+                    for i in range(n) for j in range(n) if i != j})
 
-    def agrees_with_oracle(tensorv):
-        got = wedge_membership(monomial(tensorv))
-        x = oracle.solve(tensorv)
-        if x is None:
-            return got is None
-        return got == {((i, 1), (j, 1)): v for (i, j), v in zip(keys, x) if v}
+        def agrees_with_oracles(tensorv):
+            got = wedge_membership(monomial(tensorv))
+            if got != dense_wedge_membership(monomial(tensorv)):
+                return False
+            x = oracle.solve(tensorv)
+            if x is None:
+                return got is None
+            return got == {((i, 1), (j, 1)): v for (i, j), v in zip(keys, x) if v}
 
-    for _ in range(25):
-        coords = {((i, 1), (j, 1)): rng.randint(-3, 3) for (i, j) in keys}
-        tensorv = expand_wedge_coordinates(n, coords)
-        got = wedge_membership(monomial(tensorv))
-        assert got is not None
-        assert expand_wedge_coordinates(n, got) == tensorv
-        assert agrees_with_oracle(tensorv)
-        a, b = rng.sample(range(n), 2)
-        shift = rng.choice([-2, -1, 1, 2])
-        # antisymmetric, but rows a and b no longer sum to zero
-        skew = list(tensorv)
-        skew[a * n + b] += shift
-        skew[b * n + a] -= shift
-        # zero row sums kept, antisymmetry broken: a symmetric +-shift
-        # around the 4-cycle a b c d
-        a, b, c, d = rng.sample(range(n), 4)
-        sym = list(tensorv)
-        for r, s, v in ((a, b, 1), (b, c, -1), (c, d, 1), (d, a, -1)):
-            sym[r * n + s] += shift * v
-            sym[s * n + r] += shift * v
-        for tensor in (skew, sym):
-            assert wedge_membership(monomial(tensor)) is None
-            assert agrees_with_oracle(tensor)
+        for _ in range(12):
+            coords = {((i, 1), (j, 1)): rng.randint(-3, 3) for (i, j) in keys}
+            tensorv = expand_wedge_coordinates(n, coords)
+            got = wedge_membership(monomial(tensorv))
+            assert got is not None
+            assert expand_wedge_coordinates(n, got) == tensorv
+            assert agrees_with_oracles(tensorv)
+            a, b = rng.sample(range(n), 2)
+            shift = rng.choice([-2, -1, 1, 2])
+            # antisymmetric, but columns a and b no longer sum to zero
+            skew = list(tensorv)
+            skew[a * n + b] += shift
+            skew[b * n + a] -= shift
+            # a random antisymmetric tensor, whose columns almost never sum to zero
+            free = [0] * (n * n)
+            for i, j in rng.sample([(i, j) for i in range(n) for j in range(i + 1, n)], n):
+                v = rng.randint(-3, 3)
+                free[i * n + j], free[j * n + i] = v, -v
+            tensors = [skew]
+            if n >= 4:
+                # zero row sums kept, antisymmetry broken: a symmetric +-shift
+                # around the 4-cycle a b c d
+                a, b, c, d = rng.sample(range(n), 4)
+                sym = list(tensorv)
+                for r, s, v in ((a, b, 1), (b, c, -1), (c, d, 1), (d, a, -1)):
+                    sym[r * n + s] += shift * v
+                    sym[s * n + r] += shift * v
+                tensors.append(sym)
+            for tensor in tensors:
+                assert wedge_membership(monomial(tensor)) is None
+                assert agrees_with_oracles(tensor)
+            assert agrees_with_oracles(free)
     # perturb antisymmetry -> must be rejected
-    bad = FactorSetMonomial(n, {(1, 2): 1, (2, 1): 1})
+    bad = FactorSetMonomial(5, {(1, 2): 1, (2, 1): 1})
     assert wedge_membership(bad) is None
 
 
 def test_membership_implies_antisymmetric_zero_rowsums():
     cp = normalized_factor_set(5)
     for triple in ((1, 2, 3), (2, 5, 4), (1, 4, 2)):
-        t = cp[triple].exponent_tensor()
+        t = exponent_tensor(cp[triple])
         n = 5
         for i in range(n):
             assert t[i * n + i] == 0

@@ -30,6 +30,8 @@ def test_cycle_notation_roundtrip():
         parse_cycles("(1 1)")
     with pytest.raises(GroupError):
         parse_cycles("(0 1)")
+    with pytest.raises(GroupError, match=r"unclosed cycle '\(1 2'"):
+        parse_cycles("(3 4)(1 2")
 
 
 def test_orders_of_standard_groups():

@@ -60,13 +60,13 @@ def test_pfister_entry_order():
     ring = rational_ring()
     a = ring.element(3)
     b = ring.element(5)
-    one = pfister([a])
+    one = pfister([a], ring=ring)
     assert [str(e) for e in one.entries] == ["1", "3"]
-    two = pfister([a, b])
+    two = pfister([a, b], ring=ring)
     assert [str(e) for e in two.entries] == ["1", "3", "5", "15"]
-    assert pfister([a, b, a]).dim == 8
+    assert pfister([a, b, a], ring=ring).dim == 8
     with pytest.raises(QuadFormError, match="zero entry"):
-        pfister([a, ring.element(0)])
+        pfister([a, ring.element(0)], ring=ring)
 
 
 def test_direct_sum_and_tensor():
