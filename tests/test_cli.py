@@ -24,11 +24,11 @@ def sha256(text):
 
 # sha256 of the serialized reference envelopes: a change that alters one
 # of them has to update the digest here and say why
-SELFTEST_SEED_42 = "f9274ebce96b83330f9c760056c461d501f20b41cdb5db99a939cfbed60627bd"
-SELFTEST_SEED_7 = "7410d3c00fb1aa99f2ee409af7f2093dd82b4be7447e0ef85bc8de9de20c3bcf"
+SELFTEST_SEED_42 = "30b45f76b154331d405b3efa3864612ae37c1a0b7b5f9de5000927b56b0ffc0d"
+SELFTEST_SEED_7 = "2e8e97f578acbb8d9592ef6b1a1fabdada58316d0c9092c225edd08fd0103a43"
 REFERENCE_ENVELOPES = [
     (("traceform", "--random", "2"),
-     "01c91dfc2b27738a2dfbce7d8b33dfc3185f3a8ed45cc6a150dd1634725d897a"),
+     "8f7de583fe8c7ceb136a0b0c996b934e61f4e3d7af3fc550eaa6eaf2ca587975"),
     (("crossed-decompose", "--m", "2", "--random", "3"),
      "172e3d0f21d125bf94e0065220d0c4bcdd03212b9628d0408716992e45c594a8"),
     (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "2", "1"),
@@ -48,7 +48,7 @@ REFERENCE_ENVELOPES = [
     (("udn-factorset", "--n", "7", "--check", "wedge"),
      "f529e8fdc849e766585a4cdefbf4240b6137849f998ed2b90f0e6edef8999235"),
     (("bounds", "--n", "5"),
-     "416d0c5948a9e633219fb074e6c00a164c059a7dcbf0e52d3e1b255b31e52998"),
+     "b70896be4836de507ae20def67b69c8560a13eaa71350edb231509807e1d0417"),
 ]
 
 
@@ -119,6 +119,7 @@ def test_integer_certificates_pass_and_are_byte_identical(tmp_path, argv):
     ("selftest", "--criteria", "10"),
     ("selftest", "--criteria", "0"),
     ("selftest", "--criteria", "x"),
+    ("selftest", "--criteria", ""),
     ("bounds", "--n", "5", "--assume", "bogus"),
     # the Formanek sequence is over S_N alone
     ("lattice", "--formanek", "5", "--group", "S4"),
@@ -129,6 +130,41 @@ def test_bad_input_exits_2(tmp_path, argv):
     code, text = run(tmp_path, "bad.json", *argv)
     assert code == 2
     assert text is None
+
+
+def test_subgroup_cycles_may_use_commas(tmp_path):
+    # commas inside a cycle separate points, those between cycles separate
+    # generators
+    envelopes = []
+    for subgroup in ("(1,2,3,4)", "(1 2 3 4)"):
+        code, text = run(tmp_path, "ok.json", "lattice", "--group", "S4",
+                         "--subgroup", subgroup)
+        assert code == 0
+        envelopes.append(json.loads(text))
+    assert envelopes[0]["checks"] == envelopes[1]["checks"]
+    assert [c["status"] for c in envelopes[0]["checks"]] == ["pass", "pass"]
+    code, _ = run(tmp_path, "two.json", "lattice", "--group", "S4",
+                  "--subgroup", "(1,2), (3,4)")
+    assert code == 0
+
+
+def test_bounds_verdict_is_the_consistency_of_the_bounds(tmp_path, monkeypatch):
+    code, text = run(tmp_path, "ok.json", "bounds", "--n", "5")
+    assert code == 0
+    [record] = json.loads(text)["checks"]
+    assert record["name"] == "degree-bounds"
+    assert (record["details"]["lower"], record["details"]["upper"]) == (2, 6)
+    real = cli.d_bounds
+
+    def crossed(n, assume):
+        report = real(n, assume)
+        report.lower = report.upper + 1
+        return report
+
+    monkeypatch.setattr(cli, "d_bounds", crossed)
+    code, text = run(tmp_path, "fail.json", "bounds", "--n", "5")
+    assert code == 1
+    assert json.loads(text)["checks"][0]["status"] == "fail"
 
 
 def test_failed_check_exits_1(tmp_path, monkeypatch):

@@ -108,3 +108,18 @@ def test_every_definition_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == [], f"defined in src/ but never referenced: {unreferenced}"
+
+
+def test_no_check_has_a_constant_verdict():
+    """No ``check(...)`` call in ``src/`` passes a literal True, False or
+    None as ``ok``: such a record reports a verdict that nothing decided."""
+    constant = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in ALL_MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check"
+        for ok in [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "ok")]
+        if isinstance(ok, ast.Constant) and (isinstance(ok.value, bool) or ok.value is None)
+    ]
+    assert constant == [], f"checks with a constant verdict: {constant}"

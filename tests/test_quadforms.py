@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from fractions import Fraction
 from math import isqrt
@@ -12,8 +13,10 @@ from brauerlab.crossed import (
     instance_from_symbol,
 )
 from brauerlab import acceptance, quadforms
-from brauerlab.exactfield import Cyc, PolyRing, is_square
+from brauerlab.cli import main
+from brauerlab.exactfield import Cyc, MultiPoly, PolyRing, is_square
 from brauerlab.quadforms import (
+    GENERATOR_LEGEND,
     QuadFormError,
     QuadraticForm,
     TraceData,
@@ -23,6 +26,7 @@ from brauerlab.quadforms import (
     equiv_form,
     hyperbolic_sufficient,
     pfister,
+    reduced_polynomials,
     replay_trace_form_equivalence,
     serre_form,
     trace_data,
@@ -244,7 +248,8 @@ def test_trace_data_values_and_identities():
     # half-trace of b2 = tau sigma2(tau) al1 with tau = 1 + al1 + al2
     assert str(td.t2) == "6"
     assert td.n1 - td.t1 * td.t1 == -(f2 * f2) * A.K.a2
-    assert all(c["ok"] for c in td.checks)
+    # trace_data records no checks; the empty list stays for perfbench
+    assert td.checks == []
 
 
 def rational_coefficients(p):
@@ -317,17 +322,16 @@ def test_serre_form_hypothesis_violated():
         serre_form(td)
 
 
-def test_equiv_form_entries_and_audit():
+def test_equiv_form_entries():
     ring = free_trace_ring()
     td = free_trace_data(ring)
     q = equiv_form(td)
     assert q.dim == 16
-    audit = q.audit
-    assert audit["only_four_generators"]
-    assert audit["transcendence_degree_bound"] == 4
-    assert set(audit["generators"]) == {"g1", "g2", "g3", "g4"}
-    assert audit["entries"][:2] == ["g2", "((1 - g2)*g2)"]
-    assert audit["entries"][15] == "((1 - g1)*((((1 - g2)*g2)*g3)*g4))"
+    polys = reduced_polynomials(4)
+    assert polys[0].ring.variables == ("g1", "g2", "g3", "g4")
+    assert [str(p) for p in polys[:2]] == ["g2", "-g2^2 + g2"]
+    g1, g2, g3, g4 = (polys[0].ring.var(v) for v in ("g1", "g2", "g3", "g4"))
+    assert polys[15] == (1 - g1) * (1 - g2) * g2 * g3 * g4
     t2sq = td.t2 * td.t2
     assert q.entries[0] == td.n2 / t2sq
     one = ring.element(1)
@@ -341,11 +345,66 @@ def test_equiv_form_zero_denominator():
         equiv_form(td)
 
 
-def test_equiv_form_audit_detects_a_foreign_generator(monkeypatch):
-    monkeypatch.setattr(quadforms, "EQUIV_GENERATORS", ("g1", "g2", "g3"))
+def test_changed_reduced_entry_fails_the_replay(tmp_path, monkeypatch):
+    # doubling one entry of the four-input program moves the reduced form
+    # off the end of the move chain, in the replay, criterion 8 and the CLI
+    real = quadforms._reduced_entries
+
+    def doubled_first(*generators):
+        entries = real(*generators)
+        return [2 * entries[0], *entries[1:]]
+
+    monkeypatch.setattr(quadforms, "_reduced_entries", doubled_first)
     td = free_trace_data(free_trace_ring())
-    assert not equiv_form(td).audit["only_four_generators"]
-    assert not replay_trace_form_equivalence(td)["ok"]
+    assert replay_trace_form_equivalence(td)["ok"] is False
+    assert acceptance.check_trace_form_certificates(42)[0] is False
+    out = tmp_path / "fail.json"
+    assert main(["traceform", "--random", "2", "--out", str(out)]) == 1
+    detail = json.loads(out.read_text())["checks"][0]["details"]
+    assert detail["matches_reduced_form"] is False
+    ring = PolyRing(GENERATOR_LEGEND, 4)
+    assert MultiPoly.from_json(ring, detail["equiv_form"][0]) == 2 * ring.var("g2")
+
+
+def evaluate(data, point):
+    """Oracle: a to_json polynomial in g1..g4 at ``point``, term by term."""
+    poly = MultiPoly.from_json(PolyRing(data["vars"], data["conductor"]), data)
+    ring = point[0].ring
+    total = ring.element(0)
+    for exps, coeff in poly.terms.items():
+        term = ring.element(coeff)
+        for value, e in zip(point, exps):
+            term = term * value ** e
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("seed", [42, 7, None], ids=["seed-42", "seed-7", "free-symbolic"])
+def test_envelope_polynomials_at_the_legend_point(tmp_path, seed):
+    # every reduced-form polynomial the certificate carries, evaluated at
+    # g1 = n1/t1^2, g2 = n2/t2^2, g3 = t1 t2, g4 = t2 t3, is the entry of
+    # equiv_form and of the form the certificate's own moves replay to
+    if seed is None:
+        cases = [free_trace_data(free_trace_ring())]
+        details = [acceptance.trace_instance_checks(cases[0], 0)[0]["detail"]]
+    else:
+        out = tmp_path / "ok.json"
+        assert main(["traceform", "--random", "2", "--seed", str(seed), "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        rng = acceptance.seeded_rng(seed, "traceform")
+        cases = [acceptance.quartic_trace_instance(rational_ring(), rng)[0] for _ in range(2)]
+        details = [c["details"] for c in checks if c["name"].endswith("move-certificate")]
+    assert len(details) == len(cases)
+    for td, detail in zip(cases, details):
+        assert detail["trace_data"] == {n: str(v) for n, v in td.values().items()}
+        assert detail["generator_legend"] == {
+            "g1": "n1/t1^2", "g2": "n2/t2^2", "g3": "t1*t2", "g4": "t2*t3"}
+        point = [td.n1 / (td.t1 * td.t1), td.n2 / (td.t2 * td.t2), td.t1 * td.t2, td.t2 * td.t3]
+        values = [evaluate(data, point) for data in detail["equiv_form"]]
+        moves = [WittMove.from_json(td.ring, m) for m in detail["moves"]]
+        replayed = witt_apply(serre_form(td), moves)
+        assert len(values) == 16
+        assert values == equiv_form(td).entries == replayed.entries
 
 
 # ------------------------------------------------------------------ Witt moves
