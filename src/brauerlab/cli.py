@@ -37,7 +37,7 @@ from .acceptance import (
 from .bounds import d_bounds
 from .checks import aggregate, check, status
 from .crossed import CrossedError, instance_from_symbol, standard_ring
-from .exactfield import ExactFieldError, PolyRing, is_square
+from .exactfield import ExactFieldError, PolyRing, factorize, is_power
 from .groups import builtin_family
 
 SCHEMA = "brauerlab-envelope/1"
@@ -154,11 +154,13 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
         e, g, t, lam = [_parse_fraction(v) for v in args.symbol]
         if e == 0 or g == 0:
             raise UsageError("symbol entries must be nonzero")
-        # is_square decides rationals exactly, so this decides K = F(al1, al2)
-        # being a field over F = Q(i); m >= 3 is not checked here
-        if args.m == 2 and any(is_square(ring.element(x)) is not None for x in (e, g, e * g)):
-            raise UsageError("a1, a2 and a1*a2 must be non-squares in Q(i): "
-                             "K = F(al1, al2) is not a field")
+        # exact for rationals: K is a field when a1 is no p-th power for p | m
+        # (Capelli) and a2 no square in F(al1), which at even m holds sqrt(a1)
+        squares = (g, e * g) if args.m % 2 == 0 else (g,)
+        if (any(is_power(ring.element(e), p) for p in factorize(args.m))
+                or any(is_power(ring.element(x), 2) for x in squares)):
+            raise UsageError("K = F(al1, al2) is not a field: a1 is a p-th power for a "
+                             "prime p | m, or a2 (or a1*a2 at even m) is a square in F")
         try:
             algebra = instance_from_symbol(
                 args.m, ring.element(e), ring.element(g), ring.element(t),

@@ -49,6 +49,15 @@ Associativity is also what ``invertible_delta_power`` rests on: an algebra
 that passes (a) and (b) is power-associative, so delta^2m may be taken by
 squaring and a scalar delta^2m = d' makes d'^-1 delta^(2m-1) a two-sided
 inverse.  That function checks (a) and (b) itself, whatever the check level.
+With unit u, b1, b2 (u is inverted at construction, b1 and b2 have nonzero
+norms) it is a crossed product over the Galois F-algebra K with a unit
+factor set, so central simple.  If also x^2m - c' is irreducible (c' no p-th
+power for each prime p | 2m, Lang, Algebra, VI sec. 9; -4 = (1 + i)^4),
+F(gamma) is a degree-2m field, its own centralizer, and by Skolem-Noether
+each solution delta is a unit times an element of F(gamma) (Pierce,
+Associative Algebras, ch. 12).  So a nonzero delta is invertible, and
+delta^2m lies in F(gamma) fixed by conjugation by delta, that is in F: only
+its F-component is computed (``GradedAlgebra.scalar_product``).
 
 There are two check levels: "full" checks (a) and (b), "none" skips them,
 and both check b1 in F(al2) and b2 in F(al1).  On the subalgebra generated
@@ -74,10 +83,11 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from functools import reduce
 from typing import Optional, Sequence
 
 from .checks import check, failing
-from .exactfield import Cyc, FieldElement, PolyRing, common_conductor
+from .exactfield import Cyc, FieldElement, PolyRing, common_conductor, factorize, is_power
 
 
 class CrossedError(ValueError):
@@ -112,6 +122,7 @@ class FieldScalars:
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
     scale = staticmethod(operator.mul)
+    scalar_product = staticmethod(operator.mul)
     equal = staticmethod(operator.eq)
 
     def __init__(self, ring: PolyRing):
@@ -241,6 +252,17 @@ class GradedAlgebra:
         if any(g != unit and not C.is_zero(c) for g, c in x.items()):
             return None
         return C.scalar_of(x.get(unit, C.zero()))
+
+    def scalar_product(self, x: dict, y: dict) -> FieldElement:
+        """The F-component of x y, in ``mul``'s order, from the only grade pairs
+        that reach the unit, (g, g^-1) with (k, l)^-1 = (-k, l) in Z/m x Z/2."""
+        C, parts = self.coeffs, []
+        for g, a in x.items():
+            h = (-g[0] % self.m, g[1])
+            if h in y:
+                b, c = C.act(g, y[h]), self.entry(g, h)[1]
+                parts.append(C.scalar_product(*((a, b) if c is None else (C.mul(a, b), c))))
+        return reduce(operator.add, parts) if parts else self.ring.element(0)
 
     def to_json(self, x: dict) -> dict:
         """x as {"g0,g1": coefficient json}, each grade written as its entries."""
@@ -566,17 +588,19 @@ def crossed_from_data(
 
 
 def tensor_brauer(A: CrossedAlgebra, B: CrossedAlgebra, check: str = "full") -> CrossedAlgebra:
-    """Brauer product at the parameter level: (u u', b1 b1', b2 b2')."""
+    """Brauer product at the parameter level: (u u', b1 b1', b2 b2').
+
+    At "full" the product of two that pass the norm conditions passes unchecked:
+    (a) and (b) are multiplicative, s1 and s2 being automorphisms of K."""
     if A.m != B.m or A.ring is not B.ring or A.K.a1 != B.K.a1 or A.K.a2 != B.K.a2:
         raise CrossedError("mismatched K-data")
     K = A.K
-    return CrossedAlgebra(
-        K,
-        K.mul(A.u, B.u),
-        K.mul(A.b1, B.b1),
-        K.mul(A.b2, B.b2),
-        check=check,
-    )
+    inherit = check == "full" and A.norm_conditions_hold() and B.norm_conditions_hold()
+    C = CrossedAlgebra(K, K.mul(A.u, B.u), K.mul(A.b1, B.b1), K.mul(A.b2, B.b2),
+                       check="none" if inherit else check)
+    if inherit:
+        C.check_level, C._norm_ok = "full", True
+    return C
 
 
 # --------------------------------------------------------------- power cancellation
@@ -917,17 +941,32 @@ def invertible_delta_power(A: CrossedAlgebra, delta: dict) -> Optional[FieldElem
     """
     if not A.norm_conditions_hold():
         return None
-    top, square, n = None, delta, 2 * A.m
-    while n:
+    d_prime = A.scalar_of(A.mul(*_power_factors(A, delta, 2 * A.m)))
+    return None if d_prime is None or d_prime.is_zero() else d_prime
+
+
+def _power_factors(A: GradedAlgebra, x: dict, n: int) -> tuple:
+    """(y, z) with y z = x^n, n >= 2: the square-and-multiply chain of n, low
+    bits first, short of its last product (x^(n - 2^k) x^(2^k), or a square)."""
+    top, square = None, x
+    while n > 1:
         if n & 1:
             top = square if top is None else A.mul(top, square)
         n >>= 1
-        if n:
-            square = A.mul(square, square)
-    d_prime = A.scalar_of(top)
-    if d_prime is None or d_prime.is_zero():
+        if n == 1 and top is None:
+            return square, square
+        square = A.mul(square, square)
+    return top, square
+
+
+def _accept_delta(A: CrossedAlgebra, delta: dict, simple: bool) -> Optional[FieldElement]:
+    """d' for a candidate delta, or None.  When ``simple`` (module docstring) a
+    nonzero delta is accepted, d' the F-component of the chain's last product."""
+    if not simple:
+        return invertible_delta_power(A, delta)
+    if A.is_zero(delta):
         return None
-    return d_prime
+    return A.scalar_product(*_power_factors(A, delta, 2 * A.m))
 
 
 def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
@@ -943,11 +982,13 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
     z2-odd slice: gamma^m = c al2 with c in F*, so delta gamma^m = -gamma^m
     delta forces delta al2 = -al2 delta.  So the projections of the z2-odd
     monomials span E.  theta = z1 z2 is tried first, then the other z2-odd
-    monomials in order, and the first delta_theta that
-    ``invertible_delta_power`` certifies wins: delta^2m is a nonzero
-    F-scalar d', so d'^-1 delta^(2m-1) is its inverse.  In a division
-    algebra E != 0 and every nonzero element is invertible, so the search
-    misses nothing there; no certified delta raises CrossedError.  A that
+    monomials in order, and the first delta_theta that ``_accept_delta``
+    accepts wins: the first nonzero one when A is central simple and
+    x^2m - c' is irreducible (module docstring; delta-power-in-F names the
+    path and its evidence), else the first that ``invertible_delta_power``
+    certifies.  In a division algebra E != 0 and every nonzero element is
+    invertible, so the search misses nothing there; none accepted raises
+    CrossedError.  A that
     fails the norm conditions is not associative and is refused before the
     search.  The two gates that raise before it are recorded as checks,
     gamma-power-2m-nonzero and gamma-min-poly-degree (a triangular pivot
@@ -964,7 +1005,11 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
     rank = _min_poly_rank(powers[:n])
     if rank != n:
         raise CrossedError("gamma does not generate a degree-2m subfield")
-    zeta = A.K.zeta_2m
+    K, zeta = A.K, A.K.zeta_2m
+    powers_c = {str(p): is_power(c_prime, p) for p in sorted(factorize(n))}
+    norm_b2 = reduce(K.mul, (K.sigma(A.b2, k, 0) for k in range(A.m)))
+    units = not (K.is_zero(K.mul(A.b1, K.sigma(A.b1, 0, 1))) or K.is_zero(norm_b2))
+    simple = units and all(v is False for v in powers_c.values())
     one = A.ring.element(1)
     z1z2 = ((1, 1), UNIT)
     odd = [((k, 1), key) for k in range(A.m) for key in A.K.grades]
@@ -974,7 +1019,7 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
         for i in range(n):
             term = A.mul(A.mul(powers[i], theta), powers[n - i])
             delta = A.add(delta, A.scale(term, zeta ** i))
-        d_prime = invertible_delta_power(A, delta)
+        d_prime = _accept_delta(A, delta, simple)
         if d_prime is not None:
             break
     else:
@@ -987,7 +1032,9 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
         check("delta-conjugation", A.equal(A.mul(delta, gamma), A.scale(A.mul(gamma, delta), zeta)),
               "delta gamma = zeta_2m gamma delta"),
         # true by the acceptance rule above; the entry records d' on the certificate
-        check("delta-power-in-F", not d_prime.is_zero(), "delta^2m in F*"),
+        check("delta-power-in-F", not d_prime.is_zero(), {
+            "delta^2m in F*": "F-component" if simple else "whole power",
+            "c' is a p-th power": powers_c, "N(b1), N(b2) != 0": units}),
         check("c-prime-value", A.equal(A.mul(half, half), A.scalar(c_prime)), "c' = gamma^2m"),
     ]
     return SymbolPresentation(A, c_prime, d_prime, delta, checks)

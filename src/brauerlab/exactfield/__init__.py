@@ -15,6 +15,7 @@ from .poly import (
     MultiPoly,
     PolyRing,
     exact_divide,
+    is_power,
     is_square,
 )
 
@@ -29,5 +30,6 @@ __all__ = [
     "MultiPoly",
     "PolyRing",
     "exact_divide",
+    "is_power",
     "is_square",
 ]

@@ -539,3 +539,32 @@ def is_square(f: FieldElement) -> Optional[FieldElement]:
         return None
     root = f.as_scalar().sqrt()
     return None if root is None else f.ring.element(root)
+
+
+def is_power(f: FieldElement, p: int) -> Optional[bool]:
+    """Whether f is a p-th power in its field, for a prime p; None when not decided.
+
+    False when some variable's lowest or highest degree (numerator minus
+    denominator), both valuations, is not divisible by p.  Exact for rational
+    constants: at p = 2 by Cyc.sqrt, at odd p by integer roots, as a rational
+    p-th power in an abelian field is one in Q (Lang, Algebra, VI sec. 9)."""
+    if f.is_scalar():
+        q = f.as_scalar()
+        if not q.is_rational():
+            return None
+        if p == 2:
+            return q.sqrt() is not None
+        q = q.as_fraction()
+        return all(_integer_root(abs(n), p) ** p == abs(n) for n in (q.numerator, q.denominator))
+    for k in range(len(f.ring.variables)):
+        for pick in (min, max):
+            if (pick(e[k] for e in f.num.terms) - pick(e[k] for e in f.den.terms)) % p:
+                return False
+    return None
+
+
+def _integer_root(n: int, p: int) -> int:
+    r = 1 << -(-n.bit_length() // p)  # floor(n^(1/p)) by Newton from above
+    while r ** p > n:
+        r = ((p - 1) * r + n // r ** (p - 1)) // p
+    return r

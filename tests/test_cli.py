@@ -30,15 +30,15 @@ REFERENCE_ENVELOPES = [
     (("traceform", "--random", "2"),
      "8f7de583fe8c7ceb136a0b0c996b934e61f4e3d7af3fc550eaa6eaf2ca587975"),
     (("crossed-decompose", "--m", "2", "--random", "3"),
-     "172e3d0f21d125bf94e0065220d0c4bcdd03212b9628d0408716992e45c594a8"),
+     "bec272ac88837d01bf2fd26b3f0f3ec85bb24c728550d8bdaf2f53140702e37c"),
     (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "2", "1"),
-     "1f09ad127fd349a432f301af3ee67731d9e7f49a06ff1fc0c705ef8049554129"),
+     "5849bb2cf3ef5c933dad09e6228ffc1ef3674a6f987b5f176f90cec7e5fe8122"),
     (("crossed-decompose", "--m", "2", "--symbol", "3", "5", "0", "1"),
-     "2b090884013d6948bf75fe8efacc86113c2c0290b7c2a09da29766446051f33c"),
-    (("crossed-decompose", "--m", "3", "--symbol", "2", "3", "1", "1"),
-     "bba5b51e2ffdce5977f938316cef852bbc908a601371cec7f1a026f34e80dcb2"),
-    (("crossed-decompose", "--m", "4", "--symbol", "2", "3", "1", "1"),
-     "fc4e57c8e16679453f4f40de87059c06a65f6e9b4c0d7a59159c638bb23ce66b"),
+     "bf59c50a03ff5f27063be069044ce12c28ddf04108be5261b66eb0ddbe5ebdda"),
+    (("crossed-decompose", "--m", "3", "--symbol", "3", "5", "2", "1"),
+     "aa9b74d0eaaaa6b35fdecee62d3a7075ff13e291d47be06d7b6e4fa09c746fdf"),
+    (("crossed-decompose", "--m", "4", "--symbol", "3", "5", "2", "1"),
+     "6561d07e3f16a3b04146525571fd7da538276f2d11067db0df0de2f9c16d1763"),
     (("crossed-decompose", "--m", "3", "--symbol", "3", "5", "0", "1"),
      "22a0a5805e8e3dce33c81f010de86567fc1a7573ec45cea9a194d10772ed54c8"),
     (("lattice", "--group", "S4", "--r", "2"),
@@ -82,7 +82,7 @@ def test_reference_envelope_digests(tmp_path, argv, digest):
 
 
 def test_crossed_decompose_degree_6_is_byte_identical(tmp_path):
-    argv = ("crossed-decompose", "--m", "3", "--symbol", "2", "3", "1", "1")
+    argv = ("crossed-decompose", "--m", "3", "--symbol", "3", "5", "2", "1")
     code_a, first = run(tmp_path, "a.json", *argv)
     code_b, second = run(tmp_path, "b.json", *argv)
     assert code_a == code_b == 0
@@ -125,6 +125,13 @@ def test_integer_certificates_pass_and_are_byte_identical(tmp_path, argv):
     ("lattice", "--formanek", "5", "--group", "S4"),
     ("lattice", "--formanek", "5", "--subgroup", "(1 2)"),
     ("lattice", "--group", "S4", "--subgroup", "(1 2"),
+    # K not a field beyond m = 2: 8 = 2^3 and -1 = i^2 in F = Q(zeta_12); 3
+    # and 2 are squares in Q(zeta_12) and Q(zeta_8); sqrt(5) lies in Q(zeta_20)
+    ("crossed-decompose", "--m", "3", "--symbol", "8", "5", "2", "1"),
+    ("crossed-decompose", "--m", "3", "--symbol", "2", "-1", "1", "1"),
+    ("crossed-decompose", "--m", "3", "--symbol", "2", "3", "1", "1"),
+    ("crossed-decompose", "--m", "4", "--symbol", "2", "3", "1", "1"),
+    ("crossed-decompose", "--m", "5", "--symbol", "3", "5", "2", "1"),
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     code, text = run(tmp_path, "bad.json", *argv)

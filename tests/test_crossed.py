@@ -458,8 +458,9 @@ def cohomologous(A, k1, k2):
     return u, K.mul(norm, A.b1), K.mul(K.mul(k2, K.sigma(k2, 0, 1)), A.b2)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_norm_conditions_agree_with_the_cocycle_oracle(m):
+def norm_condition_cases(m):
+    """K and (u, b1, b2) data at degree 2m: twisted, pure, Brauer product,
+    cohomologous, then plain and its four perturbations (which fail)."""
     ring = standard_ring(m, ())
     plain = instance_from_symbol(m, 3, 5, 2, 1, ring=ring, check="none")
     K = plain.K
@@ -469,12 +470,17 @@ def test_norm_conditions_agree_with_the_cocycle_oracle(m):
                                                   check="none"), check="none")
     k1 = K.add(K.scalar(2), K.add(K.alpha1(), K.alpha2()))
     k2 = K.add(K.scalar(1), K.mul(K.alpha1(), K.alpha2()))
-    cases = [
+    return K, [
         *((A.u, A.b1, A.b2) for A in (twisted, pure, product)),
         cohomologous(plain, k1, k2),
         *perturbed_data(plain),
     ]
-    cyclic = [g for g in plain.grades if g[1] == 0]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_norm_conditions_agree_with_the_cocycle_oracle(m):
+    K, cases = norm_condition_cases(m)
+    cyclic = [(k, 0) for k in range(m)]
     verdicts = []
     for data in cases:
         A = CrossedAlgebra(K, *data, check="none")
@@ -541,6 +547,40 @@ def test_tensor_parameter_homomorphism():
     assert K.equal(C.b2, K.mul(A.b2, B.b2))
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_tensor_brauer_inherits_only_passing_verdicts(monkeypatch, m):
+    K, cases = norm_condition_cases(m)
+    # b1 -> b1 (1 + al2) fails (a); so does (1, 1/(1 + al2), 1), and their
+    # product is the plain data again, which passes
+    cases.append((K.one(), K.inverse(K.add(K.one(), K.alpha2())), K.one()))
+    computed = []
+    hold = CrossedAlgebra.norm_conditions_hold
+
+    def counting_hold(self):
+        if self._norm_ok is None:
+            computed.append(self)
+        return hold(self)
+
+    monkeypatch.setattr(CrossedAlgebra, "norm_conditions_hold", counting_hold)
+    verdicts = set()
+    for x, y in itertools.product(cases, repeat=2):
+        A, B = (CrossedAlgebra(K, *data, check="none") for data in (x, y))
+        both_pass = A.norm_conditions_hold() and B.norm_conditions_hold()
+        oracle = cocycle_holds(CrossedAlgebra(
+            K, *(K.mul(p, q) for p, q in zip(x, y)), check="none"))
+        computed.clear()
+        try:
+            C = tensor_brauer(A, B, check="full")
+        except CrossedError:
+            C = None
+        assert (C is not None) == oracle
+        assert C is None or (C.check_level == "full" and C.norm_conditions_hold())
+        # the product's own conditions are checked exactly when A or B fails
+        assert len(computed) == (0 if both_pass else 1)
+        verdicts.add((both_pass, oracle))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
 def test_tensor_mismatched_data():
     ring = rational_ring()
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="none")
@@ -552,15 +592,41 @@ def test_tensor_mismatched_data():
 # ---------------------------------------------------------------- decomposition
 
 
+def spy_on_acceptance(monkeypatch):
+    """Every (algebra, delta, simple, d') that ``_accept_delta`` sees from here on."""
+    seen = []
+    accept = crossed._accept_delta
+
+    def spy(A, delta, simple):
+        seen.append((A, delta, simple, accept(A, delta, simple)))
+        return seen[-1][3]
+
+    monkeypatch.setattr(crossed, "_accept_delta", spy)
+    return seen
+
+
+def delta_detail(cert):
+    """The detail of a certificate's delta-power-in-F record: path and evidence."""
+    record, = (item for item in cert.identities if item["name"] == "delta-power-in-F")
+    return record["detail"]
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_decompose_generic_symbolic(m):
+def test_decompose_generic_symbolic(monkeypatch, m):
     ring = symbolic_ring(m)
     a1, a2, t, lam = symbolic_gens(ring)
     A = instance_from_symbol(m, a1, a2, t, lam, ring=ring, check="full")
     # the whole verdict, the symbol presentation of A_f included
+    seen = spy_on_acceptance(monkeypatch)
     cert = decomposition_certificate(A)
     assert cert.branch == "generic"
     assert cert.ok
+    # a valuation of c' prime to each p | 2m makes x^2m - c' irreducible, so
+    # d' is read off the F-component, and it equals the whole delta^2m
+    Af, delta, simple, d_prime = seen[-1]
+    assert simple and delta_detail(cert)["delta^2m in F*"] == "F-component"
+    assert d_prime == invertible_delta_power(Af, delta)
+    assert FieldElement.from_json(ring, cert.witnesses["d_prime"]) == d_prime
     names = {item["name"] for item in cert.identities}
     assert {"gamma-power-m", "gamma-power-2m", "gamma-min-poly-degree",
             "tensor-cocycle-witness"} <= names
@@ -570,6 +636,32 @@ def test_decompose_generic_symbolic(m):
     assert c == -(a1 * f2) / f1
     f = FieldElement.from_json(ring, cert.witnesses["f"])
     assert f == -a1 / f1
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_field_component_agrees_with_the_whole_power_on_criterion_7(monkeypatch, seed):
+    seen = spy_on_acceptance(monkeypatch)
+    paths = []
+    for _, A, _ in seeded_symbol_instances(seed, rational_ring(), 20):
+        seen.clear()
+        cert = decomposition_certificate(A)
+        assert cert.ok
+        Af, delta, simple, d_prime = seen[-1]
+        assert d_prime == invertible_delta_power(Af, delta)
+        paths.append(delta_detail(cert)["delta^2m in F*"])
+        assert paths[-1] == ("F-component" if simple else "whole power")
+    assert "F-component" in paths
+
+
+def test_square_c_prime_takes_the_whole_power():
+    # sqrt(5) lies in Q(zeta_20), so at m = 5 c' = c^2 * 5 is a square and
+    # x^10 - c' is reducible: the F-component would not be enough
+    A = instance_from_symbol(5, 3, 5, 2, 1, ring=standard_ring(5, ()), check="full")
+    cert = decomposition_certificate(A)
+    assert cert.ok
+    assert delta_detail(cert) == {"delta^2m in F*": "whole power",
+                                  "c' is a p-th power": {"2": True, "5": False},
+                                  "N(b1), N(b2) != 0": True}
 
 
 def test_decompose_generic_rational_and_replay():
@@ -590,25 +682,28 @@ def test_decompose_generic_rational_and_replay():
 def test_decomposition_certificate_builds_the_twisted_algebra_once(monkeypatch):
     ring = rational_ring()
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="full")
-    levels = []
+    built = []
     init = CrossedAlgebra.__init__
 
     def counting_init(self, *args, **kwargs):
-        levels.append(kwargs.get("check", "full"))
         init(self, *args, **kwargs)
+        built.append(self)
 
     monkeypatch.setattr(CrossedAlgebra, "__init__", counting_init)
     cert = decomposition_certificate(A)
     assert cert.ok and cert.branch == "generic"
-    # the twist (1, f, 1) and A_f = A (x) twist; the commutation solve
-    # reuses A_f from the certificate
-    assert levels == ["none", "full"]
+    # the twist (1, f, 1) and A_f = A (x) twist, at level full (inherited
+    # from A and the twist); the commutation solve reuses A_f
+    assert [B.check_level for B in built] == ["none", "full"]
+    assert built[1] is cert.twisted
 
 
-@pytest.mark.parametrize("m, budget", [(2, 18), (3, 26), (4, 33)])
+@pytest.mark.parametrize("m, budget", [(2, 17), (3, 25), (4, 32)])
 def test_one_decomposition_certificate_multiplication_budget(monkeypatch, m, budget):
     # gamma^m once in decompose (m - 1 products), then cyclic_to_symbol's
-    # powers, delta search, delta^2m and its checks: no power is taken twice
+    # powers, delta search, delta^2m and its checks: no power is taken twice,
+    # and the last product of delta^2m is only its F-component (18 / 26 / 33
+    # products when it was taken whole)
     A = instance_from_symbol(m, 3, 5, 2, 1, ring=standard_ring(m, ()), check="full")
     calls = []
     mul = crossed.GradedAlgebra.mul
@@ -679,7 +774,8 @@ def test_work_budget_of_exact_scalars(monkeypatch):
     counts = _count_scalar_work(monkeypatch)
     cert = decomposition_certificate(A)
     assert cert.ok and cert.branch == "generic"
-    assert counts["cyc_mul"] <= 183
+    # 183 when the last product of delta^4 was taken whole
+    assert counts["cyc_mul"] <= 159
     assert counts["cyc_init"] <= 302
     # a ring without variables has one-term polynomials only
     assert counts["poly_mul"] == 0
@@ -693,6 +789,17 @@ def test_work_budget_of_exact_scalars(monkeypatch):
     assert counts["poly_mul"] <= 23
     assert counts["divide"] <= 56
     assert counts["hits"] == 8
+
+
+def test_work_budget_of_the_symbolic_certificate(monkeypatch):
+    # the generic degree-4 certificate over Q(i)(a1, a2, t, lam): 689 Cyc
+    # products when the last product of delta^4 was taken whole
+    ring = symbolic_ring(2)
+    A = instance_from_symbol(2, *symbolic_gens(ring), ring=ring, check="full")
+    counts = _count_scalar_work(monkeypatch)
+    cert = decomposition_certificate(A)
+    assert cert.ok and cert.branch == "generic"
+    assert counts["cyc_mul"] <= 514
 
 
 def test_decompose_f1_zero_cyclic():
@@ -971,7 +1078,7 @@ def test_cyclic_to_symbol_refuses_a_non_associative_algebra_up_front(monkeypatch
     K = Af.K
     B = CrossedAlgebra(K, K.mul(Af.u, K.alpha2()), Af.b1, Af.b2, check="none")
     seen = []
-    monkeypatch.setattr(crossed, "invertible_delta_power", lambda *args: seen.append(args))
+    monkeypatch.setattr(crossed, "_accept_delta", lambda *args: seen.append(args))
     with pytest.raises(CrossedError, match=r"norm conditions \(a\) and \(b\) fail"):
         cyclic_to_symbol(B, B.add(B.z1(), B.alpha1()))
     assert seen == []
@@ -1055,14 +1162,14 @@ def test_closed_form_delta_lies_in_the_oracle_kernel(params):
 
 def test_next_seed_is_used_when_the_check_refuses_the_first(monkeypatch):
     A, gamma = _twisted_rational(3, 5, 2, 1)
-    check = crossed.invertible_delta_power
+    check = crossed._accept_delta
     seen = []
 
-    def refuse_first(B, delta):
+    def refuse_first(B, delta, simple):
         seen.append(delta)
-        return None if len(seen) == 1 else check(B, delta)
+        return None if len(seen) == 1 else check(B, delta, simple)
 
-    monkeypatch.setattr(crossed, "invertible_delta_power", refuse_first)
+    monkeypatch.setattr(crossed, "_accept_delta", refuse_first)
     pres = cyclic_to_symbol(A, gamma)
     assert pres.ok and len(seen) == 2
     # z1 z2 first, then z2, the first other z2-odd monomial

@@ -20,6 +20,7 @@ from brauerlab.exactfield import (
     euler_phi,
     exact_divide,
     factorize,
+    is_power,
     is_square,
 )
 from linalg_oracle import kernel, mat_rank, solve
@@ -259,6 +260,43 @@ def test_is_square_cases(ring):
     assert is_square(ring.element(x * x + 2 * x * y + y * y)) is None
     assert is_square(ring.element(x)) is None
     assert is_square(ring.element(2 * ring.zeta())) is None
+
+
+def test_is_power_known_answers():
+    ring = PolyRing(("a1", "a2"), 4)
+    a1, a2 = (ring.element(ring.var(v)) for v in ring.variables)
+    # valuations: a2 has degree 1 in a2, so it is no square; a1^2/a2^2 is
+    # left open, and a1^3/a2 has a2-degree -1, so it is no cube
+    assert is_power(a2, 2) is False
+    assert is_power(a1 * a1 / (a2 * a2), 2) is None
+    assert is_power(a1 ** 3 / a2, 3) is False
+    assert is_power(ring.element(-4), 2) is True  # -4 = (2i)^2
+    assert is_power(PolyRing((), 12).element(3), 2) is True
+    assert is_power(PolyRing((), 8).element(3), 2) is False
+    assert is_power(PolyRing((), 20).element(5), 2) is True
+    for conductor in (4, 12):
+        field = PolyRing((), conductor)
+        assert is_power(field.element(8), 3) is True
+        assert is_power(field.element(2), 3) is False
+        assert is_power(field.element(Fraction(-27, 8)), 3) is True
+    # 2i = (1 + i)^2, but only rational constants are decided
+    assert is_power(ring.element(2 * ring.zeta()), 2) is None
+    assert is_power(ring.element(ring.zeta()), 3) is None
+
+
+@pytest.mark.parametrize("conductor", [4, 12, 20])
+def test_is_power_of_rationals_matches_sympy_factorization(conductor):
+    # x^p - d has a root in Q(zeta_N) exactly when d is a p-th power there
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    field = sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / conductor))
+    ring = PolyRing((), conductor)
+    for p in (2, 3, 5):
+        for d in (2, -3, 5, 8, -27, 32, Fraction(27, 8), -243, 12):
+            target = x ** p - sympy.Rational(d.numerator, d.denominator)
+            factors = sympy.Poly(target, x, domain=field).factor_list()[1]
+            has_root = any(f.degree() == 1 for f, _ in factors)
+            assert is_power(ring.element(d), p) is has_root, (p, d)
 
 
 def test_json_roundtrip(ring):
@@ -674,3 +712,40 @@ def test_a_wrong_cached_lead_never_yields_a_quotient(operands, data):
             assert exact_divide(bad_num, b) is None
         except ExactFieldError as exc:
             assert "did not fall" in str(exc)
+
+
+@st.composite
+def power_bases(draw):
+    """A nonzero element of Q(zeta_N)(x, y), or a constant of Q(zeta_N) (a
+    rational one half the time), for N in {4, 8, 12, 20, 24}."""
+    conductor = draw(st.sampled_from([4, 8, 12, 20, 24]))
+    ring = PolyRing(("x", "y"), conductor)
+    size = euler_phi(conductor)
+
+    def cyc():
+        nums = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        return Cyc(conductor, nums, draw(st.integers(1, 3)))
+
+    kind = draw(st.sampled_from(["rational", "constant", "function"]))
+    x, y = ring.var("x"), ring.var("y")
+    den = ring.one()
+    if kind == "rational":
+        num = ring.scalar(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))))
+    elif kind == "constant":
+        num = ring.scalar(cyc())
+    else:
+        num = MultiPoly(ring, {(draw(st.integers(0, 2)), draw(st.integers(0, 2))): cyc()
+                               for _ in range(draw(st.integers(1, 3)))})
+        den = draw(st.sampled_from([ring.one(), x, x + y, x * y * y]))
+    if num.is_zero():
+        num = ring.one()
+    return FieldElement(num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_bases(), st.sampled_from([2, 3, 5]))
+def test_is_power_never_refuses_a_power(h, p):
+    verdict = is_power(h ** p, p)
+    assert verdict is not False
+    if h.is_scalar() and h.as_scalar().is_rational():
+        assert verdict is True
