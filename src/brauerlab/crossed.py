@@ -45,12 +45,19 @@ genuine al2 component is always rejected.  Norm-compatible instances with
 both components of b1 nonzero come from ``instance_from_symbol``, which
 realizes the crossed product inside a degree-2m symbol algebra.
 
+Galois norms go through the tower K > F(al1) > F: x s2(x) lies in F(al1),
+the product of its s1-images in F, and N_s1(x) in F(al2), so the last
+product of each computes only the grades its automorphisms fix (``mul``'s
+``keep``); the others are zero.  (a), (b), inverses and unit tests use them.
+Construction tests that u is a unit, N_K/F(u) != 0; u^-1 is taken when a
+product first needs c((0, 1), (k, 0)).
+
 Associativity is also what ``invertible_delta_power`` rests on: an algebra
 that passes (a) and (b) is power-associative, so delta^2m may be taken by
 squaring and a scalar delta^2m = d' makes d'^-1 delta^(2m-1) a two-sided
 inverse.  That function checks (a) and (b) itself, whatever the check level.
-With unit u, b1, b2 (u is inverted at construction, b1 and b2 have nonzero
-norms) it is a crossed product over the Galois F-algebra K with a unit
+With unit u, b1, b2 (all three have nonzero norms, u's tested at
+construction) it is a crossed product over the Galois F-algebra K with a unit
 factor set, so central simple.  If also x^2m - c' is irreducible (c' no p-th
 power for each prime p | 2m, Lang, Algebra, VI sec. 9; -4 = (1 + i)^4),
 F(gamma) is a degree-2m field, its own centralizer, and by Skolem-Noether
@@ -77,13 +84,23 @@ presentation of A_f (gamma^2m = c' in F*, rank 2m of the first 2m powers,
 delta gamma = zeta_2m gamma delta, delta^2m = d' in F*).  The acceptance
 layer runs both and ties them by c' = c^2 a2.  For f2 = 0, ``decompose``
 certifies a split into a degree-m symbol and a quaternion algebra.
+
+``cyclic_to_symbol`` solves delta gamma = zeta gamma delta, zeta = zeta_2m.
+With c' = gamma^2m in F*, conjugation by gamma has order dividing 2m, and
+delta_theta = sum_(i<2m) zeta^i gamma^i theta gamma^(2m-i) is 2m c' times the
+projection of theta onto its zeta-eigenspace E, the solutions (gamma^(2m-i)
+in place of gamma^-i keeps the coefficients polynomial).  With h = gamma^m
+and X_j = gamma^j theta gamma^(m-j), j < m, associativity gives the terms
+i = j and i = j + m as zeta^j X_j h and zeta^(j+m) h X_j = -zeta^j h X_j, so
+delta_theta = sum_(j<m) zeta^j (X_j h - h X_j): m products by gamma^(m-j)
+in place of 2m by gamma^(2m-i); h = c al2 is a K-scalar.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 from .checks import check, failing
@@ -210,12 +227,15 @@ class GradedAlgebra:
                 out[g] = s
         return out
 
-    def mul(self, x: dict, y: dict) -> dict:
+    def mul(self, x: dict, y: dict, keep=None) -> dict:
+        """x y; with ``keep``, a collection of grades, only those components."""
         C = self.coeffs
         out: dict = {}
         for g, a in x.items():
             for h, b in y.items():
                 gh, c = self.entry(g, h)
+                if keep is not None and gh not in keep:
+                    continue
                 coeff = C.mul(a, C.act(g, b))
                 if c is not None:
                     coeff = C.mul(coeff, c)
@@ -254,15 +274,16 @@ class GradedAlgebra:
         return C.scalar_of(x.get(unit, C.zero()))
 
     def scalar_product(self, x: dict, y: dict) -> FieldElement:
-        """The F-component of x y, in ``mul``'s order, from the only grade pairs
-        that reach the unit, (g, g^-1) with (k, l)^-1 = (-k, l) in Z/m x Z/2."""
-        C, parts = self.coeffs, []
+        """The F-component of x y, in ``mul``'s order, from the grade pairs that
+        the factor-set table sends to the unit, each by its F-component."""
+        C, unit, parts = self.coeffs, self.grades[0], []
         for g, a in x.items():
-            h = (-g[0] % self.m, g[1])
-            if h in y:
-                b, c = C.act(g, y[h]), self.entry(g, h)[1]
-                parts.append(C.scalar_product(*((a, b) if c is None else (C.mul(a, b), c))))
-        return reduce(operator.add, parts) if parts else self.ring.element(0)
+            for h, b in y.items():
+                gh, c = self.entry(g, h)
+                if gh == unit:
+                    b = C.act(g, b)
+                    parts.append(C.scalar_product(*((a, b) if c is None else (C.mul(a, b), c))))
+        return reduce(operator.add, parts) if parts else C.scalar_of(C.zero())
 
     def to_json(self, x: dict) -> dict:
         """x as {"g0,g1": coefficient json}, each grade written as its entries."""
@@ -344,28 +365,43 @@ class KummerField(GradedAlgebra):
     def act(self, g, x: KElem) -> KElem:
         return self.sigma(x, *g)
 
+    def norm(self, x: KElem, s: int) -> KElem:
+        """N_s1(x) in F(al2) for s = 1, x s2(x) in F(al1) for s = 2; the last
+        product computes only the fixed grades (module docstring)."""
+        if s == 2:
+            return self.mul(x, self.sigma(x, 0, 1), keep={(i, 0) for i in range(self.m)})
+        y = x
+        for k in range(1, self.m):
+            y = self.mul(y, self.sigma(x, k, 0), keep={(0, 0), (0, 1)} if k == self.m - 1 else None)
+        return y
+
+    def is_unit(self, x: KElem) -> bool:
+        """N_K/F(x) != 0, by the tower: y = x s2(x) (x itself when in F(al1)),
+        then N_s1(y) unless y is already in F."""
+        if any(j for _, j in x):
+            x = self.norm(x, 2)
+        return not self.is_zero(x if all(i == 0 for i, _ in x) else self.norm(x, 1))
+
     def inverse(self, x: KElem) -> KElem:
         """Invert by the norm-cofactor formula: the product of all nontrivial
-        Galois twists over the scalar norm.  Keeps fractions small, and the
-        norm is zero exactly when x is a zero divisor."""
+        Galois twists over the scalar norm, through the tower.  Keeps
+        fractions small, and the norm is zero exactly when x is a zero divisor."""
         if self.is_zero(x):
             raise CrossedError("division by zero in K")
         scalar = self.scalar_of(x)
         if scalar is not None:
             return self.scalar(scalar.inverse())
-        support = [key for key, c in x.items() if not c.is_zero()]
-        cofactor = self.one()
-        if all(i == 0 for i, _ in support):
+        conj = self.sigma(x, 0, 1)
+        if all(i == 0 for i, _ in x):
             # x in F(al2): conjugate over the quadratic subfield
-            cofactor = self.sigma(x, 0, 1)
+            cofactor, norm = conj, self.mul(x, conj, keep=(UNIT,))
         else:
-            for s1 in range(self.m):
-                for s2 in range(2):
-                    if s1 == 0 and s2 == 0:
-                        continue
-                    cofactor = self.mul(cofactor, self.sigma(x, s1, s2))
-        norm = self.scalar_of(self.mul(x, cofactor))
-        if norm is None or norm.is_zero():
+            # y = x s2(x) in F(al1), and the cofactor is s2(x) times y's s1-images
+            y = self.norm(x, 2)
+            rest = reduce(self.mul, [self.sigma(y, k, 0) for k in range(1, self.m)])
+            cofactor, norm = self.mul(conj, rest), self.mul(y, rest, keep=(UNIT,))
+        norm = self.scalar_of(norm)
+        if norm.is_zero():
             raise CrossedError("element of K is not invertible")
         inv = self.scale(cofactor, norm.inverse())
         if not self.equal(self.mul(x, inv), self.one()):
@@ -480,10 +516,15 @@ class CrossedAlgebra(GradedAlgebra):
         self.dim = 4 * self.m * self.m
         self.check_level = check
         self._norm_ok: Optional[bool] = None
-        # checked before u is inverted, so refused data costs no inverse
         if check == "full" and not self.norm_conditions_hold():
             raise CrossedError("associativity violated: incompatible (u, b1, b2)")
-        self._u_inv = K.inverse(self.u)
+        if not K.is_unit(u):
+            raise CrossedError("element of K is not invertible")
+
+    @cached_property
+    def u_inv(self) -> KElem:
+        """u^-1, taken when ``_rule`` first needs c((0, 1), (k, 0))."""
+        return self.K.inverse(self.u)
 
     def _rule(self, g, h) -> tuple:
         K = self.K
@@ -492,8 +533,8 @@ class CrossedAlgebra(GradedAlgebra):
         if l and k2:
             # z2 z1^k2 = C z1^k2 z2 with C = u^-1 s1(u^-1) ... s1^(k2-1)(u^-1),
             # which is c((0, 1), (k2, 0)); build it from the entry for k2 - 1
-            c = self._u_inv if k2 == 1 else K.mul(
-                self.entry((0, 1), (k2 - 1, 0))[1], K.sigma(self._u_inv, k2 - 1, 0))
+            c = self.u_inv if k2 == 1 else K.mul(
+                self.entry((0, 1), (k2 - 1, 0))[1], K.sigma(self.u_inv, k2 - 1, 0))
             c = K.sigma(c, k, 0)
         kk, ll = k + k2, l + l2
         if kk >= self.m:
@@ -529,13 +570,10 @@ class CrossedAlgebra(GradedAlgebra):
         exactly when this algebra is associative: m + 2 products in K on the
         first call, whose answer is kept for the fixed (u, b1, b2)."""
         if self._norm_ok is None:
-            K, u = self.K, self.u
-            norm = u
-            for i in range(1, self.m):
-                norm = K.mul(norm, K.sigma(u, i, 0))
+            K, u, b1, b2 = self.K, self.u, self.b1, self.b2
             self._norm_ok = (
-                K.equal(K.mul(norm, K.sigma(self.b1, 0, 1)), self.b1)
-                and K.equal(K.mul(K.mul(u, K.sigma(u, 0, 1)), self.b2), K.sigma(self.b2, 1, 0)))
+                K.equal(K.mul(K.norm(u, 1), K.sigma(b1, 0, 1)), b1)
+                and K.equal(K.mul(K.norm(u, 2), b2), K.sigma(b2, 1, 0)))
         return self._norm_ok
 
     # -- descriptions ------------------------------------------------------------
@@ -765,11 +803,7 @@ def _norm_one_splitter(A: CrossedAlgebra) -> tuple:
         for i in range(A.m):
             k = K.add(k, K.mul(prefix, K.sigma({key: one}, i, 0)))
             prefix = K.mul(prefix, K.sigma(A.u, i, 0))
-        if K.is_zero(k) or not K.equal(K.mul(A.u, K.sigma(k, 1, 0)), k):
-            continue
-        try:
-            K.inverse(k)
-        except CrossedError:
+        if K.is_zero(k) or not K.equal(K.mul(A.u, K.sigma(k, 1, 0)), k) or not K.is_unit(k):
             continue
         return K.scale(k, k[min(k)].inverse()), True
     return K.one(), False
@@ -969,18 +1003,24 @@ def _accept_delta(A: CrossedAlgebra, delta: dict, simple: bool) -> Optional[Fiel
     return A.scalar_product(*_power_factors(A, delta, 2 * A.m))
 
 
+def _projection(A: CrossedAlgebra, powers: list, theta: dict) -> dict:
+    """delta_theta from powers[i] = gamma^i, i <= m, as
+    sum_(j<m) zeta_2m^j (X_j h - h X_j) (module docstring)."""
+    m, zeta, h = A.m, A.K.zeta_2m, powers[A.m]
+    out = A.zero()
+    for j in range(m):
+        x = A.mul(A.mul(powers[j], theta), powers[m - j])
+        out = A.add(out, A.scale(A.add(A.mul(x, h), A.neg(A.mul(h, x))), zeta ** j))
+    return out
+
+
 def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
     """Find delta with delta gamma = zeta_2m gamma delta and return (c', d') = (gamma^2m, delta^2m).
 
-    With c' = gamma^2m in F*, conjugation by gamma has order dividing 2m, and
-
-        delta_theta = sum_(i<2m) zeta_2m^i gamma^i theta gamma^(2m-i)
-
-    is 2m c' times the projection of theta onto the zeta_2m-eigenspace E of
-    that conjugation, that is onto the solutions of the equation (gamma^(2m-i)
-    in place of gamma^-i keeps the coefficients polynomial).  E lies in the
-    z2-odd slice: gamma^m = c al2 with c in F*, so delta gamma^m = -gamma^m
-    delta forces delta al2 = -al2 delta.  So the projections of the z2-odd
+    delta_theta is the projection onto the eigenspace E of the module
+    docstring, taken by ``_projection``.  E lies in the z2-odd slice:
+    gamma^m = c al2 with c in F*, so delta gamma^m = -gamma^m delta forces
+    delta al2 = -al2 delta.  So the projections of the z2-odd
     monomials span E.  theta = z1 z2 is tried first, then the other z2-odd
     monomials in order, and the first delta_theta that ``_accept_delta``
     accepts wins: the first nonzero one when A is central simple and
@@ -988,9 +1028,8 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
     path and its evidence), else the first that ``invertible_delta_power``
     certifies.  In a division algebra E != 0 and every nonzero element is
     invertible, so the search misses nothing there; none accepted raises
-    CrossedError.  A that
-    fails the norm conditions is not associative and is refused before the
-    search.  The two gates that raise before it are recorded as checks,
+    CrossedError.  A that fails the norm conditions is not associative and
+    is refused before the search.  The two gates that raise before it are recorded as checks,
     gamma-power-2m-nonzero and gamma-min-poly-degree (a triangular pivot
     certificate gives the first 2m powers rank 2m), and c' is checked
     against gamma^m gamma^m.
@@ -1007,18 +1046,13 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
         raise CrossedError("gamma does not generate a degree-2m subfield")
     K, zeta = A.K, A.K.zeta_2m
     powers_c = {str(p): is_power(c_prime, p) for p in sorted(factorize(n))}
-    norm_b2 = reduce(K.mul, (K.sigma(A.b2, k, 0) for k in range(A.m)))
-    units = not (K.is_zero(K.mul(A.b1, K.sigma(A.b1, 0, 1))) or K.is_zero(norm_b2))
+    units = K.is_unit(A.b1) and K.is_unit(A.b2)
     simple = units and all(v is False for v in powers_c.values())
     one = A.ring.element(1)
     z1z2 = ((1, 1), UNIT)
     odd = [((k, 1), key) for k in range(A.m) for key in A.K.grades]
     for g, key in [z1z2] + [mono for mono in odd if mono != z1z2]:
-        theta = {g: {key: one}}
-        delta = A.zero()
-        for i in range(n):
-            term = A.mul(A.mul(powers[i], theta), powers[n - i])
-            delta = A.add(delta, A.scale(term, zeta ** i))
+        delta = _projection(A, powers, {g: {key: one}})
         d_prime = _accept_delta(A, delta, simple)
         if d_prime is not None:
             break

@@ -15,6 +15,10 @@ Computational Algebraic Number Theory, ch. 4).
 conductor-discriminant theorem, and builds the root from quadratic Gauss
 sums (Washington, Introduction to Cyclotomic Fields, ch. 4).
 
+A product by a rational scales coordinates (by 1 it returns the other
+factor): no convolution, no reduction mod Phi_N.  A sum or product over
+denominator 1 is in lowest terms as it stands and skips the gcd.
+
 ``DerivedOps`` holds subtraction, division and integer powers once for
 ``Cyc``, poly.MultiPoly and poly.FieldElement.
 """
@@ -289,7 +293,7 @@ class Cyc(DerivedOps):
             return NotImplemented
         da, db = self.den, o.den
         nums = [a * db + b * da for a, b in zip(self.nums, o.nums)]
-        return Cyc(self.conductor, nums, da * db)
+        return cyc_over(self.conductor, nums, da * db)
 
     __radd__ = __add__
 
@@ -300,6 +304,11 @@ class Cyc(DerivedOps):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        p, q = (self, o) if o.is_rational() else (o, self)
+        if q.is_rational():
+            if q.den == 1 and q.nums[0] == 1:
+                return p
+            return cyc_over(self.conductor, [a * q.nums[0] for a in p.nums], p.den * q.den)
         phi = len(self.nums)
         conv = [0] * (2 * phi - 1)
         for i, a in enumerate(self.nums):
@@ -308,7 +317,7 @@ class Cyc(DerivedOps):
             for j, b in enumerate(o.nums):
                 if b:
                     conv[i + j] += a * b
-        return Cyc(self.conductor, reduce_powers(conv, self.conductor), self.den * o.den)
+        return cyc_over(self.conductor, reduce_powers(conv, self.conductor), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -436,6 +445,13 @@ class Cyc(DerivedOps):
     @classmethod
     def from_json(cls, data: dict) -> "Cyc":
         return cls(data["conductor"], data["nums"], data["den"])
+
+
+def cyc_over(conductor: int, nums: list, den: int) -> Cyc:
+    """The Cyc sum nums[k] zeta^k / den, den > 0; over den 1 no gcd is taken."""
+    if den == 1:
+        return Cyc(conductor, tuple(nums), 1, _normalized=True)
+    return Cyc(conductor, nums, den)
 
 
 def _frac_str(q: Fraction) -> str:

@@ -16,7 +16,8 @@ an equal unit held by another object takes the general path to the same
 result.
 
 A product with a one-term factor (every scaling, and every product in a
-ring without variables) multiplies term by term.  A product of two longer
+ring without variables) multiplies term by term, and a coefficient-one
+factor only shifts exponents: no Cyc product.  A product of two longer
 polynomials writes each factor once as integer coordinate vectors over the
 lcm of its denominators, adds unreduced integer convolutions per output
 exponent, and reduces each sum mod Phi_N once, into one ``Cyc`` with one
@@ -52,7 +53,7 @@ from math import lcm
 from operator import add, sub
 from typing import Iterable, Optional, Union
 
-from .cyclotomic import Cyc, DerivedOps, ExactFieldError, euler_phi, reduce_powers
+from .cyclotomic import Cyc, DerivedOps, ExactFieldError, cyc_over, euler_phi, reduce_powers
 
 ScalarLike = Union[int, Fraction, Cyc]
 
@@ -241,9 +242,10 @@ class MultiPoly(DerivedOps):
         p, q = (self, o) if len(o.terms) == 1 else (o, self)
         if len(q.terms) == 1:
             ((eq, cq),) = q.terms.items()
+            one = cq.is_one()  # a coefficient-one monomial only shifts exponents
+            terms = {tuple(map(add, e, eq)): c if one else c * cq for e, c in p.terms.items()}
             lead = None if p._lead is None else tuple(map(add, p._lead, eq))
-            return MultiPoly._clean(
-                ring, {tuple(map(add, e, eq)): c * cq for e, c in p.terms.items()}, lead)
+            return MultiPoly._clean(ring, terms, lead)
         lead = tuple(map(add, self.leading_exponents(), o.leading_exponents()))
         n = ring.conductor
         size = 2 * euler_phi(n) - 1
@@ -260,7 +262,7 @@ class MultiPoly(DerivedOps):
         for e, conv in acc.items():
             nums = reduce_powers(conv, n)
             if any(nums):
-                terms[e] = Cyc(n, nums, dp * dq)
+                terms[e] = cyc_over(n, nums, dp * dq)
         return MultiPoly._clean(ring, terms, lead)
 
     __rmul__ = __mul__

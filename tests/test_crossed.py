@@ -1,11 +1,17 @@
 import itertools
+import random
 from fractions import Fraction
+from functools import lru_cache
 
+import kummer_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauerlab import crossed
 from brauerlab.acceptance import decomposition_certificate, seeded_symbol_instances
 from brauerlab.crossed import (
+    UNIT,
     CrossedAlgebra,
     CrossedError,
     GradedTensor,
@@ -144,6 +150,38 @@ def test_graded_tensor_one_is_a_two_sided_unit():
         GradedTensor(SymbolAlgebra(ring, 1, 1, 2), SymbolAlgebra(PolyRing((), 8), 1, 1, 2))
 
 
+def random_element(A, rng, ring, grades=3):
+    """An element of A with small integer coefficients on a few grades."""
+    def coeff():
+        return ring.element(rng.choice((-2, -1, 1, 3)))
+
+    def part():
+        if isinstance(A.coeffs, KummerField):
+            return {key: coeff() for key in rng.sample(A.coeffs.grades, 2)}
+        return coeff()
+
+    return {g: part() for g in rng.sample(A.grades, grades)}
+
+
+def test_scalar_product_is_the_unit_component_of_mul():
+    # each factor's partner grade comes from the factor-set table: in
+    # Z/3 x Z/3 the inverse of (k, l) is (-k, -l), and a tensor product is
+    # graded by pairs
+    ring = standard_ring(3, ())
+    S = SymbolAlgebra(ring, 2, 3, 3)
+    x, y = S.add(S.x(), S.y()), S.add(S.x(2), S.y(2))
+    assert S.scalar_product(x, y) == ring.element(5) == S.mul(x, y)[UNIT]
+    T = GradedTensor(S, SymbolAlgebra(ring, 3, 5, 2))
+    A = instance_from_symbol(3, 3, 5, 2, 1, ring=ring, check="full")
+    rng = random.Random(30)
+    for B, field_part in ((S, lambda c: c), (T, lambda c: c),
+                          (A, lambda c: c.get(UNIT, ring.element(0)))):
+        zero = B.coeffs.zero()
+        for _ in range(10):
+            x, y = random_element(B, rng, ring), random_element(B, rng, ring)
+            assert B.scalar_product(x, y) == field_part(B.mul(x, y).get(B.grades[0], zero))
+
+
 def test_equal_rings_are_one_ring():
     # a ring built again is the same object, so its elements are accepted
     # wherever the first ring's are
@@ -185,6 +223,49 @@ def test_kummer_zero_divisor_rejected():
     bad = K.from_pair(ring.element(-2), ring.element(1))
     with pytest.raises(CrossedError, match="not invertible"):
         K.inverse(bad)
+    assert not K.is_unit(bad) and K.is_unit(K.from_pair(ring.element(-3), ring.element(1)))
+
+
+@st.composite
+def kummer_cases(draw):
+    """(K, x): K at m = 2, 3 or 4 over a constant ring or over Q(zeta)(x, y),
+    with split parameters allowed, and x with polynomial coefficients."""
+    m, symbolic = draw(st.sampled_from([2, 3, 4])), draw(st.booleans())
+    ring = PolyRing(("x", "y"), common_conductor(m)) if symbolic else standard_ring(m, ())
+    if symbolic:
+        X, Y = ring.var("x"), ring.var("y")
+        a1, a2 = draw(st.sampled_from([(X, Y), (X, 4), (4, Y), (Y + 1, X)]))
+        coeffs = st.sampled_from([0, 0, 0, 1, -2, X, Y + 1, X * Y - 3])
+    else:
+        a1, a2 = (draw(st.sampled_from([2, 3, 4, -1, 5, 9])) for _ in range(2))
+        coeffs = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+    K = KummerField(ring, m, a1, a2)
+    x = {key: ring.element(draw(coeffs)) for key in K.grades}
+    return K, {key: c for key, c in x.items() if not c.is_zero()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kummer_cases())
+def test_tower_inverse_matches_all_twists(case):
+    K, x = case
+    try:
+        expected = kummer_oracle.inverse(K, x)
+    except CrossedError as exc:
+        with pytest.raises(CrossedError, match=str(exc)):
+            K.inverse(x)
+        return
+    got = K.inverse(x)
+    assert K.equal(got, expected) and K.to_json(got) == K.to_json(expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kummer_cases())
+def test_tower_norms_match_whole_products(case):
+    K, x = case
+    for got, expected in ((K.norm(x, 1), kummer_oracle.s1_norm(K, x)),
+                          (K.norm(x, 2), kummer_oracle.s2_norm(K, x))):
+        assert K.equal(got, expected) and K.to_json(got) == K.to_json(expected)
+    assert K.is_unit(x) == (not K.is_zero(kummer_oracle.field_norm(K, x)))
 
 
 # ---------------------------------------------------------------- multiplication law
@@ -409,8 +490,8 @@ def test_cocycle_check_agrees_with_brute_force_full():
 
 
 def test_rejected_data_is_not_inverted(monkeypatch):
-    # the norm conditions are checked before u is inverted, so the four
-    # perturbations are refused without a single inverse in K
+    # construction tests N(u) != 0 and leaves u^-1 to its first use, so the
+    # four perturbations are refused without a single inverse in K
     base = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="none")
     calls = []
     inverse = KummerField.inverse
@@ -422,14 +503,42 @@ def test_rejected_data_is_not_inverted(monkeypatch):
     monkeypatch.setattr(KummerField, "inverse", counting_inverse)
     for data in perturbed_data(base)[1:]:
         assert not accepted(base.K, data, "full")
-    assert calls == []
-    # a non-unit u is still refused, at every check level
+    # a non-unit u is still refused at construction, at every check level and
+    # with the same error as when it was inverted there: at "none" by
+    # N(u) = 0, at "full" by (a) first, which with b1 != 0 needs
+    # N_s1(u) = b1 / s2(b1), a unit
     ring = rational_ring()
     K = KummerField(ring, 2, ring.element(3), ring.element(4))
     bad = K.from_pair(ring.element(-2), ring.element(1))
-    for level in ("full", "none"):
-        with pytest.raises(CrossedError):
+    for level, error in (("none", "element of K is not invertible"),
+                         ("full", "associativity violated")):
+        with pytest.raises(CrossedError, match=error):
             CrossedAlgebra(K, bad, K.one(), K.one(), check=level)
+    assert calls == []
+
+
+def test_u_is_inverted_once_per_decomposition_certificate(monkeypatch):
+    # only a product that needs z2 z1^k (the symbol presentation of A_f)
+    # inverts u; A, the twist and the A_f of decompose never do
+    inverted = []
+    inverse = KummerField.inverse
+
+    def counting_inverse(self, x):
+        inverted.append(x)
+        return inverse(self, x)
+
+    generic = symbolic_ring(2)
+    for m, data, ring in ((2, (3, 5, 2, 1), rational_ring()), (2, symbolic_gens(generic), generic),
+                          (3, (3, 5, 2, 1), standard_ring(3, ()))):
+        A = instance_from_symbol(m, *data, ring=ring, check="full")
+        assert "u_inv" not in vars(A)
+        monkeypatch.setattr(KummerField, "inverse", counting_inverse)
+        inverted.clear()
+        cert = decomposition_certificate(A)
+        monkeypatch.undo()
+        assert cert.ok and cert.branch == "generic"
+        assert len(inverted) == 1 and A.K.equal(inverted[0], A.u)
+        assert "u_inv" not in vars(A) and "u_inv" in vars(cert.twisted)
 
 
 def test_cocycle_check_agrees_with_brute_force_cyclic():
@@ -581,6 +690,53 @@ def test_tensor_brauer_inherits_only_passing_verdicts(monkeypatch, m):
     assert verdicts == {(True, True), (False, True), (False, False)}
 
 
+def drawn_instance(draw, m):
+    """An instance_from_symbol algebra at check level none, over the generic
+    ring or a constant ring with drawn parameters; None when they degenerate."""
+    if draw(st.booleans()):
+        return generic_instance(m)
+    params = [draw(st.sampled_from([-3, 2, 3, 5, 7])) for _ in range(4)]
+    try:
+        return instance_from_symbol(m, *params, ring=standard_ring(m, ()), check="none")
+    except CrossedError:
+        return None
+
+
+@lru_cache(maxsize=None)
+def generic_instance(m):
+    ring = symbolic_ring(m)
+    return instance_from_symbol(m, *symbolic_gens(ring), ring=ring, check="none")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_norm_conditions_match_whole_products(m, data):
+    A = drawn_instance(data.draw, m)
+    if A is not None:
+        A = CrossedAlgebra(A.K, *data.draw(st.sampled_from(perturbed_data(A))), check="none")
+        assert A.norm_conditions_hold() == kummer_oracle.norm_conditions_hold(A)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.data(), st.integers(0, 10 ** 6))
+def test_regrouped_projection_matches_the_2m_term_sum(m, data, pick):
+    # on A_f and gamma as decompose hands them to cyclic_to_symbol; the
+    # regrouping needs only associativity, so any theta does, and over a
+    # constant ring any gamma (there a random term is added to it)
+    A = drawn_instance(data.draw, m)
+    cert = None if A is None else decompose(A)
+    if cert is None or cert.twisted is None:
+        return
+    A, gamma = cert.twisted, cert.gamma
+    rng = random.Random(pick)
+    if pick % 2 and not A.ring.variables:
+        gamma = A.add(gamma, random_element(A, rng, A.ring, grades=1))
+    theta = random_element(A, rng, A.ring)
+    got = crossed._projection(A, crossed._powers(A, gamma, A.m), theta)
+    expected = kummer_oracle.projection(A, gamma, theta)
+    assert A.equal(got, expected) and A.to_json(got) == A.to_json(expected)
+
+
 def test_tensor_mismatched_data():
     ring = rational_ring()
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=ring, check="none")
@@ -703,15 +859,17 @@ def test_one_decomposition_certificate_multiplication_budget(monkeypatch, m, bud
     # gamma^m once in decompose (m - 1 products), then cyclic_to_symbol's
     # powers, delta search, delta^2m and its checks: no power is taken twice,
     # and the last product of delta^2m is only its F-component (18 / 26 / 33
-    # products when it was taken whole)
+    # products when it was taken whole).  The projection takes 4m products
+    # either way: the 2m-term sum 2m by theta and 2m by gamma^(2m-i), the
+    # regrouped one m by theta, m by gamma^(m-j) and 2m by the K-scalar h
     A = instance_from_symbol(m, 3, 5, 2, 1, ring=standard_ring(m, ()), check="full")
     calls = []
     mul = crossed.GradedAlgebra.mul
 
-    def counted_mul(self, x, y):
+    def counted_mul(self, x, y, keep=None):
         if isinstance(self, CrossedAlgebra):
             calls.append(self)
-        return mul(self, x, y)
+        return mul(self, x, y, keep=keep)
 
     monkeypatch.setattr(crossed.GradedAlgebra, "mul", counted_mul)
     assert decomposition_certificate(A).ok
@@ -774,9 +932,10 @@ def test_work_budget_of_exact_scalars(monkeypatch):
     counts = _count_scalar_work(monkeypatch)
     cert = decomposition_certificate(A)
     assert cert.ok and cert.branch == "generic"
-    # 183 when the last product of delta^4 was taken whole
-    assert counts["cyc_mul"] <= 159
-    assert counts["cyc_init"] <= 302
+    # 183 when the last product of delta^4 was taken whole, 159 before the
+    # tower norms, lazy u^-1 and unit-free scalar products (302 constructions)
+    assert counts["cyc_mul"] <= 144
+    assert counts["cyc_init"] <= 247
     # a ring without variables has one-term polynomials only
     assert counts["poly_mul"] == 0
     assert counts["divide"] == counts["hits"] == 0
@@ -784,22 +943,26 @@ def test_work_budget_of_exact_scalars(monkeypatch):
     gens = symbolic_gens(ring)
     counts.update(dict.fromkeys(counts, 0))
     instance_from_symbol(2, *gens, ring=ring, check="full")
-    assert counts["cyc_mul"] <= 105
-    assert counts["cyc_init"] <= 298
-    assert counts["poly_mul"] <= 23
-    assert counts["divide"] <= 56
-    assert counts["hits"] == 8
+    # 105, 298, 23, 56 and 8 when construction inverted u: of its two hits,
+    # u s2(u) collapsing to the norm is still taken by the unit test, and
+    # u u^-1 collapsing to 1 is gone with the inverse
+    assert counts["cyc_mul"] <= 44
+    assert counts["cyc_init"] <= 174
+    assert counts["poly_mul"] <= 14
+    assert counts["divide"] <= 44
+    assert counts["hits"] == 7
 
 
 def test_work_budget_of_the_symbolic_certificate(monkeypatch):
     # the generic degree-4 certificate over Q(i)(a1, a2, t, lam): 689 Cyc
-    # products when the last product of delta^4 was taken whole
+    # products when the last product of delta^4 was taken whole, 514 before
+    # the tower norms, lazy u^-1 and unit-free scalar products
     ring = symbolic_ring(2)
     A = instance_from_symbol(2, *symbolic_gens(ring), ring=ring, check="full")
     counts = _count_scalar_work(monkeypatch)
     cert = decomposition_certificate(A)
     assert cert.ok and cert.branch == "generic"
-    assert counts["cyc_mul"] <= 514
+    assert counts["cyc_mul"] <= 196
 
 
 def test_decompose_f1_zero_cyclic():
