@@ -16,8 +16,8 @@ conductor-discriminant theorem, and builds the root from quadratic Gauss
 sums (Washington, Introduction to Cyclotomic Fields, ch. 4).
 
 A product by a rational scales coordinates (by 1 it returns the other
-factor): no convolution, no reduction mod Phi_N.  A sum or product over
-denominator 1 is in lowest terms as it stands and skips the gcd.
+factor): no convolution, no reduction mod Phi_N.  Normalization is one
+C-level gcd over the denominator and every coordinate.
 
 ``DerivedOps`` holds subtraction, division and integer powers once for
 ``Cyc``, poly.MultiPoly and poly.FieldElement.
@@ -125,8 +125,8 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def reduce_powers(conv: list[int], n: int) -> list[int]:
-    """The power-basis coordinates of sum conv[k] zeta_n^k, k < 2 phi(n) - 1."""
-    phi = euler_phi(n)
+    """The power-basis coordinates of sum conv[k] zeta_n^k, len(conv) = 2 phi(n) - 1."""
+    phi = (len(conv) + 1) // 2
     rows = _power_rows(n)
     nums = conv[:phi]
     for k in range(phi, len(conv)):
@@ -205,11 +205,7 @@ class Cyc(DerivedOps):
         if den < 0:
             den = -den
             nums = [-a for a in nums]
-        g = den
-        for a in nums:
-            g = gcd(g, a)
-            if g == 1:
-                break
+        g = gcd(den, *nums)
         if g > 1:
             den //= g
             nums = [a // g for a in nums]
@@ -447,11 +443,13 @@ class Cyc(DerivedOps):
         return cls(data["conductor"], data["nums"], data["den"])
 
 
-def cyc_over(conductor: int, nums: list, den: int) -> Cyc:
-    """The Cyc sum nums[k] zeta^k / den, den > 0; over den 1 no gcd is taken."""
-    if den == 1:
-        return Cyc(conductor, tuple(nums), 1, _normalized=True)
-    return Cyc(conductor, nums, den)
+def cyc_over(conductor: int, nums, den: int) -> Cyc:
+    """The Cyc sum nums[k] zeta^k / den in lowest terms, for phi(conductor)
+    integers nums over den > 0."""
+    g = gcd(den, *nums)
+    if g > 1:
+        nums, den = [a // g for a in nums], den // g
+    return Cyc(conductor, tuple(nums), den, _normalized=True)
 
 
 def _frac_str(q: Fraction) -> str:

@@ -2,29 +2,33 @@
 
 A ``PolyRing`` fixes the variable names and the cyclotomic conductor once;
 there is one ring per (variables, conductor), so ring equality is identity.
-Mixing rings is an error rather than a silent coercion.  Monomials are
-exponent tuples in graded reverse lexicographic order everywhere.  A
-polynomial's ``terms`` are never changed after construction, so polynomials
-are shared rather than copied.  Each ring holds one unit polynomial,
-``PolyRing.one()``; a product with it returns the other factor.  A
-polynomial keeps its leading exponent once known, and a product, a scaling
-and a negation carry it (a product with a one-term factor only when the
-other factor's is known): lead(p*q) = lead(p) + lead(q) under a monomial
-order over a domain (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-ch. 2 sec. 2).  The unit shortcuts test identity with ``PolyRing.one()``;
-an equal unit held by another object takes the general path to the same
-result.
+Mixing rings is an error rather than a silent coercion, and so is a
+coefficient of another conductor.
 
-A product with a one-term factor (every scaling, and every product in a
-ring without variables) multiplies term by term, and a coefficient-one
-factor only shifts exponents: no Cyc product.  A product of two longer
-polynomials writes each factor once as integer coordinate vectors over the
-lcm of its denominators, adds unreduced integer convolutions per output
-exponent, and reduces each sum mod Phi_N once, into one ``Cyc`` with one
-gcd (the design of FLINT's fmpq_poly).  ``exact_divide`` refuses before
-copying anything when lead(den) does not divide lead(num), and otherwise
-subtracts c*x^d*den from one remainder dict in place (Monagan and Pearce,
-J. Symbolic Comput. 46 (2011), without their heap).
+A ``MultiPoly`` is {packed monomial: tuple of phi(N) ints} over one positive
+denominator d with gcd(d, every coordinate) = 1, the layout of FLINT's
+fmpq_poly.  Exponents e of n variables pack into deg(e)*W^n - sum e_i*W^i,
+W = 2^32: integer order is grevlex order and integer addition is the
+monomial product (Monagan and Pearce, CASC 2007).  A total degree of 2^31 or
+more raises ExactFieldError, so the top bit of every field stays clear.
+``terms`` is an {exponent tuple: Cyc} view built on each access.  Nothing is
+changed after construction, so polynomials are shared rather than copied.
+A product with the ring's one unit polynomial, ``PolyRing.one()`` (tested by
+identity), returns the other factor.
+
+A polynomial caches its leading monomial once known; a product always knows
+it, lead(p*q) = lead(p) + lead(q) under a monomial order over a domain
+(Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sec. 2).  A
+product with a one-term factor of rational coefficient scales coordinates,
+or with coefficient 1 only shifts keys.  Any other product adds unreduced
+integer convolutions per output monomial and reduces each mod Phi_N once.
+A product or a sum (over aligned denominators) ends with one gcd pass.
+
+``exact_divide`` refuses before copying anything when lead(den) does not
+divide lead(num): then lead(den) - lead(num) has the top bit of some field
+set.  Otherwise it makes den monic and subtracts c*x^d*den from one
+remainder in place, through rows zeta^i * (a term of den) built once
+(Monagan and Pearce, J. Symbolic Comput. 46 (2011), without their heap).
 
 ``FieldElement`` is a quotient num/den of polynomials with no gcd machinery.
 Normal form: den has leading coefficient 1, and it is the unit or does not
@@ -49,44 +53,33 @@ every other element is left undecided.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add, sub
+from itertools import chain
+from math import gcd, lcm
+from operator import add, neg
+from struct import Struct
 from typing import Iterable, Optional, Union
 
-from .cyclotomic import Cyc, DerivedOps, ExactFieldError, cyc_over, euler_phi, reduce_powers
+from .cyclotomic import (Cyc, DerivedOps, ExactFieldError, cyc_over, cyclotomic_polynomial,
+                         euler_phi, reduce_powers)
 
 ScalarLike = Union[int, Fraction, Cyc]
 
-
-def _grevlex_key(exps: tuple[int, ...]):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def _integer_form(p: "MultiPoly"):
-    # (D, [(exponents, [(k, a_k) for nonzero a_k])]): p's coefficients as
-    # integer coordinate vectors over D, the lcm of their denominators
-    den = lcm(*(c.den for c in p.terms.values()))
-    return den, [(e, [(k, a * (den // c.den)) for k, a in enumerate(c.nums) if a])
-                 for e, c in p.terms.items()]
+_BITS = 32  # width of one exponent field in a packed monomial
+_MAX_DEGREE = (1 << (_BITS - 1)) - 1  # keeps each field's top (guard) bit clear
 
 
-def _add_into(terms: dict, items) -> dict:
-    # terms[e] += c for each nonzero (e, c), deleting the sums that vanish
-    for e, c in items:
-        old = terms.get(e)
-        if old is None:
-            terms[e] = c
-        elif (c := old + c).is_zero():
-            del terms[e]
-        else:
-            terms[e] = c
-    return terms
+def _lowest_terms(ring: "PolyRing", coeffs: dict, den: int, lead=None) -> "MultiPoly":
+    # coeffs {key: nonzero tuple} over den > 0: one gcd pass over all of them
+    if den != 1 and (g := gcd(den, *chain.from_iterable(coeffs.values()))) > 1:
+        den //= g
+        coeffs = {k: tuple(a // g for a in v) for k, v in coeffs.items()}
+    return MultiPoly._make(ring, coeffs, den, lead)
 
 
 class PolyRing:
     """Variable names plus a cyclotomic conductor; one shared object per key."""
 
-    __slots__ = ("variables", "conductor", "_index", "_one")
+    __slots__ = ("variables", "conductor", "_index", "_one", "_phi", "_fields", "_shift", "_guard")
     _rings: dict = {}  # (variables, conductor) -> the one PolyRing with that key
 
     def __new__(cls, variables: Iterable[str], conductor: int = 1):
@@ -103,10 +96,24 @@ class PolyRing:
         ring.variables = variables
         ring.conductor = conductor
         ring._index = {name: k for k, name in enumerate(variables)}
-        origin = (0,) * len(variables)
-        ring._one = MultiPoly._clean(ring, {origin: Cyc.one(conductor)}, origin)
+        ring._phi = euler_phi(conductor)
+        ring._fields = Struct(f"<{len(variables)}I")  # one exponent per 32-bit field
+        ring._shift = _BITS * len(variables)
+        ring._guard = sum(1 << (_BITS * i + _BITS - 1) for i in range(len(variables)))
+        ring._one = MultiPoly._make(ring, {0: (1,) + (0,) * (ring._phi - 1)}, 1, 0)
         cls._rings[(variables, conductor)] = ring
         return ring
+
+    def _pack(self, exps) -> int:
+        if len(exps) != len(self.variables) or min(exps, default=0) < 0:
+            raise ValueError(f"bad exponents for {self}: {exps!r}")
+        if sum(exps) > _MAX_DEGREE:
+            raise ExactFieldError("total degree past the packed exponent width")
+        return (sum(exps) << self._shift) - int.from_bytes(self._fields.pack(*exps), "little")
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        rest = (-(-key >> self._shift) << self._shift) - key  # deg(e)*W^n - key
+        return self._fields.unpack(rest.to_bytes(self._fields.size, "little"))
 
     def var_index(self, name: str) -> int:
         if name not in self._index:
@@ -114,7 +121,7 @@ class PolyRing:
         return self._index[name]
 
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
+        return MultiPoly._make(self, {}, 1)
 
     def one(self) -> "MultiPoly":
         """The ring's unit polynomial, one shared object."""
@@ -122,17 +129,18 @@ class PolyRing:
 
     def scalar(self, value: ScalarLike) -> "MultiPoly":
         if not isinstance(value, Cyc):
-            c = Cyc.rational(Fraction(value), self.conductor)
+            q = value if isinstance(value, int) else Fraction(value)
+            nums, den = (q.numerator,) + (0,) * (self._phi - 1), q.denominator
         elif self.conductor % value.conductor == 0:
             c = value.lift(self.conductor)
+            nums, den = c.nums, c.den
         else:
             raise ValueError("scalar conductor does not divide ring conductor")
-        if c.is_zero():
-            return MultiPoly(self, {})
-        if c.is_one():
+        if not any(nums):
+            return self.zero()
+        if den == 1 and nums == self._one.coeffs[0]:
             return self._one
-        origin = (0,) * len(self.variables)
-        return MultiPoly._clean(self, {origin: c}, origin)
+        return MultiPoly._make(self, {0: nums}, den, 0)
 
     def zeta(self, power: int = 1) -> "MultiPoly":
         return self.scalar(Cyc.zeta(self.conductor, power))
@@ -140,7 +148,8 @@ class PolyRing:
     def var(self, name: str) -> "MultiPoly":
         exps = [0] * len(self.variables)
         exps[self.var_index(name)] = 1
-        return MultiPoly(self, {tuple(exps): Cyc.one(self.conductor)})
+        key = self._pack(exps)
+        return MultiPoly._make(self, {key: self._one.coeffs[0]}, 1, key)
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -156,55 +165,76 @@ class PolyRing:
 
 
 class MultiPoly(DerivedOps):
-    """Sparse polynomial {exponents: nonzero Cyc}; ``terms`` is never mutated."""
+    """Sparse polynomial {packed monomial: coordinates} over one denominator;
+    ``coeffs`` is never mutated."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "coeffs", "denom", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
+        # terms {exponent tuple: Cyc of the ring's conductor}; zeros are dropped
+        for c in terms.values():
+            if not isinstance(c, Cyc) or c.conductor != ring.conductor:
+                raise ValueError(f"coefficient {c!r} is not in Q(zeta_{ring.conductor})")
+        live = {e: c for e, c in terms.items() if not c.is_zero()}
+        # over the lcm of lowest-terms denominators the gcd is already 1
+        denom = lcm(*(c.den for c in live.values()))
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self.coeffs = {ring._pack(e): tuple(a * (denom // c.den) for a in c.nums)
+                       for e, c in live.items()}
+        self.denom = denom
         self._lead = None
 
     @classmethod
-    def _clean(cls, ring: PolyRing, terms: dict, lead=None) -> "MultiPoly":
-        # terms already free of zero coefficients; lead is their leading
-        # exponent, or None when not known yet
+    def _make(cls, ring: PolyRing, coeffs: dict, denom: int, lead=None) -> "MultiPoly":
+        # coeffs {key: nonzero tuple} over denom, in lowest terms; lead is their
+        # largest key, or None when not known yet
         p = object.__new__(cls)
         p.ring = ring
-        p.terms = terms
+        p.coeffs = coeffs
+        p.denom = denom
         p._lead = lead
         return p
 
     # -- views -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Cyc}, built on each access."""
+        ring, n, d = self.ring, self.ring.conductor, self.denom
+        return {ring._unpack(k): cyc_over(n, v, d) for k, v in self.coeffs.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_scalar(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.coeffs)  # only the constant monomial packs to 0
 
     def is_one(self) -> bool:
         if self is self.ring._one:
             return True
-        return self.is_scalar() and self.as_scalar().is_one()
+        return self.denom == 1 and self.coeffs == self.ring._one.coeffs
 
     def as_scalar(self) -> Cyc:
         if self.is_zero():
             return Cyc.zero(self.ring.conductor)
         if not self.is_scalar():
             raise ExactFieldError("polynomial is not a scalar")
-        return self.terms[(0,) * len(self.ring.variables)]
+        return cyc_over(self.ring.conductor, self.coeffs[0], self.denom)
 
-    def leading_exponents(self) -> tuple[int, ...]:
+    def _leading_key(self) -> int:
         lead = self._lead
         if lead is None:
-            if self.is_zero():
+            if not self.coeffs:
                 raise ExactFieldError("zero polynomial has no leading term")
-            lead = self._lead = max(self.terms, key=_grevlex_key)
+            lead = self._lead = max(self.coeffs)
         return lead
 
     def leading_coefficient(self) -> Cyc:
-        return self.terms[self.leading_exponents()]
+        return cyc_over(self.ring.conductor, self.coeffs[self._leading_key()], self.denom)
+
+    def _is_monic(self) -> bool:
+        v = self.coeffs[self._leading_key()]
+        return v[0] == self.denom and not any(v[1:])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -221,12 +251,28 @@ class MultiPoly(DerivedOps):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return MultiPoly._clean(self.ring, _add_into(dict(self.terms), o.terms.items()))
+        d1, d2 = self.denom, o.denom
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        coeffs = dict(self.coeffs) if s1 == 1 else {
+            k: tuple(a * s1 for a in v) for k, v in self.coeffs.items()}
+        for k, w in o.coeffs.items():
+            if s2 != 1:
+                w = tuple(b * s2 for b in w)
+            v = coeffs.get(k)
+            if v is None:
+                coeffs[k] = w
+            elif any(w := tuple(map(add, v, w))):
+                coeffs[k] = w
+            else:
+                del coeffs[k]
+        return _lowest_terms(self.ring, coeffs, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._clean(self.ring, {e: -c for e, c in self.terms.items()}, self._lead)
+        return MultiPoly._make(self.ring, {k: tuple(map(neg, v)) for k, v in self.coeffs.items()},
+                               self.denom, self._lead)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -237,33 +283,39 @@ class MultiPoly(DerivedOps):
             return self
         if self is ring._one:
             return o
-        if not self.terms or not o.terms:
-            return MultiPoly._clean(ring, {})
-        p, q = (self, o) if len(o.terms) == 1 else (o, self)
-        if len(q.terms) == 1:
-            ((eq, cq),) = q.terms.items()
-            one = cq.is_one()  # a coefficient-one monomial only shifts exponents
-            terms = {tuple(map(add, e, eq)): c if one else c * cq for e, c in p.terms.items()}
-            lead = None if p._lead is None else tuple(map(add, p._lead, eq))
-            return MultiPoly._clean(ring, terms, lead)
-        lead = tuple(map(add, self.leading_exponents(), o.leading_exponents()))
-        n = ring.conductor
-        size = 2 * euler_phi(n) - 1
-        (dp, xs), (dq, ys) = _integer_form(p), _integer_form(q)
+        if not self.coeffs or not o.coeffs:
+            return ring.zero()
+        lead = self._leading_key() + o._leading_key()
+        if lead > _MAX_DEGREE << ring._shift:  # the largest key of that degree
+            raise ExactFieldError("total degree past the packed exponent width")
+        for p, q in ((self, o), (o, self)):
+            if len(q.coeffs) == 1:
+                ((shift, w),) = q.coeffs.items()
+                if any(w[1:]):
+                    continue
+                # a monomial with a rational coefficient c scales coordinates,
+                # and with c = 1 only shifts keys
+                if (c := w[0]) == 1 and q.denom == 1:
+                    return MultiPoly._make(ring, {k + shift: v for k, v in p.coeffs.items()},
+                                           p.denom, lead)
+                return _lowest_terms(ring, {k + shift: tuple(a * c for a in v)
+                                            for k, v in p.coeffs.items()}, p.denom * q.denom, lead)
+        size = 2 * ring._phi - 1
+        xs = [(k, [(i, a) for i, a in enumerate(v) if a]) for k, v in self.coeffs.items()]
+        ys = [(k, [(j, b) for j, b in enumerate(v) if b]) for k, v in o.coeffs.items()]
         acc: dict = {}
-        for e1, v1 in xs:
-            for e2, v2 in ys:
-                e = tuple(map(add, e1, e2))
-                conv = acc.get(e) or acc.setdefault(e, [0] * size)
+        for k1, v1 in xs:
+            for k2, v2 in ys:
+                conv = acc.get(k := k1 + k2) or acc.setdefault(k, [0] * size)
                 for i, a in v1:
                     for j, b in v2:
                         conv[i + j] += a * b
-        terms = {}
-        for e, conv in acc.items():
-            nums = reduce_powers(conv, n)
+        coeffs = {}
+        for k, conv in acc.items():
+            nums = reduce_powers(conv, ring.conductor)
             if any(nums):
-                terms[e] = cyc_over(n, nums, dp * dq)
-        return MultiPoly._clean(ring, terms, lead)
+                coeffs[k] = tuple(nums)
+        return _lowest_terms(ring, coeffs, self.denom * o.denom, lead)
 
     __rmul__ = __mul__
 
@@ -282,18 +334,20 @@ class MultiPoly(DerivedOps):
             other = self.ring.scalar(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
+        return (self.ring is other.ring and self.denom == other.denom
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.denom, frozenset(self.coeffs.items())))
 
     def __str__(self):
         if self.is_zero():
             return "0"
         names = self.ring.variables
+        terms = self.terms
         parts = []
-        for e in sorted(self.terms, key=_grevlex_key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, key=self.ring._pack, reverse=True):
+            c = terms[e]
             mon = "*".join(
                 name if p == 1 else f"{name}^{p}"
                 for name, p in zip(names, e)
@@ -321,13 +375,13 @@ class MultiPoly(DerivedOps):
         return f"MultiPoly({self})"
 
     def to_json(self) -> dict:
-        return {
-            "vars": list(self.ring.variables),
-            "conductor": self.ring.conductor,
-            "terms": {
-                ",".join(map(str, e)): c.to_json() for e, c in self.terms.items()
-            },
-        }
+        ring, n, d = self.ring, self.ring.conductor, self.denom
+        terms = {}
+        for k, v in self.coeffs.items():
+            g = gcd(d, *v)  # each coefficient in lowest terms, as Cyc.to_json writes it
+            terms[",".join(map(str, ring._unpack(k)))] = {
+                "conductor": n, "den": d // g, "nums": [a // g for a in v] if g > 1 else list(v)}
+        return {"vars": list(ring.variables), "conductor": n, "terms": terms}
 
     @classmethod
     def from_json(cls, ring: PolyRing, data: dict) -> "MultiPoly":
@@ -343,32 +397,66 @@ class MultiPoly(DerivedOps):
 def exact_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
     """num / den when the division is exact in the polynomial ring, else None.
 
-    Raises ExactFieldError when the remainder's leading exponent fails to
-    fall in grevlex order, which only a wrong cached leading exponent causes.
+    Raises ExactFieldError when the remainder's leading monomial fails to
+    fall in grevlex order, which only a wrong cached leading monomial causes.
     """
+    if num.ring is not den.ring:
+        raise ValueError("ring mismatch")
     if den.is_zero():
         raise ExactFieldError("division by zero")
     if num.is_zero():
         return num
-    den_lead, lead = den.leading_exponents(), num.leading_exponents()
-    diff = tuple(map(sub, lead, den_lead))
-    if min(diff, default=0) < 0:
+    ring = num.ring
+    guard = ring._guard
+    den_lead, lead = den._leading_key(), num._leading_key()
+    if (den_lead - lead) & guard:
         return None
-    den_lc = den.terms[den_lead]
-    tail = [(e, -c) for e, c in den.terms.items() if e != den_lead]
-    rem, quot = dict(num.terms), {}
-    while min(diff, default=0) >= 0:
-        c = rem.pop(lead)
-        c = quot[diff] = c if den_lc.is_one() else c / den_lc
-        _add_into(rem, ((tuple(map(add, diff, e)), c * t) for e, t in tail))
+    if not den._is_monic():
+        inv = den.leading_coefficient().inverse()
+        num, den = num.scale(inv), den.scale(inv)
+    # rows[i] holds zeta^i * c for a term c*x^e of den, e != lead(den), at the
+    # key offset e - lead(den); a quotient term at the remainder's lead m then
+    # subtracts its multiples at m + offset
+    phi, cyc = ring._phi, cyclotomic_polynomial(ring.conductor)
+    tail = []
+    for k, v in den.coeffs.items():
+        if k != den_lead:
+            rows = []
+            for _ in range(phi):  # zeta * v = (0, v_0, ..) - v_{phi-1} * Phi_N
+                rows.append([(j, b) for j, b in enumerate(v) if b])
+                v = [-v[-1] * cyc[0]] + [a - v[-1] * f for a, f in zip(v, cyc[1:-1])]
+            tail.append((k - den_lead, rows))
+    # the remainder is over rem_den; den's denominator du multiplies it at every
+    # step, 1 for an integral monic den
+    du, rem_den = den.denom, num.denom
+    rem = {k: list(v) for k, v in num.coeffs.items()}
+    quot = []
+    while True:
+        v = rem.pop(lead)
+        quot.append((lead - den_lead, v, rem_den))
+        if du != 1:
+            for w in rem.values():
+                w[:] = [a * du for a in w]
+            rem_den *= du
+        nz = [(i, a) for i, a in enumerate(v) if a]
+        for offset, rows in tail:
+            w = rem.get(k := lead + offset) or rem.setdefault(k, [0] * phi)
+            for i, a in nz:
+                for j, b in rows[i]:
+                    w[j] -= a * b
+            if not any(w):
+                del rem[k]
         if not rem:
-            # the first quotient term is the leading one: each step lowers the lead
-            return MultiPoly._clean(num.ring, quot, next(iter(quot)))
-        last, lead = lead, max(rem, key=_grevlex_key)
-        if _grevlex_key(lead) >= _grevlex_key(last):
+            break
+        last, lead = lead, max(rem)
+        if lead >= last:
             raise ExactFieldError("exact_divide: the remainder's leading term did not fall")
-        diff = tuple(map(sub, lead, den_lead))
-    return None
+        if (den_lead - lead) & guard:
+            return None
+    # the first quotient term is the leading one: each step lowers the lead
+    coeffs = {k: tuple(a * (rem_den // d) for a in v) if d != rem_den else tuple(v)
+              for k, v, d in quot}
+    return _lowest_terms(ring, coeffs, rem_den, quot[0][0])
 
 
 class FieldElement(DerivedOps):
@@ -391,9 +479,8 @@ class FieldElement(DerivedOps):
         if num.is_zero():
             den = ring.one()
         else:
-            lc = den.leading_coefficient()
-            if not lc.is_one():
-                inv = lc.inverse()
+            if not den._is_monic():
+                inv = den.leading_coefficient().inverse()
                 den = den.scale(inv)
                 num = num.scale(inv)
             if den.is_one():
@@ -513,7 +600,7 @@ class FieldElement(DerivedOps):
         if self.den.is_one():
             return str(self.num)
         num = str(self.num)
-        if len(self.num.terms) > 1:
+        if len(self.num.coeffs) > 1:
             num = f"({num})"
         return f"{num}/({self.den})"
 
@@ -558,9 +645,10 @@ def is_power(f: FieldElement, p: int) -> Optional[bool]:
             return q.sqrt() is not None
         q = q.as_fraction()
         return all(_integer_root(abs(n), p) ** p == abs(n) for n in (q.numerator, q.denominator))
+    num, den = ([f.ring._unpack(k) for k in g.coeffs] for g in (f.num, f.den))
     for k in range(len(f.ring.variables)):
         for pick in (min, max):
-            if (pick(e[k] for e in f.num.terms) - pick(e[k] for e in f.den.terms)) % p:
+            if (pick(e[k] for e in num) - pick(e[k] for e in den)) % p:
                 return False
     return None
 

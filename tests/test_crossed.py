@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -767,6 +769,22 @@ def delta_detail(cert):
     return record["detail"]
 
 
+# sha256 of the sorted-key JSON of the generic certificate over
+# Q(zeta)(a1, a2, t, lam): multi-term products and exact divisions byte for byte
+GENERIC_CERTIFICATE_DIGESTS = {
+    2: "ae0261eb1846084f60391a51eed0f890aa880fe1cad346f560e212a9fa4a0e07",
+    3: "b7945abe55c63026b75e5da9770b260c064d41ec9612e77a62c8b358ad8dee44",
+}
+
+
+@pytest.mark.parametrize("m", sorted(GENERIC_CERTIFICATE_DIGESTS))
+def test_generic_symbolic_certificate_bytes_are_pinned(m):
+    ring = symbolic_ring(m)
+    A = instance_from_symbol(m, *symbolic_gens(ring), ring=ring, check="full")
+    blob = json.dumps(decomposition_certificate(A).to_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GENERIC_CERTIFICATE_DIGESTS[m]
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_decompose_generic_symbolic(monkeypatch, m):
     ring = symbolic_ring(m)
@@ -904,7 +922,7 @@ def _count_scalar_work(monkeypatch):
 
     def counted_poly_mul(p, q):
         counts["poly_mul"] += (isinstance(q, poly.MultiPoly)
-                               and len(p.terms) > 1 and len(q.terms) > 1)
+                               and len(p.coeffs) > 1 and len(q.coeffs) > 1)
         return poly_mul(p, q)
 
     def counted_divide(num, den):
@@ -923,19 +941,22 @@ def _count_scalar_work(monkeypatch):
 
 
 def test_work_budget_of_exact_scalars(monkeypatch):
-    # upper bounds pinned at the counts of the integer-convolution product
-    # kernel (the schoolbook kernel before it made 185 and 223 Cyc products,
+    # upper bounds pinned at the counts of the packed-array kernel, whose
+    # polynomial arithmetic makes no Cyc product and builds a Cyc only for a
+    # view (the schoolbook kernel before it made 185 and 223 Cyc products,
     # 304 and 412 Cyc constructions); the multi-term product count bounds
-    # that kernel's calls, which make no Cyc product.  The exact_divide hits
-    # are pinned exactly: a lost hit would leave a quotient uncollapsed.
+    # that kernel's convolutions.  The exact_divide hits are pinned exactly:
+    # a lost hit would leave a quotient uncollapsed.
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="full")
     counts = _count_scalar_work(monkeypatch)
     cert = decomposition_certificate(A)
     assert cert.ok and cert.branch == "generic"
-    # 183 when the last product of delta^4 was taken whole, 159 before the
-    # tower norms, lazy u^-1 and unit-free scalar products (302 constructions)
-    assert counts["cyc_mul"] <= 144
-    assert counts["cyc_init"] <= 247
+    # 144 products and 247 constructions when every coefficient was a Cyc,
+    # 183 products when the last product of delta^4 was taken whole, 159
+    # before the tower norms, lazy u^-1 and unit-free scalar products (302
+    # constructions)
+    assert counts["cyc_mul"] <= 1
+    assert counts["cyc_init"] <= 8
     # a ring without variables has one-term polynomials only
     assert counts["poly_mul"] == 0
     assert counts["divide"] == counts["hits"] == 0
@@ -945,24 +966,26 @@ def test_work_budget_of_exact_scalars(monkeypatch):
     instance_from_symbol(2, *gens, ring=ring, check="full")
     # 105, 298, 23, 56 and 8 when construction inverted u: of its two hits,
     # u s2(u) collapsing to the norm is still taken by the unit test, and
-    # u u^-1 collapsing to 1 is gone with the inverse
-    assert counts["cyc_mul"] <= 44
-    assert counts["cyc_init"] <= 174
+    # u u^-1 collapsing to 1 is gone with the inverse; 44 Cyc products and
+    # 174 constructions when every coefficient was a Cyc
+    assert counts["cyc_mul"] == 0
+    assert counts["cyc_init"] <= 6
     assert counts["poly_mul"] <= 14
     assert counts["divide"] <= 44
     assert counts["hits"] == 7
 
 
 def test_work_budget_of_the_symbolic_certificate(monkeypatch):
-    # the generic degree-4 certificate over Q(i)(a1, a2, t, lam): 689 Cyc
-    # products when the last product of delta^4 was taken whole, 514 before
-    # the tower norms, lazy u^-1 and unit-free scalar products
+    # the generic degree-4 certificate over Q(i)(a1, a2, t, lam): 196 Cyc
+    # products when every coefficient was a Cyc, 689 when the last product of
+    # delta^4 was taken whole, 514 before the tower norms, lazy u^-1 and
+    # unit-free scalar products
     ring = symbolic_ring(2)
     A = instance_from_symbol(2, *symbolic_gens(ring), ring=ring, check="full")
     counts = _count_scalar_work(monkeypatch)
     cert = decomposition_certificate(A)
     assert cert.ok and cert.branch == "generic"
-    assert counts["cyc_mul"] <= 196
+    assert counts["cyc_mul"] == 0
 
 
 def test_decompose_f1_zero_cyclic():

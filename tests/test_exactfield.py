@@ -24,7 +24,7 @@ from brauerlab.exactfield import (
     is_square,
 )
 from linalg_oracle import kernel, mat_rank, solve
-from poly_oracle import leading_exponents, schoolbook_divide, schoolbook_product
+from poly_oracle import grevlex_key, leading_exponents, schoolbook_divide, schoolbook_product
 
 
 # ---------------------------------------------------------------- cyclotomics
@@ -168,6 +168,16 @@ def ring():
     return PolyRing(("x", "y"), conductor=4)
 
 
+def _kernel_lead(p):
+    """The leading exponents the kernel uses for p, cached or found."""
+    return p.ring._unpack(p._leading_key())
+
+
+def _with_cached_lead(p, exps):
+    """A copy of p whose cached leading monomial is exps, right or wrong."""
+    return MultiPoly._make(p.ring, dict(p.coeffs), p.denom, p.ring._pack(exps))
+
+
 def test_poly_algebra_and_order(ring):
     x, y = ring.var("x"), ring.var("y")
     p = (x + y) * (x - y)
@@ -175,8 +185,8 @@ def test_poly_algebra_and_order(ring):
     assert max(sum(exps) for exps in p.terms) == 2
     # grevlex: x^2 beats y^2 beats x
     q = x * x + y * y + x
-    assert q.leading_exponents() == (2, 0)
-    assert (y * y + x).leading_exponents() == (0, 2)
+    assert _kernel_lead(q) == (2, 0)
+    assert _kernel_lead(y * y + x) == (0, 2)
     assert str(x * x - y * y + 1) == "x^2 - y^2 + 1"
 
 
@@ -208,11 +218,32 @@ def test_exact_divide(ring):
         exact_divide(x, ring.zero())
 
 
+def test_exact_divide_refuses_to_mix_rings(ring):
+    x = ring.var("x")
+    u = PolyRing(("u", "v"), 4).var("u")
+    with pytest.raises(ValueError, match="ring mismatch"):
+        exact_divide(x * x, u)
+    # the same variables over another conductor are another ring too
+    with pytest.raises(ValueError, match="ring mismatch"):
+        exact_divide(x * x, PolyRing(ring.variables, 8).var("x"))
+
+
+def test_a_coefficient_of_another_conductor_is_refused(ring):
+    # zeta_3 has two coordinates, as an element of Q(zeta_4) does
+    with pytest.raises(ValueError, match="not in Q"):
+        MultiPoly(ring, {(2, 0): Cyc.zeta(3), (1, 0): Cyc.one(4)})
+    data = (ring.var("x") * ring.var("x") + ring.var("x")).to_json()
+    assert MultiPoly.from_json(ring, data) == ring.var("x") * ring.var("x") + ring.var("x")
+    data["terms"]["2,0"]["conductor"] = 3
+    with pytest.raises(ValueError, match="not in Q"):
+        MultiPoly.from_json(ring, data)
+
+
 def test_exact_divide_refuses_a_wrong_cached_lead(ring):
     x = ring.var("x")
     # x + 1 leads with x; a cached lead at the constant term is wrong, and
     # each step would then raise the remainder's degree instead of lowering it
-    wrong = MultiPoly._clean(ring, dict((x + 1).terms), (0, 0))
+    wrong = _with_cached_lead(x + 1, (0, 0))
     with pytest.raises(ExactFieldError, match="did not fall"):
         exact_divide(x * x, wrong)
 
@@ -477,7 +508,7 @@ def _items(f):
 def _assert_carried_leads(*polys):
     for p in polys:
         if p._lead is not None:
-            assert p._lead == leading_exponents(p)
+            assert p.ring._unpack(p._lead) == leading_exponents(p)
 
 
 def test_shared_unit_is_returned_and_kept():
@@ -538,7 +569,7 @@ def test_exact_divide_quotient_carries_its_lead():
         q = exact_divide(a * b, b)
         assert q == a
         _assert_carried_leads(q)
-        assert q.leading_exponents() == leading_exponents(a)
+        assert _kernel_lead(q) == leading_exponents(a)
 
 
 @pytest.mark.parametrize("conductor", [4, 12])
@@ -629,23 +660,21 @@ def kernel_operands(draw, count):
 
 
 def _assert_normal_form(p):
-    # no zero coefficient, every Cyc in lowest terms, and a carried lead
-    # equal to the rescanned maximum
+    # no zero coefficient vector, one positive denominator in lowest terms
+    # against every coordinate, keys that unpack to exponents and pack back,
+    # and a carried lead equal to the rescanned maximum
     phi = euler_phi(p.ring.conductor)
-    for c in p.terms.values():
-        assert any(c.nums) and len(c.nums) == phi and c.den > 0
-        assert math.gcd(c.den, *c.nums) == 1
-    assert p._lead == leading_exponents(p)
+    for k, v in p.coeffs.items():
+        assert type(v) is tuple and len(v) == phi and any(v)
+        assert p.ring._pack(p.ring._unpack(k)) == k
+    assert p.denom > 0 and math.gcd(p.denom, *(a for v in p.coeffs.values() for a in v)) == 1
+    assert p.ring._unpack(p._lead) == leading_exponents(p)
 
 
 @settings(max_examples=80, deadline=None)
 @given(kernel_operands(2))
 def test_products_match_the_schoolbook_oracle(operands):
     p, q = operands
-    # a product with a one-term factor carries the other factor's lead only
-    # when that lead is known
-    p.leading_exponents()
-    q.leading_exponents()
     product = p * q
     assert product.terms == schoolbook_product(p, q).terms
     _assert_normal_form(product)
@@ -699,7 +728,7 @@ def test_a_wrong_cached_lead_never_yields_a_quotient(operands, data):
     wrong = data.draw(st.sampled_from(others))
     # den cached at a lower term: x^wrong * b passes the first divisibility
     # test, and its first step lifts the remainder's lead to 2*lead(b)
-    bad_den = MultiPoly._clean(ring, dict(b.terms), wrong)
+    bad_den = _with_cached_lead(b, wrong)
     shifted = b * MultiPoly(ring, {wrong: Cyc.one(ring.conductor)})
     with pytest.raises(ExactFieldError, match="did not fall"):
         exact_divide(shifted, bad_den)
@@ -707,11 +736,42 @@ def test_a_wrong_cached_lead_never_yields_a_quotient(operands, data):
     num = a * b
     lower = sorted(e for e in num.terms if e != leading_exponents(num))
     if lower:
-        bad_num = MultiPoly._clean(ring, dict(num.terms), data.draw(st.sampled_from(lower)))
+        bad_num = _with_cached_lead(num, data.draw(st.sampled_from(lower)))
         try:
             assert exact_divide(bad_num, b) is None
         except ExactFieldError as exc:
             assert "did not fall" in str(exc)
+
+
+_PACK_RING = PolyRing(("x", "y", "z"), 4)
+# sums of two stay below the packed degree bound 2^31
+_EXPONENTS = st.tuples(*(st.integers(0, (1 << 28) - 1),) * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXPONENTS, _EXPONENTS)
+def test_packed_monomials(a, b):
+    ring = _PACK_RING
+    pa, pb = ring._pack(a), ring._pack(b)
+    assert ring._unpack(pa) == a and ring._unpack(pb) == b
+    # the monomial product is integer addition
+    assert pa + pb == ring._pack(tuple(x + y for x, y in zip(a, b)))
+    # integer order is grevlex order
+    assert (pa < pb) == (grevlex_key(a) < grevlex_key(b))
+    assert (pa == pb) == (a == b)
+
+
+def test_a_degree_past_the_field_width_raises(ring):
+    x = ring.var("x")
+    # squaring a monomial reaches degree 2^32 in 32 products, without wrapping
+    with pytest.raises(ExactFieldError, match="packed exponent width"):
+        x ** (1 << 32)
+    with pytest.raises(ExactFieldError, match="packed exponent width"):
+        MultiPoly(ring, {(1 << 31, 0): Cyc.one(4)})
+    top = x ** ((1 << 31) - 1)
+    assert _kernel_lead(top) == ((1 << 31) - 1, 0)
+    with pytest.raises(ExactFieldError, match="packed exponent width"):
+        top * ring.var("y")
 
 
 @st.composite
