@@ -5,10 +5,12 @@ The action of an element g is one list of sparse columns: column c holds
 the nonzero (row, value) pairs of g applied to basis vector c. Permutation
 lattices (on cosets, ordered coset pairs or points) read every element's
 columns off its images, tensor products and direct sums build theirs from
-the factors, and a kernel lattice moves its basis vectors with the action
-of its ambient lattice and reads their coordinates off the free rows. Only
-a lattice given by generator columns walks the BFS spanning tree of the
-group to reach other elements.
+the factors, and omega reads its columns off the images in closed form:
+e_i - e_0 goes to e_g(i) - e_g(0). Permutation lattices and their sums and
+tensor products have a permutation view, the basis images of g; a kernel
+lattice needs such an ambient, moves its basis vectors by relabelling
+their keys and reads their coordinates off the free rows. Only a lattice
+given by generator columns walks the BFS tree of the group.
 
 Exactness of 0 -> A -> B -> C -> 0 is certified by: composition zero,
 inner map injective with saturated image, outer map surjective over Z,
@@ -66,6 +68,11 @@ def _apply(columns: Columns, vec: Iterable[tuple[int, int]]) -> dict[int, int]:
     return {r: v for r, v in acc.items() if v}
 
 
+def _move(images: Sequence[int], vec: dict[int, int]) -> dict[int, int]:
+    """A sparse vector moved by a basis permutation: its keys relabelled."""
+    return {images[r]: v for r, v in vec.items()}
+
+
 def _is_scalar(columns: Columns, s: int) -> bool:
     """The columns are s times the identity."""
     return all(len(col) == 1 and col[0] == (c, s) for c, col in enumerate(columns))
@@ -106,16 +113,17 @@ class GLattice:
     def acts_as_identity(self, g: int) -> bool:
         return _is_scalar(self.action_columns(g), 1)
 
+    def images(self, g: int) -> Sequence[int]:
+        """The permutation view, which only permutation lattices and their
+        sums and tensor products have: g sends e_c to e_images(g)[c]."""
+        raise LatticeError(f"lattice {self.label!r} has no permutation view")
+
     def __repr__(self) -> str:
         return f"<GLattice rank {self.rank} [{self.label}]>"
 
 
 class PermutationLattice(GLattice):
-    """Z[X] for a G-set X = {0, ..., rank - 1}: g sends basis vector c to
-    basis vector images(g)[c]."""
-
-    def images(self, g: int) -> Sequence[int]:
-        raise NotImplementedError
+    """Z[X] for a G-set X = {0, ..., rank - 1}, read off its images."""
 
     def _compute(self, g: int) -> Columns:
         return [[(i, 1)] for i in self.images(g)]
@@ -174,6 +182,10 @@ class TensorLattice(GLattice):
         return [[(r1 * b + r2, v1 * v2) for r1, v1 in lcol for r2, v2 in rcol]
                 for lcol in self.left.action_columns(g) for rcol in right]
 
+    def images(self, g: int) -> list[int]:
+        b, right = self.right.rank, self.right.images(g)
+        return [i * b + j for i in self.left.images(g) for j in right]
+
     def acts_as_identity(self, g: int) -> bool:
         # A (x) A = 1 forces A = +-1 (compare any nonzero row scaling),
         # so the self-tensor case never builds the big action.
@@ -205,10 +217,33 @@ class DirectSumLattice(GLattice):
     def acts_as_identity(self, g: int) -> bool:
         return all(p.acts_as_identity(g) for p in self.parts)
 
+    def images(self, g: int) -> list[int]:
+        out: list[int] = []
+        for p in self.parts:
+            off = len(out)
+            out += [i + off for i in p.images(g)]
+        return out
+
+
+class AugmentationLattice(GLattice):
+    """omega, the kernel of the coordinate sum of a permutation lattice, on
+    the basis e_i - e_0 (i >= 1), in closed form: g sends e_i - e_0 to
+    e_g(i) - e_g(0)."""
+
+    def __init__(self, perm: PermutationLattice, label: str = ""):
+        super().__init__(perm.group, perm.rank - 1,
+                         label=label or f"omega[{perm.rank}]")
+        self.perm = perm
+
+    def _compute(self, g: int) -> Columns:
+        img = self.perm.images(g)
+        return [_difference(a, img[0]) for a in img[1:]]
+
 
 class KernelLattice(GLattice):
     """The kernel of a column-certified map, on its kernel basis, acted on
-    through the map's source (the ambient lattice).
+    through the map's source (the ambient lattice), which must have a
+    permutation view: g moves a basis vector by relabelling its keys.
 
     Kernel basis vector k is 1 at the k-th free row j_k (the k-th non-pivot
     column of the map) and 0 at the other free rows, so the kernel
@@ -230,8 +265,8 @@ class KernelLattice(GLattice):
                 raise LatticeError("kernel is not action-stable")
 
     def _moved(self, g: int) -> list[dict[int, int]]:
-        ambient = self.ambient.action_columns(g)
-        return [_apply(ambient, b.items()) for b in self.basis]
+        img = self.ambient.images(g)
+        return [_move(img, b) for b in self.basis]
 
     def _compute(self, g: int) -> Columns:
         free = self.free
@@ -240,8 +275,8 @@ class KernelLattice(GLattice):
 
     def acts_as_identity(self, g: int) -> bool:
         """The ambient action fixes every kernel basis vector."""
-        ambient = self.ambient.action_columns(g)
-        return all(_apply(ambient, b.items()) == b for b in self.basis)
+        img = self.ambient.images(g)
+        return all(_move(img, b) == b for b in self.basis)
 
 
 # --- constructors ---------------------------------------------------------
@@ -251,21 +286,15 @@ def natural_perm_lattice(group: PermutationGroup) -> NaturalLattice:
     return NaturalLattice(group)
 
 
-def _augmentation_kernel(perm: GLattice, label: str
-                         ) -> tuple[KernelLattice, "LatticeMap"]:
-    """The kernel of the coordinate-sum map of a permutation lattice, with
-    basis e_i - e_0 for i >= 1: column 0 is the sum map's pivot."""
-    group = perm.group
-    trivial = GLattice(group, 1, [[[(0, 1)]]] * len(group.generators),
-                       label="trivial")
-    total = LatticeMap(perm, trivial, [[(0, 1)]] * perm.rank,
-                       label="coordinate-sum", col_pivots=[(0, 0)])
-    return _kernel_as_lattice(total, label)
-
-
-def augmentation_kernel(cosets: CosetSpace) -> tuple[KernelLattice, "LatticeMap"]:
-    """The lattice of coset differences inside Z[G/H], with its embedding."""
-    return _augmentation_kernel(PermLattice(cosets), label=f"omega[{cosets.size}]")
+def augmentation_kernel(cosets: CosetSpace
+                        ) -> tuple[AugmentationLattice, "LatticeMap"]:
+    """The lattice of coset differences inside Z[G/H], with its embedding,
+    row certified at coset i for e_i - e_0."""
+    omega, n = AugmentationLattice(PermLattice(cosets)), cosets.size
+    return omega, LatticeMap(omega, omega.perm,
+                             [[(i, 1), (0, -1)] for i in range(1, n)],
+                             label=f"{omega.label}-embedding",
+                             row_pivots=[(i, i - 1) for i in range(1, n)])
 
 
 def tensor(left: GLattice, right: GLattice) -> TensorLattice:
@@ -601,7 +630,7 @@ def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
     regular = PermLattice(reg, label=f"Z[{group.name or 'G'}]")
     middle = direct_sum([regular] * r)
     cos = coset_space(group, subgroup)
-    omega, _ = augmentation_kernel(cos)
+    omega = AugmentationLattice(PermLattice(cos))
     n = cos.size
     f = []
     edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -611,12 +640,13 @@ def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
             c2 = cos.coset_of[g]
             edges[c2].append((c1, len(f)))
             f.append(_difference(c1, c2))
-    # Breadth first; `reached` holds at most n <= |G| cosets.
-    col_pivots, reached = [], [0]
-    for c in reached:
+    # Breadth first over the cosets, in the order they are reached.
+    col_pivots, order, reached = [], [0], [True] + [False] * (n - 1)
+    for c in order:
         for c1, col in edges[c]:
-            if c1 not in reached:
-                reached.append(c1)
+            if not reached[c1]:
+                reached[c1] = True
+                order.append(c1)
                 col_pivots.append((c1 - 1, col))
     outer = LatticeMap(middle, omega, f, label="coset-difference-map",
                        col_pivots=col_pivots)
@@ -635,7 +665,7 @@ def seq2_sequence(group: PermutationGroup,
     n = cos.size
     if n < 2:
         raise LatticeError("index must be at least 2")
-    omega, _ = augmentation_kernel(cos)
+    omega = AugmentationLattice(PermLattice(cos))
     pairs = PairsLattice(cos)
     pidx = pairs.pair_index
     t2 = tensor(omega, omega)
@@ -665,28 +695,23 @@ def seq2_sequence(group: PermutationGroup,
 
 def pair_basis_iso(seq: LatticeSequence) -> LatticeMap:
     """The unimodular equivariant identification of the middle term of a
-    seq2_sequence, the pairs lattice, with omega (x) Z[G/H] on the basis
-    (coset_a - coset_b) (x) coset_b -> pair (a, b)."""
-    pairs, omega = seq.inner.target, seq.outer.target
+    seq2_sequence, the pairs lattice, with omega (x) Z[G/H]: the embedding
+    of omega tensored with Z[G/H], dropping the diagonal pairs, so that
+    (coset_a - coset_b) (x) coset_b -> pair (a, b). Column (i - 1) n + c
+    is (e_i - e_0) (x) e_c; the row certificate takes its pivots at pair
+    (i, c) for c not 0 or i, then at (i, 0), then at (0, i)."""
+    pairs = seq.inner.target
     pidx = pairs.pair_index
-    n = pairs.cosets.size
-    mixed = tensor(omega, PermLattice(pairs.cosets))
-    m: list[list[tuple[int, int]]] = []
-    piv_a, piv_b, piv_c = [], [], []
-    for i in range(1, n):
-        for c in range(n):
-            col = len(m)
-            if c == 0:
-                m.append([(pidx[(i, 0)], 1)])
-                piv_b.append((pidx[(i, 0)], col))
-            elif c == i:
-                m.append([(pidx[(0, i)], -1)])
-                piv_c.append((pidx[(0, i)], col))
-            else:
-                m.append([(pidx[(i, c)], 1), (pidx[(0, c)], -1)])
-                piv_a.append((pidx[(i, c)], col))
-    return LatticeMap(mixed, pairs, m, label="pair-basis-identification",
-                      row_pivots=piv_a + piv_b + piv_c)
+    omega, emb = augmentation_kernel(pairs.cosets)
+    n = emb.target.rank
+    m = [[(pidx[(r, c)], v) for r, v in col if r != c]
+         for col in emb.columns for c in range(n)]
+    pivots = [(pidx[(i, c)], (i - 1) * n + c)
+              for i in range(1, n) for c in range(1, n) if c != i]
+    pivots += [(pidx[(i, 0)], (i - 1) * n) for i in range(1, n)]
+    pivots += [(pidx[(0, i)], (i - 1) * n + i) for i in range(1, n)]
+    return LatticeMap(tensor(omega, emb.target), pairs, m,
+                      label="pair-basis-identification", row_pivots=pivots)
 
 
 def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
@@ -708,7 +733,7 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
     U = natural_perm_lattice(G)
     T = tensor(U, U)
     middle = direct_sum([U, T])
-    A, _ = _augmentation_kernel(U, label=f"roots[{n - 1}]")
+    A = AugmentationLattice(U, label=f"roots[{n - 1}]")
     # U is killed; column n + j n + h sends e_j (x) e_h to e_j - e_h
     f = [[]] * n + [_difference(j, h) for j in range(n) for h in range(n)]
     outer = LatticeMap(middle, A, f, label="tensor-difference-map",

@@ -7,12 +7,29 @@ tree, and ``solved_generator_matrices`` solves each dense moved kernel
 basis vector through the kernel's inclusion. Both are the way lattices
 computed their actions before the actions became sparse. ``kernel_basis``
 reads an integer kernel off a Smith normal form, the way kernels were found
-before maps carried pivot certificates.
+before maps carried pivot certificates. ``sum_kernel`` builds omega the way
+it was built before its closed form: as the kernel lattice of the
+coordinate-sum map.
 """
 
 from __future__ import annotations
 
 from brauerlab import snf
+from brauerlab.lattices import GLattice, KernelLattice, LatticeMap
+
+
+def sum_kernel(perm):
+    """The kernel of the coordinate sum of the permutation lattice perm, on
+    the basis e_i - e_0 (column 0 is the sum map's pivot), with its
+    inclusion into perm, row certified at each free row."""
+    G = perm.group
+    trivial = GLattice(G, 1, [[[(0, 1)]]] * len(G.generators), label="trivial")
+    total = LatticeMap(perm, trivial, [[(0, 1)]] * perm.rank,
+                       label="coordinate-sum", col_pivots=[(0, 0)])
+    kernel = KernelLattice(total, "sum-kernel")
+    incl = LatticeMap(kernel, perm, total.kernel_columns,
+                      row_pivots=list(kernel.free.items()))
+    return kernel, incl
 
 
 def zeros(m: int, n: int) -> list[list[int]]:

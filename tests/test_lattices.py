@@ -24,6 +24,7 @@ from brauerlab.lattices import (
     LatticeError,
     LatticeMap,
     LatticeSequence,
+    PairsLattice,
     PermLattice,
     augmentation_kernel,
     direct_sum,
@@ -47,6 +48,7 @@ from lattice_oracle import (
     kernel_basis,
     mat_mult,
     solved_generator_matrices,
+    sum_kernel,
 )
 
 
@@ -571,27 +573,112 @@ def test_action_multiplicative_property(i, j):
     assert lhs == dense_action(omega, G.mult(i, j))
 
 
-def kernel_inclusions():
-    """The inclusion of every kernel lattice of family_freepres() and of
-    Formanek's sequence for n = 3..5."""
-    for seq in family_freepres():
-        yield seq.inner
+def omega_oracles():
+    """(omega in closed form, the oracle's sum kernel inclusion) for every
+    coset space of builtin_family() and for Formanek's A at n = 3..5."""
+    for G in builtin_family():
+        for H in subgroups_up_to_conjugacy(G):
+            omega, _ = augmentation_kernel(coset_space(G, H))
+            yield omega, sum_kernel(omega.perm)[1]
     for n in (3, 4, 5):
-        yield formanek_sequence(n)[0].inner
+        A = formanek_sequence(n)[0].outer.target
+        yield A, sum_kernel(A.perm)[1]
+
+
+def kernel_inclusions():
+    """(lattice, inclusion of a kernel lattice that it acts like): every
+    kernel lattice of family_freepres() and of Formanek's sequence for
+    n = 3..5 with its own inclusion, the oracle's sum kernels with theirs,
+    and every closed-form omega with its oracle's."""
+    for seq in family_freepres():
+        yield seq.inner.source, seq.inner
+    for n in (3, 4, 5):
+        inner = formanek_sequence(n)[0].inner
+        yield inner.source, inner
+    for omega, incl in omega_oracles():
+        yield incl.source, incl
+        yield omega, incl
 
 
 def test_kernel_actions_match_the_dense_oracle():
-    """Kernel coordinates read off the free rows agree with solving each
-    dense moved basis vector through the inclusion, and the ambient test
-    for acting trivially agrees with the dense product along the BFS tree."""
-    for incl in kernel_inclusions():
-        kernel = incl.source
-        G = kernel.group
-        assert ([dense_action(kernel, g) for g in G.generators]
+    """Generator actions agree with solving each dense moved basis vector
+    through the inclusion, and every element's action and the test for
+    acting trivially agree with the dense product along the BFS tree."""
+    for lat, incl in kernel_inclusions():
+        G = lat.group
+        assert ([dense_action(lat, g) for g in G.generators]
                 == solved_generator_matrices(incl))
-        one = snf.identity(kernel.rank)
-        assert ([kernel.acts_as_identity(g) for g in range(G.order)]
-                == [m == one for m in bfs_actions(kernel)])
+        bfs = bfs_actions(lat)
+        assert [dense_action(lat, g) for g in range(G.order)] == bfs
+        one = snf.identity(lat.rank)
+        assert ([lat.acts_as_identity(g) for g in range(G.order)]
+                == [m == one for m in bfs])
+
+
+def test_closed_form_omega_matches_the_sum_kernel_oracle():
+    """omega acts as the oracle's kernel of the coordinate sum does, element
+    by element, and the embedding of augmentation_kernel is the oracle's
+    inclusion, row certified and equivariant."""
+    for omega, incl in omega_oracles():
+        kernel = incl.source
+        for g in range(omega.group.order):
+            assert dense_action(omega, g) == dense_action(kernel, g)
+            assert omega.acts_as_identity(g) == kernel.acts_as_identity(g)
+    for G in builtin_family():
+        for H in subgroups_up_to_conjugacy(G):
+            _, emb = augmentation_kernel(coset_space(G, H))
+            assert emb.columns == sum_kernel(emb.target)[1].columns
+            assert emb.is_injective_saturated() and emb.check_equivariance()
+
+
+def permutation_views():
+    """Lattices with a permutation view: on cosets, coset pairs and points,
+    and direct sums and tensor products of them."""
+    G = symmetric_group(4)
+    cos = coset_space(G, G.subgroup(["(1 2)"]))
+    perm, pairs, points = PermLattice(cos), PairsLattice(cos), natural_perm_lattice(G)
+    return [perm, pairs, points, direct_sum([perm, points, perm]),
+            tensor(points, perm), direct_sum([points, tensor(points, points)])]
+
+
+VIEWS = permutation_views()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_moving_by_relabelling_matches_the_action_columns(data):
+    lat = data.draw(st.sampled_from(VIEWS))
+    g = data.draw(st.integers(0, lat.group.order - 1))
+    vec = data.draw(st.dictionaries(st.integers(0, lat.rank - 1),
+                                    st.integers(-9, 9).filter(bool), max_size=8))
+    assert (lattices._move(lat.images(g), vec)
+            == lattices._apply(lat.action_columns(g), vec.items()))
+
+
+def test_a_kernel_lattice_needs_a_permutation_view():
+    """omega and lattices given by generator columns have no permutation
+    view, and a kernel lattice refuses them as its ambient."""
+    kernel_map = _pivot_map(col_pivots=GOOD_PIVOTS)
+    assert kernel_map.is_surjective()
+    with pytest.raises(LatticeError, match="no permutation view"):
+        KernelLattice(kernel_map, "generator-column-kernel")
+    G, H, X = stabilizer_cosets(3)
+    omega, _ = augmentation_kernel(X)
+    with pytest.raises(LatticeError, match="no permutation view"):
+        tensor(omega, PermLattice(X)).images(0)
+
+
+def test_every_family_map_is_equivariant():
+    """Both maps of every freepres and seq2 sequence of builtin_family() and
+    every pair-basis identification commute with the generators; is_exact
+    does not check it."""
+    maps = []
+    for seq in family_freepres():
+        maps += [seq.inner, seq.outer]
+    for _, _, seq in family_seq2():
+        maps += [seq.inner, seq.outer, pair_basis_iso(seq)]
+    assert len(maps) == 391
+    assert [m.label for m in maps if not m.check_equivariance()] == []
 
 
 def test_kernel_of_a_non_equivariant_map_is_not_action_stable():
@@ -638,8 +725,8 @@ def test_kernel_basis_is_worked_out_once(monkeypatch):
 
 def test_work_budget_of_lattice_certificates(monkeypatch):
     """No dense view of a map and no walks along the BFS tree on the
-    lattice certificate path, and products of group elements from the
-    table."""
+    lattice certificate path, products of group elements from the table,
+    and pinned counts of sparse substitutions and sparse products."""
     compositions = []
     real_mult = groups._mult
 
@@ -670,13 +757,48 @@ def test_work_budget_of_lattice_certificates(monkeypatch):
         return real_compute(self, g)
 
     monkeypatch.setattr(GLattice, "_compute", counting_compute)
+    work = {"_substitute": 0, "_apply": 0}
+
+    def counting(name):
+        real = getattr(lattices, name)
+
+        def counted(*args, **kwargs):
+            work[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lattices, name, counted)
+
+    def spent():
+        got = (work["_substitute"], work["_apply"])
+        work.update(dict.fromkeys(work, 0))
+        return got
+
+    counting("_substitute")
+    counting("_apply")
     trivial = S4.trivial_subgroup()
-    formanek, iso = formanek_sequence(5)
-    for seq, extra in ((seq2_sequence(S4, trivial), []),
-                       (freepres_sequence(S4, trivial, ["(1 2)", "(1 2 3 4)"]), []),
-                       (formanek, [iso])):
+    # omega is built in closed form: no substitution and no product
+    augmentation_kernel(coset_space(S4, trivial))
+    assert spent() == (0, 0)
+
+    def formanek():
+        seq, iso = formanek_sequence(5)
+        return seq, [iso]
+
+    # (substitute, apply) calls to build the sequence, then to certify it
+    # with is_exact and is_faithful: a kernel basis and one solve per kernel
+    # vector (Formanek's splitting solves 26 more), one stability product
+    # per kernel vector and generator, one composition product per inner
+    # column, and no product to move a vector.
+    for build, built, certified in (
+            (lambda: (seq2_sequence(S4, trivial), []), (0, 0), (1058, 529)),
+            (lambda: (freepres_sequence(S4, trivial, ["(1 2)", "(1 2 3 4)"]), []),
+             (25, 50), (25, 25)),
+            (formanek, (52, 52), (26, 26))):
+        spent()
+        seq, extra = build()
+        assert spent() == built
         assert is_exact(seq).exact
         assert is_faithful(seq.inner.source)
+        assert spent() == certified
         assert all(m.check_equivariance() for m in [seq.inner, seq.outer, *extra])
     # criterion 4's records, unimodularity included, read no dense view
     assert not failing(formanek_checks(5))
