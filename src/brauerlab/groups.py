@@ -1,9 +1,9 @@
 """Finite permutation groups, subgroups and coset spaces.
 
 Groups are materialized: the element list is enumerated up front (BFS over
-the generators) up to ORDER_CAP elements, and every element carries a
-word in the generators so module-level code can extend generator data to
-the whole group. Points are 0-based internally; cycle notation I/O is
+the generators) up to ORDER_CAP elements, and each element records the BFS
+step (parent, generator) that reached it, along which the multiplication
+table is filled. Points are 0-based internally; cycle notation I/O is
 1-based.
 """
 
@@ -123,7 +123,8 @@ class PermutationGroup:
         self.elements: list[tuple[int, ...]] = [ident]
         self.index: dict[tuple[int, ...], int] = {ident: 0}
         # parents[i] = (parent element index, generator position) along the
-        # BFS tree, so element i = parent * gens[pos]. parents[0] is None.
+        # BFS tree, so element i = parent * gens[pos]; `table` fills each row
+        # along it. parents[0] is None.
         self.parents: list[Optional[tuple[int, int]]] = [None]
         self.generators: list[int] = []
         # Insert generators first so their indices are stable and small.

@@ -4,13 +4,13 @@ sequences, all over Z with certificates.
 The action of an element g is one list of sparse columns: column c holds
 the nonzero (row, value) pairs of g applied to basis vector c. Permutation
 lattices (on cosets, ordered coset pairs or points) read every element's
-columns off its images, tensor products and direct sums build theirs from
-the factors, and omega reads its columns off the images in closed form:
-e_i - e_0 goes to e_g(i) - e_g(0). Permutation lattices and their sums and
-tensor products have a permutation view, the basis images of g; a kernel
-lattice needs such an ambient, moves its basis vectors by relabelling
-their keys and reads their coordinates off the free rows. Only a lattice
-given by generator columns walks the BFS tree of the group.
+columns off its images, and tensor products and direct sums build theirs
+from the factors; all of these have a permutation view, the basis images
+of g. Every other lattice is a SubLattice of one of them: omega on the
+basis e_i - e_0, or the kernel of a column-certified map on its kernel
+basis. Its basis vector k is 1 at the free row j_k and 0 at the other free
+rows, so g moves a basis vector by relabelling its keys and reads its
+coordinates off the free rows.
 
 Exactness of 0 -> A -> B -> C -> 0 is certified by: composition zero,
 inner map injective with saturated image, outer map surjective over Z,
@@ -44,7 +44,8 @@ from .groups import (
 
 __all__ = [
     "GLattice", "LatticeMap", "LatticeSequence", "LatticeError",
-    "natural_perm_lattice", "augmentation_kernel", "tensor", "direct_sum",
+    "NaturalLattice", "TensorLattice", "DirectSumLattice", "SubLattice",
+    "augmentation", "kernel_lattice",
     "freepres_sequence", "seq2_sequence", "pair_basis_iso",
     "formanek_sequence", "is_exact", "ExactnessReport", "is_faithful",
     "faithful_predicate_freepres", "faithful_predicate_seq2",
@@ -81,18 +82,14 @@ def _is_scalar(columns: Columns, s: int) -> bool:
 class GLattice:
     """Free Z-module with a group action, read as sparse columns.
 
-    This base class takes each group generator's action as sparse columns
-    and builds every other element's columns along the group's BFS tree
-    (element = parent * generator). Subclasses compute any element's columns
-    directly. Columns are cached per element.
+    Each subclass defines `_compute(g)`, any element's columns computed
+    directly; the columns are cached per element.
     """
 
-    def __init__(self, group: PermutationGroup, rank: int,
-                 gen_columns: Sequence[Columns] = (), label: str = ""):
+    def __init__(self, group: PermutationGroup, rank: int, label: str = ""):
         self.group = group
         self.rank = rank
         self.label = label
-        self._gen_columns = gen_columns
         self._cache: dict[int, Columns] = {}
 
     def action_columns(self, g: int) -> Columns:
@@ -101,14 +98,6 @@ class GLattice:
         if got is None:
             got = self._cache[g] = self._compute(g)
         return got
-
-    def _compute(self, g: int) -> Columns:
-        if g == 0:
-            return [[(c, 1)] for c in range(self.rank)]
-        parent, pos = self.group.parents[g]
-        walked = self.action_columns(parent)
-        return [list(_apply(walked, col).items())
-                for col in self._gen_columns[pos]]
 
     def acts_as_identity(self, g: int) -> bool:
         return _is_scalar(self.action_columns(g), 1)
@@ -214,9 +203,6 @@ class DirectSumLattice(GLattice):
             cols += [[(r + off, v) for r, v in col] for col in p.action_columns(g)]
         return cols
 
-    def acts_as_identity(self, g: int) -> bool:
-        return all(p.acts_as_identity(g) for p in self.parts)
-
     def images(self, g: int) -> list[int]:
         out: list[int] = []
         for p in self.parts:
@@ -225,84 +211,59 @@ class DirectSumLattice(GLattice):
         return out
 
 
-class AugmentationLattice(GLattice):
-    """omega, the kernel of the coordinate sum of a permutation lattice, on
-    the basis e_i - e_0 (i >= 1), in closed form: g sends e_i - e_0 to
-    e_g(i) - e_g(0)."""
+class SubLattice(GLattice):
+    """A saturated, action-stable sublattice of a lattice with a permutation
+    view (the ambient). Basis vector k is 1 at the free row j_k and 0 at the
+    other free rows, so a vector's coordinates are its entries on the free
+    rows; g moves a basis vector by relabelling its keys. Built by
+    `augmentation` and `kernel_lattice`."""
 
-    def __init__(self, perm: PermutationLattice, label: str = ""):
-        super().__init__(perm.group, perm.rank - 1,
-                         label=label or f"omega[{perm.rank}]")
-        self.perm = perm
-
-    def _compute(self, g: int) -> Columns:
-        img = self.perm.images(g)
-        return [_difference(a, img[0]) for a in img[1:]]
-
-
-class KernelLattice(GLattice):
-    """The kernel of a column-certified map, on its kernel basis, acted on
-    through the map's source (the ambient lattice), which must have a
-    permutation view: g moves a basis vector by relabelling its keys.
-
-    Kernel basis vector k is 1 at the k-th free row j_k (the k-th non-pivot
-    column of the map) and 0 at the other free rows, so the kernel
-    coordinates of a moved basis vector are its entries on the free rows.
-    Construction checks that each generator keeps the kernel (the map kills
-    every moved basis vector); the kernel basis is a Z-basis of the whole
-    kernel, so the coordinates are then exact for every element.
-    """
-
-    def __init__(self, outer: "LatticeMap", label: str):
-        self.ambient = outer.source
-        self.basis = [dict(col) for col in outer.kernel_columns]
-        pivot_cols = {c for _, c in outer.col_pivots}
-        free = [j for j in range(self.ambient.rank) if j not in pivot_cols]
+    def __init__(self, ambient: GLattice, basis: Sequence[dict[int, int]],
+                 free: Iterable[int], label: str):
+        super().__init__(ambient.group, len(basis), label=label)
+        self.ambient = ambient
+        self.basis = basis
         self.free = {j: k for k, j in enumerate(free)}
-        super().__init__(self.ambient.group, len(self.basis), label=label)
-        for g in self.group.generators:
-            if any(_apply(outer.columns, v.items()) for v in self._moved(g)):
-                raise LatticeError("kernel is not action-stable")
-
-    def _moved(self, g: int) -> list[dict[int, int]]:
-        img = self.ambient.images(g)
-        return [_move(img, b) for b in self.basis]
 
     def _compute(self, g: int) -> Columns:
-        free = self.free
-        return [[(free[r], v) for r, v in m.items() if r in free]
-                for m in self._moved(g)]
+        img, free = self.ambient.images(g), self.free
+        return [[(k, v) for r, v in b.items()
+                 if (k := free.get(img[r])) is not None] for b in self.basis]
 
     def acts_as_identity(self, g: int) -> bool:
-        """The ambient action fixes every kernel basis vector."""
+        """The ambient action fixes every basis vector."""
         img = self.ambient.images(g)
         return all(_move(img, b) == b for b in self.basis)
 
-
-# --- constructors ---------------------------------------------------------
-
-def natural_perm_lattice(group: PermutationGroup) -> NaturalLattice:
-    """Permutation lattice on the points the group acts on."""
-    return NaturalLattice(group)
-
-
-def augmentation_kernel(cosets: CosetSpace
-                        ) -> tuple[AugmentationLattice, "LatticeMap"]:
-    """The lattice of coset differences inside Z[G/H], with its embedding,
-    row certified at coset i for e_i - e_0."""
-    omega, n = AugmentationLattice(PermLattice(cosets)), cosets.size
-    return omega, LatticeMap(omega, omega.perm,
-                             [[(i, 1), (0, -1)] for i in range(1, n)],
-                             label=f"{omega.label}-embedding",
-                             row_pivots=[(i, i - 1) for i in range(1, n)])
+    def inclusion(self) -> "LatticeMap":
+        """The inclusion into the ambient, row certified at (j_k, k)."""
+        return LatticeMap(self, self.ambient, [b.items() for b in self.basis],
+                          label=f"{self.label}-embedding",
+                          row_pivots=list(self.free.items()))
 
 
-def tensor(left: GLattice, right: GLattice) -> TensorLattice:
-    return TensorLattice(left, right)
+def augmentation(perm: GLattice, label: str = "") -> SubLattice:
+    """omega, the kernel of the coordinate sum of a permutation lattice, on
+    the basis e_i - e_0 (i >= 1), free at row i. It is stable: g sends
+    e_i - e_0 to e_g(i) - e_g(0) = (e_g(i) - e_0) - (e_g(0) - e_0)."""
+    return SubLattice(perm, [{i: 1, 0: -1} for i in range(1, perm.rank)],
+                      range(1, perm.rank), label or f"omega[{perm.rank}]")
 
 
-def direct_sum(parts: Sequence[GLattice]) -> DirectSumLattice:
-    return DirectSumLattice(parts)
+def kernel_lattice(outer: "LatticeMap", label: str) -> SubLattice:
+    """The kernel of a column-certified map on its kernel basis, inside the
+    map's source, which needs a permutation view. Kernel vector k is 1 at
+    its non-pivot column j_k (its first key) and 0 at the others. Each
+    generator must keep the kernel (the map kills every moved basis vector);
+    the basis spans the whole kernel, so coordinates are then exact."""
+    basis = [dict(col) for col in outer.kernel_columns]
+    kernel = SubLattice(outer.source, basis, [next(iter(b)) for b in basis],
+                        label)
+    for g in kernel.group.generators:
+        img = kernel.ambient.images(g)
+        if any(_apply(outer.columns, _move(img, b).items()) for b in basis):
+            raise LatticeError("kernel is not action-stable")
+    return kernel
 
 
 # --- maps and sequences ---------------------------------------------------
@@ -602,18 +563,6 @@ def _difference(a: int, b: int) -> list[tuple[int, int]]:
     return [(i - 1, v) for i, v in ((a, 1), (b, -1)) if i]
 
 
-def _kernel_as_lattice(outer: LatticeMap,
-                       label: str) -> tuple[KernelLattice, LatticeMap]:
-    """The kernel of a column-certified map and its inclusion, whose row
-    certificate (j_k, k) holds because the k-th kernel vector is 1 at the
-    k-th free row j_k and 0 at the other free rows."""
-    kernel = KernelLattice(outer, label)
-    incl = LatticeMap(kernel, outer.source, outer.kernel_columns,
-                      label=f"{label}-embedding",
-                      row_pivots=[(j, k) for j, k in kernel.free.items()])
-    return kernel, incl
-
-
 def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
                       g_list: Iterable) -> LatticeSequence:
     """0 -> M -> Z[G]^r -> omega(G/H) -> 0 sending the i-th unit to the
@@ -628,9 +577,9 @@ def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
     r = len(alphas)
     reg = coset_space(group, group.trivial_subgroup())
     regular = PermLattice(reg, label=f"Z[{group.name or 'G'}]")
-    middle = direct_sum([regular] * r)
+    middle = DirectSumLattice([regular] * r)
     cos = coset_space(group, subgroup)
-    omega = AugmentationLattice(PermLattice(cos))
+    omega = augmentation(PermLattice(cos))
     n = cos.size
     f = []
     edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -650,7 +599,7 @@ def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
                 col_pivots.append((c1 - 1, col))
     outer = LatticeMap(middle, omega, f, label="coset-difference-map",
                        col_pivots=col_pivots)
-    kernel, incl = _kernel_as_lattice(outer, label="relation-module")
+    incl = kernel_lattice(outer, "relation-module").inclusion()
     return LatticeSequence(incl, outer)
 
 
@@ -665,10 +614,9 @@ def seq2_sequence(group: PermutationGroup,
     n = cos.size
     if n < 2:
         raise LatticeError("index must be at least 2")
-    omega = AugmentationLattice(PermLattice(cos))
+    omega = augmentation(PermLattice(cos))
     pairs = PairsLattice(cos)
     pidx = pairs.pair_index
-    t2 = tensor(omega, omega)
 
     iota: list[list[tuple[int, int]]] = []
     row_pivots = []
@@ -683,7 +631,8 @@ def seq2_sequence(group: PermutationGroup,
                 iota.append([(pidx[(i, l)], 1), (pidx[(0, l)], -1),
                              (pidx[(i, 0)], -1)])
                 row_pivots.append((pidx[(i, l)], col))
-    inner = LatticeMap(t2, pairs, iota, label="tensor-square-embedding",
+    inner = LatticeMap(TensorLattice(omega, omega), pairs, iota,
+                       label="tensor-square-embedding",
                        row_pivots=row_pivots + diag_cols)
 
     pi = [_difference(a, b) for a, b in pairs.pairs]
@@ -702,7 +651,7 @@ def pair_basis_iso(seq: LatticeSequence) -> LatticeMap:
     (i, c) for c not 0 or i, then at (i, 0), then at (0, i)."""
     pairs = seq.inner.target
     pidx = pairs.pair_index
-    omega, emb = augmentation_kernel(pairs.cosets)
+    emb = augmentation(PermLattice(pairs.cosets)).inclusion()
     n = emb.target.rank
     m = [[(pidx[(r, c)], v) for r, v in col if r != c]
          for col in emb.columns for c in range(n)]
@@ -710,7 +659,7 @@ def pair_basis_iso(seq: LatticeSequence) -> LatticeMap:
               for i in range(1, n) for c in range(1, n) if c != i]
     pivots += [(pidx[(i, 0)], (i - 1) * n) for i in range(1, n)]
     pivots += [(pidx[(0, i)], (i - 1) * n + i) for i in range(1, n)]
-    return LatticeMap(tensor(omega, emb.target), pairs, m,
+    return LatticeMap(TensorLattice(emb.source, emb.target), pairs, m,
                       label="pair-basis-identification", row_pivots=pivots)
 
 
@@ -730,23 +679,22 @@ def formanek_sequence(n: int) -> tuple[LatticeSequence, LatticeMap]:
         raise LatticeError("need n >= 2")
     from .groups import symmetric_group
     G = symmetric_group(n)
-    U = natural_perm_lattice(G)
-    T = tensor(U, U)
-    middle = direct_sum([U, T])
-    A = AugmentationLattice(U, label=f"roots[{n - 1}]")
+    U = NaturalLattice(G)
+    middle = DirectSumLattice([U, TensorLattice(U, U)])
+    A = augmentation(U, label=f"roots[{n - 1}]")
     # U is killed; column n + j n + h sends e_j (x) e_h to e_j - e_h
     f = [[]] * n + [_difference(j, h) for j in range(n) for h in range(n)]
     outer = LatticeMap(middle, A, f, label="tensor-difference-map",
                        col_pivots=[(j - 1, n + j * n) for j in range(1, n)])
-    kernel, incl = _kernel_as_lattice(outer, label="formanek-kernel")
-    seq = LatticeSequence(incl, outer)
+    kernel = kernel_lattice(outer, "formanek-kernel")
+    seq = LatticeSequence(kernel.inclusion(), outer)
 
-    src = direct_sum([U, U, tensor(A, A)])
+    src = DirectSumLattice([U, U, TensorLattice(A, A)])
     assembled = [{i: 1} for i in range(n)]
     assembled += [{n + i * n + i: 1} for i in range(n)]
     assembled += [{n + i * n + l: 1, n + l: -1, n + i * n: -1, n: 1}
                   for i in range(1, n) for l in range(1, n)]
-    coords = [incl.solve(v) for v in assembled]
+    coords = [seq.inner.solve(v) for v in assembled]
     if None in coords:
         raise LatticeError("assembled vector is not in the kernel")
     # column 2n + (i - 1)(n - 1) + l - 1 is (e_i - e_0) (x) (e_l - e_0)

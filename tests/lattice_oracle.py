@@ -9,24 +9,37 @@ computed their actions before the actions became sparse. ``kernel_basis``
 reads an integer kernel off a Smith normal form, the way kernels were found
 before maps carried pivot certificates. ``sum_kernel`` builds omega the way
 it was built before its closed form: as the kernel lattice of the
-coordinate-sum map.
+coordinate-sum map, whose basis comes by back-substitution.
+``CharacterLattice`` is Z acted on by a character g -> +-1, the one lattice
+the tests need that is neither a permutation lattice nor a sublattice of
+one.
 """
 
 from __future__ import annotations
 
 from brauerlab import snf
-from brauerlab.lattices import GLattice, KernelLattice, LatticeMap
+from brauerlab.lattices import GLattice, LatticeMap, kernel_lattice
+
+
+class CharacterLattice(GLattice):
+    """Z with g acting as chi(g) = +-1; the trivial lattice by default."""
+
+    def __init__(self, group, chi=lambda g: 1, label="character"):
+        super().__init__(group, 1, label=label)
+        self.chi = chi
+
+    def _compute(self, g):
+        return [[(0, self.chi(g))]]
 
 
 def sum_kernel(perm):
     """The kernel of the coordinate sum of the permutation lattice perm, on
     the basis e_i - e_0 (column 0 is the sum map's pivot), with its
     inclusion into perm, row certified at each free row."""
-    G = perm.group
-    trivial = GLattice(G, 1, [[[(0, 1)]]] * len(G.generators), label="trivial")
-    total = LatticeMap(perm, trivial, [[(0, 1)]] * perm.rank,
-                       label="coordinate-sum", col_pivots=[(0, 0)])
-    kernel = KernelLattice(total, "sum-kernel")
+    total = LatticeMap(perm, CharacterLattice(perm.group, label="trivial"),
+                       [[(0, 1)]] * perm.rank, label="coordinate-sum",
+                       col_pivots=[(0, 0)])
+    kernel = kernel_lattice(total, "sum-kernel")
     incl = LatticeMap(kernel, perm, total.kernel_columns,
                       row_pivots=list(kernel.free.items()))
     return kernel, incl

@@ -4,12 +4,13 @@ from brauerlab.bounds import (
 )
 from brauerlab.groups import coset_space, cyclic_group, symmetric_group
 from brauerlab.lattices import (
-    GLattice,
-    augmentation_kernel,
+    PermLattice,
+    TensorLattice,
+    augmentation,
     formanek_sequence,
     is_faithful,
-    tensor,
 )
+from lattice_oracle import CharacterLattice
 
 
 def test_d4_pinned():
@@ -106,12 +107,12 @@ def test_tau_rank_bound():
     assert seq.inner.source.rank == 26
 
     G = symmetric_group(3)
-    assert not is_faithful(GLattice(G, 1, [[[(0, 1)]] for _ in G.generators]))
+    assert not is_faithful(CharacterLattice(G))
 
     # omega^(x2) for (S4, S3) is faithful of rank 9
     G4 = symmetric_group(4)
     H = G4.subgroup(["(1 2)", "(1 2 3)"])
-    om, _ = augmentation_kernel(coset_space(G4, H))
-    square = tensor(om, om)
+    om = augmentation(PermLattice(coset_space(G4, H)))
+    square = TensorLattice(om, om)
     assert is_faithful(square)
     assert square.rank == 9

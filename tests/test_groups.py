@@ -65,9 +65,9 @@ def test_table_matches_composition():
 
 
 def test_words_reproduce_elements():
-    # parents is the BFS tree the multiplication table and GLattice._compute
-    # are built along: each element is an earlier one times a generator, so
-    # every walk reaches the identity.
+    # parents is the BFS tree the multiplication table is built along: each
+    # element is an earlier one times a generator, so every walk reaches the
+    # identity.
     G = symmetric_group(4)
     assert G.parents[0] is None
     for i in range(1, G.order):

@@ -19,27 +19,27 @@ from brauerlab.groups import (
     symmetric_group,
 )
 from brauerlab.lattices import (
-    GLattice,
-    KernelLattice,
+    DirectSumLattice,
     LatticeError,
     LatticeMap,
     LatticeSequence,
+    NaturalLattice,
     PairsLattice,
     PermLattice,
-    augmentation_kernel,
-    direct_sum,
+    TensorLattice,
+    augmentation,
     faithful_predicate_freepres,
     faithful_predicate_seq2,
     formanek_sequence,
     freepres_sequence,
     is_exact,
     is_faithful,
-    natural_perm_lattice,
+    kernel_lattice,
     pair_basis_iso,
     seq2_sequence,
-    tensor,
 )
 from lattice_oracle import (
+    CharacterLattice,
     bfs_actions,
     columns_of,
     dense,
@@ -62,8 +62,9 @@ def character(lat, g):
     return sum(row[i] for i, row in enumerate(dense_action(lat, g)))
 
 
-def trivial_lattice(G):
-    return GLattice(G, 1, [[[(0, 1)]] for _ in G.generators])
+def omega_of(cosets):
+    """omega of Z[G/H], on the basis e_i - e_0."""
+    return augmentation(PermLattice(cosets))
 
 
 @pytest.fixture
@@ -150,7 +151,7 @@ def test_perm_lattice_ranks():
 def test_perm_lattice_matches_natural_character():
     G, H, X = stabilizer_cosets(5)
     U = PermLattice(X)
-    nat = natural_perm_lattice(G)
+    nat = NaturalLattice(G)
     for c in G.conjugacy_classes():
         g = c[0]
         assert character(U, g) == character(nat, g)
@@ -158,7 +159,8 @@ def test_perm_lattice_matches_natural_character():
 
 def test_augmentation_kernel():
     G, H, X = stabilizer_cosets(5)
-    omega, emb = augmentation_kernel(X)
+    omega = omega_of(X)
+    emb = omega.inclusion()
     assert omega.rank == 4
     assert emb.check_equivariance()
     # the coordinate sum kills every coset difference
@@ -166,16 +168,16 @@ def test_augmentation_kernel():
     check_action_invariants(omega)
 
     full = coset_space(G, G.subgroup(G.generators))
-    zero_omega, _ = augmentation_kernel(full)
+    zero_omega = omega_of(full)
     assert zero_omega.rank == 0
 
 
 def test_tensor_ranks():
     G, H, X = stabilizer_cosets(5)
     U = PermLattice(X)
-    A, _ = augmentation_kernel(X)
-    assert tensor(U, U).rank == 25
-    check_action_invariants(tensor(A, A), pairs=100)
+    A = omega_of(X)
+    assert TensorLattice(U, U).rank == 25
+    check_action_invariants(TensorLattice(A, A), pairs=100)
 
 
 def test_freepres_ranks_and_exactness():
@@ -263,8 +265,8 @@ def test_seq2_faithfulness_predicate():
     S3 = G4.subgroup(["(1 2)", "(1 2 3)"])
     assert faithful_predicate_seq2(G4, S3) is True
     X = coset_space(G4, S3)
-    omega, _ = augmentation_kernel(X)
-    assert is_faithful(tensor(omega, omega)) is True
+    omega = omega_of(X)
+    assert is_faithful(TensorLattice(omega, omega)) is True
 
     C2 = cyclic_group(2)
     assert faithful_predicate_seq2(C2, C2.trivial_subgroup()) is False
@@ -273,8 +275,8 @@ def test_seq2_faithfulness_predicate():
     H = C4.subgroup([sq])
     assert faithful_predicate_seq2(C4, H) is False
     Xc = coset_space(C4, H)
-    om, _ = augmentation_kernel(Xc)
-    assert is_faithful(tensor(om, om)) is False
+    om = omega_of(Xc)
+    assert is_faithful(TensorLattice(om, om)) is False
 
 
 def test_seq2_s4_trivial_subgroup_is_exact(snf_calls):
@@ -303,12 +305,12 @@ BAD_PIVOTS = {
 
 def _pivot_map(row_pivots=None, *, col_pivots=None):
     G = cyclic_group(2)
-    z = trivial_lattice(G)
+    z = CharacterLattice(G)
     if col_pivots is not None:
-        return LatticeMap(direct_sum([z] * 4), direct_sum([z] * 3),
+        return LatticeMap(DirectSumLattice([z] * 4), DirectSumLattice([z] * 3),
                           columns_of(list(zip(*PIVOT_MATRIX))),
                           col_pivots=col_pivots)
-    return LatticeMap(direct_sum([z] * 3), direct_sum([z] * 4),
+    return LatticeMap(DirectSumLattice([z] * 3), DirectSumLattice([z] * 4),
                       columns_of(PIVOT_MATRIX), row_pivots=row_pivots)
 
 
@@ -400,8 +402,8 @@ def test_certificate_kernel_spans_the_smith_kernel():
         pivot_cols = {c for _, c in outer.col_pivots}
         free = [j for j in range(outer.source.rank) if j not in pivot_cols]
         assert all(k[j] == 1 for k, j in zip(cert, free))
-        basis_map = LatticeMap(direct_sum([trivial_lattice(G)] * len(cert)),
-                               outer.source, outer.kernel_columns,
+        trivials = DirectSumLattice([CharacterLattice(G)] * len(cert))
+        basis_map = LatticeMap(trivials, outer.source, outer.kernel_columns,
                                row_pivots=[(j, i) for i, j in enumerate(free)])
         assert basis_map._row_certificate is not None
         solves_against(cert, smith, lambda v: dense_solve(basis_map, v))
@@ -492,13 +494,13 @@ def test_is_exact_negative_controls():
 
     # Drop a column from inner: ranks stop adding up.
     thin = seq.inner.columns[:-1]
-    small_src = trivial_lattice(G)
+    small_src = CharacterLattice(G)
     with pytest.raises(LatticeError):
         LatticeMap(small_src, seq.inner.target, thin)
 
 
 def test_map_columns_are_summed_and_checked():
-    z = trivial_lattice(cyclic_group(2))
+    z = CharacterLattice(cyclic_group(2))
     # (0, 1) twice is the entry 2, which is no unit pivot
     doubled = LatticeMap(z, z, [[(0, 1), (0, 1)]], row_pivots=[(0, 0)])
     assert doubled.columns == [[(0, 2)]] and doubled.matrix == [[2]]
@@ -509,7 +511,7 @@ def test_map_columns_are_summed_and_checked():
         with pytest.raises(LatticeError, match="outside a target of rank 1"):
             LatticeMap(z, z, [[(row, 1)]])
     with pytest.raises(LatticeError, match="1 columns for a source of rank 2"):
-        LatticeMap(direct_sum([z] * 2), z, [[(0, 1)]])
+        LatticeMap(DirectSumLattice([z] * 2), z, [[(0, 1)]])
 
 
 @pytest.mark.parametrize("element", ["(1 2)", 7, -1])
@@ -532,8 +534,8 @@ def test_is_faithful_by_class_representatives_matches_every_element():
     kernels += [seq.inner.source for _, _, seq in family_seq2()]
     C4 = cyclic_group(4)
     H = C4.subgroup([C4.mult(C4.generators[0], C4.generators[0])])
-    om, _ = augmentation_kernel(coset_space(C4, H))
-    kernels.append(tensor(om, om))
+    om = omega_of(coset_space(C4, H))
+    kernels.append(TensorLattice(om, om))
     answers = [is_faithful(lat) for lat in kernels]
     assert answers == [_faithful_by_every_element(lat) for lat in kernels]
     assert True in answers and False in answers
@@ -542,16 +544,15 @@ def test_is_faithful_by_class_representatives_matches_every_element():
 
 def test_is_faithful_basics():
     G, H, X = stabilizer_cosets(5)
-    A, _ = augmentation_kernel(X)
-    assert is_faithful(tensor(A, A)) is True
-    assert is_faithful(trivial_lattice(G)) is False
+    A = omega_of(X)
+    assert is_faithful(TensorLattice(A, A)) is True
+    assert is_faithful(CharacterLattice(G)) is False
 
     # The sign lattice of S3, the determinant of its rank-2 action, has
     # kernel A3.
     G3, H3, X3 = stabilizer_cosets(3)
-    A2, _ = augmentation_kernel(X3)
-    sign = GLattice(G3, 1, [[[(0, snf.det(dense_action(A2, g)))]]
-                            for g in G3.generators])
+    A2 = omega_of(X3)
+    sign = CharacterLattice(G3, lambda g: snf.det(dense_action(A2, g)))
     assert is_faithful(sign) is False
 
 
@@ -568,7 +569,7 @@ def test_character_values():
 def test_action_multiplicative_property(i, j):
     G = symmetric_group(4)
     H = G.subgroup(["(1 2)", "(1 2 3)"])
-    omega, _ = augmentation_kernel(coset_space(G, H))
+    omega = omega_of(coset_space(G, H))
     lhs = mat_mult(dense_action(omega, i), dense_action(omega, j))
     assert lhs == dense_action(omega, G.mult(i, j))
 
@@ -578,11 +579,11 @@ def omega_oracles():
     coset space of builtin_family() and for Formanek's A at n = 3..5."""
     for G in builtin_family():
         for H in subgroups_up_to_conjugacy(G):
-            omega, _ = augmentation_kernel(coset_space(G, H))
-            yield omega, sum_kernel(omega.perm)[1]
+            omega = omega_of(coset_space(G, H))
+            yield omega, sum_kernel(omega.ambient)[1]
     for n in (3, 4, 5):
         A = formanek_sequence(n)[0].outer.target
-        yield A, sum_kernel(A.perm)[1]
+        yield A, sum_kernel(A.ambient)[1]
 
 
 def kernel_inclusions():
@@ -617,7 +618,7 @@ def test_kernel_actions_match_the_dense_oracle():
 
 def test_closed_form_omega_matches_the_sum_kernel_oracle():
     """omega acts as the oracle's kernel of the coordinate sum does, element
-    by element, and the embedding of augmentation_kernel is the oracle's
+    by element, and the inclusion of augmentation is the oracle's
     inclusion, row certified and equivariant."""
     for omega, incl in omega_oracles():
         kernel = incl.source
@@ -626,7 +627,7 @@ def test_closed_form_omega_matches_the_sum_kernel_oracle():
             assert omega.acts_as_identity(g) == kernel.acts_as_identity(g)
     for G in builtin_family():
         for H in subgroups_up_to_conjugacy(G):
-            _, emb = augmentation_kernel(coset_space(G, H))
+            emb = omega_of(coset_space(G, H)).inclusion()
             assert emb.columns == sum_kernel(emb.target)[1].columns
             assert emb.is_injective_saturated() and emb.check_equivariance()
 
@@ -636,9 +637,10 @@ def permutation_views():
     and direct sums and tensor products of them."""
     G = symmetric_group(4)
     cos = coset_space(G, G.subgroup(["(1 2)"]))
-    perm, pairs, points = PermLattice(cos), PairsLattice(cos), natural_perm_lattice(G)
-    return [perm, pairs, points, direct_sum([perm, points, perm]),
-            tensor(points, perm), direct_sum([points, tensor(points, points)])]
+    perm, pairs, points = PermLattice(cos), PairsLattice(cos), NaturalLattice(G)
+    return [perm, pairs, points, DirectSumLattice([perm, points, perm]),
+            TensorLattice(points, perm),
+            DirectSumLattice([points, TensorLattice(points, points)])]
 
 
 VIEWS = permutation_views()
@@ -656,16 +658,36 @@ def test_moving_by_relabelling_matches_the_action_columns(data):
 
 
 def test_a_kernel_lattice_needs_a_permutation_view():
-    """omega and lattices given by generator columns have no permutation
-    view, and a kernel lattice refuses them as its ambient."""
+    """omega and sums of character lattices have no permutation view, and a
+    kernel lattice refuses them as its ambient."""
     kernel_map = _pivot_map(col_pivots=GOOD_PIVOTS)
     assert kernel_map.is_surjective()
     with pytest.raises(LatticeError, match="no permutation view"):
-        KernelLattice(kernel_map, "generator-column-kernel")
+        kernel_lattice(kernel_map, "character-kernel")
     G, H, X = stabilizer_cosets(3)
-    omega, _ = augmentation_kernel(X)
+    omega = omega_of(X)
     with pytest.raises(LatticeError, match="no permutation view"):
-        tensor(omega, PermLattice(X)).images(0)
+        TensorLattice(omega, PermLattice(X)).images(0)
+
+
+@pytest.mark.parametrize("columns, pivots", [
+    ([[(0, 1)]] * 3, None),
+    ([[(0, 1)]] * 3, [(0, 0), (0, 1)]),
+    ([[(0, 1)]] * 3, [(1, 0)]),
+    ([[(0, 1)]] * 3, [(0, 5)]),
+    ([[(0, 2)], [(0, 1)], [(0, 1)]], [(0, 0)]),
+], ids=["none", "two-pivots", "row-outside", "column-outside", "pivot-of-2"])
+def test_a_kernel_lattice_needs_a_column_certificate(columns, pivots):
+    """kernel_lattice reads the kernel basis before anything else, so a map
+    with no column certificate, or a faulty one, is refused by name."""
+    C3 = cyclic_group(3)
+    regular = PermLattice(coset_space(C3, C3.trivial_subgroup()))
+    outer = LatticeMap(regular, CharacterLattice(C3), columns,
+                       label="coordinate-sum", col_pivots=pivots)
+    assert not outer.is_surjective()
+    with pytest.raises(LatticeError,
+                       match="'coordinate-sum' has no column certificate"):
+        kernel_lattice(outer, "sum-kernel")
 
 
 def test_every_family_map_is_equivariant():
@@ -687,17 +709,17 @@ def test_kernel_of_a_non_equivariant_map_is_not_action_stable():
     has kernel Z e_1, which the swap moves out of the kernel."""
     C2 = cyclic_group(2)
     regular = PermLattice(coset_space(C2, C2.trivial_subgroup()))
-    first = LatticeMap(regular, trivial_lattice(C2), [[(0, 1)], []],
+    first = LatticeMap(regular, CharacterLattice(C2), [[(0, 1)], []],
                        col_pivots=[(0, 0)])
     assert first.is_surjective() and not first.check_equivariance()
     assert first.kernel_columns == (((1, 1),),)
     with pytest.raises(LatticeError, match="kernel is not action-stable"):
-        KernelLattice(first, "projection-kernel")
+        kernel_lattice(first, "projection-kernel")
     # The coordinate sum is equivariant, and its kernel is acted on.
-    total = LatticeMap(regular, trivial_lattice(C2), [[(0, 1)], [(0, 1)]],
+    total = LatticeMap(regular, CharacterLattice(C2), [[(0, 1)], [(0, 1)]],
                        col_pivots=[(0, 0)])
     assert total.check_equivariance()
-    assert dense_action(KernelLattice(total, "sum-kernel"),
+    assert dense_action(kernel_lattice(total, "sum-kernel"),
                         C2.generators[0]) == [[-1]]
 
 
@@ -724,9 +746,9 @@ def test_kernel_basis_is_worked_out_once(monkeypatch):
 
 
 def test_work_budget_of_lattice_certificates(monkeypatch):
-    """No dense view of a map and no walks along the BFS tree on the
-    lattice certificate path, products of group elements from the table,
-    and pinned counts of sparse substitutions and sparse products."""
+    """No dense view of a map on the lattice certificate path, products of
+    group elements from the table, and pinned counts of sparse
+    substitutions and sparse products."""
     compositions = []
     real_mult = groups._mult
 
@@ -749,14 +771,6 @@ def test_work_budget_of_lattice_certificates(monkeypatch):
         return real_matrix(self)
 
     monkeypatch.setattr(LatticeMap, "matrix", property(counting_matrix))
-    walks = []
-    real_compute = GLattice._compute
-
-    def counting_compute(self, g):
-        walks.append(g)
-        return real_compute(self, g)
-
-    monkeypatch.setattr(GLattice, "_compute", counting_compute)
     work = {"_substitute": 0, "_apply": 0}
 
     def counting(name):
@@ -776,7 +790,7 @@ def test_work_budget_of_lattice_certificates(monkeypatch):
     counting("_apply")
     trivial = S4.trivial_subgroup()
     # omega is built in closed form: no substitution and no product
-    augmentation_kernel(coset_space(S4, trivial))
+    omega_of(coset_space(S4, trivial)).inclusion()
     assert spent() == (0, 0)
 
     def formanek():
@@ -802,7 +816,7 @@ def test_work_budget_of_lattice_certificates(monkeypatch):
         assert all(m.check_equivariance() for m in [seq.inner, seq.outer, *extra])
     # criterion 4's records, unimodularity included, read no dense view
     assert not failing(formanek_checks(5))
-    assert reads == [] and walks == []
+    assert reads == []
 
 
 def test_formanek_sequence_builds_no_multiplication_table():
