@@ -71,8 +71,8 @@ from .lattices import (
 from .quadforms import (
     GENERATOR_LEGEND,
     QuadFormError,
+    QuadraticForm,
     TraceData,
-    diagonal,
     direct_sum,
     hyperbolic_sufficient,
     reduced_polynomials,
@@ -451,7 +451,7 @@ def trace_instance_checks(td: TraceData, k: int) -> list:
     # the moves are isometries of the trace field (which contains i),
     # so the sound cross-checks are the rank drop and the discriminant
     # square class there
-    restored = direct_sum(final, diagonal([1, -1, 1, -1], ring=td.ring))
+    restored = direct_sum(final, QuadraticForm(td.ring, [1, -1, 1, -1]))
     disc = td.ring.element(1)
     for e in list(start.entries) + list(restored.entries):
         disc = disc * e

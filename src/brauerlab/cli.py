@@ -8,7 +8,8 @@ each record to its envelope entry and the records to the overall status.
 Envelopes are serialized with sorted keys and carry no wall-clock field,
 so equal seeds give byte-identical output; timing goes to standard error.
 Exit codes: 0 when every check passes, 1 when a mathematical check fails,
-2 for invalid input.
+2 for invalid input: bad values, an option the chosen mode does not use, or
+an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def _family_registry() -> dict:
 
 def cmd_lattice(args) -> tuple[dict, list]:
     if args.formanek is not None:
-        if args.group or args.subgroup:
-            raise UsageError("--formanek takes no --group or --subgroup")
+        if args.group or args.subgroup or args.r is not None:
+            raise UsageError("--formanek takes no --group, --subgroup or --r")
         if args.formanek < 2:
             raise UsageError("the symmetric-group kernel needs n >= 2")
         return {"formanek": args.formanek}, formanek_checks(args.formanek)
@@ -111,10 +112,11 @@ def cmd_lattice(args) -> tuple[dict, list]:
     else:
         subgroup = group.trivial_subgroup()
 
-    rel = relation_kernel_checks(group, subgroup, args.r)
+    r = 2 if args.r is None else args.r
+    rel = relation_kernel_checks(group, subgroup, r)
     if rel is None:
         raise UsageError(
-            f"no generating tuple of length {args.r} relative to the "
+            f"no generating tuple of length {r} relative to the "
             f"subgroup; raise --r")
     tens = tensor_square_checks(group, subgroup)
     if tens is None:
@@ -122,7 +124,7 @@ def cmd_lattice(args) -> tuple[dict, list]:
     return {
         "group": args.group,
         "subgroup": args.subgroup or "trivial",
-        "r": args.r,
+        "r": r,
     }, rel + tens
 
 
@@ -151,6 +153,9 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
         checks.append(check(label, cert.ok, cert.to_json()))
 
     if args.symbol is not None:
+        if args.random is not None:
+            raise UsageError("--symbol certifies one instance; it takes no --random")
+        mu, nu = ("0" if v is None else v for v in (args.mu, args.nu))
         e, g, t, lam = [_parse_fraction(v) for v in args.symbol]
         if e == 0 or g == 0:
             raise UsageError("symbol entries must be nonzero")
@@ -165,25 +170,28 @@ def cmd_crossed_decompose(args) -> tuple[dict, list]:
             algebra = instance_from_symbol(
                 args.m, ring.element(e), ring.element(g), ring.element(t),
                 ring.element(lam), ring=ring, check="full",
-                mu=ring.element(_parse_fraction(args.mu)),
-                nu=ring.element(_parse_fraction(args.nu)))
+                mu=ring.element(_parse_fraction(mu)),
+                nu=ring.element(_parse_fraction(nu)))
         except CrossedError as exc:
             raise UsageError(str(exc)) from exc
         run_one("decomposition", algebra)
         inputs = {"m": args.m, "symbol": [str(v) for v in (e, g, t, lam)],
-                  "mu": args.mu, "nu": args.nu}
+                  "mu": mu, "nu": nu}
     else:
+        if args.mu is not None or args.nu is not None:
+            raise UsageError("--mu and --nu twist a --symbol instance")
         if args.m != 2:
             raise UsageError("--random draws the degree-4 family; use --symbol for larger m")
-        if args.random < 1:
+        count = 1 if args.random is None else args.random
+        if count < 1:
             raise UsageError("--random needs at least one instance")
         done = resampled = 0
-        for _, algebra, resampled in seeded_symbol_instances(args.seed, ring, args.random):
+        for _, algebra, resampled in seeded_symbol_instances(args.seed, ring, count):
             run_one(f"decomposition-{done}", algebra)
             done += 1
-        if done < args.random:
+        if done < count:
             raise UsageError("instance generator exhausted")
-        inputs = {"m": 2, "random": args.random, "resampled": resampled}
+        inputs = {"m": 2, "random": count, "resampled": resampled}
     return inputs, checks
 
 
@@ -252,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "certificates over the builtin family")
     p.add_argument("--group", help="family group name, e.g. S4")
     p.add_argument("--subgroup", help="comma-separated generator cycles")
-    p.add_argument("--r", type=int, default=2, choices=(1, 2))
+    p.add_argument("--r", type=int, choices=(1, 2),
+                   help="generating-tuple length (default 2)")
     p.add_argument("--formanek", type=int, metavar="N",
                    help="check the symmetric-group kernel splitting instead")
     common(p)
@@ -271,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--symbol", nargs=4, metavar=("E", "G", "T", "LAM"),
                    help="embed one instance from symbol parameters")
-    p.add_argument("--mu", default="0", help="alpha1 twist component")
-    p.add_argument("--nu", default="0", help="alpha2 twist component")
-    p.add_argument("--random", type=int, default=1, metavar="N",
-                   help="number of seeded instances (default 1)")
+    p.add_argument("--mu", help="alpha1 twist component of --symbol (default 0)")
+    p.add_argument("--nu", help="alpha2 twist component of --symbol (default 0)")
+    p.add_argument("--random", type=int, metavar="N",
+                   help="number of seeded instances, without --symbol (default 1)")
     common(p)
     p.set_defaults(handler=cmd_crossed_decompose)
 
@@ -305,8 +314,13 @@ def main(argv=None) -> int:
     envelope = make_envelope(args.command, inputs, args.seed, checks)
     text = serialize_envelope(envelope)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"brauerlab {args.command}: cannot write {args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     elapsed = time.monotonic() - started

@@ -52,10 +52,10 @@ product of each computes only the grades its automorphisms fix (``mul``'s
 Construction tests that u is a unit, N_K/F(u) != 0; u^-1 is taken when a
 product first needs c((0, 1), (k, 0)).
 
-Associativity is also what ``invertible_delta_power`` rests on: an algebra
-that passes (a) and (b) is power-associative, so delta^2m may be taken by
-squaring and a scalar delta^2m = d' makes d'^-1 delta^(2m-1) a two-sided
-inverse.  That function checks (a) and (b) itself, whatever the check level.
+Associativity is also what accepting delta rests on: in an algebra that
+passes (a) and (b), which ``cyclic_to_symbol`` requires at either check
+level, delta^2m is taken by ``power_factors`` and a scalar delta^2m = d'
+makes d'^-1 delta^(2m-1) a two-sided inverse.
 With unit u, b1, b2 (all three have nonzero norms, u's tested at
 construction) it is a crossed product over the Galois F-algebra K with a unit
 factor set, so central simple.  If also x^2m - c' is irreducible (c' no p-th
@@ -104,7 +104,8 @@ from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 from .checks import check, failing
-from .exactfield import Cyc, FieldElement, PolyRing, common_conductor, factorize, is_power
+from .exactfield import (
+    Cyc, FieldElement, PolyRing, common_conductor, factorize, is_power, power_factors)
 
 
 class CrossedError(ValueError):
@@ -250,12 +251,11 @@ class GradedAlgebra:
         return out
 
     def power(self, x: dict, n: int) -> dict:
-        if n < 1:
-            return self.one()
-        out = x
-        for _ in range(n - 1):
-            out = self.mul(out, x)
-        return out
+        """x^n by ``power_factors``, so only where the powers of x associate:
+        in K, in the K-z1 subalgebra, or for a square."""
+        if n < 2:
+            return x if n else self.one()
+        return self.mul(*power_factors(self.mul, x, n))
 
     def equal(self, x: dict, y: dict) -> bool:
         C = self.coeffs
@@ -960,47 +960,21 @@ class SymbolPresentation:
         }
 
 
-def invertible_delta_power(A: CrossedAlgebra, delta: dict) -> Optional[FieldElement]:
-    """d' = delta^2m when it certifies delta invertible, else None.
-
-    A must pass the norm conditions (a) and (b), whatever its check level,
-    so A is associative and delta^2m is taken by square-and-multiply: 2
-    products at m = 2, 3 at m = 3 and at m = 4.  delta is accepted when
-    delta^2m is a nonzero F-scalar d'; by associativity d'^-1 delta^(2m-1)
-    is then a two-sided inverse of delta.  In a central simple algebra
-    nothing invertible is lost: a solution of delta gamma = zeta_2m gamma
-    delta has delta^2m in the centralizer F(gamma) of the degree-2m
-    subfield, fixed by conjugation by delta, which generates
-    Gal(F(gamma)/F); so delta^2m lies in F*.
-    """
-    if not A.norm_conditions_hold():
-        return None
-    d_prime = A.scalar_of(A.mul(*_power_factors(A, delta, 2 * A.m)))
-    return None if d_prime is None or d_prime.is_zero() else d_prime
-
-
-def _power_factors(A: GradedAlgebra, x: dict, n: int) -> tuple:
-    """(y, z) with y z = x^n, n >= 2: the square-and-multiply chain of n, low
-    bits first, short of its last product (x^(n - 2^k) x^(2^k), or a square)."""
-    top, square = None, x
-    while n > 1:
-        if n & 1:
-            top = square if top is None else A.mul(top, square)
-        n >>= 1
-        if n == 1 and top is None:
-            return square, square
-        square = A.mul(square, square)
-    return top, square
-
-
 def _accept_delta(A: CrossedAlgebra, delta: dict, simple: bool) -> Optional[FieldElement]:
-    """d' for a candidate delta, or None.  When ``simple`` (module docstring) a
-    nonzero delta is accepted, d' the F-component of the chain's last product."""
-    if not simple:
-        return invertible_delta_power(A, delta)
+    """d' for a candidate delta, or None.  A is associative, so delta^2m is the
+    product of ``power_factors``' pair.  When ``simple`` (module docstring) a
+    nonzero delta is accepted, d' the F-component of that product; otherwise
+    delta is accepted when the whole delta^2m is a nonzero F-scalar d'.  No
+    invertible delta is lost: in a central simple algebra delta^2m lies in the
+    centralizer F(gamma) of the degree-2m subfield and is fixed by conjugation
+    by delta, which generates Gal(F(gamma)/F), so it lies in F*."""
     if A.is_zero(delta):
         return None
-    return A.scalar_product(*_power_factors(A, delta, 2 * A.m))
+    pair = power_factors(A.mul, delta, 2 * A.m)
+    if simple:
+        return A.scalar_product(*pair)
+    d_prime = A.scalar_of(A.mul(*pair))
+    return None if d_prime is None or d_prime.is_zero() else d_prime
 
 
 def _projection(A: CrossedAlgebra, powers: list, theta: dict) -> dict:
@@ -1025,14 +999,15 @@ def cyclic_to_symbol(A: CrossedAlgebra, gamma: dict) -> SymbolPresentation:
     monomials in order, and the first delta_theta that ``_accept_delta``
     accepts wins: the first nonzero one when A is central simple and
     x^2m - c' is irreducible (module docstring; delta-power-in-F names the
-    path and its evidence), else the first that ``invertible_delta_power``
-    certifies.  In a division algebra E != 0 and every nonzero element is
+    path and its evidence), else the first whose whole delta^2m is a nonzero
+    F-scalar.  In a division algebra E != 0 and every nonzero element is
     invertible, so the search misses nothing there; none accepted raises
-    CrossedError.  A that fails the norm conditions is not associative and
-    is refused before the search.  The two gates that raise before it are recorded as checks,
-    gamma-power-2m-nonzero and gamma-min-poly-degree (a triangular pivot
-    certificate gives the first 2m powers rank 2m), and c' is checked
-    against gamma^m gamma^m.
+    CrossedError.  A that fails the norm conditions is not associative, so
+    neither ``_accept_delta`` nor ``GradedAlgebra.power`` applies: it is
+    refused before the search.  The two gates that raise before it are
+    recorded as checks, gamma-power-2m-nonzero and gamma-min-poly-degree (a
+    triangular pivot certificate gives the first 2m powers rank 2m), and c'
+    is checked against gamma^m gamma^m.
     """
     if not A.norm_conditions_hold():
         raise CrossedError("norm conditions (a) and (b) fail: the algebra is not associative")

@@ -1,6 +1,8 @@
 """Exact symbolic arithmetic: cyclotomic scalars, sparse polynomials and
 rational functions.  The three classes share subtraction, division and
-integer powers through one base class, cyclotomic.DerivedOps."""
+integer powers through one base class, cyclotomic.DerivedOps; its powers,
+and the crossed algebras', are products of ``power_factors``' pair, the one
+square-and-multiply chain."""
 
 from .cyclotomic import (
     Cyc,
@@ -9,6 +11,7 @@ from .cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     factorize,
+    power_factors,
 )
 from .poly import (
     FieldElement,
@@ -26,6 +29,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "factorize",
+    "power_factors",
     "FieldElement",
     "MultiPoly",
     "PolyRing",

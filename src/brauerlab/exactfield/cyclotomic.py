@@ -20,11 +20,14 @@ factor): no convolution, no reduction mod Phi_N.  Normalization is one
 C-level gcd over the denominator and every coordinate.
 
 ``DerivedOps`` holds subtraction, division and integer powers once for
-``Cyc``, poly.MultiPoly and poly.FieldElement.
+``Cyc``, poly.MultiPoly and poly.FieldElement.  ``power_factors`` is the one
+square-and-multiply chain (Knuth, TAOCP vol. 2, sec. 4.6.3): those powers
+and every power in the crossed algebras end in it.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -140,13 +143,27 @@ def reduce_powers(conv: list[int], n: int) -> list[int]:
 Scalarish = Union["Cyc", int, Fraction]
 
 
+def power_factors(mul, x, n: int) -> tuple:
+    """(y, z) with mul(y, z) = x^n for n >= 2: the square-and-multiply chain
+    of n, low bits first, short of its last product (x^(n - 2^k) x^(2^k), or
+    a square).  ``mul`` must be associative on the powers of x."""
+    top, square = None, x
+    while n > 1:
+        if n & 1:
+            top = square if top is None else mul(top, square)
+        n >>= 1
+        if n == 1 and top is None:
+            return square, square
+        square = mul(square, square)
+    return top, square
+
+
 class DerivedOps:
     """Subtraction, division and integer powers, shared by the exact scalars.
 
     A subclass supplies ``_coerce`` (the other operand in its own type, or
     None), ``+``, unary ``-``, ``*`` and ``inverse``; ``_coerce(1)`` is the
-    unit.  A power squares from the lowest bit up, with no product by the
-    unit first and no squaring after the last bit.
+    unit.  A power of 2 or more is the product of ``power_factors``' pair.
     """
 
     __slots__ = ()
@@ -172,14 +189,9 @@ class DerivedOps:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return self._coerce(1) if result is None else result
+        if k < 2:
+            return self if k else self._coerce(1)
+        return operator.mul(*power_factors(operator.mul, self, k))
 
 
 class Cyc(DerivedOps):

@@ -325,10 +325,6 @@ class CosetSpace:
         return f"<CosetSpace with {self.size} cosets>"
 
 
-def coset_space(group: PermutationGroup, subgroup: Subgroup) -> CosetSpace:
-    return CosetSpace(group, subgroup)
-
-
 def normal_core(group: PermutationGroup, subgroup: Subgroup) -> Subgroup:
     """The largest normal subgroup of `group` contained in `subgroup`."""
     core = set(subgroup.members)

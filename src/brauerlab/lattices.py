@@ -38,7 +38,6 @@ from .groups import (
     CosetSpace,
     PermutationGroup,
     Subgroup,
-    coset_space,
     normal_core,
 )
 
@@ -575,10 +574,10 @@ def freepres_sequence(group: PermutationGroup, subgroup: Subgroup,
             range(group.order)):
         raise LatticeError("does not generate")
     r = len(alphas)
-    reg = coset_space(group, group.trivial_subgroup())
+    reg = CosetSpace(group, group.trivial_subgroup())
     regular = PermLattice(reg, label=f"Z[{group.name or 'G'}]")
     middle = DirectSumLattice([regular] * r)
-    cos = coset_space(group, subgroup)
+    cos = CosetSpace(group, subgroup)
     omega = augmentation(PermLattice(cos))
     n = cos.size
     f = []
@@ -610,7 +609,7 @@ def seq2_sequence(group: PermutationGroup,
     The middle term is a permutation lattice; pair_basis_iso identifies it
     with omega (x) Z[G/H].
     """
-    cos = coset_space(group, subgroup)
+    cos = CosetSpace(group, subgroup)
     n = cos.size
     if n < 2:
         raise LatticeError("index must be at least 2")

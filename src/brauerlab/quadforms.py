@@ -53,10 +53,6 @@ class QuadraticForm:
         return len(self.entries)
 
 
-def diagonal(entries: Sequence, ring: PolyRing) -> QuadraticForm:
-    return QuadraticForm(ring, entries)
-
-
 def direct_sum(left: QuadraticForm, right: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(left.ring, left.entries + right.entries)
 
@@ -68,7 +64,7 @@ def pfister(slots: Sequence, ring: PolyRing) -> QuadraticForm:
     slots whose bit is set, so pfister([a]) is <1, a> and pfister([a, b])
     is <1, a, b, a*b>.
     """
-    base = diagonal(slots, ring)
+    base = QuadraticForm(ring, slots)
     out = [ring.element(1)]
     for a in base.entries:
         out = out + [e * a for e in out]
@@ -270,8 +266,8 @@ def equiv_form(td: TraceData) -> QuadraticForm:
     """
     if td.t1.is_zero() or td.t2.is_zero():
         raise QuadFormError("zero denominator")
-    return diagonal(_reduced_entries(td.n1 / (td.t1 * td.t1), td.n2 / (td.t2 * td.t2),
-                                     td.t1 * td.t2, td.t2 * td.t3), ring=td.ring)
+    return QuadraticForm(td.ring, _reduced_entries(
+        td.n1 / (td.t1 * td.t1), td.n2 / (td.t2 * td.t2), td.t1 * td.t2, td.t2 * td.t3))
 
 
 # ------------------------------------------------------------------ Witt moves

@@ -2,7 +2,7 @@ from brauerlab.bounds import (
     d_bounds,
     tau_bound_crossed,
 )
-from brauerlab.groups import coset_space, cyclic_group, symmetric_group
+from brauerlab.groups import CosetSpace, cyclic_group, symmetric_group
 from brauerlab.lattices import (
     PermLattice,
     TensorLattice,
@@ -112,7 +112,7 @@ def test_tau_rank_bound():
     # omega^(x2) for (S4, S3) is faithful of rank 9
     G4 = symmetric_group(4)
     H = G4.subgroup(["(1 2)", "(1 2 3)"])
-    om = augmentation(PermLattice(coset_space(G4, H)))
+    om = augmentation(PermLattice(CosetSpace(G4, H)))
     square = TensorLattice(om, om)
     assert is_faithful(square)
     assert square.rank == 9

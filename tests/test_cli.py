@@ -132,11 +132,26 @@ def test_integer_certificates_pass_and_are_byte_identical(tmp_path, argv):
     ("crossed-decompose", "--m", "3", "--symbol", "2", "3", "1", "1"),
     ("crossed-decompose", "--m", "4", "--symbol", "2", "3", "1", "1"),
     ("crossed-decompose", "--m", "5", "--symbol", "3", "5", "2", "1"),
+    # options the chosen mode does not use
+    ("crossed-decompose", "--symbol", "3", "5", "2", "1", "--random", "5"),
+    ("crossed-decompose", "--mu", "1"),
+    ("crossed-decompose", "--random", "2", "--nu", "1"),
+    ("lattice", "--formanek", "6", "--r", "1"),
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     code, text = run(tmp_path, "bad.json", *argv)
     assert code == 2
     assert text is None
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # a missing directory: a one-line message and the exit code of bad input
+    target = tmp_path / "missing" / "out.json"
+    assert main(["bounds", "--n", "5", "--out", str(target)]) == 2
+    assert not target.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"brauerlab bounds: cannot write {target}: ")
+    assert err.count("\n") == 1
 
 
 def test_subgroup_cycles_may_use_commas(tmp_path):

@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import kummer_oracle
 import pytest
@@ -25,7 +25,6 @@ from brauerlab.crossed import (
     decompose,
     generic_cyclic_algebra,
     instance_from_symbol,
-    invertible_delta_power,
     standard_ring,
     tensor_brauer,
 )
@@ -644,6 +643,24 @@ def test_power_cancellation_on_full_instance():
     assert payload["check_level"] == "full"
 
 
+@pytest.mark.parametrize("m, budget", [(2, 1), (3, 2), (4, 2), (5, 3)])
+def test_bergman_power_product_budget(monkeypatch, m, budget):
+    # (z1 + al1)^m by the square-and-multiply chain of m: one squaring per
+    # bit below the top one and one product per set bit below it
+    A = generic_cyclic_algebra(m)
+    calls = []
+    mul = crossed.GradedAlgebra.mul
+
+    def counted_mul(self, x, y, keep=None):
+        if isinstance(self, CrossedAlgebra):
+            calls.append(self)
+        return mul(self, x, y, keep=keep)
+
+    monkeypatch.setattr(crossed.GradedAlgebra, "mul", counted_mul)
+    assert bergman_power(A).ok
+    assert len(calls) == budget
+
+
 # ---------------------------------------------------------------- tensor product
 
 
@@ -799,7 +816,7 @@ def test_decompose_generic_symbolic(monkeypatch, m):
     # d' is read off the F-component, and it equals the whole delta^2m
     Af, delta, simple, d_prime = seen[-1]
     assert simple and delta_detail(cert)["delta^2m in F*"] == "F-component"
-    assert d_prime == invertible_delta_power(Af, delta)
+    assert d_prime == crossed._accept_delta(Af, delta, False)
     assert FieldElement.from_json(ring, cert.witnesses["d_prime"]) == d_prime
     names = {item["name"] for item in cert.identities}
     assert {"gamma-power-m", "gamma-power-2m", "gamma-min-poly-degree",
@@ -821,7 +838,7 @@ def test_field_component_agrees_with_the_whole_power_on_criterion_7(monkeypatch,
         cert = decomposition_certificate(A)
         assert cert.ok
         Af, delta, simple, d_prime = seen[-1]
-        assert d_prime == invertible_delta_power(Af, delta)
+        assert d_prime == crossed._accept_delta(Af, delta, False)
         paths.append(delta_detail(cert)["delta^2m in F*"])
         assert paths[-1] == ("F-component" if simple else "whole power")
     assert "F-component" in paths
@@ -1215,7 +1232,7 @@ def test_delta_power_agrees_with_solve_oracle(params):
     # gamma^m = c al2 forces delta al2 = -al2 delta: only z2-odd grades
     assert all(l == 1 for delta in candidates for (_, l) in delta)
     for delta in candidates:
-        d_prime = invertible_delta_power(A, delta)
+        d_prime = crossed._accept_delta(A, delta, False)
         assert (d_prime is not None) == _solve_invertible(A, delta)
         if d_prime is not None:
             inv = A.scale(A.power(delta, 3), d_prime.inverse())
@@ -1231,7 +1248,7 @@ def test_delta_power_refuses_invertible_delta_outside_F():
         cyclic_to_symbol(A, gamma)
     refused = []
     for delta in _commutation_candidates(A, gamma):
-        accepted = invertible_delta_power(A, delta) is not None
+        accepted = crossed._accept_delta(A, delta, False) is not None
         if accepted != _solve_invertible(A, delta):
             refused.append(delta)
             assert not accepted
@@ -1241,22 +1258,24 @@ def test_delta_power_refuses_invertible_delta_outside_F():
 
 def test_delta_power_refuses_an_algebra_failing_the_norm_conditions():
     # u -> u al2 breaks the norm conditions (the full check rejects it);
-    # there (z1 z2)^3 z1 z2 is a nonzero scalar but z1 z2 (z1 z2)^3 differs,
-    # so no power of z1 z2 certifies it invertible
+    # there ((x x) x) x is a nonzero scalar for x = z1 z2 but x ((x x) x)
+    # differs, so no power of x certifies it invertible, and cyclic_to_symbol
+    # refuses the algebra before it takes any power
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="none")
     K = A.K
     x = A.mul(A.z1(), A.z2())
-    assert invertible_delta_power(A, x) is not None
+    assert crossed._accept_delta(A, x, False) is not None
     u_al2 = K.mul(A.u, K.alpha2())
     with pytest.raises(CrossedError):
         CrossedAlgebra(K, u_al2, A.b1, A.b2, check="full")
     B = CrossedAlgebra(K, u_al2, A.b1, A.b2, check="none")
     assert A.norm_conditions_hold() and not B.norm_conditions_hold()
     x = B.mul(B.z1(), B.z2())
-    top = B.power(x, 4)
+    top = reduce(B.mul, [x] * 4)
     assert B.scalar_of(top) is not None and not B.scalar_of(top).is_zero()
-    assert not B.equal(B.mul(x, B.power(x, 3)), top)
-    assert invertible_delta_power(B, x) is None
+    assert not B.equal(B.mul(x, reduce(B.mul, [x] * 3)), top)
+    with pytest.raises(CrossedError, match="not associative"):
+        cyclic_to_symbol(B, B.add(B.z1(), B.alpha1()))
 
 
 def test_cyclic_to_symbol_refuses_a_non_associative_algebra_up_front(monkeypatch):
@@ -1279,7 +1298,7 @@ def test_squared_delta_power_matches_sequential_power(m):
     pres = cyclic_to_symbol(Af, Af.add(Af.z1(), Af.alpha1()))
     assert pres.ok
     delta = pres.delta
-    assert pres.d_prime == Af.scalar_of(Af.power(delta, 2 * m))
+    assert pres.d_prime == Af.scalar_of(reduce(Af.mul, [delta] * (2 * m)))
 
 
 def test_c_prime_value_is_checked_against_gamma_m_squared(monkeypatch):

@@ -7,7 +7,6 @@ from brauerlab.groups import (
     all_subgroups,
     alternating_group,
     builtin_family,
-    coset_space,
     cycles_string,
     cyclic_group,
     dihedral_group,
@@ -108,7 +107,7 @@ def test_coset_space_s5_mod_s4():
     G = symmetric_group(5)
     H = G.subgroup(["(1 2)", "(1 2 3 4)"])
     assert H.order == 24
-    X = coset_space(G, H)
+    X = CosetSpace(G, H)
     assert X.size == 5
     assert X.coset_of[0] == 0
     # H is the stabilizer of point 4 (0-based), so the coset action is

@@ -123,3 +123,37 @@ def test_no_check_has_a_constant_verdict():
         if isinstance(ok, ast.Constant) and (isinstance(ok.value, bool) or ok.value is None)
     ]
     assert constant == [], f"checks with a constant verdict: {constant}"
+
+
+def _passes_on_its_parameters(node: ast.FunctionDef) -> bool:
+    """The body, after any docstring, is one ``return f(...)`` whose arguments
+    are exactly the function's own parameters, in any order."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) \
+            or not isinstance(body[0].value, ast.Call):
+        return False
+    call = body[0].value
+    passed = [a.value if isinstance(a, ast.Starred) else a for a in call.args]
+    passed += [k.value for k in call.keywords]
+    a = node.args
+    params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    return (all(isinstance(x, ast.Name) for x in passed)
+            and sorted(x.id for x in passed) == sorted(params))
+
+
+def test_no_module_function_only_passes_its_parameters_on():
+    """No module-level ``def`` in ``src/`` is a pass-through wrapper: a
+    function that returns one call on exactly its own parameters is a second
+    name for that callable, so callers call the callable."""
+    wrappers = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+        for path in ALL_MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _passes_on_its_parameters(node)
+    ]
+    assert wrappers == [], f"pass-through wrappers: {wrappers}"

@@ -8,10 +8,10 @@ from brauerlab import groups, lattices, snf
 from brauerlab.acceptance import formanek_checks
 from brauerlab.checks import failing
 from brauerlab.groups import (
+    CosetSpace,
     GroupError,
     alternating_group,
     builtin_family,
-    coset_space,
     cyclic_group,
     direct_product,
     min_generators_rel,
@@ -118,7 +118,7 @@ def stabilizer_cosets(n):
         str(i) for i in range(1, n)) + ")"]
     H = G.subgroup(gens)
     assert H.order * n == G.order
-    return G, H, coset_space(G, H)
+    return G, H, CosetSpace(G, H)
 
 
 def check_action_invariants(lat, pairs=200, seed=0, check_det=True):
@@ -143,7 +143,7 @@ def test_perm_lattice_ranks():
     G5, H5, X5 = stabilizer_cosets(5)
     U5 = PermLattice(X5)
     assert U5.rank == 5
-    full = coset_space(G5, G5.subgroup(G5.generators))
+    full = CosetSpace(G5, G5.subgroup(G5.generators))
     assert PermLattice(full).rank == 1
     check_action_invariants(U5, pairs=1000)
 
@@ -167,7 +167,7 @@ def test_augmentation_kernel():
     assert all(sum(column) == 0 for column in zip(*emb.matrix))
     check_action_invariants(omega)
 
-    full = coset_space(G, G.subgroup(G.generators))
+    full = CosetSpace(G, G.subgroup(G.generators))
     zero_omega = omega_of(full)
     assert zero_omega.rank == 0
 
@@ -264,7 +264,7 @@ def test_seq2_faithfulness_predicate():
     G4 = symmetric_group(4)
     S3 = G4.subgroup(["(1 2)", "(1 2 3)"])
     assert faithful_predicate_seq2(G4, S3) is True
-    X = coset_space(G4, S3)
+    X = CosetSpace(G4, S3)
     omega = omega_of(X)
     assert is_faithful(TensorLattice(omega, omega)) is True
 
@@ -274,7 +274,7 @@ def test_seq2_faithfulness_predicate():
     sq = C4.mult(C4.generators[0], C4.generators[0])
     H = C4.subgroup([sq])
     assert faithful_predicate_seq2(C4, H) is False
-    Xc = coset_space(C4, H)
+    Xc = CosetSpace(C4, H)
     om = omega_of(Xc)
     assert is_faithful(TensorLattice(om, om)) is False
 
@@ -534,7 +534,7 @@ def test_is_faithful_by_class_representatives_matches_every_element():
     kernels += [seq.inner.source for _, _, seq in family_seq2()]
     C4 = cyclic_group(4)
     H = C4.subgroup([C4.mult(C4.generators[0], C4.generators[0])])
-    om = omega_of(coset_space(C4, H))
+    om = omega_of(CosetSpace(C4, H))
     kernels.append(TensorLattice(om, om))
     answers = [is_faithful(lat) for lat in kernels]
     assert answers == [_faithful_by_every_element(lat) for lat in kernels]
@@ -569,7 +569,7 @@ def test_character_values():
 def test_action_multiplicative_property(i, j):
     G = symmetric_group(4)
     H = G.subgroup(["(1 2)", "(1 2 3)"])
-    omega = omega_of(coset_space(G, H))
+    omega = omega_of(CosetSpace(G, H))
     lhs = mat_mult(dense_action(omega, i), dense_action(omega, j))
     assert lhs == dense_action(omega, G.mult(i, j))
 
@@ -579,7 +579,7 @@ def omega_oracles():
     coset space of builtin_family() and for Formanek's A at n = 3..5."""
     for G in builtin_family():
         for H in subgroups_up_to_conjugacy(G):
-            omega = omega_of(coset_space(G, H))
+            omega = omega_of(CosetSpace(G, H))
             yield omega, sum_kernel(omega.ambient)[1]
     for n in (3, 4, 5):
         A = formanek_sequence(n)[0].outer.target
@@ -627,7 +627,7 @@ def test_closed_form_omega_matches_the_sum_kernel_oracle():
             assert omega.acts_as_identity(g) == kernel.acts_as_identity(g)
     for G in builtin_family():
         for H in subgroups_up_to_conjugacy(G):
-            emb = omega_of(coset_space(G, H)).inclusion()
+            emb = omega_of(CosetSpace(G, H)).inclusion()
             assert emb.columns == sum_kernel(emb.target)[1].columns
             assert emb.is_injective_saturated() and emb.check_equivariance()
 
@@ -636,7 +636,7 @@ def permutation_views():
     """Lattices with a permutation view: on cosets, coset pairs and points,
     and direct sums and tensor products of them."""
     G = symmetric_group(4)
-    cos = coset_space(G, G.subgroup(["(1 2)"]))
+    cos = CosetSpace(G, G.subgroup(["(1 2)"]))
     perm, pairs, points = PermLattice(cos), PairsLattice(cos), NaturalLattice(G)
     return [perm, pairs, points, DirectSumLattice([perm, points, perm]),
             TensorLattice(points, perm),
@@ -681,7 +681,7 @@ def test_a_kernel_lattice_needs_a_column_certificate(columns, pivots):
     """kernel_lattice reads the kernel basis before anything else, so a map
     with no column certificate, or a faulty one, is refused by name."""
     C3 = cyclic_group(3)
-    regular = PermLattice(coset_space(C3, C3.trivial_subgroup()))
+    regular = PermLattice(CosetSpace(C3, C3.trivial_subgroup()))
     outer = LatticeMap(regular, CharacterLattice(C3), columns,
                        label="coordinate-sum", col_pivots=pivots)
     assert not outer.is_surjective()
@@ -708,7 +708,7 @@ def test_kernel_of_a_non_equivariant_map_is_not_action_stable():
     swaps the basis of Z[C2], and projecting onto the first coordinate
     has kernel Z e_1, which the swap moves out of the kernel."""
     C2 = cyclic_group(2)
-    regular = PermLattice(coset_space(C2, C2.trivial_subgroup()))
+    regular = PermLattice(CosetSpace(C2, C2.trivial_subgroup()))
     first = LatticeMap(regular, CharacterLattice(C2), [[(0, 1)], []],
                        col_pivots=[(0, 0)])
     assert first.is_surjective() and not first.check_equivariance()
@@ -790,7 +790,7 @@ def test_work_budget_of_lattice_certificates(monkeypatch):
     counting("_apply")
     trivial = S4.trivial_subgroup()
     # omega is built in closed form: no substitution and no product
-    omega_of(coset_space(S4, trivial)).inclusion()
+    omega_of(CosetSpace(S4, trivial)).inclusion()
     assert spent() == (0, 0)
 
     def formanek():

@@ -21,7 +21,6 @@ from brauerlab.quadforms import (
     QuadraticForm,
     TraceData,
     WittMove,
-    diagonal,
     direct_sum,
     equiv_form,
     hyperbolic_sufficient,
@@ -55,7 +54,7 @@ def free_trace_data(ring):
 def test_diagonal_rejects_zero_entry():
     ring = rational_ring()
     with pytest.raises(QuadFormError, match="zero entry"):
-        diagonal([1, 0, 3], ring=ring)
+        QuadraticForm(ring, [1, 0, 3])
     with pytest.raises(QuadFormError, match="zero entry"):
         QuadraticForm(ring, [1, 0])
 
@@ -77,8 +76,8 @@ def test_direct_sum_and_tensor():
     # the trace form of A (x) B is the tensor of the trace forms, entry
     # (g, g') = entry g times entry g' when every grade is an involution
     ring = rational_ring()
-    left = diagonal([1, 2], ring=ring)
-    right = diagonal([3], ring=ring)
+    left = QuadraticForm(ring, [1, 2])
+    right = QuadraticForm(ring, [3])
     assert [str(e) for e in direct_sum(left, right).entries] == ["1", "2", "3"]
     A = SymbolAlgebra(ring, 1, 1, 2)
     E = SymbolAlgebra(ring, 3, 5, 2)
@@ -225,9 +224,9 @@ def test_criterion_9_checks_the_trace_form_values(monkeypatch):
 
 def test_hyperbolic_sufficient_inconclusive_and_odd():
     ring = rational_ring()
-    assert hyperbolic_sufficient(diagonal([1, 3], ring=ring)) is None
-    assert hyperbolic_sufficient(diagonal([1, 1, 1], ring=ring)) is None
-    cert = hyperbolic_sufficient(diagonal([1, 1], ring=ring))
+    assert hyperbolic_sufficient(QuadraticForm(ring, [1, 3])) is None
+    assert hyperbolic_sufficient(QuadraticForm(ring, [1, 1, 1])) is None
+    cert = hyperbolic_sufficient(QuadraticForm(ring, [1, 1]))
     assert cert is not None and len(cert["pairs"]) == 1
 
 
@@ -413,7 +412,7 @@ def test_envelope_polynomials_at_the_legend_point(tmp_path, seed):
 def test_witt_apply_moves_and_witnesses():
     ring = rational_ring()
     i4 = ring.element(ring.zeta())
-    q = diagonal([3, 5, -3], ring=ring)
+    q = QuadraticForm(ring, [3, 5, -3])
     half = ring.element(Fraction(1, 2))
     moves = [
         WittMove("scale", [1], witness=half, factor=half * half),
@@ -429,7 +428,7 @@ def test_witt_apply_moves_and_witnesses():
 def test_witt_apply_rejects_bad_witness():
     ring = rational_ring()
     i4 = ring.element(ring.zeta())
-    q = diagonal([3, 5], ring=ring)
+    q = QuadraticForm(ring, [3, 5])
     bad_scale = WittMove("scale", [0], witness=ring.element(2), factor=ring.element(5))
     with pytest.raises(QuadFormError, match="witness fails"):
         witt_apply(q, [bad_scale])
@@ -485,7 +484,7 @@ def test_witt_moves_preserve_discriminant_class():
             continue
         final = witt_apply(start, witt_derive_equivalence(td))
         assert final.dim == start.dim - 4
-        restored = direct_sum(final, diagonal([1, -1, 1, -1], ring=ring))
+        restored = direct_sum(final, QuadraticForm(ring, [1, -1, 1, -1]))
         disc_start = functools.reduce(lambda x, y: x * y, start.entries)
         disc_restored = functools.reduce(lambda x, y: x * y, restored.entries)
         # x/y is a square exactly when x*y is
