@@ -157,21 +157,24 @@ def check_udn_factor_sets(seed: int):
 
 def relation_kernel_checks(group: PermutationGroup, subgroup: Subgroup,
                            r: int) -> Optional[list]:
-    """One (G, H, r) relation-kernel instance: exactness plus the
-    faithfulness-iff-(r >= 2 or H nontrivial) comparison, as the check
-    "relation-kernel"; None when no generating tuple of length r exists."""
+    """One (G, H, r) relation-kernel instance: exactness, equivariance of
+    both maps, and the faithfulness-iff-(r >= 2 or H nontrivial)
+    comparison, as the check "relation-kernel"; None when no generating
+    tuple of length r exists."""
     r0, gens0 = min_generators_rel(group, subgroup, max_r=3)
     if r0 > r:
         return None
     pad = gens0[0] if gens0 else 1
     seq = freepres_sequence(group, subgroup, list(gens0) + [pad] * (r - r0))
     exact = is_exact(seq).exact
+    equivariant = all(f.check_equivariance() for f in (seq.inner, seq.outer))
     faithful = is_faithful(seq.inner.source)
     predicted = faithful_predicate_freepres(group, subgroup, r)
     return [check(
         "relation-kernel",
-        exact and faithful == predicted,
-        {"exact": exact, "kernel_rank": seq.inner.source.rank,
+        exact and equivariant and faithful == predicted,
+        {"exact": exact, "equivariant": equivariant,
+         "kernel_rank": seq.inner.source.rank,
          "faithful": faithful, "predicted": predicted, "r": r},
     )]
 
@@ -200,8 +203,9 @@ def check_relation_kernel_family(seed: int):
 def tensor_square_checks(group: PermutationGroup, subgroup: Subgroup) -> Optional[list]:
     """One (G, H) tensor-square instance: exactness, the pair-basis map
     verified column by column against its defining rule and unimodular by
-    its row certificate, and faithfulness against the core/index rule, as
-    the check "tensor-square"; None at index 1."""
+    its row certificate, equivariance of the two maps and the pair-basis
+    map, and faithfulness against the core/index rule, as the check
+    "tensor-square"; None at index 1."""
     n = group.order // subgroup.order
     if n < 2:
         return None
@@ -228,14 +232,15 @@ def tensor_square_checks(group: PermutationGroup, subgroup: Subgroup) -> Optiona
     # a square map with a verified unit-triangular row certificate is
     # invertible over Z
     unimodular = iso.source.rank == iso.target.rank and iso.is_injective_saturated()
+    equivariant = all(f.check_equivariance() for f in (seq.inner, seq.outer, iso))
 
     faithful = is_faithful(seq.inner.source)
     predicted = faithful_predicate_seq2(group, subgroup)
     return [check(
         "tensor-square",
-        exact and rule_ok and unimodular and faithful == predicted,
+        exact and rule_ok and unimodular and equivariant and faithful == predicted,
         {"exact": exact, "basis_rule": rule_ok, "unimodular": unimodular,
-         "faithful": faithful, "predicted": predicted},
+         "equivariant": equivariant, "faithful": faithful, "predicted": predicted},
     )]
 
 

@@ -223,6 +223,8 @@ def cmd_selftest(args) -> tuple[dict, list]:
             raise UsageError("--criteria wants comma-separated numbers") from exc
         if any(i < 0 or i >= len(CRITERIA) for i in indices):
             raise UsageError(f"criteria run 1..{len(CRITERIA)}")
+        if len(set(indices)) < len(indices):
+            raise UsageError("--criteria names a criterion twice")
     else:
         indices = None
     checks = run_all(args.seed, indices=indices)

@@ -444,15 +444,6 @@ class SymbolAlgebra(GradedAlgebra):
             c = self._times(c, self.b)
         return (i, j), c
 
-    def x(self, power: int = 1) -> dict:
-        return self.element_mono(power, 0)
-
-    def y(self, power: int = 1) -> dict:
-        return self.element_mono(0, power)
-
-    def element_mono(self, i: int, j: int, coeff=1) -> dict:
-        return {(i % self.m, j % self.m): self.ring.element(coeff)}
-
 
 # --------------------------------------------------------------- tensor products
 

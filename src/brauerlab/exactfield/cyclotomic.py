@@ -162,8 +162,9 @@ class DerivedOps:
     """Subtraction, division and integer powers, shared by the exact scalars.
 
     A subclass supplies ``_coerce`` (the other operand in its own type, or
-    None), ``+``, unary ``-``, ``*`` and ``inverse``; ``_coerce(1)`` is the
-    unit.  A power of 2 or more is the product of ``power_factors``' pair.
+    None), ``+``, unary ``-``, ``*`` and, for division and negative powers,
+    ``inverse``; ``_coerce(1)`` is the unit.  A power of 2 or more is the
+    product of ``power_factors``' pair.
     """
 
     __slots__ = ()
@@ -238,10 +239,6 @@ class Cyc(DerivedOps):
     def zeta(cls, conductor: int, power: int = 1) -> "Cyc":
         rows = _power_rows(conductor)
         return cls(conductor, list(rows[power % conductor]), 1)
-
-    @classmethod
-    def zero(cls, conductor: int) -> "Cyc":
-        return cls.rational(0, conductor)
 
     @classmethod
     def one(cls, conductor: int) -> "Cyc":
@@ -395,7 +392,7 @@ class Cyc(DerivedOps):
                 root = root * (Cyc.zeta(n, n // 8) + Cyc.zeta(n, 7 * n // 8))
                 square *= 2
             else:
-                gauss = Cyc.zero(n)
+                gauss = Cyc.rational(0, n)
                 for a in range(1, p):
                     term = Cyc.zeta(n, a * n // p)
                     gauss = gauss + term if pow(a, (p - 1) // 2, p) == 1 else gauss - term
@@ -446,13 +443,6 @@ class Cyc(DerivedOps):
 
     def __repr__(self) -> str:
         return f"Cyc({self.conductor}: {self})"
-
-    def to_json(self) -> dict:
-        return {"conductor": self.conductor, "den": self.den, "nums": list(self.nums)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Cyc":
-        return cls(data["conductor"], data["nums"], data["den"])
 
 
 def cyc_over(conductor: int, nums, den: int) -> Cyc:

@@ -45,7 +45,8 @@ The certificates' denominators are products of a few shared factors, so
 this keeps them small without a gcd.
 
 Subtraction, division and integer powers come from cyclotomic.DerivedOps.
-A polynomial is invertible only when it is a nonzero constant.  ``is_square``
+A polynomial has no inverse, so only a ``FieldElement`` divides or takes a
+negative power; a quotient of polynomials is one.  ``is_square``
 decides constants with a rational value exactly (see cyclotomic.Cyc.sqrt);
 every other element is left undecided.
 """
@@ -166,23 +167,10 @@ class PolyRing:
 
 class MultiPoly(DerivedOps):
     """Sparse polynomial {packed monomial: coordinates} over one denominator;
-    ``coeffs`` is never mutated."""
+    ``coeffs`` is never mutated.  Polynomials come from the ring (``var``,
+    ``scalar``) and from arithmetic."""
 
     __slots__ = ("ring", "coeffs", "denom", "_lead")
-
-    def __init__(self, ring: PolyRing, terms: dict):
-        # terms {exponent tuple: Cyc of the ring's conductor}; zeros are dropped
-        for c in terms.values():
-            if not isinstance(c, Cyc) or c.conductor != ring.conductor:
-                raise ValueError(f"coefficient {c!r} is not in Q(zeta_{ring.conductor})")
-        live = {e: c for e, c in terms.items() if not c.is_zero()}
-        # over the lcm of lowest-terms denominators the gcd is already 1
-        denom = lcm(*(c.den for c in live.values()))
-        self.ring = ring
-        self.coeffs = {ring._pack(e): tuple(a * (denom // c.den) for a in c.nums)
-                       for e, c in live.items()}
-        self.denom = denom
-        self._lead = None
 
     @classmethod
     def _make(cls, ring: PolyRing, coeffs: dict, denom: int, lead=None) -> "MultiPoly":
@@ -216,7 +204,7 @@ class MultiPoly(DerivedOps):
 
     def as_scalar(self) -> Cyc:
         if self.is_zero():
-            return Cyc.zero(self.ring.conductor)
+            return Cyc.rational(0, self.ring.conductor)
         if not self.is_scalar():
             raise ExactFieldError("polynomial is not a scalar")
         return cyc_over(self.ring.conductor, self.coeffs[0], self.denom)
@@ -319,11 +307,6 @@ class MultiPoly(DerivedOps):
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "MultiPoly":
-        if self.is_zero() or not self.is_scalar():
-            raise ExactFieldError("only a nonzero constant polynomial is invertible")
-        return self.ring.scalar(self.as_scalar().inverse())
-
     def scale(self, c: ScalarLike) -> "MultiPoly":
         return self * self.ring.scalar(c)
 
@@ -378,20 +361,10 @@ class MultiPoly(DerivedOps):
         ring, n, d = self.ring, self.ring.conductor, self.denom
         terms = {}
         for k, v in self.coeffs.items():
-            g = gcd(d, *v)  # each coefficient in lowest terms, as Cyc.to_json writes it
+            g = gcd(d, *v)  # each coefficient in lowest terms
             terms[",".join(map(str, ring._unpack(k)))] = {
                 "conductor": n, "den": d // g, "nums": [a // g for a in v] if g > 1 else list(v)}
         return {"vars": list(ring.variables), "conductor": n, "terms": terms}
-
-    @classmethod
-    def from_json(cls, ring: PolyRing, data: dict) -> "MultiPoly":
-        if tuple(data["vars"]) != ring.variables or data["conductor"] != ring.conductor:
-            raise ValueError("serialized polynomial belongs to a different ring")
-        terms = {}
-        for key, cj in data["terms"].items():
-            exps = tuple(int(x) for x in key.split(",")) if key else ()
-            terms[exps] = Cyc.from_json(cj)
-        return cls(ring, terms)
 
 
 def exact_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
@@ -519,9 +492,6 @@ class FieldElement(DerivedOps):
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def is_scalar(self) -> bool:
         return self.num.is_scalar() and self.den.is_scalar()
 
@@ -609,13 +579,6 @@ class FieldElement(DerivedOps):
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, ring: PolyRing, data: dict) -> "FieldElement":
-        return cls(
-            MultiPoly.from_json(ring, data["num"]),
-            MultiPoly.from_json(ring, data["den"]),
-        )
 
 
 def is_square(f: FieldElement) -> Optional[FieldElement]:

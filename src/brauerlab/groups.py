@@ -263,10 +263,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    @property
-    def index_in_parent(self) -> int:
-        return self.parent.order // self.order
-
     def __contains__(self, i: int) -> bool:
         return i in self.members
 
@@ -278,7 +274,7 @@ class Subgroup:
         return hash((id(self.parent), self.members))
 
     def __repr__(self) -> str:
-        return f"<Subgroup of order {self.order} and index {self.index_in_parent}>"
+        return f"<Subgroup of order {self.order} and index {self.parent.order // self.order}>"
 
     def is_trivial(self) -> bool:
         return self.order == 1

@@ -98,9 +98,6 @@ class GLattice:
             got = self._cache[g] = self._compute(g)
         return got
 
-    def acts_as_identity(self, g: int) -> bool:
-        return _is_scalar(self.action_columns(g), 1)
-
     def images(self, g: int) -> Sequence[int]:
         """The permutation view, which only permutation lattices and their
         sums and tensor products have: g sends e_c to e_images(g)[c]."""
@@ -180,7 +177,7 @@ class TensorLattice(GLattice):
         if self.left is self.right:
             cols = self.left.action_columns(g)
             return _is_scalar(cols, 1) or _is_scalar(cols, -1)
-        return super().acts_as_identity(g)
+        return _is_scalar(self.action_columns(g), 1)
 
 
 class DirectSumLattice(GLattice):
@@ -532,7 +529,9 @@ def is_exact(seq: LatticeSequence) -> ExactnessReport:
 
 
 def is_faithful(lat: GLattice) -> bool:
-    """True iff no nonidentity element acts as the identity.
+    """True iff no nonidentity element acts as the identity, for a lattice
+    with ``acts_as_identity``: a SubLattice or a TensorLattice, the kernels
+    and tensor squares whose faithfulness the certificates read.
 
     Exact with one element per conjugacy class: x g x^-1 acts as
     rho(x) rho(g) rho(x)^-1, which is the identity exactly when rho(g) is,

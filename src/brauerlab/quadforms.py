@@ -311,21 +311,6 @@ class WittMove:
             out["expected"] = [e.to_json() for e in self.expected]
         return out
 
-    @classmethod
-    def from_json(cls, ring: PolyRing, data: dict) -> "WittMove":
-        witness = data.get("witness")
-        factor = data.get("factor")
-        expected = data.get("expected")
-        return cls(
-            data["kind"],
-            data["indices"],
-            witness=FieldElement.from_json(ring, witness) if witness else None,
-            factor=FieldElement.from_json(ring, factor) if factor else None,
-            expected=[FieldElement.from_json(ring, e) for e in expected]
-            if expected else None,
-            note=data.get("note", ""),
-        )
-
 
 def witt_apply(form: QuadraticForm, moves: Sequence[WittMove]) -> QuadraticForm:
     """Replay a move list, re-verifying every witness; returns the final form.

@@ -31,6 +31,9 @@ class CharacterLattice(GLattice):
     def _compute(self, g):
         return [[(0, self.chi(g))]]
 
+    def acts_as_identity(self, g):
+        return self.chi(g) == 1
+
 
 def sum_kernel(perm):
     """The kernel of the coordinate sum of the permutation lattice perm, on

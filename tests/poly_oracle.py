@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from brauerlab.exactfield import ExactFieldError, MultiPoly
+from readers import poly_from_terms
 
 
 def grevlex_key(exps: tuple[int, ...]):
@@ -39,7 +40,7 @@ def schoolbook_product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                     acc[e] = s
             else:
                 acc[e] = prod
-    return MultiPoly(p.ring, acc)
+    return poly_from_terms(p.ring, acc)
 
 
 def schoolbook_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
@@ -59,5 +60,5 @@ def schoolbook_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
             return None
         c = rem.terms[lead] / den_lc
         quot[diff] = c
-        rem = rem - schoolbook_product(MultiPoly(ring, {diff: c}), den)
-    return MultiPoly(ring, quot)
+        rem = rem - schoolbook_product(poly_from_terms(ring, {diff: c}), den)
+    return poly_from_terms(ring, quot)

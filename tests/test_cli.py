@@ -3,12 +3,18 @@ import json
 
 import pytest
 
-from brauerlab import acceptance, cli
+from brauerlab import acceptance, cli, lattices
 from brauerlab.acceptance import CRITERIA
 from brauerlab.checks import aggregate, check, failing
 from brauerlab.cli import main
 from brauerlab.exactfield import PolyRing
-from brauerlab.lattices import LatticeMap
+from brauerlab.factorsets import (
+    FactorSet,
+    FactorSetMonomial,
+    normalized_factor_set,
+    udn_factor_set,
+)
+from brauerlab.lattices import LatticeMap, LatticeSequence
 from brauerlab.quadforms import QuadraticForm
 
 
@@ -42,7 +48,7 @@ REFERENCE_ENVELOPES = [
     (("crossed-decompose", "--m", "3", "--symbol", "3", "5", "0", "1"),
      "22a0a5805e8e3dce33c81f010de86567fc1a7573ec45cea9a194d10772ed54c8"),
     (("lattice", "--group", "S4", "--r", "2"),
-     "28a90d90b6b95c3fafc871004197538451db7ac0edcb1cffd6b7a467aa4a1f3d"),
+     "700bffc2c2d3eceb457b5719f1c7a1a7885ef6dede362fbf69d8b489e43a237e"),
     (("lattice", "--formanek", "5"),
      "1e96d172271955123128431bbf7effd9189805b77de609fe9471d7f2f821bce3"),
     (("udn-factorset", "--n", "7", "--check", "wedge"),
@@ -137,6 +143,8 @@ def test_integer_certificates_pass_and_are_byte_identical(tmp_path, argv):
     ("crossed-decompose", "--mu", "1"),
     ("crossed-decompose", "--random", "2", "--nu", "1"),
     ("lattice", "--formanek", "6", "--r", "1"),
+    # a repeated criterion would repeat its record name in the envelope
+    ("selftest", "--criteria", "1,1"),
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     code, text = run(tmp_path, "bad.json", *argv)
@@ -319,6 +327,81 @@ def test_formanek_unimodularity_comes_from_the_row_certificate(tmp_path, monkeyp
         ("sequence-exact", "pass"), ("kernel-rank", "pass"),
         ("splitting-unimodular", "fail"), ("splitting-equivariant", "pass")]
     assert acceptance.check_formanek_kernel(42)[0] is False
+
+
+def _source_swapped(inner):
+    """inner with its first two source basis vectors swapped: the image and
+    the row certificate stay, so the sequence is still exact over Z, but the
+    map is equivariant only if the swap commutes with the action.  A source
+    of rank below 2 is kept."""
+    if inner.source.rank < 2:
+        return inner
+    swap = {0: 1, 1: 0}
+    columns = [inner.columns[swap.get(c, c)] for c in range(len(inner.columns))]
+    return LatticeMap(inner.source, inner.target, columns, label=inner.label,
+                      row_pivots=[(r, swap.get(c, c)) for r, c in inner.row_pivots])
+
+
+@pytest.mark.parametrize("builder, record, criterion", [
+    ("freepres_sequence", "relation-kernel", acceptance.check_relation_kernel_family),
+    ("seq2_sequence", "tensor-square", acceptance.check_tensor_square_family),
+], ids=["relation-kernel", "tensor-square"])
+def test_lattice_records_refuse_a_non_equivariant_map(
+        tmp_path, monkeypatch, builder, record, criterion):
+    real = getattr(acceptance, builder)
+
+    def swapped(*args):
+        seq = real(*args)
+        return LatticeSequence(_source_swapped(seq.inner), seq.outer)
+
+    monkeypatch.setattr(acceptance, builder, swapped)
+    code, text = run(tmp_path, "fail.json", "lattice", "--group", "S4")
+    assert code == 1
+    entry = {c["name"]: c for c in json.loads(text)["checks"]}[record]
+    assert entry["status"] == "fail"
+    assert entry["details"]["exact"] is True
+    assert entry["details"]["equivariant"] is False
+    assert criterion(42)[0] is False
+
+
+def _tampered(make, triple):
+    """The factor set make(n) with its entry at triple multiplied by z12."""
+    def tampered(n):
+        entries = dict(make(n).entries)
+        entries[triple] = entries[triple] * FactorSetMonomial(n, {(1, 2): 1})
+        return FactorSet(n, entries)
+    return tampered
+
+
+# a negative control per record name: (name, command, the acceptance
+# attribute replaced, its replacement) under which the named record reads
+# fail
+NEGATIVE_CONTROLS = [
+    ("equivariance-raw", ("udn-factorset", "--n", "5"),
+     "udn_factor_set", _tampered(udn_factor_set, (1, 2, 3))),
+    ("equivariance-normalized", ("udn-factorset", "--n", "5"),
+     "normalized_factor_set", _tampered(normalized_factor_set, (1, 2, 3))),
+    ("reduced-normalized-predicates", ("udn-factorset", "--n", "5"),
+     "normalized_factor_set", _tampered(normalized_factor_set, (1, 1, 2))),
+    ("reversal-products", ("udn-factorset", "--n", "5"),
+     "normalized_factor_set", _tampered(normalized_factor_set, (1, 2, 3))),
+    ("wedge-membership", ("udn-factorset", "--n", "5", "--check", "wedge"),
+     "normalized_factor_set", _tampered(normalized_factor_set, (1, 2, 3))),
+    ("relation-kernel", ("lattice", "--group", "S4"),
+     "faithful_predicate_freepres",
+     lambda *args: not lattices.faithful_predicate_freepres(*args)),
+]
+
+
+@pytest.mark.parametrize("name, argv, attribute, replacement", NEGATIVE_CONTROLS,
+                         ids=[c[0] for c in NEGATIVE_CONTROLS])
+def test_record_reads_fail_under_its_negative_control(
+        tmp_path, monkeypatch, name, argv, attribute, replacement):
+    monkeypatch.setattr(acceptance, attribute, replacement)
+    code, text = run(tmp_path, "fail.json", *argv)
+    assert code == 1
+    status = {c["name"]: c["status"] for c in json.loads(text)["checks"]}
+    assert status[name] == "fail"
 
 
 def test_no_checks_aggregate_to_inconclusive():

@@ -28,9 +28,10 @@ from brauerlab.crossed import (
     standard_ring,
     tensor_brauer,
 )
-from brauerlab.exactfield import Cyc, FieldElement, PolyRing, common_conductor, poly
+from brauerlab.exactfield import Cyc, PolyRing, common_conductor, factorize, is_power, poly
 from cocycle_oracle import cocycle_holds
 from linalg_oracle import kernel, mat_rank, solve
+from readers import element_from_json
 
 
 def rational_ring():
@@ -48,10 +49,10 @@ def symbolic_gens(ring):
 def rebuild(ring, params):
     """The input algebra of a decomposition certificate, from its JSON."""
     def k_elem(data):
-        return {tuple(int(s) for s in key.split(",")): FieldElement.from_json(ring, c)
+        return {tuple(int(s) for s in key.split(",")): element_from_json(ring, c)
                 for key, c in data.items()}
 
-    a1, a2 = (FieldElement.from_json(ring, params[name]) for name in ("a1", "a2"))
+    a1, a2 = (element_from_json(ring, params[name]) for name in ("a1", "a2"))
     return crossed_from_data(params["m"], a1, a2, k_elem(params["u"]), k_elem(params["b1"]),
                              k_elem(params["b2"]), ring=ring, check="none")
 
@@ -108,11 +109,16 @@ def right_mult_matrix(A, x):
 # ---------------------------------------------------------------- symbol algebras
 
 
+def mono(S, i, j=0):
+    """The basis monomial x^i y^j of a symbol algebra."""
+    return {(i, j): S.ring.element(1)}
+
+
 def test_symbol_algebra_relations():
     ring = rational_ring()
     S = SymbolAlgebra(ring, ring.element(3), ring.element(5), 4)
     assert S.dim == 16
-    x, y = S.x(), S.y()
+    x, y = mono(S, 1), mono(S, 0, 1)
     assert S.equal(S.power(x, 4), {(0, 0): ring.element(3)})
     assert S.equal(S.power(y, 4), {(0, 0): ring.element(5)})
     lhs = S.mul(x, y)
@@ -170,7 +176,7 @@ def test_scalar_product_is_the_unit_component_of_mul():
     # graded by pairs
     ring = standard_ring(3, ())
     S = SymbolAlgebra(ring, 2, 3, 3)
-    x, y = S.add(S.x(), S.y()), S.add(S.x(2), S.y(2))
+    x, y = S.add(mono(S, 1), mono(S, 0, 1)), S.add(mono(S, 2), mono(S, 0, 2))
     assert S.scalar_product(x, y) == ring.element(5) == S.mul(x, y)[UNIT]
     T = GradedTensor(S, SymbolAlgebra(ring, 3, 5, 2))
     A = instance_from_symbol(3, 3, 5, 2, 1, ring=ring, check="full")
@@ -281,13 +287,14 @@ def test_crossed_mult_matches_symbol_embedding():
     A = instance_from_symbol(2, e, g, t, lam, ring=ring, check="none")
     S = SymbolAlgebra(ring, e, g, 4)
     one = ring.element(1)
-    y_inv = S.mul(S.y(3), {(0, 0): ring.element(Fraction(1, g))})
-    assert S.equal(S.mul(S.y(), y_inv), S.one())
-    al1 = S.power(S.x(), 2)
-    al2 = S.power(S.y(), 2)
+    x, y = mono(S, 1), mono(S, 0, 1)
+    y_inv = S.mul(mono(S, 0, 3), {(0, 0): ring.element(Fraction(1, g))})
+    assert S.equal(S.mul(y, y_inv), S.one())
+    al1 = S.power(x, 2)
+    al2 = S.power(y, 2)
     w = S.add(al2, {(0, 0): ring.element(t)})
     z1 = S.mul(w, y_inv)
-    z2 = {k: c * lam for k, c in S.x().items()}
+    z2 = {k: c * lam for k, c in x.items()}
 
     images = {}
     for (i, j, k, l) in itertools.product(range(2), repeat=4):
@@ -606,7 +613,12 @@ def test_norm_conditions_agree_with_the_cocycle_oracle(m):
 @pytest.mark.parametrize("m", [3, 4])
 def test_cocycle_check_exact_beyond_degree_4(m):
     ring = standard_ring(m, ())
-    A = instance_from_symbol(m, 2, 3, 1, 1, ring=ring, check="full")
+    # K = F(al1, al2) is a field: 3 is no p-th power for p | m, and 5 (and
+    # 15 at even m, where sqrt(3) lies in F(al1)) is no square in F
+    assert all(is_power(ring.element(3), p) is False for p in factorize(m))
+    assert all(is_power(ring.element(a2), 2) is False
+               for a2 in ((5, 15) if m % 2 == 0 else (5,)))
+    A = instance_from_symbol(m, 3, 5, 2, 1, ring=ring, check="full")
     assert A.check_level == "full"
     assert decompose(A).ok
     assert not accepted(A.K, (A.K.scale(A.u, 2), A.b1, A.b2), "full")
@@ -817,15 +829,15 @@ def test_decompose_generic_symbolic(monkeypatch, m):
     Af, delta, simple, d_prime = seen[-1]
     assert simple and delta_detail(cert)["delta^2m in F*"] == "F-component"
     assert d_prime == crossed._accept_delta(Af, delta, False)
-    assert FieldElement.from_json(ring, cert.witnesses["d_prime"]) == d_prime
+    assert element_from_json(ring, cert.witnesses["d_prime"]) == d_prime
     names = {item["name"] for item in cert.identities}
     assert {"gamma-power-m", "gamma-power-2m", "gamma-min-poly-degree",
             "tensor-cocycle-witness"} <= names
     # the twist scalar matches -a1 f2 / f1 exactly
     f1, f2 = A.b1_pair()
-    c = FieldElement.from_json(ring, cert.witnesses["c"])
+    c = element_from_json(ring, cert.witnesses["c"])
     assert c == -(a1 * f2) / f1
-    f = FieldElement.from_json(ring, cert.witnesses["f"])
+    f = element_from_json(ring, cert.witnesses["f"])
     assert f == -a1 / f1
 
 
@@ -1019,10 +1031,10 @@ def test_decompose_f1_zero_cyclic():
         assert A.equal(cert.gamma, A.z1())
         for name in ("u", "b1", "b2"):
             assert A.K.equal(getattr(cert.twisted, name), getattr(A, name))
-        assert FieldElement.from_json(ring, cert.witnesses["f"]).is_one()
+        assert element_from_json(ring, cert.witnesses["f"]) == 1
         # c = f2, and c' = z1^2m = f2^2 a2
-        assert FieldElement.from_json(ring, cert.witnesses["c"]) == f2
-        c_prime = FieldElement.from_json(ring, cert.witnesses["c_prime"])
+        assert element_from_json(ring, cert.witnesses["c"]) == f2
+        c_prime = element_from_json(ring, cert.witnesses["c_prime"])
         assert c_prime == f2 * f2 * A.K.a2
         assert A.scalar_of(A.power(A.z1(), 2 * m)) == c_prime
 
@@ -1087,7 +1099,7 @@ def test_brauer_relation_at_m3_names_a1_f():
     cert = decompose(A)
     assert cert.branch == "generic" and cert.ok
     K = A.K
-    f = FieldElement.from_json(ring, cert.witnesses["f"])
+    f = element_from_json(ring, cert.witnesses["f"])
     T = crossed_from_data(3, K.a1, K.a2, 1, f, 1, ring=ring, check="full")
     z1, al1 = T.z1(), T.alpha1()
     assert T.equal(T.power(z1, 3), T.scalar(f))

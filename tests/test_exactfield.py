@@ -25,6 +25,7 @@ from brauerlab.exactfield import (
 )
 from linalg_oracle import kernel, mat_rank, solve
 from poly_oracle import grevlex_key, leading_exponents, schoolbook_divide, schoolbook_product
+from readers import element_from_json, poly_from_json, poly_from_terms
 
 
 # ---------------------------------------------------------------- cyclotomics
@@ -231,12 +232,12 @@ def test_exact_divide_refuses_to_mix_rings(ring):
 def test_a_coefficient_of_another_conductor_is_refused(ring):
     # zeta_3 has two coordinates, as an element of Q(zeta_4) does
     with pytest.raises(ValueError, match="not in Q"):
-        MultiPoly(ring, {(2, 0): Cyc.zeta(3), (1, 0): Cyc.one(4)})
+        poly_from_terms(ring, {(2, 0): Cyc.zeta(3), (1, 0): Cyc.one(4)})
     data = (ring.var("x") * ring.var("x") + ring.var("x")).to_json()
-    assert MultiPoly.from_json(ring, data) == ring.var("x") * ring.var("x") + ring.var("x")
+    assert poly_from_json(ring, data) == ring.var("x") * ring.var("x") + ring.var("x")
     data["terms"]["2,0"]["conductor"] = 3
     with pytest.raises(ValueError, match="not in Q"):
-        MultiPoly.from_json(ring, data)
+        poly_from_json(ring, data)
 
 
 def test_exact_divide_refuses_a_wrong_cached_lead(ring):
@@ -249,8 +250,7 @@ def test_exact_divide_refuses_a_wrong_cached_lead(ring):
 
 
 def _operands(kind):
-    """(a, b) with b invertible; a is invertible too except for MultiPoly,
-    whose only invertible elements are the nonzero constants."""
+    """(a, b), both invertible except for MultiPoly, which has no inverse."""
     if kind == "Cyc":
         return Cyc(12, [1, 2, 0, -1]), Cyc(12, [0, 3, 1, 0], 2)
     ring = PolyRing(("x", "y"), conductor=4)
@@ -265,19 +265,17 @@ def test_shared_derived_operators(kind):
     a, b = _operands(kind)
     assert type(a - b) is type(a) and (a - b) + b == a
     assert (3 - a) + a == 3
-    assert type(a / b) is type(a) and (a / b) * b == a
-    assert (3 / b) * b == 3
-    assert (a ** 0).is_one() and (b ** 0).is_one()
+    assert a ** 0 == 1 and b ** 0 == 1
     assert a ** 1 is a
     assert a ** 5 == a * a * a * a * a
-    assert b ** -2 == (b ** 2).inverse()
     if kind == "MultiPoly":
-        with pytest.raises(ExactFieldError):
-            a ** -1
-        with pytest.raises(ExactFieldError):
-            1 / a
-    else:
-        assert a ** -2 == (a ** 2).inverse()
+        # a quotient of polynomials is a FieldElement
+        assert not hasattr(a, "inverse")
+        return
+    assert type(a / b) is type(a) and (a / b) * b == a
+    assert (3 / b) * b == 3
+    assert b ** -2 == (b ** 2).inverse()
+    assert a ** -2 == (a ** 2).inverse()
 
 
 def test_is_square_cases(ring):
@@ -333,10 +331,10 @@ def test_is_power_of_rationals_matches_sympy_factorization(conductor):
 def test_json_roundtrip(ring):
     x, y = ring.var("x"), ring.var("y")
     f = (ring.element(x + y) * Cyc.zeta(4) - Fraction(1, 3)) / ring.element(x - y)
-    back = FieldElement.from_json(ring, f.to_json())
+    back = element_from_json(ring, f.to_json())
     assert back == f
     p = x * y ** 2 - 2
-    assert MultiPoly.from_json(ring, p.to_json()) == p
+    assert poly_from_json(ring, p.to_json()) == p
 
 
 # ---------------------------------------------------------------- linalg oracle
@@ -382,7 +380,7 @@ def small_field_elements(draw):
     for _ in range(nterms):
         e = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
         terms[e] = _cyc4(draw)
-    num = MultiPoly(ring, terms)
+    num = poly_from_terms(ring, terms)
     den_choice = draw(st.sampled_from(["one", "x", "x+1", "x^2", "x(x+1)"]))
     x = ring.var("x")
     den = {
@@ -405,7 +403,7 @@ def test_field_axioms(f, g, h):
     assert f + (g + h) == (f + g) + h
     assert (f - f).is_zero()
     if not f.is_zero():
-        assert (f * f.inverse()).is_one()
+        assert f * f.inverse() == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -478,7 +476,7 @@ def _random_poly(rng, ring, nterms):
         e = tuple(rng.randrange(3) for _ in ring.variables)
         terms[e] = Cyc(ring.conductor, [rng.randint(-3, 3) for _ in range(phi)],
                        rng.randint(1, 3))
-    return MultiPoly(ring, terms)
+    return poly_from_terms(ring, terms)
 
 
 def _random_element(rng, ring):
@@ -494,7 +492,7 @@ def _random_element(rng, ring):
 
 def _fresh(p, ring=None):
     """A copy of p sharing nothing with it: new terms dict, no cached lead."""
-    return MultiPoly(ring or p.ring, dict(p.terms))
+    return poly_from_terms(ring or p.ring, dict(p.terms))
 
 
 def _renormalized(f):
@@ -521,7 +519,7 @@ def test_shared_unit_is_returned_and_kept():
     # a ring built again is the same ring, so it shares the unit
     assert PolyRing(ring.variables, ring.conductor).one() is one
     # an equal unit held by another object takes the general path
-    other = MultiPoly(ring, dict(one.terms))
+    other = poly_from_terms(ring, dict(one.terms))
     assert other is not one and other == one
     q = p * other
     assert q is not p and list(q.terms.items()) == list(p.terms.items())
@@ -608,13 +606,13 @@ def test_equal_denominators_compare_numerators_directly(monkeypatch):
         terms[e] = Cyc(4, [rng.randint(1, 9), rng.randint(-9, 9)], rng.randint(1, 5))
     den_terms = {tuple(rng.randrange(4) for _ in ring.variables): Cyc.rational(rng.randint(1, 9), 4)
                  for _ in range(60)}
-    den = MultiPoly(ring, den_terms)
-    f = FieldElement(MultiPoly(ring, terms), den)
-    same = FieldElement(MultiPoly(ring, dict(terms)), MultiPoly(ring, dict(den_terms)))
+    den = poly_from_terms(ring, den_terms)
+    f = FieldElement(poly_from_terms(ring, terms), den)
+    same = FieldElement(poly_from_terms(ring, dict(terms)), poly_from_terms(ring, dict(den_terms)))
     e0 = next(iter(f.num.terms))
     changed = dict(f.num.terms)
     changed[e0] = changed[e0] + 1
-    other = FieldElement(MultiPoly(ring, changed), f.den)
+    other = FieldElement(poly_from_terms(ring, changed), f.den)
     assert len(f.num.terms) == 700 and not f.den.is_one()
     assert f.den == same.den and f.den is not same.den
     products = []
@@ -650,7 +648,7 @@ def sparse_polys(draw, ring, max_terms=5):
         for k in draw(st.lists(st.integers(0, phi - 1), min_size=1, max_size=3)):
             nums[k] = draw(st.sampled_from([1, -1, 2, -3, 5, -6]))
         terms[exps] = Cyc(ring.conductor, nums, draw(st.integers(1, 6)))
-    return MultiPoly(ring, terms)
+    return poly_from_terms(ring, terms)
 
 
 @st.composite
@@ -680,8 +678,8 @@ def test_products_match_the_schoolbook_oracle(operands):
     _assert_normal_form(product)
     # (a + b)(a - b): every cross term a*b cancels against b*a
     items = list(p.terms.items())
-    a = MultiPoly(p.ring, dict(items[::2]))
-    b = MultiPoly(p.ring, dict(items[1::2]))
+    a = poly_from_terms(p.ring, dict(items[::2]))
+    b = poly_from_terms(p.ring, dict(items[1::2]))
     if not b.is_zero():
         square_difference = (a + b) * (a - b)
         assert square_difference.terms == schoolbook_product(a + b, a - b).terms
@@ -729,7 +727,7 @@ def test_a_wrong_cached_lead_never_yields_a_quotient(operands, data):
     # den cached at a lower term: x^wrong * b passes the first divisibility
     # test, and its first step lifts the remainder's lead to 2*lead(b)
     bad_den = _with_cached_lead(b, wrong)
-    shifted = b * MultiPoly(ring, {wrong: Cyc.one(ring.conductor)})
+    shifted = b * poly_from_terms(ring, {wrong: Cyc.one(ring.conductor)})
     with pytest.raises(ExactFieldError, match="did not fall"):
         exact_divide(shifted, bad_den)
     # num cached at a lower term: refused or raised, never a quotient
@@ -767,7 +765,7 @@ def test_a_degree_past_the_field_width_raises(ring):
     with pytest.raises(ExactFieldError, match="packed exponent width"):
         x ** (1 << 32)
     with pytest.raises(ExactFieldError, match="packed exponent width"):
-        MultiPoly(ring, {(1 << 31, 0): Cyc.one(4)})
+        poly_from_terms(ring, {(1 << 31, 0): Cyc.one(4)})
     top = x ** ((1 << 31) - 1)
     assert _kernel_lead(top) == ((1 << 31) - 1, 0)
     with pytest.raises(ExactFieldError, match="packed exponent width"):
@@ -794,7 +792,7 @@ def power_bases(draw):
     elif kind == "constant":
         num = ring.scalar(cyc())
     else:
-        num = MultiPoly(ring, {(draw(st.integers(0, 2)), draw(st.integers(0, 2))): cyc()
+        num = poly_from_terms(ring, {(draw(st.integers(0, 2)), draw(st.integers(0, 2))): cyc()
                                for _ in range(draw(st.integers(1, 3)))})
         den = draw(st.sampled_from([ring.one(), x, x + y, x * y * y]))
     if num.is_zero():

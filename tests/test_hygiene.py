@@ -1,12 +1,22 @@
-"""Every name a module binds with ``from ... import`` is used in that module,
-and every name a module lists in ``__all__`` exists.
+"""Static and runtime hygiene of ``src/``.
 
-Package ``__init__`` files are skipped by the import check: their imports
-are the re-exports. A name listed in the module's ``__all__`` counts as used.
+- Every name a module binds with ``from ... import`` is used in that module,
+  and every name a module lists in ``__all__`` exists.  Package
+  ``__init__`` files are skipped by the import check: their imports are the
+  re-exports.  A name listed in the module's ``__all__`` counts as used.
+- Every function is called by one of a fixed list of command runs, or is
+  allowlisted as a dunder, an error path or a perfbench consumer; every
+  class is referenced by name.
+- No check record has a literal verdict, and no module function only
+  passes its parameters on.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,13 +97,14 @@ def _references(tree: ast.Module, imports: bool = True) -> set:
     return names
 
 
-def test_every_definition_is_referenced():
-    """Every ``def`` / ``class`` in ``src/`` is referenced from ``src/`` or
-    ``perfbench/``.
+def test_every_class_is_referenced():
+    """Every ``class`` in ``src/`` is referenced from ``src/`` or
+    ``perfbench/``; functions are held to the stricter runtime check of
+    test_every_function_is_reached.
 
-    A package ``__init__`` re-export is not a reference: it names the
-    definition without using it.  The check works by name, so a definition
-    whose name another definition shares escapes it.
+    A package ``__init__`` re-export is not a reference: it names the class
+    without using it.  The check works by name, so a class whose name
+    another definition shares escapes it.
     """
     referenced = set()
     for path in [*ALL_MODULES, *sorted(BENCH.rglob("*.py"))]:
@@ -103,11 +114,158 @@ def test_every_definition_is_referenced():
         f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
         for path in ALL_MODULES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in referenced
+        if isinstance(node, ast.ClassDef) and node.name not in referenced
     ]
-    assert unreferenced == [], f"defined in src/ but never referenced: {unreferenced}"
+    assert unreferenced == [], f"classes in src/ never referenced: {unreferenced}"
+
+
+# the command runs whose calls count as reaching a src/ function
+REACHING_RUNS = [
+    ["selftest", "--seed", "42"],
+    ["selftest", "--seed", "7"],
+    ["crossed-decompose", "--m", "2", "--random", "3"],
+    *(["crossed-decompose", "--m", m, "--symbol", "3", "5", "2", "1"] for m in "234"),
+    ["crossed-decompose", "--m", "3", "--symbol", "3", "5", "0", "1"],
+    ["crossed-decompose", "--m", "3", "--symbol", "3", "5", "2", "1", "--mu", "1", "--nu", "2"],
+    ["traceform", "--random", "3"],
+    ["lattice", "--group", "S4", "--r", "2"],
+    ["lattice", "--formanek", "6"],
+    ["bounds", "--n", "4"],
+    ["bounds", "--n", "5"],
+    ["udn-factorset", "--n", "3"],
+    ["udn-factorset", "--n", "5"],
+]
+
+# Runs the argv lists of sys.argv[1] through cli.main under a profile hook
+# installed before the import, and prints the exit codes and the (file,
+# first line) of every code object called.
+_REACH = """
+import contextlib, io, json, sys
+called = set()
+def profile(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+import brauerlab.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(brauerlab.cli.main(argv))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "called": sorted(called)}))
+"""
+
+DUNDER, PERFBENCH = "dunder", "perfbench"
+
+# Functions that no run reaches and that stay in src/, each for one reason:
+# a dunder; an error path, given as the test that reaches it; or a
+# perfbench consumer, whose name perfbench/*.py uses.  snf.py is one module
+# entry, since the benchmark harness wraps its functions by name.
+UNREACHED = {
+    "snf.py": PERFBENCH,
+    "crossed.py:PowerCancellationCertificate.to_json": PERFBENCH,
+    "lattices.py:ExactnessReport.to_json": PERFBENCH,
+    "lattices.py:LatticeMap.matrix": PERFBENCH,
+    "lattices.py:GLattice.images":
+        "tests/test_lattices.py::test_a_kernel_lattice_needs_a_permutation_view",
+    "quadforms.py:WittMove.describe":
+        "tests/test_quadforms.py::test_witt_apply_rejects_bad_witness",
+    "quadforms.py:witt_apply.fail":
+        "tests/test_quadforms.py::test_witt_apply_rejects_bad_witness",
+    "bounds.py:BoundReport.__repr__": DUNDER,
+    "exactfield/cyclotomic.py:Cyc.__add__": DUNDER,
+    "exactfield/cyclotomic.py:Cyc.__hash__": DUNDER,
+    "exactfield/cyclotomic.py:Cyc.__repr__": DUNDER,
+    "exactfield/cyclotomic.py:DerivedOps.__rtruediv__": DUNDER,
+    "exactfield/poly.py:FieldElement.__hash__": DUNDER,
+    "exactfield/poly.py:FieldElement.__repr__": DUNDER,
+    "exactfield/poly.py:MultiPoly.__hash__": DUNDER,
+    "exactfield/poly.py:MultiPoly.__repr__": DUNDER,
+    "exactfield/poly.py:PolyRing.__repr__": DUNDER,
+    "factorsets.py:FactorSetMonomial.__hash__": DUNDER,
+    "factorsets.py:FactorSetMonomial.__str__": DUNDER,
+    "groups.py:CosetSpace.__repr__": DUNDER,
+    "groups.py:PermutationGroup.__len__": DUNDER,
+    "groups.py:PermutationGroup.__repr__": DUNDER,
+    "groups.py:Subgroup.__contains__": DUNDER,
+    "groups.py:Subgroup.__eq__": DUNDER,
+    "groups.py:Subgroup.__hash__": DUNDER,
+    "groups.py:Subgroup.__repr__": DUNDER,
+    "lattices.py:GLattice.__repr__": DUNDER,
+    "lattices.py:LatticeMap.__repr__": DUNDER,
+    "lattices.py:LatticeSequence.__repr__": DUNDER,
+}
+
+
+def _functions() -> dict:
+    """{(module path, first line): dotted name} of every ``def`` in src/.
+    The first line is the first decorator's, as in ``co_firstlineno``."""
+    found = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    first = child.decorator_list[0] if child.decorator_list else child
+                    found[(module, first.lineno)] = name
+                visit(child, module, name + ".")
+            else:
+                visit(child, module, prefix)
+
+    for path in ALL_MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path.relative_to(PACKAGE)), "")
+    return found
+
+
+def _bad_reasons() -> list:
+    bench = set()
+    for path in BENCH.glob("*.py"):
+        bench |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    bad = []
+    for entry, reason in UNREACHED.items():
+        module, _, qualname = entry.partition(":")
+        name = qualname.rpartition(".")[2] if qualname else Path(module).stem
+        if reason == DUNDER:
+            ok = name.startswith("__") and name.endswith("__")
+        elif reason == PERFBENCH:
+            ok = name in bench
+        else:
+            test_file, _, test = reason.partition("::")
+            tree = ast.parse((PACKAGE.parent.parent / test_file).read_text(encoding="utf-8"))
+            ok = any(isinstance(n, ast.FunctionDef) and n.name == test for n in tree.body)
+        if not ok:
+            bad.append(f"{entry}: {reason}")
+    return bad
+
+
+def test_every_function_is_reached():
+    """Every ``def`` in ``src/`` is called by one of REACHING_RUNS, or is in
+    UNREACHED with a reason that holds.
+
+    The runs go in a fresh interpreter, so that no lru_cache or interned
+    ring that an earlier test filled hides a call.
+    """
+    assert _bad_reasons() == []
+    result = subprocess.run(
+        [sys.executable, "-c", _REACH, json.dumps(REACHING_RUNS)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONHASHSEED": "0"},
+        capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["codes"] == [0] * len(REACHING_RUNS)
+    called = set()
+    for filename, line in report["called"]:
+        path = Path(filename).resolve()
+        if path.is_relative_to(PACKAGE):
+            called.add((str(path.relative_to(PACKAGE)), line))
+    unreached = {f"{module}:{name}" for (module, line), name in _functions().items()
+                 if (module, line) not in called}
+    missing = sorted(u for u in unreached
+                     if u not in UNREACHED and u.partition(":")[0] not in UNREACHED)
+    assert missing == [], f"functions in src/ that no command reaches: {missing}"
+    stale = sorted(e for e in UNREACHED if ":" in e and e not in unreached)
+    assert stale == [], f"allowlisted functions that a command reaches or that are gone: {stale}"
 
 
 def test_no_check_has_a_constant_verdict():
