@@ -101,7 +101,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import cached_property, reduce
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .checks import check, failing
 from .exactfield import (
@@ -112,7 +112,8 @@ class CrossedError(ValueError):
     """Invalid crossed-product data or a failed certificate computation."""
 
 
-KElem = dict  # {(i, j): FieldElement}, i < m, j < 2
+FElem = Union[Cyc, FieldElement]  # a PolyRing.element value: a Cyc when F has no variables
+KElem = dict  # {(i, j): FElem}, i < m, j < 2
 
 UNIT = (0, 0)  # the identity of Z/m x Z/n, the grades of the cyclic algebras here
 
@@ -133,9 +134,11 @@ def standard_ring(m: int, names: Sequence[str] = ("a1", "a2", "f1", "f2")) -> Po
 
 
 class FieldScalars:
-    """F as a coefficient ring: FieldElements, on which the grading acts trivially."""
+    """F as a coefficient ring: the values of ``PolyRing.element`` (Cycs when
+    F has no variables, else FieldElements), on which the grading acts
+    trivially."""
 
-    to_json = staticmethod(FieldElement.to_json)
+    to_json = staticmethod(operator.methodcaller("to_json"))
     add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
@@ -146,22 +149,22 @@ class FieldScalars:
     def __init__(self, ring: PolyRing):
         self.ring = ring
 
-    def zero(self) -> FieldElement:
+    def zero(self) -> FElem:
         return self.ring.element(0)
 
-    def one(self) -> FieldElement:
+    def one(self) -> FElem:
         return self.ring.element(1)
 
     @staticmethod
-    def is_zero(c: FieldElement) -> bool:
+    def is_zero(c: FElem) -> bool:
         return c.is_zero()
 
     @staticmethod
-    def scalar_of(c: FieldElement) -> FieldElement:
+    def scalar_of(c: FElem) -> FElem:
         return c
 
     @staticmethod
-    def act(g, c: FieldElement) -> FieldElement:
+    def act(g, c: FElem) -> FElem:
         return c
 
 
@@ -265,7 +268,7 @@ class GradedAlgebra:
     def is_zero(self, x: dict) -> bool:
         return all(self.coeffs.is_zero(c) for c in x.values())
 
-    def scalar_of(self, x: dict) -> Optional[FieldElement]:
+    def scalar_of(self, x: dict) -> Optional[FElem]:
         """The F-component when x is a pure F-scalar, else None."""
         C = self.coeffs
         unit = self.grades[0]
@@ -273,7 +276,7 @@ class GradedAlgebra:
             return None
         return C.scalar_of(x.get(unit, C.zero()))
 
-    def scalar_product(self, x: dict, y: dict) -> FieldElement:
+    def scalar_product(self, x: dict, y: dict) -> FElem:
         """The F-component of x y, in ``mul``'s order, from the grade pairs that
         the factor-set table sends to the unit, each by its F-component."""
         C, unit, parts = self.coeffs, self.grades[0], []
@@ -415,7 +418,7 @@ class KummerField(GradedAlgebra):
 class SymbolAlgebra(GradedAlgebra):
     """Degree-m symbol algebra: x^m = a, y^m = b, xy = zeta_m yx.
 
-    Elements are {(i, j): FieldElement} on the basis x^i y^j.
+    Elements are {(i, j): FElem} on the basis x^i y^j.
     """
 
     def __init__(self, ring: PolyRing, a, b, m: int):
@@ -951,7 +954,7 @@ class SymbolPresentation:
         }
 
 
-def _accept_delta(A: CrossedAlgebra, delta: dict, simple: bool) -> Optional[FieldElement]:
+def _accept_delta(A: CrossedAlgebra, delta: dict, simple: bool) -> Optional[FElem]:
     """d' for a candidate delta, or None.  A is associative, so delta^2m is the
     product of ``power_factors``' pair.  When ``simple`` (module docstring) a
     nonzero delta is accepted, d' the F-component of that product; otherwise

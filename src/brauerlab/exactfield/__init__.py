@@ -1,8 +1,9 @@
 """Exact symbolic arithmetic: cyclotomic scalars, sparse polynomials and
-rational functions.  The three classes share subtraction, division and
-integer powers through one base class, cyclotomic.DerivedOps; its powers,
-and the crossed algebras', are products of ``power_factors``' pair, the one
-square-and-multiply chain."""
+rational functions.  An element of a ring with no variables is a Cyc; a
+FieldElement is an element of a ring with variables.  The three classes
+share subtraction, division and integer powers through one base class,
+cyclotomic.DerivedOps; its powers, and the crossed algebras', are products
+of ``power_factors``' pair, the one square-and-multiply chain."""
 
 from .cyclotomic import (
     Cyc,

@@ -255,6 +255,10 @@ class Cyc(DerivedOps):
     def is_one(self) -> bool:
         return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
+    def constant(self) -> "Cyc":
+        """The value as a Cyc: every element of Q(zeta_N) is a constant."""
+        return self
+
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ExactFieldError("element is not rational")
@@ -404,7 +408,7 @@ class Cyc(DerivedOps):
             raise ExactFieldError(f"square root of {q} in Q(zeta_{n}) fails to square back")
         return root
 
-    # -- comparisons, hashing, display ----------------------------------
+    # -- comparisons, display, serialization ---------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -413,9 +417,6 @@ class Cyc(DerivedOps):
             return NotImplemented
         return (self.conductor == other.conductor and self.nums == other.nums
                 and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.conductor, self.nums, self.den))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -439,10 +440,21 @@ class Cyc(DerivedOps):
         out = parts[0]
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return out if self.is_rational() else f"({out})"
 
     def __repr__(self) -> str:
         return f"Cyc({self.conductor}: {self})"
+
+    def to_json(self) -> dict:
+        """The form of a constant quotient of polynomials: {"num", "den"},
+        each a polynomial with no variables as MultiPoly.to_json writes it,
+        over the unit."""
+        n = self.conductor
+        unit = [1] + [0] * (len(self.nums) - 1)
+        num = {"": {"conductor": n, "den": self.den, "nums": list(self.nums)}}
+        den = {"": {"conductor": n, "den": 1, "nums": unit}}
+        return {part: {"vars": [], "conductor": n, "terms": terms}
+                for part, terms in (("num", num if any(self.nums) else {}), ("den", den))}
 
 
 def cyc_over(conductor: int, nums, den: int) -> Cyc:

@@ -11,8 +11,8 @@ fmpq_poly.  Exponents e of n variables pack into deg(e)*W^n - sum e_i*W^i,
 W = 2^32: integer order is grevlex order and integer addition is the
 monomial product (Monagan and Pearce, CASC 2007).  A total degree of 2^31 or
 more raises ExactFieldError, so the top bit of every field stays clear.
-``terms`` is an {exponent tuple: Cyc} view built on each access.  Nothing is
-changed after construction, so polynomials are shared rather than copied.
+Nothing is changed after construction, so polynomials are shared rather
+than copied.
 A product with the ring's one unit polynomial, ``PolyRing.one()`` (tested by
 identity), returns the other factor.
 
@@ -30,7 +30,11 @@ set.  Otherwise it makes den monic and subtracts c*x^d*den from one
 remainder in place, through rows zeta^i * (a term of den) built once
 (Monagan and Pearce, J. Symbolic Comput. 46 (2011), without their heap).
 
-``FieldElement`` is a quotient num/den of polynomials with no gcd machinery.
+``PolyRing.element`` gives the ring's fraction field one element type per
+ring.  On a ring with no variables it is ``Cyc``: a constant of Q(zeta_N)
+has one arithmetic, cyclotomic.Cyc's, and no polynomial is built for it.  On
+a ring with variables it is ``FieldElement``, a quotient num/den of
+polynomials with no gcd machinery; constants there are FieldElements too.
 Normal form: den has leading coefficient 1, and it is the unit or does not
 divide num (a quotient that divides exactly collapses to a polynomial).  A
 product of normal forms needs no rescaling, since monic times monic is
@@ -46,9 +50,11 @@ this keeps them small without a gcd.
 
 Subtraction, division and integer powers come from cyclotomic.DerivedOps.
 A polynomial has no inverse, so only a ``FieldElement`` divides or takes a
-negative power; a quotient of polynomials is one.  ``is_square``
-decides constants with a rational value exactly (see cyclotomic.Cyc.sqrt);
-every other element is left undecided.
+negative power; a quotient of polynomials is one.  ``is_square`` and
+``is_power`` read a constant through ``constant()``, which Cyc, MultiPoly
+and FieldElement share (None for a non-constant); they decide constants with
+a rational value exactly (see cyclotomic.Cyc.sqrt) and leave every other
+square undecided.
 """
 
 from __future__ import annotations
@@ -143,23 +149,26 @@ class PolyRing:
             return self._one
         return MultiPoly._make(self, {0: nums}, den, 0)
 
-    def zeta(self, power: int = 1) -> "MultiPoly":
-        return self.scalar(Cyc.zeta(self.conductor, power))
-
     def var(self, name: str) -> "MultiPoly":
         exps = [0] * len(self.variables)
         exps[self.var_index(name)] = 1
         key = self._pack(exps)
         return MultiPoly._make(self, {key: self._one.coeffs[0]}, 1, key)
 
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
+    def element(self, value) -> Union["FieldElement", Cyc]:
+        """value in the ring's fraction field: a FieldElement, or a Cyc of
+        the ring's conductor when the ring has no variables."""
+        if isinstance(value, (FieldElement, MultiPoly)):
             if value.ring is not self:
                 raise ValueError("ring mismatch")
-            return value
-        if isinstance(value, MultiPoly):
-            return FieldElement(value, self._one)
-        return FieldElement._normalized(self, self.scalar(value), self._one)
+            if isinstance(value, FieldElement):
+                return value
+            return FieldElement(value, self._one) if self.variables else value.constant()
+        if self.variables:
+            return FieldElement._normalized(self, self.scalar(value), self._one)
+        if isinstance(value, Cyc):
+            return value.lift(self.conductor)
+        return Cyc.rational(value, self.conductor)
 
     def __repr__(self):
         return f"PolyRing({', '.join(self.variables)}; conductor={self.conductor})"
@@ -185,29 +194,20 @@ class MultiPoly(DerivedOps):
 
     # -- views -----------------------------------------------------------
 
-    @property
-    def terms(self) -> dict:
-        """{exponent tuple: Cyc}, built on each access."""
-        ring, n, d = self.ring, self.ring.conductor, self.denom
-        return {ring._unpack(k): cyc_over(n, v, d) for k, v in self.coeffs.items()}
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_scalar(self) -> bool:
-        return not any(self.coeffs)  # only the constant monomial packs to 0
 
     def is_one(self) -> bool:
         if self is self.ring._one:
             return True
         return self.denom == 1 and self.coeffs == self.ring._one.coeffs
 
-    def as_scalar(self) -> Cyc:
-        if self.is_zero():
-            return Cyc.rational(0, self.ring.conductor)
-        if not self.is_scalar():
-            raise ExactFieldError("polynomial is not a scalar")
-        return cyc_over(self.ring.conductor, self.coeffs[0], self.denom)
+    def constant(self) -> Optional[Cyc]:
+        """The value as a Cyc when it is constant, else None."""
+        if any(self.coeffs):  # only the constant monomial packs to 0
+            return None
+        ring = self.ring
+        return cyc_over(ring.conductor, self.coeffs.get(0, (0,) * ring._phi), self.denom)
 
     def _leading_key(self) -> int:
         lead = self._lead
@@ -320,35 +320,26 @@ class MultiPoly(DerivedOps):
         return (self.ring is other.ring and self.denom == other.denom
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.ring, self.denom, frozenset(self.coeffs.items())))
-
     def __str__(self):
         if self.is_zero():
             return "0"
-        names = self.ring.variables
-        terms = self.terms
+        ring = self.ring
         parts = []
-        for e in sorted(terms, key=self.ring._pack, reverse=True):
-            c = terms[e]
+        for k in sorted(self.coeffs, reverse=True):
+            c = cyc_over(ring.conductor, self.coeffs[k], self.denom)
             mon = "*".join(
                 name if p == 1 else f"{name}^{p}"
-                for name, p in zip(names, e)
+                for name, p in zip(ring.variables, ring._unpack(k))
                 if p
             )
             if not mon:
-                parts.append(str(c) if c.is_rational() else f"({c})")
-                continue
-            if c.is_rational():
-                q = c.as_fraction()
-                if q == 1:
-                    parts.append(mon)
-                elif q == -1:
-                    parts.append(f"-{mon}")
-                else:
-                    parts.append(f"{q}*{mon}")
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mon)
+            elif c == -1:
+                parts.append(f"-{mon}")
             else:
-                parts.append(f"({c})*{mon}")
+                parts.append(f"{c}*{mon}")
         out = parts[0]
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
@@ -492,11 +483,10 @@ class FieldElement(DerivedOps):
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_scalar(self) -> bool:
-        return self.num.is_scalar() and self.den.is_scalar()
-
-    def as_scalar(self) -> Cyc:
-        return self.num.as_scalar() / self.den.as_scalar()
+    def constant(self) -> Optional[Cyc]:
+        """The value as a Cyc when it is constant, else None."""
+        c = self.num.constant()
+        return c if self.den.is_one() else None
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -560,12 +550,6 @@ class FieldElement(DerivedOps):
             return self.num == other.num
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        # quotients are not canonical, so only trivially-reduced elements hash
-        if not self.den.is_one():
-            raise TypeError("unreduced FieldElement is unhashable")
-        return hash(self.num)
-
     def __str__(self):
         if self.den.is_one():
             return str(self.num)
@@ -581,27 +565,26 @@ class FieldElement(DerivedOps):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
 
-def is_square(f: FieldElement) -> Optional[FieldElement]:
-    """A verified square root of f, or None.
+def is_square(f: Union[FieldElement, Cyc]) -> Union[FieldElement, Cyc, None]:
+    """A verified square root of f, in f's own type, or None.
 
     None is exact for a constant with a rational value; for any other f it
     means "not decided".
     """
-    if not f.is_scalar():
-        return None
-    root = f.as_scalar().sqrt()
-    return None if root is None else f.ring.element(root)
+    c = f.constant()
+    root = None if c is None else c.sqrt()
+    return None if root is None else f._coerce(root)
 
 
-def is_power(f: FieldElement, p: int) -> Optional[bool]:
+def is_power(f: Union[FieldElement, Cyc], p: int) -> Optional[bool]:
     """Whether f is a p-th power in its field, for a prime p; None when not decided.
 
     False when some variable's lowest or highest degree (numerator minus
     denominator), both valuations, is not divisible by p.  Exact for rational
     constants: at p = 2 by Cyc.sqrt, at odd p by integer roots, as a rational
     p-th power in an abelian field is one in Q (Lang, Algebra, VI sec. 9)."""
-    if f.is_scalar():
-        q = f.as_scalar()
+    q = f.constant()
+    if q is not None:
         if not q.is_rational():
             return None
         if p == 2:

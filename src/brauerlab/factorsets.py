@@ -50,9 +50,6 @@ class FactorSetMonomial:
         return (isinstance(other, FactorSetMonomial) and self.n == other.n
                 and self.pairs == other.pairs)
 
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.pairs.items()))))
-
     def is_trivial(self) -> bool:
         return not self.pairs
 

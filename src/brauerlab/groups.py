@@ -152,9 +152,6 @@ class PermutationGroup:
         self.identity = 0
         self.inverses = [self.index[_inv(e)] for e in self.elements]
 
-    def __len__(self) -> int:
-        return self.order
-
     def __repr__(self) -> str:
         label = self.name or "PermutationGroup"
         return f"<{label} of order {self.order} on {self.degree} points>"
@@ -262,16 +259,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup) and other.parent is self.parent
-                and other.members == self.members)
-
-    def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
 
     def __repr__(self) -> str:
         return f"<Subgroup of order {self.order} and index {self.parent.order // self.order}>"

@@ -22,18 +22,18 @@ it gives the entries of equiv_form.
 from math import isqrt
 from typing import Optional, Sequence
 
-from .crossed import FieldScalars
-from .exactfield import FieldElement, PolyRing, is_square
+from .crossed import FElem, FieldScalars
+from .exactfield import Cyc, PolyRing, is_square
 
 
 class QuadFormError(ValueError):
     pass
 
 
-def _zeta4(ring: PolyRing) -> FieldElement:
+def _zeta4(ring: PolyRing) -> FElem:
     if ring.conductor % 4 != 0:
         raise QuadFormError("need a square root of -1: conductor not divisible by 4")
-    return ring.element(ring.zeta(ring.conductor // 4))
+    return ring.element(Cyc.zeta(ring.conductor, ring.conductor // 4))
 
 
 # ------------------------------------------------------------------------ forms

@@ -1,20 +1,22 @@
-"""Exact dense linear algebra over FieldElement matrices: the oracle that
-tests compare the closed forms of ``brauerlab.crossed`` against.
+"""Exact dense linear algebra over the elements of one PolyRing's fraction
+field: the oracle that tests compare the closed forms of
+``brauerlab.crossed`` against.
 
 Division in the coefficient field is exact, so plain Gaussian elimination is
 sound; the only numerical concern is expression swell, which pivot selection
 by term count keeps in check at the sizes these computations produce.
-Matrices are lists of lists of FieldElement sharing one PolyRing.
+Matrices are lists of lists of ``PolyRing.element`` values: FieldElements,
+or Cycs when the ring has no variables.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
-from brauerlab.exactfield import FieldElement, PolyRing
+from brauerlab.exactfield import Cyc, FieldElement, PolyRing
 
-Matrix = list[list[FieldElement]]
-Vector = list[FieldElement]
+Matrix = list[list[Union[FieldElement, Cyc]]]
+Vector = list[Union[FieldElement, Cyc]]
 
 
 def _ring_of(matrix: Matrix, ring: Optional[PolyRing]) -> PolyRing:
@@ -25,8 +27,11 @@ def _ring_of(matrix: Matrix, ring: Optional[PolyRing]) -> PolyRing:
     return matrix[0][0].ring
 
 
-def _complexity(value: FieldElement) -> int:
-    return len(value.num.terms) + len(value.den.terms)
+def _complexity(value: Union[FieldElement, Cyc]) -> int:
+    # the term count of num and den; a constant of Q(zeta_N) is one term
+    if isinstance(value, Cyc):
+        return 1
+    return len(value.num.coeffs) + len(value.den.coeffs)
 
 
 def _rref(matrix: Matrix, ncols: int) -> tuple[Matrix, list[int]]:

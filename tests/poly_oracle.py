@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from brauerlab.exactfield import ExactFieldError, MultiPoly
-from readers import poly_from_terms
+from readers import poly_from_terms, poly_terms
 
 
 def grevlex_key(exps: tuple[int, ...]):
@@ -23,13 +23,13 @@ def grevlex_key(exps: tuple[int, ...]):
 
 def leading_exponents(p: MultiPoly) -> tuple[int, ...]:
     """The leading exponent by a rescan of every term, never the cached one."""
-    return max(p.terms, key=grevlex_key)
+    return max(poly_terms(p), key=grevlex_key)
 
 
 def schoolbook_product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     acc: dict = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+    for e1, c1 in poly_terms(p).items():
+        for e2, c2 in poly_terms(q).items():
             e = tuple(a + b for a, b in zip(e1, e2))
             prod = c1 * c2
             if e in acc:
@@ -50,7 +50,7 @@ def schoolbook_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
         raise ExactFieldError("division by zero")
     ring = num.ring
     den_lead = leading_exponents(den)
-    den_lc = den.terms[den_lead]
+    den_lc = poly_terms(den)[den_lead]
     quot: dict = {}
     rem = num
     while not rem.is_zero():
@@ -58,7 +58,7 @@ def schoolbook_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
         diff = tuple(a - b for a, b in zip(lead, den_lead))
         if any(d < 0 for d in diff):
             return None
-        c = rem.terms[lead] / den_lc
+        c = poly_terms(rem)[lead] / den_lc
         quot[diff] = c
         rem = rem - schoolbook_product(poly_from_terms(ring, {diff: c}), den)
     return poly_from_terms(ring, quot)

@@ -1,16 +1,26 @@
-"""Readers that turn envelope JSON back into objects, and a polynomial built
-from a term dict.  Only tests read envelopes back, so the readers live here.
+"""Readers that turn envelope JSON back into objects, and a polynomial's
+terms as a dict and back.  Only tests read envelopes or terms back, so the
+readers live here.
 
 ``poly_from_terms`` is the validating constructor: every coefficient must be
-a Cyc of the ring's conductor, and zero terms are dropped.
+a Cyc of the ring's conductor, and zero terms are dropped.  ``poly_terms``
+is its inverse view.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from typing import Union
 
 from brauerlab.exactfield import Cyc, FieldElement, MultiPoly, PolyRing
+from brauerlab.exactfield.cyclotomic import cyc_over
 from brauerlab.quadforms import WittMove
+
+
+def poly_terms(p: MultiPoly) -> dict:
+    """{exponent tuple: Cyc} of p's nonzero terms, in p's key order."""
+    ring, d = p.ring, p.denom
+    return {ring._unpack(k): cyc_over(ring.conductor, v, d) for k, v in p.coeffs.items()}
 
 
 def poly_from_terms(ring: PolyRing, terms: dict) -> MultiPoly:
@@ -40,9 +50,9 @@ def poly_from_json(ring: PolyRing, data: dict) -> MultiPoly:
     return poly_from_terms(ring, terms)
 
 
-def element_from_json(ring: PolyRing, data: dict) -> FieldElement:
-    return FieldElement(poly_from_json(ring, data["num"]),
-                        poly_from_json(ring, data["den"]))
+def element_from_json(ring: PolyRing, data: dict) -> Union[FieldElement, Cyc]:
+    return ring.element(poly_from_json(ring, data["num"])) / ring.element(
+        poly_from_json(ring, data["den"]))
 
 
 def witt_move_from_json(ring: PolyRing, data: dict) -> WittMove:

@@ -47,6 +47,9 @@ REFERENCE_ENVELOPES = [
      "6561d07e3f16a3b04146525571fd7da538276f2d11067db0df0de2f9c16d1763"),
     (("crossed-decompose", "--m", "3", "--symbol", "3", "5", "0", "1"),
      "22a0a5805e8e3dce33c81f010de86567fc1a7573ec45cea9a194d10772ed54c8"),
+    # twisted: u is not rational and b2 has a nonzero scalar part
+    (("crossed-decompose", "--m", "3", "--symbol", "3", "5", "2", "1", "--mu", "1", "--nu", "2"),
+     "a879105e3a7695f77af606f6d54d71f19a8bfeb00769e9d549112eb770fe6dd9"),
     (("lattice", "--group", "S4", "--r", "2"),
      "700bffc2c2d3eceb457b5719f1c7a1a7885ef6dede362fbf69d8b489e43a237e"),
     (("lattice", "--formanek", "5"),

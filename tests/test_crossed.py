@@ -936,10 +936,13 @@ def test_decompose_leaves_the_symbol_presentation_to_its_caller(monkeypatch):
 
 
 def _count_scalar_work(monkeypatch):
-    """Count Cyc products and constructions, products of two multi-term
-    polynomials, and exact_divide calls and hits from here on."""
-    counts = dict.fromkeys(("cyc_mul", "cyc_init", "poly_mul", "divide", "hits"), 0)
+    """Count Cyc products and constructions, FieldElement constructions,
+    polynomial products (all, and those of two multi-term polynomials), and
+    exact_divide calls and hits from here on."""
+    counts = dict.fromkeys(
+        ("cyc_mul", "cyc_init", "fe_init", "poly_products", "poly_mul", "divide", "hits"), 0)
     mul, init, poly_mul, divide = Cyc.__mul__, Cyc.__init__, poly.MultiPoly.__mul__, poly.exact_divide
+    fe_init, fe_normalized = poly.FieldElement.__init__, poly.FieldElement._normalized
 
     def counted_mul(a, b):
         counts["cyc_mul"] += 1
@@ -949,7 +952,16 @@ def _count_scalar_work(monkeypatch):
         counts["cyc_init"] += 1
         init(self, *args, **kwargs)
 
+    def counted_fe_init(self, *args):
+        counts["fe_init"] += 1
+        fe_init(self, *args)
+
+    def counted_fe_normalized(cls, *args):
+        counts["fe_init"] += 1
+        return fe_normalized(*args)
+
     def counted_poly_mul(p, q):
+        counts["poly_products"] += 1
         counts["poly_mul"] += (isinstance(q, poly.MultiPoly)
                                and len(p.coeffs) > 1 and len(q.coeffs) > 1)
         return poly_mul(p, q)
@@ -963,6 +975,8 @@ def _count_scalar_work(monkeypatch):
     monkeypatch.setattr(Cyc, "__mul__", counted_mul)
     monkeypatch.setattr(Cyc, "__rmul__", counted_mul)
     monkeypatch.setattr(Cyc, "__init__", counted_init)
+    monkeypatch.setattr(poly.FieldElement, "__init__", counted_fe_init)
+    monkeypatch.setattr(poly.FieldElement, "_normalized", classmethod(counted_fe_normalized))
     monkeypatch.setattr(poly.MultiPoly, "__mul__", counted_poly_mul)
     monkeypatch.setattr(poly.MultiPoly, "__rmul__", counted_poly_mul)
     monkeypatch.setattr(poly, "exact_divide", counted_divide)
@@ -970,24 +984,20 @@ def _count_scalar_work(monkeypatch):
 
 
 def test_work_budget_of_exact_scalars(monkeypatch):
-    # upper bounds pinned at the counts of the packed-array kernel, whose
-    # polynomial arithmetic makes no Cyc product and builds a Cyc only for a
-    # view (the schoolbook kernel before it made 185 and 223 Cyc products,
-    # 304 and 412 Cyc constructions); the multi-term product count bounds
-    # that kernel's convolutions.  The exact_divide hits are pinned exactly:
-    # a lost hit would leave a quotient uncollapsed.
+    # Over a ring without variables every K-coefficient is a Cyc: no
+    # FieldElement is built and no polynomial product is taken.  The Cyc
+    # products are at most the 201 FieldElement products this certificate
+    # took over quotients of one-term polynomials; the 262 Cyc
+    # constructions are as measured, one per product or sum (53) that
+    # builds a value, plus roots of unity and rationals.  The exact_divide
+    # hits are pinned exactly: a lost hit would leave a quotient uncollapsed.
     A = instance_from_symbol(2, 3, 5, 2, 1, ring=rational_ring(), check="full")
     counts = _count_scalar_work(monkeypatch)
     cert = decomposition_certificate(A)
     assert cert.ok and cert.branch == "generic"
-    # 144 products and 247 constructions when every coefficient was a Cyc,
-    # 183 products when the last product of delta^4 was taken whole, 159
-    # before the tower norms, lazy u^-1 and unit-free scalar products (302
-    # constructions)
-    assert counts["cyc_mul"] <= 1
-    assert counts["cyc_init"] <= 8
-    # a ring without variables has one-term polynomials only
-    assert counts["poly_mul"] == 0
+    assert counts["fe_init"] == counts["poly_products"] == 0
+    assert counts["cyc_mul"] <= 201
+    assert counts["cyc_init"] <= 262
     assert counts["divide"] == counts["hits"] == 0
     ring = symbolic_ring(2)
     gens = symbolic_gens(ring)
